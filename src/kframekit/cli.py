@@ -26,13 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .linalg import (
-    DEFAULT_POLICY,
-    OperatorEnv,
-    TolerancePolicy,
-    range_inclusion_check,
-    spectral_norm,
-)
+from .linalg import DEFAULT_POLICY, OperatorEnv, TolerancePolicy, spectral_norm
 from .multipliers import Symbol
 
 __all__ = ["JobSpec", "Report", "Verdict", "run_job", "main", "build_parser"]
@@ -175,10 +169,10 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     frame = _load_frame(job.frames[0])
     env = _load_env(job.operator, policy)
     bounds = frames.k_frame_check(frame, env, policy)
-    inclusion = range_inclusion_check(env.k, frame.synthesis, policy=policy)
+    inclusion = bounds.inclusion
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
-    report.results["bessel_bound"] = frames.optimal_bessel_bound(frame)
+    report.results["bessel_bound"] = bounds.upper
     report.results["minimal"] = frames.minimality_check(frame, policy)
     report.results["operator_rank"] = env.rank
     tight = frames.tightness_check(frame, env, policy)
@@ -210,6 +204,7 @@ def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     _require(job, 1, operator=True)
     frame = _load_frame(job.frames[0])
     env = _load_env(job.operator, policy)
+    bounds = frames.k_frame_check(frame, env, policy)
     dual = duality.canonical_k_dual(frame, env, policy)
     cert = duality.verify_k_dual(frame, dual, env, policy)
     report.results["dual_vectors"] = _vectors_out(dual)
@@ -217,7 +212,6 @@ def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
-    bounds = frames.k_frame_check(frame, env, policy)
     envelope = duality.canonical_dual_bound_certificate(
         frame, env, bounds.lower, bounds.upper, policy
     )
@@ -250,11 +244,8 @@ def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> N
     regenerated = duality.dual_family_generate(frame, env, pert, policy)
     roundtrip = float(np.max(np.abs(regenerated.vectors - candidate.vectors)))
     report.results["phi"] = io.matrix_to_obj(pert.phi)
-    report.verdicts["phi-admissible"] = Verdict(
-        violation <= policy.threshold(spectral_norm(frame.synthesis)),
-        violation,
-        policy.threshold(spectral_norm(frame.synthesis)),
-    )
+    threshold = policy.threshold(spectral_norm(frame.synthesis))
+    report.verdicts["phi-admissible"] = Verdict(violation <= threshold, violation, threshold)
     report.verdicts["family-round-trip"] = Verdict(
         roundtrip <= 1e-9, roundtrip, 1e-9
     )
@@ -266,10 +257,7 @@ def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> No
     psi = _load_frame(job.frames[1])
     symbol = _load_symbol(job.symbol)
     mult = multipliers.assemble_multiplier(symbol, phi, psi, policy)
-    bound = float(
-        np.sqrt(frames.optimal_bessel_bound(phi) * frames.optimal_bessel_bound(psi))
-        * symbol.sup_modulus
-    )
+    bound = mult.norm_bound()
     norm = mult.norm()
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
     report.results["norm"] = norm
@@ -297,9 +285,8 @@ def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side
         residual = spectral_norm(matrix @ mult.matrix - env.k)
         name = "left-inverse-identity"
     report.results["inverse"] = io.matrix_to_obj(matrix)
-    report.verdicts[name] = Verdict(
-        residual <= policy.threshold(env.norm()), residual, policy.threshold(env.norm())
-    )
+    threshold = policy.threshold(env.norm())
+    report.verdicts[name] = Verdict(residual <= threshold, residual, threshold)
 
 
 def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:

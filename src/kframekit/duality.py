@@ -29,13 +29,19 @@ from .errors import (
     NotARepresentation,
     ShapeMismatch,
 )
-from .frames import Frame, k_frame_check, optimal_bessel_bound, validate_bounds
+from .frames import (
+    Frame,
+    _synthesis_factors,
+    k_frame_check,
+    optimal_bessel_bound,
+    validate_bounds,
+)
 from .linalg import (
     DEFAULT_POLICY,
     OperatorEnv,
     RestrictedMap,
     TolerancePolicy,
-    pseudo_inverse,
+    _memoized_per_operator,
     restricted_inverse,
     spectral_norm,
 )
@@ -78,22 +84,26 @@ class KDualCertificate:
     lower_bound_report: tuple[float, float] | None = None
 
 
+@_memoized_per_operator
 def frame_restriction(f: Frame, env: OperatorEnv, policy: TolerancePolicy) -> RestrictedMap:
     """Inverse of S_F restricted to R(K), as a full-space matrix.
 
     The returned map annihilates S_F(R(K))-perp, so its matrix realizes
-    (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece.
+    (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece. Memoized on ``f`` per
+    (env, policy).
     """
     return restricted_inverse(f.frame_operator, env.range_k, policy)
 
 
+@_memoized_per_operator
 def canonical_k_dual(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> Frame:
     """Canonical K-dual {K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i}.
 
     Index order follows ``f`` (equal frame vectors yield equal duals).
-    Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
+    Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame. Memoized on
+    ``f`` per (env, policy).
     """
     k_frame_check(f, env, policy)
     rmap = frame_restriction(f, env, policy)
@@ -316,7 +326,7 @@ def noncommutativity_witness(
 ) -> WitnessReport:
     """Test whether the exchanged canonical construction on Ftilde recovers F."""
     dual = canonical_k_dual(f, env, policy)
-    rmap = restricted_inverse(dual.frame_operator, env.range_k_adjoint, policy)
+    rmap = frame_restriction(dual, env.adjoint(), policy)
     witness = env.k @ rmap.matrix
     images = (witness @ f.synthesis).T
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
@@ -409,7 +419,7 @@ def canonical_coefficients(
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
     dual = canonical_k_dual(f, env, policy)
     rmap = frame_restriction(f, env, policy)
-    coeffs = pseudo_inverse(f.synthesis, policy) @ (
+    coeffs = _synthesis_factors(f, policy).pinv() @ (
         f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
     )
     direct = dual.analysis @ target

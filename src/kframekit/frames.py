@@ -29,14 +29,19 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_POLICY,
+    CheckResult,
     OperatorEnv,
+    SvdFactors,
     TolerancePolicy,
+    _douglas,
+    _inclusion,
+    _majorization,
+    _memo,
+    _memoized_per_operator,
     as_matrix,
     herm_eigvals,
-    majorization_constant,
     min_eig,
     pseudo_inverse,
-    range_inclusion_check,
     spectral_norm,
     svd_decompose,
 )
@@ -60,7 +65,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered finite sequence of vectors in C^n, stored as rows (N x n)."""
+    """Ordered finite sequence of vectors in C^n, stored as rows (N x n).
+
+    A frame memoizes what it derives from factorizations: the singular
+    values of its synthesis operator and, per (operator env, tolerance
+    policy), the results of ``k_frame_check``, ``frame_restriction`` and
+    ``canonical_k_dual``. Memoization never changes a result, entries are
+    only ever added (so concurrent use stays safe), and singular vectors are
+    never kept.
+    """
 
     vectors: np.ndarray
 
@@ -74,6 +87,7 @@ class Frame:
         if v.shape[0] < 1:
             raise ShapeMismatch("a frame needs at least one vector")
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def ambient_dim(self) -> int:
@@ -85,9 +99,6 @@ class Frame:
 
     def __len__(self) -> int:
         return self.size
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.vectors[i]
 
     @property
     def synthesis(self) -> np.ndarray:
@@ -142,17 +153,32 @@ def build_frame_ops(f: Frame) -> FrameOperators:
 
 @dataclass(frozen=True)
 class FrameBounds:
+    """Optimal bounds; ``inclusion`` is the R(K) in R(T_F) test behind A."""
+
     lower: float
     upper: float
     optimal: bool = True
+    inclusion: CheckResult | None = None
+
+
+def _synthesis_factors(f: Frame, policy: TolerancePolicy) -> SvdFactors:
+    """Thin SVD of T_F; its singular values are memoized on the frame."""
+    factors = svd_decompose(f.synthesis, policy)
+    f._memo.setdefault("singular_values", factors.singular_values)
+    return factors
+
+
+def _singular_values(f: Frame) -> np.ndarray:
+    """Singular values of T_F (they do not depend on the tolerance policy)."""
+    return _memo(f, "singular_values", lambda: svd_decompose(f.synthesis).singular_values)
 
 
 def optimal_bessel_bound(f: Frame) -> float:
     """Least valid B in sum_i |<f, f_i>|^2 <= B |f|^2, i.e. sigma_max(T_F)^2."""
-    s = svd_decompose(f.synthesis).singular_values
-    return float(s[0] ** 2)
+    return float(_singular_values(f)[0] ** 2)
 
 
+@_memoized_per_operator
 def k_frame_check(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> FrameBounds:
@@ -162,7 +188,9 @@ def k_frame_check(
     failure of the lower bound), ZeroOperator for K = 0 (the condition is
     vacuous and every downstream formula divides by A). The Douglas route
     A = 1/|pinv(T_F) K|^2 is cross-checked against the eigenvalue route
-    A = 1/lambda_max(K* pinv(S_F) K).
+    A = 1/lambda_max(K* pinv(S_F) K), with one SVD of T_F behind the
+    inclusion test, B and the Douglas route. Memoized on ``f`` per
+    (env, policy).
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -170,16 +198,18 @@ def k_frame_check(
         )
     if env.is_zero():
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
-    syn = f.synthesis
-    inclusion = range_inclusion_check(env.k, syn, policy=policy)
+    factors = _synthesis_factors(f, policy)
+    norm_k = env.norm()
+    inclusion = _inclusion(env.k, factors, norm_k, policy)
     if not inclusion:
         raise NotKFrame(
             f"R(K) not contained in R(T_F): residual {inclusion.residual:.3e} "
             f"> {inclusion.threshold:.3e}",
             inclusion.residual,
         )
-    upper = optimal_bessel_bound(f)
-    lam = majorization_constant(env.k, syn, policy)
+    upper = float(factors.singular_values[0] ** 2)
+    x = _douglas(env.k, f.synthesis, factors, norm_k, policy, inclusion)
+    lam = _majorization(env.k, f.synthesis, x, norm_k, policy)
     lower = 1.0 / lam**2
 
     s_pinv = pseudo_inverse(f.frame_operator, policy)
@@ -190,7 +220,7 @@ def k_frame_check(
             f"optimal lower bound routes disagree: {lower!r} vs {lower_cc!r}",
             abs(lower - lower_cc),
         )
-    return FrameBounds(lower, upper, optimal=True)
+    return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 
 
 @dataclass(frozen=True)
@@ -213,7 +243,7 @@ def validate_bounds(
         raise ShapeMismatch("frame/operator dimension mismatch")
     s = f.frame_operator
     gram_k = env.k @ env.k_adjoint
-    scale = max(1.0, spectral_norm(s))
+    scale = max(1.0, optimal_bessel_bound(f))
     thr = policy.identity_tol * scale
     lower_slack = min_eig(s - a * gram_k)
     upper_slack = b - float(herm_eigvals(s)[-1])
@@ -241,7 +271,7 @@ def tightness_check(
         raise ShapeMismatch("frame/operator dimension mismatch")
     s = f.frame_operator
     gram_k = env.k @ env.k_adjoint
-    scale = max(1.0, spectral_norm(s))
+    scale = max(1.0, optimal_bessel_bound(f))
     thr = policy.identity_tol * scale
     denom = float(np.real(np.trace(gram_k @ gram_k)))
     if denom <= 0.0:
@@ -273,7 +303,7 @@ def bessel_as_k_frame(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> Ope
 
 def minimality_check(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff T_F has trivial kernel (sum c_i f_i = 0 forces c = 0)."""
-    return svd_decompose(f.synthesis, policy).rank == f.size
+    return policy.rank(_singular_values(f), f.synthesis.shape) == f.size
 
 
 def biorthogonal_sequence(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> Frame:
@@ -282,7 +312,7 @@ def biorthogonal_sequence(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) ->
     G = T_F (T_F* T_F)^-1 satisfies <f_i, g_j> = delta_ij with every g_j in
     the span of the f_i; requires a minimal sequence.
     """
-    if not minimality_check(f, policy):
+    factors = _synthesis_factors(f, policy)
+    if factors.rank != f.size:
         raise NotMinimal("sequence is not minimal: synthesis operator has a kernel")
-    g_syn = pseudo_inverse(f.synthesis, policy).conj().T
-    return Frame(g_syn.T)
+    return Frame(factors.pinv().conj())

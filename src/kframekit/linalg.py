@@ -14,10 +14,21 @@ All "closed range" hypotheses of the underlying operator theory are vacuous
 here: everything is finite dimensional, and only numerical rank is ever
 tested. Every object is an immutable value and every function is pure, so
 unrestricted concurrent use is safe.
+
+Each function factors its operand once: ``range_inclusion_check``,
+``douglas_solve``, ``majorization_constant`` and ``restricted_inverse`` pass
+one ``SvdFactors`` through every step that needs it. Values memoize what
+they derive from their factorizations (``OperatorEnv`` keeps its norms and
+its adjoint; frames keep their singular values and per-operator results),
+never the singular vectors. A memoized value is the value a fresh
+computation returns, so memoization never changes a result. Memo entries
+are only ever added, and two threads filling the same entry store equal
+values, so concurrent use stays safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +94,49 @@ class TolerancePolicy:
             return self
         return TolerancePolicy(tol, self.rank_scale, self.rank_override)
 
+    def rank(self, singular_values: np.ndarray, shape: tuple[int, int]) -> int:
+        """Numerical rank of a matrix of ``shape`` with these singular values."""
+        sigma_max = float(singular_values[0]) if singular_values.size else 0.0
+        return int(np.sum(singular_values > self.rank_cutoff(shape, sigma_max)))
+
 
 DEFAULT_POLICY = TolerancePolicy()
+
+
+def _memo(owner, key, compute):
+    """``owner``'s memo entry for ``key``, filled by ``compute()`` on first use.
+
+    Entries are never replaced: owners are immutable and ``compute`` is
+    deterministic, so a fill racing another fill stores an equal value and
+    every caller gets the stored one.
+    """
+    memo = owner._memo
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, compute())
+
+
+def _memoized_per_operator(fn):
+    """Memoize ``fn(value, env, policy)`` on ``value`` per (env, policy).
+
+    The entry holds ``env`` itself, so the ``id`` in its key cannot be
+    reused while the entry lives; an env never refers back to the values
+    that memoize results for it, which keeps the references one-way and
+    free of cycles. Failures are not memoized.
+    """
+
+    @functools.wraps(fn)
+    def memoized(value, env, policy=DEFAULT_POLICY):
+        key = (fn.__name__, id(env), policy)
+        return _memo(value, key, lambda: (env, fn(value, env, policy)))[1]
+
+    return memoized
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -132,6 +184,19 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
 
+    def adjoint(self) -> "SvdFactors":
+        """Factors of the conjugate transpose: the same SVD read backwards."""
+        return SvdFactors(
+            self.right_vectors, self.singular_values, self.left_vectors, self.rank,
+            self.rank_tolerance,
+        )
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse, truncated at the committed rank."""
+        r = self.rank
+        v = self.right_vectors[:, :r] / self.singular_values[:r]
+        return v @ self.left_vectors[:, :r].conj().T
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -172,10 +237,8 @@ def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = policy.rank_cutoff(a.shape, sigma_max)
-    rank = int(np.sum(s > cutoff))
-    factors = SvdFactors(u, s, vh.conj().T, rank, cutoff)
+    cutoff = policy.rank_cutoff(a.shape, float(s[0]) if s.size else 0.0)
+    factors = SvdFactors(u, s, vh.conj().T, policy.rank(s, a.shape), cutoff)
     resid = np.linalg.norm(factors.reconstruct() - a)
     if resid > 1e-10 * max(1.0, float(np.linalg.norm(a))):
         raise InternalConsistencyError(
@@ -186,18 +249,15 @@ def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
 
 def pseudo_inverse(m, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Moore-Penrose pseudo-inverse, rank-truncated per the policy."""
-    f = svd_decompose(m, policy)
-    if f.rank == 0:
-        return np.zeros((f.right_vectors.shape[0], f.left_vectors.shape[0]), dtype=np.complex128)
-    u = f.left_vectors[:, : f.rank]
-    v = f.right_vectors[:, : f.rank]
-    s = f.singular_values[: f.rank]
-    return (v / s) @ u.conj().T
+    return svd_decompose(m, policy).pinv()
 
 
 def range_projector(m, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[Subspace, np.ndarray]:
     """Orthonormal basis of R(m) and the orthogonal projector onto it."""
-    f = svd_decompose(m, policy)
+    return _range_projector(svd_decompose(m, policy))
+
+
+def _range_projector(f: SvdFactors) -> tuple[Subspace, np.ndarray]:
     basis = f.left_vectors[:, : f.rank]
     sub = Subspace(basis.shape[0], basis)
     return sub, sub.projector()
@@ -219,13 +279,25 @@ def range_inclusion_check(
     l1, l2, tol: float | None = None, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1."""
+    a, b = _operand_pair(l1, l2)
+    return _inclusion(a, svd_decompose(b, policy), spectral_norm(a), policy, tol)
+
+
+def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
     a = as_matrix(l1, "l1")
     b = as_matrix(l2, "l2")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    _, proj = range_projector(b, policy)
+    return a, b
+
+
+def _inclusion(
+    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy, tol: float | None = None
+) -> CheckResult:
+    """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
+    _, proj = _range_projector(f2)
     residual = spectral_norm(a - proj @ a)
-    threshold = (tol if tol is not None else policy.identity_tol) * max(1.0, spectral_norm(a))
+    threshold = (tol if tol is not None else policy.identity_tol) * max(1.0, norm_a)
     return CheckResult(residual <= threshold, residual, threshold)
 
 
@@ -235,18 +307,30 @@ def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     X = pinv(l2) l1, whose rows live in R(l2*); raises RangeNotIncluded when
     the inclusion fails at tolerance.
     """
-    a = as_matrix(l1, "l1")
-    b = as_matrix(l2, "l2")
-    check = range_inclusion_check(a, b, policy=policy)
-    if not check:
+    a, b = _operand_pair(l1, l2)
+    return _douglas(a, b, svd_decompose(b, policy), spectral_norm(a), policy)
+
+
+def _douglas(
+    a: np.ndarray,
+    b: np.ndarray,
+    f2: SvdFactors,
+    norm_a: float,
+    policy: TolerancePolicy,
+    inclusion: CheckResult | None = None,
+) -> np.ndarray:
+    """``douglas_solve`` from the factors of ``b``, reusing a computed inclusion test."""
+    if inclusion is None:
+        inclusion = _inclusion(a, f2, norm_a, policy)
+    if not inclusion:
         raise RangeNotIncluded(
-            f"R(l1) not contained in R(l2): residual {check.residual:.3e} "
-            f"> threshold {check.threshold:.3e}",
-            check.residual,
+            f"R(l1) not contained in R(l2): residual {inclusion.residual:.3e} "
+            f"> threshold {inclusion.threshold:.3e}",
+            inclusion.residual,
         )
-    x = pseudo_inverse(b, policy) @ a
+    x = f2.pinv() @ a
     resid = spectral_norm(b @ x - a)
-    if resid > policy.threshold(spectral_norm(a)):
+    if resid > policy.threshold(norm_a):
         raise InternalConsistencyError(
             f"factorization residual {resid:.3e} despite range inclusion", resid
         )
@@ -269,9 +353,16 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     cross-checked by an independent eigenvalue route on the Gram matrices;
     disagreement beyond 1e-8 raises InternalConsistencyError.
     """
-    a = as_matrix(l1, "l1")
-    b = as_matrix(l2, "l2")
-    x = douglas_solve(a, b, policy)
+    a, b = _operand_pair(l1, l2)
+    norm_a = spectral_norm(a)
+    x = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)
+    return _majorization(a, b, x, norm_a, policy)
+
+
+def _majorization(
+    a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_a: float, policy: TolerancePolicy
+) -> float:
+    """``majorization_constant`` from the minimal Douglas solution ``x``."""
     lam = spectral_norm(x)
 
     g1 = a @ a.conj().T
@@ -283,7 +374,7 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
             f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
         )
     slack = min_eig(lam**2 * g2 - g1)
-    if slack < -1e-9 * max(1.0, spectral_norm(g1)):
+    if slack < -1e-9 * max(1.0, norm_a**2):
         raise InternalConsistencyError(
             f"lambda^2 L2 L2* - L1 L1* indefinite at the computed lambda: {slack:.3e}", -slack
         )
@@ -301,7 +392,10 @@ class RestrictedMap:
     matrix: np.ndarray
     domain: Subspace
     codomain: Subspace
-    proj_domain: np.ndarray
+
+    @property
+    def proj_domain(self) -> np.ndarray:
+        return self.domain.projector()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -324,20 +418,17 @@ def restricted_inverse(s, v: Subspace, policy: TolerancePolicy = DEFAULT_POLICY)
         raise ShapeMismatch(
             f"operator acts on C^{a.shape[1]} but subspace lives in C^{v.ambient_dim}"
         )
-    image = a @ v.basis
-    f = svd_decompose(image, policy) if v.dim else None
-    if v.dim and f.rank < v.dim:
+    if not v.dim:
+        matrix = np.zeros((v.ambient_dim, a.shape[0]), dtype=np.complex128)
+        domain = Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=np.complex128))
+        return RestrictedMap(_read_only(matrix), domain, v)
+    f = svd_decompose(a @ v.basis, policy)
+    if f.rank < v.dim:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {f.rank} < dim {v.dim}"
         )
-    matrix = v.basis @ pseudo_inverse(image, policy) if v.dim else np.zeros(
-        (v.ambient_dim, a.shape[0]), dtype=np.complex128
-    )
-    if v.dim:
-        domain = Subspace(a.shape[0], f.left_vectors[:, : f.rank])
-    else:
-        domain = Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=np.complex128))
-    return RestrictedMap(matrix, domain, v, domain.projector())
+    domain = Subspace(a.shape[0], f.left_vectors[:, : f.rank])
+    return RestrictedMap(_read_only(v.basis @ f.pinv()), domain, v)
 
 
 @dataclass(frozen=True)
@@ -391,6 +482,8 @@ class OperatorEnv:
 
     Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K; ``adjoint()`` swaps
     the roles of K and K*, which is how every K*-frame question is asked.
+    ``norm()``, ``pinv_norm()`` and ``adjoint()`` are memoized on the value;
+    an env holds its adjoint, and the adjoint never refers back to it.
     """
 
     k: np.ndarray
@@ -401,6 +494,9 @@ class OperatorEnv:
     proj_range_k: np.ndarray
     proj_range_k_adjoint: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+
     @staticmethod
     def from_matrix(k, policy: TolerancePolicy = DEFAULT_POLICY) -> "OperatorEnv":
         a = as_matrix(k, "k")
@@ -410,24 +506,23 @@ class OperatorEnv:
         r = f.rank
         basis_range = f.left_vectors[:, :r]
         basis_corange = f.right_vectors[:, :r]
-        if r:
-            pinv = (basis_corange / f.singular_values[:r]) @ basis_range.conj().T
-        else:
-            pinv = np.zeros_like(a.conj().T)
         env = OperatorEnv(
             k=a,
             k_adjoint=as_matrix(a.conj().T),
-            k_pinv=as_matrix(pinv, "k_pinv"),
+            k_pinv=as_matrix(f.pinv(), "k_pinv"),
             range_k=Subspace(a.shape[0], basis_range),
             range_k_adjoint=Subspace(a.shape[1], basis_corange),
             proj_range_k=as_matrix(basis_range @ basis_range.conj().T, "proj"),
             proj_range_k_adjoint=as_matrix(basis_corange @ basis_corange.conj().T, "proj"),
         )
+        s = f.singular_values
+        env._memo["norm"] = float(s[0])
+        env._memo["pinv_norm"] = 1.0 / float(s[r - 1]) if r else 0.0
         env._self_check(policy)
         return env
 
     def _self_check(self, policy: TolerancePolicy) -> None:
-        scale = max(1.0, spectral_norm(self.k))
+        scale = max(1.0, self.norm())
         resid = spectral_norm(self.k @ self.k_pinv - self.proj_range_k)
         if resid > 1e-10 * scale:
             raise InternalConsistencyError(
@@ -451,13 +546,16 @@ class OperatorEnv:
         return self.rank == 0
 
     def norm(self) -> float:
-        return spectral_norm(self.k)
+        return _memo(self, "norm", lambda: spectral_norm(self.k))
 
     def pinv_norm(self) -> float:
-        return spectral_norm(self.k_pinv)
+        return _memo(self, "pinv_norm", lambda: spectral_norm(self.k_pinv))
 
     def adjoint(self) -> "OperatorEnv":
-        return OperatorEnv(
+        return _memo(self, "adjoint", self._make_adjoint)
+
+    def _make_adjoint(self) -> "OperatorEnv":
+        adj = OperatorEnv(
             k=self.k_adjoint,
             k_adjoint=self.k,
             k_pinv=as_matrix(self.k_pinv.conj().T),
@@ -466,6 +564,12 @@ class OperatorEnv:
             proj_range_k=self.proj_range_k_adjoint,
             proj_range_k_adjoint=self.proj_range_k,
         )
+        # K and K* share their singular values; "adjoint" is never copied,
+        # so the adjoint holds no reference back to this env
+        for key in ("norm", "pinv_norm"):
+            if key in self._memo:
+                adj._memo[key] = self._memo[key]
+        return adj
 
     @staticmethod
     def identity(n: int) -> "OperatorEnv":

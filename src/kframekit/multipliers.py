@@ -49,13 +49,19 @@ from .frames import (
 from .linalg import (
     DEFAULT_POLICY,
     OperatorEnv,
+    SvdFactors,
     TolerancePolicy,
-    majorization_constant,
+    _douglas,
+    _inclusion,
+    _majorization,
+    _memo,
+    _memoized_per_operator,
+    _read_only,
     neumann_invertibility_margin,
-    pseudo_inverse,
     range_inclusion_check,
     restricted_inverse,
     spectral_norm,
+    svd_decompose,
 )
 
 __all__ = [
@@ -143,15 +149,29 @@ class Symbol:
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Assembled multiplier M_{m,Phi,Psi} with its dense matrix."""
+    """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
+
+    ``norm()`` and, per (operator env, tolerance policy), the K-right and
+    K-left inverses are memoized on the value, like a frame's results.
+    """
 
     symbol: Symbol
     phi: Frame
     psi: Frame
     matrix: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+
     def norm(self) -> float:
-        return spectral_norm(self.matrix)
+        return _memo(self, "norm", lambda: spectral_norm(self.matrix))
+
+    def norm_bound(self) -> float:
+        """The Bessel bound sqrt(B_Phi B_Psi) sup|m| on ``norm()``."""
+        return float(
+            np.sqrt(optimal_bessel_bound(self.phi) * optimal_bessel_bound(self.psi))
+            * self.symbol.sup_modulus
+        )
 
 
 def assemble_multiplier(
@@ -164,14 +184,21 @@ def assemble_multiplier(
         )
     if phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("frames live in different ambient dimensions")
-    matrix = (phi.synthesis * m.values) @ psi.analysis
-    bound = np.sqrt(optimal_bessel_bound(phi) * optimal_bessel_bound(psi)) * m.sup_modulus
-    norm = spectral_norm(matrix)
+    mult = Multiplier(m, phi, psi, _read_only((phi.synthesis * m.values) @ psi.analysis))
+    bound = mult.norm_bound()
+    norm = mult.norm()
     if norm > bound + 1e-10:
         raise InternalConsistencyError(
             f"multiplier norm {norm!r} exceeds sqrt(B_Phi B_Psi) sup|m| = {bound!r}"
         )
-    return Multiplier(m, phi, psi, matrix)
+    return mult
+
+
+def _multiplier_factors(mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy) -> SvdFactors:
+    """One SVD of the (square) M, once M and K are known to have equal sizes."""
+    if env.dim != mult.matrix.shape[0]:
+        raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
+    return svd_decompose(mult.matrix, policy)
 
 
 @dataclass(frozen=True)
@@ -182,39 +209,47 @@ class RightInverse:
     majorization: float
 
 
+@_memoized_per_operator
 def k_right_inverse(
     mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> RightInverse:
-    """R = pinv(M) K with M R = K; exists iff R(K) is contained in R(M)."""
-    inclusion = range_inclusion_check(env.k, mult.matrix, policy=policy)
+    """R = pinv(M) K with M R = K; exists iff R(K) is contained in R(M).
+
+    R is the minimal Douglas solution, so its norm is the majorization
+    constant. Memoized on ``mult`` per (env, policy).
+    """
+    factors = _multiplier_factors(mult, env, policy)
+    norm_k = env.norm()
+    inclusion = _inclusion(env.k, factors, norm_k, policy)
     if not inclusion:
         raise NoRightInverse(
             f"R(K) not contained in R(M): residual {inclusion.residual:.3e}",
             inclusion.residual,
         )
-    r = pseudo_inverse(mult.matrix, policy) @ env.k
-    resid = spectral_norm(mult.matrix @ r - env.k)
-    if resid > policy.threshold(env.norm()):
-        raise InternalConsistencyError(f"M R - K has norm {resid:.3e} despite inclusion", resid)
-    lam = majorization_constant(env.k, mult.matrix, policy)
-    return RightInverse(r, lam)
+    r = _douglas(env.k, mult.matrix, factors, norm_k, policy, inclusion)
+    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, r, norm_k, policy))
 
 
+@_memoized_per_operator
 def k_left_inverse(
     mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """L = K pinv(M) with L M = K; exists iff R(K*) is contained in R(M*)."""
-    inclusion = range_inclusion_check(env.k_adjoint, mult.matrix.conj().T, policy=policy)
+    """L = K pinv(M) with L M = K; exists iff R(K*) is contained in R(M*).
+
+    Memoized on ``mult`` per (env, policy); the returned matrix is read-only.
+    """
+    factors = _multiplier_factors(mult, env, policy)
+    inclusion = _inclusion(env.k_adjoint, factors.adjoint(), env.norm(), policy)
     if not inclusion:
         raise NoLeftInverse(
             f"R(K*) not contained in R(M*): residual {inclusion.residual:.3e}",
             inclusion.residual,
         )
-    left = env.k @ pseudo_inverse(mult.matrix, policy)
+    left = env.k @ factors.pinv()
     resid = spectral_norm(left @ mult.matrix - env.k)
     if resid > policy.threshold(env.norm()):
         raise InternalConsistencyError(f"L M - K has norm {resid:.3e} despite inclusion", resid)
-    return left
+    return _read_only(left)
 
 
 @dataclass(frozen=True)
@@ -266,7 +301,7 @@ def frames_from_multiplier_identity(
     except NoRightInverse:
         right = None
     if right is not None:
-        guar = 1.0 / (sup**2 * spectral_norm(right.matrix) ** 2 * b_psi)
+        guar = 1.0 / (sup**2 * right.majorization**2 * b_psi)
         opt = k_frame_check(mult.phi, env, policy).lower
         phi_side = SideBound(guar, opt, opt >= guar * slack)
     try:
@@ -459,7 +494,7 @@ def perturbation_condition(
     diff = psi.analysis - phi.analysis
     rho = spectral_norm(diff @ env.range_k.basis)
     tau = (m.lower * a_bound) / (m.upper * np.sqrt(b_bound) * env.pinv_norm() ** 2)
-    return ConditionReport(rho, float(tau), rho <= tau)
+    return ConditionReport(rho, float(tau), bool(rho <= tau))
 
 
 def _perturbed_restriction(

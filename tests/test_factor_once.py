@@ -1,0 +1,194 @@
+"""Factor once: factorization counts, memo correctness, and no reference cycles.
+
+Values memoize what they derive from their factorizations. These tests pin
+how many LAPACK factorizations the K-dual pipeline makes, that a memoized
+result is bit-identical to a fresh one and never crosses tolerance
+policies, and that the memo references stay one-way (no cycles), so values
+die as soon as the caller drops them.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from conftest import crandn, well_conditioned
+from kframekit import (
+    DEFAULT_POLICY,
+    Frame,
+    OperatorEnv,
+    TolerancePolicy,
+    canonical_coefficients,
+    canonical_k_dual,
+    k_dual_lower_bounds,
+    k_frame_check,
+    verify_k_dual,
+)
+from kframekit.duality import frame_restriction
+from kframekit.errors import NotKFrame
+
+# k_frame_check makes 9 per (frame, operator) pair and the pipeline checks
+# three pairs; add the restricted inverse of S_F, the dual-identity residual
+# and pinv(T_F) for the canonical coefficients
+PIPELINE_CEILING = 30
+
+
+def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
+    """(vectors, K, target) of a well-conditioned K-frame with rank(K) = rank."""
+    rng = np.random.default_rng(seed)
+    while True:
+        syn = crandn(rng, n, count)
+        k = syn @ (crandn(rng, count, rank) @ crandn(rng, rank, n))
+        if well_conditioned(syn) and well_conditioned(k, rank):
+            return syn.T.copy(), k, crandn(rng, n)
+
+
+def pipeline(f, env, target, policy=DEFAULT_POLICY):
+    bounds = k_frame_check(f, env, policy)
+    dual = canonical_k_dual(f, env, policy)
+    cert = verify_k_dual(f, dual, env, policy)
+    lower = k_dual_lower_bounds(cert, policy)
+    coeffs = canonical_coefficients(f, env, target, policy)
+    return bounds, dual, cert, lower, coeffs
+
+
+def assert_identical(a, b):
+    bounds_a, dual_a, cert_a, lower_a, coeffs_a = a
+    bounds_b, dual_b, cert_b, lower_b, coeffs_b = b
+    assert (bounds_a.lower, bounds_a.upper) == (bounds_b.lower, bounds_b.upper)
+    np.testing.assert_array_equal(dual_a.vectors, dual_b.vectors)
+    assert (cert_a.residual, cert_a.threshold) == (cert_b.residual, cert_b.threshold)
+    assert cert_a.lower_bound_report == cert_b.lower_bound_report
+    assert lower_a == lower_b
+    np.testing.assert_array_equal(coeffs_a, coeffs_b)
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Counter of svd / eigh / eigvalsh calls, including norm(., 2)'s svd."""
+    counter = {"n": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counter["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        count(np.linalg, name)
+    count(np.linalg._linalg, "svd")  # the binding np.linalg.norm(., 2) calls
+    return counter
+
+
+class TestCounts:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pipeline_under_ceiling(self, factorizations, seed):
+        vectors, k, target = instance(seed)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["n"] = 0
+        pipeline(f, env, target)
+        assert factorizations["n"] <= PIPELINE_CEILING
+
+    def test_repeated_calls_factor_nothing(self, factorizations):
+        vectors, k, _ = instance(4)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        bounds = k_frame_check(f, env)
+        dual = canonical_k_dual(f, env)
+        factorizations["n"] = 0
+        assert k_frame_check(f, env) is bounds
+        assert canonical_k_dual(f, env) is dual
+        frame_restriction(f, env, DEFAULT_POLICY)
+        env.norm(), env.pinv_norm(), env.adjoint()
+        assert factorizations["n"] == 0
+
+
+class TestMemoCorrectness:
+    def test_reused_values_match_fresh_values(self):
+        vectors, k, target = instance(5)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        first = pipeline(f, env, target)
+        reused = pipeline(f, env, target)
+        fresh = pipeline(Frame(vectors), OperatorEnv.from_matrix(k), target)
+        assert_identical(reused, first)
+        assert_identical(fresh, first)
+
+    def test_tolerance_is_part_of_the_key(self):
+        vectors, k, target = instance(6)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        bounds = k_frame_check(f, env)
+        loose = DEFAULT_POLICY.with_tol(1e-6)
+        loose_bounds = k_frame_check(f, env, loose)
+        assert loose_bounds.inclusion.threshold == pytest.approx(1e4 * bounds.inclusion.threshold)
+        strict = DEFAULT_POLICY.with_tol(1e-30)
+        with pytest.raises(NotKFrame):
+            k_frame_check(f, env, strict)
+        with pytest.raises(NotKFrame):
+            canonical_k_dual(f, env, strict)
+        assert k_frame_check(f, env) is bounds
+        assert_identical(
+            pipeline(f, env, target, loose),
+            pipeline(Frame(vectors), OperatorEnv.from_matrix(k), target, loose),
+        )
+
+    def test_rank_override_is_part_of_the_key(self):
+        vectors, k, target = instance(7)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        first = pipeline(f, env, target)
+        s = np.linalg.svd(vectors.T, compute_uv=False)
+        # two fewer singular values of T_F: R(T_F) no longer holds R(K)
+        coarse = TolerancePolicy(rank_override=float(s[-2]))
+        with pytest.raises(NotKFrame):
+            k_frame_check(f, env, coarse)
+        with pytest.raises(NotKFrame):
+            canonical_k_dual(f, env, coarse)
+        assert_identical(pipeline(f, env, target), first)
+
+
+class TestNoCycles:
+    def test_values_die_with_their_outputs(self):
+        vectors, k, target = instance(8)
+        gc.collect()
+        gc.disable()
+        try:
+            f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+            adjoint = env.adjoint()
+            refs = [weakref.ref(v) for v in (f, env, adjoint)]
+            outputs = pipeline(f, env, target)
+            assert env.adjoint() is adjoint
+            del f, env, adjoint, outputs
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+
+class TestConcurrentUse:
+    def test_threads_get_one_stored_result(self):
+        vectors, k, target = instance(9)
+        fresh = pipeline(Frame(vectors), OperatorEnv.from_matrix(k), target)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # fresh values each round: the memo starts empty
+                f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+                results = []
+                threads = [
+                    threading.Thread(target=lambda: results.append(pipeline(f, env, target)))
+                    for _ in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(results) == len(threads)
+                for result in results:
+                    assert_identical(result, fresh)
+                    assert result[0] is results[0][0] and result[1] is results[0][1]
+        finally:
+            sys.setswitchinterval(interval)

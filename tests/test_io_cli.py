@@ -246,6 +246,14 @@ class TestExitCodes:
         assert body["command"] == "dual"
         assert all("residual" in v and "threshold" in v for v in body["verdicts"].values())
 
+    def test_perturb_check_json_output_parses(self, fixture_files, capsys):
+        code = main(["perturb-check", "--frame", fixture_files["f2.json"],
+                     "--frame", fixture_files["f2.json"],
+                     "--operator", fixture_files["k2.json"], "--format", "json"])
+        body = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert body["verdicts"]["perturbation-condition"]["passed"] is True
+
 
 class TestGoldenSuite:
     def test_all_pass_by_default(self):
