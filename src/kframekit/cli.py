@@ -244,7 +244,7 @@ def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> N
     regenerated = duality.dual_family_generate(frame, env, pert, policy)
     roundtrip = float(np.max(np.abs(regenerated.vectors - candidate.vectors)))
     report.results["phi"] = io.matrix_to_obj(pert.phi)
-    threshold = policy.threshold(spectral_norm(frame.synthesis))
+    threshold = policy.threshold(frame.norm())
     report.verdicts["phi-admissible"] = Verdict(violation <= threshold, violation, threshold)
     report.verdicts["family-round-trip"] = Verdict(
         roundtrip <= 1e-9, roundtrip, 1e-9

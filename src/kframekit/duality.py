@@ -256,7 +256,7 @@ def dual_family_generate(
             f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
         )
     violation = admissibility_violation(f, env, pert)
-    scale = max(1.0, spectral_norm(f.synthesis) * max(1.0, pert.norm()))
+    scale = max(1.0, f.norm() * max(1.0, pert.norm()))
     if violation > policy.identity_tol * scale:
         raise InadmissiblePerturbation(
             f"P_R(K) T_F phi has norm {violation:.3e}", violation
@@ -332,7 +332,7 @@ def noncommutativity_witness(
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
     double_dual = (witness @ dual.synthesis).T
     recovery_disc = np.linalg.norm(double_dual - f.vectors, axis=1)
-    threshold = policy.threshold(spectral_norm(f.synthesis))
+    threshold = policy.threshold(f.norm())
     recovered = bool(np.max(recovery_disc) <= threshold)
     return WitnessReport(images, frame_disc, double_dual, recovery_disc, recovered, threshold)
 

@@ -34,25 +34,20 @@ from .linalg import (
     SvdFactors,
     TolerancePolicy,
     _douglas,
-    _inclusion,
     _majorization,
     _memo,
     _memoized_per_operator,
     as_matrix,
-    herm_eigvals,
     min_eig,
-    pseudo_inverse,
     spectral_norm,
     svd_decompose,
 )
 
 __all__ = [
     "Frame",
-    "FrameOperators",
     "FrameBounds",
     "BoundsValidation",
     "TightnessReport",
-    "build_frame_ops",
     "optimal_bessel_bound",
     "k_frame_check",
     "validate_bounds",
@@ -100,6 +95,10 @@ class Frame:
     def __len__(self) -> int:
         return self.size
 
+    def norm(self) -> float:
+        """Spectral norm of T_F, from the memoized singular values."""
+        return float(_singular_values(self)[0])
+
     @property
     def synthesis(self) -> np.ndarray:
         """n x N matrix whose i-th column is f_i (a pure transpose)."""
@@ -135,23 +134,6 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class FrameOperators:
-    synthesis: np.ndarray
-    analysis: np.ndarray
-    frame_op: np.ndarray
-
-
-def build_frame_ops(f: Frame) -> FrameOperators:
-    """Synthesis (n x N), analysis (N x n) and frame operator (n x n)."""
-    syn = f.synthesis
-    ana = f.analysis
-    s = syn @ ana
-    if min_eig(s) < -1e-10 * max(1.0, spectral_norm(s)):
-        raise InternalConsistencyError("frame operator is not positive semidefinite")
-    return FrameOperators(syn, ana, s)
-
-
-@dataclass(frozen=True)
 class FrameBounds:
     """Optimal bounds; ``inclusion`` is the R(K) in R(T_F) test behind A."""
 
@@ -175,7 +157,7 @@ def _singular_values(f: Frame) -> np.ndarray:
 
 def optimal_bessel_bound(f: Frame) -> float:
     """Least valid B in sum_i |<f, f_i>|^2 <= B |f|^2, i.e. sigma_max(T_F)^2."""
-    return float(_singular_values(f)[0] ** 2)
+    return f.norm() ** 2
 
 
 @_memoized_per_operator
@@ -186,11 +168,12 @@ def k_frame_check(
 
     Raises NotKFrame when R(K) is not contained in R(T_F) (exactly the
     failure of the lower bound), ZeroOperator for K = 0 (the condition is
-    vacuous and every downstream formula divides by A). The Douglas route
-    A = 1/|pinv(T_F) K|^2 is cross-checked against the eigenvalue route
-    A = 1/lambda_max(K* pinv(S_F) K), with one SVD of T_F behind the
-    inclusion test, B and the Douglas route. Memoized on ``f`` per
-    (env, policy).
+    vacuous and every downstream formula divides by A). One SVD of T_F
+    serves the inclusion test, B and the Douglas route
+    A = 1/|pinv(T_F) K|^2. The one cross-check is the eigenvalue route
+    A = 1/lambda_max(K* pinv(S_F) K), computed by ``linalg``'s majorization
+    step; it must agree with the Douglas route both in lambda (there) and
+    in A (here). Memoized on ``f`` per (env, policy).
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -200,26 +183,17 @@ def k_frame_check(
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     factors = _synthesis_factors(f, policy)
     norm_k = env.norm()
-    inclusion = _inclusion(env.k, factors, norm_k, policy)
-    if not inclusion:
-        raise NotKFrame(
-            f"R(K) not contained in R(T_F): residual {inclusion.residual:.3e} "
-            f"> {inclusion.threshold:.3e}",
-            inclusion.residual,
-        )
-    upper = float(factors.singular_values[0] ** 2)
-    x = _douglas(env.k, f.synthesis, factors, norm_k, policy, inclusion)
-    lam = _majorization(env.k, f.synthesis, x, norm_k, policy)
-    lower = 1.0 / lam**2
-
-    s_pinv = pseudo_inverse(f.frame_operator, policy)
-    lam_max = float(herm_eigvals(env.k_adjoint @ s_pinv @ env.k)[-1])
-    lower_cc = 1.0 / lam_max
+    inclusion, x = _douglas(
+        env.k, f.synthesis, factors, norm_k, policy, NotKFrame, "R(K) not contained in R(T_F)"
+    )
+    lam, lam_cc = _majorization(env.k, f.synthesis, x, norm_k, policy)
+    lower, lower_cc = 1.0 / lam**2, 1.0 / lam_cc**2
     if abs(lower - lower_cc) > 1e-8 * max(1.0, lower):
         raise InternalConsistencyError(
             f"optimal lower bound routes disagree: {lower!r} vs {lower_cc!r}",
             abs(lower - lower_cc),
         )
+    upper = float(factors.singular_values[0] ** 2)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 
 
@@ -243,10 +217,10 @@ def validate_bounds(
         raise ShapeMismatch("frame/operator dimension mismatch")
     s = f.frame_operator
     gram_k = env.k @ env.k_adjoint
-    scale = max(1.0, optimal_bessel_bound(f))
-    thr = policy.identity_tol * scale
+    bessel = optimal_bessel_bound(f)
+    thr = policy.identity_tol * max(1.0, bessel)
     lower_slack = min_eig(s - a * gram_k)
-    upper_slack = b - float(herm_eigvals(s)[-1])
+    upper_slack = b - bessel
     lower_ok = lower_slack >= -thr
     upper_ok = upper_slack >= -thr
     return BoundsValidation(lower_ok and upper_ok, lower_ok, upper_ok, lower_slack, upper_slack, thr)

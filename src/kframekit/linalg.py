@@ -17,7 +17,11 @@ unrestricted concurrent use is safe.
 
 Each function factors its operand once: ``range_inclusion_check``,
 ``douglas_solve``, ``majorization_constant`` and ``restricted_inverse`` pass
-one ``SvdFactors`` through every step that needs it. Values memoize what
+one ``SvdFactors`` through every step that needs it. Douglas' lemma is
+decided once, in the private ``_douglas`` step (inclusion test raising the
+caller's error, minimal solution, residual gate), which ``k_frame_check``
+and both multiplier inverses share. Each optimal bound has one independent
+cross-check, the eigenvalue route in ``_majorization``. Values memoize what
 they derive from their factorizations (``OperatorEnv`` keeps its norms and
 its adjoint; frames keep their singular values and per-operator results),
 never the singular vectors. A memoized value is the value a fresh
@@ -225,10 +229,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace(n, np.eye(n, dtype=np.complex128))
-
 
 def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
     """Thin SVD of ``m`` with the policy's rank cutoff applied.
@@ -308,33 +308,41 @@ def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     the inclusion fails at tolerance.
     """
     a, b = _operand_pair(l1, l2)
-    return _douglas(a, b, svd_decompose(b, policy), spectral_norm(a), policy)
+    return _douglas(a, b, svd_decompose(b, policy), spectral_norm(a), policy)[1]
 
 
-def _douglas(
-    a: np.ndarray,
-    b: np.ndarray,
-    f2: SvdFactors,
-    norm_a: float,
-    policy: TolerancePolicy,
-    inclusion: CheckResult | None = None,
-) -> np.ndarray:
-    """``douglas_solve`` from the factors of ``b``, reusing a computed inclusion test."""
-    if inclusion is None:
-        inclusion = _inclusion(a, f2, norm_a, policy)
+def _require_inclusion(
+    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy, error, ranges: str
+) -> CheckResult:
+    """The passed test of R(a) in the factored range; raises ``error`` on failure."""
+    inclusion = _inclusion(a, f2, norm_a, policy)
     if not inclusion:
-        raise RangeNotIncluded(
-            f"R(l1) not contained in R(l2): residual {inclusion.residual:.3e} "
+        raise error(
+            f"{ranges}: residual {inclusion.residual:.3e} "
             f"> threshold {inclusion.threshold:.3e}",
             inclusion.residual,
         )
+    return inclusion
+
+
+def _douglas(
+    a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy,
+    error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
+) -> tuple[CheckResult, np.ndarray]:
+    """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
+
+    Returns the passed inclusion test (failure raises ``error``, message
+    prefix ``ranges``) and the minimal solution X = pinv(b) a, whose
+    residual is gated at the identity tolerance.
+    """
+    inclusion = _require_inclusion(a, f2, norm_a, policy, error, ranges)
     x = f2.pinv() @ a
     resid = spectral_norm(b @ x - a)
     if resid > policy.threshold(norm_a):
         raise InternalConsistencyError(
             f"factorization residual {resid:.3e} despite range inclusion", resid
         )
-    return x
+    return inclusion, x
 
 
 def _psd_pinv_sqrt(g: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -355,14 +363,14 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     """
     a, b = _operand_pair(l1, l2)
     norm_a = spectral_norm(a)
-    x = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)
-    return _majorization(a, b, x, norm_a, policy)
+    _, x = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)
+    return _majorization(a, b, x, norm_a, policy)[0]
 
 
 def _majorization(
     a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_a: float, policy: TolerancePolicy
-) -> float:
-    """``majorization_constant`` from the minimal Douglas solution ``x``."""
+) -> tuple[float, float]:
+    """|x| for the minimal Douglas solution ``x``, and its cross-check value."""
     lam = spectral_norm(x)
 
     g1 = a @ a.conj().T
@@ -378,7 +386,7 @@ def _majorization(
         raise InternalConsistencyError(
             f"lambda^2 L2 L2* - L1 L1* indefinite at the computed lambda: {slack:.3e}", -slack
         )
-    return lam
+    return lam, lam_cc
 
 
 @dataclass(frozen=True)
@@ -391,21 +399,10 @@ class RestrictedMap:
 
     matrix: np.ndarray
     domain: Subspace
-    codomain: Subspace
-
-    @property
-    def proj_domain(self) -> np.ndarray:
-        return self.domain.projector()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     @property
     def adjoint_matrix(self) -> np.ndarray:
         return self.matrix.conj().T
-
-    def norm(self) -> float:
-        return spectral_norm(self.matrix)
 
 
 def restricted_inverse(s, v: Subspace, policy: TolerancePolicy = DEFAULT_POLICY) -> RestrictedMap:
@@ -421,14 +418,14 @@ def restricted_inverse(s, v: Subspace, policy: TolerancePolicy = DEFAULT_POLICY)
     if not v.dim:
         matrix = np.zeros((v.ambient_dim, a.shape[0]), dtype=np.complex128)
         domain = Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=np.complex128))
-        return RestrictedMap(_read_only(matrix), domain, v)
+        return RestrictedMap(_read_only(matrix), domain)
     f = svd_decompose(a @ v.basis, policy)
     if f.rank < v.dim:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {f.rank} < dim {v.dim}"
         )
     domain = Subspace(a.shape[0], f.left_vectors[:, : f.rank])
-    return RestrictedMap(_read_only(v.basis @ f.pinv()), domain, v)
+    return RestrictedMap(_read_only(v.basis @ f.pinv()), domain)
 
 
 @dataclass(frozen=True)

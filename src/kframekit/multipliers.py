@@ -52,13 +52,12 @@ from .linalg import (
     SvdFactors,
     TolerancePolicy,
     _douglas,
-    _inclusion,
     _majorization,
     _memo,
     _memoized_per_operator,
     _read_only,
+    _require_inclusion,
     neumann_invertibility_margin,
-    range_inclusion_check,
     restricted_inverse,
     spectral_norm,
     svd_decompose,
@@ -220,14 +219,10 @@ def k_right_inverse(
     """
     factors = _multiplier_factors(mult, env, policy)
     norm_k = env.norm()
-    inclusion = _inclusion(env.k, factors, norm_k, policy)
-    if not inclusion:
-        raise NoRightInverse(
-            f"R(K) not contained in R(M): residual {inclusion.residual:.3e}",
-            inclusion.residual,
-        )
-    r = _douglas(env.k, mult.matrix, factors, norm_k, policy, inclusion)
-    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, r, norm_k, policy))
+    _, r = _douglas(
+        env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
+    )
+    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, r, norm_k, policy)[0])
 
 
 @_memoized_per_operator
@@ -236,20 +231,16 @@ def k_left_inverse(
 ) -> np.ndarray:
     """L = K pinv(M) with L M = K; exists iff R(K*) is contained in R(M*).
 
-    Memoized on ``mult`` per (env, policy); the returned matrix is read-only.
+    L* is the minimal Douglas solution of M* L* = K*, solved on the
+    adjoint of M's factors. Memoized on ``mult`` per (env, policy); the
+    returned matrix is read-only.
     """
-    factors = _multiplier_factors(mult, env, policy)
-    inclusion = _inclusion(env.k_adjoint, factors.adjoint(), env.norm(), policy)
-    if not inclusion:
-        raise NoLeftInverse(
-            f"R(K*) not contained in R(M*): residual {inclusion.residual:.3e}",
-            inclusion.residual,
-        )
-    left = env.k @ factors.pinv()
-    resid = spectral_norm(left @ mult.matrix - env.k)
-    if resid > policy.threshold(env.norm()):
-        raise InternalConsistencyError(f"L M - K has norm {resid:.3e} despite inclusion", resid)
-    return _read_only(left)
+    factors = _multiplier_factors(mult, env, policy).adjoint()
+    _, left_adjoint = _douglas(
+        env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), policy,
+        NoLeftInverse, "R(K*) not contained in R(M*)",
+    )
+    return _read_only(left_adjoint.conj().T)
 
 
 @dataclass(frozen=True)
@@ -610,12 +601,10 @@ def range_inclusion_right_inverse(
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     k_frame_check(psi, env, policy)
     k_frame_check(phi, env.adjoint(), policy)
-    inclusion = range_inclusion_check(psi.analysis, phi.analysis @ env.k_adjoint, policy=policy)
-    if not inclusion:
-        raise RangeNotIncluded(
-            f"R(T_Psi*) not contained in R(T_Phi* K*): residual {inclusion.residual:.3e}",
-            inclusion.residual,
-        )
+    inclusion = _require_inclusion(
+        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint, policy), psi.norm(), policy,
+        RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
+    )
     ones = Symbol.ones(psi.size)
     phi_dag = phi.map(frame_restriction(phi, env.adjoint(), policy).matrix)
     psi_tilde = canonical_k_dual(psi, env, policy)
@@ -644,12 +633,10 @@ def range_inclusion_left_inverse(
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     k_frame_check(psi, env, policy)
     k_frame_check(phi, env.adjoint(), policy)
-    inclusion = range_inclusion_check(phi.analysis, psi.analysis @ env.k, policy=policy)
-    if not inclusion:
-        raise RangeNotIncluded(
-            f"R(T_Phi*) not contained in R(T_Psi* K): residual {inclusion.residual:.3e}",
-            inclusion.residual,
-        )
+    inclusion = _require_inclusion(
+        phi.analysis, svd_decompose(psi.analysis @ env.k, policy), phi.norm(), policy,
+        RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
+    )
     ones = Symbol.ones(psi.size)
     psi_dag = psi.map(frame_restriction(psi, env, policy).adjoint_matrix @ env.proj_range_k)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)

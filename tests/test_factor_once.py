@@ -30,10 +30,10 @@ from kframekit import (
 from kframekit.duality import frame_restriction
 from kframekit.errors import NotKFrame
 
-# k_frame_check makes 9 per (frame, operator) pair and the pipeline checks
+# k_frame_check makes 7 per (frame, operator) pair and the pipeline checks
 # three pairs; add the restricted inverse of S_F, the dual-identity residual
 # and pinv(T_F) for the canonical coefficients
-PIPELINE_CEILING = 30
+PIPELINE_CEILING = 24
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -94,6 +94,22 @@ class TestCounts:
         factorizations["n"] = 0
         pipeline(f, env, target)
         assert factorizations["n"] <= PIPELINE_CEILING
+
+    def test_k_frame_check_on_a_fresh_pair(self, factorizations):
+        vectors, k, _ = instance(10)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["n"] = 0
+        k_frame_check(f, env)
+        assert factorizations["n"] == 7
+
+    def test_verify_k_dual_with_lower_bounds(self, factorizations):
+        # one k_frame_check each for the frame and the dual, plus the residual
+        vectors, k, _ = instance(11)
+        dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["n"] = 0
+        verify_k_dual(f, dual, env, with_lower_bounds=True)
+        assert factorizations["n"] <= 15
 
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)

@@ -15,7 +15,6 @@ from kframekit.frames import (
     Frame,
     bessel_as_k_frame,
     biorthogonal_sequence,
-    build_frame_ops,
     k_frame_check,
     minimality_check,
     optimal_bessel_bound,
@@ -49,19 +48,19 @@ class TestFrameType:
 
 class TestBuildFrameOps:
     def test_standard_basis(self):
-        ops = build_frame_ops(Frame.standard_basis(2))
-        np.testing.assert_allclose(ops.synthesis, np.eye(2))
-        np.testing.assert_allclose(ops.frame_op, np.eye(2))
+        f = Frame.standard_basis(2)
+        np.testing.assert_allclose(f.synthesis, np.eye(2))
+        np.testing.assert_allclose(f.frame_operator, np.eye(2))
 
     def test_projection_example(self, c2_example):
-        ops = build_frame_ops(c2_example.frame)
         np.testing.assert_allclose(
-            ops.frame_op, [[1.5, -0.5], [-0.5, 1.5]], atol=1e-14
+            c2_example.frame.frame_operator, [[1.5, -0.5], [-0.5, 1.5]], atol=1e-14
         )
 
     def test_minimal_example(self, c4_example):
-        ops = build_frame_ops(c4_example.frame)
-        np.testing.assert_allclose(ops.frame_op, np.diag([1.0, 1.0, 1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(
+            c4_example.frame.frame_operator, np.diag([1.0, 1.0, 1.0, 0.0]), atol=1e-14
+        )
 
     def test_analysis_is_adjoint(self):
         rng = np.random.default_rng(2)

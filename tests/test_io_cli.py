@@ -233,6 +233,14 @@ class TestExitCodes:
                      "--operator", fixture_files["k2.json"]])
         assert code == 3
 
+    def test_eigenvalue_route_disagreement_is_three(self, fixture_files, monkeypatch, capsys):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh(h) * (1 + 1e-6))
+        code = main(["analyze", "--frame", fixture_files["f2.json"],
+                     "--operator", fixture_files["k2.json"]])
+        assert code == 3
+        assert "routes disagree" in capsys.readouterr().err
+
     def test_examples_exit_zero(self, capsys):
         assert main(["examples"]) == 0
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import crandn, random_k_frame
 
 from kframekit.errors import (
+    InternalConsistencyError,
     NonFiniteInput,
     NotInvertible,
     RangeNotIncluded,
@@ -209,16 +210,54 @@ class TestMajorization:
             assert shaved < -1e-12 * spectral_norm(l1) ** 2
 
 
+class TestEigenvalueCrossCheck:
+    """Each optimal bound has one eigenvalue cross-check; skewing it must raise."""
+
+    @pytest.fixture()
+    def skewed_eigvalsh(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh(h) * (1 + 1e-6))
+
+    @pytest.mark.parametrize(
+        "scale, gate",
+        [
+            (1e-3, "majorization routes disagree"),  # lambda >> 1: the lambda-level gate
+            (1e3, "optimal lower bound routes disagree"),  # A >> 1: only the A-level gate
+        ],
+    )
+    def test_k_frame_check(self, scale, gate, skewed_eigvalsh):
+        from kframekit.frames import k_frame_check
+
+        frame, env = random_k_frame(np.random.default_rng(41))
+        with pytest.raises(InternalConsistencyError, match=gate):
+            k_frame_check(frame.scaled(scale), env)
+
+    def test_k_right_inverse(self, skewed_eigvalsh):
+        from kframekit.frames import Frame
+        from kframekit.multipliers import Symbol, assemble_multiplier, k_right_inverse
+
+        rng = np.random.default_rng(43)
+        phi = Frame(crandn(rng, 6, 4))
+        mult = assemble_multiplier(Symbol.ones(6), phi, phi)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            k_right_inverse(mult, OperatorEnv.from_matrix(crandn(rng, 4, 4)))
+
+    def test_majorization_constant(self, skewed_eigvalsh):
+        rng = np.random.default_rng(47)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            majorization_constant(crandn(rng, 4, 3), crandn(rng, 4, 4))
+
+
 class TestRestrictedInverse:
     def test_identity_full_space(self):
-        rmap = restricted_inverse(np.eye(3), Subspace.full(3))
+        rmap = restricted_inverse(np.eye(3), Subspace(3, np.eye(3)))
         np.testing.assert_allclose(rmap.matrix, np.eye(3), atol=1e-14)
 
     def test_projection_example(self):
         sub = Subspace(2, np.array([[1.0], [0.0]]))
         rmap = restricted_inverse(S2, sub)
         np.testing.assert_allclose(
-            rmap.apply(np.array([1.5, -0.5])), [1.0, 0.0], atol=1e-13
+            rmap.matrix @ np.array([1.5, -0.5]), [1.0, 0.0], atol=1e-13
         )
 
     def test_c4_identity_on_range(self):
@@ -255,11 +294,11 @@ class TestRestrictedInverse:
             bounds = k_frame_check(frame, env)
             rmap = restricted_inverse(frame.frame_operator, env.range_k)
             for _ in range(5):
-                y = rmap.proj_domain @ crandn(rng, env.dim)
+                y = rmap.domain.projector() @ crandn(rng, env.dim)
                 norm_y = np.linalg.norm(y)
                 if norm_y < 1e-9:
                     continue
-                ratio = np.linalg.norm(rmap.apply(y)) / norm_y
+                ratio = np.linalg.norm(rmap.matrix @ y) / norm_y
                 assert ratio >= 1.0 / bounds.upper * (1 - 1e-9)
                 assert ratio <= env.pinv_norm() ** 2 / bounds.lower * (1 + 1e-9)
 
