@@ -256,7 +256,7 @@ def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> No
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
     symbol = _load_symbol(job.symbol)
-    mult = multipliers.assemble_multiplier(symbol, phi, psi, policy)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi)
     bound = mult.norm_bound()
     norm = mult.norm()
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
@@ -273,7 +273,7 @@ def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side
     psi = _load_frame(job.frames[1])
     env = _load_env(job.operator, policy)
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
-    mult = multipliers.assemble_multiplier(symbol, phi, psi, policy)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi)
     if side == "right":
         inverse = multipliers.k_right_inverse(mult, env, policy)
         matrix = inverse.matrix

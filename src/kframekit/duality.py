@@ -135,6 +135,15 @@ def verify_k_dual(
     return KDualCertificate(f, g, env, residual, threshold, passed, bounds)
 
 
+def _require_k_dual(
+    f: Frame, g: Frame, env: OperatorEnv, policy: TolerancePolicy, what: str
+) -> None:
+    """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``."""
+    cert = verify_k_dual(f, g, env, policy, with_lower_bounds=False)
+    if not cert.passed:
+        raise NotADual(f"{what} (residual {cert.residual:.3e})", cert.residual)
+
+
 def k_dual_lower_bounds(
     cert: KDualCertificate, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[float, float]:
@@ -276,12 +285,7 @@ def dual_family_recover_phi(
     The closed form T_g* - T_F* ((S_F|_{R(K)})^-1)* K; regenerating with the
     result reproduces ``g`` and the result is always admissible.
     """
-    cert = verify_k_dual(f, g, env, policy, with_lower_bounds=False)
-    if not cert.passed:
-        raise NotADual(
-            f"g is not a K-dual of f at tolerance (residual {cert.residual:.3e})",
-            cert.residual,
-        )
+    _require_k_dual(f, g, env, policy, "g is not a K-dual of f at tolerance")
     dual = canonical_k_dual(f, env, policy)
     return DualPerturbation(g.analysis - dual.analysis)
 

@@ -275,12 +275,10 @@ class CheckResult:
         return self.ok
 
 
-def range_inclusion_check(
-    l1, l2, tol: float | None = None, policy: TolerancePolicy = DEFAULT_POLICY
-) -> CheckResult:
+def range_inclusion_check(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> CheckResult:
     """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1."""
     a, b = _operand_pair(l1, l2)
-    return _inclusion(a, svd_decompose(b, policy), spectral_norm(a), policy, tol)
+    return _inclusion(a, svd_decompose(b, policy), spectral_norm(a), policy)
 
 
 def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +290,12 @@ def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy, tol: float | None = None
+    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy
 ) -> CheckResult:
     """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
     _, proj = _range_projector(f2)
     residual = spectral_norm(a - proj @ a)
-    threshold = (tol if tol is not None else policy.identity_tol) * max(1.0, norm_a)
+    threshold = policy.threshold(norm_a)
     return CheckResult(residual <= threshold, residual, threshold)
 
 
@@ -515,10 +513,10 @@ class OperatorEnv:
         s = f.singular_values
         env._memo["norm"] = float(s[0])
         env._memo["pinv_norm"] = 1.0 / float(s[r - 1]) if r else 0.0
-        env._self_check(policy)
+        env._self_check()
         return env
 
-    def _self_check(self, policy: TolerancePolicy) -> None:
+    def _self_check(self) -> None:
         scale = max(1.0, self.norm())
         resid = spectral_norm(self.k @ self.k_pinv - self.proj_range_k)
         if resid > 1e-10 * scale:

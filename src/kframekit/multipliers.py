@@ -13,6 +13,11 @@ inverting a multiplier on R(K) when Psi is a small perturbation of a K-frame
 Phi (with a semi-normalized symbol), and the range-inclusion recipes that
 produce a K-right inverse of M_{1,P_K Psi,Phi} or a K-left inverse of
 M_{1,Psi,Phi} on R(K*) out of restricted inverses of the two frame operators.
+
+Since M_{m,Phi,Psi}* = M_{mbar,Psi,Phi}, each K*-side construction is the
+adjoint of its K-side twin, never a second copy: the K-left inverse, the
+right side of ``inverse_as_multiplier`` and the K*-identity of
+``biorthogonal_right_inverse``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import canonical_k_dual, frame_restriction, verify_k_dual
+from .duality import _require_k_dual, canonical_k_dual, frame_restriction, verify_k_dual
 from .errors import (
     ConditionViolated,
     HypothesisNotMet,
@@ -29,7 +34,6 @@ from .errors import (
     InvalidBounds,
     NoLeftInverse,
     NoRightInverse,
-    NotADual,
     NotAnInverse,
     NotInvertible,
     NotMinimal,
@@ -151,7 +155,8 @@ class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
     ``norm()`` and, per (operator env, tolerance policy), the K-right and
-    K-left inverses are memoized on the value, like a frame's results.
+    K-left inverses are memoized on the value, like a frame's results;
+    ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
     """
 
     symbol: Symbol
@@ -165,6 +170,19 @@ class Multiplier:
     def norm(self) -> float:
         return _memo(self, "norm", lambda: spectral_norm(self.matrix))
 
+    def adjoint(self) -> "Multiplier":
+        """M* = M_{mbar,Psi,Phi}, keeping M's memoized norm.
+
+        M's inverses do not apply to M* and are not copied; the adjoint holds
+        no reference back to M.
+        """
+        adj = Multiplier(
+            self.symbol.conjugated(), self.psi, self.phi, _read_only(self.matrix.conj().T)
+        )
+        if "norm" in self._memo:
+            adj._memo["norm"] = self._memo["norm"]
+        return adj
+
     def norm_bound(self) -> float:
         """The Bessel bound sqrt(B_Phi B_Psi) sup|m| on ``norm()``."""
         return float(
@@ -173,9 +191,7 @@ class Multiplier:
         )
 
 
-def assemble_multiplier(
-    m: Symbol, phi: Frame, psi: Frame, policy: TolerancePolicy = DEFAULT_POLICY
-) -> Multiplier:
+def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
     """Build T_Phi diag(m) T_Psi* and assert the Bessel norm bound."""
     if not (m.size == phi.size == psi.size):
         raise ShapeMismatch(
@@ -272,37 +288,27 @@ def frames_from_multiplier_identity(
 ) -> LowerBoundReport:
     """Lower-bound certificates for Phi / Psi from M = K or from an inverse."""
     sup = mult.symbol.sup_modulus
-    b_phi = optimal_bessel_bound(mult.phi)
-    b_psi = optimal_bessel_bound(mult.psi)
-    slack = 1.0 - 1e-9
+
+    def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
+        guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
+        optimal = k_frame_check(frame, side_env, policy).lower
+        return SideBound(guaranteed, optimal, optimal >= guaranteed * (1.0 - 1e-9))
 
     if spectral_norm(mult.matrix - env.k) <= policy.threshold(env.norm()):
-        guar_phi = 1.0 / (sup**2 * b_psi)
-        guar_psi = 1.0 / (sup**2 * b_phi)
-        opt_phi = k_frame_check(mult.phi, env, policy).lower
-        opt_psi = k_frame_check(mult.psi, env.adjoint(), policy).lower
-        phi_side = SideBound(guar_phi, opt_phi, opt_phi >= guar_phi * slack)
-        psi_side = SideBound(guar_psi, opt_psi, opt_psi >= guar_psi * slack)
+        phi_side = side(mult.phi, env, mult.psi, 1.0)
+        psi_side = side(mult.psi, env.adjoint(), mult.phi, 1.0)
         return LowerBoundReport("identity", phi_side, psi_side, phi_side.ok and psi_side.ok)
 
-    phi_side = None
-    psi_side = None
     try:
-        right = k_right_inverse(mult, env, policy)
+        phi_side = side(mult.phi, env, mult.psi, k_right_inverse(mult, env, policy).majorization)
     except NoRightInverse:
-        right = None
-    if right is not None:
-        guar = 1.0 / (sup**2 * right.majorization**2 * b_psi)
-        opt = k_frame_check(mult.phi, env, policy).lower
-        phi_side = SideBound(guar, opt, opt >= guar * slack)
+        phi_side = None
     try:
-        left = k_left_inverse(mult, env, policy)
+        psi_side = side(
+            mult.psi, env.adjoint(), mult.phi, spectral_norm(k_left_inverse(mult, env, policy))
+        )
     except NoLeftInverse:
-        left = None
-    if left is not None:
-        guar = 1.0 / (sup**2 * spectral_norm(left) ** 2 * b_phi)
-        opt = k_frame_check(mult.psi, env.adjoint(), policy).lower
-        psi_side = SideBound(guar, opt, opt >= guar * slack)
+        psi_side = None
     if phi_side is None and psi_side is None:
         raise HypothesisNotMet(
             "M differs from K and admits neither a K-right nor a K-left inverse"
@@ -328,6 +334,14 @@ class MultiplierFactorization:
     passed: bool
     certificates: dict[str, float] = field(default_factory=dict)
 
+    def adjoint(self) -> "MultiplierFactorization":
+        """The adjoint identity: adjoint factors reversed; norms and verdict carry over."""
+        return MultiplierFactorization(
+            tuple(factor.adjoint() for factor in reversed(self.factors)),
+            self.target.conj().T, self.achieved.conj().T, self.residual, self.threshold,
+            self.passed, dict(self.certificates),
+        )
+
 
 def inverse_as_multiplier(
     phi: Frame,
@@ -347,61 +361,40 @@ def inverse_as_multiplier(
     side="right": given a K-right inverse R of M_{1,Phi,P_K* Psi} and a
     K*-dual Psi-dag of Psi, the multiplier M_{1, Psi-dag, R* P_K* Psi} equals
     the composition K R (apply R, then K); Phi is certified to be a K*-dual
-    of {R* P_K* psi_i}.
+    of {R* P_K* psi_i}. It is computed as the adjoint of the left side on
+    (Psi, Phi, K*, R*). Certificates: ``inverse_residual``, ``dual_of_transported``.
     """
+    if side == "right":
+        return inverse_as_multiplier(
+            psi, phi, env.adjoint(), np.conj(inverse).T, "left", dual_choice, policy
+        ).adjoint()
+    if side != "left":
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
-    if side == "left":
-        base = assemble_multiplier(ones, phi.map(env.proj_range_k), psi, policy)
-        resid_inv = spectral_norm(inverse @ base.matrix - env.k)
-        if resid_inv > policy.threshold(env.norm()):
-            raise NotAnInverse(
-                f"L M_{{1,P_K Phi,Psi}} - K has norm {resid_inv:.3e}", resid_inv
-            )
-        dual_cert = verify_k_dual(phi, dual_choice, env, policy, with_lower_bounds=False)
-        if not dual_cert.passed:
-            raise NotADual(
-                f"dual_choice is not a K-dual of Phi (residual {dual_cert.residual:.3e})",
-                dual_cert.residual,
-            )
-        transported = phi.map(inverse @ env.proj_range_k)
-        factor = assemble_multiplier(ones, transported, dual_choice, policy)
-        target = inverse @ env.k
-        inter = verify_k_dual(transported, psi, env, policy, with_lower_bounds=False)
-        certificates = {"inverse_residual": resid_inv, "psi_dual_of_transported": inter.residual}
-    elif side == "right":
-        adj = env.adjoint()
-        base = assemble_multiplier(ones, phi, psi.map(env.proj_range_k_adjoint), policy)
-        resid_inv = spectral_norm(base.matrix @ inverse - env.k)
-        if resid_inv > policy.threshold(env.norm()):
-            raise NotAnInverse(
-                f"M_{{1,Phi,P_K* Psi}} R - K has norm {resid_inv:.3e}", resid_inv
-            )
-        dual_cert = verify_k_dual(psi, dual_choice, adj, policy, with_lower_bounds=False)
-        if not dual_cert.passed:
-            raise NotADual(
-                f"dual_choice is not a K*-dual of Psi (residual {dual_cert.residual:.3e})",
-                dual_cert.residual,
-            )
-        transported = psi.map(inverse.conj().T @ env.proj_range_k_adjoint)
-        factor = assemble_multiplier(ones, dual_choice, transported, policy)
-        target = env.k @ inverse
-        inter = verify_k_dual(transported, phi, adj, policy, with_lower_bounds=False)
-        certificates = {"inverse_residual": resid_inv, "phi_dual_of_transported": inter.residual}
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
+    base = assemble_multiplier(ones, phi.map(env.proj_range_k), psi)
+    resid_inv = spectral_norm(inverse @ base.matrix - env.k)
+    if resid_inv > policy.threshold(env.norm()):
+        raise NotAnInverse(
+            f"inverse misses the projected multiplier identity by {resid_inv:.3e}", resid_inv
+        )
+    _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a dual of its frame")
+    transported = phi.map(inverse @ env.proj_range_k)
+    factor = assemble_multiplier(ones, transported, dual_choice)
+    target = inverse @ env.k
+    inter = verify_k_dual(transported, psi, env, policy, with_lower_bounds=False)
     residual = spectral_norm(factor.matrix - target)
     threshold = policy.threshold(spectral_norm(target))
-    passed = residual <= threshold and inter.passed
     return MultiplierFactorization(
-        (factor,), target, factor.matrix, residual, threshold, passed, certificates
+        (factor,), target, factor.matrix, residual, threshold,
+        residual <= threshold and inter.passed,
+        {"inverse_residual": resid_inv, "dual_of_transported": inter.residual},
     )
 
 
 @dataclass(frozen=True)
 class BiorthogonalFactorization:
-    """Multiplier pairs composing to K and to K* via a biorthogonal sequence."""
+    """Multiplier pairs composing to K and to K*; ``mirrored`` is the adjoint of ``forward``."""
 
     forward: MultiplierFactorization
     mirrored: MultiplierFactorization
@@ -415,7 +408,7 @@ def biorthogonal_right_inverse(
 
     Needs Phi a K-frame and Psi a minimal K*-frame. With G biorthogonal to
     Psi and Phi-tilde the canonical K-dual of Phi,
-    M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K and
+    M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K, and its adjoint
     M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
     """
     k_frame_check(phi, env, policy)
@@ -427,8 +420,8 @@ def biorthogonal_right_inverse(
     phi_tilde = canonical_k_dual(phi, env, policy)
     projected = phi.map(env.proj_range_k)
 
-    analysis_side = assemble_multiplier(ones, projected, psi, policy)
-    synthesis_side = assemble_multiplier(ones, bio, phi_tilde, policy)
+    analysis_side = assemble_multiplier(ones, projected, psi)
+    synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
     residual = spectral_norm(achieved - env.k)
     threshold = policy.threshold(env.norm())
@@ -436,16 +429,7 @@ def biorthogonal_right_inverse(
         (analysis_side, synthesis_side), env.k, achieved, residual, threshold,
         residual <= threshold,
     )
-
-    mirror_a = assemble_multiplier(ones, phi_tilde, bio, policy)
-    mirror_b = assemble_multiplier(ones, psi, projected, policy)
-    achieved_m = mirror_a.matrix @ mirror_b.matrix
-    residual_m = spectral_norm(achieved_m - env.k_adjoint)
-    mirrored = MultiplierFactorization(
-        (mirror_a, mirror_b), env.k_adjoint, achieved_m, residual_m, threshold,
-        residual_m <= threshold,
-    )
-    return BiorthogonalFactorization(forward, mirrored, forward.passed and mirrored.passed)
+    return BiorthogonalFactorization(forward, forward.adjoint(), forward.passed)
 
 
 @dataclass(frozen=True)
@@ -503,7 +487,7 @@ def _perturbed_restriction(
             f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
             cond.rho - cond.tau,
         )
-    mult = assemble_multiplier(m, phi, psi, policy)
+    mult = assemble_multiplier(m, phi, psi)
     reference = (phi.synthesis * m.values) @ phi.analysis
     basis = env.range_k.basis
     try:
@@ -562,20 +546,13 @@ def perturbation_right_inverse(
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
     """
     mult, minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
-    dual_cert = verify_k_dual(phi, dual_choice, env, policy, with_lower_bounds=False)
-    if not dual_cert.passed:
-        raise NotADual(
-            f"dual_choice is not a K-dual of Phi (residual {dual_cert.residual:.3e})",
-            dual_cert.residual,
-        )
+    _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a K-dual of Phi")
     right = minv.adjoint_matrix @ env.k
     ones = Symbol.ones(phi.size)
     r_frame = phi.map(minv.adjoint_matrix @ env.proj_range_k)
-    r_mult = assemble_multiplier(ones, r_frame, dual_choice, policy)
+    r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form_residual = spectral_norm(r_mult.matrix - right)
-    reversed_mult = assemble_multiplier(
-        m.conjugated(), psi.map(env.proj_range_k), phi, policy
-    )
+    reversed_mult = assemble_multiplier(m.conjugated(), psi.map(env.proj_range_k), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
     residual = spectral_norm(achieved - env.k)
     threshold = policy.threshold(env.norm())
@@ -608,8 +585,8 @@ def range_inclusion_right_inverse(
     ones = Symbol.ones(psi.size)
     phi_dag = phi.map(frame_restriction(phi, env.adjoint(), policy).matrix)
     psi_tilde = canonical_k_dual(psi, env, policy)
-    left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi, policy)
-    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde, policy)
+    left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi)
+    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
     residual = spectral_norm(achieved - env.k)
     threshold = policy.threshold(env.norm())
@@ -640,8 +617,8 @@ def range_inclusion_left_inverse(
     ones = Symbol.ones(psi.size)
     psi_dag = psi.map(frame_restriction(psi, env, policy).adjoint_matrix @ env.proj_range_k)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
-    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag, policy)
-    right_factor = assemble_multiplier(ones, psi, phi, policy)
+    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
+    right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
     residual = spectral_norm(achieved - target)

@@ -110,6 +110,20 @@ def both_inclusion_instance(
         return Frame(psi_syn.T), Frame(phi_syn.T), env
 
 
+def minimal_instance(rng: np.random.Generator) -> tuple[Frame, Frame, OperatorEnv]:
+    """(Phi, Psi, env): Phi a K-frame, Psi a minimal K*-frame, equal index counts."""
+    while True:
+        n = int(rng.integers(2, 9))
+        count = int(rng.integers(2, n + 1))
+        rank = int(rng.integers(1, count))
+        syn = crandn(rng, n, count)
+        k = syn @ crandn(rng, count, rank) @ crandn(rng, rank, n)
+        spread = np.hstack([k.conj().T @ crandn(rng, n, rank), crandn(rng, n, count - rank)])
+        psi = spread @ crandn(rng, count, count)
+        if well_conditioned(syn) and well_conditioned(k, rank) and well_conditioned(psi, count):
+            return Frame(syn.T), Frame(psi.T), OperatorEnv.from_matrix(k)
+
+
 @pytest.fixture(scope="session")
 def c2_example():
     return projection_example()

@@ -15,16 +15,29 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import crandn, well_conditioned
+from conftest import (
+    admissible_perturbation,
+    crandn,
+    minimal_instance,
+    random_k_frame,
+    well_conditioned,
+)
 from kframekit import (
     DEFAULT_POLICY,
     Frame,
     OperatorEnv,
+    Symbol,
     TolerancePolicy,
+    assemble_multiplier,
+    biorthogonal_right_inverse,
     canonical_coefficients,
     canonical_k_dual,
+    dual_family_generate,
+    inverse_as_multiplier,
     k_dual_lower_bounds,
     k_frame_check,
+    k_left_inverse,
+    k_right_inverse,
     verify_k_dual,
 )
 from kframekit.duality import frame_restriction
@@ -111,6 +124,36 @@ class TestCounts:
         verify_k_dual(f, dual, env, with_lower_bounds=True)
         assert factorizations["n"] <= 15
 
+    def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
+        # k_frame_check of Phi and of Psi (7 each), Psi's singular values and
+        # its biorthogonal sequence, the restricted inverse of S_Phi, three new
+        # frames' singular values, the two multiplier norms and the residual;
+        # the K*-identity is the adjoint of the K-identity and factors nothing
+        phi, psi, env = minimal_instance(np.random.default_rng(12))
+        factorizations["n"] = 0
+        biorthogonal_right_inverse(phi, psi, env)
+        assert factorizations["n"] == 23
+
+    def test_right_inverse_as_multiplier_is_the_left_side_on_the_adjoint(self, factorizations):
+        rng = np.random.default_rng(14)
+        psi, env_adj = random_k_frame(rng)  # psi is a K*-frame for K = env_adj.k_adjoint
+        phi = dual_family_generate(psi, env_adj, admissible_perturbation(rng, psi, env_adj))
+        choice = dual_family_generate(psi, env_adj, admissible_perturbation(rng, psi, env_adj))
+        k, n = env_adj.k_adjoint, env_adj.dim
+        # M_{1,Phi,P_K* Psi} = K, and K R = K since R only moves the kernel of K
+        right = np.eye(n) + (np.eye(n) - env_adj.proj_range_k) @ crandn(rng, n, n)
+        counts = []
+        for side, frames, env, inverse in (
+            ("right", (phi, psi), OperatorEnv.from_matrix(k), right),
+            ("left", (psi, phi), OperatorEnv.from_matrix(k).adjoint(), right.conj().T),
+        ):
+            fresh = [Frame(f.vectors) for f in (*frames, choice)]
+            factorizations["n"] = 0
+            out = inverse_as_multiplier(fresh[0], fresh[1], env, inverse, side, fresh[2])
+            assert out.passed
+            counts.append(factorizations["n"])
+        assert counts == [11, 11]
+
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
@@ -181,6 +224,36 @@ class TestNoCycles:
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+    def test_multiplier_adjoint_holds_no_reference_back(self):
+        vectors, _, _ = instance(13)
+        gc.collect()
+        gc.disable()
+        try:
+            f = Frame(vectors)
+            mult = assemble_multiplier(Symbol.ones(f.size), f, f)
+            ref = weakref.ref(mult)
+            adjoint = mult.adjoint()
+            del mult
+            assert ref() is None
+            assert adjoint.phi is f
+        finally:
+            gc.enable()
+
+
+class TestMultiplierAdjoint:
+    def test_keeps_the_norm_and_no_inverse(self, factorizations):
+        vectors, k, _ = instance(15)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        mult = assemble_multiplier(Symbol.ones(f.size), f, f)  # S_F, invertible
+        k_right_inverse(mult, env)
+        k_left_inverse(mult, env)
+        factorizations["n"] = 0
+        adjoint = mult.adjoint()
+        assert adjoint.norm() == mult.norm()
+        assert factorizations["n"] == 0
+        assert list(adjoint._memo) == ["norm"]
 
 
 class TestConcurrentUse:

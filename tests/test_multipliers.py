@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import admissible_perturbation, both_inclusion_instance, crandn, random_k_frame
+from conftest import (
+    admissible_perturbation,
+    both_inclusion_instance,
+    crandn,
+    minimal_instance,
+    random_k_frame,
+)
 
 from kframekit.duality import canonical_k_dual, dual_family_generate
 from kframekit.errors import (
@@ -230,6 +236,10 @@ class TestLeftInverse:
             mult = assemble_multiplier(m, frame, psi)
             flipped = assemble_multiplier(m.conjugated(), psi, frame)
             np.testing.assert_allclose(flipped.matrix, mult.matrix.conj().T, atol=1e-12)
+            adjoint = mult.adjoint()
+            np.testing.assert_array_equal(adjoint.matrix, mult.matrix.conj().T)
+            np.testing.assert_array_equal(adjoint.symbol.values, flipped.symbol.values)
+            assert adjoint.phi is psi and adjoint.psi is frame
             try:
                 left = k_left_inverse(mult, env)
                 ok_left = True
@@ -352,6 +362,32 @@ class TestInverseAsMultiplier:
                 c2_example.frame, dual, c2_example.env, proj, "left", dual.scaled(2.0)
             )
 
+    # K is a self-adjoint projection here, so M_{1,Ftilde,P_K* F} = K* = K
+    # and the right side mirrors the left cases with the frames swapped
+
+    def test_not_an_inverse_right(self, c2_example):
+        dual = canonical_k_dual(c2_example.frame, c2_example.env)
+        with pytest.raises(NotAnInverse):
+            inverse_as_multiplier(
+                dual, c2_example.frame, c2_example.env, 3.7 * np.eye(2), "right", dual
+            )
+
+    def test_not_a_dual_right(self, c2_example):
+        dual = canonical_k_dual(c2_example.frame, c2_example.env)
+        proj = c2_example.env.proj_range_k
+        out = inverse_as_multiplier(dual, c2_example.frame, c2_example.env, proj, "right", dual)
+        assert out.passed
+        with pytest.raises(NotADual):
+            inverse_as_multiplier(
+                dual, c2_example.frame, c2_example.env, proj, "right", dual.scaled(2.0)
+            )
+
+    def test_unknown_side(self, c2_example):
+        dual = canonical_k_dual(c2_example.frame, c2_example.env)
+        proj = c2_example.env.proj_range_k
+        with pytest.raises(ValueError):
+            inverse_as_multiplier(c2_example.frame, dual, c2_example.env, proj, "both", dual)
+
 
 class TestBiorthogonalInverse:
     def test_trivial(self):
@@ -370,6 +406,19 @@ class TestBiorthogonalInverse:
         )
         np.testing.assert_allclose(out.forward.achieved, c4_example.env.k, atol=1e-13)
         np.testing.assert_allclose(out.mirrored.achieved, c4_example.env.k_adjoint, atol=1e-13)
+
+    def test_random_mirrored_products(self):
+        rng = np.random.default_rng(131)
+        for _ in range(10):
+            phi, psi, env = minimal_instance(rng)
+            out = biorthogonal_right_inverse(phi, psi, env)
+            assert out.passed
+            product = np.eye(env.dim)
+            for factor in out.mirrored.factors:  # recomputed from frames and symbols
+                product = product @ (
+                    (factor.phi.synthesis * factor.symbol.values) @ factor.psi.analysis
+                )
+            assert spectral_norm(product - env.k_adjoint) <= 1e-9 * max(1.0, env.norm())
 
     def test_not_minimal(self, c4_example):
         e = np.eye(4)
