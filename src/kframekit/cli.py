@@ -257,14 +257,11 @@ def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> No
     psi = _load_frame(job.frames[1])
     symbol = _load_symbol(job.symbol)
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
-    bound = mult.norm_bound()
-    norm = mult.norm()
+    check = mult.norm_bound_check()
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
-    report.results["norm"] = norm
-    report.results["norm_bound"] = bound
-    report.verdicts["norm-bound"] = Verdict(
-        norm <= bound + 1e-10, max(0.0, norm - bound), 1e-10
-    )
+    report.results["norm"] = mult.norm()
+    report.results["norm_bound"] = mult.norm_bound()
+    report.verdicts["norm-bound"] = Verdict(check.ok, check.residual, check.threshold)
 
 
 def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side: str) -> None:
@@ -330,7 +327,14 @@ _HANDLERS = {
 
 
 def run_job(job: JobSpec) -> Report:
-    """Dispatch a job; domain failures become failed verdicts in the report."""
+    """Dispatch a job; domain failures become failed verdicts in the report.
+
+    Out-of-range options raise ParseError before any work.
+    """
+    if job.tol is not None and not (job.tol > 0.0 and np.isfinite(job.tol)):
+        raise ParseError(f"--tol must be a positive finite number, got {job.tol!r}")
+    if job.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {job.seed}")
     policy = DEFAULT_POLICY.with_tol(job.tol)
     inputs = {}
     for i, path in enumerate(job.frames):

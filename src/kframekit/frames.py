@@ -112,11 +112,6 @@ class Frame:
     def frame_operator(self) -> np.ndarray:
         return self.synthesis @ self.analysis
 
-    @property
-    def gram(self) -> np.ndarray:
-        """N x N Gram matrix with entries <f_j, f_i>."""
-        return self.analysis @ self.synthesis
-
     def map(self, operator: np.ndarray) -> "Frame":
         """Frame with vectors {A f_i} for a matrix A."""
         return Frame((as_matrix(operator, "operator") @ self.synthesis).T)

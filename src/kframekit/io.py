@@ -12,6 +12,7 @@ identity on the carried values.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +32,23 @@ __all__ = [
 ]
 
 
+def _number(x, where: str) -> float:
+    """A JSON number as a finite float (a bool is not a number here)."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ParseError(f"{where}: expected a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite number {x!r}")
+    return value
+
+
 def _complex_from(pair, where: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-    ):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ParseError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number(pair[0], where), _number(pair[1], where))
 
 
 def _parse_frame(obj: dict, source: str) -> Frame:
@@ -85,12 +95,9 @@ def _parse_symbol(obj: dict, source: str) -> Symbol:
         raise ParseError(f"{source}: 'values' must be a nonempty list")
     seq = [_complex_from(entry, f"{source}: values[{i}]") for i, entry in enumerate(values)]
     lower, upper = obj.get("lower"), obj.get("upper")
-    for name, v in (("lower", lower), ("upper", upper)):
-        if v is not None and not isinstance(v, (int, float)):
-            raise ParseError(f"{source}: '{name}' must be a number")
     return Symbol(np.array(seq, dtype=complex),
-                  None if lower is None else float(lower),
-                  None if upper is None else float(upper))
+                  None if lower is None else _number(lower, f"{source}: 'lower'"),
+                  None if upper is None else _number(upper, f"{source}: 'upper'"))
 
 
 def parse_obj(obj, source: str = "<input>"):

@@ -21,13 +21,13 @@ one ``SvdFactors`` through every step that needs it. Douglas' lemma is
 decided once, in the private ``_douglas`` step (inclusion test raising the
 caller's error, minimal solution, residual gate), which ``k_frame_check``
 and both multiplier inverses share. Each optimal bound has one independent
-cross-check, the eigenvalue route in ``_majorization``. Values memoize what
-they derive from their factorizations (``OperatorEnv`` keeps its norms and
-its adjoint; frames keep their singular values and per-operator results),
-never the singular vectors. A memoized value is the value a fresh
-computation returns, so memoization never changes a result. Memo entries
-are only ever added, and two threads filling the same entry store equal
-values, so concurrent use stays safe.
+cross-check, the eigenvalue route in ``_majorization``. An ``OperatorEnv``
+stores K and its one ``SvdFactors`` and reads K*, K^dagger, its range and
+projector, its norms and its adjoint off them, memoized on first use.
+``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix. A memoized
+value is the value a fresh computation returns, so memoization never
+changes a result. Memo entries are only ever added and every caller gets
+the stored entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ __all__ = [
     "herm_eigvals",
     "min_eig",
     "svd_decompose",
-    "pseudo_inverse",
-    "range_projector",
     "range_inclusion_check",
     "douglas_solve",
     "majorization_constant",
@@ -238,29 +236,15 @@ def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     cutoff = policy.rank_cutoff(a.shape, float(s[0]) if s.size else 0.0)
-    factors = SvdFactors(u, s, vh.conj().T, policy.rank(s, a.shape), cutoff)
+    factors = SvdFactors(
+        _read_only(u), _read_only(s), _read_only(vh.conj().T), policy.rank(s, a.shape), cutoff
+    )
     resid = np.linalg.norm(factors.reconstruct() - a)
     if resid > 1e-10 * max(1.0, float(np.linalg.norm(a))):
         raise InternalConsistencyError(
             f"SVD reconstruction residual {resid:.3e} exceeds tolerance", float(resid)
         )
     return factors
-
-
-def pseudo_inverse(m, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, rank-truncated per the policy."""
-    return svd_decompose(m, policy).pinv()
-
-
-def range_projector(m, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[Subspace, np.ndarray]:
-    """Orthonormal basis of R(m) and the orthogonal projector onto it."""
-    return _range_projector(svd_decompose(m, policy))
-
-
-def _range_projector(f: SvdFactors) -> tuple[Subspace, np.ndarray]:
-    basis = f.left_vectors[:, : f.rank]
-    sub = Subspace(basis.shape[0], basis)
-    return sub, sub.projector()
 
 
 @dataclass(frozen=True)
@@ -293,8 +277,8 @@ def _inclusion(
     a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy
 ) -> CheckResult:
     """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
-    _, proj = _range_projector(f2)
-    residual = spectral_norm(a - proj @ a)
+    basis = f2.left_vectors[:, : f2.rank]
+    residual = spectral_norm(a - (basis @ basis.conj().T) @ a)
     threshold = policy.threshold(norm_a)
     return CheckResult(residual <= threshold, residual, threshold)
 
@@ -473,21 +457,18 @@ def neumann_invertibility_margin(
 
 @dataclass(frozen=True)
 class OperatorEnv:
-    """An operator K bundled with its pseudo-inverse and range geometry.
+    """An operator K with its one SVD, from which its geometry is read.
 
     Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K; ``adjoint()`` swaps
     the roles of K and K*, which is how every K*-frame question is asked.
-    ``norm()``, ``pinv_norm()`` and ``adjoint()`` are memoized on the value;
-    an env holds its adjoint, and the adjoint never refers back to it.
+    K*, K^dagger, the range of K with its projector, and ``adjoint()`` (the
+    env of K* on the adjoint factors) are derived from ``factors`` on first
+    use and memoized on the value; the norms read its singular values. An
+    env holds its adjoint, and the adjoint never refers back to it.
     """
 
     k: np.ndarray
-    k_adjoint: np.ndarray
-    k_pinv: np.ndarray
-    range_k: Subspace
-    range_k_adjoint: Subspace
-    proj_range_k: np.ndarray
-    proj_range_k_adjoint: np.ndarray
+    factors: SvdFactors
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
@@ -497,22 +478,7 @@ class OperatorEnv:
         a = as_matrix(k, "k")
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatch(f"operator must be square, got {a.shape}")
-        f = svd_decompose(a, policy)
-        r = f.rank
-        basis_range = f.left_vectors[:, :r]
-        basis_corange = f.right_vectors[:, :r]
-        env = OperatorEnv(
-            k=a,
-            k_adjoint=as_matrix(a.conj().T),
-            k_pinv=as_matrix(f.pinv(), "k_pinv"),
-            range_k=Subspace(a.shape[0], basis_range),
-            range_k_adjoint=Subspace(a.shape[1], basis_corange),
-            proj_range_k=as_matrix(basis_range @ basis_range.conj().T, "proj"),
-            proj_range_k_adjoint=as_matrix(basis_corange @ basis_corange.conj().T, "proj"),
-        )
-        s = f.singular_values
-        env._memo["norm"] = float(s[0])
-        env._memo["pinv_norm"] = 1.0 / float(s[r - 1]) if r else 0.0
+        env = OperatorEnv(a, svd_decompose(a, policy))
         env._self_check()
         return env
 
@@ -530,41 +496,48 @@ class OperatorEnv:
             )
 
     @property
+    def k_adjoint(self) -> np.ndarray:
+        return _memo(self, "k_adjoint", lambda: as_matrix(self.k.conj().T))
+
+    @property
+    def k_pinv(self) -> np.ndarray:
+        return _memo(self, "k_pinv", lambda: _read_only(self.factors.pinv()))
+
+    @property
+    def range_k(self) -> Subspace:
+        basis = self.factors.left_vectors[:, : self.rank]
+        return _memo(self, "range_k", lambda: Subspace(self.dim, basis))
+
+    @property
+    def proj_range_k(self) -> np.ndarray:
+        return _memo(self, "proj_range_k", lambda: _read_only(self.range_k.projector()))
+
+    @property
+    def proj_range_k_adjoint(self) -> np.ndarray:
+        return self.adjoint().proj_range_k
+
+    @property
     def dim(self) -> int:
         return self.k.shape[0]
 
     @property
     def rank(self) -> int:
-        return self.range_k.dim
+        return self.factors.rank
 
     def is_zero(self) -> bool:
         return self.rank == 0
 
     def norm(self) -> float:
-        return _memo(self, "norm", lambda: spectral_norm(self.k))
+        return float(self.factors.singular_values[0])
 
     def pinv_norm(self) -> float:
-        return _memo(self, "pinv_norm", lambda: spectral_norm(self.k_pinv))
+        r = self.rank
+        return 1.0 / float(self.factors.singular_values[r - 1]) if r else 0.0
 
     def adjoint(self) -> "OperatorEnv":
-        return _memo(self, "adjoint", self._make_adjoint)
-
-    def _make_adjoint(self) -> "OperatorEnv":
-        adj = OperatorEnv(
-            k=self.k_adjoint,
-            k_adjoint=self.k,
-            k_pinv=as_matrix(self.k_pinv.conj().T),
-            range_k=self.range_k_adjoint,
-            range_k_adjoint=self.range_k,
-            proj_range_k=self.proj_range_k_adjoint,
-            proj_range_k_adjoint=self.proj_range_k,
+        return _memo(
+            self, "adjoint", lambda: OperatorEnv(self.k_adjoint, self.factors.adjoint())
         )
-        # K and K* share their singular values; "adjoint" is never copied,
-        # so the adjoint holds no reference back to this env
-        for key in ("norm", "pinv_norm"):
-            if key in self._memo:
-                adj._memo[key] = self._memo[key]
-        return adj
 
     @staticmethod
     def identity(n: int) -> "OperatorEnv":

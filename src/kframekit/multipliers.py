@@ -44,14 +44,14 @@ from .errors import (
 )
 from .frames import (
     Frame,
-    biorthogonal_sequence,
+    _synthesis_factors,
     k_frame_check,
-    minimality_check,
     optimal_bessel_bound,
     validate_bounds,
 )
 from .linalg import (
     DEFAULT_POLICY,
+    CheckResult,
     OperatorEnv,
     SvdFactors,
     TolerancePolicy,
@@ -154,8 +154,9 @@ class Symbol:
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
-    ``norm()`` and, per (operator env, tolerance policy), the K-right and
-    K-left inverses are memoized on the value, like a frame's results;
+    One SVD of M per tolerance policy is memoized on the value; ``norm()``
+    and both K-inverses read it. The K-right and K-left inverses are
+    memoized per (operator env, tolerance policy), like a frame's results.
     ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
     """
 
@@ -167,11 +168,14 @@ class Multiplier:
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
 
+    def _factors(self, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
+        return _memo(self, ("svd", policy), lambda: svd_decompose(self.matrix, policy))
+
     def norm(self) -> float:
-        return _memo(self, "norm", lambda: spectral_norm(self.matrix))
+        return float(self._factors().singular_values[0])
 
     def adjoint(self) -> "Multiplier":
-        """M* = M_{mbar,Psi,Phi}, keeping M's memoized norm.
+        """M* = M_{mbar,Psi,Phi}, keeping M's memoized SVDs as their adjoints.
 
         M's inverses do not apply to M* and are not copied; the adjoint holds
         no reference back to M.
@@ -179,8 +183,9 @@ class Multiplier:
         adj = Multiplier(
             self.symbol.conjugated(), self.psi, self.phi, _read_only(self.matrix.conj().T)
         )
-        if "norm" in self._memo:
-            adj._memo["norm"] = self._memo["norm"]
+        for key, value in list(self._memo.items()):
+            if key[0] == "svd":
+                adj._memo[key] = value.adjoint()
         return adj
 
     def norm_bound(self) -> float:
@@ -189,6 +194,13 @@ class Multiplier:
             np.sqrt(optimal_bessel_bound(self.phi) * optimal_bessel_bound(self.psi))
             * self.symbol.sup_modulus
         )
+
+    def norm_bound_check(self) -> CheckResult:
+        """The excess of ``norm()`` over ``norm_bound()``, against a slack relative to it."""
+        bound = self.norm_bound()
+        excess = max(0.0, self.norm() - bound)
+        threshold = DEFAULT_POLICY.threshold(bound)
+        return CheckResult(excess <= threshold, excess, threshold)
 
 
 def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
@@ -200,20 +212,20 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
     if phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("frames live in different ambient dimensions")
     mult = Multiplier(m, phi, psi, _read_only((phi.synthesis * m.values) @ psi.analysis))
-    bound = mult.norm_bound()
-    norm = mult.norm()
-    if norm > bound + 1e-10:
+    check = mult.norm_bound_check()
+    if not check:
         raise InternalConsistencyError(
-            f"multiplier norm {norm!r} exceeds sqrt(B_Phi B_Psi) sup|m| = {bound!r}"
+            f"multiplier norm {mult.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
+            f"{mult.norm_bound()!r} by more than {check.threshold!r}", check.residual
         )
     return mult
 
 
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy) -> SvdFactors:
-    """One SVD of the (square) M, once M and K are known to have equal sizes."""
+    """M's memoized SVD, once M and K are known to have equal sizes."""
     if env.dim != mult.matrix.shape[0]:
         raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
-    return svd_decompose(mult.matrix, policy)
+    return mult._factors(policy)
 
 
 @dataclass(frozen=True)
@@ -412,11 +424,12 @@ def biorthogonal_right_inverse(
     M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
     """
     k_frame_check(phi, env, policy)
-    if not minimality_check(psi, policy):
+    psi_factors = _synthesis_factors(psi, policy)
+    if psi_factors.rank != psi.size:
         raise NotMinimal("Psi is not minimal: synthesis operator has a kernel")
     k_frame_check(psi, env.adjoint(), policy)
     ones = Symbol.ones(phi.size)
-    bio = biorthogonal_sequence(psi, policy)
+    bio = Frame(psi_factors.pinv().conj())  # biorthogonal to Psi, inside its span
     phi_tilde = canonical_k_dual(phi, env, policy)
     projected = phi.map(env.proj_range_k)
 

@@ -13,6 +13,7 @@ import pytest
 
 from kframekit import Frame, OperatorEnv
 from kframekit.duality import DualPerturbation
+from kframekit.linalg import svd_decompose
 from kframekit.worked import minimal_example, projection_example
 
 COND_FLOOR = 1e-3
@@ -27,6 +28,13 @@ def positive_singulars(m: np.ndarray) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.array([])
     return s[s > s[0] * max(m.shape) * 2.0 ** -40]
+
+
+def projector_onto_range(m: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto R(m), from the range basis of its SVD."""
+    f = svd_decompose(m)
+    basis = f.left_vectors[:, : f.rank]
+    return basis @ basis.conj().T
 
 
 def well_conditioned(m: np.ndarray, rank: int | None = None) -> bool:

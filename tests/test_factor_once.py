@@ -25,6 +25,7 @@ from conftest import (
 from kframekit import (
     DEFAULT_POLICY,
     Frame,
+    Multiplier,
     OperatorEnv,
     Symbol,
     TolerancePolicy,
@@ -81,15 +82,19 @@ def assert_identical(a, b):
 
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counter of svd / eigh / eigvalsh calls, including norm(., 2)'s svd."""
-    counter = {"n": 0}
+    """Counter of svd / eigh / eigvalsh calls, including norm(., 2)'s svd.
+
+    ``inputs`` holds the operand of every counted call.
+    """
+    counter = {"n": 0, "inputs": []}
 
     def count(owner, name):
         original = getattr(owner, name)
 
-        def counted(*args, **kwargs):
+        def counted(a, *args, **kwargs):
             counter["n"] += 1
-            return original(*args, **kwargs)
+            counter["inputs"].append(np.array(a))
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
@@ -125,14 +130,15 @@ class TestCounts:
         assert factorizations["n"] <= 15
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
-        # k_frame_check of Phi and of Psi (7 each), Psi's singular values and
-        # its biorthogonal sequence, the restricted inverse of S_Phi, three new
-        # frames' singular values, the two multiplier norms and the residual;
-        # the K*-identity is the adjoint of the K-identity and factors nothing
+        # k_frame_check of Phi and of Psi (7 each), one SVD of T_Psi for both
+        # the minimality test and the biorthogonal sequence, the restricted
+        # inverse of S_Phi, three new frames' singular values, the two
+        # multiplier norms and the residual; the K*-identity is the adjoint
+        # of the K-identity and factors nothing
         phi, psi, env = minimal_instance(np.random.default_rng(12))
         factorizations["n"] = 0
         biorthogonal_right_inverse(phi, psi, env)
-        assert factorizations["n"] == 23
+        assert factorizations["n"] == 22
 
     def test_right_inverse_as_multiplier_is_the_left_side_on_the_adjoint(self, factorizations):
         rng = np.random.default_rng(14)
@@ -153,6 +159,22 @@ class TestCounts:
             assert out.passed
             counts.append(factorizations["n"])
         assert counts == [11, 11]
+
+    def test_multiplier_is_factored_once(self, factorizations):
+        # the Bessel-bound check's norm and both inverses read one SVD of M
+        vectors, k, _ = instance(16)
+        rng = np.random.default_rng(16)
+        f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
+        env = OperatorEnv.from_matrix(k)
+        factorizations["inputs"].clear()
+        mult = assemble_multiplier(Symbol.semi_normalized(1.0 + rng.random(f.size)), f, g)
+        mult.norm()
+        k_right_inverse(mult, env)
+        k_left_inverse(mult, env)
+        matrices = (mult.matrix, mult.matrix.conj().T)
+        factored = [a for a in factorizations["inputs"]
+                    if any(np.array_equal(a, m) for m in matrices)]
+        assert len(factored) == 1
 
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
@@ -226,13 +248,29 @@ class TestNoCycles:
             gc.enable()
 
 
+    def test_env_adjoint_holds_no_reference_back(self):
+        _, k, _ = instance(17)
+        gc.collect()
+        gc.disable()
+        try:
+            env = OperatorEnv.from_matrix(k)
+            ref = weakref.ref(env)
+            adjoint = env.adjoint()
+            adjoint.k_pinv, adjoint.proj_range_k, adjoint.adjoint()
+            del env
+            assert ref() is None
+            np.testing.assert_array_equal(adjoint.k, k.conj().T)
+        finally:
+            gc.enable()
+
     def test_multiplier_adjoint_holds_no_reference_back(self):
-        vectors, _, _ = instance(13)
+        vectors, k, _ = instance(13)
         gc.collect()
         gc.disable()
         try:
             f = Frame(vectors)
             mult = assemble_multiplier(Symbol.ones(f.size), f, f)
+            k_right_inverse(mult, OperatorEnv.from_matrix(k))
             ref = weakref.ref(mult)
             adjoint = mult.adjoint()
             del mult
@@ -253,7 +291,8 @@ class TestMultiplierAdjoint:
         adjoint = mult.adjoint()
         assert adjoint.norm() == mult.norm()
         assert factorizations["n"] == 0
-        assert list(adjoint._memo) == ["norm"]
+        # the carried-over SVD is the only entry; the inverses belong to M
+        assert [key[0] for key in adjoint._memo] == ["svd"]
 
 
 class TestConcurrentUse:
@@ -279,5 +318,32 @@ class TestConcurrentUse:
                 for result in results:
                     assert_identical(result, fresh)
                     assert result[0] is results[0][0] and result[1] is results[0][1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_share_one_svd_and_one_adjoint(self):
+        # the multiplier's SVD and the env's derived values are filled lazily
+        vectors, k, _ = instance(18)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+                mult = Multiplier(Symbol.ones(f.size), f, f, f.frame_operator)  # nothing memoized
+                results = []
+
+                def work():
+                    right, left = k_right_inverse(mult, env), k_left_inverse(mult, env)
+                    results.append((mult._factors(), right, left, env.adjoint(), env.range_k))
+
+                threads = [threading.Thread(target=work) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(results) == len(threads)
+                for result in results:
+                    assert all(a is b for a, b in zip(result, results[0]))
         finally:
             sys.setswitchinterval(interval)

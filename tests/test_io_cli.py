@@ -262,6 +262,68 @@ class TestExitCodes:
         assert code == 0
         assert body["verdicts"]["perturbation-condition"]["passed"] is True
 
+    def test_multiplier_of_a_large_frame_is_zero(self, tmp_path, capsys):
+        # entries of size 1e4: the norm meets the bound 1e9 up to rounding
+        rng = np.random.default_rng(1)
+        frame = Frame(1e4 * (rng.normal(size=(12, 8)) + 1j * rng.normal(size=(12, 8))))
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(frame))
+        io.write_file(tmp_path / "ones.json", io.symbol_to_obj(Symbol.ones(12)))
+        code = main(["multiplier", "--frame", str(tmp_path / "f.json"),
+                     "--frame", str(tmp_path / "f.json"),
+                     "--symbol", str(tmp_path / "ones.json"), "--format", "json"])
+        body = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert body["verdicts"]["norm-bound"]["threshold"] == 1e-10 * body["results"]["norm_bound"]
+
+
+BAD_INPUTS = {
+    "negative seed": (["--seed", "-3"], None, "--seed"),
+    "negative tol": (["--tol", "-1"], None, "--tol"),
+    "zero tol": (["--tol", "0"], None, "--tol"),
+    "nan tol": (["--tol", "nan"], None, "--tol"),
+    "nan in a frame": ([], ("frame", '{"dim": 1, "vectors": [[[NaN, 0]], [[1, 0]]]}'),
+                       "vectors[0][0]: non-finite"),
+    "inf in a matrix": ([], ("operator", '{"rows": 1, "cols": 1, "data": [[1, -Infinity]]}'),
+                        "data[0]: non-finite"),
+    "overflowing integer in a matrix": (
+        [], ("operator", '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}'),
+        "data[0]: non-finite",
+    ),
+    "inf in a symbol": ([], ("symbol", '{"values": [[Infinity, 0], [1, 0]]}'),
+                        "values[0]: non-finite"),
+    "nan symbol bound": ([], ("symbol", '{"values": [[1, 0], [1, 0]], "lower": NaN, "upper": 1}'),
+                         "'lower': non-finite"),
+    "bool symbol bound": ([], ("symbol", '{"values": [[1, 0], [1, 0]], "lower": true, "upper": 1}'),
+                          "'lower': expected a number"),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_two_with_one_line(self, case, tmp_path, capsys):
+        # right-inverse reads a frame, an operator and a symbol, so every
+        # kind of input file can carry the defect
+        options, bad_file, message = BAD_INPUTS[case]
+        files = {
+            "frame": '{"dim": 1, "vectors": [[[1, 0]], [[1, 0]]]}',
+            "operator": '{"rows": 1, "cols": 1, "data": [[1, 0]]}',
+            "symbol": '{"values": [[1, 0], [1, 0]]}',
+        }
+        if bad_file is not None:
+            files[bad_file[0]] = bad_file[1]
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        code = main(["right-inverse", "--frame", str(paths["frame"]),
+                     "--frame", str(paths["frame"]), "--operator", str(paths["operator"]),
+                     "--symbol", str(paths["symbol"]), *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestGoldenSuite:
     def test_all_pass_by_default(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import crandn, random_k_frame
+from conftest import crandn, projector_onto_range, random_k_frame
 
 from kframekit.errors import (
     InternalConsistencyError,
@@ -20,9 +20,7 @@ from kframekit.linalg import (
     majorization_constant,
     min_eig,
     neumann_invertibility_margin,
-    pseudo_inverse,
     range_inclusion_check,
-    range_projector,
     restricted_inverse,
     spectral_norm,
     svd_decompose,
@@ -75,10 +73,10 @@ class TestSvd:
 
 class TestPseudoInverse:
     def test_identity(self):
-        np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(svd_decompose(np.eye(3)).pinv(), np.eye(3), atol=1e-14)
 
     def test_zero_transposed_shape(self):
-        out = pseudo_inverse(np.zeros((3, 2)))
+        out = svd_decompose(np.zeros((3, 2))).pinv()
         assert out.shape == (2, 3)
         assert np.all(out == 0)
 
@@ -86,7 +84,7 @@ class TestPseudoInverse:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[0, 1] = 0.5
         expected[1, 2] = 1.0
-        np.testing.assert_allclose(pseudo_inverse(c4_operator()), expected, atol=1e-14)
+        np.testing.assert_allclose(svd_decompose(c4_operator()).pinv(), expected, atol=1e-14)
 
     def test_penrose_identities(self):
         # each identity is checked relative to the scale of its own sides
@@ -96,7 +94,7 @@ class TestPseudoInverse:
             a = crandn(rng, n, m)
             if rng.random() < 0.4 and min(n, m) > 1:  # force rank deficiency
                 a[:, -1] = a[:, 0] * (1.1 + 0.3j)
-            p = pseudo_inverse(a)
+            p = svd_decompose(a).pinv()
             assert spectral_norm(a @ p @ a - a) <= 1e-10 * max(1.0, spectral_norm(a))
             assert spectral_norm(p @ a @ p - p) <= 1e-10 * max(1.0, spectral_norm(p))
             assert spectral_norm((a @ p).conj().T - a @ p) <= 1e-10
@@ -106,30 +104,32 @@ class TestPseudoInverse:
         rng = np.random.default_rng(6)
         for _ in range(25):
             a = crandn(rng, rng.integers(1, 9), rng.integers(1, 9))
-            back = pseudo_inverse(pseudo_inverse(a))
+            back = svd_decompose(svd_decompose(a).pinv()).pinv()
             assert spectral_norm(back - a) <= 1e-9 * max(1.0, spectral_norm(a))
 
 
 class TestRangeProjector:
     def test_e1_column(self):
-        _, p = range_projector(np.array([[1.0], [0.0]]))
+        p = projector_onto_range(np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_restricted_frame_column(self):
-        _, p = range_projector(np.array([[1.5], [-0.5]]))
+        p = projector_onto_range(np.array([[1.5], [-0.5]]))
         np.testing.assert_allclose(p, np.array([[9, -3], [-3, 1]]) / 10.0, atol=1e-14)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(crandn(rng, 6, 3))
-        _, p = range_projector(q)
+        p = projector_onto_range(q)
         np.testing.assert_allclose(p, q @ q.conj().T, atol=1e-12)
 
     def test_projector_algebra(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             m = crandn(rng, rng.integers(1, 8), rng.integers(1, 8))
-            sub, p = range_projector(m)
+            f = svd_decompose(m)
+            sub = Subspace(m.shape[0], f.left_vectors[:, : f.rank])
+            p = sub.projector()
             scale = 1e-10 * max(1.0, spectral_norm(m))
             assert spectral_norm(p - p.conj().T) <= scale
             assert spectral_norm(p @ p - p) <= scale
@@ -177,7 +177,7 @@ class TestDouglas:
             l2 = crandn(rng, h, p)
             l1 = l2 @ crandn(rng, p, q)
             x = douglas_solve(l1, l2)
-            _, proj = range_projector(l2.conj().T)
+            proj = projector_onto_range(l2.conj().T)
             assert spectral_norm(proj @ x - x) <= 1e-10 * max(1.0, spectral_norm(x))
 
 
@@ -362,6 +362,36 @@ class TestOperatorEnv:
         env = OperatorEnv.from_matrix(np.zeros((3, 3)))
         assert env.is_zero() and env.rank == 0
 
+    @pytest.mark.parametrize("rank", [6, 3, 0])
+    def test_derived_arrays_match_numpy(self, rank):
+        rng = np.random.default_rng(37 + rank)
+        n = 6
+        k = crandn(rng, n, rank) @ crandn(rng, rank, n) if rank else np.zeros((n, n))
+        env = OperatorEnv.from_matrix(k)
+        pinv = np.linalg.pinv(k, rcond=1e-10)
+        adj = env.adjoint()
+        assert env.rank == adj.rank == rank
+        assert env.range_k.dim == adj.range_k.dim == rank
+        np.testing.assert_array_equal(env.k_adjoint, k.conj().T)
+        np.testing.assert_array_equal(adj.k, k.conj().T)
+        np.testing.assert_allclose(env.k_pinv, pinv, atol=1e-12)
+        np.testing.assert_allclose(adj.k_pinv, pinv.conj().T, atol=1e-12)
+        np.testing.assert_allclose(env.proj_range_k, k @ pinv, atol=1e-12)
+        np.testing.assert_allclose(env.proj_range_k_adjoint, pinv @ k, atol=1e-12)
+        np.testing.assert_allclose(env.range_k.projector(), k @ pinv, atol=1e-12)
+        np.testing.assert_allclose(adj.range_k.projector(), pinv @ k, atol=1e-12)
+        assert env.norm() == adj.norm() == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
+        expected = np.linalg.norm(pinv, 2) if rank else 0.0
+        assert env.pinv_norm() == adj.pinv_norm() == pytest.approx(expected, rel=1e-12)
+        arrays = (
+            env.k, env.k_adjoint, env.k_pinv, env.proj_range_k, env.proj_range_k_adjoint,
+            env.range_k.basis, adj.range_k.basis, adj.k_pinv,
+            env.factors.left_vectors, env.factors.singular_values, env.factors.right_vectors,
+        )
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 9.0
+
     def test_carriers_are_read_only(self):
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
         for arr in (env.k, env.k_pinv, env.proj_range_k, env.range_k.basis):
@@ -396,9 +426,9 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 )
 def test_pinv_and_projector_invariants_hypothesis(re, im):
     m = re + 1j * im
-    p = pseudo_inverse(m)
+    p = svd_decompose(m).pinv()
     assert spectral_norm(m @ p @ m - m) <= 1e-10 * max(1.0, spectral_norm(m))
     assert spectral_norm(p @ m @ p - p) <= 1e-10 * max(1.0, spectral_norm(p))
-    _, proj = range_projector(m)
+    proj = projector_onto_range(m)
     assert spectral_norm(proj @ proj - proj) <= 1e-10
     assert spectral_norm(proj @ m - m) <= 1e-10 * max(1.0, spectral_norm(m))

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import crandn, well_conditioned
+from conftest import crandn, projector_onto_range, well_conditioned
 from kframekit.errors import RangeNotIncluded
 from kframekit.linalg import (
     douglas_solve,
     min_eig,
-    pseudo_inverse,
     range_inclusion_check,
-    range_projector,
     spectral_norm,
+    svd_decompose,
 )
 
 
@@ -25,7 +24,7 @@ def inclusion_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
         l1 = l2 @ x0
         if not (well_conditioned(l2) and well_conditioned(l1)):
             continue
-        if spectral_norm(pseudo_inverse(l2) @ l1) < 1e-2:
+        if spectral_norm(svd_decompose(l2).pinv() @ l1) < 1e-2:
             continue
         return l1, l2
 
@@ -39,7 +38,7 @@ def non_inclusion_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.nda
         l2 = crandn(rng, h, rank) @ crandn(rng, rank, p)
         if not well_conditioned(l2, rank):
             continue
-        _, proj = range_projector(l2)
+        proj = projector_onto_range(l2)
         stray = (np.eye(h) - proj) @ crandn(rng, h)
         if np.linalg.norm(stray) < 0.1:
             continue
@@ -53,7 +52,7 @@ def douglas_predicates(l1, l2) -> tuple[bool, bool, bool]:
     """The three equivalent conditions, each computed by its own route."""
     included = bool(range_inclusion_check(l1, l2))
 
-    lam_hat = spectral_norm(pseudo_inverse(l2) @ l1)
+    lam_hat = spectral_norm(svd_decompose(l2).pinv() @ l1)
     g1 = l1 @ l1.conj().T
     g2 = l2 @ l2.conj().T
     slack = min_eig((lam_hat * (1.0 + 1e-8)) ** 2 * g2 - g1)
