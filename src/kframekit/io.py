@@ -6,7 +6,11 @@ Matrices: {"rows": r, "cols": c, "data": [[re,im], ...]} (row-major).
 Symbols: {"values": [[re,im], ...], "lower": a, "upper": b} (bounds optional).
 
 Parsing is strict and deterministic, and serialize-then-parse is the
-identity on the carried values.
+identity on the carried values. Each document's pairs are checked as a
+whole (every pair has two entries, every entry is a finite int or float,
+never a bool, string or null) and converted in one numpy pass; only when
+that check fails does the per-entry walk run, to name the first bad field.
+Files are read as UTF-8 (RFC 8259).
 """
 
 from __future__ import annotations
@@ -51,6 +55,25 @@ def _complex_from(pair, where: str) -> complex:
     return complex(_number(pair[0], where), _number(pair[1], where))
 
 
+def _bulk_complex(pairs: list) -> np.ndarray | None:
+    """``pairs`` as a 1-d complex128 array in one numpy pass, or None.
+
+    None unless every pair is a two-entry list of finite Python ints or
+    floats; the caller then walks the pairs to name the first bad one. The
+    float64 pairs are viewed as complex128, so the values are bit-exact.
+    """
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    leaves = [x for pair in pairs for x in pair]
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(leaves, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        return None
+    return flat.view(np.complex128) if np.isfinite(flat).all() else None
+
+
 def _parse_frame(obj: dict, source: str) -> Frame:
     dim = obj.get("dim")
     vectors = obj.get("vectors")
@@ -58,6 +81,10 @@ def _parse_frame(obj: dict, source: str) -> Frame:
         raise ParseError(f"{source}: 'dim' must be a positive integer, got {dim!r}")
     if not isinstance(vectors, list) or not vectors:
         raise ParseError(f"{source}: 'vectors' must be a nonempty list")
+    if all(isinstance(vec, list) and len(vec) == dim for vec in vectors):
+        flat = _bulk_complex([entry for vec in vectors for entry in vec])
+        if flat is not None:
+            return Frame(flat.reshape(len(vectors), dim))
     rows = []
     for i, vec in enumerate(vectors):
         if not isinstance(vec, list):
@@ -85,17 +112,23 @@ def _parse_matrix(obj: dict, source: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{source}: 'data' has {len(data)} entries, expected rows*cols = {rows * cols}"
         )
-    flat = [_complex_from(entry, f"{source}: data[{i}]") for i, entry in enumerate(data)]
-    return as_matrix(np.array(flat, dtype=complex).reshape(rows, cols), source)
+    flat = _bulk_complex(data)
+    if flat is None:
+        flat = np.array([_complex_from(entry, f"{source}: data[{i}]")
+                         for i, entry in enumerate(data)], dtype=complex)
+    return as_matrix(flat.reshape(rows, cols), source)
 
 
 def _parse_symbol(obj: dict, source: str) -> Symbol:
     values = obj.get("values")
     if not isinstance(values, list) or not values:
         raise ParseError(f"{source}: 'values' must be a nonempty list")
-    seq = [_complex_from(entry, f"{source}: values[{i}]") for i, entry in enumerate(values)]
+    seq = _bulk_complex(values)
+    if seq is None:
+        seq = np.array([_complex_from(entry, f"{source}: values[{i}]")
+                        for i, entry in enumerate(values)], dtype=complex)
     lower, upper = obj.get("lower"), obj.get("upper")
-    return Symbol(np.array(seq, dtype=complex),
+    return Symbol(seq,
                   None if lower is None else _number(lower, f"{source}: 'lower'"),
                   None if upper is None else _number(upper, f"{source}: 'upper'"))
 
@@ -119,25 +152,26 @@ def parse_file(path):
     """Parse a frame / matrix / symbol file, with file context in errors."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
-        obj = json.loads(text)
+        return parse_obj(json.loads(text), str(p))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_obj(obj, str(p))
+    except RecursionError:  # json.loads, or the repr naming an over-deep field
+        raise ParseError(f"{p}: JSON nested too deeply") from None
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(a: np.ndarray) -> list:
+    """``a`` with each entry as an [re, im] list of Python floats."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def frame_to_obj(f: Frame) -> dict:
-    return {
-        "dim": f.ambient_dim,
-        "vectors": [[_pair(z) for z in row] for row in f.vectors],
-    }
+    return {"dim": f.ambient_dim, "vectors": _pairs(f.vectors)}
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -145,12 +179,12 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [_pair(z) for z in a.reshape(-1)],
+        "data": _pairs(a.reshape(-1)),
     }
 
 
 def symbol_to_obj(s: Symbol) -> dict:
-    obj = {"values": [_pair(z) for z in s.values]}
+    obj = {"values": _pairs(s.values)}
     if s.lower is not None:
         obj["lower"] = float(s.lower)
         obj["upper"] = float(s.upper)

@@ -154,9 +154,10 @@ class Symbol:
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
-    One SVD of M per tolerance policy is memoized on the value; ``norm()``
-    and both K-inverses read it. The K-right and K-left inverses are
-    memoized per (operator env, tolerance policy), like a frame's results.
+    One SVD of M per rank rule (``rank_scale``, ``rank_override``) is
+    memoized on the value, since ``identity_tol`` does not enter an SVD;
+    ``norm()`` and both K-inverses read it. The K-right and K-left inverses
+    are memoized per (operator env, tolerance policy), like a frame's results.
     ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
     """
 
@@ -169,7 +170,8 @@ class Multiplier:
         object.__setattr__(self, "_memo", {})
 
     def _factors(self, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
-        return _memo(self, ("svd", policy), lambda: svd_decompose(self.matrix, policy))
+        key = ("svd", policy.rank_scale, policy.rank_override)
+        return _memo(self, key, lambda: svd_decompose(self.matrix, policy))
 
     def norm(self) -> float:
         return float(self._factors().singular_values[0])

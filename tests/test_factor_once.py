@@ -176,6 +176,22 @@ class TestCounts:
                     if any(np.array_equal(a, m) for m in matrices)]
         assert len(factored) == 1
 
+    def test_tolerance_does_not_refactor_the_multiplier(self, factorizations):
+        # an SVD depends only on the rank rule, so --tol reuses the SVD of M
+        # that the Bessel-bound check made under the default policy
+        vectors, k, _ = instance(18)
+        rng = np.random.default_rng(18)
+        f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
+        mult = assemble_multiplier(Symbol.semi_normalized(1.0 + rng.random(f.size)), f, g)
+        tol = DEFAULT_POLICY.with_tol(1e-9)
+        factorizations["inputs"].clear()
+        right = k_right_inverse(mult, OperatorEnv.from_matrix(k), tol)
+        assert not any(np.array_equal(a, mult.matrix) for a in factorizations["inputs"])
+        fresh = k_right_inverse(Multiplier(mult.symbol, f, g, mult.matrix),
+                                OperatorEnv.from_matrix(k), tol)
+        assert right.matrix.tobytes() == fresh.matrix.tobytes()
+        assert right.majorization == fresh.majorization
+
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kframekit import io
 from kframekit.cli import JobSpec, main, run_job
@@ -295,6 +297,28 @@ BAD_INPUTS = {
                          "'lower': non-finite"),
     "bool symbol bound": ([], ("symbol", '{"values": [[1, 0], [1, 0]], "lower": true, "upper": 1}'),
                           "'lower': expected a number"),
+    "file not UTF-8": ([], ("frame", b"\xff\xfe"), "frame.json: not UTF-8"),
+    "nesting past the recursion limit": (
+        [], ("frame", '{"dim": 1, "vectors": ' + "[" * 100_000),
+        "frame.json: JSON nested too deeply",
+    ),
+    # numpy alone would coerce or reshape each of these
+    "bool in a frame pair": ([], ("frame", '{"dim": 1, "vectors": [[[true, 0]], [[1, 0]]]}'),
+                             "vectors[0][0]: expected a number, got True"),
+    "string in a matrix pair": ([], ("operator", '{"rows": 1, "cols": 1, "data": [["1.5", 0]]}'),
+                                "data[0]: expected a number, got '1.5'"),
+    "null in a symbol pair": ([], ("symbol", '{"values": [[null, 0], [1, 0]]}'),
+                              "values[0]: expected a number, got None"),
+    "three-element pair": ([], ("operator", '{"rows": 1, "cols": 1, "data": [[1, 0, 0]]}'),
+                           "data[0]: expected a [re, im] pair, got [1, 0, 0]"),
+    "pair nested one level too deep": (
+        [], ("frame", '{"dim": 1, "vectors": [[[[1, 0]]], [[[1, 0]]]]}'),
+        "vectors[0][0]: expected a [re, im] pair, got [[1, 0]]",
+    ),
+    "pair of pairs": ([], ("operator", '{"rows": 1, "cols": 1, "data": [[[1, 0], [0, 0]]]}'),
+                      "data[0]: expected a number, got [1, 0]"),
+    "ragged row": ([], ("frame", '{"dim": 1, "vectors": [[[1, 0]], [[1, 0], [0, 0]]]}'),
+                   "vectors[1] has length 2, expected dim 1"),
 }
 
 
@@ -314,7 +338,7 @@ class TestInputContract:
         paths = {}
         for name, text in files.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(text)
+            paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
         code = main(["right-inverse", "--frame", str(paths["frame"]),
                      "--frame", str(paths["frame"]), "--operator", str(paths["operator"]),
                      "--symbol", str(paths["symbol"]), *options])
@@ -323,6 +347,71 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
         assert "Traceback" not in captured.err
+
+
+# every finite JSON number: -0.0, subnormals, ints past 2**63 still inside
+# the float range, mixed with plain ints and floats
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**1023), 2**1023),
+    st.integers(2**63, 2**64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 2**63 + 1, -(2**1000) - 1, 0, 1]),
+)
+PAIR = st.lists(NUMBERS, min_size=2, max_size=2)
+
+
+def reference(pairs) -> np.ndarray:
+    """The per-entry conversion: complex(float(re), float(im)), one pair at a time."""
+    return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=np.complex128)
+
+
+def emitted(a) -> list:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(a).reshape(-1)]
+
+
+class TestBulkConversion:
+    @seed(6)
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+    def test_bit_exact_against_the_per_entry_reference(self, shape, data):
+        pairs = data.draw(st.lists(PAIR, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))
+        rows = [pairs[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
+        docs = {
+            "frame": {"dim": shape[1], "vectors": rows},
+            "matrix": {"rows": shape[0], "cols": shape[1], "data": pairs},
+            "symbol": {"values": pairs},
+        }
+        expected = reference(pairs).tobytes()
+        for kind, doc in docs.items():
+            parsed = io.parse_obj(json.loads(json.dumps(doc)), kind)
+            if kind == "frame":
+                values, out = parsed.vectors, io.frame_to_obj(parsed)["vectors"]
+                out = [pair for row in out for pair in row]
+            elif kind == "matrix":
+                values, out = parsed, io.matrix_to_obj(parsed)["data"]
+            else:
+                values, out = parsed.values, io.symbol_to_obj(parsed)["values"]
+            assert values.dtype == np.complex128 and values.tobytes() == expected, kind
+            # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+            assert repr(out) == repr(emitted(values)), kind
+
+    def test_valid_documents_skip_the_per_entry_walk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        frame = Frame(rng.normal(size=(96, 64)) + 1j * rng.normal(size=(96, 64)))
+        k = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        symbol = Symbol(rng.normal(size=96) + 1j * rng.normal(size=96))
+        for name, obj in (("f", io.frame_to_obj(frame)), ("k", io.matrix_to_obj(k)),
+                          ("m", io.symbol_to_obj(symbol))):
+            io.write_file(tmp_path / f"{name}.json", obj)
+
+        def walked(pair, where):
+            raise AssertionError(f"per-entry walk ran at {where}")
+
+        monkeypatch.setattr(io, "_complex_from", walked)
+        np.testing.assert_array_equal(io.parse_file(tmp_path / "f.json").vectors, frame.vectors)
+        np.testing.assert_array_equal(io.parse_file(tmp_path / "k.json"), k)
+        np.testing.assert_array_equal(io.parse_file(tmp_path / "m.json").values, symbol.values)
 
 
 class TestGoldenSuite:
