@@ -42,6 +42,7 @@ from .linalg import (
     RestrictedMap,
     TolerancePolicy,
     _memoized_per_operator,
+    _within,
     restricted_inverse,
     spectral_norm,
 )
@@ -264,12 +265,9 @@ def dual_family_generate(
         raise ShapeMismatch(
             f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
         )
-    violation = admissibility_violation(f, env, pert)
     scale = max(1.0, f.norm() * max(1.0, pert.norm()))
-    if violation > policy.identity_tol * scale:
-        raise InadmissiblePerturbation(
-            f"P_R(K) T_F phi has norm {violation:.3e}", violation
-        )
+    _within(env.proj_range_k @ f.synthesis @ pert.phi, policy.identity_tol * scale,
+            InadmissiblePerturbation, "P_R(K) T_F phi has norm {:.3e}")
     dual = canonical_k_dual(f, env, policy)
     return Frame((dual.synthesis + pert.phi_adjoint).T)
 
@@ -423,9 +421,9 @@ def canonical_coefficients(
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
     dual = canonical_k_dual(f, env, policy)
     rmap = frame_restriction(f, env, policy)
-    coeffs = _synthesis_factors(f, policy).pinv() @ (
+    coeffs = _synthesis_factors(f, policy).solve(
         f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
-    )
+    )[0]
     direct = dual.analysis @ target
     err = float(np.linalg.norm(coeffs - direct))
     if err > 1e-9 * max(1.0, float(np.linalg.norm(direct))):

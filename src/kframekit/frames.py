@@ -178,10 +178,10 @@ def k_frame_check(
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     factors = _synthesis_factors(f, policy)
     norm_k = env.norm()
-    inclusion, x = _douglas(
+    inclusion, _, core = _douglas(
         env.k, f.synthesis, factors, norm_k, policy, NotKFrame, "R(K) not contained in R(T_F)"
     )
-    lam, lam_cc = _majorization(env.k, f.synthesis, x, norm_k, policy)
+    lam, lam_cc = _majorization(env.k, f.synthesis, core, norm_k, policy)
     lower, lower_cc = 1.0 / lam**2, 1.0 / lam_cc**2
     if abs(lower - lower_cc) > 1e-8 * max(1.0, lower):
         raise InternalConsistencyError(

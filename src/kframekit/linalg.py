@@ -20,14 +20,17 @@ Each function factors its operand once: ``range_inclusion_check``,
 one ``SvdFactors`` through every step that needs it. Douglas' lemma is
 decided once, in the private ``_douglas`` step (inclusion test raising the
 caller's error, minimal solution, residual gate), which ``k_frame_check``
-and both multiplier inverses share. Each optimal bound has one independent
-cross-check, the eigenvalue route in ``_majorization``. An ``OperatorEnv``
-stores K and its one ``SvdFactors`` and reads K*, K^dagger, its range and
-projector, its norms and its adjoint off them, memoized on first use.
-``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix. A memoized
-value is the value a fresh computation returns, so memoization never
-changes a result. Memo entries are only ever added and every caller gets
-the stored entry, so concurrent use stays safe.
+and both multiplier inverses share. It applies the factors in order
+(``SvdFactors.solve``) and reads lambda off the r x m core Sigma_r^-1 U_r*
+l1. Each optimal bound has one independent cross-check, the eigenvalue route
+in ``_majorization``. Reported residuals are spectral norms; a residual that
+only gates (``_within``) is decided on its Frobenius norm first. An
+``OperatorEnv`` stores K and its one ``SvdFactors`` and reads K*, K^dagger,
+its range and projector, its norms and its adjoint off them, memoized on
+first use. ``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix.
+A memoized value is the value a fresh computation returns, so memoization
+never changes a result. Memo entries are only ever added and every caller
+gets the stored entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -199,6 +202,15 @@ class SvdFactors:
         v = self.right_vectors[:, :r] / self.singular_values[:r]
         return v @ self.left_vectors[:, :r].conj().T
 
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X, C) with C = (Sigma_r^-1 U_r*) rhs and X = V_r C = ``pinv() @ rhs``.
+
+        V_r mixes only after the division, so the residual stays at rounding level.
+        """
+        r = self.rank
+        core = (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
+        return self.right_vectors[:, :r] @ core, core
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -314,17 +326,32 @@ def _douglas(
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
     Returns the passed inclusion test (failure raises ``error``, message
-    prefix ``ranges``) and the minimal solution X = pinv(b) a, whose
-    residual is gated at the identity tolerance.
+    prefix ``ranges``), X = pinv(b) a and its core (``SvdFactors.solve``);
+    the residual |b X - a| is gated at the identity tolerance.
     """
     inclusion = _require_inclusion(a, f2, norm_a, policy, error, ranges)
-    x = f2.pinv() @ a
-    resid = spectral_norm(b @ x - a)
-    if resid > policy.threshold(norm_a):
-        raise InternalConsistencyError(
-            f"factorization residual {resid:.3e} despite range inclusion", resid
-        )
-    return inclusion, x
+    x, core = f2.solve(a)
+    _within(b @ x - a, policy.threshold(norm_a), InternalConsistencyError,
+            "factorization residual {:.3e} despite range inclusion")
+    return inclusion, x, core
+
+
+def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> bool:
+    """Whether |r|_2 <= ``threshold``, for a residual that is never reported.
+
+    |r|_F / sqrt(min(m, n)) <= |r|_2 <= |r|_F, so |r|_2 (an SVD) is computed
+    only when ``threshold`` lies between those bounds, or to raise
+    ``error(message.format(|r|_2), |r|_2)`` when ``error`` is given.
+    """
+    fro = float(np.linalg.norm(r))
+    if fro <= threshold:
+        return True
+    if error is None and fro > threshold * np.sqrt(min(r.shape)):
+        return False
+    resid = spectral_norm(r)
+    if error is not None and resid > threshold:
+        raise error(message.format(resid), resid)
+    return resid <= threshold
 
 
 def _psd_pinv_sqrt(g: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -345,15 +372,15 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     """
     a, b = _operand_pair(l1, l2)
     norm_a = spectral_norm(a)
-    _, x = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)
-    return _majorization(a, b, x, norm_a, policy)[0]
+    core = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)[2]
+    return _majorization(a, b, core, norm_a, policy)[0]
 
 
 def _majorization(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, norm_a: float, policy: TolerancePolicy
+    a: np.ndarray, b: np.ndarray, core: np.ndarray, norm_a: float, policy: TolerancePolicy
 ) -> tuple[float, float]:
-    """|x| for the minimal Douglas solution ``x``, and its cross-check value."""
-    lam = spectral_norm(x)
+    """lambda = |core| of the minimal Douglas solution, and its cross-check value."""
+    lam = spectral_norm(core)
 
     g1 = a @ a.conj().T
     g2 = b @ b.conj().T
@@ -484,16 +511,10 @@ class OperatorEnv:
 
     def _self_check(self) -> None:
         scale = max(1.0, self.norm())
-        resid = spectral_norm(self.k @ self.k_pinv - self.proj_range_k)
-        if resid > 1e-10 * scale:
-            raise InternalConsistencyError(
-                f"K K^dagger differs from the range projector by {resid:.3e}", resid
-            )
-        resid = spectral_norm(self.proj_range_k @ self.k - self.k)
-        if resid > 1e-10 * scale:
-            raise InternalConsistencyError(
-                f"P_R(K) K differs from K by {resid:.3e}", resid
-            )
+        _within(self.k @ self.k_pinv - self.proj_range_k, 1e-10 * scale,
+                InternalConsistencyError, "K K^dagger differs from the range projector by {:.3e}")
+        _within(self.proj_range_k @ self.k - self.k, 1e-10 * scale,
+                InternalConsistencyError, "P_R(K) K differs from K by {:.3e}")
 
     @property
     def k_adjoint(self) -> np.ndarray:

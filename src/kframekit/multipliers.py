@@ -61,6 +61,7 @@ from .linalg import (
     _memoized_per_operator,
     _read_only,
     _require_inclusion,
+    _within,
     neumann_invertibility_margin,
     restricted_inverse,
     spectral_norm,
@@ -249,10 +250,10 @@ def k_right_inverse(
     """
     factors = _multiplier_factors(mult, env, policy)
     norm_k = env.norm()
-    _, r = _douglas(
+    _, r, core = _douglas(
         env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
     )
-    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, r, norm_k, policy)[0])
+    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, core, norm_k, policy)[0])
 
 
 @_memoized_per_operator
@@ -266,10 +267,10 @@ def k_left_inverse(
     returned matrix is read-only.
     """
     factors = _multiplier_factors(mult, env, policy).adjoint()
-    _, left_adjoint = _douglas(
+    left_adjoint = _douglas(
         env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), policy,
         NoLeftInverse, "R(K*) not contained in R(M*)",
-    )
+    )[1]
     return _read_only(left_adjoint.conj().T)
 
 
@@ -308,7 +309,7 @@ def frames_from_multiplier_identity(
         optimal = k_frame_check(frame, side_env, policy).lower
         return SideBound(guaranteed, optimal, optimal >= guaranteed * (1.0 - 1e-9))
 
-    if spectral_norm(mult.matrix - env.k) <= policy.threshold(env.norm()):
+    if _within(mult.matrix - env.k, policy.threshold(env.norm())):
         phi_side = side(mult.phi, env, mult.psi, 1.0)
         psi_side = side(mult.psi, env.adjoint(), mult.phi, 1.0)
         return LowerBoundReport("identity", phi_side, psi_side, phi_side.ok and psi_side.ok)

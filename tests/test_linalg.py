@@ -16,6 +16,7 @@ from kframekit.linalg import (
     OperatorEnv,
     Subspace,
     TolerancePolicy,
+    _within,
     douglas_solve,
     majorization_constant,
     min_eig,
@@ -179,6 +180,64 @@ class TestDouglas:
             x = douglas_solve(l1, l2)
             proj = projector_onto_range(l2.conj().T)
             assert spectral_norm(proj @ x - x) <= 1e-10 * max(1.0, spectral_norm(x))
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-9])
+    def test_ill_conditioned_solution_matches_the_oracle(self, c):
+        # T = U diag(geomspace(1, c, 20)) V* and K = T X0: pinv(T) K = V V* X0
+        # exactly, so the oracle involves no ill-conditioning; a formed
+        # pinv(T) times K would miss the residual gate on every seed
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u = np.linalg.qr(crandn(rng, 20, 20))[0]
+            v = np.linalg.qr(crandn(rng, 30, 20))[0]
+            syn = (u * np.geomspace(1.0, c, 20)) @ v.conj().T
+            x0 = crandn(rng, 30, 10) @ crandn(rng, 10, 20)
+            oracle = v @ (v.conj().T @ x0)
+            x = douglas_solve(syn @ x0, syn)
+            err = spectral_norm(x - oracle) / spectral_norm(oracle)
+            assert err <= 10 * np.finfo(float).eps / c
+
+
+class TestResidualGate:
+    """``_within`` decides |R|_2 <= threshold, on |R|_F where that settles it."""
+
+    R = np.diag([3.0, 4.0])  # |R|_2 = 4, |R|_F = 5, |R|_F / sqrt(2) = 3.54
+
+    @pytest.fixture()
+    def norm_svds(self, monkeypatch):
+        calls = []
+        svd = np.linalg._linalg.svd  # the binding np.linalg.norm(., 2) calls
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        return calls
+
+    FAIL = (InternalConsistencyError, "residual {:.17e}")
+
+    def test_frobenius_pass_needs_no_svd(self, norm_svds):
+        assert _within(self.R, 5.0) and _within(self.R, 5.0, *self.FAIL)
+        assert not norm_svds
+
+    def test_spectral_pass_below_the_frobenius_norm(self):
+        assert _within(self.R, 4.5)
+        assert _within(self.R, 4.5, *self.FAIL)
+
+    @pytest.mark.parametrize("threshold", [3.9, 3.0])  # between and below the bounds
+    def test_failure_carries_the_spectral_residual(self, threshold):
+        with pytest.raises(InternalConsistencyError) as info:
+            _within(self.R, threshold, *self.FAIL)
+        assert info.value.residual == spectral_norm(self.R) == 4.0
+        assert str(info.value) == f"residual {4.0:.17e}"
+
+    def test_rejects_between_the_bounds(self):
+        assert not _within(self.R, 3.8)
+
+    def test_rejects_below_the_lower_bound_without_svd(self, norm_svds):
+        assert not _within(self.R, 3.5)
+        assert not norm_svds
 
 
 class TestMajorization:
