@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except (ParseError, ShapeMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        print(f"numerical failure in {job.command}: {exc}", file=sys.stderr)
+        return 3
     print(report.to_json() if job.fmt == "json" else report.to_text())
     return 0 if report.all_passed else 1
 

@@ -265,9 +265,15 @@ def dual_family_generate(
         raise ShapeMismatch(
             f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
         )
-    scale = max(1.0, f.norm() * max(1.0, pert.norm()))
-    _within(env.proj_range_k @ f.synthesis @ pert.phi, policy.identity_tol * scale,
-            InadmissiblePerturbation, "P_R(K) T_F phi has norm {:.3e}")
+    def threshold(phi_norm: float) -> float:
+        return policy.identity_tol * max(1.0, f.norm() * max(1.0, phi_norm))
+
+    # |phi|_F / sqrt(min(N, n)) <= |phi|_2 gives the smallest threshold the
+    # formula can reach; |phi|_2 (an SVD) is needed only when that fails
+    residual = env.proj_range_k @ f.synthesis @ pert.phi
+    if not _within(residual, threshold(np.linalg.norm(pert.phi) / np.sqrt(min(pert.phi.shape)))):
+        _within(residual, threshold(pert.norm()), InadmissiblePerturbation,
+                "P_R(K) T_F phi has norm {:.3e}")
     dual = canonical_k_dual(f, env, policy)
     return Frame((dual.synthesis + pert.phi_adjoint).T)
 

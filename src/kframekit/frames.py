@@ -165,10 +165,9 @@ def k_frame_check(
     failure of the lower bound), ZeroOperator for K = 0 (the condition is
     vacuous and every downstream formula divides by A). One SVD of T_F
     serves the inclusion test, B and the Douglas route
-    A = 1/|pinv(T_F) K|^2. The one cross-check is the eigenvalue route
-    A = 1/lambda_max(K* pinv(S_F) K), computed by ``linalg``'s majorization
-    step; it must agree with the Douglas route both in lambda (there) and
-    in A (here). Memoized on ``f`` per (env, policy).
+    A = 1/|pinv(T_F) K|^2. The one cross-check, ``linalg``'s QR route,
+    shares only U_r of that SVD; it must agree with the Douglas route both
+    in lambda (there) and in A (here). Memoized on ``f`` per (env, policy).
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -181,7 +180,7 @@ def k_frame_check(
     inclusion, _, core = _douglas(
         env.k, f.synthesis, factors, norm_k, policy, NotKFrame, "R(K) not contained in R(T_F)"
     )
-    lam, lam_cc = _majorization(env.k, f.synthesis, core, norm_k, policy)
+    lam, lam_cc = _majorization(env.k, f.synthesis, factors, core)
     lower, lower_cc = 1.0 / lam**2, 1.0 / lam_cc**2
     if abs(lower - lower_cc) > 1e-8 * max(1.0, lower):
         raise InternalConsistencyError(

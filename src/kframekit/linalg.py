@@ -22,15 +22,15 @@ decided once, in the private ``_douglas`` step (inclusion test raising the
 caller's error, minimal solution, residual gate), which ``k_frame_check``
 and both multiplier inverses share. It applies the factors in order
 (``SvdFactors.solve``) and reads lambda off the r x m core Sigma_r^-1 U_r*
-l1. Each optimal bound has one independent cross-check, the eigenvalue route
-in ``_majorization``. Reported residuals are spectral norms; a residual that
-only gates (``_within``) is decided on its Frobenius norm first. An
-``OperatorEnv`` stores K and its one ``SvdFactors`` and reads K*, K^dagger,
-its range and projector, its norms and its adjoint off them, memoized on
-first use. ``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix.
-A memoized value is the value a fresh computation returns, so memoization
-never changes a result. Memo entries are only ever added and every caller
-gets the stored entry, so concurrent use stays safe.
+l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
+which shares only the range basis U_r. Reported residuals are spectral
+norms; a residual that only gates (``_within``) is decided on its Frobenius
+norm first. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and reads
+K*, K^dagger, its range and projector, its norms and its adjoint off them,
+memoized on first use. ``svd_decompose(m).pinv()`` is the pseudo-inverse of
+a matrix. A memoized value is the value a fresh computation returns, so
+memoization never changes a result. Memo entries are only ever added and
+every caller gets the stored entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -354,46 +354,34 @@ def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> b
     return resid <= threshold
 
 
-def _psd_pinv_sqrt(g: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    """Hermitian PSD pseudo-inverse square root via eigendecomposition."""
-    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    wmax = float(w[-1]) if w.size else 0.0
-    cutoff = policy.rank_cutoff(g.shape, wmax)
-    inv_sqrt = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    return (v * inv_sqrt) @ v.conj().T
-
-
 def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*.
 
     Computed as the spectral norm of the minimal Douglas solution and
-    cross-checked by an independent eigenvalue route on the Gram matrices;
-    disagreement beyond 1e-8 raises InternalConsistencyError.
+    cross-checked by the QR route of ``_majorization``; disagreement beyond
+    1e-8 raises InternalConsistencyError.
     """
     a, b = _operand_pair(l1, l2)
-    norm_a = spectral_norm(a)
-    core = _douglas(a, b, svd_decompose(b, policy), norm_a, policy)[2]
-    return _majorization(a, b, core, norm_a, policy)[0]
+    f2 = svd_decompose(b, policy)
+    core = _douglas(a, b, f2, spectral_norm(a), policy)[2]
+    return _majorization(a, b, f2, core)[0]
 
 
 def _majorization(
-    a: np.ndarray, b: np.ndarray, core: np.ndarray, norm_a: float, policy: TolerancePolicy
+    a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
 ) -> tuple[float, float]:
-    """lambda = |core| of the minimal Douglas solution, and its cross-check value."""
-    lam = spectral_norm(core)
+    """lambda = |core| of the minimal Douglas solution, and its cross-check value.
 
-    g1 = a @ a.conj().T
-    g2 = b @ b.conj().T
-    half = _psd_pinv_sqrt(g2, policy)
-    lam_cc = float(np.sqrt(max(0.0, float(herm_eigvals(half @ g1 @ half)[-1]))))
+    The cross-check shares only U_r of ``f2``: Householder QR (U_r* b)* = Q R
+    gives lambda = |R^-* U_r* a|, without squaring the conditioning of b.
+    """
+    lam = spectral_norm(core)
+    basis = f2.left_vectors[:, : f2.rank]
+    r = np.linalg.qr(b.conj().T @ basis, mode="r")
+    lam_cc = spectral_norm(np.linalg.solve(r.conj().T, basis.conj().T @ a))
     if abs(lam - lam_cc) > 1e-8 * max(1.0, lam):
         raise InternalConsistencyError(
             f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
-        )
-    slack = min_eig(lam**2 * g2 - g1)
-    if slack < -1e-9 * max(1.0, norm_a**2):
-        raise InternalConsistencyError(
-            f"lambda^2 L2 L2* - L1 L1* indefinite at the computed lambda: {slack:.3e}", -slack
         )
     return lam, lam_cc
 

@@ -253,7 +253,7 @@ def k_right_inverse(
     _, r, core = _douglas(
         env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
     )
-    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, core, norm_k, policy)[0])
+    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, factors, core)[0])
 
 
 @_memoized_per_operator

@@ -19,6 +19,18 @@ from kframekit.worked import minimal_example, projection_example
 COND_FLOOR = 1e-3
 
 
+@pytest.fixture()
+def skewed_qr(monkeypatch):
+    """Scale every R of ``np.linalg.qr(a, mode="r")`` by 1 + 1e-7.
+
+    That skews the QR cross-check of each majorization constant by 1e-7
+    relative: ten times the lambda-level gate once lambda >= 1, and an
+    A = 1/lambda^2 off by 2e-7 relative, twenty times the A-level gate.
+    """
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * (1 + 1e-7))
+
+
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 

@@ -6,6 +6,7 @@ from conftest import admissible_perturbation, crandn, random_k_frame
 
 from kframekit.duality import (
     DualPerturbation,
+    admissibility_violation,
     canonical_coefficients,
     canonical_dual_bound_certificate,
     canonical_k_dual,
@@ -191,6 +192,26 @@ class TestDualFamily:
         phi = np.outer([1.0, 1.0, 1.0], [1.0, 0.0])
         with pytest.raises(InadmissiblePerturbation):
             dual_family_generate(c2_example.frame, c2_example.env, DualPerturbation(phi))
+
+    @pytest.mark.parametrize("share, admitted", [(0.85, True), (1.05, False)])
+    def test_gate_uses_the_spectral_norm_of_phi(self, c2_example, share, admitted):
+        # phi = s w v* + delta: |phi|_F / sqrt(2) = 0.71 |phi|_2, and the
+        # violation (from delta alone) lies between the two thresholds or
+        # just above the true one
+        f, env = c2_example.frame, c2_example.env
+        s = 1e4
+        w = np.array([1.0, -1.0, 0.0]) / SQRT2
+        delta = np.outer([1.0, 1.0, 1.0], [1.0, 0.0])
+        target = share * 1e-10 * f.norm() * s
+        delta *= target / admissibility_violation(f, env, DualPerturbation(delta))
+        pert = DualPerturbation(s * np.outer(w, [1.0, 0.0]) + delta)
+        violation = admissibility_violation(f, env, pert)
+        if admitted:
+            dual_family_generate(f, env, pert)
+            return
+        with pytest.raises(InadmissiblePerturbation, match=f"has norm {violation:.3e}") as exc:
+            dual_family_generate(f, env, pert)
+        assert exc.value.residual == violation
 
     def test_recover_canonical_gives_zero(self, c4_example):
         dual = canonical_k_dual(c4_example.frame, c4_example.env)

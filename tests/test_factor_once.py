@@ -43,6 +43,7 @@ from kframekit import (
 )
 from kframekit.duality import frame_restriction
 from kframekit.errors import NotKFrame
+from kframekit.linalg import majorization_constant
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
 # three pairs; add the restricted inverse of S_F, the dual-identity residual
@@ -82,11 +83,12 @@ def assert_identical(a, b):
 
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Counter of svd / eigh / eigvalsh calls, including norm(., 2)'s svd.
+    """Counter of svd / eigh / eigvalsh / qr / solve calls, including norm(., 2)'s svd.
 
-    ``inputs`` holds the operand of every counted call.
+    ``inputs`` holds the operand of every counted call and ``names`` the
+    entry point it went through.
     """
-    counter = {"n": 0, "inputs": []}
+    counter = {"n": 0, "inputs": [], "names": []}
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -94,11 +96,12 @@ def factorizations(monkeypatch):
         def counted(a, *args, **kwargs):
             counter["n"] += 1
             counter["inputs"].append(np.array(a))
+            counter["names"].append(name)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
         count(np.linalg, name)
     count(np.linalg._linalg, "svd")  # the binding np.linalg.norm(., 2) calls
     return counter
@@ -114,11 +117,33 @@ class TestCounts:
         assert factorizations["n"] <= PIPELINE_CEILING
 
     def test_k_frame_check_on_a_fresh_pair(self, factorizations):
+        # the SVD of T_F, three spectral norms (inclusion residual, lambda and
+        # its cross-check) and the cross-check's QR and triangular solve
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["n"] = 0
         k_frame_check(f, env)
         assert factorizations["n"] == 6
+
+    def test_optimal_bounds_make_no_eigendecomposition(self, factorizations):
+        vectors, k, _ = instance(19)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        mult = assemble_multiplier(Symbol.ones(f.size), f, f)
+        factorizations["names"].clear()
+        k_frame_check(f, env)
+        k_right_inverse(mult, env)
+        majorization_constant(k, f.synthesis)
+        assert "qr" in factorizations["names"]
+        assert not {"eigh", "eigvalsh"} & set(factorizations["names"])
+
+    def test_admissible_perturbation_is_not_factored(self, factorizations):
+        # the admissibility gate passes at the smallest threshold |phi| can give
+        vectors, k, _ = instance(20)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        pert = admissible_perturbation(np.random.default_rng(20), f, env)
+        factorizations["inputs"].clear()
+        dual_family_generate(f, env, pert)
+        assert not any(np.array_equal(a, pert.phi) for a in factorizations["inputs"])
 
     def test_operator_env_factors_k_once(self, factorizations):
         # both self-check residuals pass on their Frobenius norms

@@ -235,13 +235,29 @@ class TestExitCodes:
                      "--operator", fixture_files["k2.json"]])
         assert code == 3
 
-    def test_eigenvalue_route_disagreement_is_three(self, fixture_files, monkeypatch, capsys):
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh(h) * (1 + 1e-6))
+    def test_eigenvalue_route_disagreement_is_three(self, fixture_files, skewed_qr, capsys):
         code = main(["analyze", "--frame", fixture_files["f2.json"],
                      "--operator", fixture_files["k2.json"]])
         assert code == 3
         assert "routes disagree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, cause", [
+        (1e150, "SVD did not converge"),  # in tightness_check
+        (1e200, "Numerical result out of range"),  # in optimal_bessel_bound
+    ])
+    def test_numerical_failure_is_three(self, tmp_path, capsys, scale, cause):
+        rng = np.random.default_rng(0)
+        syn = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        k = syn @ (rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6)))
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(scale * syn.T)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(scale * k))
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings
+            code = main(["analyze", "--frame", str(tmp_path / "f.json"),
+                         "--operator", str(tmp_path / "k.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure in analyze: ") and cause in err
 
     def test_examples_exit_zero(self, capsys):
         assert main(["examples"]) == 0
