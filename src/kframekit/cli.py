@@ -6,7 +6,8 @@ Usage: ``kframe <command> [--frame PATH]... [--operator PATH]
 Reports are deterministic for fixed inputs and options (no timestamps);
 every verdict carries its residual and the threshold it was tested against.
 Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error,
-3 internal consistency error (two computation routes disagreed).
+3 internal consistency error (two computation routes disagreed) or a
+numerical failure (LAPACK did not converge, or a float overflowed).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .linalg import DEFAULT_POLICY, OperatorEnv, TolerancePolicy, spectral_norm
+from .linalg import _SLACK, DEFAULT_POLICY, CheckResult, OperatorEnv, TolerancePolicy, _gate
+from .linalg import spectral_norm
 from .multipliers import Symbol
 
-__all__ = ["JobSpec", "Report", "Verdict", "run_job", "main", "build_parser"]
+__all__ = ["JobSpec", "Report", "run_job", "main", "build_parser"]
 
 DEFAULT_SEED = 7
 
@@ -59,13 +61,6 @@ class JobSpec:
     seed: int = DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    residual: float
-    threshold: float
-
-
 @dataclass
 class Report:
     command: str
@@ -78,7 +73,7 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        return self.error is None and all(v.passed for v in self.verdicts.values())
+        return self.error is None and all(v.ok for v in self.verdicts.values())
 
     def body(self) -> dict:
         out = {
@@ -88,7 +83,7 @@ class Report:
             "seed": self.seed,
             "results": self.results,
             "verdicts": {
-                name: {"passed": v.passed, "residual": v.residual, "threshold": v.threshold}
+                name: {"passed": v.ok, "residual": v.residual, "threshold": v.threshold}
                 for name, v in self.verdicts.items()
             },
             "residuals": {name: v.residual for name, v in self.verdicts.items()},
@@ -119,7 +114,7 @@ class Report:
                 lines.append(f"{key}: {json.dumps(value)}")
         for name in sorted(self.verdicts):
             v = self.verdicts[name]
-            status = "PASS" if v.passed else "FAIL"
+            status = "PASS" if v.ok else "FAIL"
             lines.append(
                 f"[{status}] {name}: residual {v.residual:.6e} vs threshold {v.threshold:.6e}"
             )
@@ -169,7 +164,6 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     frame = _load_frame(job.frames[0])
     env = _load_env(job.operator, policy)
     bounds = frames.k_frame_check(frame, env, policy)
-    inclusion = bounds.inclusion
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
     report.results["bessel_bound"] = bounds.upper
@@ -180,14 +174,11 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     if tight.constant is not None:
         report.results["tight_constant"] = tight.constant
     report.results["parseval"] = tight.parseval
-    report.verdicts["range-inclusion"] = Verdict(
-        inclusion.ok, inclusion.residual, inclusion.threshold
-    )
+    report.verdicts["range-inclusion"] = bounds.inclusion
 
     # seeded spot check of the two inequalities at the optimal bounds
     rng = np.random.default_rng(job.seed)
     worst = 0.0
-    scale = max(1.0, bounds.upper)
     for _ in range(100):
         v = rng.normal(size=env.dim) + 1j * rng.normal(size=env.dim)
         coeff = np.abs(frame.analysis @ v) ** 2
@@ -195,9 +186,8 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
         low = bounds.lower * float(np.linalg.norm(env.k_adjoint @ v) ** 2)
         high = bounds.upper * float(np.linalg.norm(v) ** 2)
         worst = max(worst, low - total, total - high)
-    report.verdicts["sampled-inequalities"] = Verdict(
-        worst <= policy.threshold(scale), max(worst, 0.0), policy.threshold(scale)
-    )
+    sampled = _gate(max(worst, 0.0), bounds.upper, policy.identity_tol)
+    report.verdicts["sampled-inequalities"] = sampled
 
 
 def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
@@ -208,7 +198,7 @@ def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     dual = duality.canonical_k_dual(frame, env, policy)
     cert = duality.verify_k_dual(frame, dual, env, policy)
     report.results["dual_vectors"] = _vectors_out(dual)
-    report.verdicts["dual-identity"] = Verdict(cert.passed, cert.residual, cert.threshold)
+    report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
@@ -217,9 +207,8 @@ def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     )
     report.results["envelope"] = list(envelope.envelope)
     report.results["dual_optimal_bounds"] = list(envelope.observed)
-    report.verdicts["dual-bounds-envelope"] = Verdict(
-        envelope.passed, 0.0 if envelope.passed else 1.0, 0.0
-    )
+    report.verdicts["dual-bounds-envelope"] = max(envelope.lower, envelope.upper,
+                                                  key=lambda side: side.residual)
 
 
 def _cmd_verify(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
@@ -228,7 +217,7 @@ def _cmd_verify(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     candidate = _load_frame(job.frames[1])
     env = _load_env(job.operator, policy)
     cert = duality.verify_k_dual(frame, candidate, env, policy)
-    report.verdicts["dual-identity"] = Verdict(cert.passed, cert.residual, cert.threshold)
+    report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
@@ -240,14 +229,12 @@ def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> N
     candidate = _load_frame(job.frames[1])
     env = _load_env(job.operator, policy)
     pert = duality.dual_family_recover_phi(frame, candidate, env, policy)
-    violation = duality.admissibility_violation(frame, env, pert)
+    report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, policy)
     regenerated = duality.dual_family_generate(frame, env, pert, policy)
     roundtrip = float(np.max(np.abs(regenerated.vectors - candidate.vectors)))
     report.results["phi"] = io.matrix_to_obj(pert.phi)
-    threshold = policy.threshold(frame.norm())
-    report.verdicts["phi-admissible"] = Verdict(violation <= threshold, violation, threshold)
-    report.verdicts["family-round-trip"] = Verdict(
-        roundtrip <= 1e-9, roundtrip, 1e-9
+    report.verdicts["family-round-trip"] = _gate(
+        roundtrip, float(np.max(np.abs(candidate.vectors))), _SLACK
     )
 
 
@@ -257,11 +244,10 @@ def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> No
     psi = _load_frame(job.frames[1])
     symbol = _load_symbol(job.symbol)
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
-    check = mult.norm_bound_check()
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
     report.results["norm"] = mult.norm()
     report.results["norm_bound"] = mult.norm_bound()
-    report.verdicts["norm-bound"] = Verdict(check.ok, check.residual, check.threshold)
+    report.verdicts["norm-bound"] = mult.norm_bound_check()
 
 
 def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side: str) -> None:
@@ -282,8 +268,7 @@ def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side
         residual = spectral_norm(matrix @ mult.matrix - env.k)
         name = "left-inverse-identity"
     report.results["inverse"] = io.matrix_to_obj(matrix)
-    threshold = policy.threshold(env.norm())
-    report.verdicts[name] = Verdict(residual <= threshold, residual, threshold)
+    report.verdicts[name] = _gate(residual, env.norm(), policy.identity_tol)
 
 
 def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
@@ -299,9 +284,7 @@ def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) ->
     report.results["rho"] = cond.rho
     report.results["tau"] = cond.tau
     report.results["bounds_used"] = [bounds.lower, bounds.upper]
-    report.verdicts["perturbation-condition"] = Verdict(
-        cond.satisfied, cond.rho, cond.tau
-    )
+    report.verdicts["perturbation-condition"] = CheckResult(cond.satisfied, cond.rho, cond.tau)
 
 
 def _cmd_examples(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
@@ -310,7 +293,7 @@ def _cmd_examples(job: JobSpec, policy: TolerancePolicy, report: Report) -> None
     report.results["checks"] = len(run.checks)
     report.results["golden_seed"] = run.seed
     for check in run.checks:
-        report.verdicts[check.name] = Verdict(check.passed, check.residual, check.threshold)
+        report.verdicts[check.name] = CheckResult(check.passed, check.residual, check.threshold)
 
 
 _HANDLERS = {
@@ -394,14 +377,16 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     try:
-        report = run_job(job)
+        # an overflowed intermediate would make every later verdict meaningless
+        with np.errstate(over="raise"):
+            report = run_job(job)
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ShapeMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure in {job.command}: {exc}", file=sys.stderr)
         return 3
     print(report.to_json() if job.fmt == "json" else report.to_text())

@@ -37,10 +37,13 @@ from .frames import (
     validate_bounds,
 )
 from .linalg import (
+    _SLACK,
     DEFAULT_POLICY,
+    CheckResult,
     OperatorEnv,
     RestrictedMap,
     TolerancePolicy,
+    _gate,
     _memoized_per_operator,
     _within,
     restricted_inverse,
@@ -119,21 +122,19 @@ def verify_k_dual(
     policy: TolerancePolicy = DEFAULT_POLICY,
     with_lower_bounds: bool = True,
 ) -> KDualCertificate:
-    """Certify the dual identity K = P_{R(K)} T_F T_G* as an operator equation."""
+    """Certify the dual identity K = P_{R(K)} T_F T_G*, to ``identity_tol`` |K|."""
     if f.size != g.size:
         raise ShapeMismatch(f"index counts differ: {f.size} vs {g.size}")
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
     achieved = env.proj_range_k @ f.synthesis @ g.analysis
-    residual = spectral_norm(env.k - achieved)
-    threshold = policy.threshold(env.norm())
-    passed = residual <= threshold
+    check = _gate(spectral_norm(env.k - achieved), env.norm(), policy.identity_tol)
     bounds = None
-    if passed and with_lower_bounds:
+    if check.ok and with_lower_bounds:
         lb_dual = k_frame_check(g, env.adjoint(), policy).lower
         lb_projected = k_frame_check(f.map(env.proj_range_k), env, policy).lower
         bounds = (lb_dual, lb_projected)
-    return KDualCertificate(f, g, env, residual, threshold, passed, bounds)
+    return KDualCertificate(f, g, env, check.residual, check.threshold, check.ok, bounds)
 
 
 def _require_k_dual(
@@ -167,8 +168,8 @@ def k_dual_lower_bounds(
         lb_projected = k_frame_check(cert.frame.map(cert.env.proj_range_k), cert.env, policy).lower
     guarantee_dual = 1.0 / optimal_bessel_bound(cert.frame)
     guarantee_projected = 1.0 / optimal_bessel_bound(cert.dual)
-    slack = 1e-9
-    if lb_dual < guarantee_dual * (1.0 - slack) or lb_projected < guarantee_projected * (1.0 - slack):
+    if not (_gate(guarantee_dual - lb_dual, guarantee_dual, _SLACK)
+            and _gate(guarantee_projected - lb_projected, guarantee_projected, _SLACK)):
         raise InternalConsistencyError(
             "dual lower bounds fall below the 1/B guarantees: "
             f"({lb_dual!r}, {lb_projected!r}) vs ({guarantee_dual!r}, {guarantee_projected!r})"
@@ -181,14 +182,18 @@ class BoundReport:
     """Canonical-dual bounds against the guaranteed envelope.
 
     For a K-frame with valid bounds (A, B) the canonical K-dual has lower
-    K*-frame bound at least 1/B and Bessel bound at most (B/A) |K|^2 |Kdag|^2.
+    K*-frame bound at least 1/B and Bessel bound at most B |K|^2 |Kdag|^4 / A^2.
+    ``lower`` and ``upper`` carry each relative violation (negative: a margin).
     """
 
     envelope: tuple[float, float]
     observed: tuple[float, float]
-    lower_ok: bool
-    upper_ok: bool
-    passed: bool
+    lower: CheckResult
+    upper: CheckResult
+
+    @property
+    def passed(self) -> bool:
+        return self.lower.ok and self.upper.ok
 
 
 def canonical_dual_bound_certificate(
@@ -198,7 +203,16 @@ def canonical_dual_bound_certificate(
     b: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> BoundReport:
-    """Check the canonical dual's optimal bounds against the (A, B) envelope."""
+    """Check the canonical dual's optimal bounds against the (A, B) envelope.
+
+    Envelope of the Bessel bound: A K K* <= S_F compresses to R(K) as
+    A |K^dagger|^-2 I <= A K K* <= S_F there, so the restriction
+    S = S_F|_{R(K)} has |S^-1| <= |K^dagger|^2 / A. The canonical dual is
+    T_Ftilde = K* S^-1 P_{S_F(R(K))} T_F, and since
+    |P_{S_F(R(K))} T_F|^2 = |S_F|_{S_F(R(K))}| <= B, its Bessel bound is
+    |T_Ftilde|^2 <= |K|^2 |S^-1|^2 B <= B |K|^2 |K^dagger|^4 / A^2, which
+    has the degree of the Bessel bound, so it holds at any scale.
+    """
     validation = validate_bounds(f, env, a, b, policy)
     if not validation.valid:
         raise InvalidBounds(
@@ -206,13 +220,11 @@ def canonical_dual_bound_certificate(
             f"({validation.lower_slack:.3e}, {validation.upper_slack:.3e})"
         )
     dual = canonical_k_dual(f, env, policy)
-    envelope = (1.0 / b, (b / a) * env.norm() ** 2 * env.pinv_norm() ** 2)
-    observed_lower = k_frame_check(dual, env.adjoint(), policy).lower
-    observed_upper = optimal_bessel_bound(dual)
-    slack = 1e-9
-    lower_ok = observed_lower >= envelope[0] * (1.0 - slack)
-    upper_ok = observed_upper <= envelope[1] * (1.0 + slack)
-    return BoundReport(envelope, (observed_lower, observed_upper), lower_ok, upper_ok, lower_ok and upper_ok)
+    envelope = (1.0 / b, b * env.norm() ** 2 * env.pinv_norm() ** 4 / a**2)
+    observed = (k_frame_check(dual, env.adjoint(), policy).lower, optimal_bessel_bound(dual))
+    return BoundReport(envelope, observed,
+                       _gate((envelope[0] - observed[0]) / envelope[0], 1.0, _SLACK),
+                       _gate((observed[1] - envelope[1]) / envelope[1], 1.0, _SLACK))
 
 
 @dataclass(frozen=True)
@@ -245,9 +257,24 @@ class DualPerturbation:
         return DualPerturbation(np.zeros((size, ambient_dim), dtype=np.complex128))
 
 
-def admissibility_violation(f: Frame, env: OperatorEnv, pert: DualPerturbation) -> float:
-    """Spectral norm of P_{R(K)} T_F phi (zero for admissible phi)."""
-    return spectral_norm(env.proj_range_k @ f.synthesis @ pert.phi)
+def _admissibility(
+    f: Frame, env: OperatorEnv, pert: DualPerturbation, policy: TolerancePolicy
+) -> tuple[np.ndarray, float]:
+    """P_{R(K)} T_F phi and its scale |T_F| (|phi|_F + |T_Ftilde|_F).
+
+    The scale holds the terms that cancel: a phi recovered from g = Ftilde is noise.
+    """
+    dual = canonical_k_dual(f, env, policy)
+    scale = f.norm() * float(np.linalg.norm(pert.phi) + np.linalg.norm(dual.synthesis))
+    return env.proj_range_k @ f.synthesis @ pert.phi, scale
+
+
+def admissibility_violation(
+    f: Frame, env: OperatorEnv, pert: DualPerturbation, policy: TolerancePolicy = DEFAULT_POLICY
+) -> CheckResult:
+    """Spectral norm of P_{R(K)} T_F phi (zero for admissible phi) against its threshold."""
+    product, scale = _admissibility(f, env, pert, policy)
+    return _gate(spectral_norm(product), scale, policy.identity_tol)
 
 
 def dual_family_generate(
@@ -259,21 +286,15 @@ def dual_family_generate(
     """Member g_i = ftilde_i + phi* delta_i of the K-dual family of ``f``.
 
     Admissibility is enforced, never silently projected: an inadmissible phi
-    raises with the violation norm.
+    raises with the violation norm, past the threshold ``admissibility_violation`` reports.
     """
     if pert.phi.shape != (f.size, f.ambient_dim):
         raise ShapeMismatch(
             f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
         )
-    def threshold(phi_norm: float) -> float:
-        return policy.identity_tol * max(1.0, f.norm() * max(1.0, phi_norm))
-
-    # |phi|_F / sqrt(min(N, n)) <= |phi|_2 gives the smallest threshold the
-    # formula can reach; |phi|_2 (an SVD) is needed only when that fails
-    residual = env.proj_range_k @ f.synthesis @ pert.phi
-    if not _within(residual, threshold(np.linalg.norm(pert.phi) / np.sqrt(min(pert.phi.shape)))):
-        _within(residual, threshold(pert.norm()), InadmissiblePerturbation,
-                "P_R(K) T_F phi has norm {:.3e}")
+    product, scale = _admissibility(f, env, pert, policy)
+    _within(product, policy.identity_tol * scale, InadmissiblePerturbation,
+            "P_R(K) T_F phi has norm {:.3e}")
     dual = canonical_k_dual(f, env, policy)
     return Frame((dual.synthesis + pert.phi_adjoint).T)
 
@@ -332,7 +353,7 @@ class WitnessReport:
 def noncommutativity_witness(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> WitnessReport:
-    """Test whether the exchanged canonical construction on Ftilde recovers F."""
+    """Test whether the exchanged construction on Ftilde recovers F, to ``identity_tol`` |T_F|."""
     dual = canonical_k_dual(f, env, policy)
     rmap = frame_restriction(dual, env.adjoint(), policy)
     witness = env.k @ rmap.matrix
@@ -340,9 +361,8 @@ def noncommutativity_witness(
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
     double_dual = (witness @ dual.synthesis).T
     recovery_disc = np.linalg.norm(double_dual - f.vectors, axis=1)
-    threshold = policy.threshold(f.norm())
-    recovered = bool(np.max(recovery_disc) <= threshold)
-    return WitnessReport(images, frame_disc, double_dual, recovery_disc, recovered, threshold)
+    check = _gate(float(np.max(recovery_disc)), f.norm(), policy.identity_tol)
+    return WitnessReport(images, frame_disc, double_dual, recovery_disc, check.ok, check.threshold)
 
 
 @dataclass(frozen=True)
@@ -352,7 +372,7 @@ class IdentityReport:
     ``d`` holds the canonical coefficients <f, ftilde_i>; ``matrix_residual``
     is the error of the closed form
     S_Ftilde = K* (S_F|)^-1 P S_F ((S_F|)^-1)* K against the assembled dual
-    frame operator.
+    frame operator, gated at ``matrix_threshold``.
     """
 
     lhs: float
@@ -360,6 +380,7 @@ class IdentityReport:
     relative_error: float
     identity_ok: bool
     matrix_residual: float
+    matrix_threshold: float
     matrix_ok: bool
     passed: bool
     canonical: np.ndarray
@@ -374,8 +395,8 @@ def minimal_norm_identity(
 ) -> IdentityReport:
     """Verify the Pythagorean split of any representation against d_i = <f, ftilde_i>.
 
-    Requires T_F coeffs = T_F d (the representability hypothesis); raises
-    NotARepresentation otherwise.
+    Requires T_F coeffs = T_F d (the representability hypothesis) to
+    ``identity_tol`` |T_F| (|coeffs| + |d|); raises NotARepresentation otherwise.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -383,17 +404,15 @@ def minimal_norm_identity(
         raise ShapeMismatch("target/coefficient sizes do not match the frame")
     dual = canonical_k_dual(f, env, policy)
     d = dual.analysis @ target
-    syn = f.synthesis
-    rep_residual = float(np.linalg.norm(syn @ (coeffs - d)))
-    rep_scale = max(1.0, float(np.linalg.norm(syn @ d)))
-    if rep_residual > policy.identity_tol * rep_scale:
-        raise NotARepresentation(
-            f"T_F c differs from T_F d by {rep_residual:.3e}", rep_residual
-        )
+    rep = _gate(float(np.linalg.norm(f.synthesis @ (coeffs - d))),
+                f.norm() * float(np.linalg.norm(coeffs) + np.linalg.norm(d)), policy.identity_tol)
+    if not rep:
+        raise NotARepresentation(f"T_F c differs from T_F d by {rep.residual:.3e}", rep.residual)
     lhs = float(np.sum(np.abs(coeffs) ** 2))
     rhs = float(np.sum(np.abs(d) ** 2) + np.sum(np.abs(coeffs - d) ** 2))
-    rel = abs(lhs - rhs) / max(lhs, 1e-30)
-    identity_ok = rel <= 1e-9
+    identity = _gate(abs(lhs - rhs), lhs, _SLACK)
+    # for c = 0 the split holds only with d = 0; rel is then the absolute residual
+    rel = identity.residual / lhs if lhs else identity.residual
 
     rmap = frame_restriction(f, env, policy)
     composed = (
@@ -404,11 +423,9 @@ def minimal_norm_identity(
         @ env.k
     )
     s_dual = dual.frame_operator
-    matrix_residual = spectral_norm(s_dual - composed)
-    matrix_ok = matrix_residual <= policy.threshold(spectral_norm(s_dual))
-    return IdentityReport(
-        lhs, rhs, rel, identity_ok, matrix_residual, matrix_ok, identity_ok and matrix_ok, d
-    )
+    matrix = _gate(spectral_norm(s_dual - composed), spectral_norm(s_dual), policy.identity_tol)
+    return IdentityReport(lhs, rhs, rel, identity.ok, matrix.residual, matrix.threshold, matrix.ok,
+                          identity.ok and matrix.ok, d)
 
 
 def canonical_coefficients(
@@ -420,7 +437,7 @@ def canonical_coefficients(
     """Canonical coefficients via the pseudo-inverse closed form.
 
     Returns pinv(T_F) S_F ((S_F|_{R(K)})^-1)* K target and asserts it equals
-    {<target, ftilde_i>}.
+    {<target, ftilde_i>} to 1e-9 |T_Ftilde|_F |target|.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     if target.size != f.ambient_dim:
@@ -431,9 +448,11 @@ def canonical_coefficients(
         f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
     )[0]
     direct = dual.analysis @ target
-    err = float(np.linalg.norm(coeffs - direct))
-    if err > 1e-9 * max(1.0, float(np.linalg.norm(direct))):
+    check = _gate(float(np.linalg.norm(coeffs - direct)),
+                  float(np.linalg.norm(dual.synthesis) * np.linalg.norm(target)), _SLACK)
+    if not check:
         raise InternalConsistencyError(
-            f"pseudo-inverse coefficients differ from <f, ftilde_i> by {err:.3e}", err
+            f"pseudo-inverse coefficients differ from <f, ftilde_i> by {check.residual:.3e}",
+            check.residual,
         )
     return coeffs

@@ -25,7 +25,10 @@ and both multiplier inverses share. It applies the factors in order
 l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
 which shares only the range basis U_r. Reported residuals are spectral
 norms; a residual that only gates (``_within``) is decided on its Frobenius
-norm first. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and reads
+norm first. Every identity is homogeneous, so every verdict is one gate,
+``_gate``: residual <= tol * scale, for the magnitude ``scale`` of the
+identity's terms and no absolute floor, so no verdict depends on the units
+of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and reads
 K*, K^dagger, its range and projector, its norms and its adjoint off them,
 memoized on first use. ``svd_decompose(m).pinv()`` is the pseudo-inverse of
 a matrix. A memoized value is the value a fresh computation returns, so
@@ -75,8 +78,9 @@ __all__ = [
 class TolerancePolicy:
     """Numerical thresholds shared across the toolkit.
 
-    ``identity_tol`` is the relative tolerance for operator identities
-    (checks compare residuals against ``identity_tol * max(1, scale)``).
+    ``identity_tol`` is the relative tolerance for operator identities:
+    a check passes when its residual is at most ``identity_tol * scale``
+    (``_gate``), where ``scale`` is the magnitude of the identity's terms.
     Numerical rank keeps singular values above
     ``sigma_max * max(rows, cols) * rank_scale`` unless ``rank_override``
     fixes an absolute cutoff.
@@ -91,9 +95,6 @@ class TolerancePolicy:
             return self.rank_override
         return sigma_max * max(shape) * self.rank_scale
 
-    def threshold(self, scale: float) -> float:
-        return self.identity_tol * max(1.0, scale)
-
     def with_tol(self, tol: float | None) -> "TolerancePolicy":
         if tol is None:
             return self
@@ -106,6 +107,11 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
+
+# relative slack of a guarantee a theorem gives and of two routes to one value
+_SLACK = 1e-9
+# relative agreement of the two routes to lambda: 1e-8 relative on A = 1/lambda^2
+_AGREEMENT = 5e-9
 
 
 def _memo(owner, key, compute):
@@ -251,10 +257,10 @@ def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
     factors = SvdFactors(
         _read_only(u), _read_only(s), _read_only(vh.conj().T), policy.rank(s, a.shape), cutoff
     )
-    resid = np.linalg.norm(factors.reconstruct() - a)
-    if resid > 1e-10 * max(1.0, float(np.linalg.norm(a))):
+    resid = float(np.linalg.norm(factors.reconstruct() - a))
+    if not _gate(resid, float(np.linalg.norm(a)), DEFAULT_POLICY.identity_tol):
         raise InternalConsistencyError(
-            f"SVD reconstruction residual {resid:.3e} exceeds tolerance", float(resid)
+            f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
         )
     return factors
 
@@ -269,6 +275,11 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _gate(residual: float, scale: float, tol: float) -> CheckResult:
+    """residual <= tol * scale, for ``scale`` of the same degree in the input as ``residual``."""
+    return CheckResult(residual <= tol * scale, residual, tol * scale)
 
 
 def range_inclusion_check(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> CheckResult:
@@ -290,9 +301,7 @@ def _inclusion(
 ) -> CheckResult:
     """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
     basis = f2.left_vectors[:, : f2.rank]
-    residual = spectral_norm(a - (basis @ basis.conj().T) @ a)
-    threshold = policy.threshold(norm_a)
-    return CheckResult(residual <= threshold, residual, threshold)
+    return _gate(spectral_norm(a - (basis @ basis.conj().T) @ a), norm_a, policy.identity_tol)
 
 
 def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -331,7 +340,7 @@ def _douglas(
     """
     inclusion = _require_inclusion(a, f2, norm_a, policy, error, ranges)
     x, core = f2.solve(a)
-    _within(b @ x - a, policy.threshold(norm_a), InternalConsistencyError,
+    _within(b @ x - a, policy.identity_tol * norm_a, InternalConsistencyError,
             "factorization residual {:.3e} despite range inclusion")
     return inclusion, x, core
 
@@ -358,19 +367,17 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*.
 
     Computed as the spectral norm of the minimal Douglas solution and
-    cross-checked by the QR route of ``_majorization``; disagreement beyond
-    1e-8 raises InternalConsistencyError.
+    cross-checked by the QR route of ``_majorization``; a relative
+    disagreement beyond 5e-9 raises InternalConsistencyError.
     """
     a, b = _operand_pair(l1, l2)
     f2 = svd_decompose(b, policy)
     core = _douglas(a, b, f2, spectral_norm(a), policy)[2]
-    return _majorization(a, b, f2, core)[0]
+    return _majorization(a, b, f2, core)
 
 
-def _majorization(
-    a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
-) -> tuple[float, float]:
-    """lambda = |core| of the minimal Douglas solution, and its cross-check value.
+def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray) -> float:
+    """lambda = |core| of the minimal Douglas solution, cross-checked to 5e-9 relative.
 
     The cross-check shares only U_r of ``f2``: Householder QR (U_r* b)* = Q R
     gives lambda = |R^-* U_r* a|, without squaring the conditioning of b.
@@ -379,11 +386,11 @@ def _majorization(
     basis = f2.left_vectors[:, : f2.rank]
     r = np.linalg.qr(b.conj().T @ basis, mode="r")
     lam_cc = spectral_norm(np.linalg.solve(r.conj().T, basis.conj().T @ a))
-    if abs(lam - lam_cc) > 1e-8 * max(1.0, lam):
+    if not _gate(abs(lam - lam_cc), lam, _AGREEMENT):
         raise InternalConsistencyError(
             f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
         )
-    return lam, lam_cc
+    return lam
 
 
 @dataclass(frozen=True)
@@ -498,10 +505,10 @@ class OperatorEnv:
         return env
 
     def _self_check(self) -> None:
-        scale = max(1.0, self.norm())
-        _within(self.k @ self.k_pinv - self.proj_range_k, 1e-10 * scale,
+        tol = DEFAULT_POLICY.identity_tol * self.norm()
+        _within(self.k @ self.k_pinv - self.proj_range_k, tol * self.pinv_norm(),
                 InternalConsistencyError, "K K^dagger differs from the range projector by {:.3e}")
-        _within(self.proj_range_k @ self.k - self.k, 1e-10 * scale,
+        _within(self.proj_range_k @ self.k - self.k, tol,
                 InternalConsistencyError, "P_R(K) K differs from K by {:.3e}")
 
     @property

@@ -50,12 +50,14 @@ from .frames import (
     validate_bounds,
 )
 from .linalg import (
+    _SLACK,
     DEFAULT_POLICY,
     CheckResult,
     OperatorEnv,
     SvdFactors,
     TolerancePolicy,
     _douglas,
+    _gate,
     _majorization,
     _memo,
     _memoized_per_operator,
@@ -201,9 +203,7 @@ class Multiplier:
     def norm_bound_check(self) -> CheckResult:
         """The excess of ``norm()`` over ``norm_bound()``, against a slack relative to it."""
         bound = self.norm_bound()
-        excess = max(0.0, self.norm() - bound)
-        threshold = DEFAULT_POLICY.threshold(bound)
-        return CheckResult(excess <= threshold, excess, threshold)
+        return _gate(max(0.0, self.norm() - bound), bound, DEFAULT_POLICY.identity_tol)
 
 
 def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
@@ -253,7 +253,7 @@ def k_right_inverse(
     _, r, core = _douglas(
         env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
     )
-    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, factors, core)[0])
+    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, factors, core))
 
 
 @_memoized_per_operator
@@ -307,9 +307,9 @@ def frames_from_multiplier_identity(
     def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
         guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
         optimal = k_frame_check(frame, side_env, policy).lower
-        return SideBound(guaranteed, optimal, optimal >= guaranteed * (1.0 - 1e-9))
+        return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK).ok)
 
-    if _within(mult.matrix - env.k, policy.threshold(env.norm())):
+    if _within(mult.matrix - env.k, policy.identity_tol * env.norm()):
         phi_side = side(mult.phi, env, mult.psi, 1.0)
         psi_side = side(mult.psi, env.adjoint(), mult.phi, 1.0)
         return LowerBoundReport("identity", phi_side, psi_side, phi_side.ok and psi_side.ok)
@@ -388,22 +388,19 @@ def inverse_as_multiplier(
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
     base = assemble_multiplier(ones, phi.map(env.proj_range_k), psi)
-    resid_inv = spectral_norm(inverse @ base.matrix - env.k)
-    if resid_inv > policy.threshold(env.norm()):
-        raise NotAnInverse(
-            f"inverse misses the projected multiplier identity by {resid_inv:.3e}", resid_inv
-        )
+    check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), policy.identity_tol)
+    if not check:
+        raise NotAnInverse(f"inverse misses the projected multiplier identity by "
+                           f"{check.residual:.3e}", check.residual)
     _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a dual of its frame")
     transported = phi.map(inverse @ env.proj_range_k)
     factor = assemble_multiplier(ones, transported, dual_choice)
     target = inverse @ env.k
     inter = verify_k_dual(transported, psi, env, policy, with_lower_bounds=False)
-    residual = spectral_norm(factor.matrix - target)
-    threshold = policy.threshold(spectral_norm(target))
+    out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), policy.identity_tol)
     return MultiplierFactorization(
-        (factor,), target, factor.matrix, residual, threshold,
-        residual <= threshold and inter.passed,
-        {"inverse_residual": resid_inv, "dual_of_transported": inter.residual},
+        (factor,), target, factor.matrix, out.residual, out.threshold, out.ok and inter.passed,
+        {"inverse_residual": check.residual, "dual_of_transported": inter.residual},
     )
 
 
@@ -439,11 +436,9 @@ def biorthogonal_right_inverse(
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
-    residual = spectral_norm(achieved - env.k)
-    threshold = policy.threshold(env.norm())
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
     forward = MultiplierFactorization(
-        (analysis_side, synthesis_side), env.k, achieved, residual, threshold,
-        residual <= threshold,
+        (analysis_side, synthesis_side), env.k, achieved, check.residual, check.threshold, check.ok
     )
     return BiorthogonalFactorization(forward, forward.adjoint(), forward.passed)
 
@@ -560,6 +555,7 @@ def perturbation_right_inverse(
     K-dual Phi-d of Phi, and M_{mbar, P_K Psi, Phi} R = K is certified (the
     reversed multiplier needs its output projected onto R(K); the projection
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
+    The multiplier form of R must match it to ``identity_tol`` |(M^-1)* K|_F.
     """
     mult, minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
     _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a K-dual of Phi")
@@ -567,16 +563,16 @@ def perturbation_right_inverse(
     ones = Symbol.ones(phi.size)
     r_frame = phi.map(minv.adjoint_matrix @ env.proj_range_k)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
-    form_residual = spectral_norm(r_mult.matrix - right)
+    form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
+                 policy.identity_tol)
     reversed_mult = assemble_multiplier(m.conjugated(), psi.map(env.proj_range_k), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
-    residual = spectral_norm(achieved - env.k)
-    threshold = policy.threshold(env.norm())
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
     certificates = dict(diagnostics)
-    certificates["right_inverse_multiplier_form"] = form_residual
-    passed = residual <= threshold and form_residual <= threshold
+    certificates["right_inverse_multiplier_form"] = form.residual
     return MultiplierFactorization(
-        (reversed_mult, r_mult), env.k, achieved, residual, threshold, passed, certificates
+        (reversed_mult, r_mult), env.k, achieved, check.residual, check.threshold,
+        check.ok and form.ok, certificates,
     )
 
 
@@ -604,11 +600,10 @@ def range_inclusion_right_inverse(
     left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
-    residual = spectral_norm(achieved - env.k)
-    threshold = policy.threshold(env.norm())
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
     return MultiplierFactorization(
-        (left_factor, right_factor), env.k, achieved, residual, threshold,
-        residual <= threshold, {"inclusion_residual": inclusion.residual},
+        (left_factor, right_factor), env.k, achieved, check.residual, check.threshold,
+        check.ok, {"inclusion_residual": inclusion.residual},
     )
 
 
@@ -637,11 +632,10 @@ def range_inclusion_left_inverse(
     right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
-    residual = spectral_norm(achieved - target)
-    threshold = policy.threshold(spectral_norm(target))
+    check = _gate(spectral_norm(achieved - target), spectral_norm(target), policy.identity_tol)
     return MultiplierFactorization(
-        (left_factor, right_factor), target, achieved, residual, threshold,
-        residual <= threshold, {"inclusion_residual": inclusion.residual},
+        (left_factor, right_factor), target, achieved, check.residual, check.threshold,
+        check.ok, {"inclusion_residual": inclusion.residual},
     )
 
 

@@ -24,8 +24,7 @@ def skewed_qr(monkeypatch):
     """Scale every R of ``np.linalg.qr(a, mode="r")`` by 1 + 1e-7.
 
     That skews the QR cross-check of each majorization constant by 1e-7
-    relative: ten times the lambda-level gate once lambda >= 1, and an
-    A = 1/lambda^2 off by 2e-7 relative, twenty times the A-level gate.
+    relative, twenty times its relative gate of 5e-9 at any lambda.
     """
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * (1 + 1e-7))

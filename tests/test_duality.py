@@ -146,7 +146,7 @@ class TestBoundCertificate:
         )
         assert report.passed
         assert report.envelope[0] == pytest.approx(1.0)
-        assert report.envelope[1] == pytest.approx(16.0, rel=1e-12)  # 8 |K|^2 |Kdag|^2
+        assert report.envelope[1] == pytest.approx(128.0, rel=1e-12)  # 64 |K|^2 |Kdag|^4
         assert report.observed[0] == pytest.approx(1.0, rel=1e-12)
         assert report.observed[1] == pytest.approx(2.0, rel=1e-12)
 
@@ -195,23 +195,26 @@ class TestDualFamily:
 
     @pytest.mark.parametrize("share, admitted", [(0.85, True), (1.05, False)])
     def test_gate_uses_the_spectral_norm_of_phi(self, c2_example, share, admitted):
-        # phi = s w v* + delta: |phi|_F / sqrt(2) = 0.71 |phi|_2, and the
-        # violation (from delta alone) lies between the two thresholds or
-        # just above the true one
+        # phi = s w v* + delta: the violation comes from delta alone and lies
+        # just below or just above 1e-10 |T_F| (|phi|_F + |T_Ftilde|_F), the
+        # threshold admissibility_violation reports and the generator applies
         f, env = c2_example.frame, c2_example.env
         s = 1e4
         w = np.array([1.0, -1.0, 0.0]) / SQRT2
         delta = np.outer([1.0, 1.0, 1.0], [1.0, 0.0])
-        target = share * 1e-10 * f.norm() * s
-        delta *= target / admissibility_violation(f, env, DualPerturbation(delta))
+        dual_norm = np.linalg.norm(canonical_k_dual(f, env).synthesis)
+        target = share * 1e-10 * f.norm() * (s + dual_norm)
+        delta *= target / admissibility_violation(f, env, DualPerturbation(delta)).residual
         pert = DualPerturbation(s * np.outer(w, [1.0, 0.0]) + delta)
-        violation = admissibility_violation(f, env, pert)
+        check = admissibility_violation(f, env, pert)
+        assert check.residual / check.threshold == pytest.approx(share, rel=1e-6)
+        assert check.ok == admitted
         if admitted:
             dual_family_generate(f, env, pert)
             return
-        with pytest.raises(InadmissiblePerturbation, match=f"has norm {violation:.3e}") as exc:
+        with pytest.raises(InadmissiblePerturbation, match=f"has norm {check.residual:.3e}") as exc:
             dual_family_generate(f, env, pert)
-        assert exc.value.residual == violation
+        assert exc.value.residual == check.residual
 
     def test_recover_canonical_gives_zero(self, c4_example):
         dual = canonical_k_dual(c4_example.frame, c4_example.env)

@@ -315,8 +315,8 @@ class TestEigenvalueCrossCheck:
     @pytest.mark.parametrize(
         "scale, gate",
         [
-            (1e-3, "majorization routes disagree"),  # lambda >> 1: the lambda-level gate
-            (1e3, "optimal lower bound routes disagree"),  # A >> 1: only the A-level gate
+            (1e-3, "majorization routes disagree"),  # lambda >> 1
+            (1e3, "majorization routes disagree"),  # lambda << 1: the gate is relative
         ],
     )
     def test_k_frame_check(self, scale, gate, skewed_qr):
