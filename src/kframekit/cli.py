@@ -27,8 +27,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .linalg import _SLACK, DEFAULT_POLICY, CheckResult, OperatorEnv, TolerancePolicy, _gate
-from .linalg import spectral_norm
+from .linalg import _RANK_SCALE, _SLACK, DEFAULT_POLICY, CheckResult, OperatorEnv, TolerancePolicy
+from .linalg import _gate, spectral_norm
 from .multipliers import Symbol
 
 __all__ = ["JobSpec", "Report", "run_job", "main", "build_parser"]
@@ -141,11 +141,11 @@ def _load_frame(path: str) -> Frame:
     return obj
 
 
-def _load_env(path: str, policy: TolerancePolicy) -> OperatorEnv:
+def _load_env(path: str) -> OperatorEnv:
     obj = io.parse_file(path)
     if isinstance(obj, Frame) or isinstance(obj, Symbol):
         raise ParseError(f"{path}: expected a matrix file")
-    return OperatorEnv.from_matrix(obj, policy)
+    return OperatorEnv.from_matrix(obj)
 
 
 def _load_symbol(path: str) -> Symbol:
@@ -162,12 +162,12 @@ def _vectors_out(f: Frame) -> list:
 def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     _require(job, 1, operator=True)
     frame = _load_frame(job.frames[0])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     bounds = frames.k_frame_check(frame, env, policy)
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
     report.results["bessel_bound"] = bounds.upper
-    report.results["minimal"] = frames.minimality_check(frame, policy)
+    report.results["minimal"] = frames.minimality_check(frame)
     report.results["operator_rank"] = env.rank
     tight = frames.tightness_check(frame, env, policy)
     report.results["tight"] = tight.tight
@@ -193,7 +193,7 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
 def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     _require(job, 1, operator=True)
     frame = _load_frame(job.frames[0])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     bounds = frames.k_frame_check(frame, env, policy)
     dual = duality.canonical_k_dual(frame, env, policy)
     cert = duality.verify_k_dual(frame, dual, env, policy)
@@ -215,7 +215,7 @@ def _cmd_verify(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     _require(job, 2, operator=True)
     frame = _load_frame(job.frames[0])
     candidate = _load_frame(job.frames[1])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     cert = duality.verify_k_dual(frame, candidate, env, policy)
     report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
@@ -227,7 +227,7 @@ def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> N
     _require(job, 2, operator=True)
     frame = _load_frame(job.frames[0])
     candidate = _load_frame(job.frames[1])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     pert = duality.dual_family_recover_phi(frame, candidate, env, policy)
     report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, policy)
     regenerated = duality.dual_family_generate(frame, env, pert, policy)
@@ -254,7 +254,7 @@ def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side
     _require(job, 2, operator=True, symbol=None)
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
     if side == "right":
@@ -275,7 +275,7 @@ def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) ->
     _require(job, 2, operator=True, symbol=None)
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
-    env = _load_env(job.operator, policy)
+    env = _load_env(job.operator)
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
     bounds = frames.k_frame_check(phi, env, policy)
     cond = multipliers.perturbation_condition(
@@ -329,7 +329,7 @@ def run_job(job: JobSpec) -> Report:
     report = Report(
         command=job.command,
         inputs=inputs,
-        tolerances={"identity_tol": policy.identity_tol, "rank_scale": policy.rank_scale},
+        tolerances={"identity_tol": policy.identity_tol, "rank_scale": _RANK_SCALE},
         seed=job.seed,
     )
     try:

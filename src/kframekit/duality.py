@@ -96,7 +96,7 @@ def frame_restriction(f: Frame, env: OperatorEnv, policy: TolerancePolicy) -> Re
     (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece. Memoized on ``f`` per
     (env, policy).
     """
-    return restricted_inverse(f.frame_operator, env.range_k, policy)
+    return restricted_inverse(f.frame_operator, env.range_k)
 
 
 @_memoized_per_operator
@@ -248,9 +248,6 @@ class DualPerturbation:
     @property
     def phi_adjoint(self) -> np.ndarray:
         return self.phi.conj().T
-
-    def norm(self) -> float:
-        return spectral_norm(self.phi)
 
     @staticmethod
     def zero(size: int, ambient_dim: int) -> "DualPerturbation":
@@ -444,7 +441,7 @@ def canonical_coefficients(
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
     dual = canonical_k_dual(f, env, policy)
     rmap = frame_restriction(f, env, policy)
-    coeffs = _synthesis_factors(f, policy).solve(
+    coeffs = _synthesis_factors(f).solve(
         f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
     )[0]
     direct = dual.analysis @ target

@@ -37,6 +37,7 @@ from .linalg import (
     _majorization,
     _memo,
     _memoized_per_operator,
+    _rank,
     as_matrix,
     min_eig,
     spectral_norm,
@@ -138,15 +139,15 @@ class FrameBounds:
     inclusion: CheckResult | None = None
 
 
-def _synthesis_factors(f: Frame, policy: TolerancePolicy) -> SvdFactors:
+def _synthesis_factors(f: Frame) -> SvdFactors:
     """Thin SVD of T_F; its singular values are memoized on the frame."""
-    factors = svd_decompose(f.synthesis, policy)
+    factors = svd_decompose(f.synthesis)
     f._memo.setdefault("singular_values", factors.singular_values)
     return factors
 
 
 def _singular_values(f: Frame) -> np.ndarray:
-    """Singular values of T_F (they do not depend on the tolerance policy)."""
+    """Singular values of T_F."""
     return _memo(f, "singular_values", lambda: svd_decompose(f.synthesis).singular_values)
 
 
@@ -176,7 +177,7 @@ def k_frame_check(
         )
     if env.is_zero():
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
-    factors = _synthesis_factors(f, policy)
+    factors = _synthesis_factors(f)
     norm_k = env.norm()
     inclusion, _, core = _douglas(
         env.k, f.synthesis, factors, norm_k, policy, NotKFrame, "R(K) not contained in R(T_F)"
@@ -227,20 +228,29 @@ class TightnessReport:
 def tightness_check(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> TightnessReport:
-    """Best-fit tightness constant and the residual of S_F - A K K*, to ``identity_tol`` B."""
+    """Best-fit tightness constant and the residual of S_F - A K K*, to ``identity_tol`` B.
+
+    The constant is fitted on G = (K/|K|)(K/|K|)*, as tr(G S_F) / (tr(G^2) |K|^2),
+    so neither trace under- or overflows where K K* itself does not.
+    """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch("frame/operator dimension mismatch")
     s = f.frame_operator
     gram_k = env.k @ env.k_adjoint
-    denom = float(np.real(np.trace(gram_k @ gram_k)))
-    const = float(np.real(np.trace(gram_k @ s))) / denom if denom > 0.0 else 0.0
+    norm_k = env.norm()
+    const = 0.0
+    if norm_k > 0.0:
+        unit = gram_k / norm_k**2
+        const = float(np.real(np.trace(unit @ s))) / (
+            float(np.real(np.trace(unit @ unit))) * norm_k**2
+        )
     check = _gate(spectral_norm(s - const * gram_k), optimal_bessel_bound(f), policy.identity_tol)
     parseval = check.ok and _gate(abs(const - 1.0), 1.0, policy.identity_tol).ok
     return TightnessReport(check.ok, const if check.ok else None, parseval, check.residual,
                            check.threshold)
 
 
-def bessel_as_k_frame(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> OperatorEnv:
+def bessel_as_k_frame(f: Frame) -> OperatorEnv:
     """Operator K with K e_i = f_i on the first N standard basis vectors.
 
     Any finite sequence is Bessel, and against this K it is a Parseval
@@ -254,21 +264,21 @@ def bessel_as_k_frame(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> Ope
         )
     k = np.zeros((n, n), dtype=np.complex128)
     k[:, :big_n] = f.synthesis
-    return OperatorEnv.from_matrix(k, policy)
+    return OperatorEnv.from_matrix(k)
 
 
-def minimality_check(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def minimality_check(f: Frame) -> bool:
     """True iff T_F has trivial kernel (sum c_i f_i = 0 forces c = 0)."""
-    return policy.rank(_singular_values(f), f.synthesis.shape) == f.size
+    return _rank(_singular_values(f), f.synthesis.shape) == f.size
 
 
-def biorthogonal_sequence(f: Frame, policy: TolerancePolicy = DEFAULT_POLICY) -> Frame:
+def biorthogonal_sequence(f: Frame) -> Frame:
     """The unique biorthogonal sequence inside span{f_i}.
 
     G = T_F (T_F* T_F)^-1 satisfies <f_i, g_j> = delta_ij with every g_j in
     the span of the f_i; requires a minimal sequence.
     """
-    factors = _synthesis_factors(f, policy)
+    factors = _synthesis_factors(f)
     if factors.rank != f.size:
         raise NotMinimal("sequence is not minimal: synthesis operator has a kernel")
     return Frame(factors.pinv().conj())

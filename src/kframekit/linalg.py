@@ -2,7 +2,8 @@
 
 Matrices are two-dimensional ``numpy`` arrays of ``complex128``; the helpers
 here add the pieces the frame-theory layers need on top of LAPACK:
-rank-revealing SVD with a scale-invariant cutoff, Moore-Penrose
+rank-revealing SVD with one scale-invariant cutoff (``_rank``: singular
+values above sigma_max * max(rows, cols) * 2^-40), Moore-Penrose
 pseudo-inverses, orthonormal range bases and projectors, range-inclusion
 tests with the associated factorization (given operators L1, L2 with
 R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
@@ -12,8 +13,9 @@ perturbed operators.
 
 All "closed range" hypotheses of the underlying operator theory are vacuous
 here: everything is finite dimensional, and only numerical rank is ever
-tested. Every object is an immutable value and every function is pure, so
-unrestricted concurrent use is safe.
+tested, always by ``_rank``; no caller sets a cutoff. Every object is an
+immutable value and every function is pure, so unrestricted concurrent use
+is safe.
 
 Each function factors its operand once: ``range_inclusion_check``,
 ``douglas_solve``, ``majorization_constant`` and ``restricted_inverse`` pass
@@ -76,34 +78,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical thresholds shared across the toolkit.
+    """The one user-set threshold, the relative tolerance of operator identities.
 
-    ``identity_tol`` is the relative tolerance for operator identities:
-    a check passes when its residual is at most ``identity_tol * scale``
+    A check passes when its residual is at most ``identity_tol * scale``
     (``_gate``), where ``scale`` is the magnitude of the identity's terms.
-    Numerical rank keeps singular values above
-    ``sigma_max * max(rows, cols) * rank_scale`` unless ``rank_override``
-    fixes an absolute cutoff.
+    Numerical rank is not part of the policy: it is the fixed rule of ``_rank``.
     """
 
     identity_tol: float = 1e-10
-    rank_scale: float = 2.0 ** -40
-    rank_override: float | None = None
-
-    def rank_cutoff(self, shape: tuple[int, int], sigma_max: float) -> float:
-        if self.rank_override is not None:
-            return self.rank_override
-        return sigma_max * max(shape) * self.rank_scale
 
     def with_tol(self, tol: float | None) -> "TolerancePolicy":
         if tol is None:
             return self
-        return TolerancePolicy(tol, self.rank_scale, self.rank_override)
-
-    def rank(self, singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-        """Numerical rank of a matrix of ``shape`` with these singular values."""
-        sigma_max = float(singular_values[0]) if singular_values.size else 0.0
-        return int(np.sum(singular_values > self.rank_cutoff(shape, sigma_max)))
+        return TolerancePolicy(tol)
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -112,6 +99,14 @@ DEFAULT_POLICY = TolerancePolicy()
 _SLACK = 1e-9
 # relative agreement of the two routes to lambda: 1e-8 relative on A = 1/lambda^2
 _AGREEMENT = 5e-9
+# numerical rank counts singular values above sigma_max * max(rows, cols) * _RANK_SCALE
+_RANK_SCALE = 2.0 ** -40
+
+
+def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numerical rank of a matrix of ``shape`` with these (descending) singular values."""
+    sigma_max = float(singular_values[0]) if singular_values.size else 0.0
+    return int(np.sum(singular_values > sigma_max * max(shape) * _RANK_SCALE))
 
 
 def _memo(owner, key, compute):
@@ -182,25 +177,21 @@ class SvdFactors:
     """Thin SVD with a committed numerical rank.
 
     ``left_vectors`` and ``right_vectors`` have orthonormal columns;
-    ``singular_values`` is descending and ``rank`` counts values above
-    ``rank_tolerance``.
+    ``singular_values`` is descending and ``rank`` is the numerical rank
+    ``_rank`` reads off them.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
     rank: int
-    rank_tolerance: float
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
 
     def adjoint(self) -> "SvdFactors":
         """Factors of the conjugate transpose: the same SVD read backwards."""
-        return SvdFactors(
-            self.right_vectors, self.singular_values, self.left_vectors, self.rank,
-            self.rank_tolerance,
-        )
+        return SvdFactors(self.right_vectors, self.singular_values, self.left_vectors, self.rank)
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudo-inverse, truncated at the committed rank."""
@@ -246,17 +237,14 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def svd_decompose(m, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
-    """Thin SVD of ``m`` with the policy's rank cutoff applied.
+def svd_decompose(m) -> SvdFactors:
+    """Thin SVD of ``m`` with its numerical rank (``_rank``).
 
     Deterministic for fixed input; raises NonFiniteInput on NaN/Inf.
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = policy.rank_cutoff(a.shape, float(s[0]) if s.size else 0.0)
-    factors = SvdFactors(
-        _read_only(u), _read_only(s), _read_only(vh.conj().T), policy.rank(s, a.shape), cutoff
-    )
+    factors = SvdFactors(_read_only(u), _read_only(s), _read_only(vh.conj().T), _rank(s, a.shape))
     resid = float(np.linalg.norm(factors.reconstruct() - a))
     if not _gate(resid, float(np.linalg.norm(a)), DEFAULT_POLICY.identity_tol):
         raise InternalConsistencyError(
@@ -285,7 +273,7 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
 def range_inclusion_check(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> CheckResult:
     """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1."""
     a, b = _operand_pair(l1, l2)
-    return _inclusion(a, svd_decompose(b, policy), spectral_norm(a), policy)
+    return _inclusion(a, svd_decompose(b), spectral_norm(a), policy)
 
 
 def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +299,7 @@ def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     the inclusion fails at tolerance.
     """
     a, b = _operand_pair(l1, l2)
-    return _douglas(a, b, svd_decompose(b, policy), spectral_norm(a), policy)[1]
+    return _douglas(a, b, svd_decompose(b), spectral_norm(a), policy)[1]
 
 
 def _require_inclusion(
@@ -371,7 +359,7 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     disagreement beyond 5e-9 raises InternalConsistencyError.
     """
     a, b = _operand_pair(l1, l2)
-    f2 = svd_decompose(b, policy)
+    f2 = svd_decompose(b)
     core = _douglas(a, b, f2, spectral_norm(a), policy)[2]
     return _majorization(a, b, f2, core)
 
@@ -409,7 +397,7 @@ class RestrictedMap:
         return self.matrix.conj().T
 
 
-def restricted_inverse(s, v: Subspace, policy: TolerancePolicy = DEFAULT_POLICY) -> RestrictedMap:
+def restricted_inverse(s, v: Subspace) -> RestrictedMap:
     """Invert ``s`` restricted to ``v``; requires s injective on v.
 
     Raises RankDeficientRestriction when ``s`` collapses ``v``.
@@ -423,7 +411,7 @@ def restricted_inverse(s, v: Subspace, policy: TolerancePolicy = DEFAULT_POLICY)
         matrix = np.zeros((v.ambient_dim, a.shape[0]), dtype=np.complex128)
         domain = Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=np.complex128))
         return RestrictedMap(_read_only(matrix), domain)
-    f = svd_decompose(a @ v.basis, policy)
+    f = svd_decompose(a @ v.basis)
     if f.rank < v.dim:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {f.rank} < dim {v.dim}"
@@ -448,9 +436,7 @@ class MarginReport:
     settled_by: str  # "margin" or "rank"
 
 
-def neumann_invertibility_margin(
-    t, u, policy: TolerancePolicy = DEFAULT_POLICY
-) -> MarginReport:
+def neumann_invertibility_margin(t, u) -> MarginReport:
     """Perturbation margin: norm(t - u) against 1/norm(t^-1).
 
     Square t must be invertible at tolerance. Rectangular t (a restriction
@@ -464,7 +450,7 @@ def neumann_invertibility_margin(
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < a.shape[1]:
         raise ShapeMismatch(f"t has more columns than rows: {a.shape}")
-    fa = svd_decompose(a, policy)
+    fa = svd_decompose(a)
     if fa.rank < a.shape[1]:
         raise NotInvertible(
             f"t is singular at tolerance (rank {fa.rank} of {a.shape[1]})"
@@ -473,7 +459,7 @@ def neumann_invertibility_margin(
     distance = spectral_norm(a - b)
     if distance < margin:
         return MarginReport(distance, margin, True, "margin")
-    rank_u = svd_decompose(b, policy).rank
+    rank_u = svd_decompose(b).rank
     return MarginReport(distance, margin, rank_u == b.shape[1], "rank")
 
 
@@ -496,11 +482,11 @@ class OperatorEnv:
         object.__setattr__(self, "_memo", {})
 
     @staticmethod
-    def from_matrix(k, policy: TolerancePolicy = DEFAULT_POLICY) -> "OperatorEnv":
+    def from_matrix(k) -> "OperatorEnv":
         a = as_matrix(k, "k")
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatch(f"operator must be square, got {a.shape}")
-        env = OperatorEnv(a, svd_decompose(a, policy))
+        env = OperatorEnv(a, svd_decompose(a))
         env._self_check()
         return env
 

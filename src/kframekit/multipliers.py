@@ -36,7 +36,6 @@ from .errors import (
     NoRightInverse,
     NotAnInverse,
     NotInvertible,
-    NotMinimal,
     NotSemiNormalized,
     RangeNotIncluded,
     RestrictionSingular,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
-    _synthesis_factors,
+    biorthogonal_sequence,
     k_frame_check,
     optimal_bessel_bound,
     validate_bounds,
@@ -157,10 +156,10 @@ class Symbol:
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
-    One SVD of M per rank rule (``rank_scale``, ``rank_override``) is
-    memoized on the value, since ``identity_tol`` does not enter an SVD;
-    ``norm()`` and both K-inverses read it. The K-right and K-left inverses
-    are memoized per (operator env, tolerance policy), like a frame's results.
+    One SVD of M is memoized on the value (the rank rule is fixed, and
+    ``identity_tol`` does not enter an SVD); ``norm()`` and both K-inverses
+    read it. The K-right and K-left inverses are memoized per (operator env,
+    tolerance policy), like a frame's results.
     ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
     """
 
@@ -172,15 +171,14 @@ class Multiplier:
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
 
-    def _factors(self, policy: TolerancePolicy = DEFAULT_POLICY) -> SvdFactors:
-        key = ("svd", policy.rank_scale, policy.rank_override)
-        return _memo(self, key, lambda: svd_decompose(self.matrix, policy))
+    def _factors(self) -> SvdFactors:
+        return _memo(self, "svd", lambda: svd_decompose(self.matrix))
 
     def norm(self) -> float:
         return float(self._factors().singular_values[0])
 
     def adjoint(self) -> "Multiplier":
-        """M* = M_{mbar,Psi,Phi}, keeping M's memoized SVDs as their adjoints.
+        """M* = M_{mbar,Psi,Phi}, keeping M's memoized SVD as its adjoint.
 
         M's inverses do not apply to M* and are not copied; the adjoint holds
         no reference back to M.
@@ -188,9 +186,9 @@ class Multiplier:
         adj = Multiplier(
             self.symbol.conjugated(), self.psi, self.phi, _read_only(self.matrix.conj().T)
         )
-        for key, value in list(self._memo.items()):
-            if key[0] == "svd":
-                adj._memo[key] = value.adjoint()
+        factors = self._memo.get("svd")
+        if factors is not None:
+            adj._memo["svd"] = factors.adjoint()
         return adj
 
     def norm_bound(self) -> float:
@@ -224,11 +222,11 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
     return mult
 
 
-def _multiplier_factors(mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy) -> SvdFactors:
+def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
     """M's memoized SVD, once M and K are known to have equal sizes."""
     if env.dim != mult.matrix.shape[0]:
         raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
-    return mult._factors(policy)
+    return mult._factors()
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def k_right_inverse(
     R is the minimal Douglas solution, so its norm is the majorization
     constant. Memoized on ``mult`` per (env, policy).
     """
-    factors = _multiplier_factors(mult, env, policy)
+    factors = _multiplier_factors(mult, env)
     norm_k = env.norm()
     _, r, core = _douglas(
         env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
@@ -266,7 +264,7 @@ def k_left_inverse(
     adjoint of M's factors. Memoized on ``mult`` per (env, policy); the
     returned matrix is read-only.
     """
-    factors = _multiplier_factors(mult, env, policy).adjoint()
+    factors = _multiplier_factors(mult, env).adjoint()
     left_adjoint = _douglas(
         env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), policy,
         NoLeftInverse, "R(K*) not contained in R(M*)",
@@ -424,12 +422,9 @@ def biorthogonal_right_inverse(
     M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
     """
     k_frame_check(phi, env, policy)
-    psi_factors = _synthesis_factors(psi, policy)
-    if psi_factors.rank != psi.size:
-        raise NotMinimal("Psi is not minimal: synthesis operator has a kernel")
+    bio = biorthogonal_sequence(psi)
     k_frame_check(psi, env.adjoint(), policy)
     ones = Symbol.ones(phi.size)
-    bio = Frame(psi_factors.pinv().conj())  # biorthogonal to Psi, inside its span
     phi_tilde = canonical_k_dual(phi, env, policy)
     projected = phi.map(env.proj_range_k)
 
@@ -502,9 +497,7 @@ def _perturbed_restriction(
     reference = (phi.synthesis * m.values) @ phi.analysis
     basis = env.range_k.basis
     try:
-        report = neumann_invertibility_margin(
-            reference @ basis, mult.matrix @ basis, policy
-        )
+        report = neumann_invertibility_margin(reference @ basis, mult.matrix @ basis)
     except NotInvertible as exc:
         raise RestrictionSingular(
             f"the reference operator already collapses R(K): {exc}"
@@ -514,7 +507,7 @@ def _perturbed_restriction(
             f"M collapses R(K): perturbation distance {report.distance:.3e} "
             f"vs margin {report.margin:.3e}"
         )
-    minv = restricted_inverse(mult.matrix, env.range_k, policy)
+    minv = restricted_inverse(mult.matrix, env.range_k)
     diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
                    "margin": report.margin, "distance": report.distance}
     return mult, minv, diagnostics
@@ -591,7 +584,7 @@ def range_inclusion_right_inverse(
     k_frame_check(psi, env, policy)
     k_frame_check(phi, env.adjoint(), policy)
     inclusion = _require_inclusion(
-        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint, policy), psi.norm(), policy,
+        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint), psi.norm(), policy,
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
@@ -622,7 +615,7 @@ def range_inclusion_left_inverse(
     k_frame_check(psi, env, policy)
     k_frame_check(phi, env.adjoint(), policy)
     inclusion = _require_inclusion(
-        phi.analysis, svd_decompose(psi.analysis @ env.k, policy), phi.norm(), policy,
+        phi.analysis, svd_decompose(psi.analysis @ env.k), phi.norm(), policy,
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
@@ -632,7 +625,7 @@ def range_inclusion_left_inverse(
     right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
-    check = _gate(spectral_norm(achieved - target), spectral_norm(target), policy.identity_tol)
+    check = _gate(spectral_norm(achieved - target), env.norm() ** 2, policy.identity_tol)
     return MultiplierFactorization(
         (left_factor, right_factor), target, achieved, check.residual, check.threshold,
         check.ok, {"inclusion_residual": inclusion.residual},

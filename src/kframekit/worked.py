@@ -354,8 +354,8 @@ def reproduce_examples(
 
     @section("c4.structure")
     def _():
-        minimal_ok = minimality_check(f4, policy)
-        bio = biorthogonal_sequence(f4, policy)
+        minimal_ok = minimality_check(f4)
+        bio = biorthogonal_sequence(f4)
         add("c4.biorthogonal-self",
             (0.0 if minimal_ok else 1.0) + _entrywise(bio, f4.vectors), 1e-12)
 
@@ -372,7 +372,7 @@ def reproduce_examples(
             symbolic="D = {(e1+e2)/2, (e1+e2)/2, e3}; H = {e1, e1, e2}",
         )
 
-        env_b = bessel_as_k_frame(f4, policy)
+        env_b = bessel_as_k_frame(f4)
         tight_b = tightness_check(f4, env_b, policy)
         add("c4.bessel-embedding-parseval",
             tight_b.residual + (0.0 if tight_b.parseval else 1.0), tight_b.threshold)

@@ -244,7 +244,7 @@ class TestExitCodes:
     # a warning is an error here, so the one stderr line is all numpy says
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, cause", [
-        (1e150, "overflow encountered in matmul"),  # K K* K K* in tightness_check
+        (1e153, "overflow encountered in dot"),  # |K|_F in svd_decompose
         (1e200, "overflow encountered in dot"),  # |T_F|_F in svd_decompose
     ])
     def test_numerical_failure_is_three(self, tmp_path, capsys, scale, cause):

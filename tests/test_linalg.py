@@ -15,7 +15,6 @@ from kframekit.errors import (
 from kframekit.linalg import (
     OperatorEnv,
     Subspace,
-    TolerancePolicy,
     _within,
     douglas_solve,
     majorization_constant,
@@ -73,10 +72,6 @@ class TestSvd:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             svd_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rank_override(self):
-        policy = TolerancePolicy(rank_override=1.5)
-        assert svd_decompose(S2, policy).rank == 1
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)

@@ -10,8 +10,8 @@ Each verdict, ``passed`` flag, raised error and exit code must be the one at
 s = 1, and each reported number must be its value at s = 1 times the scale of
 its bidegree, to 1e-9 relative. A residual at rounding level has no degree,
 so only the residuals of identities that fail are compared; thresholds
-always are. Inputs of size 1e+-150 are out of reach here: |K^dagger|^4 and
-tr((K K*)^2) overflow there.
+always are. Inputs of size 1e+-150 are out of reach here: |K^dagger|^4
+overflows there. ``tightness_check`` alone is also run at 1e+-90 and 1e+-120.
 """
 
 import dataclasses
@@ -27,7 +27,7 @@ from conftest import (
     well_conditioned,
 )
 
-from kframekit import io, multipliers
+from kframekit import io, linalg, multipliers
 from kframekit.cli import main
 from kframekit.duality import (
     DualPerturbation,
@@ -58,7 +58,6 @@ from kframekit.linalg import (
     DEFAULT_POLICY,
     OperatorEnv,
     SvdFactors,
-    TolerancePolicy,
     douglas_solve,
     svd_decompose,
 )
@@ -162,6 +161,14 @@ class TestFrames:
                 "Bessel bound": (optimal_bessel_bound(f), (2, 0)),
             }
         scaling.check(run)
+
+    @pytest.mark.parametrize("s", [1e-120, 1e-90, 1e90, 1e120])
+    def test_tightness_far_from_unit_scale(self, s):
+        # tr((K K*)^2) under- or overflows at these scales; the fit on K/|K| does not
+        g = Frame(s * crandn(np.random.default_rng(7), 3, 4))
+        report = tightness_check(g, bessel_as_k_frame(g))  # K K* = S_G: Parseval
+        assert report.tight and report.parseval
+        assert report.constant == pytest.approx(1.0, rel=RTOL)
 
     @pytest.mark.parametrize("a, b", [
         (0.5, 2.0),  # valid
@@ -516,13 +523,13 @@ class TestConsistencyGates:
             with pytest.raises(InternalConsistencyError, match="factorization residual"):
                 douglas_solve(s * l1, s * l2)
 
-    def test_operator_self_check(self):
+    def test_operator_self_check(self, monkeypatch):
         # a rank cutoff above a singular value of 1e-6 |K| leaves P K - K at 1e-6 |K|
+        monkeypatch.setattr(linalg, "_RANK_SCALE", 1e-3 / 3)
         k = np.diag([1.0, 0.5, 1e-6])
         for s in SCALES:
-            policy = TolerancePolicy(rank_override=1e-3 * s)
             with pytest.raises(InternalConsistencyError, match="P_R\\(K\\) K differs from K"):
-                OperatorEnv.from_matrix(s * k, policy)
+                OperatorEnv.from_matrix(s * k)
 
 
 def _vectors(pairs) -> np.ndarray:
