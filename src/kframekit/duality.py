@@ -89,12 +89,12 @@ class KDualCertificate:
 
 
 @_memoized_per_operator
-def frame_restriction(f: Frame, env: OperatorEnv, policy: TolerancePolicy) -> RestrictedMap:
+def frame_restriction(f: Frame, env: OperatorEnv, policy=DEFAULT_POLICY) -> RestrictedMap:
     """Inverse of S_F restricted to R(K), as a full-space matrix.
 
     The returned map annihilates S_F(R(K))-perp, so its matrix realizes
-    (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece. Memoized on ``f`` per
-    (env, policy).
+    (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece. Memoized on ``f`` per env:
+    it does not depend on the policy, so no caller passes one.
     """
     return restricted_inverse(f.frame_operator, env.range_k)
 
@@ -110,7 +110,7 @@ def canonical_k_dual(
     ``f`` per (env, policy).
     """
     k_frame_check(f, env, policy)
-    rmap = frame_restriction(f, env, policy)
+    rmap = frame_restriction(f, env)
     dual_syn = env.k_adjoint @ rmap.matrix @ f.synthesis
     return Frame(dual_syn.T)
 
@@ -122,19 +122,31 @@ def verify_k_dual(
     policy: TolerancePolicy = DEFAULT_POLICY,
     with_lower_bounds: bool = True,
 ) -> KDualCertificate:
-    """Certify the dual identity K = P_{R(K)} T_F T_G*, to ``identity_tol`` |K|."""
+    """Certify the dual identity K = P_{R(K)} T_F T_G*, to ``identity_tol`` |K|.
+
+    The residual is |Sigma_k V_k* - (U_k* T_F) T_G*|: the same up to K - K V_k V_k*.
+    """
     if f.size != g.size:
         raise ShapeMismatch(f"index counts differ: {f.size} vs {g.size}")
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
-    achieved = env.proj_range_k @ f.synthesis @ g.analysis
-    check = _gate(spectral_norm(env.k - achieved), env.norm(), policy.identity_tol)
-    bounds = None
-    if check.ok and with_lower_bounds:
-        lb_dual = k_frame_check(g, env.adjoint(), policy).lower
-        lb_projected = k_frame_check(f.map(env.proj_range_k), env, policy).lower
-        bounds = (lb_dual, lb_projected)
+    achieved = env.range_k.basis.conj().T @ f.synthesis @ g.analysis
+    check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(),
+                  policy.identity_tol)
+    bounds = _lower_bounds(f, g, env, policy) if check.ok and with_lower_bounds else None
     return KDualCertificate(f, g, env, check.residual, check.threshold, check.ok, bounds)
+
+
+def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, float]:
+    """Optimal lower bounds of G against K* and of {P_{R(K)} f_i} against K.
+
+    P T_F = U_k (U_k* T_F) and U_k* K = Sigma_k V_k*, so the second is exactly that
+    of {U_k* f_i} against Sigma_k: an SVD of k x N, not n x N, with rank cutoff
+    max(k, N), the same number as max(n, N) whenever N >= n.
+    """
+    coordinates = f.map(env.range_k.basis.conj().T)
+    return (k_frame_check(g, env.adjoint(), policy).lower,
+            k_frame_check(coordinates, env.range_coordinates, policy).lower)
 
 
 def _require_k_dual(
@@ -161,11 +173,8 @@ def k_dual_lower_bounds(
             f"certificate failed (residual {cert.residual:.3e}); lower bounds undefined",
             cert.residual,
         )
-    if cert.lower_bound_report is not None:
-        lb_dual, lb_projected = cert.lower_bound_report
-    else:
-        lb_dual = k_frame_check(cert.dual, cert.env.adjoint(), policy).lower
-        lb_projected = k_frame_check(cert.frame.map(cert.env.proj_range_k), cert.env, policy).lower
+    lb_dual, lb_projected = (cert.lower_bound_report
+                             or _lower_bounds(cert.frame, cert.dual, cert.env, policy))
     guarantee_dual = 1.0 / optimal_bessel_bound(cert.frame)
     guarantee_projected = 1.0 / optimal_bessel_bound(cert.dual)
     if not (_gate(guarantee_dual - lb_dual, guarantee_dual, _SLACK)
@@ -210,8 +219,8 @@ def canonical_dual_bound_certificate(
     S = S_F|_{R(K)} has |S^-1| <= |K^dagger|^2 / A. The canonical dual is
     T_Ftilde = K* S^-1 P_{S_F(R(K))} T_F, and since
     |P_{S_F(R(K))} T_F|^2 = |S_F|_{S_F(R(K))}| <= B, its Bessel bound is
-    |T_Ftilde|^2 <= |K|^2 |S^-1|^2 B <= B |K|^2 |K^dagger|^4 / A^2, which
-    has the degree of the Bessel bound, so it holds at any scale.
+    |T_Ftilde|^2 <= |K|^2 |S^-1|^2 B <= B (|K| |K^dagger| |K^dagger| / A)^2, of
+    the Bessel bound's degree and evaluated in that order, so at any scale.
     """
     validation = validate_bounds(f, env, a, b, policy)
     if not validation.valid:
@@ -220,7 +229,7 @@ def canonical_dual_bound_certificate(
             f"({validation.lower_slack:.3e}, {validation.upper_slack:.3e})"
         )
     dual = canonical_k_dual(f, env, policy)
-    envelope = (1.0 / b, b * env.norm() ** 2 * env.pinv_norm() ** 4 / a**2)
+    envelope = (1.0 / b, b * (env.norm() * env.pinv_norm() * env.pinv_norm() / a) ** 2)
     observed = (k_frame_check(dual, env.adjoint(), policy).lower, optimal_bessel_bound(dual))
     return BoundReport(envelope, observed,
                        _gate((envelope[0] - observed[0]) / envelope[0], 1.0, _SLACK),
@@ -321,7 +330,7 @@ def reciprocal_dual(
     K f = sum_i <K f, P_{R(K)} f_i> P_{R(K)} (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i.
     """
     k_frame_check(f, env, policy)
-    rmap = frame_restriction(f, env, policy)
+    rmap = frame_restriction(f, env)
     reduced = Frame((rmap.matrix @ f.synthesis).T)
     companion = Frame((env.k_adjoint @ env.proj_range_k @ f.synthesis).T)
     return verify_k_dual(reduced, companion, env, policy)
@@ -352,7 +361,7 @@ def noncommutativity_witness(
 ) -> WitnessReport:
     """Test whether the exchanged construction on Ftilde recovers F, to ``identity_tol`` |T_F|."""
     dual = canonical_k_dual(f, env, policy)
-    rmap = frame_restriction(dual, env.adjoint(), policy)
+    rmap = frame_restriction(dual, env.adjoint())
     witness = env.k @ rmap.matrix
     images = (witness @ f.synthesis).T
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
@@ -411,7 +420,7 @@ def minimal_norm_identity(
     # for c = 0 the split holds only with d = 0; rel is then the absolute residual
     rel = identity.residual / lhs if lhs else identity.residual
 
-    rmap = frame_restriction(f, env, policy)
+    rmap = frame_restriction(f, env)
     composed = (
         env.k_adjoint
         @ rmap.matrix
@@ -440,7 +449,7 @@ def canonical_coefficients(
     if target.size != f.ambient_dim:
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
     dual = canonical_k_dual(f, env, policy)
-    rmap = frame_restriction(f, env, policy)
+    rmap = frame_restriction(f, env)
     coeffs = _synthesis_factors(f).solve(
         f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
     )[0]

@@ -64,9 +64,9 @@ class Frame:
     """Ordered finite sequence of vectors in C^n, stored as rows (N x n).
 
     A frame memoizes what it derives from factorizations: the singular
-    values of its synthesis operator and, per (operator env, tolerance
-    policy), the results of ``k_frame_check``, ``frame_restriction`` and
-    ``canonical_k_dual``. Memoization never changes a result, entries are
+    values of its synthesis operator and, per operator env, the results of
+    ``frame_restriction`` and (per tolerance policy too) of ``k_frame_check``
+    and ``canonical_k_dual``. Memoization never changes a result, entries are
     only ever added (so concurrent use stays safe), and singular vectors are
     never kept.
     """
@@ -169,7 +169,8 @@ def k_frame_check(
     A = 1/|pinv(T_F) K|^2. The one cross-check, ``linalg``'s QR route,
     shares only U_r of that SVD; it must agree with the Douglas route in
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
-    per (env, policy).
+    per (env, policy). Both routes take L1 = K V_k (``env.range_factor``, n x k),
+    so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -178,11 +179,9 @@ def k_frame_check(
     if env.is_zero():
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     factors = _synthesis_factors(f)
-    norm_k = env.norm()
-    inclusion, _, core = _douglas(
-        env.k, f.synthesis, factors, norm_k, policy, NotKFrame, "R(K) not contained in R(T_F)"
-    )
-    lower = 1.0 / _majorization(env.k, f.synthesis, factors, core) ** 2
+    inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), policy,
+                                  NotKFrame, "R(K) not contained in R(T_F)")
+    lower = 1.0 / _majorization(env.range_factor, f.synthesis, factors, core) ** 2
     upper = float(factors.singular_values[0] ** 2)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 

@@ -30,12 +30,13 @@ norms; a residual that only gates (``_within``) is decided on its Frobenius
 norm first. Every identity is homogeneous, so every verdict is one gate,
 ``_gate``: residual <= tol * scale, for the magnitude ``scale`` of the
 identity's terms and no absolute floor, so no verdict depends on the units
-of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and reads
-K*, K^dagger, its range and projector, its norms and its adjoint off them,
-memoized on first use. ``svd_decompose(m).pinv()`` is the pseudo-inverse of
-a matrix. A memoized value is the value a fresh computation returns, so
-memoization never changes a result. Memo entries are only ever added and
-every caller gets the stored entry, so concurrent use stays safe.
+of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
+reads K*, K^dagger, its range and projector, its norms, its adjoint, its
+range factor K V_k (n x k) and the env of Sigma_k off them, memoized on first use.
+``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix. A memoized
+value is the value a fresh computation returns, so memoization never changes
+a result. Memo entries are only ever added and every caller gets the stored
+entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -473,6 +474,8 @@ class OperatorEnv:
     env of K* on the adjoint factors) are derived from ``factors`` on first
     use and memoized on the value; the norms read its singular values. An
     env holds its adjoint, and the adjoint never refers back to it.
+    K-frame questions are asked on ``range_factor`` or ``range_coordinates``; both
+    drop only K - K V_k V_k*, which the P_{R(K)} K = K self-check caps at tol |K|.
     """
 
     k: np.ndarray
@@ -517,6 +520,25 @@ class OperatorEnv:
     @property
     def proj_range_k_adjoint(self) -> np.ndarray:
         return self.adjoint().proj_range_k
+
+    @property
+    def range_factor(self) -> np.ndarray:
+        """U_k Sigma_k = K V_k (n x k); the adjoint's is V_k Sigma_k = K* U_k."""
+        r, f = self.rank, self.factors
+        return _memo(self, "range_factor",
+                     lambda: _read_only(f.left_vectors[:, :r] * f.singular_values[:r]))
+
+    @property
+    def range_coordinates(self) -> "OperatorEnv":
+        """The env of Sigma_k = U_k* K V_k, built on known factors, not ``from_matrix``."""
+        s = self.factors.singular_values[: self.rank]
+
+        def build():
+            eye = _read_only(np.eye(s.size, dtype=np.complex128))
+            return OperatorEnv(_read_only(np.diag(s.astype(np.complex128))),
+                               SvdFactors(eye, s, eye, s.size))
+
+        return _memo(self, "range_coordinates", build)
 
     @property
     def dim(self) -> int:

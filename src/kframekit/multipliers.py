@@ -588,7 +588,7 @@ def range_inclusion_right_inverse(
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
-    phi_dag = phi.map(frame_restriction(phi, env.adjoint(), policy).matrix)
+    phi_dag = phi.map(frame_restriction(phi, env.adjoint()).matrix)
     psi_tilde = canonical_k_dual(psi, env, policy)
     left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
@@ -619,7 +619,7 @@ def range_inclusion_left_inverse(
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
-    psi_dag = psi.map(frame_restriction(psi, env, policy).adjoint_matrix @ env.proj_range_k)
+    psi_dag = psi.map(frame_restriction(psi, env).adjoint_matrix @ env.proj_range_k)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)

@@ -91,21 +91,26 @@ def factorizations(monkeypatch):
     """
     counter = {"n": 0, "inputs": [], "names": []}
 
-    def count(owner, name):
+    def count(owner, name, label=None):
         original = getattr(owner, name)
 
         def counted(a, *args, **kwargs):
             counter["n"] += 1
             counter["inputs"].append(np.array(a))
-            counter["names"].append(name)
+            counter["names"].append(label or name)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
     for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
         count(np.linalg, name)
-    count(np.linalg._linalg, "svd")  # the binding np.linalg.norm(., 2) calls
+    count(np.linalg._linalg, "svd", "svd_norm")  # the binding np.linalg.norm(., 2) calls
     return counter
+
+
+def operands(counter, name):
+    """Shapes of the operands of the counted ``name`` calls, in call order."""
+    return [a.shape for a, n in zip(counter["inputs"], counter["names"]) if n == name]
 
 
 class TestCounts:
@@ -125,6 +130,17 @@ class TestCounts:
         factorizations["n"] = 0
         k_frame_check(f, env)
         assert factorizations["n"] == 6
+
+    def test_k_frame_check_norms_have_rank_k_columns(self, factorizations):
+        # L1 is K's range factor U_k Sigma_k (8 x 4), not K (8 x 8)
+        vectors, k, _ = instance(10)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        k_frame_check(f, env)
+        norms = operands(factorizations, "svd_norm")
+        assert len(norms) == 3
+        assert all(shape[1] <= 4 for shape in norms)
 
     def test_optimal_bounds_make_no_eigendecomposition(self, factorizations):
         vectors, k, _ = instance(19)
@@ -159,8 +175,12 @@ class TestCounts:
         dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["n"] = 0
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
         verify_k_dual(f, dual, env, with_lower_bounds=True)
         assert factorizations["n"] <= 13
+        # T_G, and the projected frame in R(K)'s coordinates: k x N, not n x N
+        assert sorted(operands(factorizations, "svd")) == [(4, 12), (8, 12)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Phi and of Psi (6 each), one SVD of T_Psi for both
@@ -235,6 +255,15 @@ class TestCounts:
         assert right.matrix.tobytes() == fresh.matrix.tobytes()
         assert right.majorization == fresh.majorization
 
+    def test_tolerance_does_not_redo_the_restriction(self, factorizations):
+        # frame_restriction does not depend on the policy: only T_F is factored again
+        vectors, k, _ = instance(12)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        canonical_k_dual(f, env)
+        factorizations["names"].clear()
+        canonical_k_dual(f, env, DEFAULT_POLICY.with_tol(1e-9))
+        assert factorizations["names"].count("svd") == 1
+
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
@@ -243,8 +272,8 @@ class TestCounts:
         factorizations["n"] = 0
         assert k_frame_check(f, env) is bounds
         assert canonical_k_dual(f, env) is dual
-        frame_restriction(f, env, DEFAULT_POLICY)
-        env.norm(), env.pinv_norm(), env.adjoint()
+        frame_restriction(f, env)
+        env.norm(), env.pinv_norm(), env.adjoint(), env.range_factor, env.range_coordinates
         assert factorizations["n"] == 0
 
 

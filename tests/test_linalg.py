@@ -13,6 +13,7 @@ from kframekit.errors import (
     ShapeMismatch,
 )
 from kframekit.linalg import (
+    DEFAULT_POLICY,
     OperatorEnv,
     Subspace,
     _within,
@@ -208,7 +209,7 @@ class TestIllConditionedMajorization:
     there, all from 1e-6), and underflows at small input scales.
     """
 
-    @pytest.mark.parametrize("c", [1e-5, 1e-6, 1e-8])
+    @pytest.mark.parametrize("c", [1e-4, 1e-5, 1e-6, 1e-8])
     def test_bounds_match_the_oracle(self, c):
         from kframekit.frames import Frame, k_frame_check
 
@@ -219,6 +220,38 @@ class TestIllConditionedMajorization:
             lower = k_frame_check(Frame(syn.T), OperatorEnv.from_matrix(k)).lower
             assert abs(lower * lam**2 - 1.0) <= 10 * np.finfo(float).eps / c
             assert abs(majorization_constant(k, syn) / lam - 1.0) <= 10 * np.finfo(float).eps / c
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8])
+    def test_projected_bound_in_range_coordinates(self, c):
+        # {U_k* f_i} against Sigma_k has the lower bound of {P_R(K) f_i} against K
+        from kframekit.duality import _lower_bounds
+        from kframekit.frames import Frame, k_frame_check
+
+        for seed in range(20):
+            syn, x0, _ = graded_instance(seed, c)
+            f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+            projected = k_frame_check(f.map(env.proj_range_k), env).lower
+            got = _lower_bounds(f, Frame.standard_basis(20), env, DEFAULT_POLICY)[1]
+            assert got == pytest.approx(projected, rel=1e-12)
+
+    def test_full_rank_operator(self):
+        # k = n: the range factor is K V, a rotation of K, and P_R(K) = I
+        from kframekit.duality import canonical_k_dual, verify_k_dual
+        from kframekit.frames import Frame, k_frame_check
+
+        rng = np.random.default_rng(53)
+        syn = crandn(rng, 6, 9)
+        k = crandn(rng, 6, 6)
+        f, env = Frame(syn.T), OperatorEnv.from_matrix(k)
+        assert env.range_factor.shape == (6, 6)
+        lower = k_frame_check(f, env).lower
+        assert lower == pytest.approx(1 / spectral_norm(np.linalg.pinv(syn) @ k) ** 2, rel=1e-12)
+        cert = verify_k_dual(f, canonical_k_dual(f, env), env)
+        assert cert.passed and cert.lower_bound_report[1] == pytest.approx(lower, rel=1e-12)
+        assert cert.residual <= 1e-13 * env.norm()
+        stranger = Frame(crandn(rng, 9, 6))
+        assert verify_k_dual(f, stranger, env).residual == pytest.approx(
+            spectral_norm(k - syn @ stranger.analysis), rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-200])
     def test_small_inputs_keep_the_lower_bound(self, scale):
@@ -472,6 +505,18 @@ class TestOperatorEnv:
         assert env.norm() == adj.norm() == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
         expected = np.linalg.norm(pinv, 2) if rank else 0.0
         assert env.pinv_norm() == adj.pinv_norm() == pytest.approx(expected, rel=1e-12)
+        # U_k Sigma_k = K V_k, V_k Sigma_k = K* U_k, and Sigma_k = U_k* K V_k
+        u, v = env.range_k.basis, adj.range_k.basis
+        assert env.range_factor.shape == adj.range_factor.shape == (n, rank)
+        np.testing.assert_allclose(env.range_factor, k @ v, atol=1e-12)
+        np.testing.assert_allclose(adj.range_factor, k.conj().T @ u, atol=1e-12)
+        coords = env.range_coordinates
+        assert (coords.dim, coords.rank) == (rank, rank)
+        np.testing.assert_allclose(coords.k, u.conj().T @ k @ v, atol=1e-12)
+        if rank:
+            assert (coords.norm(), coords.pinv_norm()) == (env.norm(), env.pinv_norm())
+        assert env.range_coordinates is coords
+        assert not (env.range_factor.flags.writeable or coords.k.flags.writeable)
         arrays = (
             env.k, env.k_adjoint, env.k_pinv, env.proj_range_k, env.proj_range_k_adjoint,
             env.range_k.basis, adj.range_k.basis, adj.k_pinv,

@@ -10,8 +10,10 @@ Each verdict, ``passed`` flag, raised error and exit code must be the one at
 s = 1, and each reported number must be its value at s = 1 times the scale of
 its bidegree, to 1e-9 relative. A residual at rounding level has no degree,
 so only the residuals of identities that fail are compared; thresholds
-always are. Inputs of size 1e+-150 are out of reach here: |K^dagger|^4
-overflows there. ``tightness_check`` alone is also run at 1e+-90 and 1e+-120.
+always are. Inputs of size 1e+-150 are out of reach here: products such
+as K K* under- or overflow there. ``tightness_check`` is also run at
+1e+-90 and 1e+-120, and the canonical-dual envelope, evaluated without
+forming |K^dagger|^4, from 1e-100 to 1e60.
 """
 
 import dataclasses
@@ -600,6 +602,22 @@ class TestCli:
                 "Bessel bounds": ([r["envelope"][1], r["dual_optimal_bounds"][1]], (-2, 2)),
             }
         scaling.check(run)
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-60, 1e-40, 1e40, 1e60])
+    def test_dual_envelope_far_from_unit_scale(self, scaling, invoke, s):
+        # B |K|^2 |K^dagger|^4 / A^2 in that order under- or overflows at these scales
+        def envelope(s):
+            lower = BOUNDS.lower * scaling.factor(s, (2, -2))
+            upper = BOUNDS.upper * scaling.factor(s, (2, 0))
+            return canonical_dual_bound_certificate(
+                scaling.frame(s, VECTORS), scaling.env(s, K), lower, upper
+            )
+        report = envelope(s)
+        assert report.passed
+        want = envelope(1.0).envelope[1] * scaling.factor(s, (-2, 2))
+        assert report.envelope[1] == pytest.approx(want, rel=RTOL)
+        (code, passed, error), _ = invoke("dual", [scaling.frame(s, VECTORS)], scaling.env(s, K))
+        assert (code, error) == (0, False) and all(passed.values())
 
     def test_dual_family(self, scaling, invoke):
         def run(s):
