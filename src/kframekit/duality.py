@@ -6,13 +6,16 @@ K-dual
 
     ftilde_i = K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i,
 
-built from the frame operator's restricted inverse, and the complete family of
-K-duals is ``g_i = ftilde_i + phi* delta_i`` over the maps phi (coefficient
-valued) with P_{R(K)} T_F phi = 0. Alongside the constructions this module
-verifies the by-products: the lower bounds a dual pair inherits, the
-reciprocal dual pair, the failure of dual-of-the-dual recovery (unlike
-classical frames), the minimal-norm property of the canonical coefficients
-<f, ftilde_i>, and their pseudo-inverse closed form.
+and the complete family of K-duals is ``g_i = ftilde_i + phi* delta_i`` over
+the maps phi (coefficient valued) with P_{R(K)} T_F phi = 0. Alongside the
+constructions this module verifies the by-products: the lower bounds a dual
+pair inherits, the reciprocal dual pair, the failure of dual-of-the-dual
+recovery (unlike classical frames) and the minimal-norm property of the
+canonical coefficients <f, ftilde_i>.
+
+The restriction (S_F|_{R(K)})^-1 P_{S_F(R(K))} is applied in factored order on
+the SVD T_F = U_r Sigma V_r* that ``k_frame_check`` took (``_restriction``), so
+S_F = T_F T_F*, whose condition number is kappa(T_F)^2, is never formed.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from .errors import (
     InvalidBounds,
     NotADual,
     NotARepresentation,
+    RankDeficientRestriction,
     ShapeMismatch,
 )
 from .frames import (
     Frame,
-    _synthesis_factors,
+    _k_frame_check,
+    _restriction_record,
     k_frame_check,
     optimal_bessel_bound,
     validate_bounds,
@@ -41,13 +46,15 @@ from .linalg import (
     DEFAULT_POLICY,
     CheckResult,
     OperatorEnv,
-    RestrictedMap,
     TolerancePolicy,
     _gate,
+    _memo,
     _memoized_per_operator,
+    _Restriction,
+    _restricted_inverse,
     _within,
-    restricted_inverse,
     spectral_norm,
+    svd_decompose,
 )
 
 __all__ = [
@@ -88,15 +95,17 @@ class KDualCertificate:
     lower_bound_report: tuple[float, float] | None = None
 
 
-@_memoized_per_operator
-def frame_restriction(f: Frame, env: OperatorEnv, policy=DEFAULT_POLICY) -> RestrictedMap:
-    """Inverse of S_F restricted to R(K), as a full-space matrix.
+def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
+    """(S_F|_{R(K)})^-1 P_{S_F(R(K))} as a ``_Restriction`` with L = T_F, memoized per env.
 
-    The returned map annihilates S_F(R(K))-perp, so its matrix realizes
-    (S_F|_{R(K)})^-1 P_{S_F(R(K))} in one piece. Memoized on ``f`` per env:
-    it does not depend on the policy, so no caller passes one.
+    Its r x k operand B = Sigma^2 U_r* Q is read off ``f``'s record, not off S_F Q.
     """
-    return restricted_inverse(f.frame_operator, env.range_k)
+
+    def build():
+        sigma, v, w = _restriction_record(f, env)
+        return env, _restricted_inverse(sigma, v, sigma[:, None] ** 2 * w)
+
+    return _memo(f, ("restriction", id(env)), build)[1]
 
 
 @_memoized_per_operator
@@ -105,14 +114,13 @@ def canonical_k_dual(
 ) -> Frame:
     """Canonical K-dual {K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i}.
 
-    Index order follows ``f`` (equal frame vectors yield equal duals).
-    Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame. Memoized on
-    ``f`` per (env, policy).
+    Index order follows ``f`` (equal frame vectors yield equal duals). Built
+    as (K* Q) B^+ (Sigma V_r*), K* Q = V_k Sigma_k being the adjoint's range
+    factor. Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
+    Memoized on ``f`` per (env, policy).
     """
     k_frame_check(f, env, policy)
-    rmap = frame_restriction(f, env)
-    dual_syn = env.k_adjoint @ rmap.matrix @ f.synthesis
-    return Frame(dual_syn.T)
+    return Frame((env.adjoint().range_factor @ _restriction(f, env).coordinates()).T)
 
 
 def verify_k_dual(
@@ -142,11 +150,11 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, 
 
     P T_F = U_k (U_k* T_F) and U_k* K = Sigma_k V_k*, so the second is exactly that
     of {U_k* f_i} against Sigma_k: an SVD of k x N, not n x N, with rank cutoff
-    max(k, N), the same number as max(n, N) whenever N >= n.
+    max(k, N), the same number as max(n, N) whenever N >= n. Neither leaves a record.
     """
     coordinates = f.map(env.range_k.basis.conj().T)
-    return (k_frame_check(g, env.adjoint(), policy).lower,
-            k_frame_check(coordinates, env.range_coordinates, policy).lower)
+    return (_k_frame_check(g, env.adjoint(), policy, False).lower,
+            _k_frame_check(coordinates, env.range_coordinates, policy, False).lower)
 
 
 def _require_k_dual(
@@ -330,8 +338,7 @@ def reciprocal_dual(
     K f = sum_i <K f, P_{R(K)} f_i> P_{R(K)} (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i.
     """
     k_frame_check(f, env, policy)
-    rmap = frame_restriction(f, env)
-    reduced = Frame((rmap.matrix @ f.synthesis).T)
+    reduced = Frame((env.range_k.basis @ _restriction(f, env).coordinates()).T)
     companion = Frame((env.k_adjoint @ env.proj_range_k @ f.synthesis).T)
     return verify_k_dual(reduced, companion, env, policy)
 
@@ -361,11 +368,16 @@ def noncommutativity_witness(
 ) -> WitnessReport:
     """Test whether the exchanged construction on Ftilde recovers F, to ``identity_tol`` |T_F|."""
     dual = canonical_k_dual(f, env, policy)
-    rmap = frame_restriction(dual, env.adjoint())
-    witness = env.k @ rmap.matrix
-    images = (witness @ f.synthesis).T
+    # Ftilde lies in R(K*) = span V_k: for G = V_k* T_Ftilde = U_g Sigma_g V_g* and
+    # Y = U_g Sigma_g^-1, W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
+    basis = env.adjoint().range_k.basis
+    g = svd_decompose(basis.conj().T @ dual.synthesis)
+    if g.rank < env.rank:
+        raise RankDeficientRestriction(f"S_Ftilde collapses R(K*): rank {g.rank} < {env.rank}")
+    y = g.left_vectors / g.singular_values
+    images = (env.range_factor @ (y @ (y.conj().T @ (basis.conj().T @ f.synthesis)))).T
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
-    double_dual = (witness @ dual.synthesis).T
+    double_dual = (env.range_factor @ (y @ g.right_vectors.conj().T)).T
     recovery_disc = np.linalg.norm(double_dual - f.vectors, axis=1)
     check = _gate(float(np.max(recovery_disc)), f.norm(), policy.identity_tol)
     return WitnessReport(images, frame_disc, double_dual, recovery_disc, check.ok, check.threshold)
@@ -375,21 +387,33 @@ def noncommutativity_witness(
 class IdentityReport:
     """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2.
 
-    ``d`` holds the canonical coefficients <f, ftilde_i>; ``matrix_residual``
-    is the error of the closed form
-    S_Ftilde = K* (S_F|)^-1 P S_F ((S_F|)^-1)* K against the assembled dual
-    frame operator, gated at ``matrix_threshold``.
+    ``d`` holds the canonical coefficients <f, ftilde_i>; ``dual_residual``
+    is the error of the dual identity applied to the target,
+    |P_{R(K)} T_F d - K target|, gated at ``dual_threshold``.
     """
 
     lhs: float
     rhs: float
     relative_error: float
     identity_ok: bool
-    matrix_residual: float
-    matrix_threshold: float
-    matrix_ok: bool
+    dual_residual: float
+    dual_threshold: float
+    dual_ok: bool
     passed: bool
     canonical: np.ndarray
+
+
+def _dual_identity(
+    f: Frame, env: OperatorEnv, target: np.ndarray, d: np.ndarray, tol: float
+) -> CheckResult:
+    """|P_{R(K)} T_F d - K target| in R(K)'s coordinates, against ``tol`` times
+    |K| |target| + |T_F| |d|: the dual identity applied to ``target``, which the
+    construction of d shares nothing with.
+    """
+    achieved = env.range_k.basis.conj().T @ (f.synthesis @ d)
+    residual = float(np.linalg.norm(env.adjoint().range_factor.conj().T @ target - achieved))
+    scale = env.norm() * float(np.linalg.norm(target)) + f.norm() * float(np.linalg.norm(d))
+    return _gate(residual, scale, tol)
 
 
 def minimal_norm_identity(
@@ -403,6 +427,7 @@ def minimal_norm_identity(
 
     Requires T_F coeffs = T_F d (the representability hypothesis) to
     ``identity_tol`` |T_F| (|coeffs| + |d|); raises NotARepresentation otherwise.
+    d itself must pass ``_dual_identity`` to ``identity_tol``.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -419,19 +444,9 @@ def minimal_norm_identity(
     identity = _gate(abs(lhs - rhs), lhs, _SLACK)
     # for c = 0 the split holds only with d = 0; rel is then the absolute residual
     rel = identity.residual / lhs if lhs else identity.residual
-
-    rmap = frame_restriction(f, env)
-    composed = (
-        env.k_adjoint
-        @ rmap.matrix
-        @ f.frame_operator
-        @ rmap.adjoint_matrix
-        @ env.k
-    )
-    s_dual = dual.frame_operator
-    matrix = _gate(spectral_norm(s_dual - composed), spectral_norm(s_dual), policy.identity_tol)
-    return IdentityReport(lhs, rhs, rel, identity.ok, matrix.residual, matrix.threshold, matrix.ok,
-                          identity.ok and matrix.ok, d)
+    dual_check = _dual_identity(f, env, target, d, policy.identity_tol)
+    return IdentityReport(lhs, rhs, rel, identity.ok, dual_check.residual, dual_check.threshold,
+                          dual_check.ok, identity.ok and dual_check.ok, d)
 
 
 def canonical_coefficients(
@@ -440,25 +455,18 @@ def canonical_coefficients(
     target: np.ndarray,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Canonical coefficients via the pseudo-inverse closed form.
+    """Canonical coefficients {<target, ftilde_i>}, read off the memoized dual.
 
-    Returns pinv(T_F) S_F ((S_F|_{R(K)})^-1)* K target and asserts it equals
-    {<target, ftilde_i>} to 1e-9 |T_Ftilde|_F |target|.
+    They must pass ``_dual_identity`` to 1e-9, else InternalConsistencyError.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     if target.size != f.ambient_dim:
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
-    dual = canonical_k_dual(f, env, policy)
-    rmap = frame_restriction(f, env)
-    coeffs = _synthesis_factors(f).solve(
-        f.frame_operator @ rmap.adjoint_matrix @ env.k @ target
-    )[0]
-    direct = dual.analysis @ target
-    check = _gate(float(np.linalg.norm(coeffs - direct)),
-                  float(np.linalg.norm(dual.synthesis) * np.linalg.norm(target)), _SLACK)
+    d = canonical_k_dual(f, env, policy).analysis @ target
+    check = _dual_identity(f, env, target, d, _SLACK)
     if not check:
         raise InternalConsistencyError(
-            f"pseudo-inverse coefficients differ from <f, ftilde_i> by {check.residual:.3e}",
+            f"canonical coefficients miss P_R(K) T_F d = K x by {check.residual:.3e}",
             check.residual,
         )
-    return coeffs
+    return d

@@ -38,6 +38,7 @@ from .linalg import (
     _memo,
     _memoized_per_operator,
     _rank,
+    _read_only,
     as_matrix,
     min_eig,
     spectral_norm,
@@ -64,11 +65,11 @@ class Frame:
     """Ordered finite sequence of vectors in C^n, stored as rows (N x n).
 
     A frame memoizes what it derives from factorizations: the singular
-    values of its synthesis operator and, per operator env, the results of
-    ``frame_restriction`` and (per tolerance policy too) of ``k_frame_check``
-    and ``canonical_k_dual``. Memoization never changes a result, entries are
-    only ever added (so concurrent use stays safe), and singular vectors are
-    never kept.
+    values of its synthesis operator and, per operator env, the restriction
+    record (``_restriction_record``) with the restriction built on it and (per
+    tolerance policy too) the results of ``k_frame_check`` and ``canonical_k_dual``.
+    Memoization never changes a result, entries are only ever added (so
+    concurrent use stays safe), and neither U_r nor an n x n matrix is kept.
     """
 
     vectors: np.ndarray
@@ -156,7 +157,23 @@ def optimal_bessel_bound(f: Frame) -> float:
     return f.norm() ** 2
 
 
-@_memoized_per_operator
+def _restriction_record(
+    f: Frame, env: OperatorEnv, factors: SvdFactors | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Sigma_r, V_r, U_r* Q) of T_F = U_r Sigma_r V_r*, for Q the range basis of K.
+
+    Read off ``factors`` when given, else off a fresh SVD; memoized on ``f`` per env.
+    """
+
+    def build():
+        fac = factors or _synthesis_factors(f)
+        r = fac.rank
+        w = fac.left_vectors[:, :r].conj().T @ env.range_k.basis
+        return env, (fac.singular_values[:r], fac.right_vectors[:, :r], _read_only(w))
+
+    return _memo(f, ("restriction_record", id(env)), build)[1]
+
+
 def k_frame_check(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> FrameBounds:
@@ -171,7 +188,16 @@ def k_frame_check(
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
     per (env, policy). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
+    The same SVD leaves ``f``'s restriction record, on which the dual is built.
     """
+    return _k_frame_check(f, env, policy, True)
+
+
+@_memoized_per_operator
+def _k_frame_check(
+    f: Frame, env: OperatorEnv, policy: TolerancePolicy, keep_record: bool
+) -> FrameBounds:
+    """``k_frame_check``; a frame checked only for its bounds skips the record."""
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
             f"frame lives in C^{f.ambient_dim}, operator acts on C^{env.dim}"
@@ -183,6 +209,8 @@ def k_frame_check(
                                   NotKFrame, "R(K) not contained in R(T_F)")
     lower = 1.0 / _majorization(env.range_factor, f.synthesis, factors, core) ** 2
     upper = float(factors.singular_values[0] ** 2)
+    if keep_record:
+        _restriction_record(f, env, factors)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 
 

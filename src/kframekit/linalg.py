@@ -7,9 +7,10 @@ values above sigma_max * max(rows, cols) * 2^-40), Moore-Penrose
 pseudo-inverses, orthonormal range bases and projectors, range-inclusion
 tests with the associated factorization (given operators L1, L2 with
 R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
-L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), inverses of an
-operator restricted to a subspace, and a sufficient invertibility margin for
-perturbed operators.
+L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), the inverse of
+an operator A = L R* restricted to a subspace, applied in factored order on
+the SVD of L (``_Restriction``: A is never formed, so neither is a frame
+operator), and a sufficient invertibility margin for perturbed operators.
 
 All "closed range" hypotheses of the underlying operator theory are vacuous
 here: everything is finite dimensional, and only numerical rank is ever
@@ -18,7 +19,7 @@ immutable value and every function is pure, so unrestricted concurrent use
 is safe.
 
 Each function factors its operand once: ``range_inclusion_check``,
-``douglas_solve``, ``majorization_constant`` and ``restricted_inverse`` pass
+``douglas_solve`` and ``majorization_constant`` pass
 one ``SvdFactors`` through every step that needs it. Douglas' lemma is
 decided once, in the private ``_douglas`` step (inclusion test raising the
 caller's error, minimal solution, residual gate), which ``k_frame_check``
@@ -62,7 +63,6 @@ __all__ = [
     "Subspace",
     "OperatorEnv",
     "CheckResult",
-    "RestrictedMap",
     "MarginReport",
     "as_matrix",
     "spectral_norm",
@@ -72,7 +72,6 @@ __all__ = [
     "range_inclusion_check",
     "douglas_solve",
     "majorization_constant",
-    "restricted_inverse",
     "neumann_invertibility_margin",
 ]
 
@@ -125,18 +124,19 @@ def _memo(owner, key, compute):
 
 
 def _memoized_per_operator(fn):
-    """Memoize ``fn(value, env, policy)`` on ``value`` per (env, policy).
+    """Memoize ``fn(value, env, policy, *rest)`` on ``value`` per (env, policy).
 
     The entry holds ``env`` itself, so the ``id`` in its key cannot be
     reused while the entry lives; an env never refers back to the values
     that memoize results for it, which keeps the references one-way and
-    free of cycles. Failures are not memoized.
+    free of cycles. Failures are not memoized; ``rest`` may steer side effects
+    only, so it is not part of the key.
     """
 
     @functools.wraps(fn)
-    def memoized(value, env, policy=DEFAULT_POLICY):
+    def memoized(value, env, policy=DEFAULT_POLICY, *rest):
         key = (fn.__name__, id(env), policy)
-        return _memo(value, key, lambda: (env, fn(value, env, policy)))[1]
+        return _memo(value, key, lambda: (env, fn(value, env, policy, *rest)))[1]
 
     return memoized
 
@@ -383,42 +383,34 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
 
 
 @dataclass(frozen=True)
-class RestrictedMap:
-    """Inverse of ``s`` viewed as a bijection from a subspace V onto s(V).
+class _Restriction:
+    """(A|_V)^-1 P_{A(V)} = Q B^+ U_r* for A = L R*, L = U_r Sigma V_r*, Q a basis of V.
 
-    ``matrix`` is the full-space realization: it annihilates s(V)-perp and
-    maps s(V) back onto V, so ``matrix @ s`` acts as the identity on V.
+    A Q = U_r B for the r x k operand B = Sigma V_r* R* Q, whose one SVD is ``b``.
+    Neither A nor U_r is formed: U_r* L = Sigma V_r*, and U_r = L V_r Sigma^-1.
     """
 
-    matrix: np.ndarray
-    domain: Subspace
+    sigma: np.ndarray
+    v: np.ndarray
+    b: SvdFactors
 
-    @property
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
+    def coordinates(self) -> np.ndarray:
+        """B^+ Sigma V_r*: the restriction applied to L, in Q's coordinates."""
+        return self.b.solve(self.sigma[:, None] * self.v.conj().T)[0]
+
+    def adjoint_coefficients(self, c: np.ndarray) -> np.ndarray:
+        """V_r Sigma^-1 (B^+)* c: L times it is the adjoint restriction applied to Q c."""
+        return (self.v / self.sigma) @ self.b.adjoint().solve(c)[0]
 
 
-def restricted_inverse(s, v: Subspace) -> RestrictedMap:
-    """Invert ``s`` restricted to ``v``; requires s injective on v.
-
-    Raises RankDeficientRestriction when ``s`` collapses ``v``.
-    """
-    a = as_matrix(s, "s")
-    if a.shape[1] != v.ambient_dim:
-        raise ShapeMismatch(
-            f"operator acts on C^{a.shape[1]} but subspace lives in C^{v.ambient_dim}"
-        )
-    if not v.dim:
-        matrix = np.zeros((v.ambient_dim, a.shape[0]), dtype=np.complex128)
-        domain = Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=np.complex128))
-        return RestrictedMap(_read_only(matrix), domain)
-    f = svd_decompose(a @ v.basis)
-    if f.rank < v.dim:
+def _restricted_inverse(sigma: np.ndarray, v: np.ndarray, operand: np.ndarray) -> _Restriction:
+    """``_Restriction`` on one SVD of ``operand`` = B; RankDeficientRestriction if A collapses V."""
+    b = svd_decompose(operand)
+    if b.rank < operand.shape[1]:
         raise RankDeficientRestriction(
-            f"operator collapses the subspace: rank {f.rank} < dim {v.dim}"
+            f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
         )
-    domain = Subspace(a.shape[0], f.left_vectors[:, : f.rank])
-    return RestrictedMap(_read_only(v.basis @ f.pinv()), domain)
+    return _Restriction(sigma, v, b)
 
 
 @dataclass(frozen=True)
@@ -475,7 +467,8 @@ class OperatorEnv:
     use and memoized on the value; the norms read its singular values. An
     env holds its adjoint, and the adjoint never refers back to it.
     K-frame questions are asked on ``range_factor`` or ``range_coordinates``; both
-    drop only K - K V_k V_k*, which the P_{R(K)} K = K self-check caps at tol |K|.
+    drop only K - K V_k V_k*, of norm sigma_{k+1} <= n 2^-40 |K| (``_rank``), which
+    the self-check caps: |P_{R(K)} K - K| <= sigma_{k+1} + tol |K|.
     """
 
     k: np.ndarray
@@ -497,7 +490,8 @@ class OperatorEnv:
         tol = DEFAULT_POLICY.identity_tol * self.norm()
         _within(self.k @ self.k_pinv - self.proj_range_k, tol * self.pinv_norm(),
                 InternalConsistencyError, "K K^dagger differs from the range projector by {:.3e}")
-        _within(self.proj_range_k @ self.k - self.k, tol,
+        dropped = self.factors.singular_values[self.rank:]  # P_R(K) K - K has norm sigma_{k+1}
+        _within(self.proj_range_k @ self.k - self.k, (dropped[0] if dropped.size else 0.0) + tol,
                 InternalConsistencyError, "P_R(K) K differs from K by {:.3e}")
 
     @property

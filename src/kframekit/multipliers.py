@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _require_k_dual, canonical_k_dual, frame_restriction, verify_k_dual
+from .duality import _require_k_dual, _restriction, canonical_k_dual, verify_k_dual
 from .errors import (
     ConditionViolated,
     HypothesisNotMet,
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
+    _restriction_record,
     biorthogonal_sequence,
     k_frame_check,
     optimal_bessel_bound,
@@ -62,9 +63,9 @@ from .linalg import (
     _memoized_per_operator,
     _read_only,
     _require_inclusion,
+    _restricted_inverse,
     _within,
     neumann_invertibility_margin,
-    restricted_inverse,
     spectral_norm,
     svd_decompose,
 )
@@ -486,18 +487,22 @@ def _perturbed_restriction(
     bounds: tuple[float, float],
     policy: TolerancePolicy,
 ):
-    """Shared setup: condition check, invertibility margin, restricted inverse."""
+    """Shared setup: condition check, invertibility margin, restricted inverse.
+
+    (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi and
+    R* = diag(m) T_Psi*, so M itself is never formed.
+    """
     cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], policy)
     if not cond.satisfied:
         raise ConditionViolated(
             f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
             cond.rho - cond.tau,
         )
-    mult = assemble_multiplier(m, phi, psi)
-    reference = (phi.synthesis * m.values) @ phi.analysis
     basis = env.range_k.basis
+    analysis = (m.values[:, None] * psi.analysis) @ basis  # diag(m) T_Psi* Q: M Q = T_Phi analysis
+    reference = phi.synthesis @ ((m.values[:, None] * phi.analysis) @ basis)
     try:
-        report = neumann_invertibility_margin(reference @ basis, mult.matrix @ basis)
+        report = neumann_invertibility_margin(reference, phi.synthesis @ analysis)
     except NotInvertible as exc:
         raise RestrictionSingular(
             f"the reference operator already collapses R(K): {exc}"
@@ -507,10 +512,11 @@ def _perturbed_restriction(
             f"M collapses R(K): perturbation distance {report.distance:.3e} "
             f"vs margin {report.margin:.3e}"
         )
-    minv = restricted_inverse(mult.matrix, env.range_k)
+    sigma, v, _ = _restriction_record(phi, env)
+    minv = _restricted_inverse(sigma, v, sigma[:, None] * (v.conj().T @ analysis))
     diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
                    "margin": report.margin, "distance": report.distance}
-    return mult, minv, diagnostics
+    return minv, diagnostics
 
 
 def perturbation_k_dual(
@@ -527,9 +533,8 @@ def perturbation_k_dual(
     Psi = Phi and m = 1 the construction collapses to the canonical K-dual.
     Returns the verification certificate of the constructed dual against Psi.
     """
-    mult, minv, _ = _perturbed_restriction(phi, psi, env, m, bounds, policy)
-    dual_syn = env.k_adjoint @ minv.matrix @ (phi.synthesis * m.values)
-    dual = Frame(dual_syn.T)
+    minv = _perturbed_restriction(phi, psi, env, m, bounds, policy)[0]
+    dual = Frame((env.adjoint().range_factor @ (minv.coordinates() * m.values)).T)
     return verify_k_dual(psi, dual, env, policy)
 
 
@@ -550,11 +555,13 @@ def perturbation_right_inverse(
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
     The multiplier form of R must match it to ``identity_tol`` |(M^-1)* K|_F.
     """
-    mult, minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
+    minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
     _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a K-dual of Phi")
-    right = minv.adjoint_matrix @ env.k
+    # (M^-1)* Q c = T_Phi V_r Sigma^-1 (B^+)* c, for c = Q* K and c = Q* T_Phi
+    right = phi.synthesis @ minv.adjoint_coefficients(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
-    r_frame = phi.map(minv.adjoint_matrix @ env.proj_range_k)
+    r_frame = Frame((phi.synthesis @ minv.adjoint_coefficients(
+        env.range_k.basis.conj().T @ phi.synthesis)).T)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
                  policy.identity_tol)
@@ -588,7 +595,8 @@ def range_inclusion_right_inverse(
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
-    phi_dag = phi.map(frame_restriction(phi, env.adjoint()).matrix)
+    adjoint = env.adjoint()
+    phi_dag = Frame((adjoint.range_k.basis @ _restriction(phi, adjoint).coordinates()).T)
     psi_tilde = canonical_k_dual(psi, env, policy)
     left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
@@ -619,7 +627,9 @@ def range_inclusion_left_inverse(
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
-    psi_dag = psi.map(frame_restriction(psi, env).adjoint_matrix @ env.proj_range_k)
+    # ((S_Psi|)^-1)* P_K T_Psi = T_Psi V_r Sigma^-1 (B^+)* Q* T_Psi
+    psi_dag = Frame((psi.synthesis @ _restriction(psi, env).adjoint_coefficients(
+        env.range_k.basis.conj().T @ psi.synthesis)).T)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)

@@ -324,7 +324,7 @@ def reproduce_examples(
         offset = d + 0.7 * np.array([1.0, -1.0, 0.0])
         report = minimal_norm_identity(f2, env2, e1, offset, policy)
         add("c2.minimal-norm-pythagoras",
-            max(abs(report.lhs - 1.7), report.relative_error, report.matrix_residual),
+            max(abs(report.lhs - 1.7), report.relative_error, report.dual_residual),
             1e-10, report.lhs, 1.7, "0.72 + 2 (0.7)^2")
 
     @section("c4.dual")

@@ -353,7 +353,7 @@ class TestMinimalNorm:
             offset = null @ crandn(rng, null.shape[1]) if null.shape[1] else 0.0
             report = minimal_norm_identity(frame, env, target, d + offset)
             assert report.relative_error <= 1e-9
-            assert report.matrix_ok
+            assert report.dual_ok
 
 
 class TestCanonicalCoefficients:

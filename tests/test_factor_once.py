@@ -42,14 +42,14 @@ from kframekit import (
     range_inclusion_left_inverse,
     verify_k_dual,
 )
-from kframekit.duality import frame_restriction
+from kframekit.duality import _restriction
 from kframekit.errors import NotKFrame
 from kframekit.linalg import majorization_constant
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
-# three pairs; add the restricted inverse of S_F, the dual-identity residual
-# and the SVD of T_F for the canonical coefficients
-PIPELINE_CEILING = 21
+# three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
+# dual-identity residual; the canonical coefficients factor nothing
+PIPELINE_CEILING = 20
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -130,6 +130,28 @@ class TestCounts:
         factorizations["n"] = 0
         k_frame_check(f, env)
         assert factorizations["n"] == 6
+
+    def test_canonical_dual_factors_b_alone(self, factorizations):
+        # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
+        # never S_F Q (n x rank K): here rank T_F = N = 6 < n = 8
+        vectors, k, _ = instance(10, count=6)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        k_frame_check(f, env)
+        factorizations["n"] = 0
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        canonical_k_dual(f, env)
+        assert factorizations["n"] == 1
+        assert operands(factorizations, "svd") == [(6, 4)]
+
+    def test_canonical_coefficients_after_the_dual_factor_nothing(self, factorizations):
+        # d = T_Ftilde* x is read off the memoized dual and checked by a vector residual
+        vectors, k, target = instance(3)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        canonical_k_dual(f, env)
+        factorizations["n"] = 0
+        canonical_coefficients(f, env, target)
+        assert factorizations["n"] == 0
 
     def test_k_frame_check_norms_have_rank_k_columns(self, factorizations):
         # L1 is K's range factor U_k Sigma_k (8 x 4), not K (8 x 8)
@@ -256,13 +278,14 @@ class TestCounts:
         assert right.majorization == fresh.majorization
 
     def test_tolerance_does_not_redo_the_restriction(self, factorizations):
-        # frame_restriction does not depend on the policy: only T_F is factored again
+        # the restriction does not depend on the policy: only T_F is factored again, not B
         vectors, k, _ = instance(12)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         canonical_k_dual(f, env)
+        factorizations["inputs"].clear()
         factorizations["names"].clear()
         canonical_k_dual(f, env, DEFAULT_POLICY.with_tol(1e-9))
-        assert factorizations["names"].count("svd") == 1
+        assert operands(factorizations, "svd") == [f.synthesis.shape]
 
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
@@ -272,7 +295,7 @@ class TestCounts:
         factorizations["n"] = 0
         assert k_frame_check(f, env) is bounds
         assert canonical_k_dual(f, env) is dual
-        frame_restriction(f, env)
+        assert _restriction(f, env) is _restriction(f, env)
         env.norm(), env.pinv_norm(), env.adjoint(), env.range_factor, env.range_coordinates
         assert factorizations["n"] == 0
 

@@ -29,7 +29,7 @@ from conftest import (
     well_conditioned,
 )
 
-from kframekit import io, linalg, multipliers
+from kframekit import duality, io, linalg, multipliers
 from kframekit.cli import main
 from kframekit.duality import (
     DualPerturbation,
@@ -326,27 +326,26 @@ class TestDuality:
             # off the split by 2e-8 relative, a representation at tolerance 1e-6
             split = minimal_norm_identity(f, env, target, c * (1 + 1e-8) * d, loose)
             coeffs = canonical_coefficients(f, env, target)
-            verdicts = (report.identity_ok, report.matrix_ok, report.passed, refused[0])
+            verdicts = (report.identity_ok, report.dual_ok, report.passed, refused[0])
             return (verdicts, split.identity_ok), {
                 "lhs, rhs": ([report.lhs, report.rhs, split.lhs, split.rhs], (-2, 2)),
-                "closed-form threshold": (report.matrix_threshold, (-2, 2)),
+                "dual-identity threshold": (report.dual_threshold, OPERATOR),
                 "d": (report.canonical, DUAL), "coefficients": (coeffs, DUAL),
                 "non-representation residual": (refused[1], OPERATOR),
             }
         scaling.check(run)
 
     def test_canonical_coefficients_cross_check(self, scaling, monkeypatch):
-        # coefficients 1e-7 off <f, ftilde_i> are an internal inconsistency
+        # coefficients 1e-7 off <f, ftilde_i> miss the dual identity: an internal inconsistency
         target = crandn(np.random.default_rng(10), 6)
-        solve = SvdFactors.solve
         envs = [(scaling.frame(s, VECTORS), scaling.env(s, K)) for s in SCALES]
-        for f, env in envs:
-            canonical_k_dual(f, env)  # memoized before the skew
+        duals = {id(f): canonical_k_dual(f, env) for f, env in envs}
         monkeypatch.setattr(
-            SvdFactors, "solve", lambda self, rhs: tuple(x * (1 + 1e-7) for x in solve(self, rhs))
+            duality, "canonical_k_dual",
+            lambda f, env, policy=None: duals[id(f)].scaled(1 + 1e-7),
         )
         for f, env in envs:
-            with pytest.raises(InternalConsistencyError, match="pseudo-inverse coefficients"):
+            with pytest.raises(InternalConsistencyError, match="canonical coefficients miss"):
                 canonical_coefficients(f, env, target)
 
 
@@ -526,12 +525,27 @@ class TestConsistencyGates:
                 douglas_solve(s * l1, s * l2)
 
     def test_operator_self_check(self, monkeypatch):
-        # a rank cutoff above a singular value of 1e-6 |K| leaves P K - K at 1e-6 |K|
-        monkeypatch.setattr(linalg, "_RANK_SCALE", 1e-3 / 3)
+        # factors that drop nothing while K has a tail of 1e-6 |K|: P K - K is a real gap
         k = np.diag([1.0, 0.5, 1e-6])
+        eye = np.eye(3, dtype=complex)
         for s in SCALES:
+            factors = SvdFactors(eye, s * np.array([1.0, 0.5, 0.0]), eye, 2)
+            monkeypatch.setattr(linalg, "svd_decompose", lambda a, factors=factors: factors)
             with pytest.raises(InternalConsistencyError, match="P_R\\(K\\) K differs from K"):
                 OperatorEnv.from_matrix(s * k)
+
+    def test_operator_self_check_allows_the_dropped_tail(self):
+        # n = 256: the rank rule drops 1.5e-10 |K| (cutoff 256 * 2^-40 |K| = 2.3e-10 |K|),
+        # and P K - K is exactly that tail, above identity_tol |K|; the check must pass
+        rng = np.random.default_rng(3)
+        u = np.linalg.qr(crandn(rng, 256, 256))[0]
+        v = np.linalg.qr(crandn(rng, 256, 256))[0]
+        s = np.zeros(256)
+        s[:128] = np.linspace(1.0, 0.5, 128)
+        s[128] = 1.5e-10
+        for scale in SCALES:
+            env = OperatorEnv.from_matrix(scale * ((u * s) @ v.conj().T))
+            assert env.rank == 128
 
 
 def _vectors(pairs) -> np.ndarray:
