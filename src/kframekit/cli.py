@@ -289,7 +289,7 @@ def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) ->
 
 def _cmd_examples(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
     _require(job, 0, operator=False)
-    run = worked.reproduce_examples(tol=job.tol, policy=policy)
+    run = worked.reproduce_examples(tol=job.tol)
     report.results["checks"] = len(run.checks)
     report.results["golden_seed"] = run.seed
     for check in run.checks:

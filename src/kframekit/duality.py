@@ -14,7 +14,7 @@ recovery (unlike classical frames) and the minimal-norm property of the
 canonical coefficients <f, ftilde_i>.
 
 The restriction (S_F|_{R(K)})^-1 P_{S_F(R(K))} is applied in factored order on
-the SVD T_F = U_r Sigma V_r* that ``k_frame_check`` took (``_restriction``), so
+the frame's one SVD T_F = U_r Sigma V_r* (``_restriction``), so
 S_F = T_F T_F*, whose condition number is kappa(T_F)^2, is never formed.
 """
 
@@ -35,8 +35,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
-    _k_frame_check,
-    _restriction_record,
+    _factors,
     k_frame_check,
     optimal_bessel_bound,
     validate_bounds,
@@ -98,14 +97,15 @@ class KDualCertificate:
 def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
     """(S_F|_{R(K)})^-1 P_{S_F(R(K))} as a ``_Restriction`` with L = T_F, memoized per env.
 
-    Its r x k operand B = Sigma^2 U_r* Q is read off ``f``'s record, not off S_F Q.
+    Its r x k operand B = Sigma^2 W, W = U_r* Q, is read off the frame's SVD, not off S_F Q.
     """
 
     def build():
-        sigma, v, w = _restriction_record(f, env)
-        return env, _restricted_inverse(sigma, v, sigma[:, None] ** 2 * w)
+        factors = _factors(f)
+        w = factors.left_vectors.conj().T @ env.range_k.basis
+        return _restricted_inverse(factors, factors.singular_values[:factors.rank, None] ** 2 * w)
 
-    return _memo(f, ("restriction", id(env)), build)[1]
+    return _memo(f, ("restriction", env), build)
 
 
 @_memoized_per_operator
@@ -150,11 +150,12 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, 
 
     P T_F = U_k (U_k* T_F) and U_k* K = Sigma_k V_k*, so the second is exactly that
     of {U_k* f_i} against Sigma_k: an SVD of k x N, not n x N, with rank cutoff
-    max(k, N), the same number as max(n, N) whenever N >= n. Neither leaves a record.
+    max(k, N), the same number as max(n, N) whenever N >= n. G and {U_k* f_i} then
+    keep their own SVDs, like every frame whose bounds are checked.
     """
     coordinates = f.map(env.range_k.basis.conj().T)
-    return (_k_frame_check(g, env.adjoint(), policy, False).lower,
-            _k_frame_check(coordinates, env.range_coordinates, policy, False).lower)
+    return (k_frame_check(g, env.adjoint(), policy).lower,
+            k_frame_check(coordinates, env.range_coordinates, policy).lower)
 
 
 def _require_k_dual(

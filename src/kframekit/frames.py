@@ -37,7 +37,6 @@ from .linalg import (
     _majorization,
     _memo,
     _memoized_per_operator,
-    _rank,
     _read_only,
     as_matrix,
     min_eig,
@@ -64,12 +63,11 @@ __all__ = [
 class Frame:
     """Ordered finite sequence of vectors in C^n, stored as rows (N x n).
 
-    A frame memoizes what it derives from factorizations: the singular
-    values of its synthesis operator and, per operator env, the restriction
-    record (``_restriction_record``) with the restriction built on it and (per
-    tolerance policy too) the results of ``k_frame_check`` and ``canonical_k_dual``.
-    Memoization never changes a result, entries are only ever added (so
-    concurrent use stays safe), and neither U_r nor an n x n matrix is kept.
+    A frame memoizes one SVD of its synthesis operator (``_factors``), from
+    which every frame quantity is read, and per operator env the restriction
+    built on it and (per tolerance policy too) the results of ``k_frame_check``
+    and ``canonical_k_dual``. Memoization never changes a result, entries are
+    only ever added (so concurrent use stays safe), and no n x n matrix is kept.
     """
 
     vectors: np.ndarray
@@ -80,10 +78,7 @@ class Frame:
             raise ShapeMismatch(
                 f"frame vectors must form a 2-d array (N x n), got shape {raw.shape}"
             )
-        v = as_matrix(raw, "frame vectors")
-        if v.shape[0] < 1:
-            raise ShapeMismatch("a frame needs at least one vector")
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", as_matrix(raw, "frame vectors"))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -98,8 +93,8 @@ class Frame:
         return self.size
 
     def norm(self) -> float:
-        """Spectral norm of T_F, from the memoized singular values."""
-        return float(_singular_values(self)[0])
+        """Spectral norm of T_F, from the memoized SVD."""
+        return float(_factors(self).singular_values[0])
 
     @property
     def synthesis(self) -> np.ndarray:
@@ -140,16 +135,20 @@ class FrameBounds:
     inclusion: CheckResult | None = None
 
 
-def _synthesis_factors(f: Frame) -> SvdFactors:
-    """Thin SVD of T_F; its singular values are memoized on the frame."""
-    factors = svd_decompose(f.synthesis)
-    f._memo.setdefault("singular_values", factors.singular_values)
-    return factors
+def _factors(f: Frame) -> SvdFactors:
+    """T_F = U_r Sigma V_r*, the one SVD of T_F, memoized on ``f``.
 
+    Every singular value is kept (a zero frame has norm 0); the singular vectors
+    are cut to the rank and copied, so the full arrays are freed.
+    """
 
-def _singular_values(f: Frame) -> np.ndarray:
-    """Singular values of T_F."""
-    return _memo(f, "singular_values", lambda: svd_decompose(f.synthesis).singular_values)
+    def build():
+        full = svd_decompose(f.synthesis)
+        r = full.rank
+        return SvdFactors(_read_only(full.left_vectors[:, :r].copy()), full.singular_values,
+                          _read_only(full.right_vectors[:, :r].copy()), r)
+
+    return _memo(f, "svd", build)
 
 
 def optimal_bessel_bound(f: Frame) -> float:
@@ -157,23 +156,7 @@ def optimal_bessel_bound(f: Frame) -> float:
     return f.norm() ** 2
 
 
-def _restriction_record(
-    f: Frame, env: OperatorEnv, factors: SvdFactors | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sigma_r, V_r, U_r* Q) of T_F = U_r Sigma_r V_r*, for Q the range basis of K.
-
-    Read off ``factors`` when given, else off a fresh SVD; memoized on ``f`` per env.
-    """
-
-    def build():
-        fac = factors or _synthesis_factors(f)
-        r = fac.rank
-        w = fac.left_vectors[:, :r].conj().T @ env.range_k.basis
-        return env, (fac.singular_values[:r], fac.right_vectors[:, :r], _read_only(w))
-
-    return _memo(f, ("restriction_record", id(env)), build)[1]
-
-
+@_memoized_per_operator
 def k_frame_check(
     f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> FrameBounds:
@@ -181,36 +164,25 @@ def k_frame_check(
 
     Raises NotKFrame when R(K) is not contained in R(T_F) (exactly the
     failure of the lower bound), ZeroOperator for K = 0 (the condition is
-    vacuous and every downstream formula divides by A). One SVD of T_F
-    serves the inclusion test, B and the Douglas route
+    vacuous and every downstream formula divides by A). The frame's one SVD
+    (``_factors``) serves the inclusion test, B and the Douglas route
     A = 1/|pinv(T_F) K|^2. The one cross-check, ``linalg``'s QR route,
     shares only U_r of that SVD; it must agree with the Douglas route in
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
     per (env, policy). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
-    The same SVD leaves ``f``'s restriction record, on which the dual is built.
     """
-    return _k_frame_check(f, env, policy, True)
-
-
-@_memoized_per_operator
-def _k_frame_check(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy, keep_record: bool
-) -> FrameBounds:
-    """``k_frame_check``; a frame checked only for its bounds skips the record."""
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
             f"frame lives in C^{f.ambient_dim}, operator acts on C^{env.dim}"
         )
     if env.is_zero():
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
-    factors = _synthesis_factors(f)
+    factors = _factors(f)
     inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), policy,
                                   NotKFrame, "R(K) not contained in R(T_F)")
     lower = 1.0 / _majorization(env.range_factor, f.synthesis, factors, core) ** 2
     upper = float(factors.singular_values[0] ** 2)
-    if keep_record:
-        _restriction_record(f, env, factors)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 
 
@@ -296,7 +268,7 @@ def bessel_as_k_frame(f: Frame) -> OperatorEnv:
 
 def minimality_check(f: Frame) -> bool:
     """True iff T_F has trivial kernel (sum c_i f_i = 0 forces c = 0)."""
-    return _rank(_singular_values(f), f.synthesis.shape) == f.size
+    return _factors(f).rank == f.size
 
 
 def biorthogonal_sequence(f: Frame) -> Frame:
@@ -305,7 +277,7 @@ def biorthogonal_sequence(f: Frame) -> Frame:
     G = T_F (T_F* T_F)^-1 satisfies <f_i, g_j> = delta_ij with every g_j in
     the span of the f_i; requires a minimal sequence.
     """
-    factors = _synthesis_factors(f)
+    factors = _factors(f)
     if factors.rank != f.size:
         raise NotMinimal("sequence is not minimal: synthesis operator has a kernel")
     return Frame(factors.pinv().conj())

@@ -9,8 +9,9 @@ tests with the associated factorization (given operators L1, L2 with
 R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
 L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), the inverse of
 an operator A = L R* restricted to a subspace, applied in factored order on
-the SVD of L (``_Restriction``: A is never formed, so neither is a frame
-operator), and a sufficient invertibility margin for perturbed operators.
+L's own ``SvdFactors`` (``_Restriction``: A is never formed, so neither is a
+frame operator, and the adjoint form applies U_r itself, never L V_r Sigma^-1),
+and a sufficient invertibility margin for perturbed operators.
 
 All "closed range" hypotheses of the underlying operator theory are vacuous
 here: everything is finite dimensional, and only numerical rank is ever
@@ -124,19 +125,16 @@ def _memo(owner, key, compute):
 
 
 def _memoized_per_operator(fn):
-    """Memoize ``fn(value, env, policy, *rest)`` on ``value`` per (env, policy).
+    """Memoize ``fn(value, env, policy)`` on ``value``, keyed on (env, policy).
 
-    The entry holds ``env`` itself, so the ``id`` in its key cannot be
-    reused while the entry lives; an env never refers back to the values
-    that memoize results for it, which keeps the references one-way and
-    free of cycles. Failures are not memoized; ``rest`` may steer side effects
-    only, so it is not part of the key.
+    An env hashes by identity and the key holds it; an env never refers back
+    to the values that memoize results for it, which keeps the references
+    one-way and free of cycles. Failures are not memoized.
     """
 
     @functools.wraps(fn)
-    def memoized(value, env, policy=DEFAULT_POLICY, *rest):
-        key = (fn.__name__, id(env), policy)
-        return _memo(value, key, lambda: (env, fn(value, env, policy, *rest)))[1]
+    def memoized(value, env, policy=DEFAULT_POLICY):
+        return _memo(value, (fn.__name__, env, policy), lambda: fn(value, env, policy))
 
     return memoized
 
@@ -179,7 +177,8 @@ class SvdFactors:
 
     ``left_vectors`` and ``right_vectors`` have orthonormal columns;
     ``singular_values`` is descending and ``rank`` is the numerical rank
-    ``_rank`` reads off them.
+    ``_rank`` reads off them. Every method but ``reconstruct`` reads only the
+    first ``rank`` vectors, so the vectors may be cut to the rank.
     """
 
     left_vectors: np.ndarray
@@ -384,33 +383,33 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
 
 @dataclass(frozen=True)
 class _Restriction:
-    """(A|_V)^-1 P_{A(V)} = Q B^+ U_r* for A = L R*, L = U_r Sigma V_r*, Q a basis of V.
+    """(A|_V)^-1 P_{A(V)} = Q B^+ U_r* for A = L R*, L = U_r Sigma V_r* (``left``), Q a basis of V.
 
-    A Q = U_r B for the r x k operand B = Sigma V_r* R* Q, whose one SVD is ``b``.
-    Neither A nor U_r is formed: U_r* L = Sigma V_r*, and U_r = L V_r Sigma^-1.
+    A Q = U_r B for the r x k operand B = Sigma V_r* R* Q, whose one SVD is ``b``;
+    A is never formed.
     """
 
-    sigma: np.ndarray
-    v: np.ndarray
+    left: SvdFactors
     b: SvdFactors
 
     def coordinates(self) -> np.ndarray:
-        """B^+ Sigma V_r*: the restriction applied to L, in Q's coordinates."""
-        return self.b.solve(self.sigma[:, None] * self.v.conj().T)[0]
+        """B^+ Sigma V_r* = B^+ U_r* L: the restriction applied to L, in Q's coordinates."""
+        f, r = self.left, self.left.rank
+        return self.b.solve(f.singular_values[:r, None] * f.right_vectors[:, :r].conj().T)[0]
 
-    def adjoint_coefficients(self, c: np.ndarray) -> np.ndarray:
-        """V_r Sigma^-1 (B^+)* c: L times it is the adjoint restriction applied to Q c."""
-        return (self.v / self.sigma) @ self.b.adjoint().solve(c)[0]
+    def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
+        """U_r (B^+)* c: the adjoint restriction applied to Q c."""
+        return self.left.left_vectors[:, : self.left.rank] @ self.b.adjoint().solve(c)[0]
 
 
-def _restricted_inverse(sigma: np.ndarray, v: np.ndarray, operand: np.ndarray) -> _Restriction:
+def _restricted_inverse(left: SvdFactors, operand: np.ndarray) -> _Restriction:
     """``_Restriction`` on one SVD of ``operand`` = B; RankDeficientRestriction if A collapses V."""
     b = svd_decompose(operand)
     if b.rank < operand.shape[1]:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
         )
-    return _Restriction(sigma, v, b)
+    return _Restriction(left, b)
 
 
 @dataclass(frozen=True)
@@ -456,7 +455,7 @@ def neumann_invertibility_margin(t, u) -> MarginReport:
     return MarginReport(distance, margin, rank_u == b.shape[1], "rank")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorEnv:
     """An operator K with its one SVD, from which its geometry is read.
 
@@ -465,7 +464,9 @@ class OperatorEnv:
     K*, K^dagger, the range of K with its projector, and ``adjoint()`` (the
     env of K* on the adjoint factors) are derived from ``factors`` on first
     use and memoized on the value; the norms read its singular values. An
-    env holds its adjoint, and the adjoint never refers back to it.
+    env holds its adjoint, and the adjoint never refers back to it. An env
+    compares and hashes by identity, so it keys the memo entries of the values
+    that derive results for it.
     K-frame questions are asked on ``range_factor`` or ``range_coordinates``; both
     drop only K - K V_k V_k*, of norm sigma_{k+1} <= n 2^-40 |K| (``_rank``), which
     the self-check caps: |P_{R(K)} K - K| <= sigma_{k+1} + tol |K|.

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
-    _restriction_record,
+    _factors,
     biorthogonal_sequence,
     k_frame_check,
     optimal_bessel_bound,
@@ -512,8 +512,9 @@ def _perturbed_restriction(
             f"M collapses R(K): perturbation distance {report.distance:.3e} "
             f"vs margin {report.margin:.3e}"
         )
-    sigma, v, _ = _restriction_record(phi, env)
-    minv = _restricted_inverse(sigma, v, sigma[:, None] * (v.conj().T @ analysis))
+    fac = _factors(phi)  # B = Sigma V_r* diag(m) T_Psi* Q
+    minv = _restricted_inverse(
+        fac, fac.singular_values[: fac.rank, None] * (fac.right_vectors.conj().T @ analysis))
     diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
                    "margin": report.margin, "distance": report.distance}
     return minv, diagnostics
@@ -557,11 +558,10 @@ def perturbation_right_inverse(
     """
     minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
     _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a K-dual of Phi")
-    # (M^-1)* Q c = T_Phi V_r Sigma^-1 (B^+)* c, for c = Q* K and c = Q* T_Phi
-    right = phi.synthesis @ minv.adjoint_coefficients(env.adjoint().range_factor.conj().T)
+    # (M^-1)* Q c = U_r (B^+)* c, for c = Q* K and c = Q* T_Phi
+    right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
-    r_frame = Frame((phi.synthesis @ minv.adjoint_coefficients(
-        env.range_k.basis.conj().T @ phi.synthesis)).T)
+    r_frame = Frame(minv.apply_adjoint(env.range_k.basis.conj().T @ phi.synthesis).T)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
                  policy.identity_tol)
@@ -627,9 +627,9 @@ def range_inclusion_left_inverse(
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
-    # ((S_Psi|)^-1)* P_K T_Psi = T_Psi V_r Sigma^-1 (B^+)* Q* T_Psi
-    psi_dag = Frame((psi.synthesis @ _restriction(psi, env).adjoint_coefficients(
-        env.range_k.basis.conj().T @ psi.synthesis)).T)
+    # ((S_Psi|)^-1)* P_K T_Psi = U_r (B^+)* Q* T_Psi
+    restriction = _restriction(psi, env)
+    psi_dag = Frame(restriction.apply_adjoint(env.range_k.basis.conj().T @ psi.synthesis).T)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)

@@ -176,11 +176,11 @@ def reproduce_examples(
     tol: float | None = None,
     fixtures: dict | None = None,
     strict: bool = False,
-    policy=DEFAULT_POLICY,
 ) -> GoldenRun:
     """Replay every golden identity of the built-in worked instances.
 
-    ``tol`` can only tighten the pinned thresholds. ``fixtures`` may override
+    ``tol`` can only tighten the pinned thresholds, and it is the ``identity_tol``
+    of every check the library makes along the way. ``fixtures`` may override
     the instance data (keys ``c2_vectors``, ``c2_operator``, ``c4_vectors``,
     ``c4_operator``), which is how corruption is detected. With ``strict``
     every failure is raised as GoldenMismatch.
@@ -188,6 +188,7 @@ def reproduce_examples(
     from .errors import KFrameError
 
     fixtures = fixtures or {}
+    policy = DEFAULT_POLICY.with_tol(tol)
     checks: list[GoldenCheck] = []
 
     def add(name, residual, pinned, observed=None, expected=None, symbolic="",

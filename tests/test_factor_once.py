@@ -205,15 +205,15 @@ class TestCounts:
         assert sorted(operands(factorizations, "svd")) == [(4, 12), (8, 12)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
-        # k_frame_check of Phi and of Psi (6 each), one SVD of T_Psi for both
-        # the minimality test and the biorthogonal sequence, the restricted
-        # inverse of S_Phi, three new frames' singular values, the two
-        # multiplier norms and the residual; the K*-identity is the adjoint
-        # of the K-identity and factors nothing
+        # k_frame_check of Phi (6), one SVD of T_Psi for the minimality test, the
+        # biorthogonal sequence and k_frame_check of Psi (then 5), the restricted
+        # inverse of S_Phi, three new frames' SVDs, the two multiplier norms and
+        # the residual; the K*-identity is the adjoint of the K-identity and
+        # factors nothing
         phi, psi, env = minimal_instance(np.random.default_rng(12))
         factorizations["n"] = 0
         biorthogonal_right_inverse(phi, psi, env)
-        assert factorizations["n"] == 20
+        assert factorizations["n"] == 19
 
     def test_range_inclusion_left_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Psi and of Phi (6 each), the SVD of T_Psi* K and the
@@ -278,13 +278,23 @@ class TestCounts:
         assert right.majorization == fresh.majorization
 
     def test_tolerance_does_not_redo_the_restriction(self, factorizations):
-        # the restriction does not depend on the policy: only T_F is factored again, not B
+        # neither T_F's SVD nor the restriction depends on the policy: no SVD, of T_F or B
         vectors, k, _ = instance(12)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         canonical_k_dual(f, env)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         canonical_k_dual(f, env, DEFAULT_POLICY.with_tol(1e-9))
+        assert operands(factorizations, "svd") == []
+
+    def test_norm_and_k_frame_check_share_one_svd(self, factorizations):
+        # the norm, the bounds and the restriction read T_F's one memoized SVD
+        vectors, k, _ = instance(22)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        f.norm()
+        k_frame_check(f, env)
         assert operands(factorizations, "svd") == [f.synthesis.shape]
 
     def test_repeated_calls_factor_nothing(self, factorizations):

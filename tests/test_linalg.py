@@ -430,18 +430,35 @@ class TestIllConditionedDual:
             syn, x0, _ = graded_instance(seed, c)
             env = OperatorEnv.from_matrix(syn @ x0)
             psi, phi = Frame(syn.T), Frame((env.k_adjoint @ syn).T)
-            assert range_inclusion_left_inverse(psi, phi, env).passed
+            out = range_inclusion_left_inverse(psi, phi, env)
+            assert out.passed
+            if c == 1e-4:  # the adjoint form applies U_r itself, not T_Psi V_r Sigma^-1
+                assert out.residual <= 1e4 * np.finfo(float).eps * env.norm() ** 2
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-8])
+    def test_perturbation_right_inverse(self, c):
+        # Psi = Phi, m = 1 and the K-dual T_G* = X0: the adjoint restriction of S_Phi
+        from kframekit.frames import Frame, k_frame_check
+        from kframekit.multipliers import Symbol, perturbation_right_inverse
+
+        for seed in range(20):
+            syn, x0, _ = graded_instance(seed, c)
+            f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+            bounds = (0.999 * k_frame_check(f, env).lower, 1.001 * k_frame_check(f, env).upper)
+            out = perturbation_right_inverse(f, f, env, Symbol.ones(f.size), bounds,
+                                             Frame(x0.conj()))
+            assert out.passed
 
 
 def restricted_inverse(s, sub: Subspace) -> np.ndarray:
     """(s|_V)^-1 P_{s(V)} as a matrix, from the factored kernel with L = s and R = I.
 
-    The kernel's adjoint form gives the adjoint matrix: L V_r Sigma^-1 (B^+)* Q*.
+    The kernel's adjoint form gives the adjoint matrix: U_r (B^+)* Q*.
     """
     f = svd_decompose(s)
-    sigma, v = f.singular_values[: f.rank], f.right_vectors[:, : f.rank]
-    inverse = _restricted_inverse(sigma, v, sigma[:, None] * (v.conj().T @ sub.basis))
-    return (np.asarray(s) @ inverse.adjoint_coefficients(sub.basis.conj().T)).conj().T
+    r = f.rank
+    operand = f.singular_values[:r, None] * (f.right_vectors[:, :r].conj().T @ sub.basis)
+    return _restricted_inverse(f, operand).apply_adjoint(sub.basis.conj().T).conj().T
 
 
 class TestRestrictedInverse:
