@@ -35,6 +35,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
+    _factored,
     _factors,
     k_frame_check,
     optimal_bessel_bound,
@@ -115,12 +116,13 @@ def canonical_k_dual(
     """Canonical K-dual {K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i}.
 
     Index order follows ``f`` (equal frame vectors yield equal duals). Built
-    as (K* Q) B^+ (Sigma V_r*), K* Q = V_k Sigma_k being the adjoint's range
-    factor. Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
+    as (K* Q) B^+ Sigma V_r* = V_k (Sigma_k B^+ Sigma) V_r*, whose SVD factors the
+    k x r core. Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
     Memoized on ``f`` per (env, policy).
     """
     k_frame_check(f, env, policy)
-    return Frame((env.adjoint().range_factor @ _restriction(f, env).coordinates()).T)
+    core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
+    return _factored(env.adjoint().range_k.basis, core, _factors(f).right_vectors)
 
 
 def verify_k_dual(
@@ -275,13 +277,13 @@ class DualPerturbation:
 def _admissibility(
     f: Frame, env: OperatorEnv, pert: DualPerturbation, policy: TolerancePolicy
 ) -> tuple[np.ndarray, float]:
-    """P_{R(K)} T_F phi and its scale |T_F| (|phi|_F + |T_Ftilde|_F).
+    """U_k* T_F phi (of P_{R(K)} T_F phi's norm) and its scale |T_F| (|phi|_F + |T_Ftilde|_F).
 
     The scale holds the terms that cancel: a phi recovered from g = Ftilde is noise.
     """
     dual = canonical_k_dual(f, env, policy)
     scale = f.norm() * float(np.linalg.norm(pert.phi) + np.linalg.norm(dual.synthesis))
-    return env.proj_range_k @ f.synthesis @ pert.phi, scale
+    return (env.range_k.basis.conj().T @ f.synthesis) @ pert.phi, scale
 
 
 def admissibility_violation(
@@ -339,8 +341,11 @@ def reciprocal_dual(
     K f = sum_i <K f, P_{R(K)} f_i> P_{R(K)} (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i.
     """
     k_frame_check(f, env, policy)
-    reduced = Frame((env.range_k.basis @ _restriction(f, env).coordinates()).T)
-    companion = Frame((env.k_adjoint @ env.proj_range_k @ f.synthesis).T)
+    fac = _factors(f)
+    reduced = _factored(env.range_k.basis, _restriction(f, env).coordinates(), fac.right_vectors)
+    # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
+    core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
+    companion = _factored(env.adjoint().range_k.basis, core, fac.right_vectors)
     return verify_k_dual(reduced, companion, env, policy)
 
 

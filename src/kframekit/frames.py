@@ -32,11 +32,13 @@ from .linalg import (
     OperatorEnv,
     SvdFactors,
     TolerancePolicy,
+    _check_reconstruction,
     _douglas,
     _gate,
     _majorization,
     _memo,
     _memoized_per_operator,
+    _rank,
     _read_only,
     as_matrix,
     min_eig,
@@ -68,6 +70,8 @@ class Frame:
     built on it and (per tolerance policy too) the results of ``k_frame_check``
     and ``canonical_k_dual``. Memoization never changes a result, entries are
     only ever added (so concurrent use stays safe), and no n x n matrix is kept.
+    Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
+    vectors; frames built from known factors keep a small core C (``_factored``).
     """
 
     vectors: np.ndarray
@@ -79,6 +83,7 @@ class Frame:
                 f"frame vectors must form a 2-d array (N x n), got shape {raw.shape}"
             )
         object.__setattr__(self, "vectors", as_matrix(raw, "frame vectors"))
+        object.__setattr__(self, "_form", None)
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -135,18 +140,39 @@ class FrameBounds:
     inclusion: CheckResult | None = None
 
 
+def _factored(q: np.ndarray | None, core: np.ndarray, v: np.ndarray | None) -> Frame:
+    """The frame T = Q C V* for Q, V with orthonormal columns or None.
+
+    Its vectors are formed from the C that ``_factors`` decomposes; an empty C (K = 0)
+    leaves the form of a frame read from vectors.
+    """
+    t = core if v is None else core @ v.conj().T
+    f = Frame((t if q is None else q @ t).T)
+    if core.size:
+        object.__setattr__(f, "_form", (q, core, v))
+    return f
+
+
 def _factors(f: Frame) -> SvdFactors:
     """T_F = U_r Sigma V_r*, the one SVD of T_F, memoized on ``f``.
 
-    Every singular value is kept (a zero frame has norm 0); the singular vectors
-    are cut to the rank and copied, so the full arrays are freed.
+    It decomposes only the core of T_F = Q C V*: C = U_C Sigma W_C* lifts to
+    U = Q U_C, V = V W_C, which must reconstruct the stored vectors as in
+    ``svd_decompose``, and the rank is ``_rank`` for T_F's shape. Every singular value
+    is kept (a zero frame has norm 0); the singular vectors are cut to the rank
+    and copied, so the full arrays are freed.
     """
 
     def build():
-        full = svd_decompose(f.synthesis)
-        r = full.rank
-        return SvdFactors(_read_only(full.left_vectors[:, :r].copy()), full.singular_values,
-                          _read_only(full.right_vectors[:, :r].copy()), r)
+        q, core, v = f._form or (None, f.synthesis, None)
+        c = svd_decompose(core)
+        s = c.singular_values
+        u = c.left_vectors if q is None else q @ c.left_vectors
+        w = c.right_vectors if v is None else v @ c.right_vectors
+        if q is not None or v is not None:  # C = T_F was gated by svd_decompose
+            _check_reconstruction(SvdFactors(u, s, w, c.rank), f.synthesis)
+        r = _rank(s, f.synthesis.shape)
+        return SvdFactors(_read_only(u[:, :r].copy()), s, _read_only(w[:, :r].copy()), r)
 
     return _memo(f, "svd", build)
 

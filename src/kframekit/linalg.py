@@ -33,12 +33,12 @@ norm first. Every identity is homogeneous, so every verdict is one gate,
 ``_gate``: residual <= tol * scale, for the magnitude ``scale`` of the
 identity's terms and no absolute floor, so no verdict depends on the units
 of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
-reads K*, K^dagger, its range and projector, its norms, its adjoint, its
-range factor K V_k (n x k) and the env of Sigma_k off them, memoized on first use.
-``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix. A memoized
-value is the value a fresh computation returns, so memoization never changes
-a result. Memo entries are only ever added and every caller gets the stored
-entry, so concurrent use stays safe.
+reads K*, its range and projector, its norms, its adjoint, its range factor
+K V_k (n x k) and the env of Sigma_k off them, memoized on first use; its
+self-check forms no n x n product. ``svd_decompose(m).pinv()`` is the
+pseudo-inverse of a matrix, ``env.factors.pinv()`` is K^dagger. A memoized
+value is the value a fresh computation returns, and memo entries are only
+ever added, every caller getting the stored entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -245,12 +245,17 @@ def svd_decompose(m) -> SvdFactors:
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     factors = SvdFactors(_read_only(u), _read_only(s), _read_only(vh.conj().T), _rank(s, a.shape))
+    _check_reconstruction(factors, a)
+    return factors
+
+
+def _check_reconstruction(factors: SvdFactors, a: np.ndarray) -> None:
+    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``identity_tol`` |a|_F."""
     resid = float(np.linalg.norm(factors.reconstruct() - a))
     if not _gate(resid, float(np.linalg.norm(a)), DEFAULT_POLICY.identity_tol):
         raise InternalConsistencyError(
             f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
         )
-    return factors
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def _inclusion(
 ) -> CheckResult:
     """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
     basis = f2.left_vectors[:, : f2.rank]
-    return _gate(spectral_norm(a - (basis @ basis.conj().T) @ a), norm_a, policy.identity_tol)
+    return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, policy.identity_tol)
 
 
 def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -393,9 +398,8 @@ class _Restriction:
     b: SvdFactors
 
     def coordinates(self) -> np.ndarray:
-        """B^+ Sigma V_r* = B^+ U_r* L: the restriction applied to L, in Q's coordinates."""
-        f, r = self.left, self.left.rank
-        return self.b.solve(f.singular_values[:r, None] * f.right_vectors[:, :r].conj().T)[0]
+        """B^+ Sigma (k x r): the restriction applied to L is Q (B^+ Sigma) V_r*."""
+        return self.b.solve(np.diag(self.left.singular_values[: self.left.rank]))[0]
 
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """U_r (B^+)* c: the adjoint restriction applied to Q c."""
@@ -459,11 +463,12 @@ def neumann_invertibility_margin(t, u) -> MarginReport:
 class OperatorEnv:
     """An operator K with its one SVD, from which its geometry is read.
 
-    Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K; ``adjoint()`` swaps
-    the roles of K and K*, which is how every K*-frame question is asked.
-    K*, K^dagger, the range of K with its projector, and ``adjoint()`` (the
-    env of K* on the adjoint factors) are derived from ``factors`` on first
-    use and memoized on the value; the norms read its singular values. An
+    Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K (the self-check gates the
+    same norms as |K V_k Sigma_k^-1 - U_k| and |U_k (U_k* K) - K|); ``adjoint()``
+    swaps K and K*, which is how every K*-frame question is asked. K*, the range
+    of K with its projector, and ``adjoint()`` (the env of K* on the adjoint
+    factors) are derived from ``factors`` on first use and memoized on the
+    value; the norms read its singular values. An
     env holds its adjoint, and the adjoint never refers back to it. An env
     compares and hashes by identity, so it keys the memo entries of the values
     that derive results for it.
@@ -488,20 +493,18 @@ class OperatorEnv:
         return env
 
     def _self_check(self) -> None:
-        tol = DEFAULT_POLICY.identity_tol * self.norm()
-        _within(self.k @ self.k_pinv - self.proj_range_k, tol * self.pinv_norm(),
-                InternalConsistencyError, "K K^dagger differs from the range projector by {:.3e}")
-        dropped = self.factors.singular_values[self.rank:]  # P_R(K) K - K has norm sigma_{k+1}
-        _within(self.proj_range_k @ self.k - self.k, (dropped[0] if dropped.size else 0.0) + tol,
+        f, r = self.factors, self.rank
+        u, tol = f.left_vectors[:, :r], DEFAULT_POLICY.identity_tol * self.norm()
+        _within(self.k @ (f.right_vectors[:, :r] / f.singular_values[:r]) - u,
+                tol * self.pinv_norm(), InternalConsistencyError,
+                "K K^dagger differs from the range projector by {:.3e}")
+        dropped = f.singular_values[r:]  # P_R(K) K - K has norm sigma_{k+1}
+        _within(u @ (u.conj().T @ self.k) - self.k, (dropped[0] if dropped.size else 0.0) + tol,
                 InternalConsistencyError, "P_R(K) K differs from K by {:.3e}")
 
     @property
     def k_adjoint(self) -> np.ndarray:
         return _memo(self, "k_adjoint", lambda: as_matrix(self.k.conj().T))
-
-    @property
-    def k_pinv(self) -> np.ndarray:
-        return _memo(self, "k_pinv", lambda: _read_only(self.factors.pinv()))
 
     @property
     def range_k(self) -> Subspace:
@@ -511,10 +514,6 @@ class OperatorEnv:
     @property
     def proj_range_k(self) -> np.ndarray:
         return _memo(self, "proj_range_k", lambda: _read_only(self.range_k.projector()))
-
-    @property
-    def proj_range_k_adjoint(self) -> np.ndarray:
-        return self.adjoint().proj_range_k
 
     @property
     def range_factor(self) -> np.ndarray:

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
+    _factored,
     _factors,
     biorthogonal_sequence,
     k_frame_check,
@@ -223,6 +224,12 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
     return mult
 
 
+def _projected(f: Frame, env: OperatorEnv) -> Frame:
+    """{P_{R(K)} f_i} in the factored form U_k (U_k* T_F)."""
+    basis = env.range_k.basis
+    return _factored(basis, basis.conj().T @ f.synthesis, None)
+
+
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
     """M's memoized SVD, once M and K are known to have equal sizes."""
     if env.dim != mult.matrix.shape[0]:
@@ -386,7 +393,7 @@ def inverse_as_multiplier(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
-    base = assemble_multiplier(ones, phi.map(env.proj_range_k), psi)
+    base = assemble_multiplier(ones, _projected(phi, env), psi)
     check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), policy.identity_tol)
     if not check:
         raise NotAnInverse(f"inverse misses the projected multiplier identity by "
@@ -427,7 +434,7 @@ def biorthogonal_right_inverse(
     k_frame_check(psi, env.adjoint(), policy)
     ones = Symbol.ones(phi.size)
     phi_tilde = canonical_k_dual(phi, env, policy)
-    projected = phi.map(env.proj_range_k)
+    projected = _projected(phi, env)
 
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
@@ -535,7 +542,10 @@ def perturbation_k_dual(
     Returns the verification certificate of the constructed dual against Psi.
     """
     minv = _perturbed_restriction(phi, psi, env, m, bounds, policy)[0]
-    dual = Frame((env.adjoint().range_factor @ (minv.coordinates() * m.values)).T)
+    # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
+    core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
+    dual = _factored(env.adjoint().range_k.basis,
+                     env.factors.singular_values[: env.rank, None] * core, None)
     return verify_k_dual(psi, dual, env, policy)
 
 
@@ -565,7 +575,7 @@ def perturbation_right_inverse(
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
                  policy.identity_tol)
-    reversed_mult = assemble_multiplier(m.conjugated(), psi.map(env.proj_range_k), phi)
+    reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
     certificates = dict(diagnostics)
@@ -596,9 +606,10 @@ def range_inclusion_right_inverse(
     )
     ones = Symbol.ones(psi.size)
     adjoint = env.adjoint()
-    phi_dag = Frame((adjoint.range_k.basis @ _restriction(phi, adjoint).coordinates()).T)
+    phi_dag = _factored(adjoint.range_k.basis, _restriction(phi, adjoint).coordinates(),
+                        _factors(phi).right_vectors)
     psi_tilde = canonical_k_dual(psi, env, policy)
-    left_factor = assemble_multiplier(ones, psi.map(env.proj_range_k), phi)
+    left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)

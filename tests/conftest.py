@@ -120,7 +120,7 @@ def both_inclusion_instance(
         count = int(rng.integers(max(rank + 1, 2), size_max + 1))
         k = random_rank_matrix(rng, n, rank)
         env = OperatorEnv.from_matrix(k)
-        phi_syn = env.proj_range_k_adjoint @ crandn(rng, n, count)
+        phi_syn = env.adjoint().proj_range_k @ crandn(rng, n, count)
         if not well_conditioned(phi_syn, rank):
             continue
         psi_syn = env.k @ phi_syn

@@ -45,6 +45,7 @@ from kframekit import (
 from kframekit.duality import _restriction
 from kframekit.errors import NotKFrame
 from kframekit.linalg import majorization_constant
+from kframekit.multipliers import _projected
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
@@ -185,14 +186,28 @@ class TestCounts:
         assert not any(np.array_equal(a, pert.phi) for a in factorizations["inputs"])
 
     def test_operator_env_factors_k_once(self, factorizations):
-        # both self-check residuals pass on their Frobenius norms
+        # both self-check residuals pass on their Frobenius norms, and are read off
+        # the factors: no K^dagger and no n x n projector is formed
         _, k, _ = instance(10)
         factorizations["n"] = 0
-        OperatorEnv.from_matrix(k)
+        env = OperatorEnv.from_matrix(k)
         assert factorizations["n"] == 1
+        assert not {"k_pinv", "proj_range_k"} & set(env._memo)
+
+    def test_projected_frame_factors_its_k_by_n_core(self, factorizations):
+        # {P_R(K) phi_i} = U_k (U_k* T_Phi): its SVD has a k x N operand, not n x N
+        vectors, k, _ = instance(10)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        projected = _projected(f, env)
+        np.testing.assert_allclose(projected.vectors, f.map(env.proj_range_k).vectors,
+                                   atol=1e-13 * f.norm())
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        projected.norm()
+        assert operands(factorizations, "svd") == [(4, 12)]
 
     def test_verify_k_dual_with_lower_bounds(self, factorizations):
-        # one k_frame_check each for the frame and the dual, plus the residual
+        # one k_frame_check each for the dual and the projected frame, plus the residual
         vectors, k, _ = instance(11)
         dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
@@ -201,8 +216,9 @@ class TestCounts:
         factorizations["names"].clear()
         verify_k_dual(f, dual, env, with_lower_bounds=True)
         assert factorizations["n"] <= 13
-        # T_G, and the projected frame in R(K)'s coordinates: k x N, not n x N
-        assert sorted(operands(factorizations, "svd")) == [(4, 12), (8, 12)]
+        # T_G = V_k C V_r* through its k x rank(T_F) core C, and the projected frame in
+        # R(K)'s coordinates: k x N, not n x N
+        assert sorted(operands(factorizations, "svd")) == [(4, 8), (4, 12)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Phi (6), one SVD of T_Psi for the minimality test, the
@@ -364,7 +380,7 @@ class TestNoCycles:
             env = OperatorEnv.from_matrix(k)
             ref = weakref.ref(env)
             adjoint = env.adjoint()
-            adjoint.k_pinv, adjoint.proj_range_k, adjoint.adjoint()
+            adjoint.range_factor, adjoint.proj_range_k, adjoint.adjoint()
             del env
             assert ref() is None
             np.testing.assert_array_equal(adjoint.k, k.conj().T)

@@ -420,6 +420,38 @@ class TestIllConditionedDual:
             capsys.readouterr()
             assert code == 0
 
+    @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8])
+    def test_dual_factors_lift_off_its_core(self, c):
+        # T_G = V_k C V_r*: the SVD of the k x r core, lifted by V_k and V_r, is T_G's
+        from kframekit.duality import canonical_k_dual
+        from kframekit.frames import Frame, _factors, k_frame_check
+
+        eps = np.finfo(float).eps
+        for seed in range(20):
+            syn, x0, _ = graded_instance(seed, c)
+            f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+            dual = canonical_k_dual(f, env)
+            fac = _factors(dual)
+            r = fac.rank
+            lifted = (fac.left_vectors * fac.singular_values[:r]) @ fac.right_vectors.conj().T
+            scale = np.linalg.norm(dual.synthesis)
+            assert np.linalg.norm(lifted - dual.synthesis) <= 100 * eps * scale
+            plain = k_frame_check(Frame(dual.vectors.copy()), env.adjoint()).lower
+            assert k_frame_check(dual, env.adjoint()).lower == pytest.approx(plain, rel=1e-12)
+
+    def test_lifted_factors_are_gated_against_the_vectors(self):
+        # a form whose Q is not orthonormal does not reconstruct the stored vectors
+        from kframekit.duality import canonical_k_dual
+        from kframekit.frames import Frame, _factored, _factors
+
+        syn, x0, _ = graded_instance(0, 1e-4)
+        f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+        q, core, v = canonical_k_dual(f, env)._form
+        skewed = _factored(q, core, v)
+        object.__setattr__(skewed, "_form", (1.01 * q, core, v))
+        with pytest.raises(InternalConsistencyError, match="reconstruction"):
+            _factors(skewed)
+
     @pytest.mark.parametrize("c", [1e-3, 1e-4])
     def test_range_inclusion_left_inverse(self, c):
         # Psi = F and Phi = {K* f_i}: R(T_Phi*) = R(T_Psi* K), and Phi spans R(K*)
@@ -558,9 +590,10 @@ class TestOperatorEnv:
             k = crandn(rng, n, rank) @ crandn(rng, rank, n) if rank else np.zeros((n, n))
             env = OperatorEnv.from_matrix(k)
             scale = 1e-10 * max(1.0, env.norm())
-            assert spectral_norm(env.k @ env.k_pinv @ env.k - env.k) <= scale
-            assert spectral_norm(env.k @ env.k_pinv - env.proj_range_k) <= scale
-            assert spectral_norm(env.k_pinv @ env.k - env.proj_range_k_adjoint) <= scale
+            pinv = env.factors.pinv()
+            assert spectral_norm(env.k @ pinv @ env.k - env.k) <= scale
+            assert spectral_norm(env.k @ pinv - env.proj_range_k) <= scale
+            assert spectral_norm(pinv @ env.k - env.adjoint().proj_range_k) <= scale
 
     def test_adjoint_swaps(self):
         rng = np.random.default_rng(29)
@@ -568,7 +601,7 @@ class TestOperatorEnv:
         env = OperatorEnv.from_matrix(k)
         adj = env.adjoint()
         np.testing.assert_allclose(adj.k, env.k_adjoint)
-        np.testing.assert_allclose(adj.proj_range_k, env.proj_range_k_adjoint)
+        np.testing.assert_allclose(adj.proj_range_k, env.factors.pinv() @ k, atol=1e-12)
         np.testing.assert_allclose(adj.adjoint().k, env.k)
 
     def test_zero_operator(self):
@@ -587,10 +620,10 @@ class TestOperatorEnv:
         assert env.range_k.dim == adj.range_k.dim == rank
         np.testing.assert_array_equal(env.k_adjoint, k.conj().T)
         np.testing.assert_array_equal(adj.k, k.conj().T)
-        np.testing.assert_allclose(env.k_pinv, pinv, atol=1e-12)
-        np.testing.assert_allclose(adj.k_pinv, pinv.conj().T, atol=1e-12)
+        np.testing.assert_allclose(env.factors.pinv(), pinv, atol=1e-12)
+        np.testing.assert_allclose(adj.factors.pinv(), pinv.conj().T, atol=1e-12)
         np.testing.assert_allclose(env.proj_range_k, k @ pinv, atol=1e-12)
-        np.testing.assert_allclose(env.proj_range_k_adjoint, pinv @ k, atol=1e-12)
+        np.testing.assert_allclose(adj.proj_range_k, pinv @ k, atol=1e-12)
         np.testing.assert_allclose(env.range_k.projector(), k @ pinv, atol=1e-12)
         np.testing.assert_allclose(adj.range_k.projector(), pinv @ k, atol=1e-12)
         assert env.norm() == adj.norm() == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
@@ -609,8 +642,8 @@ class TestOperatorEnv:
         assert env.range_coordinates is coords
         assert not (env.range_factor.flags.writeable or coords.k.flags.writeable)
         arrays = (
-            env.k, env.k_adjoint, env.k_pinv, env.proj_range_k, env.proj_range_k_adjoint,
-            env.range_k.basis, adj.range_k.basis, adj.k_pinv,
+            env.k, env.k_adjoint, env.proj_range_k, adj.proj_range_k,
+            env.range_k.basis, adj.range_k.basis,
             env.factors.left_vectors, env.factors.singular_values, env.factors.right_vectors,
         )
         for arr in arrays:
@@ -619,7 +652,7 @@ class TestOperatorEnv:
 
     def test_carriers_are_read_only(self):
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
-        for arr in (env.k, env.k_pinv, env.proj_range_k, env.range_k.basis):
+        for arr in (env.k, env.proj_range_k, env.range_k.basis):
             with pytest.raises(ValueError):
                 arr[0, 0] = 9.0
 

@@ -342,7 +342,7 @@ class TestInverseAsMultiplier:
             phi = phi.scaled(scale)  # M_{1,Phi,P_K* Psi} = scale * K
             stray = crandn(rng, env.dim, env.dim)
             right = (
-                np.eye(env.dim) + (np.eye(env.dim) - env.proj_range_k_adjoint) @ stray
+                np.eye(env.dim) + (np.eye(env.dim) - env.adjoint().proj_range_k) @ stray
             ) / scale
             dual_choice = dual_family_generate(
                 psi, env_adj, admissible_perturbation(rng, psi, env_adj)
