@@ -103,7 +103,7 @@ def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
 
     def build():
         factors = _factors(f)
-        w = factors.left_vectors.conj().T @ env.range_k.basis
+        w = factors.left_vectors.conj().T @ env.range_basis
         return _restricted_inverse(factors, factors.singular_values[:factors.rank, None] ** 2 * w)
 
     return _memo(f, ("restriction", env), build)
@@ -122,7 +122,7 @@ def canonical_k_dual(
     """
     k_frame_check(f, env, policy)
     core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
-    return _factored(env.adjoint().range_k.basis, core, _factors(f).right_vectors)
+    return _factored(env.adjoint().range_basis, core, _factors(f).right_vectors)
 
 
 def verify_k_dual(
@@ -140,7 +140,7 @@ def verify_k_dual(
         raise ShapeMismatch(f"index counts differ: {f.size} vs {g.size}")
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
-    achieved = env.range_k.basis.conj().T @ f.synthesis @ g.analysis
+    achieved = env.range_basis.conj().T @ f.synthesis @ g.analysis
     check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(),
                   policy.identity_tol)
     bounds = _lower_bounds(f, g, env, policy) if check.ok and with_lower_bounds else None
@@ -155,7 +155,7 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, 
     max(k, N), the same number as max(n, N) whenever N >= n. G and {U_k* f_i} then
     keep their own SVDs, like every frame whose bounds are checked.
     """
-    coordinates = f.map(env.range_k.basis.conj().T)
+    coordinates = f.map(env.range_basis.conj().T)
     return (k_frame_check(g, env.adjoint(), policy).lower,
             k_frame_check(coordinates, env.range_coordinates, policy).lower)
 
@@ -247,7 +247,7 @@ def canonical_dual_bound_certificate(
                        _gate((observed[1] - envelope[1]) / envelope[1], 1.0, _SLACK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPerturbation:
     """Coefficient-valued map phi (N x n) parameterizing the dual family.
 
@@ -283,7 +283,7 @@ def _admissibility(
     """
     dual = canonical_k_dual(f, env, policy)
     scale = f.norm() * float(np.linalg.norm(pert.phi) + np.linalg.norm(dual.synthesis))
-    return (env.range_k.basis.conj().T @ f.synthesis) @ pert.phi, scale
+    return (env.range_basis.conj().T @ f.synthesis) @ pert.phi, scale
 
 
 def admissibility_violation(
@@ -342,10 +342,10 @@ def reciprocal_dual(
     """
     k_frame_check(f, env, policy)
     fac = _factors(f)
-    reduced = _factored(env.range_k.basis, _restriction(f, env).coordinates(), fac.right_vectors)
+    reduced = _factored(env.range_basis, _restriction(f, env).coordinates(), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
-    companion = _factored(env.adjoint().range_k.basis, core, fac.right_vectors)
+    companion = _factored(env.adjoint().range_basis, core, fac.right_vectors)
     return verify_k_dual(reduced, companion, env, policy)
 
 
@@ -376,7 +376,7 @@ def noncommutativity_witness(
     dual = canonical_k_dual(f, env, policy)
     # Ftilde lies in R(K*) = span V_k: for G = V_k* T_Ftilde = U_g Sigma_g V_g* and
     # Y = U_g Sigma_g^-1, W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
-    basis = env.adjoint().range_k.basis
+    basis = env.adjoint().range_basis
     g = svd_decompose(basis.conj().T @ dual.synthesis)
     if g.rank < env.rank:
         raise RankDeficientRestriction(f"S_Ftilde collapses R(K*): rank {g.rank} < {env.rank}")
@@ -416,7 +416,7 @@ def _dual_identity(
     |K| |target| + |T_F| |d|: the dual identity applied to ``target``, which the
     construction of d shares nothing with.
     """
-    achieved = env.range_k.basis.conj().T @ (f.synthesis @ d)
+    achieved = env.range_basis.conj().T @ (f.synthesis @ d)
     residual = float(np.linalg.norm(env.adjoint().range_factor.conj().T @ target - achieved))
     scale = env.norm() * float(np.linalg.norm(target)) + f.norm() * float(np.linalg.norm(d))
     return _gate(residual, scale, tol)

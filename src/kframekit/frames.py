@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Ordered finite sequence of vectors in C^n, stored as rows (N x n).
 
@@ -120,10 +120,6 @@ class Frame:
 
     def scaled(self, c: complex) -> "Frame":
         return Frame(c * self.vectors)
-
-    @staticmethod
-    def from_vectors(vectors) -> "Frame":
-        return Frame(np.asarray(vectors, dtype=np.complex128))
 
     @staticmethod
     def standard_basis(n: int) -> "Frame":
@@ -202,7 +198,7 @@ def k_frame_check(
         raise ShapeMismatch(
             f"frame lives in C^{f.ambient_dim}, operator acts on C^{env.dim}"
         )
-    if env.is_zero():
+    if env.rank == 0:
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     factors = _factors(f)
     inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), policy,

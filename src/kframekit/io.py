@@ -95,7 +95,7 @@ def _parse_frame(obj: dict, source: str) -> Frame:
             )
         rows.append([_complex_from(entry, f"{source}: vectors[{i}][{j}]")
                      for j, entry in enumerate(vec)])
-    return Frame.from_vectors(rows)
+    return Frame(rows)
 
 
 def _is_count(x) -> bool:

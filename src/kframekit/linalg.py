@@ -4,7 +4,7 @@ Matrices are two-dimensional ``numpy`` arrays of ``complex128``; the helpers
 here add the pieces the frame-theory layers need on top of LAPACK:
 rank-revealing SVD with one scale-invariant cutoff (``_rank``: singular
 values above sigma_max * max(rows, cols) * 2^-40), Moore-Penrose
-pseudo-inverses, orthonormal range bases and projectors, range-inclusion
+pseudo-inverses, orthonormal range bases read off the SVD, range-inclusion
 tests with the associated factorization (given operators L1, L2 with
 R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
 L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), the inverse of
@@ -33,9 +33,9 @@ norm first. Every identity is homogeneous, so every verdict is one gate,
 ``_gate``: residual <= tol * scale, for the magnitude ``scale`` of the
 identity's terms and no absolute floor, so no verdict depends on the units
 of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
-reads K*, its range and projector, its norms, its adjoint, its range factor
-K V_k (n x k) and the env of Sigma_k off them, memoized on first use; its
-self-check forms no n x n product. ``svd_decompose(m).pinv()`` is the
+reads K*, its range basis U_k, its norms, its adjoint, its range factor
+K V_k (n x k) and the env of Sigma_k off them; it forms no n x n projector,
+and its self-check no n x n product. ``svd_decompose(m).pinv()`` is the
 pseudo-inverse of a matrix, ``env.factors.pinv()`` is K^dagger. A memoized
 value is the value a fresh computation returns, and memo entries are only
 ever added, every caller getting the stored entry, so concurrent use stays safe.
@@ -61,13 +61,11 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "SvdFactors",
-    "Subspace",
     "OperatorEnv",
     "CheckResult",
     "MarginReport",
     "as_matrix",
     "spectral_norm",
-    "herm_eigvals",
     "min_eig",
     "svd_decompose",
     "range_inclusion_check",
@@ -162,16 +160,12 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def herm_eigvals(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (ascending)."""
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-
-
 def min_eig(h: np.ndarray) -> float:
-    return float(herm_eigvals(h)[0])
+    """Least eigenvalue of the Hermitian part."""
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD with a committed numerical rank.
 
@@ -207,34 +201,6 @@ class SvdFactors:
         r = self.rank
         core = (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
         return self.right_vectors[:, :r] @ core, core
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of C^n carried by an orthonormal column basis (n x k)."""
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128).copy()
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ShapeMismatch(
-                f"basis must be {self.ambient_dim} x k, got shape {b.shape}"
-            )
-        if b.shape[1]:
-            gram = b.conj().T @ b
-            if np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-10:
-                raise ShapeMismatch("basis columns are not orthonormal")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 def svd_decompose(m) -> SvdFactors:
@@ -324,7 +290,7 @@ def _require_inclusion(
 def _douglas(
     a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy,
     error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
-) -> tuple[CheckResult, np.ndarray]:
+) -> tuple[CheckResult, np.ndarray, np.ndarray]:
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
     Returns the passed inclusion test (failure raises ``error``, message
@@ -465,10 +431,10 @@ class OperatorEnv:
 
     Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K (the self-check gates the
     same norms as |K V_k Sigma_k^-1 - U_k| and |U_k (U_k* K) - K|); ``adjoint()``
-    swaps K and K*, which is how every K*-frame question is asked. K*, the range
-    of K with its projector, and ``adjoint()`` (the env of K* on the adjoint
-    factors) are derived from ``factors`` on first use and memoized on the
-    value; the norms read its singular values. An
+    swaps K and K*, which is how every K*-frame question is asked. K* and
+    ``adjoint()`` (the env of K* on the adjoint factors) are derived from
+    ``factors`` on first use and memoized on the value; ``range_basis`` (U_k, a
+    view of the factors, never copied) and the norms read the factors. An
     env holds its adjoint, and the adjoint never refers back to it. An env
     compares and hashes by identity, so it keys the memo entries of the values
     that derive results for it.
@@ -494,7 +460,7 @@ class OperatorEnv:
 
     def _self_check(self) -> None:
         f, r = self.factors, self.rank
-        u, tol = f.left_vectors[:, :r], DEFAULT_POLICY.identity_tol * self.norm()
+        u, tol = self.range_basis, DEFAULT_POLICY.identity_tol * self.norm()
         _within(self.k @ (f.right_vectors[:, :r] / f.singular_values[:r]) - u,
                 tol * self.pinv_norm(), InternalConsistencyError,
                 "K K^dagger differs from the range projector by {:.3e}")
@@ -507,20 +473,16 @@ class OperatorEnv:
         return _memo(self, "k_adjoint", lambda: as_matrix(self.k.conj().T))
 
     @property
-    def range_k(self) -> Subspace:
-        basis = self.factors.left_vectors[:, : self.rank]
-        return _memo(self, "range_k", lambda: Subspace(self.dim, basis))
-
-    @property
-    def proj_range_k(self) -> np.ndarray:
-        return _memo(self, "proj_range_k", lambda: _read_only(self.range_k.projector()))
+    def range_basis(self) -> np.ndarray:
+        """U_k (n x k), an orthonormal basis of R(K); the adjoint's is V_k."""
+        return self.factors.left_vectors[:, : self.rank]
 
     @property
     def range_factor(self) -> np.ndarray:
         """U_k Sigma_k = K V_k (n x k); the adjoint's is V_k Sigma_k = K* U_k."""
         r, f = self.rank, self.factors
         return _memo(self, "range_factor",
-                     lambda: _read_only(f.left_vectors[:, :r] * f.singular_values[:r]))
+                     lambda: _read_only(self.range_basis * f.singular_values[:r]))
 
     @property
     def range_coordinates(self) -> "OperatorEnv":
@@ -541,9 +503,6 @@ class OperatorEnv:
     @property
     def rank(self) -> int:
         return self.factors.rank
-
-    def is_zero(self) -> bool:
-        return self.rank == 0
 
     def norm(self) -> float:
         return float(self.factors.singular_values[0])

@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """Finite scalar symbol, optionally with declared semi-normalization bounds.
 
@@ -154,7 +154,7 @@ class Symbol:
         return Symbol(v, float(mods.min()), float(mods.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
@@ -225,8 +225,8 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
 
 
 def _projected(f: Frame, env: OperatorEnv) -> Frame:
-    """{P_{R(K)} f_i} in the factored form U_k (U_k* T_F)."""
-    basis = env.range_k.basis
+    """{P_{R(K)} f_i} in the factored form U_k (U_k* T_F), U_k = ``env.range_basis``."""
+    basis = env.range_basis
     return _factored(basis, basis.conj().T @ f.synthesis, None)
 
 
@@ -383,7 +383,9 @@ def inverse_as_multiplier(
     K*-dual Psi-dag of Psi, the multiplier M_{1, Psi-dag, R* P_K* Psi} equals
     the composition K R (apply R, then K); Phi is certified to be a K*-dual
     of {R* P_K* psi_i}. It is computed as the adjoint of the left side on
-    (Psi, Phi, K*, R*). Certificates: ``inverse_residual``, ``dual_of_transported``.
+    (Psi, Phi, K*, R*). The transported frame {L P_K phi_i} is L applied to the
+    factored P_K Phi frame of the base multiplier, so no n x n projector is formed.
+    Certificates: ``inverse_residual``, ``dual_of_transported``.
     """
     if side == "right":
         return inverse_as_multiplier(
@@ -399,7 +401,7 @@ def inverse_as_multiplier(
         raise NotAnInverse(f"inverse misses the projected multiplier identity by "
                            f"{check.residual:.3e}", check.residual)
     _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a dual of its frame")
-    transported = phi.map(inverse @ env.proj_range_k)
+    transported = base.phi.map(inverse)
     factor = assemble_multiplier(ones, transported, dual_choice)
     target = inverse @ env.k
     inter = verify_k_dual(transported, psi, env, policy, with_lower_bounds=False)
@@ -481,7 +483,7 @@ def perturbation_condition(
             f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi"
         )
     diff = psi.analysis - phi.analysis
-    rho = spectral_norm(diff @ env.range_k.basis)
+    rho = spectral_norm(diff @ env.range_basis)
     tau = (m.lower * a_bound) / (m.upper * np.sqrt(b_bound) * env.pinv_norm() ** 2)
     return ConditionReport(rho, float(tau), bool(rho <= tau))
 
@@ -505,7 +507,7 @@ def _perturbed_restriction(
             f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
             cond.rho - cond.tau,
         )
-    basis = env.range_k.basis
+    basis = env.range_basis
     analysis = (m.values[:, None] * psi.analysis) @ basis  # diag(m) T_Psi* Q: M Q = T_Phi analysis
     reference = phi.synthesis @ ((m.values[:, None] * phi.analysis) @ basis)
     try:
@@ -544,7 +546,7 @@ def perturbation_k_dual(
     minv = _perturbed_restriction(phi, psi, env, m, bounds, policy)[0]
     # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
     core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
-    dual = _factored(env.adjoint().range_k.basis,
+    dual = _factored(env.adjoint().range_basis,
                      env.factors.singular_values[: env.rank, None] * core, None)
     return verify_k_dual(psi, dual, env, policy)
 
@@ -571,7 +573,7 @@ def perturbation_right_inverse(
     # (M^-1)* Q c = U_r (B^+)* c, for c = Q* K and c = Q* T_Phi
     right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
-    r_frame = Frame(minv.apply_adjoint(env.range_k.basis.conj().T @ phi.synthesis).T)
+    r_frame = Frame(minv.apply_adjoint(env.range_basis.conj().T @ phi.synthesis).T)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
                  policy.identity_tol)
@@ -606,7 +608,7 @@ def range_inclusion_right_inverse(
     )
     ones = Symbol.ones(psi.size)
     adjoint = env.adjoint()
-    phi_dag = _factored(adjoint.range_k.basis, _restriction(phi, adjoint).coordinates(),
+    phi_dag = _factored(adjoint.range_basis, _restriction(phi, adjoint).coordinates(),
                         _factors(phi).right_vectors)
     psi_tilde = canonical_k_dual(psi, env, policy)
     left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
@@ -640,7 +642,7 @@ def range_inclusion_left_inverse(
     ones = Symbol.ones(psi.size)
     # ((S_Psi|)^-1)* P_K T_Psi = U_r (B^+)* Q* T_Psi
     restriction = _restriction(psi, env)
-    psi_dag = Frame(restriction.apply_adjoint(env.range_k.basis.conj().T @ psi.synthesis).T)
+    psi_dag = Frame(restriction.apply_adjoint(env.range_basis.conj().T @ psi.synthesis).T)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)

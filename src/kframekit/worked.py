@@ -100,7 +100,7 @@ def projection_example(
         operator = [[1.0, 0.0], [0.0, 0.0]]
     return WorkedExample(
         "c2-projection",
-        Frame.from_vectors(vectors),
+        Frame(vectors),
         OperatorEnv.from_matrix(operator),
         (1.0, 2.0),
         (4.0 / 3.0, 2.0),
@@ -118,7 +118,7 @@ def minimal_example(vectors=None, operator=None) -> WorkedExample:
         operator[2, 1] = 1.0
     return WorkedExample(
         "c4-minimal",
-        Frame.from_vectors(vectors),
+        Frame(vectors),
         OperatorEnv.from_matrix(operator),
         (1.0 / 8.0, 1.0),
         (0.5, 1.0),
@@ -129,7 +129,7 @@ def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
     """C^2 instance (K = diag(1,0), Psi = Phi = {e1, e1}) for the
     range-inclusion inverse constructions; both compositions equal K / K K*
     exactly."""
-    psi = Frame.from_vectors([[1.0, 0.0], [1.0, 0.0]])
+    psi = Frame([[1.0, 0.0], [1.0, 0.0]])
     env = OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]])
     return psi, psi, env
 

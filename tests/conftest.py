@@ -48,6 +48,12 @@ def projector_onto_range(m: np.ndarray) -> np.ndarray:
     return basis @ basis.conj().T
 
 
+def range_projector(env: OperatorEnv) -> np.ndarray:
+    """U_k U_k*, the orthogonal projector onto R(K), from ``env.range_basis``."""
+    basis = env.range_basis
+    return basis @ basis.conj().T
+
+
 def well_conditioned(m: np.ndarray, rank: int | None = None) -> bool:
     s = positive_singulars(m)
     if s.size == 0:
@@ -95,7 +101,7 @@ def admissible_perturbation(
     rng: np.random.Generator, f: Frame, env: OperatorEnv, scale: float = 1.0
 ) -> DualPerturbation:
     """Random phi with P_{R(K)} T_F phi = 0, built from the null space."""
-    projected = env.proj_range_k @ f.synthesis
+    projected = range_projector(env) @ f.synthesis
     u, s, vh = np.linalg.svd(projected, full_matrices=True)
     cutoff = (s[0] if s.size else 0.0) * max(projected.shape) * 2.0 ** -40
     rank = int(np.sum(s > cutoff))
@@ -120,7 +126,7 @@ def both_inclusion_instance(
         count = int(rng.integers(max(rank + 1, 2), size_max + 1))
         k = random_rank_matrix(rng, n, rank)
         env = OperatorEnv.from_matrix(k)
-        phi_syn = env.adjoint().proj_range_k @ crandn(rng, n, count)
+        phi_syn = range_projector(env.adjoint()) @ crandn(rng, n, count)
         if not well_conditioned(phi_syn, rank):
             continue
         psi_syn = env.k @ phi_syn

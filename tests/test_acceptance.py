@@ -12,6 +12,7 @@ from conftest import (
     both_inclusion_instance,
     crandn,
     random_k_frame,
+    range_projector,
 )
 from tests_support_douglas import (
     douglas_predicates,
@@ -189,7 +190,7 @@ def test_criterion_06_dual_family_round_trip():
             failures.append(f"instance {i}: round trip off by {dev:.3e}")
             break
         bad = crandn(rng, frame.size, frame.ambient_dim)
-        violation = spectral_norm(env.proj_range_k @ frame.synthesis @ bad)
+        violation = spectral_norm(range_projector(env) @ frame.synthesis @ bad)
         if violation > 1e-6:
             try:
                 from kframekit.duality import DualPerturbation
@@ -276,7 +277,7 @@ def test_criterion_09_perturbation_theorem():
             bump = crandn(rng, 3, 2)
             base = spectral_norm(
                 (Frame(ex.frame.vectors + bump).analysis - ex.frame.analysis)
-                @ ex.env.range_k.basis
+                @ ex.env.range_basis
             )
             if base > 1e-8:
                 break

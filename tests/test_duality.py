@@ -70,7 +70,7 @@ class TestVerify:
     def test_minimal_example_pair(self, c4_example):
         e = np.eye(4)
         cert = verify_k_dual(
-            c4_example.frame, Frame.from_vectors([e[0], e[0], e[1]]), c4_example.env
+            c4_example.frame, Frame([e[0], e[0], e[1]]), c4_example.env
         )
         assert cert.passed
 

@@ -21,10 +21,12 @@ from conftest import (
     crandn,
     minimal_instance,
     random_k_frame,
+    range_projector,
     well_conditioned,
 )
 from kframekit import (
     DEFAULT_POLICY,
+    DualPerturbation,
     Frame,
     Multiplier,
     OperatorEnv,
@@ -40,6 +42,7 @@ from kframekit import (
     k_left_inverse,
     k_right_inverse,
     range_inclusion_left_inverse,
+    svd_decompose,
     verify_k_dual,
 )
 from kframekit.duality import _restriction
@@ -192,14 +195,16 @@ class TestCounts:
         factorizations["n"] = 0
         env = OperatorEnv.from_matrix(k)
         assert factorizations["n"] == 1
-        assert not {"k_pinv", "proj_range_k"} & set(env._memo)
+        assert not {"k_pinv", "proj_range_k", "range_k"} & set(env._memo)
+        # the range basis is a view of the factors' U, not a copy
+        assert np.shares_memory(env.range_basis, env.factors.left_vectors)
 
     def test_projected_frame_factors_its_k_by_n_core(self, factorizations):
         # {P_R(K) phi_i} = U_k (U_k* T_Phi): its SVD has a k x N operand, not n x N
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         projected = _projected(f, env)
-        np.testing.assert_allclose(projected.vectors, f.map(env.proj_range_k).vectors,
+        np.testing.assert_allclose(projected.vectors, f.map(range_projector(env)).vectors,
                                    atol=1e-13 * f.norm())
         factorizations["inputs"].clear()
         factorizations["names"].clear()
@@ -248,7 +253,7 @@ class TestCounts:
         choice = dual_family_generate(psi, env_adj, admissible_perturbation(rng, psi, env_adj))
         k, n = env_adj.k_adjoint, env_adj.dim
         # M_{1,Phi,P_K* Psi} = K, and K R = K since R only moves the kernel of K
-        right = np.eye(n) + (np.eye(n) - env_adj.proj_range_k) @ crandn(rng, n, n)
+        right = np.eye(n) + (np.eye(n) - range_projector(env_adj)) @ crandn(rng, n, n)
         counts = []
         for side, frames, env, inverse in (
             ("right", (phi, psi), OperatorEnv.from_matrix(k), right),
@@ -354,6 +359,20 @@ class TestMemoCorrectness:
             pipeline(Frame(vectors), OperatorEnv.from_matrix(k), target, loose),
         )
 
+    @pytest.mark.parametrize("make", [
+        lambda: Frame(np.eye(3)),
+        lambda: Symbol.ones(3),
+        lambda: assemble_multiplier(Symbol.ones(3), Frame(np.eye(3)), Frame(np.eye(3))),
+        lambda: DualPerturbation.zero(3, 2),
+        lambda: svd_decompose(np.eye(3)),
+    ], ids=["Frame", "Symbol", "Multiplier", "DualPerturbation", "SvdFactors"])
+    def test_values_compare_and_hash_by_identity(self, make):
+        # values that hold arrays compare and hash by identity, like OperatorEnv
+        x, copy_of_x = make(), make()
+        assert x == x
+        assert (x == copy_of_x) is False
+        assert hash(x) == hash(x) and {x: 1}[x] == 1
+
 
 class TestNoCycles:
     def test_values_die_with_their_outputs(self):
@@ -380,7 +399,7 @@ class TestNoCycles:
             env = OperatorEnv.from_matrix(k)
             ref = weakref.ref(env)
             adjoint = env.adjoint()
-            adjoint.range_factor, adjoint.proj_range_k, adjoint.adjoint()
+            adjoint.range_factor, adjoint.range_basis, adjoint.adjoint()
             del env
             assert ref() is None
             np.testing.assert_array_equal(adjoint.k, k.conj().T)
@@ -458,7 +477,7 @@ class TestConcurrentUse:
 
                 def work():
                     right, left = k_right_inverse(mult, env), k_left_inverse(mult, env)
-                    results.append((mult._factors(), right, left, env.adjoint(), env.range_k))
+                    results.append((mult._factors(), right, left, env.adjoint(), env.range_factor))
 
                 threads = [threading.Thread(target=work) for _ in range(6)]
                 for t in threads:

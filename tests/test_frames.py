@@ -27,11 +27,11 @@ from kframekit.linalg import OperatorEnv, spectral_norm
 class TestFrameType:
     def test_rejects_ragged(self):
         with pytest.raises(ShapeMismatch):
-            Frame.from_vectors(np.array([1.0, 2.0]))
+            Frame(np.array([1.0, 2.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeMismatch):
-            Frame.from_vectors(np.zeros((0, 2)))
+            Frame(np.zeros((0, 2)))
 
     def test_synthesis_columns_exact(self):
         rng = np.random.default_rng(1)
@@ -76,7 +76,7 @@ class TestBesselBound:
         assert optimal_bessel_bound(c2_example.frame) == pytest.approx(2.0)
 
     def test_scaled_pair(self):
-        f = Frame.from_vectors(np.sqrt(2.0) * np.eye(2))
+        f = Frame(np.sqrt(2.0) * np.eye(2))
         assert optimal_bessel_bound(f) == pytest.approx(2.0)
 
     def test_least_valid(self):
@@ -111,7 +111,7 @@ class TestKFrameCheck:
             k_frame_check(Frame.standard_basis(2), OperatorEnv.from_matrix(np.zeros((2, 2))))
 
     def test_not_k_frame(self):
-        f = Frame.from_vectors([[1.0, 0.0]])
+        f = Frame([[1.0, 0.0]])
         with pytest.raises(NotKFrame):
             k_frame_check(f, OperatorEnv.identity(2))
 
@@ -159,7 +159,7 @@ class TestTightness:
         assert report.constant == pytest.approx(1.0)
 
     def test_adjoint_parseval(self, c4_example):
-        dual = Frame.from_vectors([np.eye(4)[0], np.eye(4)[0], np.eye(4)[1]])
+        dual = Frame([np.eye(4)[0], np.eye(4)[0], np.eye(4)[1]])
         report = tightness_check(dual, c4_example.env.adjoint())
         assert report.tight and report.parseval
 
@@ -175,7 +175,7 @@ class TestBesselEmbedding:
         np.testing.assert_allclose(env.k, np.eye(2))
 
     def test_two_vectors(self):
-        f = Frame.from_vectors([[1.0, 0.0], [1.0, 1.0]])
+        f = Frame([[1.0, 0.0], [1.0, 1.0]])
         env = bessel_as_k_frame(f)
         np.testing.assert_allclose(env.k, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -186,7 +186,7 @@ class TestBesselEmbedding:
 
     def test_too_many_vectors(self):
         with pytest.raises(IndexExceedsDimension):
-            bessel_as_k_frame(Frame.from_vectors([[1.0, 0], [0, 1.0], [1.0, 1.0]]))
+            bessel_as_k_frame(Frame([[1.0, 0], [0, 1.0], [1.0, 1.0]]))
 
     def test_always_parseval(self):
         rng = np.random.default_rng(9)
@@ -207,10 +207,10 @@ class TestMinimality:
 
     def test_repeated_vector(self):
         e = np.eye(4)
-        assert not minimality_check(Frame.from_vectors([e[0], e[0], e[1]]))
+        assert not minimality_check(Frame([e[0], e[0], e[1]]))
 
     def test_single_vector(self):
-        assert minimality_check(Frame.from_vectors([[0.0, 2.0]]))
+        assert minimality_check(Frame([[0.0, 2.0]]))
 
 
 class TestBiorthogonal:
@@ -219,7 +219,7 @@ class TestBiorthogonal:
         np.testing.assert_allclose(biorthogonal_sequence(f).vectors, f.vectors, atol=1e-14)
 
     def test_hand_pair(self):
-        f = Frame.from_vectors([[1.0, 0.0], [1.0, 1.0]])
+        f = Frame([[1.0, 0.0], [1.0, 1.0]])
         g = biorthogonal_sequence(f)
         np.testing.assert_allclose(g.vectors, [[1.0, -1.0], [0.0, 1.0]], atol=1e-13)
 
@@ -230,7 +230,7 @@ class TestBiorthogonal:
     def test_not_minimal_raises(self):
         e = np.eye(4)
         with pytest.raises(NotMinimal):
-            biorthogonal_sequence(Frame.from_vectors([e[0], e[0], e[1]]))
+            biorthogonal_sequence(Frame([e[0], e[0], e[1]]))
 
     def test_gram_identity_and_span(self):
         rng = np.random.default_rng(10)

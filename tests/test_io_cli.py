@@ -31,8 +31,8 @@ def fixture_files(tmp_path):
     put("f4.json", io.frame_to_obj(ex4.frame))
     put("k4.json", io.matrix_to_obj(ex4.env.k))
     e = np.eye(4)
-    put("g4.json", io.frame_to_obj(Frame.from_vectors([e[0], e[0], e[1]])))
-    put("bad4.json", io.frame_to_obj(Frame.from_vectors([e[0], 2 * e[0], e[1]])))
+    put("g4.json", io.frame_to_obj(Frame([e[0], e[0], e[1]])))
+    put("bad4.json", io.frame_to_obj(Frame([e[0], 2 * e[0], e[1]])))
     put("ones3.json", io.symbol_to_obj(Symbol.ones(3)))
     paths["dir"] = str(tmp_path)
     return paths

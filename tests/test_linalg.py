@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import crandn, projector_onto_range, random_k_frame
+from conftest import crandn, projector_onto_range, random_k_frame, range_projector
 
 from kframekit.errors import (
     InternalConsistencyError,
@@ -15,7 +15,6 @@ from kframekit.errors import (
 from kframekit.linalg import (
     DEFAULT_POLICY,
     OperatorEnv,
-    Subspace,
     _within,
     douglas_solve,
     majorization_constant,
@@ -139,13 +138,13 @@ class TestRangeProjector:
         for _ in range(25):
             m = crandn(rng, rng.integers(1, 8), rng.integers(1, 8))
             f = svd_decompose(m)
-            sub = Subspace(m.shape[0], f.left_vectors[:, : f.rank])
-            p = sub.projector()
+            basis = f.left_vectors[:, : f.rank]
+            p = basis @ basis.conj().T
             scale = 1e-10 * max(1.0, spectral_norm(m))
             assert spectral_norm(p - p.conj().T) <= scale
             assert spectral_norm(p @ p - p) <= scale
             assert spectral_norm(p @ m - m) <= scale
-            assert sub.dim == svd_decompose(m).rank
+            assert basis.shape[1] == svd_decompose(m).rank
 
 
 class TestRangeInclusion:
@@ -230,7 +229,7 @@ class TestIllConditionedMajorization:
         for seed in range(20):
             syn, x0, _ = graded_instance(seed, c)
             f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
-            projected = k_frame_check(f.map(env.proj_range_k), env).lower
+            projected = k_frame_check(f.map(range_projector(env)), env).lower
             got = _lower_bounds(f, Frame.standard_basis(20), env, DEFAULT_POLICY)[1]
             assert got == pytest.approx(projected, rel=1e-12)
 
@@ -482,25 +481,25 @@ class TestIllConditionedDual:
             assert out.passed
 
 
-def restricted_inverse(s, sub: Subspace) -> np.ndarray:
-    """(s|_V)^-1 P_{s(V)} as a matrix, from the factored kernel with L = s and R = I.
+def restricted_inverse(s, basis: np.ndarray) -> np.ndarray:
+    """(s|_V)^-1 P_{s(V)} as a matrix, V spanned by the orthonormal columns of ``basis``,
+    from the factored kernel with L = s and R = I.
 
     The kernel's adjoint form gives the adjoint matrix: U_r (B^+)* Q*.
     """
     f = svd_decompose(s)
     r = f.rank
-    operand = f.singular_values[:r, None] * (f.right_vectors[:, :r].conj().T @ sub.basis)
-    return _restricted_inverse(f, operand).apply_adjoint(sub.basis.conj().T).conj().T
+    operand = f.singular_values[:r, None] * (f.right_vectors[:, :r].conj().T @ basis)
+    return _restricted_inverse(f, operand).apply_adjoint(basis.conj().T).conj().T
 
 
 class TestRestrictedInverse:
     def test_identity_full_space(self):
-        inverse = restricted_inverse(np.eye(3), Subspace(3, np.eye(3)))
+        inverse = restricted_inverse(np.eye(3), np.eye(3))
         np.testing.assert_allclose(inverse, np.eye(3), atol=1e-14)
 
     def test_projection_example(self):
-        sub = Subspace(2, np.array([[1.0], [0.0]]))
-        inverse = restricted_inverse(S2, sub)
+        inverse = restricted_inverse(S2, np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(
             inverse @ np.array([1.5, -0.5]), [1.0, 0.0], atol=1e-13
         )
@@ -508,8 +507,8 @@ class TestRestrictedInverse:
     def test_c4_identity_on_range(self):
         k = OperatorEnv.from_matrix(c4_operator())
         s = np.diag([1.0, 1.0, 1.0, 0.0])
-        inverse = restricted_inverse(s, k.range_k)
-        basis = k.range_k.basis
+        basis = k.range_basis
+        inverse = restricted_inverse(s, basis)
         np.testing.assert_allclose(inverse @ s @ basis, basis, atol=1e-13)
 
     def test_round_trip(self):
@@ -520,14 +519,12 @@ class TestRestrictedInverse:
             s = a @ a.conj().T + 0.1 * np.eye(n)
             dim = int(rng.integers(1, n + 1))
             q, _ = np.linalg.qr(crandn(rng, n, dim))
-            sub = Subspace(n, q)
-            inverse = restricted_inverse(s, sub)
+            inverse = restricted_inverse(s, q)
             np.testing.assert_allclose(inverse @ (s @ q), q, atol=1e-9)
 
     def test_collapse_raises(self):
-        sub = Subspace(2, np.array([[0.0], [1.0]]))
         with pytest.raises(RankDeficientRestriction):
-            restricted_inverse(np.diag([1.0, 0.0]), sub)
+            restricted_inverse(np.diag([1.0, 0.0]), np.array([[0.0], [1.0]]))
 
     def test_frame_operator_norm_envelope(self):
         # on S_F(R(K)), the inverse obeys 1/B <= |inv f|/|f| <= |Kdag|^2 / A
@@ -537,9 +534,9 @@ class TestRestrictedInverse:
 
             frame, env = random_k_frame(rng)
             bounds = k_frame_check(frame, env)
-            inverse = restricted_inverse(frame.frame_operator, env.range_k)
+            inverse = restricted_inverse(frame.frame_operator, env.range_basis)
             for _ in range(5):
-                y = frame.frame_operator @ env.proj_range_k @ crandn(rng, env.dim)
+                y = frame.frame_operator @ range_projector(env) @ crandn(rng, env.dim)
                 norm_y = np.linalg.norm(y)
                 if norm_y < 1e-9:
                     continue
@@ -592,8 +589,8 @@ class TestOperatorEnv:
             scale = 1e-10 * max(1.0, env.norm())
             pinv = env.factors.pinv()
             assert spectral_norm(env.k @ pinv @ env.k - env.k) <= scale
-            assert spectral_norm(env.k @ pinv - env.proj_range_k) <= scale
-            assert spectral_norm(pinv @ env.k - env.adjoint().proj_range_k) <= scale
+            assert spectral_norm(env.k @ pinv - range_projector(env)) <= scale
+            assert spectral_norm(pinv @ env.k - range_projector(env.adjoint())) <= scale
 
     def test_adjoint_swaps(self):
         rng = np.random.default_rng(29)
@@ -601,12 +598,12 @@ class TestOperatorEnv:
         env = OperatorEnv.from_matrix(k)
         adj = env.adjoint()
         np.testing.assert_allclose(adj.k, env.k_adjoint)
-        np.testing.assert_allclose(adj.proj_range_k, env.factors.pinv() @ k, atol=1e-12)
+        np.testing.assert_allclose(range_projector(adj), env.factors.pinv() @ k, atol=1e-12)
         np.testing.assert_allclose(adj.adjoint().k, env.k)
 
     def test_zero_operator(self):
         env = OperatorEnv.from_matrix(np.zeros((3, 3)))
-        assert env.is_zero() and env.rank == 0
+        assert env.rank == 0 and env.range_basis.shape == (3, 0)
 
     @pytest.mark.parametrize("rank", [6, 3, 0])
     def test_derived_arrays_match_numpy(self, rank):
@@ -617,20 +614,21 @@ class TestOperatorEnv:
         pinv = np.linalg.pinv(k, rcond=1e-10)
         adj = env.adjoint()
         assert env.rank == adj.rank == rank
-        assert env.range_k.dim == adj.range_k.dim == rank
+        assert env.range_basis.shape == adj.range_basis.shape == (n, rank)
         np.testing.assert_array_equal(env.k_adjoint, k.conj().T)
         np.testing.assert_array_equal(adj.k, k.conj().T)
         np.testing.assert_allclose(env.factors.pinv(), pinv, atol=1e-12)
         np.testing.assert_allclose(adj.factors.pinv(), pinv.conj().T, atol=1e-12)
-        np.testing.assert_allclose(env.proj_range_k, k @ pinv, atol=1e-12)
-        np.testing.assert_allclose(adj.proj_range_k, pinv @ k, atol=1e-12)
-        np.testing.assert_allclose(env.range_k.projector(), k @ pinv, atol=1e-12)
-        np.testing.assert_allclose(adj.range_k.projector(), pinv @ k, atol=1e-12)
+        np.testing.assert_allclose(range_projector(env), k @ pinv, atol=1e-12)
+        np.testing.assert_allclose(range_projector(adj), pinv @ k, atol=1e-12)
+        # the projectors see only U_k U_k*; the bases themselves are orthonormal
+        for basis in (env.range_basis, adj.range_basis):
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(rank), atol=1e-12)
         assert env.norm() == adj.norm() == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
         expected = np.linalg.norm(pinv, 2) if rank else 0.0
         assert env.pinv_norm() == adj.pinv_norm() == pytest.approx(expected, rel=1e-12)
         # U_k Sigma_k = K V_k, V_k Sigma_k = K* U_k, and Sigma_k = U_k* K V_k
-        u, v = env.range_k.basis, adj.range_k.basis
+        u, v = env.range_basis, adj.range_basis
         assert env.range_factor.shape == adj.range_factor.shape == (n, rank)
         np.testing.assert_allclose(env.range_factor, k @ v, atol=1e-12)
         np.testing.assert_allclose(adj.range_factor, k.conj().T @ u, atol=1e-12)
@@ -642,8 +640,7 @@ class TestOperatorEnv:
         assert env.range_coordinates is coords
         assert not (env.range_factor.flags.writeable or coords.k.flags.writeable)
         arrays = (
-            env.k, env.k_adjoint, env.proj_range_k, adj.proj_range_k,
-            env.range_k.basis, adj.range_k.basis,
+            env.k, env.k_adjoint, env.range_basis, adj.range_basis,
             env.factors.left_vectors, env.factors.singular_values, env.factors.right_vectors,
         )
         for arr in arrays:
@@ -652,7 +649,7 @@ class TestOperatorEnv:
 
     def test_carriers_are_read_only(self):
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
-        for arr in (env.k, env.proj_range_k, env.range_k.basis):
+        for arr in (env.k, env.range_basis, env.adjoint().range_basis):
             with pytest.raises(ValueError):
                 arr[0, 0] = 9.0
 

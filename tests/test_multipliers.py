@@ -9,9 +9,10 @@ from conftest import (
     minimal_instance,
     projector_onto_range,
     random_k_frame,
+    range_projector,
 )
 
-from kframekit.duality import canonical_k_dual, dual_family_generate
+from kframekit.duality import canonical_k_dual, dual_family_generate, verify_k_dual
 from kframekit.errors import (
     ConditionViolated,
     HypothesisNotMet,
@@ -88,7 +89,7 @@ class TestAssemble:
 
     def test_dual_identity_as_multiplier(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        projected = projected_frame(c2_example.frame, c2_example.env.proj_range_k)
+        projected = projected_frame(c2_example.frame, range_projector(c2_example.env))
         mult = assemble_multiplier(Symbol.ones(3), projected, dual)
         np.testing.assert_allclose(mult.matrix, c2_example.env.k, atol=1e-13)
 
@@ -135,7 +136,7 @@ class TestRightInverse:
         np.testing.assert_allclose(mult.matrix @ out.matrix, c2_example.env.k, atol=1e-12)
 
     def test_disjoint_ranges(self):
-        phi = Frame.from_vectors([[0.0, 1.0]])
+        phi = Frame([[0.0, 1.0]])
         mult = assemble_multiplier(Symbol.ones(1), phi, phi)  # M = diag(0, 1)
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(NoRightInverse):
@@ -230,7 +231,7 @@ class TestLeftInverse:
         np.testing.assert_allclose(left @ mult.matrix, c2_example.env.k, atol=1e-12)
 
     def test_disjoint_ranges(self):
-        phi = Frame.from_vectors([[0.0, 1.0]])
+        phi = Frame([[0.0, 1.0]])
         mult = assemble_multiplier(Symbol.ones(1), phi, phi)
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(NoLeftInverse):
@@ -275,7 +276,7 @@ class TestFramesFromIdentity:
 
     def test_projection_example_sides(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        projected = projected_frame(c2_example.frame, c2_example.env.proj_range_k)
+        projected = projected_frame(c2_example.frame, range_projector(c2_example.env))
         mult = assemble_multiplier(Symbol.ones(3), projected, dual)
         report = frames_from_multiplier_identity(mult, c2_example.env)
         assert report.case == "identity" and report.passed
@@ -309,7 +310,7 @@ class TestInverseAsMultiplier:
 
     def test_projection_example_left(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        proj = c2_example.env.proj_range_k
+        proj = range_projector(c2_example.env)
         out = inverse_as_multiplier(
             c2_example.frame, dual, c2_example.env, proj, "left", dual
         )
@@ -324,7 +325,7 @@ class TestInverseAsMultiplier:
             scale = float(rng.uniform(0.5, 2.0))
             psi = psi.scaled(scale)  # M_{1,P_K Phi,Psi} = scale * K
             stray = crandn(rng, env.dim, env.dim)
-            left = (np.eye(env.dim) + stray @ (np.eye(env.dim) - env.proj_range_k)) / scale
+            left = (np.eye(env.dim) + stray @ (np.eye(env.dim) - range_projector(env))) / scale
             dual_choice = dual_family_generate(
                 frame, env, admissible_perturbation(rng, frame, env)
             )
@@ -342,7 +343,7 @@ class TestInverseAsMultiplier:
             phi = phi.scaled(scale)  # M_{1,Phi,P_K* Psi} = scale * K
             stray = crandn(rng, env.dim, env.dim)
             right = (
-                np.eye(env.dim) + (np.eye(env.dim) - env.adjoint().proj_range_k) @ stray
+                np.eye(env.dim) + (np.eye(env.dim) - range_projector(env.adjoint())) @ stray
             ) / scale
             dual_choice = dual_family_generate(
                 psi, env_adj, admissible_perturbation(rng, psi, env_adj)
@@ -356,6 +357,37 @@ class TestInverseAsMultiplier:
             if spectral_norm(reversed_product - out.target) > 1e-6:
                 assert spectral_norm(out.achieved - reversed_product) > 1e-6
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_transported_frame_matches_the_projector_formula(self, side):
+        # {L P_K phi_i} is L applied to the factored P_K Phi frame; the n x n formula
+        # phi.map(L U_k U_k*) gives the same frame, residual and verdict
+        rng = np.random.default_rng(127)
+        for _ in range(10):
+            frame, env = random_k_frame(rng)
+            psi = dual_family_generate(frame, env, admissible_perturbation(rng, frame, env))
+            choice = dual_family_generate(frame, env, admissible_perturbation(rng, frame, env))
+            stray = crandn(rng, env.dim, env.dim)
+            left = np.eye(env.dim) + stray @ (np.eye(env.dim) - range_projector(env))
+            if side == "left":
+                out = inverse_as_multiplier(frame, psi, env, left, "left", choice)
+                transported = out.factors[0].phi
+            else:  # R = L* is a K*-right inverse of M_{1,Psi,P_K Phi} = K*
+                out = inverse_as_multiplier(psi, frame, env.adjoint(), left.conj().T, "right",
+                                            choice)
+                transported = out.factors[0].psi
+            expected = frame.map(left @ range_projector(env))
+            assert (np.linalg.norm(transported.vectors - expected.vectors)
+                    <= 1e-12 * np.linalg.norm(expected.vectors))
+            target = left @ env.k
+            reference = assemble_multiplier(Symbol.ones(frame.size), expected, choice)
+            residual = spectral_norm(reference.matrix - target)
+            inter = verify_k_dual(expected, psi, env, with_lower_bounds=False)
+            assert out.residual == pytest.approx(residual, abs=1e-12 * spectral_norm(target))
+            assert out.certificates["dual_of_transported"] == pytest.approx(
+                inter.residual, abs=1e-12 * env.norm())
+            assert out.passed == (residual <= out.threshold and inter.passed)
+            assert out.passed
+
     def test_not_an_inverse(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         with pytest.raises(NotAnInverse):
@@ -365,7 +397,7 @@ class TestInverseAsMultiplier:
 
     def test_not_a_dual(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        proj = c2_example.env.proj_range_k
+        proj = range_projector(c2_example.env)
         with pytest.raises(NotADual):
             inverse_as_multiplier(
                 c2_example.frame, dual, c2_example.env, proj, "left", dual.scaled(2.0)
@@ -383,7 +415,7 @@ class TestInverseAsMultiplier:
 
     def test_not_a_dual_right(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        proj = c2_example.env.proj_range_k
+        proj = range_projector(c2_example.env)
         out = inverse_as_multiplier(dual, c2_example.frame, c2_example.env, proj, "right", dual)
         assert out.passed
         with pytest.raises(NotADual):
@@ -393,7 +425,7 @@ class TestInverseAsMultiplier:
 
     def test_unknown_side(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        proj = c2_example.env.proj_range_k
+        proj = range_projector(c2_example.env)
         with pytest.raises(ValueError):
             inverse_as_multiplier(c2_example.frame, dual, c2_example.env, proj, "both", dual)
 
@@ -433,7 +465,7 @@ class TestBiorthogonalInverse:
         e = np.eye(4)
         with pytest.raises(NotMinimal):
             biorthogonal_right_inverse(
-                c4_example.frame, Frame.from_vectors([e[0], e[0], e[1]]), c4_example.env
+                c4_example.frame, Frame([e[0], e[0], e[1]]), c4_example.env
             )
 
 
@@ -473,7 +505,7 @@ def perturbed_pair(rng, frame, env, tau, fraction):
     while True:
         bump = crandn(rng, frame.size, frame.ambient_dim)
         base = spectral_norm((Frame(frame.vectors + bump).analysis - frame.analysis)
-                             @ env.range_k.basis)
+                             @ env.range_basis)
         if base > 1e-8:
             scale = fraction * tau / base
             return Frame(frame.vectors + scale * bump)
@@ -599,7 +631,7 @@ class TestRangeInclusionRecipes:
 
     def test_mismatched_instance(self):
         psi = Frame.standard_basis(2)
-        phi = Frame.from_vectors([[1.0, 0.0], [1.0, 0.0]])
+        phi = Frame([[1.0, 0.0], [1.0, 0.0]])
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(RangeNotIncluded):
             range_inclusion_right_inverse(psi, phi, env)

@@ -369,9 +369,9 @@ def multiplier_instance(seed=11, n=6, count=9, rank=3):
     sym = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=count))
     tau = perturbation_condition(phi, phi, env, sym, bounds.lower, bounds.upper).tau
     bump = crandn(rng, count, n)
-    psi = syn.T + (0.5 * tau / np.linalg.norm(bump.conj() @ env.range_k.basis, 2)) * bump
+    psi = syn.T + (0.5 * tau / np.linalg.norm(bump.conj() @ env.range_basis, 2)) * bump
     dual_choice = (x + admissible_perturbation(rng, phi, env).phi).conj()  # T_G* = X + phi
-    q = env.range_k.basis
+    q = env.range_basis
     left = np.eye(n) + crandn(rng, n, n) @ (np.eye(n) - q @ q.conj().T)
     return syn.T, psi, k, sym, (bounds.lower, bounds.upper), dual_choice, x.conj(), left
 
