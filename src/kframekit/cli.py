@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .linalg import _RANK_SCALE, _SLACK, DEFAULT_POLICY, CheckResult, OperatorEnv, TolerancePolicy
+from .linalg import _RANK_SCALE, _SLACK, IDENTITY_TOL, CheckResult, OperatorEnv
 from .linalg import _gate, spectral_norm
 from .multipliers import Symbol
 
@@ -159,17 +159,17 @@ def _vectors_out(f: Frame) -> list:
     return io.frame_to_obj(f)["vectors"]
 
 
-def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_analyze(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 1, operator=True)
     frame = _load_frame(job.frames[0])
     env = _load_env(job.operator)
-    bounds = frames.k_frame_check(frame, env, policy)
+    bounds = frames.k_frame_check(frame, env, tol)
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
     report.results["bessel_bound"] = bounds.upper
     report.results["minimal"] = frames.minimality_check(frame)
     report.results["operator_rank"] = env.rank
-    tight = frames.tightness_check(frame, env, policy)
+    tight = frames.tightness_check(frame, env, tol)
     report.results["tight"] = tight.tight
     if tight.constant is not None:
         report.results["tight_constant"] = tight.constant
@@ -186,24 +186,24 @@ def _cmd_analyze(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
         low = bounds.lower * float(np.linalg.norm(env.k_adjoint @ v) ** 2)
         high = bounds.upper * float(np.linalg.norm(v) ** 2)
         worst = max(worst, low - total, total - high)
-    sampled = _gate(max(worst, 0.0), bounds.upper, policy.identity_tol)
+    sampled = _gate(max(worst, 0.0), bounds.upper, tol)
     report.verdicts["sampled-inequalities"] = sampled
 
 
-def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_dual(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 1, operator=True)
     frame = _load_frame(job.frames[0])
     env = _load_env(job.operator)
-    bounds = frames.k_frame_check(frame, env, policy)
-    dual = duality.canonical_k_dual(frame, env, policy)
-    cert = duality.verify_k_dual(frame, dual, env, policy)
+    bounds = frames.k_frame_check(frame, env, tol)
+    dual = duality.canonical_k_dual(frame, env, tol)
+    cert = duality.verify_k_dual(frame, dual, env, tol)
     report.results["dual_vectors"] = _vectors_out(dual)
     report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
     envelope = duality.canonical_dual_bound_certificate(
-        frame, env, bounds.lower, bounds.upper, policy
+        frame, env, bounds.lower, bounds.upper, tol
     )
     report.results["envelope"] = list(envelope.envelope)
     report.results["dual_optimal_bounds"] = list(envelope.observed)
@@ -211,26 +211,26 @@ def _cmd_dual(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
                                                   key=lambda side: side.residual)
 
 
-def _cmd_verify(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_verify(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 2, operator=True)
     frame = _load_frame(job.frames[0])
     candidate = _load_frame(job.frames[1])
     env = _load_env(job.operator)
-    cert = duality.verify_k_dual(frame, candidate, env, policy)
+    cert = duality.verify_k_dual(frame, candidate, env, tol)
     report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
 
 
-def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_dual_family(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 2, operator=True)
     frame = _load_frame(job.frames[0])
     candidate = _load_frame(job.frames[1])
     env = _load_env(job.operator)
-    pert = duality.dual_family_recover_phi(frame, candidate, env, policy)
-    report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, policy)
-    regenerated = duality.dual_family_generate(frame, env, pert, policy)
+    pert = duality.dual_family_recover_phi(frame, candidate, env, tol)
+    report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, tol)
+    regenerated = duality.dual_family_generate(frame, env, pert, tol)
     roundtrip = float(np.max(np.abs(regenerated.vectors - candidate.vectors)))
     report.results["phi"] = io.matrix_to_obj(pert.phi)
     report.verdicts["family-round-trip"] = _gate(
@@ -238,7 +238,7 @@ def _cmd_dual_family(job: JobSpec, policy: TolerancePolicy, report: Report) -> N
     )
 
 
-def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_multiplier(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 2, operator=False, symbol=True)
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
@@ -250,7 +250,7 @@ def _cmd_multiplier(job: JobSpec, policy: TolerancePolicy, report: Report) -> No
     report.verdicts["norm-bound"] = mult.norm_bound_check()
 
 
-def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side: str) -> None:
+def _inverse_command(job: JobSpec, tol: float, report: Report, side: str) -> None:
     _require(job, 2, operator=True, symbol=None)
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
@@ -258,28 +258,28 @@ def _inverse_command(job: JobSpec, policy: TolerancePolicy, report: Report, side
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
     if side == "right":
-        inverse = multipliers.k_right_inverse(mult, env, policy)
+        inverse = multipliers.k_right_inverse(mult, env, tol)
         matrix = inverse.matrix
         report.results["majorization"] = inverse.majorization
         residual = spectral_norm(mult.matrix @ matrix - env.k)
         name = "right-inverse-identity"
     else:
-        matrix = multipliers.k_left_inverse(mult, env, policy)
+        matrix = multipliers.k_left_inverse(mult, env, tol)
         residual = spectral_norm(matrix @ mult.matrix - env.k)
         name = "left-inverse-identity"
     report.results["inverse"] = io.matrix_to_obj(matrix)
-    report.verdicts[name] = _gate(residual, env.norm(), policy.identity_tol)
+    report.verdicts[name] = _gate(residual, env.norm(), tol)
 
 
-def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_perturb_check(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 2, operator=True, symbol=None)
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
     env = _load_env(job.operator)
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
-    bounds = frames.k_frame_check(phi, env, policy)
+    bounds = frames.k_frame_check(phi, env, tol)
     cond = multipliers.perturbation_condition(
-        phi, psi, env, symbol, bounds.lower, bounds.upper, policy
+        phi, psi, env, symbol, bounds.lower, bounds.upper, tol
     )
     report.results["rho"] = cond.rho
     report.results["tau"] = cond.tau
@@ -287,7 +287,7 @@ def _cmd_perturb_check(job: JobSpec, policy: TolerancePolicy, report: Report) ->
     report.verdicts["perturbation-condition"] = CheckResult(cond.satisfied, cond.rho, cond.tau)
 
 
-def _cmd_examples(job: JobSpec, policy: TolerancePolicy, report: Report) -> None:
+def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:
     _require(job, 0, operator=False)
     run = worked.reproduce_examples(tol=job.tol)
     report.results["checks"] = len(run.checks)
@@ -302,8 +302,8 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "dual-family": _cmd_dual_family,
     "multiplier": _cmd_multiplier,
-    "right-inverse": lambda job, policy, report: _inverse_command(job, policy, report, "right"),
-    "left-inverse": lambda job, policy, report: _inverse_command(job, policy, report, "left"),
+    "right-inverse": lambda job, tol, report: _inverse_command(job, tol, report, "right"),
+    "left-inverse": lambda job, tol, report: _inverse_command(job, tol, report, "left"),
     "perturb-check": _cmd_perturb_check,
     "examples": _cmd_examples,
 }
@@ -318,7 +318,7 @@ def run_job(job: JobSpec) -> Report:
         raise ParseError(f"--tol must be a positive finite number, got {job.tol!r}")
     if job.seed < 0:
         raise ParseError(f"--seed must be a non-negative integer, got {job.seed}")
-    policy = DEFAULT_POLICY.with_tol(job.tol)
+    tol = IDENTITY_TOL if job.tol is None else job.tol
     inputs = {}
     for i, path in enumerate(job.frames):
         inputs[f"frame{i}"] = str(path)
@@ -329,11 +329,11 @@ def run_job(job: JobSpec) -> Report:
     report = Report(
         command=job.command,
         inputs=inputs,
-        tolerances={"identity_tol": policy.identity_tol, "rank_scale": _RANK_SCALE},
+        tolerances={"identity_tol": tol, "rank_scale": _RANK_SCALE},
         seed=job.seed,
     )
     try:
-        _HANDLERS[job.command](job, policy, report)
+        _HANDLERS[job.command](job, tol, report)
     except (ParseError, ShapeMismatch, InternalConsistencyError):
         raise
     except KFrameError as exc:

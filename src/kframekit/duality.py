@@ -43,10 +43,9 @@ from .frames import (
 )
 from .linalg import (
     _SLACK,
-    DEFAULT_POLICY,
+    IDENTITY_TOL,
     CheckResult,
     OperatorEnv,
-    TolerancePolicy,
     _gate,
     _memo,
     _memoized_per_operator,
@@ -111,16 +110,16 @@ def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
 
 @_memoized_per_operator
 def canonical_k_dual(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> Frame:
     """Canonical K-dual {K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i}.
 
     Index order follows ``f`` (equal frame vectors yield equal duals). Built
     as (K* Q) B^+ Sigma V_r* = V_k (Sigma_k B^+ Sigma) V_r*, whose SVD factors the
     k x r core. Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
-    Memoized on ``f`` per (env, policy).
+    Memoized on ``f`` per (env, tol).
     """
-    k_frame_check(f, env, policy)
+    k_frame_check(f, env, tol)
     core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
     return _factored(env.adjoint().range_basis, core, _factors(f).right_vectors)
 
@@ -129,10 +128,10 @@ def verify_k_dual(
     f: Frame,
     g: Frame,
     env: OperatorEnv,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
     with_lower_bounds: bool = True,
 ) -> KDualCertificate:
-    """Certify the dual identity K = P_{R(K)} T_F T_G*, to ``identity_tol`` |K|.
+    """Certify the dual identity K = P_{R(K)} T_F T_G*, to ``tol`` |K|.
 
     The residual is |Sigma_k V_k* - (U_k* T_F) T_G*|: the same up to K - K V_k V_k*.
     """
@@ -141,13 +140,12 @@ def verify_k_dual(
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
     achieved = env.range_basis.conj().T @ f.synthesis @ g.analysis
-    check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(),
-                  policy.identity_tol)
-    bounds = _lower_bounds(f, g, env, policy) if check.ok and with_lower_bounds else None
+    check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(), tol)
+    bounds = _lower_bounds(f, g, env, tol) if check.ok and with_lower_bounds else None
     return KDualCertificate(f, g, env, check.residual, check.threshold, check.ok, bounds)
 
 
-def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, float]:
+def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[float, float]:
     """Optimal lower bounds of G against K* and of {P_{R(K)} f_i} against K.
 
     P T_F = U_k (U_k* T_F) and U_k* K = Sigma_k V_k*, so the second is exactly that
@@ -155,22 +153,22 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, policy) -> tuple[float, 
     max(k, N), the same number as max(n, N) whenever N >= n. G and {U_k* f_i} then
     keep their own SVDs, like every frame whose bounds are checked.
     """
+    dual = k_frame_check(g, env.adjoint(), tol).lower  # ZeroOperator at K = 0, before k = 0 rows
     coordinates = f.map(env.range_basis.conj().T)
-    return (k_frame_check(g, env.adjoint(), policy).lower,
-            k_frame_check(coordinates, env.range_coordinates, policy).lower)
+    return dual, k_frame_check(coordinates, env.range_coordinates, tol).lower
 
 
 def _require_k_dual(
-    f: Frame, g: Frame, env: OperatorEnv, policy: TolerancePolicy, what: str
+    f: Frame, g: Frame, env: OperatorEnv, tol: float, what: str
 ) -> None:
     """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``."""
-    cert = verify_k_dual(f, g, env, policy, with_lower_bounds=False)
+    cert = verify_k_dual(f, g, env, tol, with_lower_bounds=False)
     if not cert.passed:
         raise NotADual(f"{what} (residual {cert.residual:.3e})", cert.residual)
 
 
 def k_dual_lower_bounds(
-    cert: KDualCertificate, policy: TolerancePolicy = DEFAULT_POLICY
+    cert: KDualCertificate, tol: float = IDENTITY_TOL
 ) -> tuple[float, float]:
     """Optimal lower bounds a dual pair inherits, checked against 1/B.
 
@@ -185,7 +183,7 @@ def k_dual_lower_bounds(
             cert.residual,
         )
     lb_dual, lb_projected = (cert.lower_bound_report
-                             or _lower_bounds(cert.frame, cert.dual, cert.env, policy))
+                             or _lower_bounds(cert.frame, cert.dual, cert.env, tol))
     guarantee_dual = 1.0 / optimal_bessel_bound(cert.frame)
     guarantee_projected = 1.0 / optimal_bessel_bound(cert.dual)
     if not (_gate(guarantee_dual - lb_dual, guarantee_dual, _SLACK)
@@ -221,7 +219,7 @@ def canonical_dual_bound_certificate(
     env: OperatorEnv,
     a: float,
     b: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> BoundReport:
     """Check the canonical dual's optimal bounds against the (A, B) envelope.
 
@@ -233,15 +231,15 @@ def canonical_dual_bound_certificate(
     |T_Ftilde|^2 <= |K|^2 |S^-1|^2 B <= B (|K| |K^dagger| |K^dagger| / A)^2, of
     the Bessel bound's degree and evaluated in that order, so at any scale.
     """
-    validation = validate_bounds(f, env, a, b, policy)
+    validation = validate_bounds(f, env, a, b, tol)
     if not validation.valid:
         raise InvalidBounds(
             f"({a}, {b}) is not a valid K-frame bound pair: slacks "
             f"({validation.lower_slack:.3e}, {validation.upper_slack:.3e})"
         )
-    dual = canonical_k_dual(f, env, policy)
+    dual = canonical_k_dual(f, env, tol)
     envelope = (1.0 / b, b * (env.norm() * env.pinv_norm() * env.pinv_norm() / a) ** 2)
-    observed = (k_frame_check(dual, env.adjoint(), policy).lower, optimal_bessel_bound(dual))
+    observed = (k_frame_check(dual, env.adjoint(), tol).lower, optimal_bessel_bound(dual))
     return BoundReport(envelope, observed,
                        _gate((envelope[0] - observed[0]) / envelope[0], 1.0, _SLACK),
                        _gate((observed[1] - envelope[1]) / envelope[1], 1.0, _SLACK))
@@ -275,30 +273,30 @@ class DualPerturbation:
 
 
 def _admissibility(
-    f: Frame, env: OperatorEnv, pert: DualPerturbation, policy: TolerancePolicy
+    f: Frame, env: OperatorEnv, pert: DualPerturbation, tol: float
 ) -> tuple[np.ndarray, float]:
     """U_k* T_F phi (of P_{R(K)} T_F phi's norm) and its scale |T_F| (|phi|_F + |T_Ftilde|_F).
 
     The scale holds the terms that cancel: a phi recovered from g = Ftilde is noise.
     """
-    dual = canonical_k_dual(f, env, policy)
+    dual = canonical_k_dual(f, env, tol)
     scale = f.norm() * float(np.linalg.norm(pert.phi) + np.linalg.norm(dual.synthesis))
     return (env.range_basis.conj().T @ f.synthesis) @ pert.phi, scale
 
 
 def admissibility_violation(
-    f: Frame, env: OperatorEnv, pert: DualPerturbation, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, pert: DualPerturbation, tol: float = IDENTITY_TOL
 ) -> CheckResult:
     """Spectral norm of P_{R(K)} T_F phi (zero for admissible phi) against its threshold."""
-    product, scale = _admissibility(f, env, pert, policy)
-    return _gate(spectral_norm(product), scale, policy.identity_tol)
+    product, scale = _admissibility(f, env, pert, tol)
+    return _gate(spectral_norm(product), scale, tol)
 
 
 def dual_family_generate(
     f: Frame,
     env: OperatorEnv,
     pert: DualPerturbation,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> Frame:
     """Member g_i = ftilde_i + phi* delta_i of the K-dual family of ``f``.
 
@@ -309,10 +307,10 @@ def dual_family_generate(
         raise ShapeMismatch(
             f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
         )
-    product, scale = _admissibility(f, env, pert, policy)
-    _within(product, policy.identity_tol * scale, InadmissiblePerturbation,
+    product, scale = _admissibility(f, env, pert, tol)
+    _within(product, tol * scale, InadmissiblePerturbation,
             "P_R(K) T_F phi has norm {:.3e}")
-    dual = canonical_k_dual(f, env, policy)
+    dual = canonical_k_dual(f, env, tol)
     return Frame((dual.synthesis + pert.phi_adjoint).T)
 
 
@@ -320,33 +318,33 @@ def dual_family_recover_phi(
     f: Frame,
     g: Frame,
     env: OperatorEnv,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> DualPerturbation:
     """Recover the family parameter of a verified dual: phi = T_g* - T_Ftilde*.
 
     The closed form T_g* - T_F* ((S_F|_{R(K)})^-1)* K; regenerating with the
     result reproduces ``g`` and the result is always admissible.
     """
-    _require_k_dual(f, g, env, policy, "g is not a K-dual of f at tolerance")
-    dual = canonical_k_dual(f, env, policy)
+    _require_k_dual(f, g, env, tol, "g is not a K-dual of f at tolerance")
+    dual = canonical_k_dual(f, env, tol)
     return DualPerturbation(g.analysis - dual.analysis)
 
 
 def reciprocal_dual(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> KDualCertificate:
     """Certify that {K* P_{R(K)} f_i} is a K-dual of {(S_F|_{R(K)})^-1 P f_i}.
 
     The certified identity is
     K f = sum_i <K f, P_{R(K)} f_i> P_{R(K)} (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i.
     """
-    k_frame_check(f, env, policy)
+    k_frame_check(f, env, tol)
     fac = _factors(f)
     reduced = _factored(env.range_basis, _restriction(f, env).coordinates(), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
     companion = _factored(env.adjoint().range_basis, core, fac.right_vectors)
-    return verify_k_dual(reduced, companion, env, policy)
+    return verify_k_dual(reduced, companion, env, tol)
 
 
 @dataclass(frozen=True)
@@ -370,10 +368,10 @@ class WitnessReport:
 
 
 def noncommutativity_witness(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> WitnessReport:
-    """Test whether the exchanged construction on Ftilde recovers F, to ``identity_tol`` |T_F|."""
-    dual = canonical_k_dual(f, env, policy)
+    """Test whether the exchanged construction on Ftilde recovers F, to ``tol`` |T_F|."""
+    dual = canonical_k_dual(f, env, tol)
     # Ftilde lies in R(K*) = span V_k: for G = V_k* T_Ftilde = U_g Sigma_g V_g* and
     # Y = U_g Sigma_g^-1, W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
     basis = env.adjoint().range_basis
@@ -385,7 +383,7 @@ def noncommutativity_witness(
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
     double_dual = (env.range_factor @ (y @ g.right_vectors.conj().T)).T
     recovery_disc = np.linalg.norm(double_dual - f.vectors, axis=1)
-    check = _gate(float(np.max(recovery_disc)), f.norm(), policy.identity_tol)
+    check = _gate(float(np.max(recovery_disc)), f.norm(), tol)
     return WitnessReport(images, frame_disc, double_dual, recovery_disc, check.ok, check.threshold)
 
 
@@ -427,22 +425,22 @@ def minimal_norm_identity(
     env: OperatorEnv,
     target: np.ndarray,
     coeffs: np.ndarray,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Verify the Pythagorean split of any representation against d_i = <f, ftilde_i>.
 
     Requires T_F coeffs = T_F d (the representability hypothesis) to
-    ``identity_tol`` |T_F| (|coeffs| + |d|); raises NotARepresentation otherwise.
-    d itself must pass ``_dual_identity`` to ``identity_tol``.
+    ``tol`` |T_F| (|coeffs| + |d|); raises NotARepresentation otherwise.
+    d itself must pass ``_dual_identity`` to ``tol``.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if target.size != f.ambient_dim or coeffs.size != f.size:
         raise ShapeMismatch("target/coefficient sizes do not match the frame")
-    dual = canonical_k_dual(f, env, policy)
+    dual = canonical_k_dual(f, env, tol)
     d = dual.analysis @ target
     rep = _gate(float(np.linalg.norm(f.synthesis @ (coeffs - d))),
-                f.norm() * float(np.linalg.norm(coeffs) + np.linalg.norm(d)), policy.identity_tol)
+                f.norm() * float(np.linalg.norm(coeffs) + np.linalg.norm(d)), tol)
     if not rep:
         raise NotARepresentation(f"T_F c differs from T_F d by {rep.residual:.3e}", rep.residual)
     lhs = float(np.sum(np.abs(coeffs) ** 2))
@@ -450,7 +448,7 @@ def minimal_norm_identity(
     identity = _gate(abs(lhs - rhs), lhs, _SLACK)
     # for c = 0 the split holds only with d = 0; rel is then the absolute residual
     rel = identity.residual / lhs if lhs else identity.residual
-    dual_check = _dual_identity(f, env, target, d, policy.identity_tol)
+    dual_check = _dual_identity(f, env, target, d, tol)
     return IdentityReport(lhs, rhs, rel, identity.ok, dual_check.residual, dual_check.threshold,
                           dual_check.ok, identity.ok and dual_check.ok, d)
 
@@ -459,7 +457,7 @@ def canonical_coefficients(
     f: Frame,
     env: OperatorEnv,
     target: np.ndarray,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> np.ndarray:
     """Canonical coefficients {<target, ftilde_i>}, read off the memoized dual.
 
@@ -468,7 +466,7 @@ def canonical_coefficients(
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     if target.size != f.ambient_dim:
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
-    d = canonical_k_dual(f, env, policy).analysis @ target
+    d = canonical_k_dual(f, env, tol).analysis @ target
     check = _dual_identity(f, env, target, d, _SLACK)
     if not check:
         raise InternalConsistencyError(

@@ -113,12 +113,3 @@ class ParseError(KFrameError):
 class DimensionMismatch(ParseError):
     code = "dimension-mismatch"
 
-
-class GoldenMismatch(KFrameError):
-    """Golden suite failure; ``failures`` lists every failed assertion."""
-
-    code = "golden-mismatch"
-
-    def __init__(self, message: str, failures: list[str] | None = None):
-        super().__init__(message)
-        self.failures = failures or []

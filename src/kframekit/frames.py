@@ -27,11 +27,10 @@ from .errors import (
     NotKFrame,
 )
 from .linalg import (
-    DEFAULT_POLICY,
+    IDENTITY_TOL,
     CheckResult,
     OperatorEnv,
     SvdFactors,
-    TolerancePolicy,
     _check_reconstruction,
     _douglas,
     _gate,
@@ -67,7 +66,7 @@ class Frame:
 
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
-    built on it and (per tolerance policy too) the results of ``k_frame_check``
+    built on it and (per tolerance too) the results of ``k_frame_check``
     and ``canonical_k_dual``. Memoization never changes a result, entries are
     only ever added (so concurrent use stays safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
@@ -180,7 +179,7 @@ def optimal_bessel_bound(f: Frame) -> float:
 
 @_memoized_per_operator
 def k_frame_check(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> FrameBounds:
     """Optimal K-frame bounds (A, B) of ``f`` against the operator of ``env``.
 
@@ -191,7 +190,7 @@ def k_frame_check(
     A = 1/|pinv(T_F) K|^2. The one cross-check, ``linalg``'s QR route,
     shares only U_r of that SVD; it must agree with the Douglas route in
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
-    per (env, policy). Both routes take L1 = K V_k (``env.range_factor``, n x k),
+    per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
     """
     if f.ambient_dim != env.dim:
@@ -201,7 +200,7 @@ def k_frame_check(
     if env.rank == 0:
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     factors = _factors(f)
-    inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), policy,
+    inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), tol,
                                   NotKFrame, "R(K) not contained in R(T_F)")
     lower = 1.0 / _majorization(env.range_factor, f.synthesis, factors, core) ** 2
     upper = float(factors.singular_values[0] ** 2)
@@ -221,16 +220,16 @@ class BoundsValidation:
 
 
 def validate_bounds(
-    f: Frame, env: OperatorEnv, a: float, b: float, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, a: float, b: float, tol: float = IDENTITY_TOL
 ) -> BoundsValidation:
-    """Check a K-frame inequality pair a K K* <= S_F <= b I, to ``identity_tol`` B."""
+    """Check a K-frame inequality pair a K K* <= S_F <= b I, to ``tol`` B."""
     if f.ambient_dim != env.dim:
         raise ShapeMismatch("frame/operator dimension mismatch")
     bessel = optimal_bessel_bound(f)
     lower_slack = min_eig(f.frame_operator - a * (env.k @ env.k_adjoint))
     upper_slack = b - bessel
-    lower = _gate(-lower_slack, bessel, policy.identity_tol)
-    upper = _gate(-upper_slack, bessel, policy.identity_tol)
+    lower = _gate(-lower_slack, bessel, tol)
+    upper = _gate(-upper_slack, bessel, tol)
     return BoundsValidation(lower.ok and upper.ok, lower.ok, upper.ok, lower_slack, upper_slack,
                             lower.threshold)
 
@@ -247,9 +246,9 @@ class TightnessReport:
 
 
 def tightness_check(
-    f: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> TightnessReport:
-    """Best-fit tightness constant and the residual of S_F - A K K*, to ``identity_tol`` B.
+    """Best-fit tightness constant and the residual of S_F - A K K*, to ``tol`` B.
 
     The constant is fitted on G = (K/|K|)(K/|K|)*, as tr(G S_F) / (tr(G^2) |K|^2),
     so neither trace under- or overflows where K K* itself does not.
@@ -265,8 +264,8 @@ def tightness_check(
         const = float(np.real(np.trace(unit @ s))) / (
             float(np.real(np.trace(unit @ unit))) * norm_k**2
         )
-    check = _gate(spectral_norm(s - const * gram_k), optimal_bessel_bound(f), policy.identity_tol)
-    parseval = check.ok and _gate(abs(const - 1.0), 1.0, policy.identity_tol).ok
+    check = _gate(spectral_norm(s - const * gram_k), optimal_bessel_bound(f), tol)
+    parseval = check.ok and _gate(abs(const - 1.0), 1.0, tol).ok
     return TightnessReport(check.ok, const if check.ok else None, parseval, check.residual,
                            check.threshold)
 

@@ -30,9 +30,10 @@ l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
 which shares only the range basis U_r. Reported residuals are spectral
 norms; a residual that only gates (``_within``) is decided on its Frobenius
 norm first. Every identity is homogeneous, so every verdict is one gate,
-``_gate``: residual <= tol * scale, for the magnitude ``scale`` of the
-identity's terms and no absolute floor, so no verdict depends on the units
-of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
+``_gate``: residual <= tol * scale, for a plain float ``tol`` (the one
+user-set threshold, ``IDENTITY_TOL`` by default), the magnitude ``scale`` of
+the identity's terms and no absolute floor, so no verdict depends on the
+units of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
 reads K*, its range basis U_k, its norms, its adjoint, its range factor
 K V_k (n x k) and the env of Sigma_k off them; it forms no n x n projector,
 and its self-check no n x n product. ``svd_decompose(m).pinv()`` is the
@@ -58,8 +59,7 @@ from .errors import (
 )
 
 __all__ = [
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
+    "IDENTITY_TOL",
     "SvdFactors",
     "OperatorEnv",
     "CheckResult",
@@ -75,24 +75,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """The one user-set threshold, the relative tolerance of operator identities.
-
-    A check passes when its residual is at most ``identity_tol * scale``
-    (``_gate``), where ``scale`` is the magnitude of the identity's terms.
-    Numerical rank is not part of the policy: it is the fixed rule of ``_rank``.
-    """
-
-    identity_tol: float = 1e-10
-
-    def with_tol(self, tol: float | None) -> "TolerancePolicy":
-        if tol is None:
-            return self
-        return TolerancePolicy(tol)
-
-
-DEFAULT_POLICY = TolerancePolicy()
+# default relative tolerance of operator identities; numerical rank is the fixed rule of _rank
+IDENTITY_TOL = 1e-10
 
 # relative slack of a guarantee a theorem gives and of two routes to one value
 _SLACK = 1e-9
@@ -123,7 +107,7 @@ def _memo(owner, key, compute):
 
 
 def _memoized_per_operator(fn):
-    """Memoize ``fn(value, env, policy)`` on ``value``, keyed on (env, policy).
+    """Memoize ``fn(value, env, tol)`` on ``value``, keyed on (env, tol).
 
     An env hashes by identity and the key holds it; an env never refers back
     to the values that memoize results for it, which keeps the references
@@ -131,8 +115,8 @@ def _memoized_per_operator(fn):
     """
 
     @functools.wraps(fn)
-    def memoized(value, env, policy=DEFAULT_POLICY):
-        return _memo(value, (fn.__name__, env, policy), lambda: fn(value, env, policy))
+    def memoized(value, env, tol=IDENTITY_TOL):
+        return _memo(value, (fn.__name__, env, tol), lambda: fn(value, env, tol))
 
     return memoized
 
@@ -216,9 +200,9 @@ def svd_decompose(m) -> SvdFactors:
 
 
 def _check_reconstruction(factors: SvdFactors, a: np.ndarray) -> None:
-    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``identity_tol`` |a|_F."""
+    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``IDENTITY_TOL`` |a|_F."""
     resid = float(np.linalg.norm(factors.reconstruct() - a))
-    if not _gate(resid, float(np.linalg.norm(a)), DEFAULT_POLICY.identity_tol):
+    if not _gate(resid, float(np.linalg.norm(a)), IDENTITY_TOL):
         raise InternalConsistencyError(
             f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
         )
@@ -241,10 +225,10 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
     return CheckResult(residual <= tol * scale, residual, tol * scale)
 
 
-def range_inclusion_check(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> CheckResult:
+def range_inclusion_check(l1, l2, tol: float = IDENTITY_TOL) -> CheckResult:
     """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1."""
     a, b = _operand_pair(l1, l2)
-    return _inclusion(a, svd_decompose(b), spectral_norm(a), policy)
+    return _inclusion(a, svd_decompose(b), spectral_norm(a), tol)
 
 
 def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
@@ -256,28 +240,28 @@ def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
 ) -> CheckResult:
     """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
     basis = f2.left_vectors[:, : f2.rank]
-    return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, policy.identity_tol)
+    return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
 
 
-def douglas_solve(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def douglas_solve(l1, l2, tol: float = IDENTITY_TOL) -> np.ndarray:
     """Minimal-norm X with l2 X = l1, available exactly when R(l1) is in R(l2).
 
     X = pinv(l2) l1, whose rows live in R(l2*); raises RangeNotIncluded when
     the inclusion fails at tolerance.
     """
     a, b = _operand_pair(l1, l2)
-    return _douglas(a, b, svd_decompose(b), spectral_norm(a), policy)[1]
+    return _douglas(a, b, svd_decompose(b), spectral_norm(a), tol)[1]
 
 
 def _require_inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy, error, ranges: str
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str
 ) -> CheckResult:
     """The passed test of R(a) in the factored range; raises ``error`` on failure."""
-    inclusion = _inclusion(a, f2, norm_a, policy)
+    inclusion = _inclusion(a, f2, norm_a, tol)
     if not inclusion:
         raise error(
             f"{ranges}: residual {inclusion.residual:.3e} "
@@ -288,7 +272,7 @@ def _require_inclusion(
 
 
 def _douglas(
-    a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, policy: TolerancePolicy,
+    a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float,
     error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
 ) -> tuple[CheckResult, np.ndarray, np.ndarray]:
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
@@ -297,9 +281,9 @@ def _douglas(
     prefix ``ranges``), X = pinv(b) a and its core (``SvdFactors.solve``);
     the residual |b X - a| is gated at the identity tolerance.
     """
-    inclusion = _require_inclusion(a, f2, norm_a, policy, error, ranges)
+    inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges)
     x, core = f2.solve(a)
-    _within(b @ x - a, policy.identity_tol * norm_a, InternalConsistencyError,
+    _within(b @ x - a, tol * norm_a, InternalConsistencyError,
             "factorization residual {:.3e} despite range inclusion")
     return inclusion, x, core
 
@@ -322,7 +306,7 @@ def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> b
     return resid <= threshold
 
 
-def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
+def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
     """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*.
 
     Computed as the spectral norm of the minimal Douglas solution and
@@ -331,7 +315,7 @@ def majorization_constant(l1, l2, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     """
     a, b = _operand_pair(l1, l2)
     f2 = svd_decompose(b)
-    core = _douglas(a, b, f2, spectral_norm(a), policy)[2]
+    core = _douglas(a, b, f2, spectral_norm(a), tol)[2]
     return _majorization(a, b, f2, core)
 
 
@@ -460,7 +444,7 @@ class OperatorEnv:
 
     def _self_check(self) -> None:
         f, r = self.factors, self.rank
-        u, tol = self.range_basis, DEFAULT_POLICY.identity_tol * self.norm()
+        u, tol = self.range_basis, IDENTITY_TOL * self.norm()
         _within(self.k @ (f.right_vectors[:, :r] / f.singular_values[:r]) - u,
                 tol * self.pinv_norm(), InternalConsistencyError,
                 "K K^dagger differs from the range projector by {:.3e}")

@@ -52,11 +52,10 @@ from .frames import (
 )
 from .linalg import (
     _SLACK,
-    DEFAULT_POLICY,
+    IDENTITY_TOL,
     CheckResult,
     OperatorEnv,
     SvdFactors,
-    TolerancePolicy,
     _douglas,
     _gate,
     _majorization,
@@ -158,10 +157,10 @@ class Symbol:
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
-    One SVD of M is memoized on the value (the rank rule is fixed, and
-    ``identity_tol`` does not enter an SVD); ``norm()`` and both K-inverses
-    read it. The K-right and K-left inverses are memoized per (operator env,
-    tolerance policy), like a frame's results.
+    One SVD of M is memoized on the value (the rank rule is fixed, and the
+    tolerance does not enter an SVD); ``norm()`` and both K-inverses read it.
+    The K-right and K-left inverses are memoized per (operator env,
+    tolerance), like a frame's results.
     ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
     """
 
@@ -194,16 +193,13 @@ class Multiplier:
         return adj
 
     def norm_bound(self) -> float:
-        """The Bessel bound sqrt(B_Phi B_Psi) sup|m| on ``norm()``."""
-        return float(
-            np.sqrt(optimal_bessel_bound(self.phi) * optimal_bessel_bound(self.psi))
-            * self.symbol.sup_modulus
-        )
+        """The Bessel bound |T_Phi| |T_Psi| sup|m| = sqrt(B_Phi B_Psi) sup|m| on ``norm()``."""
+        return self.phi.norm() * self.psi.norm() * self.symbol.sup_modulus
 
     def norm_bound_check(self) -> CheckResult:
         """The excess of ``norm()`` over ``norm_bound()``, against a slack relative to it."""
         bound = self.norm_bound()
-        return _gate(max(0.0, self.norm() - bound), bound, DEFAULT_POLICY.identity_tol)
+        return _gate(max(0.0, self.norm() - bound), bound, IDENTITY_TOL)
 
 
 def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
@@ -247,34 +243,34 @@ class RightInverse:
 
 @_memoized_per_operator
 def k_right_inverse(
-    mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    mult: Multiplier, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> RightInverse:
     """R = pinv(M) K with M R = K; exists iff R(K) is contained in R(M).
 
     R is the minimal Douglas solution, so its norm is the majorization
-    constant. Memoized on ``mult`` per (env, policy).
+    constant. Memoized on ``mult`` per (env, tol).
     """
     factors = _multiplier_factors(mult, env)
     norm_k = env.norm()
     _, r, core = _douglas(
-        env.k, mult.matrix, factors, norm_k, policy, NoRightInverse, "R(K) not contained in R(M)"
+        env.k, mult.matrix, factors, norm_k, tol, NoRightInverse, "R(K) not contained in R(M)"
     )
     return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, factors, core))
 
 
 @_memoized_per_operator
 def k_left_inverse(
-    mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    mult: Multiplier, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> np.ndarray:
     """L = K pinv(M) with L M = K; exists iff R(K*) is contained in R(M*).
 
     L* is the minimal Douglas solution of M* L* = K*, solved on the
-    adjoint of M's factors. Memoized on ``mult`` per (env, policy); the
+    adjoint of M's factors. Memoized on ``mult`` per (env, tol); the
     returned matrix is read-only.
     """
     factors = _multiplier_factors(mult, env).adjoint()
     left_adjoint = _douglas(
-        env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), policy,
+        env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), tol,
         NoLeftInverse, "R(K*) not contained in R(M*)",
     )[1]
     return _read_only(left_adjoint.conj().T)
@@ -305,28 +301,28 @@ class LowerBoundReport:
 
 
 def frames_from_multiplier_identity(
-    mult: Multiplier, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    mult: Multiplier, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> LowerBoundReport:
     """Lower-bound certificates for Phi / Psi from M = K or from an inverse."""
     sup = mult.symbol.sup_modulus
 
     def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
         guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
-        optimal = k_frame_check(frame, side_env, policy).lower
+        optimal = k_frame_check(frame, side_env, tol).lower
         return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK).ok)
 
-    if _within(mult.matrix - env.k, policy.identity_tol * env.norm()):
+    if _within(mult.matrix - env.k, tol * env.norm()):
         phi_side = side(mult.phi, env, mult.psi, 1.0)
         psi_side = side(mult.psi, env.adjoint(), mult.phi, 1.0)
         return LowerBoundReport("identity", phi_side, psi_side, phi_side.ok and psi_side.ok)
 
     try:
-        phi_side = side(mult.phi, env, mult.psi, k_right_inverse(mult, env, policy).majorization)
+        phi_side = side(mult.phi, env, mult.psi, k_right_inverse(mult, env, tol).majorization)
     except NoRightInverse:
         phi_side = None
     try:
         psi_side = side(
-            mult.psi, env.adjoint(), mult.phi, spectral_norm(k_left_inverse(mult, env, policy))
+            mult.psi, env.adjoint(), mult.phi, spectral_norm(k_left_inverse(mult, env, tol))
         )
     except NoLeftInverse:
         psi_side = None
@@ -371,7 +367,7 @@ def inverse_as_multiplier(
     inverse: np.ndarray,
     side: str,
     dual_choice: Frame,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> MultiplierFactorization:
     """Express the composition of K with an inverse as a single multiplier.
 
@@ -389,23 +385,23 @@ def inverse_as_multiplier(
     """
     if side == "right":
         return inverse_as_multiplier(
-            psi, phi, env.adjoint(), np.conj(inverse).T, "left", dual_choice, policy
+            psi, phi, env.adjoint(), np.conj(inverse).T, "left", dual_choice, tol
         ).adjoint()
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
     base = assemble_multiplier(ones, _projected(phi, env), psi)
-    check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), policy.identity_tol)
+    check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), tol)
     if not check:
         raise NotAnInverse(f"inverse misses the projected multiplier identity by "
                            f"{check.residual:.3e}", check.residual)
-    _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a dual of its frame")
+    _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a dual of its frame")
     transported = base.phi.map(inverse)
     factor = assemble_multiplier(ones, transported, dual_choice)
     target = inverse @ env.k
-    inter = verify_k_dual(transported, psi, env, policy, with_lower_bounds=False)
-    out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), policy.identity_tol)
+    inter = verify_k_dual(transported, psi, env, tol, with_lower_bounds=False)
+    out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), tol)
     return MultiplierFactorization(
         (factor,), target, factor.matrix, out.residual, out.threshold, out.ok and inter.passed,
         {"inverse_residual": check.residual, "dual_of_transported": inter.residual},
@@ -422,7 +418,7 @@ class BiorthogonalFactorization:
 
 
 def biorthogonal_right_inverse(
-    phi: Frame, psi: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    phi: Frame, psi: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> BiorthogonalFactorization:
     """Invert M_{1,P_K Phi,Psi} through the biorthogonal sequence of Psi.
 
@@ -431,17 +427,17 @@ def biorthogonal_right_inverse(
     M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K, and its adjoint
     M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
     """
-    k_frame_check(phi, env, policy)
+    k_frame_check(phi, env, tol)
     bio = biorthogonal_sequence(psi)
-    k_frame_check(psi, env.adjoint(), policy)
+    k_frame_check(psi, env.adjoint(), tol)
     ones = Symbol.ones(phi.size)
-    phi_tilde = canonical_k_dual(phi, env, policy)
+    phi_tilde = canonical_k_dual(phi, env, tol)
     projected = _projected(phi, env)
 
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     forward = MultiplierFactorization(
         (analysis_side, synthesis_side), env.k, achieved, check.residual, check.threshold, check.ok
     )
@@ -464,7 +460,7 @@ def perturbation_condition(
     m: Symbol,
     a_bound: float,
     b_bound: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> ConditionReport:
     """Restricted perturbation norm rho of Psi against Phi on R(K), and tau.
 
@@ -476,8 +472,8 @@ def perturbation_condition(
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
     if phi.size != psi.size or phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("Phi and Psi must share index count and ambient dimension")
-    k_frame_check(phi, env, policy)
-    validation = validate_bounds(phi, env, a_bound, b_bound, policy)
+    k_frame_check(phi, env, tol)
+    validation = validate_bounds(phi, env, a_bound, b_bound, tol)
     if not validation.valid:
         raise InvalidBounds(
             f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi"
@@ -494,14 +490,14 @@ def _perturbed_restriction(
     env: OperatorEnv,
     m: Symbol,
     bounds: tuple[float, float],
-    policy: TolerancePolicy,
+    tol: float,
 ):
     """Shared setup: condition check, invertibility margin, restricted inverse.
 
     (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi and
     R* = diag(m) T_Psi*, so M itself is never formed.
     """
-    cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], policy)
+    cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
     if not cond.satisfied:
         raise ConditionViolated(
             f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
@@ -535,7 +531,7 @@ def perturbation_k_dual(
     env: OperatorEnv,
     m: Symbol,
     bounds: tuple[float, float],
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ):
     """K-dual of a perturbed sequence: {K* M^-1 P_{M(R(K))} m_i phi_i}.
 
@@ -543,12 +539,12 @@ def perturbation_k_dual(
     Psi = Phi and m = 1 the construction collapses to the canonical K-dual.
     Returns the verification certificate of the constructed dual against Psi.
     """
-    minv = _perturbed_restriction(phi, psi, env, m, bounds, policy)[0]
+    minv = _perturbed_restriction(phi, psi, env, m, bounds, tol)[0]
     # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
     core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
     dual = _factored(env.adjoint().range_basis,
                      env.factors.singular_values[: env.rank, None] * core, None)
-    return verify_k_dual(psi, dual, env, policy)
+    return verify_k_dual(psi, dual, env, tol)
 
 
 def perturbation_right_inverse(
@@ -558,7 +554,7 @@ def perturbation_right_inverse(
     m: Symbol,
     bounds: tuple[float, float],
     dual_choice: Frame,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol: float = IDENTITY_TOL,
 ) -> MultiplierFactorization:
     """K-right inverse R = (M^-1)* K of the reversed multiplier, as multipliers.
 
@@ -566,20 +562,19 @@ def perturbation_right_inverse(
     K-dual Phi-d of Phi, and M_{mbar, P_K Psi, Phi} R = K is certified (the
     reversed multiplier needs its output projected onto R(K); the projection
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
-    The multiplier form of R must match it to ``identity_tol`` |(M^-1)* K|_F.
+    The multiplier form of R must match it to ``tol`` |(M^-1)* K|_F.
     """
-    minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, policy)
-    _require_k_dual(phi, dual_choice, env, policy, "dual_choice is not a K-dual of Phi")
+    minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, tol)
+    _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a K-dual of Phi")
     # (M^-1)* Q c = U_r (B^+)* c, for c = Q* K and c = Q* T_Phi
     right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
     r_frame = Frame(minv.apply_adjoint(env.range_basis.conj().T @ phi.synthesis).T)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)
-    form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)),
-                 policy.identity_tol)
+    form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)), tol)
     reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     certificates = dict(diagnostics)
     certificates["right_inverse_multiplier_form"] = form.residual
     return MultiplierFactorization(
@@ -589,7 +584,7 @@ def perturbation_right_inverse(
 
 
 def range_inclusion_right_inverse(
-    psi: Frame, phi: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    psi: Frame, phi: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> MultiplierFactorization:
     """K-right inverse of M_{1,P_K Psi,Phi} when R(T_Psi*) is in R(T_Phi* K*).
 
@@ -600,21 +595,21 @@ def range_inclusion_right_inverse(
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
-    k_frame_check(psi, env, policy)
-    k_frame_check(phi, env.adjoint(), policy)
+    k_frame_check(psi, env, tol)
+    k_frame_check(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint), psi.norm(), policy,
+        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint), psi.norm(), tol,
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
     adjoint = env.adjoint()
     phi_dag = _factored(adjoint.range_basis, _restriction(phi, adjoint).coordinates(),
                         _factors(phi).right_vectors)
-    psi_tilde = canonical_k_dual(psi, env, policy)
+    psi_tilde = canonical_k_dual(psi, env, tol)
     left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), policy.identity_tol)
+    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     return MultiplierFactorization(
         (left_factor, right_factor), env.k, achieved, check.residual, check.threshold,
         check.ok, {"inclusion_residual": inclusion.residual},
@@ -622,7 +617,7 @@ def range_inclusion_right_inverse(
 
 
 def range_inclusion_left_inverse(
-    psi: Frame, phi: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    psi: Frame, phi: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> MultiplierFactorization:
     """K-left inverse of M_{1,Psi,Phi} on R(K*) when R(T_Phi*) is in R(T_Psi* K).
 
@@ -633,22 +628,22 @@ def range_inclusion_left_inverse(
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
-    k_frame_check(psi, env, policy)
-    k_frame_check(phi, env.adjoint(), policy)
+    k_frame_check(psi, env, tol)
+    k_frame_check(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        phi.analysis, svd_decompose(psi.analysis @ env.k), phi.norm(), policy,
+        phi.analysis, svd_decompose(psi.analysis @ env.k), phi.norm(), tol,
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
     # ((S_Psi|)^-1)* P_K T_Psi = U_r (B^+)* Q* T_Psi
     restriction = _restriction(psi, env)
     psi_dag = Frame(restriction.apply_adjoint(env.range_basis.conj().T @ psi.synthesis).T)
-    phi_tilde = canonical_k_dual(phi, env.adjoint(), policy)
+    phi_tilde = canonical_k_dual(phi, env.adjoint(), tol)
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
-    check = _gate(spectral_norm(achieved - target), env.norm() ** 2, policy.identity_tol)
+    check = _gate(spectral_norm(achieved - target), env.norm() ** 2, tol)
     return MultiplierFactorization(
         (left_factor, right_factor), target, achieved, check.residual, check.threshold,
         check.ok, {"inclusion_residual": inclusion.residual},
@@ -656,10 +651,10 @@ def range_inclusion_left_inverse(
 
 
 def range_inclusion_inverses(
-    psi: Frame, phi: Frame, env: OperatorEnv, policy: TolerancePolicy = DEFAULT_POLICY
+    psi: Frame, phi: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> tuple[MultiplierFactorization, MultiplierFactorization]:
     """Both range-inclusion constructions (right-inverse case, left-inverse case)."""
     return (
-        range_inclusion_right_inverse(psi, phi, env, policy),
-        range_inclusion_left_inverse(psi, phi, env, policy),
+        range_inclusion_right_inverse(psi, phi, env, tol),
+        range_inclusion_left_inverse(psi, phi, env, tol),
     )

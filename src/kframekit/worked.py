@@ -34,7 +34,6 @@ from .duality import (
     reciprocal_dual,
     verify_k_dual,
 )
-from .errors import GoldenMismatch
 from .frames import (
     Frame,
     bessel_as_k_frame,
@@ -44,7 +43,7 @@ from .frames import (
     tightness_check,
     validate_bounds,
 )
-from .linalg import DEFAULT_POLICY, OperatorEnv, majorization_constant, spectral_norm
+from .linalg import IDENTITY_TOL, OperatorEnv, majorization_constant, spectral_norm
 from .multipliers import (
     Symbol,
     perturbation_condition,
@@ -156,12 +155,6 @@ class GoldenRun:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[str]:
-        return [
-            f"{c.name}: residual {c.residual:.3e} > threshold {c.threshold:.3e}"
-            for c in self.checks
-            if not c.passed
-        ]
 
 
 def _cap(pinned: float, tol: float | None) -> float:
@@ -175,20 +168,20 @@ def _entrywise(frame: Frame, expected_rows) -> float:
 def reproduce_examples(
     tol: float | None = None,
     fixtures: dict | None = None,
-    strict: bool = False,
 ) -> GoldenRun:
     """Replay every golden identity of the built-in worked instances.
 
-    ``tol`` can only tighten the pinned thresholds, and it is the ``identity_tol``
-    of every check the library makes along the way. ``fixtures`` may override
-    the instance data (keys ``c2_vectors``, ``c2_operator``, ``c4_vectors``,
-    ``c4_operator``), which is how corruption is detected. With ``strict``
-    every failure is raised as GoldenMismatch.
+    ``tol`` can only tighten the pinned thresholds (None leaves them as
+    pinned), and it is the tolerance of every check the library makes along
+    the way (``IDENTITY_TOL`` when None). ``fixtures`` may override the
+    instance data (keys ``c2_vectors``, ``c2_operator``, ``c4_vectors``,
+    ``c4_operator``), which is how corruption is detected: a caller checks
+    ``passed``.
     """
     from .errors import KFrameError
 
     fixtures = fixtures or {}
-    policy = DEFAULT_POLICY.with_tol(tol)
+    identity_tol = IDENTITY_TOL if tol is None else tol
     checks: list[GoldenCheck] = []
 
     def add(name, residual, pinned, observed=None, expected=None, symbolic="",
@@ -220,20 +213,20 @@ def reproduce_examples(
 
     @section("c2.bounds")
     def _():
-        val = validate_bounds(f2, env2, *ex2.reference_bounds, policy)
+        val = validate_bounds(f2, env2, *ex2.reference_bounds, identity_tol)
         add(
             "c2.reference-bounds-valid",
             max(0.0, -min(val.lower_slack, 0.0)) + max(0.0, -min(val.upper_slack, 0.0)),
             val.threshold,
         )
-        bounds = k_frame_check(f2, env2, policy)
+        bounds = k_frame_check(f2, env2, identity_tol)
         add("c2.optimal-lower", abs(bounds.lower - ex2.optimal_bounds[0]),
             1e-9 * ex2.optimal_bounds[0], bounds.lower, ex2.optimal_bounds[0], "4/3")
         add("c2.optimal-upper", abs(bounds.upper - ex2.optimal_bounds[1]),
             1e-9 * ex2.optimal_bounds[1], bounds.upper, ex2.optimal_bounds[1], "2")
 
         lam, lam_sym = GOLDEN_CONSTANTS["majorization_lambda"]
-        observed = majorization_constant(env2.k, f2.synthesis, policy)
+        observed = majorization_constant(env2.k, f2.synthesis, identity_tol)
         add("c2.majorization-lambda", abs(observed - lam), 1e-12, observed, lam, lam_sym)
 
         rng = np.random.default_rng(GOLDEN_SEED)
@@ -252,7 +245,7 @@ def reproduce_examples(
 
     @section("c2.dual")
     def _():
-        dual2 = canonical_k_dual(f2, env2, policy)
+        dual2 = canonical_k_dual(f2, env2, identity_tol)
         formula_order = [[rep, 0.0], [rep, 0.0], [single, 0.0]]
         add("c2.canonical-dual-order", _entrywise(dual2, formula_order), 1e-12,
             symbolic=f"{rep_sym}, {rep_sym}, {single_sym}")
@@ -275,13 +268,13 @@ def reproduce_examples(
             symbolic=f"S = {ratio_sym} K K*",
         )
 
-        cert2 = verify_k_dual(f2, dual2, env2, policy)
+        cert2 = verify_k_dual(f2, dual2, env2, identity_tol)
         add("c2.dual-certificate", cert2.residual, cert2.threshold)
-        lb_dual, lb_proj = k_dual_lower_bounds(cert2, policy)
+        lb_dual, lb_proj = k_dual_lower_bounds(cert2, identity_tol)
         add("c2.dual-lower-bound-g", abs(lb_dual - ratio), 1e-9, lb_dual, ratio, ratio_sym)
         add("c2.dual-lower-bound-projected", abs(lb_proj - 1.5), 1e-9, lb_proj, 1.5, "3/2")
 
-        witness = noncommutativity_witness(f2, env2, policy)
+        witness = noncommutativity_witness(f2, env2, identity_tol)
         wfirst, wfirst_sym = GOLDEN_CONSTANTS["witness_first_component"]
         image3 = witness.images_of_frame[2]
         add(
@@ -297,13 +290,13 @@ def reproduce_examples(
 
     @section("c2.perturbation")
     def _():
-        dual2 = canonical_k_dual(f2, env2, policy)
+        dual2 = canonical_k_dual(f2, env2, identity_tol)
         tau, tau_sym = GOLDEN_CONSTANTS["perturbation_threshold"]
         ones3 = Symbol.ones(3)
-        cond = perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0, policy)
+        cond = perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0, identity_tol)
         add("c2.perturbation-threshold", abs(cond.tau - tau), 1e-12, cond.tau, tau, tau_sym)
 
-        collapse = perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0), policy)
+        collapse = perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0), identity_tol)
         collapse_dev = float(
             np.max(np.abs(np.sort_complex(collapse.dual.vectors[:, 0])
                           - np.sort_complex(dual2.vectors[:, 0])))
@@ -312,9 +305,9 @@ def reproduce_examples(
 
     @section("c2.coefficients")
     def _():
-        dual2 = canonical_k_dual(f2, env2, policy)
+        dual2 = canonical_k_dual(f2, env2, identity_tol)
         e1 = np.array([1.0, 0.0], dtype=complex)
-        coeffs = canonical_coefficients(f2, env2, e1, policy)
+        coeffs = canonical_coefficients(f2, env2, e1, identity_tol)
         add(
             "c2.canonical-coefficients",
             float(np.max(np.abs(coeffs - np.array([rep, rep, single])))),
@@ -323,32 +316,32 @@ def reproduce_examples(
         )
         d = dual2.analysis @ e1
         offset = d + 0.7 * np.array([1.0, -1.0, 0.0])
-        report = minimal_norm_identity(f2, env2, e1, offset, policy)
+        report = minimal_norm_identity(f2, env2, e1, offset, identity_tol)
         add("c2.minimal-norm-pythagoras",
             max(abs(report.lhs - 1.7), report.relative_error, report.dual_residual),
             1e-10, report.lhs, 1.7, "0.72 + 2 (0.7)^2")
 
     @section("c4.dual")
     def _():
-        dual4 = canonical_k_dual(f4, env4, policy)
+        dual4 = canonical_k_dual(f4, env4, identity_tol)
         add("c4.canonical-dual-entries",
             _entrywise(dual4, [eye4[0], eye4[0], eye4[1]]), 1e-12, symbolic="{e1, e1, e2}")
         pairing = complex(np.vdot(dual4.vectors[1], f4.vectors[0]))
         add("c4.non-biorthogonality", abs(pairing - 1.0), 1e-12,
             float(np.real(pairing)), 1.0)
-        tight4 = tightness_check(dual4, env4.adjoint(), policy)
+        tight4 = tightness_check(dual4, env4.adjoint(), identity_tol)
         add("c4.dual-parseval-adjoint",
             tight4.residual + (0.0 if tight4.parseval else 1.0), tight4.threshold)
 
     @section("c4.bounds")
     def _():
-        val4 = validate_bounds(f4, env4, *ex4.reference_bounds, policy)
+        val4 = validate_bounds(f4, env4, *ex4.reference_bounds, identity_tol)
         add(
             "c4.reference-bounds-valid",
             max(0.0, -min(val4.lower_slack, 0.0)) + max(0.0, -min(val4.upper_slack, 0.0)),
             val4.threshold,
         )
-        bounds4 = k_frame_check(f4, env4, policy)
+        bounds4 = k_frame_check(f4, env4, identity_tol)
         add("c4.optimal-lower", abs(bounds4.lower - 0.5), 1e-9 * 0.5,
             bounds4.lower, 0.5, "1/2")
         add("c4.optimal-upper", abs(bounds4.upper - 1.0), 1e-9, bounds4.upper, 1.0, "1")
@@ -360,7 +353,7 @@ def reproduce_examples(
         add("c4.biorthogonal-self",
             (0.0 if minimal_ok else 1.0) + _entrywise(bio, f4.vectors), 1e-12)
 
-        recip = reciprocal_dual(f4, env4, policy)
+        recip = reciprocal_dual(f4, env4, identity_tol)
         half = (eye4[0] + eye4[1]) / 2.0
         add(
             "c4.reciprocal-dual",
@@ -374,14 +367,14 @@ def reproduce_examples(
         )
 
         env_b = bessel_as_k_frame(f4)
-        tight_b = tightness_check(f4, env_b, policy)
+        tight_b = tightness_check(f4, env_b, identity_tol)
         add("c4.bessel-embedding-parseval",
             tight_b.residual + (0.0 if tight_b.parseval else 1.0), tight_b.threshold)
 
     @section("c2h.range-inclusion")
     def _():
         psi_h, phi_h, env_h = hand_inclusion_instance()
-        right_h = range_inclusion_right_inverse(psi_h, phi_h, env_h, policy)
+        right_h = range_inclusion_right_inverse(psi_h, phi_h, env_h, identity_tol)
         half_e1 = [[0.5, 0.0], [0.5, 0.0]]
         add(
             "c2h.range-inclusion-right",
@@ -393,13 +386,8 @@ def reproduce_examples(
             1e-12,
             symbolic="M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K",
         )
-        left_h = range_inclusion_left_inverse(psi_h, phi_h, env_h, policy)
+        left_h = range_inclusion_left_inverse(psi_h, phi_h, env_h, identity_tol)
         add("c2h.range-inclusion-left", left_h.residual, 1e-12,
             symbolic="M_{1,Phi~,Psi+} M_{1,Psi,Phi} K* = K K*")
 
-    run = GoldenRun(tuple(checks), GOLDEN_SEED)
-    if strict and not run.passed:
-        raise GoldenMismatch(
-            f"{len(run.failures())} golden assertion(s) failed", run.failures()
-        )
-    return run
+    return GoldenRun(tuple(checks), GOLDEN_SEED)

@@ -25,7 +25,7 @@ from conftest import (
     well_conditioned,
 )
 from kframekit import (
-    DEFAULT_POLICY,
+    IDENTITY_TOL,
     DualPerturbation,
     Frame,
     Multiplier,
@@ -66,12 +66,12 @@ def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
             return syn.T.copy(), k, crandn(rng, n)
 
 
-def pipeline(f, env, target, policy=DEFAULT_POLICY):
-    bounds = k_frame_check(f, env, policy)
-    dual = canonical_k_dual(f, env, policy)
-    cert = verify_k_dual(f, dual, env, policy)
-    lower = k_dual_lower_bounds(cert, policy)
-    coeffs = canonical_coefficients(f, env, target, policy)
+def pipeline(f, env, target, tol=IDENTITY_TOL):
+    bounds = k_frame_check(f, env, tol)
+    dual = canonical_k_dual(f, env, tol)
+    cert = verify_k_dual(f, dual, env, tol)
+    lower = k_dual_lower_bounds(cert, tol)
+    coeffs = canonical_coefficients(f, env, target, tol)
     return bounds, dual, cert, lower, coeffs
 
 
@@ -284,12 +284,12 @@ class TestCounts:
 
     def test_tolerance_does_not_refactor_the_multiplier(self, factorizations):
         # an SVD depends only on the rank rule, so --tol reuses the SVD of M
-        # that the Bessel-bound check made under the default policy
+        # that the Bessel-bound check made under the default tolerance
         vectors, k, _ = instance(18)
         rng = np.random.default_rng(18)
         f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
         mult = assemble_multiplier(Symbol.semi_normalized(1.0 + rng.random(f.size)), f, g)
-        tol = DEFAULT_POLICY.with_tol(1e-9)
+        tol = 1e-9
         factorizations["inputs"].clear()
         right = k_right_inverse(mult, OperatorEnv.from_matrix(k), tol)
         assert not any(np.array_equal(a, mult.matrix) for a in factorizations["inputs"])
@@ -299,13 +299,13 @@ class TestCounts:
         assert right.majorization == fresh.majorization
 
     def test_tolerance_does_not_redo_the_restriction(self, factorizations):
-        # neither T_F's SVD nor the restriction depends on the policy: no SVD, of T_F or B
+        # neither T_F's SVD nor the restriction depends on the tolerance: no SVD, of T_F or B
         vectors, k, _ = instance(12)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         canonical_k_dual(f, env)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
-        canonical_k_dual(f, env, DEFAULT_POLICY.with_tol(1e-9))
+        canonical_k_dual(f, env, 1e-9)
         assert operands(factorizations, "svd") == []
 
     def test_norm_and_k_frame_check_share_one_svd(self, factorizations):
@@ -345,15 +345,16 @@ class TestMemoCorrectness:
         vectors, k, target = instance(6)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         bounds = k_frame_check(f, env)
-        loose = DEFAULT_POLICY.with_tol(1e-6)
+        loose = 1e-6
         loose_bounds = k_frame_check(f, env, loose)
         assert loose_bounds.inclusion.threshold == pytest.approx(1e4 * bounds.inclusion.threshold)
-        strict = DEFAULT_POLICY.with_tol(1e-30)
+        strict = 1e-30
         with pytest.raises(NotKFrame):
             k_frame_check(f, env, strict)
         with pytest.raises(NotKFrame):
             canonical_k_dual(f, env, strict)
         assert k_frame_check(f, env) is bounds
+        assert k_frame_check(f, env, 1e-10) is bounds
         assert_identical(
             pipeline(f, env, target, loose),
             pipeline(Frame(vectors), OperatorEnv.from_matrix(k), target, loose),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kframekit import io
 from kframekit.cli import JobSpec, main, run_job
-from kframekit.errors import DimensionMismatch, GoldenMismatch, ParseError
+from kframekit.errors import DimensionMismatch, ParseError
 from kframekit.frames import Frame
 from kframekit.multipliers import Symbol
 from kframekit.worked import minimal_example, projection_example, reproduce_examples
@@ -172,10 +172,12 @@ class TestRunJob:
         report = run_job(JobSpec("examples", tol=1e-30))
         assert not report.all_passed
 
-    def test_domain_error_becomes_failed_verdict(self, fixture_files, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "dual", "verify"])
+    def test_domain_error_becomes_failed_verdict(self, fixture_files, tmp_path, command):
         zero = tmp_path / "zero.json"
         io.write_file(zero, io.matrix_to_obj(np.zeros((2, 2))))
-        report = run_job(JobSpec("analyze", (fixture_files["f2.json"],), str(zero)))
+        frames = (fixture_files["f2.json"],) * (2 if command == "verify" else 1)
+        report = run_job(JobSpec(command, frames, str(zero)))
         assert not report.all_passed
         assert report.error["code"] == "zero-operator"
 
@@ -227,7 +229,7 @@ class TestExitCodes:
         from kframekit import cli
         from kframekit.errors import InternalConsistencyError
 
-        def boom(job, policy, report):
+        def boom(job, tol, report):
             raise InternalConsistencyError("routes disagree")
 
         monkeypatch.setitem(cli._HANDLERS, "analyze", boom)
@@ -440,9 +442,7 @@ class TestGoldenSuite:
         bad = {"c2_vectors": [[0.9, 0.1], [-0.7, 0.7], [0.7, 0.7]]}
         run = reproduce_examples(fixtures=bad)
         assert not run.passed
-        with pytest.raises(GoldenMismatch) as err:
-            reproduce_examples(fixtures=bad, strict=True)
-        assert err.value.failures
+        assert any(c.name.startswith("c2.") and not c.passed for c in run.checks)
 
     def test_tightened_tolerance_fails_float_identities(self):
         run = reproduce_examples(tol=1e-30)

@@ -13,7 +13,7 @@ from kframekit.errors import (
     ShapeMismatch,
 )
 from kframekit.linalg import (
-    DEFAULT_POLICY,
+    IDENTITY_TOL,
     OperatorEnv,
     _within,
     douglas_solve,
@@ -230,7 +230,7 @@ class TestIllConditionedMajorization:
             syn, x0, _ = graded_instance(seed, c)
             f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
             projected = k_frame_check(f.map(range_projector(env)), env).lower
-            got = _lower_bounds(f, Frame.standard_basis(20), env, DEFAULT_POLICY)[1]
+            got = _lower_bounds(f, Frame.standard_basis(20), env, IDENTITY_TOL)[1]
             assert got == pytest.approx(projected, rel=1e-12)
 
     def test_full_rank_operator(self):

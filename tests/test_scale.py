@@ -12,8 +12,9 @@ its bidegree, to 1e-9 relative. A residual at rounding level has no degree,
 so only the residuals of identities that fail are compared; thresholds
 always are. Inputs of size 1e+-150 are out of reach here: products such
 as K K* under- or overflow there. ``tightness_check`` is also run at
-1e+-90 and 1e+-120, and the canonical-dual envelope, evaluated without
-forming |K^dagger|^4, from 1e-100 to 1e60.
+1e+-90 and 1e+-120, the canonical-dual envelope, evaluated without
+forming |K^dagger|^4, from 1e-100 to 1e60, and the multiplier commands,
+whose norm bound is |T_Phi| |T_Psi| sup|m|, at 1e-150 to 1e-90 uniform.
 """
 
 import dataclasses
@@ -57,7 +58,6 @@ from kframekit.frames import (
     validate_bounds,
 )
 from kframekit.linalg import (
-    DEFAULT_POLICY,
     OperatorEnv,
     SvdFactors,
     douglas_solve,
@@ -316,7 +316,7 @@ class TestDuality:
         kernel = np.linalg.svd(VECTORS.T)[2][6:].conj().T  # ker T_F
         offset = kernel @ crandn(rng, 3)
         stray = crandn(rng, 9)
-        loose = DEFAULT_POLICY.with_tol(1e-6)
+        loose = 1e-6
 
         def run(s):
             f, env = scaling.frame(s, VECTORS), scaling.env(s, K)
@@ -342,7 +342,7 @@ class TestDuality:
         duals = {id(f): canonical_k_dual(f, env) for f, env in envs}
         monkeypatch.setattr(
             duality, "canonical_k_dual",
-            lambda f, env, policy=None: duals[id(f)].scaled(1 + 1e-7),
+            lambda f, env, tol=None: duals[id(f)].scaled(1 + 1e-7),
         )
         for f, env in envs:
             with pytest.raises(InternalConsistencyError, match="canonical coefficients miss"):
@@ -659,3 +659,17 @@ class TestCli:
                 numbers["majorization"] = (r["majorization"], (-2, 1))
             return verdicts, numbers
         scaling.check(run)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-120, 1e-90])
+    def test_multipliers_far_below_unit_scale(self, invoke, s):
+        # B_Phi B_Psi (degree 4) underflows at these scales; |T_Phi| |T_Psi| does not
+        frames = [Frame(s * M_PHI), Frame(s * M_PSI)]
+        env = OperatorEnv.from_matrix(s * M_K)
+        outcomes = {command: invoke(command, frames, env, M_SYM)
+                    for command in ("multiplier", "right-inverse", "left-inverse")}
+        for command, ((code, passed, error), _) in outcomes.items():
+            assert (code, error) == (0, False) and all(passed.values()), command
+        unit = [Frame(M_PHI), Frame(M_PSI)]
+        want = invoke("multiplier", unit, OperatorEnv.from_matrix(M_K), M_SYM)[1]
+        got = outcomes["multiplier"][1]["results"]["norm_bound"]
+        assert got == pytest.approx(want["results"]["norm_bound"] * s**2, rel=RTOL)
