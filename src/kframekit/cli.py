@@ -243,11 +243,11 @@ def _cmd_multiplier(job: JobSpec, tol: float, report: Report) -> None:
     phi = _load_frame(job.frames[0])
     psi = _load_frame(job.frames[1])
     symbol = _load_symbol(job.symbol)
-    mult = multipliers.assemble_multiplier(symbol, phi, psi)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
     report.results["norm"] = mult.norm()
     report.results["norm_bound"] = mult.norm_bound()
-    report.verdicts["norm-bound"] = mult.norm_bound_check()
+    report.verdicts["norm-bound"] = mult.norm_bound_check(tol)
 
 
 def _inverse_command(job: JobSpec, tol: float, report: Report, side: str) -> None:
@@ -256,7 +256,7 @@ def _inverse_command(job: JobSpec, tol: float, report: Report, side: str) -> Non
     psi = _load_frame(job.frames[1])
     env = _load_env(job.operator)
     symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
-    mult = multipliers.assemble_multiplier(symbol, phi, psi)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
     if side == "right":
         inverse = multipliers.k_right_inverse(mult, env, tol)
         matrix = inverse.matrix

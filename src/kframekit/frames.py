@@ -186,9 +186,10 @@ def k_frame_check(
     Raises NotKFrame when R(K) is not contained in R(T_F) (exactly the
     failure of the lower bound), ZeroOperator for K = 0 (the condition is
     vacuous and every downstream formula divides by A). The frame's one SVD
-    (``_factors``) serves the inclusion test, B and the Douglas route
-    A = 1/|pinv(T_F) K|^2. The one cross-check, ``linalg``'s QR route,
-    shares only U_r of that SVD; it must agree with the Douglas route in
+    (``_factors``) serves the inclusion test (decided by its rank alone, residual
+    0, when T_F spans C^n), B and the Douglas route A = (1/|pinv(T_F) K|)^2;
+    OverflowError when A is not a finite float. The one cross-check, ``linalg``'s
+    QR route, shares only U_r of that SVD; it must agree with the Douglas route in
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
     per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
@@ -202,7 +203,13 @@ def k_frame_check(
     factors = _factors(f)
     inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), tol,
                                   NotKFrame, "R(K) not contained in R(T_F)")
-    lower = 1.0 / _majorization(env.range_factor, f.synthesis, factors, core) ** 2
+    lam = _majorization(env.range_factor, f.synthesis, factors, core)
+    try:
+        lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda
+    except (OverflowError, ZeroDivisionError):
+        lower = np.inf
+    if lower == np.inf:
+        raise OverflowError(f"optimal lower bound A = 1/lambda^2 overflows at lambda = {lam!r}")
     upper = float(factors.singular_values[0] ** 2)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 

@@ -5,7 +5,8 @@ here add the pieces the frame-theory layers need on top of LAPACK:
 rank-revealing SVD with one scale-invariant cutoff (``_rank``: singular
 values above sigma_max * max(rows, cols) * 2^-40), Moore-Penrose
 pseudo-inverses, orthonormal range bases read off the SVD, range-inclusion
-tests with the associated factorization (given operators L1, L2 with
+tests (decided by the committed rank alone, residual 0, when the including
+range is all of C^m) with the associated factorization (given operators L1, L2 with
 R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
 L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), the inverse of
 an operator A = L R* restricted to a subspace, applied in factored order on
@@ -226,7 +227,7 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
 
 
 def range_inclusion_check(l1, l2, tol: float = IDENTITY_TOL) -> CheckResult:
-    """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1."""
+    """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1 (0 at full row rank)."""
     a, b = _operand_pair(l1, l2)
     return _inclusion(a, svd_decompose(b), spectral_norm(a), tol)
 
@@ -242,7 +243,9 @@ def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
 def _inclusion(
     a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
 ) -> CheckResult:
-    """``range_inclusion_check`` of ``a`` against the factored l2, given norm(a)."""
+    """``range_inclusion_check`` of ``a`` on the factored l2, given norm(a); 0 at full row rank."""
+    if f2.rank == a.shape[0]:
+        return _gate(0.0, norm_a, tol)
     basis = f2.left_vectors[:, : f2.rank]
     return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
 

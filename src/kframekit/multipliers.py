@@ -100,6 +100,8 @@ class Symbol:
 
     Declared bounds are validated against the recomputed moduli: a
     semi-normalized symbol needs 0 < lower <= |m_i| <= upper for every i.
+    A symbol memoizes the perturbed restriction built with it; no frame or env
+    refers to a symbol, so that memo holds no reference back.
     """
 
     values: np.ndarray
@@ -115,6 +117,7 @@ class Symbol:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_memo", {})
         if (self.lower is None) != (self.upper is None):
             raise NotSemiNormalized("declare both semi-normalization bounds or neither")
         if self.lower is not None:
@@ -196,14 +199,14 @@ class Multiplier:
         """The Bessel bound |T_Phi| |T_Psi| sup|m| = sqrt(B_Phi B_Psi) sup|m| on ``norm()``."""
         return self.phi.norm() * self.psi.norm() * self.symbol.sup_modulus
 
-    def norm_bound_check(self) -> CheckResult:
-        """The excess of ``norm()`` over ``norm_bound()``, against a slack relative to it."""
+    def norm_bound_check(self, tol: float = IDENTITY_TOL) -> CheckResult:
+        """The excess of ``norm()`` over ``norm_bound()``, against ``tol`` times it."""
         bound = self.norm_bound()
-        return _gate(max(0.0, self.norm() - bound), bound, IDENTITY_TOL)
+        return _gate(max(0.0, self.norm() - bound), bound, tol)
 
 
-def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
-    """Build T_Phi diag(m) T_Psi* and assert the Bessel norm bound."""
+def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame, tol: float = IDENTITY_TOL) -> Multiplier:
+    """Build T_Phi diag(m) T_Psi* and assert the Bessel norm bound to ``tol``."""
     if not (m.size == phi.size == psi.size):
         raise ShapeMismatch(
             f"index counts differ: symbol {m.size}, phi {phi.size}, psi {psi.size}"
@@ -211,7 +214,7 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
     if phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("frames live in different ambient dimensions")
     mult = Multiplier(m, phi, psi, _read_only((phi.synthesis * m.values) @ psi.analysis))
-    check = mult.norm_bound_check()
+    check = mult.norm_bound_check(tol)
     if not check:
         raise InternalConsistencyError(
             f"multiplier norm {mult.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
@@ -391,14 +394,14 @@ def inverse_as_multiplier(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
-    base = assemble_multiplier(ones, _projected(phi, env), psi)
+    base = assemble_multiplier(ones, _projected(phi, env), psi, tol)
     check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), tol)
     if not check:
         raise NotAnInverse(f"inverse misses the projected multiplier identity by "
                            f"{check.residual:.3e}", check.residual)
     _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a dual of its frame")
     transported = base.phi.map(inverse)
-    factor = assemble_multiplier(ones, transported, dual_choice)
+    factor = assemble_multiplier(ones, transported, dual_choice, tol)
     target = inverse @ env.k
     inter = verify_k_dual(transported, psi, env, tol, with_lower_bounds=False)
     out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), tol)
@@ -434,8 +437,8 @@ def biorthogonal_right_inverse(
     phi_tilde = canonical_k_dual(phi, env, tol)
     projected = _projected(phi, env)
 
-    analysis_side = assemble_multiplier(ones, projected, psi)
-    synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
+    analysis_side = assemble_multiplier(ones, projected, psi, tol)
+    synthesis_side = assemble_multiplier(ones, bio, phi_tilde, tol)
     achieved = analysis_side.matrix @ synthesis_side.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     forward = MultiplierFactorization(
@@ -485,44 +488,45 @@ def perturbation_condition(
 
 
 def _perturbed_restriction(
-    phi: Frame,
-    psi: Frame,
-    env: OperatorEnv,
-    m: Symbol,
-    bounds: tuple[float, float],
-    tol: float,
+    phi: Frame, psi: Frame, env: OperatorEnv, m: Symbol, bounds: tuple[float, float], tol: float
 ):
     """Shared setup: condition check, invertibility margin, restricted inverse.
 
     (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi and
-    R* = diag(m) T_Psi*, so M itself is never formed.
+    R* = diag(m) T_Psi*, so M itself is never formed. Memoized on ``m`` per
+    (Phi, Psi, env, bounds, tol): Psi may be Phi, and a frame's memo is keyed by env.
     """
-    cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
-    if not cond.satisfied:
-        raise ConditionViolated(
-            f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
-            cond.rho - cond.tau,
-        )
-    basis = env.range_basis
-    analysis = (m.values[:, None] * psi.analysis) @ basis  # diag(m) T_Psi* Q: M Q = T_Phi analysis
-    reference = phi.synthesis @ ((m.values[:, None] * phi.analysis) @ basis)
-    try:
-        report = neumann_invertibility_margin(reference, phi.synthesis @ analysis)
-    except NotInvertible as exc:
-        raise RestrictionSingular(
-            f"the reference operator already collapses R(K): {exc}"
-        ) from exc
-    if not report.invertible:
-        raise RestrictionSingular(
-            f"M collapses R(K): perturbation distance {report.distance:.3e} "
-            f"vs margin {report.margin:.3e}"
-        )
-    fac = _factors(phi)  # B = Sigma V_r* diag(m) T_Psi* Q
-    minv = _restricted_inverse(
-        fac, fac.singular_values[: fac.rank, None] * (fac.right_vectors.conj().T @ analysis))
-    diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
-                   "margin": report.margin, "distance": report.distance}
-    return minv, diagnostics
+
+    def build():
+        cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
+        if not cond.satisfied:
+            raise ConditionViolated(
+                f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
+                cond.rho - cond.tau,
+            )
+        basis = env.range_basis
+        # diag(m) T_Psi* Q: M Q = T_Phi analysis
+        analysis = (m.values[:, None] * psi.analysis) @ basis
+        reference = phi.synthesis @ ((m.values[:, None] * phi.analysis) @ basis)
+        try:
+            report = neumann_invertibility_margin(reference, phi.synthesis @ analysis)
+        except NotInvertible as exc:
+            raise RestrictionSingular(
+                f"the reference operator already collapses R(K): {exc}"
+            ) from exc
+        if not report.invertible:
+            raise RestrictionSingular(
+                f"M collapses R(K): perturbation distance {report.distance:.3e} "
+                f"vs margin {report.margin:.3e}"
+            )
+        fac = _factors(phi)  # B = Sigma V_r* diag(m) T_Psi* Q
+        minv = _restricted_inverse(
+            fac, fac.singular_values[: fac.rank, None] * (fac.right_vectors.conj().T @ analysis))
+        diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
+                       "margin": report.margin, "distance": report.distance}
+        return minv, diagnostics
+
+    return _memo(m, ("perturbed", phi, psi, env, tuple(bounds), tol), build)
 
 
 def perturbation_k_dual(
@@ -570,9 +574,9 @@ def perturbation_right_inverse(
     right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
     r_frame = Frame(minv.apply_adjoint(env.range_basis.conj().T @ phi.synthesis).T)
-    r_mult = assemble_multiplier(ones, r_frame, dual_choice)
+    r_mult = assemble_multiplier(ones, r_frame, dual_choice, tol)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)), tol)
-    reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
+    reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi, tol)
     achieved = reversed_mult.matrix @ r_mult.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     certificates = dict(diagnostics)
@@ -606,8 +610,8 @@ def range_inclusion_right_inverse(
     phi_dag = _factored(adjoint.range_basis, _restriction(phi, adjoint).coordinates(),
                         _factors(phi).right_vectors)
     psi_tilde = canonical_k_dual(psi, env, tol)
-    left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
-    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
+    left_factor = assemble_multiplier(ones, _projected(psi, env), phi, tol)
+    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde, tol)
     achieved = left_factor.matrix @ right_factor.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     return MultiplierFactorization(
@@ -639,8 +643,8 @@ def range_inclusion_left_inverse(
     restriction = _restriction(psi, env)
     psi_dag = Frame(restriction.apply_adjoint(env.range_basis.conj().T @ psi.synthesis).T)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), tol)
-    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
-    right_factor = assemble_multiplier(ones, psi, phi)
+    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag, tol)
+    right_factor = assemble_multiplier(ones, psi, phi, tol)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
     check = _gate(spectral_norm(achieved - target), env.norm() ** 2, tol)

@@ -41,19 +41,25 @@ from kframekit import (
     k_frame_check,
     k_left_inverse,
     k_right_inverse,
+    perturbation_condition,
+    perturbation_k_dual,
+    perturbation_right_inverse,
     range_inclusion_left_inverse,
     svd_decompose,
     verify_k_dual,
 )
 from kframekit.duality import _restriction
-from kframekit.errors import NotKFrame
-from kframekit.linalg import majorization_constant
-from kframekit.multipliers import _projected
+from kframekit.errors import InternalConsistencyError, NotKFrame
+from kframekit.frames import _factors
+from kframekit.linalg import majorization_constant, spectral_norm
+from kframekit.multipliers import _perturbed_restriction, _projected
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
 # dual-identity residual; the canonical coefficients factor nothing
 PIPELINE_CEILING = 20
+# perturbation_right_inverse after perturbation_k_dual on the same arguments
+PERTURBED_RIGHT_INVERSE = 8
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -64,6 +70,20 @@ def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
         k = syn @ (crandn(rng, count, rank) @ crandn(rng, rank, n))
         if well_conditioned(syn) and well_conditioned(k, rank):
             return syn.T.copy(), k, crandn(rng, n)
+
+
+def perturbation_instance(seed: int):
+    """(Phi, Psi, env, m, bounds) with Psi at half the perturbation threshold of Phi."""
+    vectors, k, _ = instance(seed)
+    rng = np.random.default_rng(seed)
+    f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+    found = k_frame_check(f, env)
+    bounds = (found.lower, found.upper)
+    m = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=f.size))
+    tau = perturbation_condition(f, f, env, m, *bounds).tau
+    bump = crandn(rng, *vectors.shape)
+    psi = Frame(vectors + (0.5 * tau / spectral_norm(bump.conj() @ env.range_basis)) * bump)
+    return f, psi, env, m, bounds
 
 
 def pipeline(f, env, target, tol=IDENTITY_TOL):
@@ -127,13 +147,51 @@ class TestCounts:
         assert factorizations["n"] <= PIPELINE_CEILING
 
     def test_k_frame_check_on_a_fresh_pair(self, factorizations):
-        # the SVD of T_F, three spectral norms (inclusion residual, lambda and
-        # its cross-check) and the cross-check's QR and triangular solve
+        # the SVD of T_F, two spectral norms (lambda and its cross-check) and the
+        # cross-check's QR and triangular solve; T_F spans C^8, so its rank decides
+        # the inclusion with no residual norm
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["n"] = 0
         k_frame_check(f, env)
-        assert factorizations["n"] == 6
+        assert factorizations["n"] == 5
+
+    def test_rank_deficient_frame_keeps_the_inclusion_residual(self, factorizations):
+        # T_F is 8 x 6, so R(T_F) is not C^8 and the inclusion is still decided on
+        # the spectral norm of (I - U_r U_r*) K V_k (8 x 4), both when it holds and
+        # when it fails, with the residual that norm gives
+        vectors, k, _ = instance(10, count=6)
+        rng = np.random.default_rng(10)
+        f, inside = Frame(vectors), OperatorEnv.from_matrix(k)
+        outside = OperatorEnv.from_matrix(crandn(rng, 8, 4) @ crandn(rng, 4, 8))
+        basis, a = _factors(f).left_vectors, outside.range_factor
+        assert basis.shape == (8, 6)
+        residual = spectral_norm(a - basis @ (basis.conj().T @ a))
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        k_frame_check(f, inside)
+        assert operands(factorizations, "svd_norm")[0] == (8, 4)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        with pytest.raises(NotKFrame) as exc:
+            k_frame_check(f, outside)
+        assert exc.value.residual == residual
+        assert operands(factorizations, "svd_norm") == [(8, 4)]
+
+    def test_perturbed_restriction_is_built_once(self, factorizations):
+        # perturbation_right_inverse reads the restriction perturbation_k_dual built
+        # on the same (Phi, Psi, K, m, bounds): the condition's eigvalsh and rho norm,
+        # the Neumann margin's SVD and distance norm and the SVD of B are not redone
+        f, psi, env, m, bounds = perturbation_instance(24)
+        dual = canonical_k_dual(f, env)
+        perturbation_k_dual(f, psi, env, m, bounds)
+        factorizations["n"] = 0
+        factorizations["names"].clear()
+        perturbation_right_inverse(f, psi, env, m, bounds, dual)
+        assert "eigvalsh" not in factorizations["names"]
+        assert factorizations["n"] == PERTURBED_RIGHT_INVERSE
+        restriction = _perturbed_restriction(f, psi, env, m, bounds, IDENTITY_TOL)
+        assert _perturbed_restriction(f, psi, env, m, list(bounds), IDENTITY_TOL) is restriction
 
     def test_canonical_dual_factors_b_alone(self, factorizations):
         # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
@@ -165,7 +223,7 @@ class TestCounts:
         factorizations["names"].clear()
         k_frame_check(f, env)
         norms = operands(factorizations, "svd_norm")
-        assert len(norms) == 3
+        assert len(norms) == 2
         assert all(shape[1] <= 4 for shape in norms)
 
     def test_optimal_bounds_make_no_eigendecomposition(self, factorizations):
@@ -348,10 +406,12 @@ class TestMemoCorrectness:
         loose = 1e-6
         loose_bounds = k_frame_check(f, env, loose)
         assert loose_bounds.inclusion.threshold == pytest.approx(1e4 * bounds.inclusion.threshold)
+        # T_F spans C^8, so its rank decides the inclusion at any tolerance; at 1e-30
+        # the Douglas residual gate (tol |K|, not yet scaled to |T_F| |X|) raises
         strict = 1e-30
-        with pytest.raises(NotKFrame):
+        with pytest.raises(InternalConsistencyError):
             k_frame_check(f, env, strict)
-        with pytest.raises(NotKFrame):
+        with pytest.raises(InternalConsistencyError):
             canonical_k_dual(f, env, strict)
         assert k_frame_check(f, env) is bounds
         assert k_frame_check(f, env, 1e-10) is bounds
@@ -404,6 +464,23 @@ class TestNoCycles:
             del env
             assert ref() is None
             np.testing.assert_array_equal(adjoint.k, k.conj().T)
+        finally:
+            gc.enable()
+
+    def test_perturbed_restriction_holds_no_reference_back(self):
+        # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env
+        vectors, k, _ = instance(23)
+        gc.collect()
+        gc.disable()
+        try:
+            f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+            m = Symbol.semi_normalized(np.linspace(0.5, 2.0, f.size))
+            found = k_frame_check(f, env)
+            refs = [weakref.ref(v) for v in (f, env, m)]
+            cert = perturbation_k_dual(f, f, env, m, (found.lower, found.upper))
+            assert cert.passed and len(m._memo) == 1
+            del f, env, m, found, cert
+            assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
 

@@ -262,6 +262,26 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("numerical failure in analyze: ") and cause in err
 
+    def test_unrepresentable_lower_bound_is_three(self, tmp_path, capsys):
+        # {e1, e2} against K = 1e-180 I: lambda = 1e-180, so A = 1e360 is no float
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(np.eye(2))))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(1e-180 * np.eye(2)))
+        code = main(["analyze", "--frame", str(tmp_path / "f.json"),
+                     "--operator", str(tmp_path / "k.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "optimal lower bound" in err and "Traceback" not in err
+
+    def test_multiplier_tol_scales_the_norm_bound_threshold(self, fixture_files, capsys):
+        def threshold(*tol):
+            code = main(["multiplier", "--frame", fixture_files["f2.json"],
+                         "--frame", fixture_files["f2.json"],
+                         "--symbol", fixture_files["ones3.json"], "--format", "json", *tol])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["verdicts"]["norm-bound"]["threshold"]
+
+        assert threshold("--tol", "1e-3") == pytest.approx(1e7 * threshold())
+
     def test_examples_exit_zero(self, capsys):
         assert main(["examples"]) == 0
 

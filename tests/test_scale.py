@@ -601,6 +601,22 @@ class TestCli:
             }
         scaling.check(run)
 
+    @pytest.mark.parametrize("tol, code", [("1e-15", 0), ("1e-16", 3), ("1e-30", 3)])
+    def test_analyze_at_strict_tolerance(self, tmp_path, capsys, tol, code):
+        # T_F spans C^6, so its rank decides the inclusion (residual 0) at any tol;
+        # below 1e-15 the Douglas residual gate, at tol |K| and not yet scaled to
+        # |T_F| |X|, raises on rounding
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(VECTORS)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(K))
+        got = main(["analyze", "--frame", str(tmp_path / "f.json"), "--operator",
+                    str(tmp_path / "k.json"), "--tol", tol, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["verdicts"]["range-inclusion"]["residual"] == 0.0
+        else:
+            assert err.startswith("internal consistency error: factorization residual")
+
     def test_dual(self, scaling, invoke):
         def run(s):
             verdicts, body = invoke("dual", [scaling.frame(s, VECTORS)], scaling.env(s, K))
