@@ -41,7 +41,6 @@ from .linalg import (
     SvdFactors,
     douglas_solve,
     majorization_constant,
-    neumann_invertibility_margin,
     range_inclusion_check,
     svd_decompose,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "minimal_example",
     "minimal_norm_identity",
     "minimality_check",
-    "neumann_invertibility_margin",
     "noncommutativity_witness",
     "optimal_bessel_bound",
     "perturbation_condition",

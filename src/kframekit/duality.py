@@ -108,6 +108,11 @@ def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
     return _memo(f, ("restriction", env), build)
 
 
+def _coordinates(f: Frame, env: OperatorEnv) -> Frame:
+    """{U_k* f_i}: {P_{R(K)} f_i} in R(K)'s coordinates (k x N), memoized per env."""
+    return _memo(f, ("coordinates", env), lambda: f.map(env.range_basis.conj().T))
+
+
 @_memoized_per_operator
 def canonical_k_dual(
     f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
@@ -154,8 +159,7 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[flo
     keep their own SVDs, like every frame whose bounds are checked.
     """
     dual = k_frame_check(g, env.adjoint(), tol).lower  # ZeroOperator at K = 0, before k = 0 rows
-    coordinates = f.map(env.range_basis.conj().T)
-    return dual, k_frame_check(coordinates, env.range_coordinates, tol).lower
+    return dual, k_frame_check(_coordinates(f, env), env.range_coordinates, tol).lower
 
 
 def _require_k_dual(

@@ -34,10 +34,6 @@ class RankDeficientRestriction(KFrameError):
     code = "rank-deficient-restriction"
 
 
-class NotInvertible(KFrameError):
-    code = "not-invertible"
-
-
 class NotKFrame(KFrameError):
     code = "not-k-frame"
 

@@ -66,11 +66,13 @@ class Frame:
 
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
-    built on it and (per tolerance too) the results of ``k_frame_check``
-    and ``canonical_k_dual``. Memoization never changes a result, entries are
-    only ever added (so concurrent use stays safe), and no n x n matrix is kept.
+    built on it, the coordinates frame {U_k* f_i} and (per tolerance too) the
+    results of ``k_frame_check`` and ``canonical_k_dual``. Memoization never
+    changes a result, entries are only ever added (so concurrent use stays
+    safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
-    vectors; frames built from known factors keep a small core C (``_factored``).
+    vectors; frames built from known factors keep a small core C (``_factored``),
+    which may be a frame whose SVD they lift.
     """
 
     vectors: np.ndarray
@@ -135,15 +137,17 @@ class FrameBounds:
     inclusion: CheckResult | None = None
 
 
-def _factored(q: np.ndarray | None, core: np.ndarray, v: np.ndarray | None) -> Frame:
+def _factored(q: np.ndarray | None, core: np.ndarray | Frame, v: np.ndarray | None) -> Frame:
     """The frame T = Q C V* for Q, V with orthonormal columns or None.
 
-    Its vectors are formed from the C that ``_factors`` decomposes; an empty C (K = 0)
+    Its vectors are formed from C, which ``_factors`` decomposes (or, for a frame
+    ``core`` with synthesis C, whose memoized SVD it lifts); an empty C (K = 0)
     leaves the form of a frame read from vectors.
     """
-    t = core if v is None else core @ v.conj().T
+    c = core.synthesis if isinstance(core, Frame) else core
+    t = c if v is None else c @ v.conj().T
     f = Frame((t if q is None else q @ t).T)
-    if core.size:
+    if c.size:
         object.__setattr__(f, "_form", (q, core, v))
     return f
 
@@ -151,16 +155,16 @@ def _factored(q: np.ndarray | None, core: np.ndarray, v: np.ndarray | None) -> F
 def _factors(f: Frame) -> SvdFactors:
     """T_F = U_r Sigma V_r*, the one SVD of T_F, memoized on ``f``.
 
-    It decomposes only the core of T_F = Q C V*: C = U_C Sigma W_C* lifts to
-    U = Q U_C, V = V W_C, which must reconstruct the stored vectors as in
-    ``svd_decompose``, and the rank is ``_rank`` for T_F's shape. Every singular value
-    is kept (a zero frame has norm 0); the singular vectors are cut to the rank
-    and copied, so the full arrays are freed.
+    It decomposes only the core of T_F = Q C V* (a frame core's SVD is its own
+    memoized one): C = U_C Sigma W_C* lifts to U = Q U_C, V = V W_C, which must
+    reconstruct the stored vectors as in ``svd_decompose``, and the rank is ``_rank``
+    for T_F's shape. Every singular value is kept (a zero frame has norm 0); the
+    singular vectors are cut to the rank and copied, so the full arrays are freed.
     """
 
     def build():
         q, core, v = f._form or (None, f.synthesis, None)
-        c = svd_decompose(core)
+        c = _factors(core) if isinstance(core, Frame) else svd_decompose(core)
         s = c.singular_values
         u = c.left_vectors if q is None else q @ c.left_vectors
         w = c.right_vectors if v is None else v @ c.right_vectors
@@ -188,7 +192,8 @@ def k_frame_check(
     vacuous and every downstream formula divides by A). The frame's one SVD
     (``_factors``) serves the inclusion test (decided by its rank alone, residual
     0, when T_F spans C^n), B and the Douglas route A = (1/|pinv(T_F) K|)^2;
-    OverflowError when A is not a finite float. The one cross-check, ``linalg``'s
+    OverflowError when A is not a finite float, FloatingPointError when it is
+    below the least normal float. The one cross-check, ``linalg``'s
     QR route, shares only U_r of that SVD; it must agree with the Douglas route in
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
     per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
@@ -210,6 +215,8 @@ def k_frame_check(
         lower = np.inf
     if lower == np.inf:
         raise OverflowError(f"optimal lower bound A = 1/lambda^2 overflows at lambda = {lam!r}")
+    if lower < np.finfo(float).tiny:  # 0 or subnormal: no bound to divide by
+        raise FloatingPointError(f"optimal lower bound A = 1/lambda^2 underflows to {lower!r}")
     upper = float(factors.singular_values[0] ** 2)
     return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
 

@@ -11,8 +11,9 @@ R(L1) inside R(L2) there is an X with L2 X = L1, and the least lambda with
 L1 L1* <= lambda^2 L2 L2* equals the norm of the minimal X), the inverse of
 an operator A = L R* restricted to a subspace, applied in factored order on
 L's own ``SvdFactors`` (``_Restriction``: A is never formed, so neither is a
-frame operator, and the adjoint form applies U_r itself, never L V_r Sigma^-1),
-and a sufficient invertibility margin for perturbed operators.
+frame operator, and the adjoint form applies U_r itself, never L V_r Sigma^-1).
+The rank test on the SVD of its r x k operand B is the one decision that A is
+invertible on the subspace.
 
 All "closed range" hypotheses of the underlying operator theory are vacuous
 here: everything is finite dimensional, and only numerical rank is ever
@@ -53,7 +54,6 @@ import numpy as np
 from .errors import (
     InternalConsistencyError,
     NonFiniteInput,
-    NotInvertible,
     RangeNotIncluded,
     RankDeficientRestriction,
     ShapeMismatch,
@@ -64,7 +64,6 @@ __all__ = [
     "SvdFactors",
     "OperatorEnv",
     "CheckResult",
-    "MarginReport",
     "as_matrix",
     "spectral_norm",
     "min_eig",
@@ -72,7 +71,6 @@ __all__ = [
     "range_inclusion_check",
     "douglas_solve",
     "majorization_constant",
-    "neumann_invertibility_margin",
 ]
 
 
@@ -156,8 +154,8 @@ class SvdFactors:
 
     ``left_vectors`` and ``right_vectors`` have orthonormal columns;
     ``singular_values`` is descending and ``rank`` is the numerical rank
-    ``_rank`` reads off them. Every method but ``reconstruct`` reads only the
-    first ``rank`` vectors, so the vectors may be cut to the rank.
+    ``_rank`` reads off them. Every method but ``reconstruct`` (which reads the
+    stored ones) reads only the first ``rank`` vectors, so they may be cut to the rank.
     """
 
     left_vectors: np.ndarray
@@ -166,7 +164,9 @@ class SvdFactors:
     rank: int
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
+        """U Sigma V* on the stored vectors: factors cut to the rank drop Sigma's tail."""
+        s = self.singular_values[: self.left_vectors.shape[1]]
+        return (self.left_vectors * s) @ self.right_vectors.conj().T
 
     def adjoint(self) -> "SvdFactors":
         """Factors of the conjugate transpose: the same SVD read backwards."""
@@ -201,9 +201,11 @@ def svd_decompose(m) -> SvdFactors:
 
 
 def _check_reconstruction(factors: SvdFactors, a: np.ndarray) -> None:
-    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``IDENTITY_TOL`` |a|_F."""
+    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``IDENTITY_TOL`` |a|_F
+    beyond the singular values that cut vectors drop."""
+    dropped = float(np.linalg.norm(factors.singular_values[factors.left_vectors.shape[1]:]))
     resid = float(np.linalg.norm(factors.reconstruct() - a))
-    if not _gate(resid, float(np.linalg.norm(a)), IDENTITY_TOL):
+    if not _gate(resid - dropped, float(np.linalg.norm(a)), IDENTITY_TOL):
         raise InternalConsistencyError(
             f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
         )
@@ -367,49 +369,6 @@ def _restricted_inverse(left: SvdFactors, operand: np.ndarray) -> _Restriction:
             f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
         )
     return _Restriction(left, b)
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    """Invertibility verdict for a perturbed operator.
-
-    ``margin`` is 1/norm(t^-1) (the smallest singular value of t); whenever
-    ``distance`` < ``margin`` the perturbed operator is invertible. Outside
-    that sufficient condition the verdict is settled by a direct rank test
-    and ``settled_by`` says which route decided.
-    """
-
-    distance: float
-    margin: float
-    invertible: bool
-    settled_by: str  # "margin" or "rank"
-
-
-def neumann_invertibility_margin(t, u) -> MarginReport:
-    """Perturbation margin: norm(t - u) against 1/norm(t^-1).
-
-    Square t must be invertible at tolerance. Rectangular t (a restriction
-    expressed against a subspace basis) is accepted when it has full column
-    rank; "invertible" then means injective, which is invertibility onto
-    the image.
-    """
-    a = as_matrix(t, "t")
-    b = as_matrix(u, "u")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[0] < a.shape[1]:
-        raise ShapeMismatch(f"t has more columns than rows: {a.shape}")
-    fa = svd_decompose(a)
-    if fa.rank < a.shape[1]:
-        raise NotInvertible(
-            f"t is singular at tolerance (rank {fa.rank} of {a.shape[1]})"
-        )
-    margin = float(fa.singular_values[-1])
-    distance = spectral_norm(a - b)
-    if distance < margin:
-        return MarginReport(distance, margin, True, "margin")
-    rank_u = svd_decompose(b).rank
-    return MarginReport(distance, margin, rank_u == b.shape[1], "rank")
 
 
 @dataclass(frozen=True, eq=False)

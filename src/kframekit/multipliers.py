@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _require_k_dual, _restriction, canonical_k_dual, verify_k_dual
+from .duality import (
+    _coordinates,
+    _require_k_dual,
+    _restriction,
+    canonical_k_dual,
+    verify_k_dual,
+)
 from .errors import (
     ConditionViolated,
     HypothesisNotMet,
@@ -35,9 +41,9 @@ from .errors import (
     NoLeftInverse,
     NoRightInverse,
     NotAnInverse,
-    NotInvertible,
     NotSemiNormalized,
     RangeNotIncluded,
+    RankDeficientRestriction,
     RestrictionSingular,
     ShapeMismatch,
 )
@@ -65,7 +71,6 @@ from .linalg import (
     _require_inclusion,
     _restricted_inverse,
     _within,
-    neumann_invertibility_margin,
     spectral_norm,
     svd_decompose,
 )
@@ -224,9 +229,9 @@ def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame, tol: float = IDENTITY
 
 
 def _projected(f: Frame, env: OperatorEnv) -> Frame:
-    """{P_{R(K)} f_i} in the factored form U_k (U_k* T_F), U_k = ``env.range_basis``."""
-    basis = env.range_basis
-    return _factored(basis, basis.conj().T @ f.synthesis, None)
+    """{P_{R(K)} f_i} = U_k (U_k* T_F), U_k = ``env.range_basis``, lifting the SVD of
+    the memoized k x N coordinates frame {U_k* f_i} (``_coordinates``)."""
+    return _factored(env.range_basis, _coordinates(f, env), None)
 
 
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
@@ -492,9 +497,12 @@ def _perturbed_restriction(
 ):
     """Shared setup: condition check, invertibility margin, restricted inverse.
 
-    (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi and
-    R* = diag(m) T_Psi*, so M itself is never formed. Memoized on ``m`` per
-    (Phi, Psi, env, bounds, tol): Psi may be Phi, and a frame's memo is keyed by env.
+    (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi = U_r Sigma V_r*,
+    R* = diag(m) T_Psi*. M Q = U_r B for B = Sigma V_r* diag(m) T_Psi* Q (r x k) and U_r
+    is an isometry, so all is read off r x k operands: the margin is sigma_min of B_ref
+    (B at Psi = Phi), the distance |B_ref - B| is formed from T_Phi - T_Psi, and the
+    rank tests of B_ref and B decide invertibility (RestrictionSingular). Memoized on
+    ``m`` per (Phi, Psi, env, bounds, tol): Psi may be Phi, and a frame's memo is keyed by env.
     """
 
     def build():
@@ -504,27 +512,25 @@ def _perturbed_restriction(
                 f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
                 cond.rho - cond.tau,
             )
-        basis = env.range_basis
-        # diag(m) T_Psi* Q: M Q = T_Phi analysis
-        analysis = (m.values[:, None] * psi.analysis) @ basis
-        reference = phi.synthesis @ ((m.values[:, None] * phi.analysis) @ basis)
+        fac = _factors(phi)
+
+        def core(analysis):  # Sigma V_r* diag(m) T* Q for T* = ``analysis``
+            rows = fac.right_vectors.conj().T @ ((m.values[:, None] * analysis) @ env.range_basis)
+            return fac.singular_values[: fac.rank, None] * rows
+
+        reference = svd_decompose(core(phi.analysis))
+        if reference.rank < env.rank:
+            raise RestrictionSingular(f"the reference operator already collapses R(K): "
+                                      f"rank {reference.rank} < dim {env.rank}")
+        margin = float(reference.singular_values[-1])
+        distance = spectral_norm(core(phi.analysis - psi.analysis))
         try:
-            report = neumann_invertibility_margin(reference, phi.synthesis @ analysis)
-        except NotInvertible as exc:
-            raise RestrictionSingular(
-                f"the reference operator already collapses R(K): {exc}"
-            ) from exc
-        if not report.invertible:
-            raise RestrictionSingular(
-                f"M collapses R(K): perturbation distance {report.distance:.3e} "
-                f"vs margin {report.margin:.3e}"
-            )
-        fac = _factors(phi)  # B = Sigma V_r* diag(m) T_Psi* Q
-        minv = _restricted_inverse(
-            fac, fac.singular_values[: fac.rank, None] * (fac.right_vectors.conj().T @ analysis))
-        diagnostics = {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
-                       "margin": report.margin, "distance": report.distance}
-        return minv, diagnostics
+            minv = _restricted_inverse(fac, core(psi.analysis))
+        except RankDeficientRestriction as exc:
+            raise RestrictionSingular(f"M collapses R(K) at perturbation distance "
+                                      f"{distance:.3e} vs margin {margin:.3e}: {exc}") from exc
+        return minv, {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
+                      "margin": margin, "distance": distance}
 
     return _memo(m, ("perturbed", phi, psi, env, tuple(bounds), tol), build)
 

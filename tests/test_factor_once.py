@@ -48,7 +48,7 @@ from kframekit import (
     svd_decompose,
     verify_k_dual,
 )
-from kframekit.duality import _restriction
+from kframekit.duality import _coordinates, _restriction
 from kframekit.errors import InternalConsistencyError, NotKFrame
 from kframekit.frames import _factors
 from kframekit.linalg import majorization_constant, spectral_norm
@@ -58,8 +58,9 @@ from kframekit.multipliers import _perturbed_restriction, _projected
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
 # dual-identity residual; the canonical coefficients factor nothing
 PIPELINE_CEILING = 20
-# perturbation_right_inverse after perturbation_k_dual on the same arguments
-PERTURBED_RIGHT_INVERSE = 8
+# perturbation_right_inverse after perturbation_k_dual on the same arguments; the
+# P_K Psi frame lifts the SVD of the coordinates frame the dual's certificate factored
+PERTURBED_RIGHT_INVERSE = 7
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -72,9 +73,9 @@ def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
             return syn.T.copy(), k, crandn(rng, n)
 
 
-def perturbation_instance(seed: int):
+def perturbation_instance(seed: int, count: int = 12):
     """(Phi, Psi, env, m, bounds) with Psi at half the perturbation threshold of Phi."""
-    vectors, k, _ = instance(seed)
+    vectors, k, _ = instance(seed, count=count)
     rng = np.random.default_rng(seed)
     f, env = Frame(vectors), OperatorEnv.from_matrix(k)
     found = k_frame_check(f, env)
@@ -181,7 +182,7 @@ class TestCounts:
     def test_perturbed_restriction_is_built_once(self, factorizations):
         # perturbation_right_inverse reads the restriction perturbation_k_dual built
         # on the same (Phi, Psi, K, m, bounds): the condition's eigvalsh and rho norm,
-        # the Neumann margin's SVD and distance norm and the SVD of B are not redone
+        # the SVD of B_ref, the distance norm and the SVD of B are not redone
         f, psi, env, m, bounds = perturbation_instance(24)
         dual = canonical_k_dual(f, env)
         perturbation_k_dual(f, psi, env, m, bounds)
@@ -192,6 +193,16 @@ class TestCounts:
         assert factorizations["n"] == PERTURBED_RIGHT_INVERSE
         restriction = _perturbed_restriction(f, psi, env, m, bounds, IDENTITY_TOL)
         assert _perturbed_restriction(f, psi, env, m, list(bounds), IDENTITY_TOL) is restriction
+
+    def test_perturbed_restriction_has_rank_t_phi_rows(self, factorizations):
+        # rank T_Phi = N = 6 < n = 8: rho, the margin's B_ref, the distance and B are
+        # all read in T_Phi's row coordinates, 6 x 4, never as n x 4 operators
+        f, psi, env, m, bounds = perturbation_instance(10, count=6)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        _perturbed_restriction(f, psi, env, m, bounds, IDENTITY_TOL)
+        assert operands(factorizations, "svd") == [(6, 4)] * 2
+        assert operands(factorizations, "svd_norm") == [(6, 4)] * 2
 
     def test_canonical_dual_factors_b_alone(self, factorizations):
         # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
@@ -258,16 +269,20 @@ class TestCounts:
         assert np.shares_memory(env.range_basis, env.factors.left_vectors)
 
     def test_projected_frame_factors_its_k_by_n_core(self, factorizations):
-        # {P_R(K) phi_i} = U_k (U_k* T_Phi): its SVD has a k x N operand, not n x N
+        # {P_R(K) phi_i} = U_k (U_k* T_Phi): its SVD has a k x N operand, not n x N,
+        # and is that of the memoized coordinates frame {U_k* phi_i}, lifted by U_k
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
-        projected = _projected(f, env)
-        np.testing.assert_allclose(projected.vectors, f.map(range_projector(env)).vectors,
-                                   atol=1e-13 * f.norm())
         factorizations["inputs"].clear()
         factorizations["names"].clear()
+        projected = _projected(f, env)
         projected.norm()
         assert operands(factorizations, "svd") == [(4, 12)]
+        assert _coordinates(f, env).norm() == projected.norm()
+        assert _projected(f, env).norm() == projected.norm()
+        assert operands(factorizations, "svd") == [(4, 12)]
+        np.testing.assert_allclose(projected.vectors, f.map(range_projector(env)).vectors,
+                                   atol=1e-13 * f.norm())
 
     def test_verify_k_dual_with_lower_bounds(self, factorizations):
         # one k_frame_check each for the dual and the projected frame, plus the residual

@@ -272,6 +272,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "optimal lower bound" in err and "Traceback" not in err
 
+    def test_underflowed_lower_bound_is_three(self, tmp_path, capsys):
+        # {1e-170 e1, 1e-170 e2} against K = I: A = 1e-340 underflows to 0.0
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(1e-170 * np.eye(2))))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(np.eye(2)))
+        code = main(["analyze", "--frame", str(tmp_path / "f.json"),
+                     "--operator", str(tmp_path / "k.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure in analyze: optimal lower bound A")
+
     def test_multiplier_tol_scales_the_norm_bound_threshold(self, fixture_files, capsys):
         def threshold(*tol):
             code = main(["multiplier", "--frame", fixture_files["f2.json"],

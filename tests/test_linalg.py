@@ -7,7 +7,6 @@ from conftest import crandn, projector_onto_range, random_k_frame, range_project
 from kframekit.errors import (
     InternalConsistencyError,
     NonFiniteInput,
-    NotInvertible,
     RangeNotIncluded,
     RankDeficientRestriction,
     ShapeMismatch,
@@ -19,7 +18,6 @@ from kframekit.linalg import (
     douglas_solve,
     majorization_constant,
     min_eig,
-    neumann_invertibility_margin,
     _restricted_inverse,
     range_inclusion_check,
     spectral_norm,
@@ -451,6 +449,21 @@ class TestIllConditionedDual:
         with pytest.raises(InternalConsistencyError, match="reconstruction"):
             _factors(skewed)
 
+    @pytest.mark.parametrize("count, tail", [(2, 1e-13), (384, 3e-10)])
+    def test_lift_of_a_rank_cut_core_frame(self, count, tail):
+        # T_F = [diag(1, tail), 0] (2 x count) is cut to rank 1; the P_K F frame lifts
+        # the coordinates frame's cut SVD and reconstructs its vectors up to the dropped
+        # tail, which at count = 384 is above IDENTITY_TOL |T_F| and below the cutoff
+        from kframekit.frames import Frame, _factors
+        from kframekit.multipliers import _projected
+
+        vectors = np.zeros((count, 2))
+        vectors[:2] = np.diag([1.0, tail])
+        f, env = Frame(vectors), OperatorEnv.identity(2)
+        lifted = _factors(_projected(f, env))
+        assert lifted.rank == 1 and lifted.left_vectors.shape == (2, 1)
+        np.testing.assert_array_equal(lifted.singular_values, _factors(f).singular_values)
+
     @pytest.mark.parametrize("c", [1e-3, 1e-4])
     def test_range_inclusion_left_inverse(self, c):
         # Psi = F and Phi = {K* f_i}: R(T_Phi*) = R(T_Psi* K), and Phi spans R(K*)
@@ -543,39 +556,6 @@ class TestRestrictedInverse:
                 ratio = np.linalg.norm(inverse @ y) / norm_y
                 assert ratio >= 1.0 / bounds.upper * (1 - 1e-9)
                 assert ratio <= env.pinv_norm() ** 2 / bounds.lower * (1 + 1e-9)
-
-
-class TestNeumannMargin:
-    def test_rank_one_bump(self):
-        t = np.eye(2)
-        u = np.eye(2) + 0.5 * np.outer([1.0, 0.0], [1.0, 0.0])
-        report = neumann_invertibility_margin(t, u)
-        assert report.margin == pytest.approx(1.0)
-        assert report.distance == pytest.approx(0.5)
-        assert report.invertible and report.settled_by == "margin"
-
-    def test_equal_operators(self):
-        report = neumann_invertibility_margin(np.diag([2.0, 1.0]), np.diag([2.0, 1.0]))
-        assert report.distance == 0.0 and report.invertible
-
-    def test_diagonal_margin(self):
-        t = np.diag([1.0, 0.1])
-        u = t + 0.05 * np.outer([0.0, 1.0], [0.0, 1.0])
-        report = neumann_invertibility_margin(t, u)
-        assert report.margin == pytest.approx(0.1)
-        assert report.distance == pytest.approx(0.05)
-        assert report.invertible and report.settled_by == "margin"
-
-    def test_rank_fallback(self):
-        # distance >= margin but the perturbed operator is still invertible
-        report = neumann_invertibility_margin(np.eye(2), 3.0 * np.eye(2))
-        assert report.settled_by == "rank" and report.invertible
-        report = neumann_invertibility_margin(np.eye(2), np.diag([1.0, 0.0]))
-        assert report.settled_by == "rank" and not report.invertible
-
-    def test_singular_base_raises(self):
-        with pytest.raises(NotInvertible):
-            neumann_invertibility_margin(np.diag([1.0, 0.0]), np.eye(2))
 
 
 class TestOperatorEnv:

@@ -23,9 +23,10 @@ from kframekit.errors import (
     NotMinimal,
     NotSemiNormalized,
     RangeNotIncluded,
+    RestrictionSingular,
     ShapeMismatch,
 )
-from kframekit.frames import Frame, optimal_bessel_bound
+from kframekit.frames import Frame, k_frame_check, optimal_bessel_bound
 from kframekit.linalg import OperatorEnv, spectral_norm
 from kframekit.multipliers import (
     Symbol,
@@ -603,6 +604,32 @@ class TestPerturbationConstructions:
             assert fact.certificates["distance"] < fact.certificates["margin"]
             assert fact.passed
             done += 1
+
+    def test_margin_and_distance_match_the_operators(self):
+        # sigma_min(T_Phi diag(m) T_Phi* Q) and |T_Phi diag(m) (T_Phi - T_Psi)* Q|,
+        # formed here as n x k operators
+        rng = np.random.default_rng(137)
+        for _ in range(10):
+            frame, env = random_k_frame(rng)
+            bounds = k_frame_check(frame, env)
+            m = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=frame.size))
+            tau = perturbation_condition(frame, frame, env, m, bounds.lower, bounds.upper).tau
+            psi = perturbed_pair(rng, frame, env, tau, float(rng.uniform(0.1, 0.9)))
+            fact = perturbation_right_inverse(frame, psi, env, m, (bounds.lower, bounds.upper),
+                                              canonical_k_dual(frame, env))
+            weighted, q = frame.synthesis * m.values, env.range_basis
+            margin = np.linalg.svd(weighted @ frame.analysis @ q, compute_uv=False)[-1]
+            distance = np.linalg.norm(weighted @ (frame.analysis - psi.analysis) @ q, 2)
+            assert fact.certificates["margin"] == pytest.approx(margin, rel=1e-12)
+            assert fact.certificates["distance"] == pytest.approx(distance, rel=1e-12)
+
+    def test_collapsing_reference_is_singular(self):
+        # Phi = {e1, e1}, m = (1, -1): M_{m,Phi,Phi} = e1 e1* - e1 e1* = 0 on R(K) = span{e1}
+        phi = Frame(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
+        m = Symbol.semi_normalized([1.0, -1.0])
+        with pytest.raises(RestrictionSingular, match="reference operator already collapses"):
+            perturbation_k_dual(phi, phi, env, m, (2.0, 2.0))
 
     def test_condition_violated(self, c2_example):
         vectors = c2_example.frame.vectors.copy()

@@ -172,6 +172,12 @@ class TestFrames:
         assert report.tight and report.parseval
         assert report.constant == pytest.approx(1.0, rel=RTOL)
 
+    @pytest.mark.parametrize("s", [1e-160, 1e-170])
+    def test_underflowed_lower_bound_raises(self, s):
+        # A = s^2 is the subnormal 1e-320 at 1e-160 and 0.0 at 1e-170: no lower bound
+        with pytest.raises(FloatingPointError, match="optimal lower bound A"):
+            k_frame_check(Frame(s * np.eye(2)), OperatorEnv.identity(2))
+
     @pytest.mark.parametrize("a, b", [
         (0.5, 2.0),  # valid
         (1.01, 2.0),  # above the optimal A
