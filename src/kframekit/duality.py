@@ -120,13 +120,14 @@ def canonical_k_dual(
     """Canonical K-dual {K* (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i}.
 
     Index order follows ``f`` (equal frame vectors yield equal duals). Built
-    as (K* Q) B^+ Sigma V_r* = V_k (Sigma_k B^+ Sigma) V_r*, whose SVD factors the
-    k x r core. Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
+    as (K* Q) B^+ Sigma V_r* = V_k (Sigma_k B^+ Sigma) V_r* with the k x r core as a
+    frame, whose one SVD serves the dual's factors and its K*-frame check (on the core,
+    ``k_frame_check``). Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
     Memoized on ``f`` per (env, tol).
     """
     k_frame_check(f, env, tol)
     core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
-    return _factored(env.adjoint().range_basis, core, _factors(f).right_vectors)
+    return _factored(env.adjoint().range_basis, Frame(core.T), _factors(f).right_vectors)
 
 
 def verify_k_dual(
@@ -156,7 +157,8 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[flo
     P T_F = U_k (U_k* T_F) and U_k* K = Sigma_k V_k*, so the second is exactly that
     of {U_k* f_i} against Sigma_k: an SVD of k x N, not n x N, with rank cutoff
     max(k, N), the same number as max(n, N) whenever N >= n. G and {U_k* f_i} then
-    keep their own SVDs, like every frame whose bounds are checked.
+    keep their own SVDs, like every frame whose bounds are checked; a G built on a core
+    in R(K*) (``k_frame_check``) is checked as that core against Sigma_k in the same way.
     """
     dual = k_frame_check(g, env.adjoint(), tol).lower  # ZeroOperator at K = 0, before k = 0 rows
     return dual, k_frame_check(_coordinates(f, env), env.range_coordinates, tol).lower
@@ -347,7 +349,7 @@ def reciprocal_dual(
     reduced = _factored(env.range_basis, _restriction(f, env).coordinates(), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
-    companion = _factored(env.adjoint().range_basis, core, fac.right_vectors)
+    companion = _factored(env.adjoint().range_basis, Frame(core.T), fac.right_vectors)
     return verify_k_dual(reduced, companion, env, tol)
 
 

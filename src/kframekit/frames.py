@@ -142,8 +142,8 @@ def _factored(q: np.ndarray | None, core: np.ndarray | Frame, v: np.ndarray | No
 
     Its vectors are formed from C, which ``_factors`` decomposes (or, for a frame
     ``core`` with synthesis C, whose memoized SVD it lifts); an empty C (K = 0)
-    leaves the form of a frame read from vectors.
-    """
+    leaves the form of a frame read from vectors. ``k_frame_check`` against an env
+    whose U_k is Q reads a frame ``core`` alone."""
     c = core.synthesis if isinstance(core, Frame) else core
     t = c if v is None else c @ v.conj().T
     f = Frame((t if q is None else q @ t).T)
@@ -158,8 +158,9 @@ def _factors(f: Frame) -> SvdFactors:
     It decomposes only the core of T_F = Q C V* (a frame core's SVD is its own
     memoized one): C = U_C Sigma W_C* lifts to U = Q U_C, V = V W_C, which must
     reconstruct the stored vectors as in ``svd_decompose``, and the rank is ``_rank``
-    for T_F's shape. Every singular value is kept (a zero frame has norm 0); the
-    singular vectors are cut to the rank and copied, so the full arrays are freed.
+    for T_F's shape (a frame core keeps its own, for C's shape). Every singular value
+    is kept (a zero frame has norm 0); the singular vectors are cut to the rank and
+    copied, so the full arrays are freed.
     """
 
     def build():
@@ -198,6 +199,9 @@ def k_frame_check(
     lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
     per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
+    T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
+    as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
+    C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -205,6 +209,9 @@ def k_frame_check(
         )
     if env.rank == 0:
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
+    q, inner, _ = f._form or (None, None, None)
+    if isinstance(inner, Frame) and q is not None and np.array_equal(q, env.range_basis):
+        return k_frame_check(inner, env.range_coordinates, tol)
     factors = _factors(f)
     inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), tol,
                                   NotKFrame, "R(K) not contained in R(T_F)")
@@ -265,8 +272,8 @@ def tightness_check(
     """Best-fit tightness constant and the residual of S_F - A K K*, to ``tol`` B.
 
     The constant is fitted on G = (K/|K|)(K/|K|)*, as tr(G S_F) / (tr(G^2) |K|^2),
-    so neither trace under- or overflows where K K* itself does not.
-    """
+    so neither trace under- or overflows where K K* itself does not (FloatingPointError
+    where |K|^2 underflows and G is 0/0)."""
     if f.ambient_dim != env.dim:
         raise ShapeMismatch("frame/operator dimension mismatch")
     s = f.frame_operator
@@ -274,6 +281,8 @@ def tightness_check(
     norm_k = env.norm()
     const = 0.0
     if norm_k > 0.0:
+        if norm_k**2 < np.finfo(float).tiny:
+            raise FloatingPointError(f"|K|^2 underflows to {norm_k**2!r} at |K| = {norm_k!r}")
         unit = gram_k / norm_k**2
         const = float(np.real(np.trace(unit @ s))) / (
             float(np.real(np.trace(unit @ unit))) * norm_k**2

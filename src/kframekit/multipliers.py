@@ -547,13 +547,14 @@ def perturbation_k_dual(
 
     M = M_{m,Phi,Psi} is inverted as a bijection R(K) -> M(R(K)); for
     Psi = Phi and m = 1 the construction collapses to the canonical K-dual.
-    Returns the verification certificate of the constructed dual against Psi.
+    Returns the certificate of the constructed dual V_k C (k x N core C, as a frame,
+    which its K*-frame check reads) against Psi.
     """
     minv = _perturbed_restriction(phi, psi, env, m, bounds, tol)[0]
     # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
     core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
     dual = _factored(env.adjoint().range_basis,
-                     env.factors.singular_values[: env.rank, None] * core, None)
+                     Frame((env.factors.singular_values[: env.rank, None] * core).T), None)
     return verify_k_dual(psi, dual, env, tol)
 
 

@@ -285,7 +285,10 @@ class TestCounts:
                                    atol=1e-13 * f.norm())
 
     def test_verify_k_dual_with_lower_bounds(self, factorizations):
-        # one k_frame_check each for the dual and the projected frame, plus the residual
+        # the residual norm, then k_frame_check of the dual on its k x r core (its SVD,
+        # two norms, QR and solve; the rank decides the inclusion) and of the projected
+        # frame {U_k* f_i} (the same five and an SVD of its own). The dual was built on
+        # another env from the same K: an equal U_k, not the same array, selects the core
         vectors, k, _ = instance(11)
         dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
@@ -293,10 +296,39 @@ class TestCounts:
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         verify_k_dual(f, dual, env, with_lower_bounds=True)
-        assert factorizations["n"] <= 13
+        assert factorizations["n"] == 11
         # T_G = V_k C V_r* through its k x rank(T_F) core C, and the projected frame in
         # R(K)'s coordinates: k x N, not n x N
         assert sorted(operands(factorizations, "svd")) == [(4, 8), (4, 12)]
+
+    def test_dual_is_checked_on_its_core(self, factorizations):
+        # T_G = V_k C V_r*: the K*-frame check reads C (k x r = 4 x 8) against Sigma_k, so
+        # no norm operand has n = 8 rows and the QR operand is r x k, not N x k = 12 x 4;
+        # the SVD of C it makes is the one T_G's own factors lift
+        vectors, k, _ = instance(11)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        dual = canonical_k_dual(f, env)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        bounds = k_frame_check(dual, env.adjoint())
+        assert bounds.inclusion.residual == 0.0
+        assert operands(factorizations, "svd_norm") == [(4, 4), (4, 4)]
+        assert operands(factorizations, "qr") == [(8, 4)]
+        assert operands(factorizations, "svd") == [(4, 8)]
+        assert dual.norm() ** 2 == bounds.upper
+        assert operands(factorizations, "svd") == [(4, 8)]
+
+    def test_dense_copy_of_the_dual_keeps_the_inclusion_norm(self, factorizations):
+        # the same vectors read from an array have no factored form: the (n, k)
+        # inclusion residual and the N x k QR of the dense path
+        vectors, k, _ = instance(11)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        dense = Frame(canonical_k_dual(f, env).vectors)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        k_frame_check(dense, env.adjoint())
+        assert operands(factorizations, "svd_norm")[0] == (8, 4)
+        assert operands(factorizations, "qr") == [(12, 4)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Phi (6), one SVD of T_Psi for the minimality test, the

@@ -152,6 +152,80 @@ class TestKFrameCheck:
             assert bounds.lower == pytest.approx(float(positive[0]), rel=1e-8)
 
 
+def k_star_instance(rng, n: int, k: int):
+    """(env, q): K of rank k on C^n, singular values 2, 1, ..., and q = V_k, R(K*)'s basis."""
+    u, _ = np.linalg.qr(crandn(rng, n, k))
+    v, _ = np.linalg.qr(crandn(rng, n, k))
+    env = OperatorEnv.from_matrix((u * np.linspace(2.0, 1.0, k)) @ v.conj().T)
+    return env, env.adjoint().range_basis
+
+
+class TestCoreCheck:
+    """A frame T = V_k C W* that lives in R(K*) is checked as C against Sigma_k."""
+
+    def test_duals_match_their_dense_copies(self):
+        from kframekit.duality import canonical_k_dual, reciprocal_dual
+        from kframekit.multipliers import Symbol, perturbation_k_dual
+
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            f, env = random_k_frame(rng)
+            found = k_frame_check(f, env)
+            ones = Symbol.ones(f.size)
+            for dual in (canonical_k_dual(f, env), reciprocal_dual(f, env).dual,
+                         perturbation_k_dual(f, f, env, ones, (found.lower, found.upper)).dual):
+                core = k_frame_check(dual, env.adjoint())
+                dense = k_frame_check(Frame(dual.vectors), env.adjoint())
+                assert core.inclusion.residual == 0.0
+                assert core.lower == pytest.approx(dense.lower, rel=1e-12)
+                assert core.upper == pytest.approx(dense.upper, rel=1e-12)
+
+    def test_core_of_rank_below_k_is_not_a_k_frame(self):
+        # C = diag(1, 0) (k = 2) spans one direction of R(K*): NotKFrame on both paths
+        from kframekit.frames import _factored
+
+        env, q = k_star_instance(np.random.default_rng(32), 6, 2)
+        t = _factored(q, Frame(np.diag([1.0, 0.0])), None)
+        with pytest.raises(NotKFrame):
+            k_frame_check(t, env.adjoint())
+        with pytest.raises(NotKFrame):
+            k_frame_check(Frame(t.vectors), env.adjoint())
+
+    def test_core_cutoff_is_the_cores_own(self):
+        # C = diag(1, g) with max(k, r) 2^-40 < g < max(n, N) 2^-40: the core's rank rule
+        # keeps g, so T is a K*-frame with A = 1/|C^+ Sigma_k|^2 = g^2 (Sigma_k = diag(2, 1));
+        # a dense copy of T cuts g
+        from kframekit.frames import _factored
+
+        rng = np.random.default_rng(33)
+        env, q = k_star_instance(rng, 64, 2)
+        w, _ = np.linalg.qr(crandn(rng, 96, 2))
+        g = 1e-11
+        assert 2 * 2.0**-40 < g < 96 * 2.0**-40
+        t = _factored(q, Frame(np.diag([1.0, g])), w)
+        bounds = k_frame_check(t, env.adjoint())
+        assert bounds.lower == pytest.approx(g**2, rel=1e-12)
+        assert bounds.upper == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(NotKFrame):
+            k_frame_check(Frame(t.vectors), env.adjoint())
+
+    def test_another_basis_takes_the_dense_path(self):
+        # Q = V_k R spans R(K*) too, but is not V_k entry for entry: T itself is checked
+        from kframekit.frames import _factored
+
+        rng = np.random.default_rng(34)
+        env, q = k_star_instance(rng, 6, 2)
+        rotation, _ = np.linalg.qr(crandn(rng, 2, 2))
+        core = Frame(np.diag([1.0, 0.5]))
+        t = _factored(q @ rotation, core, None)
+        bounds = k_frame_check(t, env.adjoint())
+        assert not [key for key in core._memo if "k_frame_check" in key]
+        dense = k_frame_check(Frame(t.vectors), env.adjoint())
+        assert bounds.lower == pytest.approx(dense.lower, rel=1e-12)
+        k_frame_check(_factored(q, core, None), env.adjoint())  # V_k itself: the core
+        assert [key for key in core._memo if "k_frame_check" in key]
+
+
 class TestTightness:
     def test_parseval_basis(self):
         report = tightness_check(Frame.standard_basis(2), OperatorEnv.identity(2))

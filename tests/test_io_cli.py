@@ -1,6 +1,7 @@
 """File formats, the batch CLI, report determinism and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numerical failure in analyze: optimal lower bound A")
+
+    def test_underflowed_operator_norm_in_tightness_is_three(self, tmp_path, capsys):
+        # a random 3 x 5 frame and 3 x 3 K, both scaled by 1e-200: A and lambda are
+        # scale-free, but |K|^2 underflows to 0.0 and the tightness fit would divide 0 by 0
+        rng = np.random.default_rng(0)
+        syn = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(1e-200 * syn.T)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(1e-200 * k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--frame", str(tmp_path / "f.json"),
+                         "--operator", str(tmp_path / "k.json")])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure in analyze: |K|^2 underflows to 0.0")
 
     def test_multiplier_tol_scales_the_norm_bound_threshold(self, fixture_files, capsys):
         def threshold(*tol):

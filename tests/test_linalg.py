@@ -433,8 +433,12 @@ class TestIllConditionedDual:
             lifted = (fac.left_vectors * fac.singular_values[:r]) @ fac.right_vectors.conj().T
             scale = np.linalg.norm(dual.synthesis)
             assert np.linalg.norm(lifted - dual.synthesis) <= 100 * eps * scale
-            plain = k_frame_check(Frame(dual.vectors.copy()), env.adjoint()).lower
-            assert k_frame_check(dual, env.adjoint()).lower == pytest.approx(plain, rel=1e-12)
+            # the K*-frame check reads the core C against Sigma_k; a dense copy reads T_G
+            core = k_frame_check(dual, env.adjoint())
+            plain = k_frame_check(Frame(dual.vectors.copy()), env.adjoint())
+            assert core.inclusion.residual == 0.0
+            assert core.lower == pytest.approx(plain.lower, rel=1e-12)
+            assert core.upper == pytest.approx(plain.upper, rel=1e-12)
 
     def test_lifted_factors_are_gated_against_the_vectors(self):
         # a form whose Q is not orthonormal does not reconstruct the stored vectors
