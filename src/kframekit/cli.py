@@ -8,6 +8,8 @@ every verdict carries its residual and the threshold it was tested against.
 Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error,
 3 internal consistency error (two computation routes disagreed) or a
 numerical failure (LAPACK did not converge, or a float overflowed).
+Each command is declared in ``_HANDLERS`` by the inputs it reads; ``run_job``
+checks their arity and loads frames, then K, then the symbol before it runs.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ from .multipliers import Symbol
 __all__ = ["JobSpec", "Report", "run_job", "main", "build_parser"]
 
 DEFAULT_SEED = 7
-
-COMMANDS = (
-    "analyze",
-    "dual",
-    "dual-family",
-    "multiplier",
-    "right-inverse",
-    "left-inverse",
-    "perturb-check",
-    "verify",
-    "examples",
-)
 
 
 @dataclass(frozen=True)
@@ -122,47 +112,7 @@ class Report:
         return "\n".join(lines)
 
 
-def _require(job: JobSpec, n_frames: int, operator: bool, symbol: bool | None = False):
-    """Arity checks; ``symbol=None`` marks the symbol optional."""
-    if len(job.frames) != n_frames:
-        raise ParseError(
-            f"'{job.command}' needs exactly {n_frames} --frame input(s), got {len(job.frames)}"
-        )
-    if operator and job.operator is None:
-        raise ParseError(f"'{job.command}' needs --operator")
-    if symbol is True and job.symbol is None:
-        raise ParseError(f"'{job.command}' needs --symbol")
-
-
-def _load_frame(path: str) -> Frame:
-    obj = io.parse_file(path)
-    if not isinstance(obj, Frame):
-        raise ParseError(f"{path}: expected a frame file")
-    return obj
-
-
-def _load_env(path: str) -> OperatorEnv:
-    obj = io.parse_file(path)
-    if isinstance(obj, Frame) or isinstance(obj, Symbol):
-        raise ParseError(f"{path}: expected a matrix file")
-    return OperatorEnv.from_matrix(obj)
-
-
-def _load_symbol(path: str) -> Symbol:
-    obj = io.parse_file(path)
-    if not isinstance(obj, Symbol):
-        raise ParseError(f"{path}: expected a symbol file")
-    return obj
-
-
-def _vectors_out(f: Frame) -> list:
-    return io.frame_to_obj(f)["vectors"]
-
-
-def _cmd_analyze(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 1, operator=True)
-    frame = _load_frame(job.frames[0])
-    env = _load_env(job.operator)
+def _cmd_analyze(job: JobSpec, tol: float, report: Report, frame: Frame, env: OperatorEnv) -> None:
     bounds = frames.k_frame_check(frame, env, tol)
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
@@ -190,18 +140,20 @@ def _cmd_analyze(job: JobSpec, tol: float, report: Report) -> None:
     report.verdicts["sampled-inequalities"] = sampled
 
 
-def _cmd_dual(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 1, operator=True)
-    frame = _load_frame(job.frames[0])
-    env = _load_env(job.operator)
-    bounds = frames.k_frame_check(frame, env, tol)
-    dual = duality.canonical_k_dual(frame, env, tol)
-    cert = duality.verify_k_dual(frame, dual, env, tol)
-    report.results["dual_vectors"] = _vectors_out(dual)
+def _cmd_verify(job: JobSpec, tol: float, report: Report, frame: Frame, candidate: Frame,
+                env: OperatorEnv) -> None:
+    cert = duality.verify_k_dual(frame, candidate, env, tol)
     report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
+
+
+def _cmd_dual(job: JobSpec, tol: float, report: Report, frame: Frame, env: OperatorEnv) -> None:
+    bounds = frames.k_frame_check(frame, env, tol)
+    dual = duality.canonical_k_dual(frame, env, tol)
+    _cmd_verify(job, tol, report, frame, dual, env)
+    report.results["dual_vectors"] = io.frame_to_obj(dual)["vectors"]
     envelope = duality.canonical_dual_bound_certificate(
         frame, env, bounds.lower, bounds.upper, tol
     )
@@ -211,23 +163,8 @@ def _cmd_dual(job: JobSpec, tol: float, report: Report) -> None:
                                                   key=lambda side: side.residual)
 
 
-def _cmd_verify(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 2, operator=True)
-    frame = _load_frame(job.frames[0])
-    candidate = _load_frame(job.frames[1])
-    env = _load_env(job.operator)
-    cert = duality.verify_k_dual(frame, candidate, env, tol)
-    report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
-    if cert.lower_bound_report is not None:
-        report.results["dual_lower_bound"] = cert.lower_bound_report[0]
-        report.results["projected_lower_bound"] = cert.lower_bound_report[1]
-
-
-def _cmd_dual_family(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 2, operator=True)
-    frame = _load_frame(job.frames[0])
-    candidate = _load_frame(job.frames[1])
-    env = _load_env(job.operator)
+def _cmd_dual_family(job: JobSpec, tol: float, report: Report, frame: Frame,
+                     candidate: Frame, env: OperatorEnv) -> None:
     pert = duality.dual_family_recover_phi(frame, candidate, env, tol)
     report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, tol)
     regenerated = duality.dual_family_generate(frame, env, pert, tol)
@@ -238,11 +175,8 @@ def _cmd_dual_family(job: JobSpec, tol: float, report: Report) -> None:
     )
 
 
-def _cmd_multiplier(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 2, operator=False, symbol=True)
-    phi = _load_frame(job.frames[0])
-    psi = _load_frame(job.frames[1])
-    symbol = _load_symbol(job.symbol)
+def _cmd_multiplier(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
+                    symbol: Symbol) -> None:
     mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
     report.results["norm"] = mult.norm()
@@ -250,33 +184,27 @@ def _cmd_multiplier(job: JobSpec, tol: float, report: Report) -> None:
     report.verdicts["norm-bound"] = mult.norm_bound_check(tol)
 
 
-def _inverse_command(job: JobSpec, tol: float, report: Report, side: str) -> None:
-    _require(job, 2, operator=True, symbol=None)
-    phi = _load_frame(job.frames[0])
-    psi = _load_frame(job.frames[1])
-    env = _load_env(job.operator)
-    symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
+def _cmd_right_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
+                       env: OperatorEnv, symbol: Symbol) -> None:
     mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
-    if side == "right":
-        inverse = multipliers.k_right_inverse(mult, env, tol)
-        matrix = inverse.matrix
-        report.results["majorization"] = inverse.majorization
-        residual = spectral_norm(mult.matrix @ matrix - env.k)
-        name = "right-inverse-identity"
-    else:
-        matrix = multipliers.k_left_inverse(mult, env, tol)
-        residual = spectral_norm(matrix @ mult.matrix - env.k)
-        name = "left-inverse-identity"
-    report.results["inverse"] = io.matrix_to_obj(matrix)
-    report.verdicts[name] = _gate(residual, env.norm(), tol)
+    inverse = multipliers.k_right_inverse(mult, env, tol)
+    report.results["majorization"] = inverse.majorization
+    residual = spectral_norm(mult.matrix @ inverse.matrix - env.k)
+    report.results["inverse"] = io.matrix_to_obj(inverse.matrix)
+    report.verdicts["right-inverse-identity"] = _gate(residual, env.norm(), tol)
 
 
-def _cmd_perturb_check(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 2, operator=True, symbol=None)
-    phi = _load_frame(job.frames[0])
-    psi = _load_frame(job.frames[1])
-    env = _load_env(job.operator)
-    symbol = _load_symbol(job.symbol) if job.symbol else Symbol.ones(phi.size)
+def _cmd_left_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
+                      env: OperatorEnv, symbol: Symbol) -> None:
+    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
+    inverse = multipliers.k_left_inverse(mult, env, tol)
+    residual = spectral_norm(inverse @ mult.matrix - env.k)
+    report.results["inverse"] = io.matrix_to_obj(inverse)
+    report.verdicts["left-inverse-identity"] = _gate(residual, env.norm(), tol)
+
+
+def _cmd_perturb_check(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
+                       env: OperatorEnv, symbol: Symbol) -> None:
     bounds = frames.k_frame_check(phi, env, tol)
     cond = multipliers.perturbation_condition(
         phi, psi, env, symbol, bounds.lower, bounds.upper, tol
@@ -288,7 +216,6 @@ def _cmd_perturb_check(job: JobSpec, tol: float, report: Report) -> None:
 
 
 def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:
-    _require(job, 0, operator=False)
     run = worked.reproduce_examples(tol=job.tol)
     report.results["checks"] = len(run.checks)
     report.results["golden_seed"] = run.seed
@@ -296,17 +223,48 @@ def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:
         report.verdicts[check.name] = CheckResult(check.passed, check.residual, check.threshold)
 
 
+# command -> (handler, --frame count, needs --operator, --symbol), in the usage's order;
+# --symbol is "required", "optional" (all ones on the first frame if absent) or None
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "dual": _cmd_dual,
-    "verify": _cmd_verify,
-    "dual-family": _cmd_dual_family,
-    "multiplier": _cmd_multiplier,
-    "right-inverse": lambda job, tol, report: _inverse_command(job, tol, report, "right"),
-    "left-inverse": lambda job, tol, report: _inverse_command(job, tol, report, "left"),
-    "perturb-check": _cmd_perturb_check,
-    "examples": _cmd_examples,
+    "analyze": (_cmd_analyze, 1, True, None),
+    "dual": (_cmd_dual, 1, True, None),
+    "dual-family": (_cmd_dual_family, 2, True, None),
+    "multiplier": (_cmd_multiplier, 2, False, "required"),
+    "right-inverse": (_cmd_right_inverse, 2, True, "optional"),
+    "left-inverse": (_cmd_left_inverse, 2, True, "optional"),
+    "perturb-check": (_cmd_perturb_check, 2, True, "optional"),
+    "verify": (_cmd_verify, 2, True, None),
+    "examples": (_cmd_examples, 0, False, None),
 }
+
+
+def _load(path: str, kind: str):
+    """The ``kind`` ("frame", "matrix" or "symbol") file at ``path``; a matrix as its env."""
+    obj = io.parse_file(path)
+    found = {Frame: "frame", Symbol: "symbol"}.get(type(obj), "matrix")
+    if found != kind:
+        raise ParseError(f"{path}: expected a {kind} file")
+    return OperatorEnv.from_matrix(obj) if kind == "matrix" else obj
+
+
+def _inputs(job: JobSpec, n_frames: int, operator: bool, symbol: str | None) -> list:
+    """Check the arity of ``job``, then load its frames, K and symbol, in that order."""
+    if len(job.frames) != n_frames:
+        raise ParseError(
+            f"'{job.command}' needs exactly {n_frames} --frame input(s), got {len(job.frames)}"
+        )
+    if operator and job.operator is None:
+        raise ParseError(f"'{job.command}' needs --operator")
+    if symbol == "required" and job.symbol is None:
+        raise ParseError(f"'{job.command}' needs --symbol")
+    inputs = [_load(path, "frame") for path in job.frames]
+    if operator:
+        inputs.append(_load(job.operator, "matrix"))
+    if symbol == "required" or (symbol and job.symbol):
+        inputs.append(_load(job.symbol, "symbol"))
+    elif symbol:
+        inputs.append(Symbol.ones(inputs[0].size))
+    return inputs
 
 
 def run_job(job: JobSpec) -> Report:
@@ -333,7 +291,8 @@ def run_job(job: JobSpec) -> Report:
         seed=job.seed,
     )
     try:
-        _HANDLERS[job.command](job, tol, report)
+        handler, *reads = _HANDLERS[job.command]
+        handler(job, tol, report, *_inputs(job, *reads))
     except (ParseError, ShapeMismatch, InternalConsistencyError):
         raise
     except KFrameError as exc:
@@ -348,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kframe",
         description="Certify frame identities relative to an operator K.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     parser.add_argument("--frame", action="append", default=[], metavar="PATH",
                         help="frame file (repeatable)")
     parser.add_argument("--operator", metavar="PATH", help="operator matrix file")

@@ -53,7 +53,6 @@ from .linalg import (
     _restricted_inverse,
     _within,
     spectral_norm,
-    svd_decompose,
 )
 
 __all__ = [
@@ -346,7 +345,8 @@ def reciprocal_dual(
     """
     k_frame_check(f, env, tol)
     fac = _factors(f)
-    reduced = _factored(env.range_basis, _restriction(f, env).coordinates(), fac.right_vectors)
+    coords = _restriction(f, env).coordinates()
+    reduced = _factored(env.range_basis, Frame(coords.T), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
     companion = _factored(env.adjoint().range_basis, Frame(core.T), fac.right_vectors)
@@ -378,13 +378,14 @@ def noncommutativity_witness(
 ) -> WitnessReport:
     """Test whether the exchanged construction on Ftilde recovers F, to ``tol`` |T_F|."""
     dual = canonical_k_dual(f, env, tol)
-    # Ftilde lies in R(K*) = span V_k: for G = V_k* T_Ftilde = U_g Sigma_g V_g* and
-    # Y = U_g Sigma_g^-1, W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
+    # Ftilde lies in R(K*) = span V_k: its memoized SVD T_Ftilde = U_g Sigma_g V_g* gives
+    # G = V_k* T_Ftilde = (V_k* U_g) Sigma_g V_g* and, for Y = (V_k* U_g) Sigma_g^-1,
+    # W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
     basis = env.adjoint().range_basis
-    g = svd_decompose(basis.conj().T @ dual.synthesis)
+    g = _factors(dual)
     if g.rank < env.rank:
         raise RankDeficientRestriction(f"S_Ftilde collapses R(K*): rank {g.rank} < {env.rank}")
-    y = g.left_vectors / g.singular_values
+    y = (basis.conj().T @ g.left_vectors) / g.singular_values[: g.rank]
     images = (env.range_factor @ (y @ (y.conj().T @ (basis.conj().T @ f.synthesis)))).T
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
     double_dual = (env.range_factor @ (y @ g.right_vectors.conj().T)).T

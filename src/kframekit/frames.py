@@ -129,43 +129,40 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Optimal bounds; ``inclusion`` is the R(K) in R(T_F) test behind A."""
+    """The optimal bounds (A, B); ``inclusion`` is the R(K) in R(T_F) test behind A."""
 
     lower: float
     upper: float
-    optimal: bool = True
     inclusion: CheckResult | None = None
 
 
-def _factored(q: np.ndarray | None, core: np.ndarray | Frame, v: np.ndarray | None) -> Frame:
-    """The frame T = Q C V* for Q, V with orthonormal columns or None.
+def _factored(q: np.ndarray | None, core: Frame, v: np.ndarray | None) -> Frame:
+    """The frame T = Q C V* for Q, V with orthonormal columns or None, C = T_core.
 
-    Its vectors are formed from C, which ``_factors`` decomposes (or, for a frame
-    ``core`` with synthesis C, whose memoized SVD it lifts); an empty C (K = 0)
-    leaves the form of a frame read from vectors. ``k_frame_check`` against an env
-    whose U_k is Q reads a frame ``core`` alone."""
-    c = core.synthesis if isinstance(core, Frame) else core
+    Its vectors are formed from C, and ``_factors`` lifts the core's memoized SVD (a
+    frame is never empty). ``k_frame_check`` against an env whose U_k is Q reads the
+    core alone."""
+    c = core.synthesis
     t = c if v is None else c @ v.conj().T
     f = Frame((t if q is None else q @ t).T)
-    if c.size:
-        object.__setattr__(f, "_form", (q, core, v))
+    object.__setattr__(f, "_form", (q, core, v))
     return f
 
 
 def _factors(f: Frame) -> SvdFactors:
     """T_F = U_r Sigma V_r*, the one SVD of T_F, memoized on ``f``.
 
-    It decomposes only the core of T_F = Q C V* (a frame core's SVD is its own
+    It decomposes only the core of T_F = Q C V* (the core frame's SVD is its own
     memoized one): C = U_C Sigma W_C* lifts to U = Q U_C, V = V W_C, which must
     reconstruct the stored vectors as in ``svd_decompose``, and the rank is ``_rank``
-    for T_F's shape (a frame core keeps its own, for C's shape). Every singular value
+    for T_F's shape (the core keeps its own, for C's shape). Every singular value
     is kept (a zero frame has norm 0); the singular vectors are cut to the rank and
     copied, so the full arrays are freed.
     """
 
     def build():
-        q, core, v = f._form or (None, f.synthesis, None)
-        c = _factors(core) if isinstance(core, Frame) else svd_decompose(core)
+        q, core, v = f._form or (None, None, None)
+        c = svd_decompose(f.synthesis) if core is None else _factors(core)
         s = c.singular_values
         u = c.left_vectors if q is None else q @ c.left_vectors
         w = c.right_vectors if v is None else v @ c.right_vectors
@@ -210,7 +207,7 @@ def k_frame_check(
     if env.rank == 0:
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     q, inner, _ = f._form or (None, None, None)
-    if isinstance(inner, Frame) and q is not None and np.array_equal(q, env.range_basis):
+    if q is not None and np.array_equal(q, env.range_basis):
         return k_frame_check(inner, env.range_coordinates, tol)
     factors = _factors(f)
     inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), tol,
@@ -225,7 +222,7 @@ def k_frame_check(
     if lower < np.finfo(float).tiny:  # 0 or subnormal: no bound to divide by
         raise FloatingPointError(f"optimal lower bound A = 1/lambda^2 underflows to {lower!r}")
     upper = float(factors.singular_values[0] ** 2)
-    return FrameBounds(lower, upper, optimal=True, inclusion=inclusion)
+    return FrameBounds(lower, upper, inclusion=inclusion)
 
 
 @dataclass(frozen=True)

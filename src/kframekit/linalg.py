@@ -432,7 +432,8 @@ class OperatorEnv:
 
     @property
     def range_coordinates(self) -> "OperatorEnv":
-        """The env of Sigma_k = U_k* K V_k, built on known factors, not ``from_matrix``."""
+        """The env of Sigma_k = U_k* K V_k, built on known factors, not ``from_matrix``;
+        ``adjoint()`` shares it, since Sigma_k is its own adjoint."""
         s = self.factors.singular_values[: self.rank]
 
         def build():
@@ -458,9 +459,12 @@ class OperatorEnv:
         return 1.0 / float(self.factors.singular_values[r - 1]) if r else 0.0
 
     def adjoint(self) -> "OperatorEnv":
-        return _memo(
-            self, "adjoint", lambda: OperatorEnv(self.k_adjoint, self.factors.adjoint())
-        )
+        def build():
+            adj = OperatorEnv(self.k_adjoint, self.factors.adjoint())
+            adj._memo["range_coordinates"] = self.range_coordinates
+            return adj
+
+        return _memo(self, "adjoint", build)
 
     @staticmethod
     def identity(n: int) -> "OperatorEnv":

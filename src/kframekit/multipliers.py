@@ -614,7 +614,7 @@ def range_inclusion_right_inverse(
     )
     ones = Symbol.ones(psi.size)
     adjoint = env.adjoint()
-    phi_dag = _factored(adjoint.range_basis, _restriction(phi, adjoint).coordinates(),
+    phi_dag = _factored(adjoint.range_basis, Frame(_restriction(phi, adjoint).coordinates().T),
                         _factors(phi).right_vectors)
     psi_tilde = canonical_k_dual(psi, env, tol)
     left_factor = assemble_multiplier(ones, _projected(psi, env), phi, tol)

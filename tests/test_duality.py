@@ -296,6 +296,23 @@ class TestWitness:
         assert not report.recovered
         assert float(np.max(report.recovery_discrepancies)) > 0.1
 
+    def test_dual_factors_match_an_svd_of_g(self):
+        # the witness reads the dual's memoized factors; W = K V_k (G G*)^-1 V_k* from
+        # a fresh SVD of G = V_k* T_Ftilde (k x N, rank k) must give the same vectors
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            f, env = random_k_frame(rng)
+            report = noncommutativity_witness(f, env)
+            basis = env.adjoint().range_basis
+            u, s, vh = np.linalg.svd(basis.conj().T @ canonical_k_dual(f, env).synthesis,
+                                     full_matrices=False)
+            y = u / s
+            images = (env.range_factor @ (y @ (y.conj().T @ (basis.conj().T @ f.synthesis)))).T
+            double_dual = (env.range_factor @ (y @ vh)).T
+            for got, want in ((report.images_of_frame, images),
+                              (report.double_dual, double_dual)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestMinimalNorm:
     def test_exact_coefficients(self, c2_example):

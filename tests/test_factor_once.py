@@ -41,6 +41,7 @@ from kframekit import (
     k_frame_check,
     k_left_inverse,
     k_right_inverse,
+    noncommutativity_witness,
     perturbation_condition,
     perturbation_k_dual,
     perturbation_right_inverse,
@@ -301,6 +302,16 @@ class TestCounts:
         # R(K)'s coordinates: k x N, not n x N
         assert sorted(operands(factorizations, "svd")) == [(4, 8), (4, 12)]
 
+    def test_witness_reads_the_duals_factors(self, factorizations):
+        # the dual's K*-frame check factored its core, whose SVD T_Ftilde's factors lift
+        vectors, k, _ = instance(11)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        verify_k_dual(f, canonical_k_dual(f, env), env, with_lower_bounds=True)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        noncommutativity_witness(f, env)
+        assert operands(factorizations, "svd") == []
+
     def test_dual_is_checked_on_its_core(self, factorizations):
         # T_G = V_k C V_r*: the K*-frame check reads C (k x r = 4 x 8) against Sigma_k, so
         # no norm operand has n = 8 rows and the QR operand is r x k, not N x k = 12 x 4;
@@ -513,6 +524,12 @@ class TestNoCycles:
             np.testing.assert_array_equal(adjoint.k, k.conj().T)
         finally:
             gc.enable()
+
+    def test_env_and_adjoint_share_the_range_coordinates(self):
+        # Sigma_k is its own adjoint, so the adjoint env keeps the env's one
+        _, k, _ = instance(17)
+        env = OperatorEnv.from_matrix(k)
+        assert env.adjoint().range_coordinates is env.range_coordinates
 
     def test_perturbed_restriction_holds_no_reference_back(self):
         # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env

@@ -230,10 +230,11 @@ class TestExitCodes:
         from kframekit import cli
         from kframekit.errors import InternalConsistencyError
 
-        def boom(job, tol, report):
+        def boom(job, tol, report, *inputs):
             raise InternalConsistencyError("routes disagree")
 
-        monkeypatch.setitem(cli._HANDLERS, "analyze", boom)
+        _, *reads = cli._HANDLERS["analyze"]
+        monkeypatch.setitem(cli._HANDLERS, "analyze", (boom, *reads))
         code = main(["analyze", "--frame", fixture_files["f2.json"],
                      "--operator", fixture_files["k2.json"]])
         assert code == 3
@@ -416,6 +417,88 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
         assert "Traceback" not in captured.err
+
+
+# what each command reads: its --frame count, whether it needs --operator, and
+# whether --symbol is required, optional (all ones when absent) or unused
+READS = {
+    "analyze": (1, True, None),
+    "dual": (1, True, None),
+    "dual-family": (2, True, None),
+    "multiplier": (2, False, "required"),
+    "right-inverse": (2, True, "optional"),
+    "left-inverse": (2, True, "optional"),
+    "perturb-check": (2, True, "optional"),
+    "verify": (2, True, None),
+    "examples": (0, False, None),
+}
+
+
+class TestCommandInputs:
+    @staticmethod
+    def run(capsys, command, frames, operator=None, symbol=None):
+        argv = [command, "--format", "json"]
+        for path in frames:
+            argv += ["--frame", path]
+        if operator is not None:
+            argv += ["--operator", operator]
+        if symbol is not None:
+            argv += ["--symbol", symbol]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_reads_its_declared_inputs(self, command, fixture_files, capsys):
+        n_frames, needs_operator, symbol_use = READS[command]
+        frame, matrix = fixture_files["f2.json"], fixture_files["k2.json"]
+        ones = fixture_files["ones3.json"]
+        frames = [frame] * n_frames
+        operator = matrix if needs_operator else None
+        symbol = ones if symbol_use else None
+
+        assert self.run(capsys, command, frames + [frame], operator, symbol) == (
+            2, "", f"input error: '{command}' needs exactly {n_frames} --frame input(s), "
+                   f"got {n_frames + 1}\n")
+        if needs_operator:
+            assert self.run(capsys, command, frames, None, symbol) == (
+                2, "", f"input error: '{command}' needs --operator\n")
+        if symbol_use == "required":
+            assert self.run(capsys, command, frames, operator, None) == (
+                2, "", f"input error: '{command}' needs --symbol\n")
+
+        # a file of the wrong kind in each slot, frames first, then K, then the symbol
+        for i in range(n_frames):
+            for wrong in (matrix, ones):
+                bad = frames[:i] + [wrong] + frames[i + 1:]
+                assert self.run(capsys, command, bad, operator, symbol) == (
+                    2, "", f"input error: {wrong}: expected a frame file\n")
+        if needs_operator:
+            for wrong in (frame, ones):
+                assert self.run(capsys, command, frames, wrong, symbol) == (
+                    2, "", f"input error: {wrong}: expected a matrix file\n")
+        if symbol_use:
+            for wrong in (frame, matrix):
+                assert self.run(capsys, command, frames, operator, wrong) == (
+                    2, "", f"input error: {wrong}: expected a symbol file\n")
+
+        code, out, err = self.run(capsys, command, frames, operator, symbol)
+        assert code in (0, 1) and err == ""
+        body = json.loads(out)
+        if symbol_use == "optional":  # absent, it is all ones on the first frame
+            code_without, out_without, _ = self.run(capsys, command, frames, operator, None)
+            without = json.loads(out_without)
+            assert "symbol" not in without["inputs"]
+            body["inputs"].pop("symbol")
+            assert (code_without, without) == (code, body)
+        else:  # an unused --symbol or --operator is ignored but echoed
+            unused = {"symbol": ones} if symbol_use is None else {"operator": matrix}
+            given = {"operator": operator, "symbol": symbol, **unused}
+            code_extra, out_extra, _ = self.run(capsys, command, frames, **given)
+            extra = json.loads(out_extra)
+            (key, path), = unused.items()
+            assert extra["inputs"].pop(key) == path
+            assert (code_extra, extra) == (code, body)
 
 
 # every finite JSON number: -0.0, subnormals, ints past 2**63 still inside
