@@ -39,9 +39,7 @@ from .linalg import (
     IDENTITY_TOL,
     OperatorEnv,
     SvdFactors,
-    douglas_solve,
     majorization_constant,
-    range_inclusion_check,
     svd_decompose,
 )
 from .multipliers import (
@@ -87,7 +85,6 @@ __all__ = [
     "canonical_coefficients",
     "canonical_dual_bound_certificate",
     "canonical_k_dual",
-    "douglas_solve",
     "dual_family_generate",
     "dual_family_recover_phi",
     "frames_from_multiplier_identity",
@@ -106,7 +103,6 @@ __all__ = [
     "perturbation_k_dual",
     "perturbation_right_inverse",
     "projection_example",
-    "range_inclusion_check",
     "range_inclusion_inverses",
     "range_inclusion_left_inverse",
     "range_inclusion_right_inverse",

@@ -177,16 +177,22 @@ def _cmd_dual_family(job: JobSpec, tol: float, report: Report, frame: Frame,
 
 def _cmd_multiplier(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
                     symbol: Symbol) -> None:
-    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi)
+    check = mult.norm_bound_check(tol)
+    if not check:  # the bound holds for every M: M's SVD and the frames' disagree
+        raise InternalConsistencyError(
+            f"multiplier norm {mult.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
+            f"{mult.norm_bound()!r} by more than {check.threshold!r}", check.residual
+        )
     report.results["matrix"] = io.matrix_to_obj(mult.matrix)
     report.results["norm"] = mult.norm()
     report.results["norm_bound"] = mult.norm_bound()
-    report.verdicts["norm-bound"] = mult.norm_bound_check(tol)
+    report.verdicts["norm-bound"] = check
 
 
 def _cmd_right_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
                        env: OperatorEnv, symbol: Symbol) -> None:
-    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi)
     inverse = multipliers.k_right_inverse(mult, env, tol)
     report.results["majorization"] = inverse.majorization
     residual = spectral_norm(mult.matrix @ inverse.matrix - env.k)
@@ -196,7 +202,7 @@ def _cmd_right_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi
 
 def _cmd_left_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi: Frame,
                       env: OperatorEnv, symbol: Symbol) -> None:
-    mult = multipliers.assemble_multiplier(symbol, phi, psi, tol)
+    mult = multipliers.assemble_multiplier(symbol, phi, psi)
     inverse = multipliers.k_left_inverse(mult, env, tol)
     residual = spectral_norm(inverse @ mult.matrix - env.k)
     report.results["inverse"] = io.matrix_to_obj(inverse)

@@ -21,8 +21,7 @@ tested, always by ``_rank``; no caller sets a cutoff. Every object is an
 immutable value and every function is pure, so unrestricted concurrent use
 is safe.
 
-Each function factors its operand once: ``range_inclusion_check``,
-``douglas_solve`` and ``majorization_constant`` pass
+Each function factors its operand once: ``majorization_constant`` passes
 one ``SvdFactors`` through every step that needs it. Douglas' lemma is
 decided once, in the private ``_douglas`` step (inclusion test raising the
 caller's error, minimal solution, residual gate), which ``k_frame_check``
@@ -68,8 +67,6 @@ __all__ = [
     "spectral_norm",
     "min_eig",
     "svd_decompose",
-    "range_inclusion_check",
-    "douglas_solve",
     "majorization_constant",
 ]
 
@@ -228,38 +225,15 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
     return CheckResult(residual <= tol * scale, residual, tol * scale)
 
 
-def range_inclusion_check(l1, l2, tol: float = IDENTITY_TOL) -> CheckResult:
-    """Test R(l1) inside R(l2) via the residual of (I - P_{R(l2)}) l1 (0 at full row rank)."""
-    a, b = _operand_pair(l1, l2)
-    return _inclusion(a, svd_decompose(b), spectral_norm(a), tol)
-
-
-def _operand_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
-    a = as_matrix(l1, "l1")
-    b = as_matrix(l2, "l2")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
 def _inclusion(
     a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
 ) -> CheckResult:
-    """``range_inclusion_check`` of ``a`` on the factored l2, given norm(a); 0 at full row rank."""
+    """R(a) inside R(l2) from the factors ``f2`` of l2, given norm(a): the residual of
+    (I - P_{R(l2)}) a, 0 at full row rank."""
     if f2.rank == a.shape[0]:
         return _gate(0.0, norm_a, tol)
     basis = f2.left_vectors[:, : f2.rank]
     return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
-
-
-def douglas_solve(l1, l2, tol: float = IDENTITY_TOL) -> np.ndarray:
-    """Minimal-norm X with l2 X = l1, available exactly when R(l1) is in R(l2).
-
-    X = pinv(l2) l1, whose rows live in R(l2*); raises RangeNotIncluded when
-    the inclusion fails at tolerance.
-    """
-    a, b = _operand_pair(l1, l2)
-    return _douglas(a, b, svd_decompose(b), spectral_norm(a), tol)[1]
 
 
 def _require_inclusion(
@@ -318,7 +292,10 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
     cross-checked by the QR route of ``_majorization``; a relative
     disagreement beyond 5e-9 raises InternalConsistencyError.
     """
-    a, b = _operand_pair(l1, l2)
+    a = as_matrix(l1, "l1")
+    b = as_matrix(l2, "l2")
+    if a.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     f2 = svd_decompose(b)
     core = _douglas(a, b, f2, spectral_norm(a), tol)[2]
     return _majorization(a, b, f2, core)

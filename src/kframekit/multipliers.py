@@ -36,7 +36,6 @@ from .duality import (
 from .errors import (
     ConditionViolated,
     HypothesisNotMet,
-    InternalConsistencyError,
     InvalidBounds,
     NoLeftInverse,
     NoRightInverse,
@@ -165,8 +164,10 @@ class Symbol:
 class Multiplier:
     """Assembled multiplier M_{m,Phi,Psi} with its dense matrix.
 
-    One SVD of M is memoized on the value (the rank rule is fixed, and the
-    tolerance does not enter an SVD); ``norm()`` and both K-inverses read it.
+    Nothing is factored until it is asked for: the first call of ``norm()``,
+    of a K-inverse or of ``norm_bound_check()`` takes M's one SVD, memoized on
+    the value (the rank rule is fixed, and the tolerance does not enter an
+    SVD), and only ``norm_bound()`` reads the frames' norms.
     The K-right and K-left inverses are memoized per (operator env,
     tolerance), like a frame's results.
     ``adjoint()`` is M* = M_{mbar,Psi,Phi}.
@@ -205,27 +206,28 @@ class Multiplier:
         return self.phi.norm() * self.psi.norm() * self.symbol.sup_modulus
 
     def norm_bound_check(self, tol: float = IDENTITY_TOL) -> CheckResult:
-        """The excess of ``norm()`` over ``norm_bound()``, against ``tol`` times it."""
+        """The excess of ``norm()`` over ``norm_bound()``, against ``tol`` times it.
+
+        The bound holds for every M by submultiplicativity, so a failure means M's
+        SVD or a frame's disagrees with the matrices; it is checked only on request.
+        """
         bound = self.norm_bound()
         return _gate(max(0.0, self.norm() - bound), bound, tol)
 
 
-def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame, tol: float = IDENTITY_TOL) -> Multiplier:
-    """Build T_Phi diag(m) T_Psi* and assert the Bessel norm bound to ``tol``."""
+def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
+    """T_Phi diag(m) T_Psi* once the index counts and ambient dimensions agree.
+
+    Factors nothing: the Bessel bound holds for every multiplier by
+    submultiplicativity, and ``Multiplier.norm_bound_check`` tests it on request.
+    """
     if not (m.size == phi.size == psi.size):
         raise ShapeMismatch(
             f"index counts differ: symbol {m.size}, phi {phi.size}, psi {psi.size}"
         )
     if phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("frames live in different ambient dimensions")
-    mult = Multiplier(m, phi, psi, _read_only((phi.synthesis * m.values) @ psi.analysis))
-    check = mult.norm_bound_check(tol)
-    if not check:
-        raise InternalConsistencyError(
-            f"multiplier norm {mult.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
-            f"{mult.norm_bound()!r} by more than {check.threshold!r}", check.residual
-        )
-    return mult
+    return Multiplier(m, phi, psi, _read_only((phi.synthesis * m.values) @ psi.analysis))
 
 
 def _projected(f: Frame, env: OperatorEnv) -> Frame:
@@ -399,14 +401,14 @@ def inverse_as_multiplier(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
-    base = assemble_multiplier(ones, _projected(phi, env), psi, tol)
+    base = assemble_multiplier(ones, _projected(phi, env), psi)
     check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), tol)
     if not check:
         raise NotAnInverse(f"inverse misses the projected multiplier identity by "
                            f"{check.residual:.3e}", check.residual)
     _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a dual of its frame")
     transported = base.phi.map(inverse)
-    factor = assemble_multiplier(ones, transported, dual_choice, tol)
+    factor = assemble_multiplier(ones, transported, dual_choice)
     target = inverse @ env.k
     inter = verify_k_dual(transported, psi, env, tol, with_lower_bounds=False)
     out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), tol)
@@ -442,8 +444,8 @@ def biorthogonal_right_inverse(
     phi_tilde = canonical_k_dual(phi, env, tol)
     projected = _projected(phi, env)
 
-    analysis_side = assemble_multiplier(ones, projected, psi, tol)
-    synthesis_side = assemble_multiplier(ones, bio, phi_tilde, tol)
+    analysis_side = assemble_multiplier(ones, projected, psi)
+    synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     forward = MultiplierFactorization(
@@ -581,9 +583,9 @@ def perturbation_right_inverse(
     right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
     ones = Symbol.ones(phi.size)
     r_frame = Frame(minv.apply_adjoint(env.range_basis.conj().T @ phi.synthesis).T)
-    r_mult = assemble_multiplier(ones, r_frame, dual_choice, tol)
+    r_mult = assemble_multiplier(ones, r_frame, dual_choice)
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)), tol)
-    reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi, tol)
+    reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     certificates = dict(diagnostics)
@@ -617,8 +619,8 @@ def range_inclusion_right_inverse(
     phi_dag = _factored(adjoint.range_basis, Frame(_restriction(phi, adjoint).coordinates().T),
                         _factors(phi).right_vectors)
     psi_tilde = canonical_k_dual(psi, env, tol)
-    left_factor = assemble_multiplier(ones, _projected(psi, env), phi, tol)
-    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde, tol)
+    left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
+    right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     return MultiplierFactorization(
@@ -650,8 +652,8 @@ def range_inclusion_left_inverse(
     restriction = _restriction(psi, env)
     psi_dag = Frame(restriction.apply_adjoint(env.range_basis.conj().T @ psi.synthesis).T)
     phi_tilde = canonical_k_dual(phi, env.adjoint(), tol)
-    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag, tol)
-    right_factor = assemble_multiplier(ones, psi, phi, tol)
+    left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
+    right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
     check = _gate(spectral_norm(achieved - target), env.norm() ** 2, tol)

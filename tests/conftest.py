@@ -13,7 +13,8 @@ import pytest
 
 from kframekit import Frame, OperatorEnv
 from kframekit.duality import DualPerturbation
-from kframekit.linalg import svd_decompose
+from kframekit.linalg import SvdFactors, svd_decompose
+from kframekit.multipliers import Multiplier
 from kframekit.worked import minimal_example, projection_example
 
 COND_FLOOR = 1e-3
@@ -28,6 +29,22 @@ def skewed_qr(monkeypatch):
     """
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * (1 + 1e-7))
+
+
+@pytest.fixture()
+def skewed_multiplier_svd(monkeypatch):
+    """Scale the singular values every multiplier's SVD returns by 1 + 1e-7.
+
+    M_{1,F,F} = S_F meets its Bessel bound B_F, so its skewed norm exceeds the
+    bound by 1e-7 relative, a thousand times the default gate of 1e-10.
+    """
+    factors = Multiplier._factors
+
+    def skewed(self):
+        f = factors(self)
+        return SvdFactors(f.left_vectors, f.singular_values * (1 + 1e-7), f.right_vectors, f.rank)
+
+    monkeypatch.setattr(Multiplier, "_factors", skewed)
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:

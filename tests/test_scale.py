@@ -29,6 +29,7 @@ from conftest import (
     minimal_instance,
     well_conditioned,
 )
+from tests_support_douglas import douglas_solution
 
 from kframekit import duality, io, linalg, multipliers
 from kframekit.cli import main
@@ -60,7 +61,6 @@ from kframekit.frames import (
 from kframekit.linalg import (
     OperatorEnv,
     SvdFactors,
-    douglas_solve,
     svd_decompose,
 )
 from kframekit.multipliers import (
@@ -528,7 +528,7 @@ class TestConsistencyGates:
         l1 = l2 @ crandn(rng, 6, 3)
         for s in SCALES:
             with pytest.raises(InternalConsistencyError, match="factorization residual"):
-                douglas_solve(s * l1, s * l2)
+                douglas_solution(s * l1, s * l2)
 
     def test_operator_self_check(self, monkeypatch):
         # factors that drop nothing while K has a tail of 1e-6 |K|: P K - K is a real gap

@@ -7,12 +7,24 @@ import numpy as np
 from conftest import crandn, projector_onto_range, well_conditioned
 from kframekit.errors import RangeNotIncluded
 from kframekit.linalg import (
-    douglas_solve,
+    IDENTITY_TOL,
+    CheckResult,
+    _douglas,
+    _inclusion,
     min_eig,
-    range_inclusion_check,
     spectral_norm,
     svd_decompose,
 )
+
+
+def inclusion_check(l1, l2, tol: float = IDENTITY_TOL) -> CheckResult:
+    """The library's test of R(l1) inside R(l2) (``_inclusion``) on one SVD of l2."""
+    return _inclusion(l1, svd_decompose(l2), spectral_norm(l1), tol)
+
+
+def douglas_solution(l1, l2, tol: float = IDENTITY_TOL) -> np.ndarray:
+    """The minimal X with l2 X = l1 from the library's Douglas step (``_douglas``)."""
+    return _douglas(l1, l2, svd_decompose(l2), spectral_norm(l1), tol)[1]
 
 
 def inclusion_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +62,7 @@ def non_inclusion_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.nda
 
 def douglas_predicates(l1, l2) -> tuple[bool, bool, bool]:
     """The three equivalent conditions, each computed by its own route."""
-    included = bool(range_inclusion_check(l1, l2))
+    included = bool(inclusion_check(l1, l2))
 
     lam_hat = spectral_norm(svd_decompose(l2).pinv() @ l1)
     g1 = l1 @ l1.conj().T
@@ -59,7 +71,7 @@ def douglas_predicates(l1, l2) -> tuple[bool, bool, bool]:
     majorized = slack >= -1e-9 * max(1.0, spectral_norm(g1))
 
     try:
-        x = douglas_solve(l1, l2)
+        x = douglas_solution(l1, l2)
         solvable = spectral_norm(l2 @ x - l1) <= 1e-9 * max(1.0, spectral_norm(l1))
     except RangeNotIncluded:
         solvable = False
