@@ -37,6 +37,7 @@ from .frames import (
 )
 from .linalg import (
     IDENTITY_TOL,
+    CheckResult,
     OperatorEnv,
     SvdFactors,
     majorization_constant,
@@ -65,6 +66,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BoundReport",
+    "CheckResult",
     "DualPerturbation",
     "Frame",
     "FrameBounds",

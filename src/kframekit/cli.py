@@ -5,6 +5,8 @@ Usage: ``kframe <command> [--frame PATH]... [--operator PATH]
 
 Reports are deterministic for fixed inputs and options (no timestamps);
 every verdict carries its residual and the threshold it was tested against.
+A verdict is the library's ``CheckResult`` as it is, or a gate of what the CLI computes
+itself (sampled inequalities, family round trip, inverse identities); JSON writes inf as null.
 Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error,
 3 internal consistency error (two computation routes disagreed) or a
 numerical failure (LAPACK did not converge, or a float overflowed).
@@ -29,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import Frame
-from .linalg import _RANK_SCALE, _SLACK, IDENTITY_TOL, CheckResult, OperatorEnv
+from .linalg import _RANK_SCALE, _SLACK, IDENTITY_TOL, OperatorEnv
 from .linalg import _gate, spectral_norm
 from .multipliers import Symbol
 
@@ -83,7 +85,11 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.body(), sort_keys=True)
+        try:
+            return json.dumps(self.body(), sort_keys=True, allow_nan=False)
+        except ValueError:  # JSON has no Infinity or NaN: a non-finite number is written as null
+            body = json.loads(json.dumps(self.body()), parse_constant=lambda _: None)
+            return json.dumps(body, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -120,10 +126,10 @@ def _cmd_analyze(job: JobSpec, tol: float, report: Report, frame: Frame, env: Op
     report.results["minimal"] = frames.minimality_check(frame)
     report.results["operator_rank"] = env.rank
     tight = frames.tightness_check(frame, env, tol)
-    report.results["tight"] = tight.tight
+    report.results["tight"] = tight.identity.ok
     if tight.constant is not None:
         report.results["tight_constant"] = tight.constant
-    report.results["parseval"] = tight.parseval
+    report.results["parseval"] = tight.passed
     report.verdicts["range-inclusion"] = bounds.inclusion
 
     # seeded spot check of the two inequalities at the optimal bounds
@@ -143,7 +149,7 @@ def _cmd_analyze(job: JobSpec, tol: float, report: Report, frame: Frame, env: Op
 def _cmd_verify(job: JobSpec, tol: float, report: Report, frame: Frame, candidate: Frame,
                 env: OperatorEnv) -> None:
     cert = duality.verify_k_dual(frame, candidate, env, tol)
-    report.verdicts["dual-identity"] = CheckResult(cert.passed, cert.residual, cert.threshold)
+    report.verdicts["dual-identity"] = cert.identity
     if cert.lower_bound_report is not None:
         report.results["dual_lower_bound"] = cert.lower_bound_report[0]
         report.results["projected_lower_bound"] = cert.lower_bound_report[1]
@@ -218,15 +224,15 @@ def _cmd_perturb_check(job: JobSpec, tol: float, report: Report, phi: Frame, psi
     report.results["rho"] = cond.rho
     report.results["tau"] = cond.tau
     report.results["bounds_used"] = [bounds.lower, bounds.upper]
-    report.verdicts["perturbation-condition"] = CheckResult(cond.satisfied, cond.rho, cond.tau)
+    report.verdicts["perturbation-condition"] = cond.condition
 
 
 def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:
     run = worked.reproduce_examples(tol=job.tol)
     report.results["checks"] = len(run.checks)
     report.results["golden_seed"] = run.seed
-    for check in run.checks:
-        report.verdicts[check.name] = CheckResult(check.passed, check.residual, check.threshold)
+    for golden in run.checks:
+        report.verdicts[golden.name] = golden.check
 
 
 # command -> (handler, --frame count, needs --operator, --symbol), in the usage's order;

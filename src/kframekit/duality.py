@@ -76,10 +76,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KDualCertificate:
-    """Verified (or failed) dual pair with the operator-identity residual.
+    """Verified (or failed) dual pair: the verdict ``identity`` on K = P_{R(K)} T_F T_G*.
 
-    ``residual`` is the spectral norm of K - P_{R(K)} T_F T_G*; the pair
-    passes iff residual <= threshold. ``lower_bound_report`` carries the
+    Its residual is the spectral norm of K - P_{R(K)} T_F T_G*; the pair passes iff
+    ``identity`` does. ``lower_bound_report`` carries the
     optimal lower K*-frame bound of G and the optimal lower K-frame bound of
     {P_{R(K)} f_i} (present only for passing certificates).
     """
@@ -87,10 +87,17 @@ class KDualCertificate:
     frame: Frame
     dual: Frame
     env: OperatorEnv
-    residual: float
-    threshold: float
-    passed: bool
+    identity: CheckResult
     lower_bound_report: tuple[float, float] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.identity.ok
+
+    @property
+    def residual(self) -> float:
+        """The dual identity's residual, ``identity.residual``."""
+        return self.identity.residual
 
 
 def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
@@ -147,7 +154,7 @@ def verify_k_dual(
     achieved = env.range_basis.conj().T @ f.synthesis @ g.analysis
     check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(), tol)
     bounds = _lower_bounds(f, g, env, tol) if check.ok and with_lower_bounds else None
-    return KDualCertificate(f, g, env, check.residual, check.threshold, check.ok, bounds)
+    return KDualCertificate(f, g, env, check, bounds)
 
 
 def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[float, float]:
@@ -167,9 +174,9 @@ def _require_k_dual(
     f: Frame, g: Frame, env: OperatorEnv, tol: float, what: str
 ) -> None:
     """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``."""
-    cert = verify_k_dual(f, g, env, tol, with_lower_bounds=False)
-    if not cert.passed:
-        raise NotADual(f"{what} (residual {cert.residual:.3e})", cert.residual)
+    identity = verify_k_dual(f, g, env, tol, with_lower_bounds=False).identity
+    if not identity:
+        raise NotADual(f"{what} (residual {identity.residual:.3e})", identity.residual)
 
 
 def k_dual_lower_bounds(
@@ -237,7 +244,7 @@ def canonical_dual_bound_certificate(
     the Bessel bound's degree and evaluated in that order, so at any scale.
     """
     validation = validate_bounds(f, env, a, b, tol)
-    if not validation.valid:
+    if not validation.passed:
         raise InvalidBounds(
             f"({a}, {b}) is not a valid K-frame bound pair: slacks "
             f"({validation.lower_slack:.3e}, {validation.upper_slack:.3e})"
@@ -361,16 +368,15 @@ class WitnessReport:
     W = K (S_Ftilde|_{R(K*)})^-1 P_{S_Ftilde(R(K*))}, compared against f_i in
     ``frame_discrepancies``; ``double_dual`` holds W ftilde_i (the exchanged
     construction applied to the dual's own vectors), whose distances to f_i in
-    ``recovery_discrepancies`` decide ``recovered``. Classical frames (K = I)
-    always recover; K-frames generally do not.
+    ``recovery_discrepancies`` decide the verdict ``recovery`` (their maximum is its
+    residual). Classical frames (K = I) always recover; K-frames generally do not.
     """
 
     images_of_frame: np.ndarray
     frame_discrepancies: np.ndarray
     double_dual: np.ndarray
     recovery_discrepancies: np.ndarray
-    recovered: bool
-    threshold: float
+    recovery: CheckResult
 
 
 def noncommutativity_witness(
@@ -390,28 +396,28 @@ def noncommutativity_witness(
     frame_disc = np.linalg.norm(images - f.vectors, axis=1)
     double_dual = (env.range_factor @ (y @ g.right_vectors.conj().T)).T
     recovery_disc = np.linalg.norm(double_dual - f.vectors, axis=1)
-    check = _gate(float(np.max(recovery_disc)), f.norm(), tol)
-    return WitnessReport(images, frame_disc, double_dual, recovery_disc, check.ok, check.threshold)
+    return WitnessReport(images, frame_disc, double_dual, recovery_disc,
+                         _gate(float(np.max(recovery_disc)), f.norm(), tol))
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2.
+    """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2, the verdict ``pythagoras``.
 
-    ``d`` holds the canonical coefficients <f, ftilde_i>; ``dual_residual``
-    is the error of the dual identity applied to the target,
-    |P_{R(K)} T_F d - K target|, gated at ``dual_threshold``.
+    ``canonical`` holds d, the canonical coefficients <f, ftilde_i>; the verdict ``dual``
+    gates the dual identity applied to the target, |P_{R(K)} T_F d - K target|.
     """
 
     lhs: float
     rhs: float
     relative_error: float
-    identity_ok: bool
-    dual_residual: float
-    dual_threshold: float
-    dual_ok: bool
-    passed: bool
+    pythagoras: CheckResult
+    dual: CheckResult
     canonical: np.ndarray
+
+    @property
+    def passed(self) -> bool:
+        return self.pythagoras.ok and self.dual.ok
 
 
 def _dual_identity(
@@ -455,9 +461,7 @@ def minimal_norm_identity(
     identity = _gate(abs(lhs - rhs), lhs, _SLACK)
     # for c = 0 the split holds only with d = 0; rel is then the absolute residual
     rel = identity.residual / lhs if lhs else identity.residual
-    dual_check = _dual_identity(f, env, target, d, tol)
-    return IdentityReport(lhs, rhs, rel, identity.ok, dual_check.residual, dual_check.threshold,
-                          dual_check.ok, identity.ok and dual_check.ok, d)
+    return IdentityReport(lhs, rhs, rel, identity, _dual_identity(f, env, target, d, tol), d)
 
 
 def canonical_coefficients(

@@ -133,7 +133,7 @@ class FrameBounds:
 
     lower: float
     upper: float
-    inclusion: CheckResult | None = None
+    inclusion: CheckResult
 
 
 def _factored(q: np.ndarray | None, core: Frame, v: np.ndarray | None) -> Frame:
@@ -222,19 +222,22 @@ def k_frame_check(
     if lower < np.finfo(float).tiny:  # 0 or subnormal: no bound to divide by
         raise FloatingPointError(f"optimal lower bound A = 1/lambda^2 underflows to {lower!r}")
     upper = float(factors.singular_values[0] ** 2)
-    return FrameBounds(lower, upper, inclusion=inclusion)
+    return FrameBounds(lower, upper, inclusion)
 
 
 @dataclass(frozen=True)
 class BoundsValidation:
-    """Verdict on a user-supplied bound pair, with the eigenvalue slacks."""
+    """Verdicts ``lower`` (a K K* <= S_F) and ``upper`` (S_F <= b I) on a user-supplied
+    pair, each residual the negated slack; ``passed`` when both hold."""
 
-    valid: bool
-    lower_ok: bool
-    upper_ok: bool
+    lower: CheckResult
+    upper: CheckResult
     lower_slack: float  # min eig of S_F - a K K*  (>= 0 up to tolerance when valid)
     upper_slack: float  # b - lambda_max(S_F)
-    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lower.ok and self.upper.ok
 
 
 def validate_bounds(
@@ -246,21 +249,22 @@ def validate_bounds(
     bessel = optimal_bessel_bound(f)
     lower_slack = min_eig(f.frame_operator - a * (env.k @ env.k_adjoint))
     upper_slack = b - bessel
-    lower = _gate(-lower_slack, bessel, tol)
-    upper = _gate(-upper_slack, bessel, tol)
-    return BoundsValidation(lower.ok and upper.ok, lower.ok, upper.ok, lower_slack, upper_slack,
-                            lower.threshold)
+    return BoundsValidation(_gate(-lower_slack, bessel, tol), _gate(-upper_slack, bessel, tol),
+                            lower_slack, upper_slack)
 
 
 @dataclass(frozen=True)
 class TightnessReport:
-    """Whether S_F = A K K* for some A (tight), with A = 1 meaning Parseval."""
+    """Verdicts ``identity`` (S_F = A K K* for the fitted A: tight, ``constant`` A, else None)
+    and ``parseval`` (A = 1); ``passed`` when both hold, a Parseval K-frame."""
 
-    tight: bool
+    identity: CheckResult
+    parseval: CheckResult
     constant: float | None
-    parseval: bool
-    residual: float
-    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.identity.ok and self.parseval.ok
 
 
 def tightness_check(
@@ -285,9 +289,7 @@ def tightness_check(
             float(np.real(np.trace(unit @ unit))) * norm_k**2
         )
     check = _gate(spectral_norm(s - const * gram_k), optimal_bessel_bound(f), tol)
-    parseval = check.ok and _gate(abs(const - 1.0), 1.0, tol).ok
-    return TightnessReport(check.ok, const if check.ok else None, parseval, check.residual,
-                           check.threshold)
+    return TightnessReport(check, _gate(abs(const - 1.0), 1.0, tol), const if check else None)
 
 
 def bessel_as_k_frame(f: Frame) -> OperatorEnv:

@@ -210,7 +210,7 @@ def _check_reconstruction(factors: SvdFactors, a: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Boolean verdict carrying its residual and the threshold used."""
+    """The one verdict type: ``ok``, the residual and the threshold it was tested against."""
 
     ok: bool
     residual: float

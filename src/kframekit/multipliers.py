@@ -22,7 +22,7 @@ right side of ``inverse_as_multiplier`` and the K*-identity of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,9 +288,11 @@ def k_left_inverse(
 
 @dataclass(frozen=True)
 class SideBound:
+    """The verdict ``bound``: the ``optimal`` lower bound is at least the ``guaranteed`` one."""
+
     guaranteed: float
     optimal: float
-    ok: bool
+    bound: CheckResult
 
 
 @dataclass(frozen=True)
@@ -301,13 +303,16 @@ class LowerBoundReport:
     1/(sup|m|^2 B_Psi) and Psi a K*-frame with at least 1/(sup|m|^2 B_Phi).
     Case "inverse": with a K-right inverse R (resp. K-left inverse L) the
     guarantees carry |R|^2 (resp. |L|^2) in the denominator. Each guarantee
-    is checked against the optimal bound.
+    is checked against the optimal bound; ``passed`` when every present side's holds.
     """
 
     case: str
     phi_side: SideBound | None
     psi_side: SideBound | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(s.bound.ok for s in (self.phi_side, self.psi_side) if s is not None)
 
 
 def frames_from_multiplier_identity(
@@ -319,12 +324,11 @@ def frames_from_multiplier_identity(
     def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
         guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
         optimal = k_frame_check(frame, side_env, tol).lower
-        return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK).ok)
+        return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK))
 
     if _within(mult.matrix - env.k, tol * env.norm()):
-        phi_side = side(mult.phi, env, mult.psi, 1.0)
-        psi_side = side(mult.psi, env.adjoint(), mult.phi, 1.0)
-        return LowerBoundReport("identity", phi_side, psi_side, phi_side.ok and psi_side.ok)
+        return LowerBoundReport("identity", side(mult.phi, env, mult.psi, 1.0),
+                                side(mult.psi, env.adjoint(), mult.phi, 1.0))
 
     try:
         phi_side = side(mult.phi, env, mult.psi, k_right_inverse(mult, env, tol).majorization)
@@ -340,8 +344,7 @@ def frames_from_multiplier_identity(
         raise HypothesisNotMet(
             "M differs from K and admits neither a K-right nor a K-left inverse"
         )
-    passed = all(s.ok for s in (phi_side, psi_side) if s is not None)
-    return LowerBoundReport("inverse", phi_side, psi_side, passed)
+    return LowerBoundReport("inverse", phi_side, psi_side)
 
 
 @dataclass(frozen=True)
@@ -349,25 +352,26 @@ class MultiplierFactorization:
     """Multiplier factors whose ordered product realizes ``target``.
 
     ``achieved`` is the product of the factor matrices left to right
-    (times K* first for the left-inverse identity on R(K*));
-    ``certificates`` carries named residuals of the intermediate claims.
+    (times K* first for the left-inverse identity on R(K*)); the verdict ``identity``
+    gates |achieved - target|. ``certificates`` holds the verdicts of the intermediate
+    claims by name, ``diagnostics`` plain numbers; ``passed`` when every verdict holds.
     """
 
     factors: tuple[Multiplier, ...]
     target: np.ndarray
     achieved: np.ndarray
-    residual: float
-    threshold: float
-    passed: bool
-    certificates: dict[str, float] = field(default_factory=dict)
+    identity: CheckResult
+    certificates: dict[str, CheckResult] = field(default_factory=dict)
+    diagnostics: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.identity.ok and all(self.certificates.values())
 
     def adjoint(self) -> "MultiplierFactorization":
-        """The adjoint identity: adjoint factors reversed; norms and verdict carry over."""
-        return MultiplierFactorization(
-            tuple(factor.adjoint() for factor in reversed(self.factors)),
-            self.target.conj().T, self.achieved.conj().T, self.residual, self.threshold,
-            self.passed, dict(self.certificates),
-        )
+        """The adjoint identity: adjoint factors reversed; norms and verdicts carry over."""
+        return replace(self, factors=tuple(factor.adjoint() for factor in reversed(self.factors)),
+                       target=self.target.conj().T, achieved=self.achieved.conj().T)
 
 
 def inverse_as_multiplier(
@@ -390,8 +394,8 @@ def inverse_as_multiplier(
     the composition K R (apply R, then K); Phi is certified to be a K*-dual
     of {R* P_K* psi_i}. It is computed as the adjoint of the left side on
     (Psi, Phi, K*, R*). The transported frame {L P_K phi_i} is L applied to the
-    factored P_K Phi frame of the base multiplier, so no n x n projector is formed.
-    Certificates: ``inverse_residual``, ``dual_of_transported``.
+    factored P_K Phi frame of the base multiplier, so no n x n projector is formed; the
+    identity is gated at ``tol`` |L K|_F. Certificates: ``inverse``, ``dual_of_transported``.
     """
     if side == "right":
         return inverse_as_multiplier(
@@ -411,10 +415,10 @@ def inverse_as_multiplier(
     factor = assemble_multiplier(ones, transported, dual_choice)
     target = inverse @ env.k
     inter = verify_k_dual(transported, psi, env, tol, with_lower_bounds=False)
-    out = _gate(spectral_norm(factor.matrix - target), spectral_norm(target), tol)
+    out = _gate(spectral_norm(factor.matrix - target), float(np.linalg.norm(target)), tol)
     return MultiplierFactorization(
-        (factor,), target, factor.matrix, out.residual, out.threshold, out.ok and inter.passed,
-        {"inverse_residual": check.residual, "dual_of_transported": inter.residual},
+        (factor,), target, factor.matrix, out,
+        {"inverse": check, "dual_of_transported": inter.identity},
     )
 
 
@@ -424,7 +428,10 @@ class BiorthogonalFactorization:
 
     forward: MultiplierFactorization
     mirrored: MultiplierFactorization
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.forward.passed and self.mirrored.passed
 
 
 def biorthogonal_right_inverse(
@@ -447,20 +454,18 @@ def biorthogonal_right_inverse(
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
-    forward = MultiplierFactorization(
-        (analysis_side, synthesis_side), env.k, achieved, check.residual, check.threshold, check.ok
-    )
-    return BiorthogonalFactorization(forward, forward.adjoint(), forward.passed)
+    forward = MultiplierFactorization((analysis_side, synthesis_side), env.k, achieved,
+                                      _gate(spectral_norm(achieved - env.k), env.norm(), tol))
+    return BiorthogonalFactorization(forward, forward.adjoint())
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Perturbation smallness against the threshold a A / (b sqrt(B) |Kdag|^2)."""
+    """The verdict ``condition``: perturbation rho <= tau = a A / (b sqrt(B) |Kdag|^2)."""
 
     rho: float
     tau: float
-    satisfied: bool
+    condition: CheckResult
 
 
 def perturbation_condition(
@@ -484,14 +489,14 @@ def perturbation_condition(
         raise ShapeMismatch("Phi and Psi must share index count and ambient dimension")
     k_frame_check(phi, env, tol)
     validation = validate_bounds(phi, env, a_bound, b_bound, tol)
-    if not validation.valid:
+    if not validation.passed:
         raise InvalidBounds(
             f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi"
         )
     diff = psi.analysis - phi.analysis
     rho = spectral_norm(diff @ env.range_basis)
-    tau = (m.lower * a_bound) / (m.upper * np.sqrt(b_bound) * env.pinv_norm() ** 2)
-    return ConditionReport(rho, float(tau), bool(rho <= tau))
+    tau = float((m.lower * a_bound) / (m.upper * np.sqrt(b_bound) * env.pinv_norm() ** 2))
+    return ConditionReport(rho, tau, _gate(rho, tau, 1.0))
 
 
 def _perturbed_restriction(
@@ -509,7 +514,7 @@ def _perturbed_restriction(
 
     def build():
         cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
-        if not cond.satisfied:
+        if not cond.condition:
             raise ConditionViolated(
                 f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
                 cond.rho - cond.tau,
@@ -588,12 +593,8 @@ def perturbation_right_inverse(
     reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
-    certificates = dict(diagnostics)
-    certificates["right_inverse_multiplier_form"] = form.residual
-    return MultiplierFactorization(
-        (reversed_mult, r_mult), env.k, achieved, check.residual, check.threshold,
-        check.ok and form.ok, certificates,
-    )
+    return MultiplierFactorization((reversed_mult, r_mult), env.k, achieved, check,
+                                   {"right_inverse_multiplier_form": form}, dict(diagnostics))
 
 
 def range_inclusion_right_inverse(
@@ -622,10 +623,9 @@ def range_inclusion_right_inverse(
     left_factor = assemble_multiplier(ones, _projected(psi, env), phi)
     right_factor = assemble_multiplier(ones, phi_dag, psi_tilde)
     achieved = left_factor.matrix @ right_factor.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
     return MultiplierFactorization(
-        (left_factor, right_factor), env.k, achieved, check.residual, check.threshold,
-        check.ok, {"inclusion_residual": inclusion.residual},
+        (left_factor, right_factor), env.k, achieved,
+        _gate(spectral_norm(achieved - env.k), env.norm(), tol), {"inclusion": inclusion},
     )
 
 
@@ -656,10 +656,9 @@ def range_inclusion_left_inverse(
     right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
     target = env.k @ env.k_adjoint
-    check = _gate(spectral_norm(achieved - target), env.norm() ** 2, tol)
     return MultiplierFactorization(
-        (left_factor, right_factor), target, achieved, check.residual, check.threshold,
-        check.ok, {"inclusion_residual": inclusion.residual},
+        (left_factor, right_factor), target, achieved,
+        _gate(spectral_norm(achieved - target), env.norm() ** 2, tol), {"inclusion": inclusion},
     )
 
 

@@ -43,7 +43,7 @@ from .frames import (
     tightness_check,
     validate_bounds,
 )
-from .linalg import IDENTITY_TOL, OperatorEnv, majorization_constant, spectral_norm
+from .linalg import IDENTITY_TOL, CheckResult, OperatorEnv, majorization_constant, spectral_norm
 from .multipliers import (
     Symbol,
     perturbation_condition,
@@ -135,12 +135,10 @@ def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
 
 @dataclass(frozen=True)
 class GoldenCheck:
-    """One golden assertion: residual against threshold, plus display values."""
+    """One golden assertion, the verdict ``check``, plus display values."""
 
     name: str
-    residual: float
-    threshold: float
-    passed: bool
+    check: CheckResult
     observed: float | None = None
     expected: float | None = None
     symbolic: str = ""
@@ -153,12 +151,7 @@ class GoldenRun:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-
-def _cap(pinned: float, tol: float | None) -> float:
-    return pinned if tol is None else min(pinned, tol)
+        return all(c.check for c in self.checks)
 
 
 def _entrywise(frame: Frame, expected_rows) -> float:
@@ -186,12 +179,10 @@ def reproduce_examples(
 
     def add(name, residual, pinned, observed=None, expected=None, symbolic="",
             exceed=False):
-        threshold = _cap(pinned, tol)
+        threshold = pinned if tol is None else min(pinned, tol)
         ok = (residual > threshold) if exceed else (residual <= threshold)
-        checks.append(
-            GoldenCheck(name, float(residual), float(threshold), bool(ok),
-                        observed, expected, symbolic)
-        )
+        checks.append(GoldenCheck(name, CheckResult(bool(ok), float(residual), float(threshold)),
+                                  observed, expected, symbolic))
 
     def section(name):
         # domain errors inside a section become one failed check, so corrupted
@@ -200,9 +191,7 @@ def reproduce_examples(
             try:
                 fn()
             except KFrameError as exc:
-                checks.append(GoldenCheck(
-                    f"{name} [{exc.code}]", float("inf"), 0.0, False, symbolic=str(exc)
-                ))
+                add(f"{name} [{exc.code}]", float("inf"), 0.0, symbolic=str(exc))
         return wrap
 
     ex2 = projection_example(fixtures.get("c2_vectors"), fixtures.get("c2_operator"))
@@ -214,11 +203,8 @@ def reproduce_examples(
     @section("c2.bounds")
     def _():
         val = validate_bounds(f2, env2, *ex2.reference_bounds, identity_tol)
-        add(
-            "c2.reference-bounds-valid",
-            max(0.0, -min(val.lower_slack, 0.0)) + max(0.0, -min(val.upper_slack, 0.0)),
-            val.threshold,
-        )
+        add("c2.reference-bounds-valid",
+            max(0.0, val.lower.residual) + max(0.0, val.upper.residual), val.lower.threshold)
         bounds = k_frame_check(f2, env2, identity_tol)
         add("c2.optimal-lower", abs(bounds.lower - ex2.optimal_bounds[0]),
             1e-9 * ex2.optimal_bounds[0], bounds.lower, ex2.optimal_bounds[0], "4/3")
@@ -269,7 +255,7 @@ def reproduce_examples(
         )
 
         cert2 = verify_k_dual(f2, dual2, env2, identity_tol)
-        add("c2.dual-certificate", cert2.residual, cert2.threshold)
+        add("c2.dual-certificate", cert2.identity.residual, cert2.identity.threshold)
         lb_dual, lb_proj = k_dual_lower_bounds(cert2, identity_tol)
         add("c2.dual-lower-bound-g", abs(lb_dual - ratio), 1e-9, lb_dual, ratio, ratio_sym)
         add("c2.dual-lower-bound-projected", abs(lb_proj - 1.5), 1e-9, lb_proj, 1.5, "3/2")
@@ -301,7 +287,7 @@ def reproduce_examples(
             np.max(np.abs(np.sort_complex(collapse.dual.vectors[:, 0])
                           - np.sort_complex(dual2.vectors[:, 0])))
         )
-        add("c2.perturbation-collapse", max(collapse.residual, collapse_dev), 1e-10)
+        add("c2.perturbation-collapse", max(collapse.identity.residual, collapse_dev), 1e-10)
 
     @section("c2.coefficients")
     def _():
@@ -318,7 +304,7 @@ def reproduce_examples(
         offset = d + 0.7 * np.array([1.0, -1.0, 0.0])
         report = minimal_norm_identity(f2, env2, e1, offset, identity_tol)
         add("c2.minimal-norm-pythagoras",
-            max(abs(report.lhs - 1.7), report.relative_error, report.dual_residual),
+            max(abs(report.lhs - 1.7), report.relative_error, report.dual.residual),
             1e-10, report.lhs, 1.7, "0.72 + 2 (0.7)^2")
 
     @section("c4.dual")
@@ -330,17 +316,14 @@ def reproduce_examples(
         add("c4.non-biorthogonality", abs(pairing - 1.0), 1e-12,
             float(np.real(pairing)), 1.0)
         tight4 = tightness_check(dual4, env4.adjoint(), identity_tol)
-        add("c4.dual-parseval-adjoint",
-            tight4.residual + (0.0 if tight4.parseval else 1.0), tight4.threshold)
+        add("c4.dual-parseval-adjoint", tight4.identity.residual + (0.0 if tight4.passed else 1.0),
+            tight4.identity.threshold)
 
     @section("c4.bounds")
     def _():
         val4 = validate_bounds(f4, env4, *ex4.reference_bounds, identity_tol)
-        add(
-            "c4.reference-bounds-valid",
-            max(0.0, -min(val4.lower_slack, 0.0)) + max(0.0, -min(val4.upper_slack, 0.0)),
-            val4.threshold,
-        )
+        add("c4.reference-bounds-valid",
+            max(0.0, val4.lower.residual) + max(0.0, val4.upper.residual), val4.lower.threshold)
         bounds4 = k_frame_check(f4, env4, identity_tol)
         add("c4.optimal-lower", abs(bounds4.lower - 0.5), 1e-9 * 0.5,
             bounds4.lower, 0.5, "1/2")
@@ -358,7 +341,7 @@ def reproduce_examples(
         add(
             "c4.reciprocal-dual",
             max(
-                recip.residual,
+                recip.identity.residual,
                 _entrywise(recip.frame, [half, half, eye4[2]]),
                 _entrywise(recip.dual, [eye4[0], eye4[0], eye4[1]]),
             ),
@@ -368,8 +351,8 @@ def reproduce_examples(
 
         env_b = bessel_as_k_frame(f4)
         tight_b = tightness_check(f4, env_b, identity_tol)
-        add("c4.bessel-embedding-parseval",
-            tight_b.residual + (0.0 if tight_b.parseval else 1.0), tight_b.threshold)
+        add("c4.bessel-embedding-parseval", tight_b.identity.residual
+            + (0.0 if tight_b.passed else 1.0), tight_b.identity.threshold)
 
     @section("c2h.range-inclusion")
     def _():
@@ -379,7 +362,7 @@ def reproduce_examples(
         add(
             "c2h.range-inclusion-right",
             max(
-                right_h.residual,
+                right_h.identity.residual,
                 _entrywise(right_h.factors[1].phi, half_e1),
                 _entrywise(right_h.factors[1].psi, half_e1),
             ),
@@ -387,7 +370,7 @@ def reproduce_examples(
             symbolic="M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K",
         )
         left_h = range_inclusion_left_inverse(psi_h, phi_h, env_h, identity_tol)
-        add("c2h.range-inclusion-left", left_h.residual, 1e-12,
+        add("c2h.range-inclusion-left", left_h.identity.residual, 1e-12,
             symbolic="M_{1,Phi~,Psi+} M_{1,Psi,Phi} K* = K K*")
 
     return GoldenRun(tuple(checks), GOLDEN_SEED)

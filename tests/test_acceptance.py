@@ -56,7 +56,7 @@ def conclude(number: int, description: str, failures: list[str]):
 def test_criterion_01_projection_example_bounds():
     failures = []
     ex = projection_example()
-    if not validate_bounds(ex.frame, ex.env, 1.0, 2.0).valid:
+    if not validate_bounds(ex.frame, ex.env, 1.0, 2.0).passed:
         failures.append("reference pair (1, 2) did not validate")
     bounds = k_frame_check(ex.frame, ex.env)
     if abs(bounds.lower - 4.0 / 3.0) > 1e-9 * (4.0 / 3.0):
@@ -109,7 +109,7 @@ def test_criterion_03_projection_example_non_recovery():
         failures.append("second component nonzero")
     if witness.frame_discrepancies[2] <= 0.1:
         failures.append(f"discrepancy {witness.frame_discrepancies[2]:.3e} <= 0.1")
-    if witness.recovered:
+    if witness.recovery.ok:
         failures.append("witness reported recovery")
     conclude(3, "projection example: exchanged construction fails to recover f3",
              failures)
@@ -126,7 +126,7 @@ def test_criterion_04_minimal_example_golden():
     pairing = complex(np.vdot(dual.vectors[1], ex.frame.vectors[0]))
     if abs(pairing - 1.0) > 1e-12:
         failures.append(f"<f1, dual_2> = {pairing} != 1")
-    if not validate_bounds(ex.frame, ex.env, 0.125, 1.0).valid:
+    if not validate_bounds(ex.frame, ex.env, 0.125, 1.0).passed:
         failures.append("reference pair (1/8, 1) did not validate")
     bounds = k_frame_check(ex.frame, ex.env)
     if abs(bounds.lower - 0.5) > 1e-9 * 0.5 or abs(bounds.upper - 1.0) > 1e-9:
@@ -289,8 +289,8 @@ def test_criterion_09_perturbation_theorem():
             failures.append(f"instance {i}: dual certificate residual {cert.residual:.3e}")
             break
         fact = perturbation_right_inverse(ex.frame, psi, ex.env, ones, (1.0, 2.0), dual)
-        if not fact.passed or fact.residual > 1e-9:
-            failures.append(f"instance {i}: right-inverse residual {fact.residual:.3e}")
+        if not fact.passed or fact.identity.residual > 1e-9:
+            failures.append(f"instance {i}: right-inverse residual {fact.identity.residual:.3e}")
             break
     conclude(9, "perturbation theorem: tau = 1/sqrt2, 50 instances at rho <= tau/2",
              failures)
@@ -301,21 +301,21 @@ def test_criterion_10_range_inclusion_constructions():
     psi, phi, env = hand_inclusion_instance()
     right = range_inclusion_right_inverse(psi, phi, env)
     left = range_inclusion_left_inverse(psi, phi, env)
-    if right.residual > 1e-12:
-        failures.append(f"hand instance right case residual {right.residual:.3e}")
-    if left.residual > 1e-12:
-        failures.append(f"hand instance left case residual {left.residual:.3e}")
+    if right.identity.residual > 1e-12:
+        failures.append(f"hand instance right case residual {right.identity.residual:.3e}")
+    if left.identity.residual > 1e-12:
+        failures.append(f"hand instance left case residual {left.identity.residual:.3e}")
 
     rng = np.random.default_rng(115)
     for i in range(50):
         psi_r, phi_r, env_r = both_inclusion_instance(rng)
         right = range_inclusion_right_inverse(psi_r, phi_r, env_r)
-        if not right.passed or right.residual > 1e-9:
-            failures.append(f"instance {i}: right case residual {right.residual:.3e}")
+        if not right.passed or right.identity.residual > 1e-9:
+            failures.append(f"instance {i}: right case residual {right.identity.residual:.3e}")
             break
         left = range_inclusion_left_inverse(psi_r, phi_r, env_r)
-        if not left.passed or left.residual > 1e-9:
-            failures.append(f"instance {i}: left case residual {left.residual:.3e}")
+        if not left.passed or left.identity.residual > 1e-9:
+            failures.append(f"instance {i}: left case residual {left.identity.residual:.3e}")
             break
     conclude(10, "range-inclusion inverses: hand instance exact, 50 seeded instances",
              failures)

@@ -276,8 +276,8 @@ class TestWitness:
             n = int(rng.integers(2, 7))
             f = Frame(crandn(rng, int(rng.integers(n, 11)), n))
             report = noncommutativity_witness(f, OperatorEnv.identity(n))
-            assert report.recovered
-            assert float(np.max(report.recovery_discrepancies)) <= report.threshold
+            assert report.recovery.ok
+            assert float(np.max(report.recovery_discrepancies)) <= report.recovery.threshold
 
     def test_standard_basis_identity_images(self):
         f = Frame.standard_basis(2)
@@ -289,11 +289,11 @@ class TestWitness:
         first = 50.0 / (36.0 * SQRT2)
         np.testing.assert_allclose(report.images_of_frame[2], [first, 0.0], atol=1e-12)
         assert report.frame_discrepancies[2] > 0.1
-        assert not report.recovered
+        assert not report.recovery.ok
 
     def test_minimal_example_non_recovery(self, c4_example):
         report = noncommutativity_witness(c4_example.frame, c4_example.env)
-        assert not report.recovered
+        assert not report.recovery.ok
         assert float(np.max(report.recovery_discrepancies)) > 0.1
 
     def test_dual_factors_match_an_svd_of_g(self):
@@ -370,7 +370,7 @@ class TestMinimalNorm:
             offset = null @ crandn(rng, null.shape[1]) if null.shape[1] else 0.0
             report = minimal_norm_identity(frame, env, target, d + offset)
             assert report.relative_error <= 1e-9
-            assert report.dual_ok
+            assert report.dual.ok
 
 
 class TestCanonicalCoefficients:

@@ -98,13 +98,13 @@ class TestKFrameCheck:
         bounds = k_frame_check(c2_example.frame, c2_example.env)
         assert bounds.lower == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert bounds.upper == pytest.approx(2.0, rel=1e-12)
-        assert validate_bounds(c2_example.frame, c2_example.env, 1.0, 2.0).valid
+        assert validate_bounds(c2_example.frame, c2_example.env, 1.0, 2.0).passed
 
     def test_minimal_example(self, c4_example):
         bounds = k_frame_check(c4_example.frame, c4_example.env)
         assert bounds.lower == pytest.approx(0.5, rel=1e-12)
         assert bounds.upper == pytest.approx(1.0, rel=1e-12)
-        assert validate_bounds(c4_example.frame, c4_example.env, 0.125, 1.0).valid
+        assert validate_bounds(c4_example.frame, c4_example.env, 0.125, 1.0).passed
 
     def test_zero_operator_refused(self):
         with pytest.raises(ZeroOperator):
@@ -229,18 +229,18 @@ class TestCoreCheck:
 class TestTightness:
     def test_parseval_basis(self):
         report = tightness_check(Frame.standard_basis(2), OperatorEnv.identity(2))
-        assert report.tight and report.parseval
+        assert report.identity.ok and report.passed
         assert report.constant == pytest.approx(1.0)
 
     def test_adjoint_parseval(self, c4_example):
         dual = Frame([np.eye(4)[0], np.eye(4)[0], np.eye(4)[1]])
         report = tightness_check(dual, c4_example.env.adjoint())
-        assert report.tight and report.parseval
+        assert report.identity.ok and report.passed
 
     def test_projection_example_not_tight(self, c2_example):
         report = tightness_check(c2_example.frame, c2_example.env)
-        assert not report.tight and report.constant is None
-        assert report.residual > 0.1
+        assert not report.identity.ok and report.constant is None
+        assert report.identity.residual > 0.1
 
 
 class TestBesselEmbedding:
@@ -256,7 +256,7 @@ class TestBesselEmbedding:
     def test_minimal_example(self, c4_example):
         env = bessel_as_k_frame(c4_example.frame)
         np.testing.assert_allclose(env.k, np.diag([1.0, 1.0, 1.0, 0.0]))
-        assert tightness_check(c4_example.frame, env).parseval
+        assert tightness_check(c4_example.frame, env).passed
 
     def test_too_many_vectors(self):
         with pytest.raises(IndexExceedsDimension):

@@ -1,5 +1,6 @@
-"""File formats, the batch CLI, report determinism and exit codes."""
+"""File formats, the batch CLI, report determinism, exit codes and the one verdict type."""
 
+import dataclasses
 import json
 import warnings
 
@@ -8,12 +9,61 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import minimal_instance
+
 from kframekit import io
 from kframekit.cli import JobSpec, main, run_job
+from kframekit.duality import (
+    BoundReport,
+    DualPerturbation,
+    IdentityReport,
+    KDualCertificate,
+    WitnessReport,
+    admissibility_violation,
+    canonical_dual_bound_certificate,
+    canonical_k_dual,
+    minimal_norm_identity,
+    noncommutativity_witness,
+    reciprocal_dual,
+    verify_k_dual,
+)
 from kframekit.errors import DimensionMismatch, ParseError
-from kframekit.frames import Frame
-from kframekit.multipliers import Symbol
-from kframekit.worked import minimal_example, projection_example, reproduce_examples
+from kframekit.frames import (
+    BoundsValidation,
+    Frame,
+    FrameBounds,
+    TightnessReport,
+    bessel_as_k_frame,
+    k_frame_check,
+    tightness_check,
+    validate_bounds,
+)
+from kframekit.linalg import CheckResult, OperatorEnv
+from kframekit.multipliers import (
+    BiorthogonalFactorization,
+    ConditionReport,
+    LowerBoundReport,
+    MultiplierFactorization,
+    SideBound,
+    Symbol,
+    assemble_multiplier,
+    biorthogonal_right_inverse,
+    frames_from_multiplier_identity,
+    inverse_as_multiplier,
+    perturbation_condition,
+    perturbation_k_dual,
+    perturbation_right_inverse,
+    range_inclusion_left_inverse,
+    range_inclusion_right_inverse,
+)
+from kframekit.worked import (
+    GoldenCheck,
+    GoldenRun,
+    hand_inclusion_instance,
+    minimal_example,
+    projection_example,
+    reproduce_examples,
+)
 
 
 @pytest.fixture()
@@ -449,6 +499,40 @@ READS = {
 }
 
 
+# reports with a failed verdict; at these tolerances five golden sections raise
+STRICT_EXTRAS = {
+    "examples --tol 1e-16": ["examples", "--tol", "1e-16"],
+    "examples --tol 1e-320": ["examples", "--tol", "1e-320"],
+    "verify, not a dual": ["verify", "--frame", "f4.json", "--frame", "bad4.json",
+                           "--operator", "k4.json"],
+}
+
+
+class TestJsonReports:
+    @pytest.mark.parametrize("case", [*READS, *STRICT_EXTRAS])
+    def test_every_report_is_strict_json(self, fixture_files, capsys, case):
+        # JSON has no Infinity or NaN: a golden section that raises reports residual inf,
+        # which the JSON report writes as null
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        if case in READS:
+            n_frames, needs_operator, symbol_use = READS[case]
+            argv = [case] + ["--frame", "f2.json"] * n_frames + ["--operator", "k2.json"] * \
+                needs_operator + ["--symbol", "ones3.json"] * bool(symbol_use)
+        else:
+            argv = STRICT_EXTRAS[case]
+        code = main([fixture_files.get(arg, arg) for arg in argv] + ["--format", "json"])
+        out, err = capsys.readouterr()
+        body = json.loads(out, parse_constant=refuse)
+        assert code in ((0, 1) if case in READS else (1,)) and err == ""
+        nulls = sorted(name for name, v in body["verdicts"].items() if v["residual"] is None)
+        assert len(nulls) == (5 if "--tol" in argv else 0)
+        for name in nulls:  # a section that raised: name [code], threshold 0
+            assert " [" in name and body["verdicts"][name]["threshold"] == 0.0
+            assert body["verdicts"][name]["passed"] is False and body["residuals"][name] is None
+
+
 class TestCommandInputs:
     @staticmethod
     def run(capsys, command, frames, operator=None, symbol=None):
@@ -590,9 +674,135 @@ class TestGoldenSuite:
         bad = {"c2_vectors": [[0.9, 0.1], [-0.7, 0.7], [0.7, 0.7]]}
         run = reproduce_examples(fixtures=bad)
         assert not run.passed
-        assert any(c.name.startswith("c2.") and not c.passed for c in run.checks)
+        assert any(c.name.startswith("c2.") and not c.check.ok for c in run.checks)
 
     def test_tightened_tolerance_fails_float_identities(self):
         run = reproduce_examples(tol=1e-30)
         assert not run.passed
-        assert any(not c.passed for c in run.checks)
+        assert any(not c.check.ok for c in run.checks)
+
+
+# the verdicts each result type holds, by the names it gives them
+VERDICTS = {
+    FrameBounds: lambda r: [r.inclusion],
+    BoundsValidation: lambda r: [r.lower, r.upper],
+    TightnessReport: lambda r: [r.identity, r.parseval],
+    KDualCertificate: lambda r: [r.identity],
+    BoundReport: lambda r: [r.lower, r.upper],
+    WitnessReport: lambda r: [r.recovery],
+    IdentityReport: lambda r: [r.pythagoras, r.dual],
+    SideBound: lambda r: [r.bound],
+    LowerBoundReport: lambda r: [s.bound for s in (r.phi_side, r.psi_side) if s is not None],
+    MultiplierFactorization: lambda r: [r.identity, *r.certificates.values()],
+    BiorthogonalFactorization: lambda r: [r.forward.identity, r.mirrored.identity],
+    ConditionReport: lambda r: [r.condition],
+    GoldenCheck: lambda r: [r.check],
+    GoldenRun: lambda r: [c.check for c in r.checks],
+    CheckResult: lambda r: [r],
+}
+
+
+class TestVerdicts:
+    @pytest.fixture(scope="class")
+    def results(self, c2_example, c4_example):
+        f2, env2 = c2_example.frame, c2_example.env
+        f4, env4 = c4_example.frame, c4_example.env
+        e, ones3, basis = np.eye(4), Symbol.ones(3), Frame.standard_basis(2)
+        dual2 = canonical_k_dual(f2, env2)
+        proj2 = np.diag([1.0, 0.0])  # P_R(K): a K-left inverse of M_{1,P_K F,Ftilde} = K
+        e1 = np.array([1.0, 0.0])
+        psi_h, phi_h, env_h = hand_inclusion_instance()
+        phi3, psi3, env3 = minimal_instance(np.random.default_rng(17))
+        # Phi = {e1, 0.1 e2}, K = diag(1, 0.01): a K-dual 5e-10 off misses R's multiplier form
+        phi_r, env_r = Frame(np.diag([1.0, 0.1])), OperatorEnv.from_matrix(np.diag([1.0, 0.01]))
+        bounds_r = k_frame_check(phi_r, env_r)
+        off = canonical_k_dual(phi_r, env_r).vectors + 5e-10 * np.outer([0, 1], [1, 0])
+        inverse_case = frames_from_multiplier_identity(assemble_multiplier(ones3, f2, f2), env2)
+        bio = biorthogonal_right_inverse(phi3, psi3, env3)
+        strict_run = reproduce_examples(tol=1e-16)
+        return {
+            "k_frame_check": k_frame_check(f2, env2),
+            "validate_bounds": validate_bounds(f2, env2, 1.0, 2.0),
+            "validate_bounds above A": validate_bounds(f2, env2, 1.5, 2.0),
+            "tightness_check Parseval": tightness_check(f4, bessel_as_k_frame(f4)),
+            "tightness_check not tight": tightness_check(f2, env2),
+            "verify_k_dual": verify_k_dual(f4, Frame([e[0], e[0], e[1]]), env4),
+            "verify_k_dual not a dual": verify_k_dual(f4, Frame([e[0], 2 * e[0], e[1]]), env4),
+            "reciprocal_dual": reciprocal_dual(f4, env4),
+            "canonical_dual_bound_certificate": canonical_dual_bound_certificate(
+                f2, env2, 1.0, 2.0),
+            "noncommutativity_witness": noncommutativity_witness(f2, env2),
+            "noncommutativity_witness K = I": noncommutativity_witness(
+                f2, OperatorEnv.identity(2)),
+            "minimal_norm_identity": minimal_norm_identity(
+                f2, env2, e1, dual2.analysis @ e1 + 0.7 * np.array([1.0, -1.0, 0.0])),
+            "admissibility_violation": admissibility_violation(
+                f2, env2, DualPerturbation.zero(3, 2)),
+            "norm_bound_check": assemble_multiplier(ones3, f2, f2).norm_bound_check(),
+            "frames_from_multiplier_identity M = K": frames_from_multiplier_identity(
+                assemble_multiplier(Symbol.ones(2), basis, basis), OperatorEnv.identity(2)),
+            "frames_from_multiplier_identity inverse": inverse_case,
+            "frames_from_multiplier_identity side": inverse_case.phi_side,
+            "inverse_as_multiplier left": inverse_as_multiplier(
+                f2, dual2, env2, proj2, "left", dual2),
+            "inverse_as_multiplier right": inverse_as_multiplier(
+                dual2, f2, env2.adjoint(), proj2, "right", dual2),
+            "biorthogonal_right_inverse": bio,
+            "biorthogonal_right_inverse forward": bio.forward,
+            "perturbation_condition": perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0),
+            "perturbation_condition violated": perturbation_condition(
+                f2, f2.scaled(3.0), env2, ones3, 1.0, 2.0),
+            "perturbation_k_dual": perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0)),
+            "perturbation_right_inverse": perturbation_right_inverse(
+                f2, f2, env2, ones3, (1.0, 2.0), dual2),
+            "perturbation_right_inverse off its form": perturbation_right_inverse(
+                phi_r, phi_r, env_r, Symbol.ones(2), (bounds_r.lower, bounds_r.upper),
+                Frame(off)),
+            "range_inclusion_right_inverse": range_inclusion_right_inverse(psi_h, phi_h, env_h),
+            "range_inclusion_left_inverse": range_inclusion_left_inverse(psi_h, phi_h, env_h),
+            "reproduce_examples": reproduce_examples(),
+            "reproduce_examples tol 1e-16": strict_run,
+            "reproduce_examples check": strict_run.checks[0],
+        }
+
+    def test_every_verdict_is_one_check_result(self, results):
+        for label, result in results.items():
+            verdicts = VERDICTS[type(result)](result)
+            assert verdicts and all(isinstance(v, CheckResult) for v in verdicts), label
+            if hasattr(result, "passed"):
+                assert result.passed == all(verdicts), label
+            if isinstance(result, CheckResult):
+                continue
+            for f in dataclasses.fields(result):  # nothing restates a verdict
+                assert f.name not in ("ok", "passed", "residual", "threshold"), (label, f.name)
+                assert f.type != "bool", (label, f.name)
+                value = getattr(result, f.name)
+                if isinstance(value, CheckResult):
+                    assert any(value is v for v in verdicts), (label, f.name)
+        passed = [r.passed for r in results.values() if hasattr(r, "passed")]
+        assert True in passed and False in passed
+
+    def test_cli_copies_the_library_verdicts(self, fixture_files):
+        def load(name):
+            return io.parse_file(fixture_files[name])
+
+        def verdicts(command, frames, operator=None, symbol=None, tol=None):
+            paths = tuple(fixture_files[name] for name in frames)
+            return run_job(JobSpec(command, paths, operator and fixture_files[operator],
+                                   symbol and fixture_files[symbol], tol)).verdicts
+
+        f2, f4, g4, bad4 = (load(name) for name in ("f2.json", "f4.json", "g4.json", "bad4.json"))
+        env2, env4 = (OperatorEnv.from_matrix(load(name)) for name in ("k2.json", "k4.json"))
+        ones3 = load("ones3.json")
+        for g in (g4, bad4):
+            assert verdicts("verify", ("f4.json", "bad4.json" if g is bad4 else "g4.json"),
+                            "k4.json") == {"dual-identity": verify_k_dual(f4, g, env4).identity}
+        assert verdicts("multiplier", ("f2.json", "f2.json"), symbol="ones3.json") == {
+            "norm-bound": assemble_multiplier(ones3, f2, f2).norm_bound_check()}
+        bounds = k_frame_check(f2, env2)
+        condition = perturbation_condition(f2, f2, env2, ones3, bounds.lower, bounds.upper)
+        assert verdicts("perturb-check", ("f2.json", "f2.json"), "k2.json", "ones3.json") == {
+            "perturbation-condition": condition.condition}
+        for tol in (None, 1e-16):
+            assert verdicts("examples", (), tol=tol) == {
+                golden.name: golden.check for golden in reproduce_examples(tol).checks}

@@ -480,7 +480,7 @@ class TestIllConditionedDual:
             out = range_inclusion_left_inverse(psi, phi, env)
             assert out.passed
             if c == 1e-4:  # the adjoint form applies U_r itself, not T_Psi V_r Sigma^-1
-                assert out.residual <= 1e4 * np.finfo(float).eps * env.norm() ** 2
+                assert out.identity.residual <= 1e4 * np.finfo(float).eps * env.norm() ** 2
 
     @pytest.mark.parametrize("c", [1e-6, 1e-8])
     def test_perturbation_right_inverse(self, c):

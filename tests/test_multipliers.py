@@ -344,7 +344,7 @@ class TestInverseAsMultiplier:
             )
             out = inverse_as_multiplier(frame, psi, env, left, "left", dual_choice)
             assert out.passed
-            assert out.residual <= 1e-9 * max(1.0, spectral_norm(out.target))
+            assert out.identity.residual <= 1e-9 * max(1.0, spectral_norm(out.target))
 
     def test_random_right_instances_compose_with_k_on_the_left(self):
         rng = np.random.default_rng(113)
@@ -395,10 +395,11 @@ class TestInverseAsMultiplier:
             reference = assemble_multiplier(Symbol.ones(frame.size), expected, choice)
             residual = spectral_norm(reference.matrix - target)
             inter = verify_k_dual(expected, psi, env, with_lower_bounds=False)
-            assert out.residual == pytest.approx(residual, abs=1e-12 * spectral_norm(target))
-            assert out.certificates["dual_of_transported"] == pytest.approx(
+            assert out.identity.residual == pytest.approx(
+                residual, abs=1e-12 * spectral_norm(target))
+            assert out.certificates["dual_of_transported"].residual == pytest.approx(
                 inter.residual, abs=1e-12 * env.norm())
-            assert out.passed == (residual <= out.threshold and inter.passed)
+            assert out.passed == (residual <= out.identity.threshold and inter.passed)
             assert out.passed
 
     def test_not_an_inverse(self, c2_example):
@@ -487,7 +488,7 @@ class TestPerturbationCondition:
         cond = perturbation_condition(
             c2_example.frame, c2_example.frame, c2_example.env, Symbol.ones(3), 1.0, 2.0
         )
-        assert cond.rho == 0.0 and cond.satisfied
+        assert cond.rho == 0.0 and cond.condition.ok
 
     def test_threshold_value(self, c2_example):
         cond = perturbation_condition(
@@ -503,7 +504,7 @@ class TestPerturbationCondition:
             c2_example.frame, psi, c2_example.env, Symbol.ones(3), 1.0, 2.0
         )
         assert cond.rho == pytest.approx(1.0, rel=1e-12)
-        assert not cond.satisfied
+        assert not cond.condition.ok
 
     def test_requires_semi_normalized(self, c2_example):
         with pytest.raises(NotSemiNormalized):
@@ -555,7 +556,7 @@ class TestPerturbationConstructions:
             fact = perturbation_right_inverse(
                 c2_example.frame, psi, c2_example.env, ones, (1.0, 2.0), dual
             )
-            assert fact.passed and fact.residual <= 1e-9
+            assert fact.passed and fact.identity.residual <= 1e-9
 
     def test_right_inverse_trivial_instance(self):
         f = Frame.standard_basis(2)
@@ -573,7 +574,7 @@ class TestPerturbationConstructions:
             c2_example.frame, c2_example.frame, c2_example.env,
             Symbol.ones(3), (1.0, 2.0), dual,
         )
-        assert fact.passed and fact.residual <= 1e-10
+        assert fact.passed and fact.identity.residual <= 1e-10
         np.testing.assert_allclose(fact.achieved, c2_example.env.k, atol=1e-12)
 
     def test_perturbed_dual_recovers_through_family(self, c2_example):
@@ -613,7 +614,7 @@ class TestPerturbationConstructions:
             fact = perturbation_right_inverse(
                 frame, psi, env, m, (bounds.lower, bounds.upper), dual
             )
-            assert fact.certificates["distance"] < fact.certificates["margin"]
+            assert fact.diagnostics["distance"] < fact.diagnostics["margin"]
             assert fact.passed
             done += 1
 
@@ -632,8 +633,8 @@ class TestPerturbationConstructions:
             weighted, q = frame.synthesis * m.values, env.range_basis
             margin = np.linalg.svd(weighted @ frame.analysis @ q, compute_uv=False)[-1]
             distance = np.linalg.norm(weighted @ (frame.analysis - psi.analysis) @ q, 2)
-            assert fact.certificates["margin"] == pytest.approx(margin, rel=1e-12)
-            assert fact.certificates["distance"] == pytest.approx(distance, rel=1e-12)
+            assert fact.diagnostics["margin"] == pytest.approx(margin, rel=1e-12)
+            assert fact.diagnostics["distance"] == pytest.approx(distance, rel=1e-12)
 
     def test_collapsing_reference_is_singular(self):
         # Phi = {e1, e1}, m = (1, -1): M_{m,Phi,Phi} = e1 e1* - e1 e1* = 0 on R(K) = span{e1}
@@ -658,7 +659,7 @@ class TestRangeInclusionRecipes:
 
         psi, phi, env = hand_inclusion_instance()
         right = range_inclusion_right_inverse(psi, phi, env)
-        assert right.passed and right.residual <= 1e-12
+        assert right.passed and right.identity.residual <= 1e-12
         half = np.array([[0.5, 0.0], [0.5, 0.0]])
         np.testing.assert_allclose(right.factors[1].phi.vectors, half, atol=1e-13)
         np.testing.assert_allclose(right.factors[1].psi.vectors, half, atol=1e-13)
@@ -666,7 +667,7 @@ class TestRangeInclusionRecipes:
             right.factors[0].matrix, [[2.0, 0.0], [0.0, 0.0]], atol=1e-13
         )
         left = range_inclusion_left_inverse(psi, phi, env)
-        assert left.passed and left.residual <= 1e-12
+        assert left.passed and left.identity.residual <= 1e-12
 
     def test_mismatched_instance(self):
         psi = Frame.standard_basis(2)
@@ -682,5 +683,5 @@ class TestRangeInclusionRecipes:
         for _ in range(10):
             psi, phi, env = both_inclusion_instance(rng)
             right, left = range_inclusion_inverses(psi, phi, env)
-            assert right.passed and right.residual <= 1e-9
-            assert left.passed and left.residual <= 1e-9
+            assert right.passed and right.identity.residual <= 1e-9
+            assert left.passed and left.identity.residual <= 1e-9

@@ -169,7 +169,7 @@ class TestFrames:
         # tr((K K*)^2) under- or overflows at these scales; the fit on K/|K| does not
         g = Frame(s * crandn(np.random.default_rng(7), 3, 4))
         report = tightness_check(g, bessel_as_k_frame(g))  # K K* = S_G: Parseval
-        assert report.tight and report.parseval
+        assert report.identity.ok and report.passed
         assert report.constant == pytest.approx(1.0, rel=RTOL)
 
     @pytest.mark.parametrize("s", [1e-160, 1e-170])
@@ -188,9 +188,9 @@ class TestFrames:
             lower = a * BOUNDS.lower * scaling.factor(s, (2, -2))
             upper = b * BOUNDS.upper * scaling.factor(s, (2, 0))
             v = validate_bounds(scaling.frame(s, VECTORS), scaling.env(s, K), lower, upper)
-            return (v.valid, v.lower_ok, v.upper_ok), {
+            return (v.passed, v.lower.ok, v.upper.ok), {
                 "lower slack": (v.lower_slack, (2, 0)), "upper slack": (v.upper_slack, (2, 0)),
-                "threshold": (v.threshold, (2, 0)),
+                "threshold": (v.lower.threshold, (2, 0)),
             }
         scaling.check(run)
 
@@ -206,11 +206,11 @@ class TestFrames:
             parseval = tightness_check(g, k_env)
             doubled = tightness_check(g.scaled(np.sqrt(2.0)), k_env)  # S = 2 K K*
             reports = (loose, vacuous, parseval, doubled)
-            verdicts = [(r.tight, r.parseval) for r in reports]
+            verdicts = [(r.identity.ok, r.passed) for r in reports]
             verdicts += [minimality_check(f), minimality_check(g), k_env.rank]
             return verdicts, {
-                "residuals": ([loose.residual, vacuous.residual], (2, 0)),
-                "thresholds": ([r.threshold for r in reports], (2, 0)),
+                "residuals": ([loose.identity.residual, vacuous.identity.residual], (2, 0)),
+                "thresholds": ([r.identity.threshold for r in reports], (2, 0)),
                 "constants": ([parseval.constant, doubled.constant], FIXED),
                 "biorthogonal": (biorthogonal_sequence(g).vectors, (-1, 0)),
             }
@@ -225,7 +225,7 @@ class TestDuality:
             bad = verify_k_dual(f, scaling.frame(s, STRANGER, DUAL), env)
             inherited = k_dual_lower_bounds(good)
             return (good.passed, bad.passed, bad.lower_bound_report), {
-                "thresholds": ([good.threshold, bad.threshold], OPERATOR),
+                "thresholds": ([good.identity.threshold, bad.identity.threshold], OPERATOR),
                 "non-dual residual": (bad.residual, OPERATOR),
                 "dual lower bound": (inherited[0], (-2, 0)),
                 "projected lower bound": (inherited[1], (2, -2)),
@@ -298,7 +298,7 @@ class TestDuality:
         def run(s):
             cert = reciprocal_dual(scaling.frame(s, VECTORS), scaling.env(s, K))
             return cert.passed, {
-                "threshold": (cert.threshold, OPERATOR),
+                "threshold": (cert.identity.threshold, OPERATOR),
                 "companion lower bound": (cert.lower_bound_report[0], (2, 0)),
                 "reduced lower bound": (cert.lower_bound_report[1], (-2, -2)),
             }
@@ -309,9 +309,9 @@ class TestDuality:
             f = scaling.frame(s, VECTORS)
             report = noncommutativity_witness(f, scaling.env(s, K))
             classical = noncommutativity_witness(f, scaling.env(s, np.eye(6)))
-            return (report.recovered, classical.recovered), {
+            return (report.recovery.ok, classical.recovery.ok), {
                 "discrepancies": (report.recovery_discrepancies, FRAME),
-                "thresholds": ([report.threshold, classical.threshold], FRAME),
+                "thresholds": ([report.recovery.threshold, classical.recovery.threshold], FRAME),
             }
         scaling.check(run)
 
@@ -332,10 +332,10 @@ class TestDuality:
             # off the split by 2e-8 relative, a representation at tolerance 1e-6
             split = minimal_norm_identity(f, env, target, c * (1 + 1e-8) * d, loose)
             coeffs = canonical_coefficients(f, env, target)
-            verdicts = (report.identity_ok, report.dual_ok, report.passed, refused[0])
-            return (verdicts, split.identity_ok), {
+            verdicts = (report.pythagoras.ok, report.dual.ok, report.passed, refused[0])
+            return (verdicts, split.pythagoras.ok), {
                 "lhs, rhs": ([report.lhs, report.rhs, split.lhs, split.rhs], (-2, 2)),
-                "dual-identity threshold": (report.dual_threshold, OPERATOR),
+                "dual-identity threshold": (report.dual.threshold, OPERATOR),
                 "d": (report.canonical, DUAL), "coefficients": (coeffs, DUAL),
                 "non-representation residual": (refused[1], OPERATOR),
             }
@@ -394,7 +394,7 @@ class TestMultipliers:
             right = k_right_inverse(mult, env)
             report = frames_from_multiplier_identity(mult, env)
             sides = (report.phi_side, report.psi_side)
-            return (check.ok, report.case, report.passed, [side.ok for side in sides]), {
+            return (check.ok, report.case, report.passed, [side.bound.ok for side in sides]), {
                 "norm": (mult.norm(), (2, 0)), "norm bound": (mult.norm_bound(), (2, 0)),
                 "norm threshold": (check.threshold, (2, 0)),
                 "right inverse": (right.matrix, (-2, 1)),
@@ -419,7 +419,8 @@ class TestMultipliers:
                 )
                 report = frames_from_multiplier_identity(mult, env)
             assert report.case == "identity"
-            assert not report.phi_side.ok and not report.psi_side.ok and not report.passed
+            assert not report.phi_side.bound.ok and not report.psi_side.bound.ok
+            assert not report.passed
 
     def test_perturbation(self, scaling):
         a, b = M_BOUNDS
@@ -431,13 +432,14 @@ class TestMultipliers:
             cond = perturbation_condition(phi, psi, env, M_SYM, *bounds)
             cert = perturbation_k_dual(phi, psi, env, M_SYM, bounds)
             fact = perturbation_right_inverse(phi, psi, env, M_SYM, bounds, dual_choice)
-            diag = fact.certificates
-            return (cond.satisfied, cert.passed, fact.passed), {
+            diag = fact.diagnostics
+            return (cond.condition.ok, cert.passed, fact.passed), {
                 "rho, tau": ([cond.rho, cond.tau], FRAME),
-                "dual": (cert.dual.vectors, DUAL), "dual threshold": (cert.threshold, OPERATOR),
+                "dual": (cert.dual.vectors, DUAL),
+                "dual threshold": (cert.identity.threshold, OPERATOR),
                 "dual lower bound": (cert.lower_bound_report[0], (-2, 0)),
                 "projected lower bound": (cert.lower_bound_report[1], (2, -2)),
-                "threshold": (fact.threshold, OPERATOR),
+                "threshold": (fact.identity.threshold, OPERATOR),
                 "margin, distance": ([diag["margin"], diag["distance"]], (2, 0)),
             }
         scaling.check(run)
@@ -460,7 +462,8 @@ class TestMultipliers:
             fact = perturbation_right_inverse(phi, phi, env, ones, pair, dual_choice)
             assert not fact.passed
             return fact.passed, {
-                "form residual": (fact.certificates["right_inverse_multiplier_form"], (-2, 1)),
+                "form residual": (
+                    fact.certificates["right_inverse_multiplier_form"].residual, (-2, 1)),
             }
         scaling.check(run)
 
@@ -477,10 +480,10 @@ class TestMultipliers:
                 scaling.frame(s, phi3.vectors), scaling.frame(s, psi3.vectors),
                 scaling.env(s, env3.k),
             )
-            thresholds = [bio.forward.threshold, bio.mirrored.threshold]
+            thresholds = [bio.forward.identity.threshold, bio.mirrored.identity.threshold]
             return (right.passed, left.passed, bio.passed, bio.mirrored.passed), {
-                "right threshold": (right.threshold, OPERATOR),
-                "left threshold": (left.threshold, (0, 2)),
+                "right threshold": (right.identity.threshold, OPERATOR),
+                "left threshold": (left.identity.threshold, (0, 2)),
                 "biorthogonal thresholds": (thresholds, OPERATOR),
             }
         scaling.check(run)
@@ -496,7 +499,8 @@ class TestMultipliers:
             wrong = M_LEFT * (1 + 1e-6) / c
             refused = outcome(inverse_as_multiplier, phi, psi, env, wrong, "left", dual_choice)
             return (out.passed, refused[0]), {
-                "threshold": (out.threshold, OPERATOR), "achieved": (out.achieved, OPERATOR),
+                "threshold": (out.identity.threshold, OPERATOR),
+                "achieved": (out.achieved, OPERATOR),
                 "not-an-inverse residual": (refused[1], OPERATOR),
             }
         scaling.check(run)
