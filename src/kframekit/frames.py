@@ -136,15 +136,15 @@ class FrameBounds:
     inclusion: CheckResult
 
 
-def _factored(q: np.ndarray | None, core: Frame, v: np.ndarray | None) -> Frame:
-    """The frame T = Q C V* for Q, V with orthonormal columns or None, C = T_core.
+def _factored(q: np.ndarray, core: Frame, v: np.ndarray | None) -> Frame:
+    """The frame T = Q C V* for Q, V with orthonormal columns (V may be None), C = T_core.
 
     Its vectors are formed from C, and ``_factors`` lifts the core's memoized SVD (a
     frame is never empty). ``k_frame_check`` against an env whose U_k is Q reads the
     core alone."""
     c = core.synthesis
     t = c if v is None else c @ v.conj().T
-    f = Frame((t if q is None else q @ t).T)
+    f = Frame((q @ t).T)
     object.__setattr__(f, "_form", (q, core, v))
     return f
 
@@ -161,13 +161,16 @@ def _factors(f: Frame) -> SvdFactors:
     """
 
     def build():
-        q, core, v = f._form or (None, None, None)
-        c = svd_decompose(f.synthesis) if core is None else _factors(core)
+        if f._form is None:  # C = T_F, gated by svd_decompose
+            c = svd_decompose(f.synthesis)
+            u, w = c.left_vectors, c.right_vectors
+        else:
+            q, core, v = f._form
+            c = _factors(core)
+            u = q @ c.left_vectors
+            w = c.right_vectors if v is None else v @ c.right_vectors
+            _check_reconstruction(SvdFactors(u, c.singular_values, w, c.rank), f.synthesis)
         s = c.singular_values
-        u = c.left_vectors if q is None else q @ c.left_vectors
-        w = c.right_vectors if v is None else v @ c.right_vectors
-        if q is not None or v is not None:  # C = T_F was gated by svd_decompose
-            _check_reconstruction(SvdFactors(u, s, w, c.rank), f.synthesis)
         r = _rank(s, f.synthesis.shape)
         return SvdFactors(_read_only(u[:, :r].copy()), s, _read_only(w[:, :r].copy()), r)
 

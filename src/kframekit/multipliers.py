@@ -536,8 +536,7 @@ def _perturbed_restriction(
         except RankDeficientRestriction as exc:
             raise RestrictionSingular(f"M collapses R(K) at perturbation distance "
                                       f"{distance:.3e} vs margin {margin:.3e}: {exc}") from exc
-        return minv, {"perturbation_rho": cond.rho, "perturbation_tau": cond.tau,
-                      "margin": margin, "distance": distance}
+        return minv, cond.condition, {"margin": margin, "distance": distance}
 
     return _memo(m, ("perturbed", phi, psi, env, tuple(bounds), tol), build)
 
@@ -580,9 +579,10 @@ def perturbation_right_inverse(
     K-dual Phi-d of Phi, and M_{mbar, P_K Psi, Phi} R = K is certified (the
     reversed multiplier needs its output projected onto R(K); the projection
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
-    The multiplier form of R must match it to ``tol`` |(M^-1)* K|_F.
+    The multiplier form of R must match it to ``tol`` |(M^-1)* K|_F. ``certificates``
+    holds that verdict and the perturbation ``condition`` rho <= tau.
     """
-    minv, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, tol)
+    minv, condition, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, tol)
     _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a K-dual of Phi")
     # (M^-1)* Q c = U_r (B^+)* c, for c = Q* K and c = Q* T_Phi
     right = minv.apply_adjoint(env.adjoint().range_factor.conj().T)
@@ -593,8 +593,9 @@ def perturbation_right_inverse(
     reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
     check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
-    return MultiplierFactorization((reversed_mult, r_mult), env.k, achieved, check,
-                                   {"right_inverse_multiplier_form": form}, dict(diagnostics))
+    return MultiplierFactorization(
+        (reversed_mult, r_mult), env.k, achieved, check,
+        {"condition": condition, "right_inverse_multiplier_form": form}, dict(diagnostics))
 
 
 def range_inclusion_right_inverse(

@@ -12,10 +12,9 @@ Two hand-checkable instances are embedded:
   K(c1,c2,c3,c4) = c1 e1 + c1 e2 + c2 e3, whose canonical dual {e1, e1, e2}
   is not biorthogonal to it. Valid bounds (1/8, 1), optimal bounds (1/2, 1).
 
-``reproduce_examples`` replays every golden identity and returns a check
-list; the CLI's ``examples`` command renders it. All irrational constants
-are FLOAT64 evaluations of closed forms, with symbolic tags kept for
-display only.
+``reproduce_examples`` replays every golden identity and returns one named
+verdict per identity; the CLI's ``examples`` command renders them. All
+irrational constants are FLOAT64 evaluations of the closed forms above.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .duality import (
     reciprocal_dual,
     verify_k_dual,
 )
+from .errors import KFrameError
 from .frames import (
     Frame,
     bessel_as_k_frame,
@@ -68,14 +68,14 @@ SQRT2 = math.sqrt(2.0)
 #: seed for the sampled quadratic-form verification (fixed and documented)
 GOLDEN_SEED = 7
 
-#: canonical-dual entry values with display-only symbolic tags
+#: FLOAT64 values of the closed forms the suite compares against
 GOLDEN_CONSTANTS = {
-    "dual_entry_repeated": (-4.0 / (5.0 * SQRT2), "-4/(5*sqrt2)"),
-    "dual_entry_single": (2.0 / (5.0 * SQRT2), "2/(5*sqrt2)"),
-    "dual_tight_ratio": (36.0 / 50.0, "36/50"),
-    "witness_first_component": (50.0 / (36.0 * SQRT2), "50/(36*sqrt2)"),
-    "majorization_lambda": (math.sqrt(3.0) / 2.0, "sqrt3/2"),
-    "perturbation_threshold": (1.0 / SQRT2, "1/sqrt2"),
+    "dual_entry_repeated": -4.0 / (5.0 * SQRT2),
+    "dual_entry_single": 2.0 / (5.0 * SQRT2),
+    "dual_tight_ratio": 36.0 / 50.0,
+    "witness_first_component": 50.0 / (36.0 * SQRT2),
+    "majorization_lambda": math.sqrt(3.0) / 2.0,
+    "perturbation_threshold": 1.0 / SQRT2,
 }
 
 
@@ -88,37 +88,24 @@ class WorkedExample:
     optimal_bounds: tuple[float, float]
 
 
-def projection_example(
-    vectors=None, operator=None
-) -> WorkedExample:
+def projection_example() -> WorkedExample:
     """Three vectors in C^2 against the projection onto span{e1}."""
-    if vectors is None:
-        s = 1.0 / SQRT2
-        vectors = [[-s, s], [-s, s], [s, s]]
-    if operator is None:
-        operator = [[1.0, 0.0], [0.0, 0.0]]
+    s = 1.0 / SQRT2
     return WorkedExample(
         "c2-projection",
-        Frame(vectors),
-        OperatorEnv.from_matrix(operator),
+        Frame([[-s, s], [-s, s], [s, s]]),
+        OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]]),
         (1.0, 2.0),
         (4.0 / 3.0, 2.0),
     )
 
 
-def minimal_example(vectors=None, operator=None) -> WorkedExample:
+def minimal_example() -> WorkedExample:
     """The minimal K-frame {e1, e2, e3} in C^4."""
-    if vectors is None:
-        vectors = np.eye(4)[:3]
-    if operator is None:
-        operator = np.zeros((4, 4))
-        operator[0, 0] = 1.0
-        operator[1, 0] = 1.0
-        operator[2, 1] = 1.0
     return WorkedExample(
         "c4-minimal",
-        Frame(vectors),
-        OperatorEnv.from_matrix(operator),
+        Frame(np.eye(4)[:3]),
+        OperatorEnv.from_matrix([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 0]]),
         (1.0 / 8.0, 1.0),
         (0.5, 1.0),
     )
@@ -135,13 +122,10 @@ def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
 
 @dataclass(frozen=True)
 class GoldenCheck:
-    """One golden assertion, the verdict ``check``, plus display values."""
+    """One golden assertion: its name and its verdict."""
 
     name: str
     check: CheckResult
-    observed: float | None = None
-    expected: float | None = None
-    symbolic: str = ""
 
 
 @dataclass(frozen=True)
@@ -158,63 +142,42 @@ def _entrywise(frame: Frame, expected_rows) -> float:
     return float(np.max(np.abs(frame.vectors - np.asarray(expected_rows, dtype=complex))))
 
 
-def reproduce_examples(
-    tol: float | None = None,
-    fixtures: dict | None = None,
-) -> GoldenRun:
+def reproduce_examples(tol: float | None = None) -> GoldenRun:
     """Replay every golden identity of the built-in worked instances.
 
     ``tol`` can only tighten the pinned thresholds (None leaves them as
     pinned), and it is the tolerance of every check the library makes along
-    the way (``IDENTITY_TOL`` when None). ``fixtures`` may override the
-    instance data (keys ``c2_vectors``, ``c2_operator``, ``c4_vectors``,
-    ``c4_operator``), which is how corruption is detected: a caller checks
-    ``passed``.
+    the way (``IDENTITY_TOL`` when None). A ``KFrameError`` ends its section
+    with one failed check ``"{section} [{code}]"`` of residual inf.
     """
-    from .errors import KFrameError
-
-    fixtures = fixtures or {}
     identity_tol = IDENTITY_TOL if tol is None else tol
     checks: list[GoldenCheck] = []
 
-    def add(name, residual, pinned, observed=None, expected=None, symbolic="",
-            exceed=False):
+    def add(name, residual, pinned, exceed=False):
         threshold = pinned if tol is None else min(pinned, tol)
         ok = (residual > threshold) if exceed else (residual <= threshold)
-        checks.append(GoldenCheck(name, CheckResult(bool(ok), float(residual), float(threshold)),
-                                  observed, expected, symbolic))
+        checks.append(GoldenCheck(name, CheckResult(bool(ok), float(residual), float(threshold))))
 
-    def section(name):
-        # domain errors inside a section become one failed check, so corrupted
-        # fixtures are reported instead of aborting the suite
-        def wrap(fn):
-            try:
-                fn()
-            except KFrameError as exc:
-                add(f"{name} [{exc.code}]", float("inf"), 0.0, symbolic=str(exc))
-        return wrap
-
-    ex2 = projection_example(fixtures.get("c2_vectors"), fixtures.get("c2_operator"))
-    ex4 = minimal_example(fixtures.get("c4_vectors"), fixtures.get("c4_operator"))
+    ex2, ex4 = projection_example(), minimal_example()
     f2, env2 = ex2.frame, ex2.env
     f4, env4 = ex4.frame, ex4.env
     eye4 = np.eye(4)
+    rep = GOLDEN_CONSTANTS["dual_entry_repeated"]
+    single = GOLDEN_CONSTANTS["dual_entry_single"]
 
-    @section("c2.bounds")
-    def _():
+    def c2_bounds():
         val = validate_bounds(f2, env2, *ex2.reference_bounds, identity_tol)
         add("c2.reference-bounds-valid",
             max(0.0, val.lower.residual) + max(0.0, val.upper.residual), val.lower.threshold)
         bounds = k_frame_check(f2, env2, identity_tol)
         add("c2.optimal-lower", abs(bounds.lower - ex2.optimal_bounds[0]),
-            1e-9 * ex2.optimal_bounds[0], bounds.lower, ex2.optimal_bounds[0], "4/3")
+            1e-9 * ex2.optimal_bounds[0])
         add("c2.optimal-upper", abs(bounds.upper - ex2.optimal_bounds[1]),
-            1e-9 * ex2.optimal_bounds[1], bounds.upper, ex2.optimal_bounds[1], "2")
+            1e-9 * ex2.optimal_bounds[1])
+        lam = majorization_constant(env2.k, f2.synthesis, identity_tol)
+        add("c2.majorization-lambda", abs(lam - GOLDEN_CONSTANTS["majorization_lambda"]), 1e-12)
 
-        lam, lam_sym = GOLDEN_CONSTANTS["majorization_lambda"]
-        observed = majorization_constant(env2.k, f2.synthesis, identity_tol)
-        add("c2.majorization-lambda", abs(observed - lam), 1e-12, observed, lam, lam_sym)
-
+        # <S f, f> = 3/2 (a^2 + b^2) - ab at sampled real f = (a, b)
         rng = np.random.default_rng(GOLDEN_SEED)
         s_op = f2.frame_operator
         worst = 0.0
@@ -224,153 +187,113 @@ def reproduce_examples(
             lhs = float(np.real(np.vdot(fvec, s_op @ fvec)))
             rhs = 1.5 * (a * a + b * b) - a * b
             worst = max(worst, abs(lhs - rhs))
-        add("c2.quadratic-form", worst, 1e-10, symbolic="3/2(a^2+b^2) - ab")
+        add("c2.quadratic-form", worst, 1e-10)
 
-    rep, rep_sym = GOLDEN_CONSTANTS["dual_entry_repeated"]
-    single, single_sym = GOLDEN_CONSTANTS["dual_entry_single"]
-
-    @section("c2.dual")
-    def _():
+    def c2_dual():
         dual2 = canonical_k_dual(f2, env2, identity_tol)
-        formula_order = [[rep, 0.0], [rep, 0.0], [single, 0.0]]
-        add("c2.canonical-dual-order", _entrywise(dual2, formula_order), 1e-12,
-            symbolic=f"{rep_sym}, {rep_sym}, {single_sym}")
-        display_multiset = sorted([rep, single, rep])
-        computed_multiset = sorted(np.real(dual2.vectors[:, 0]).tolist())
-        add(
-            "c2.canonical-dual-multiset",
-            float(np.max(np.abs(np.array(computed_multiset) - np.array(display_multiset)))),
-            1e-12,
-            symbolic=f"{{{rep_sym}, {single_sym}, {rep_sym}}}",
-        )
-
-        ratio, ratio_sym = GOLDEN_CONSTANTS["dual_tight_ratio"]
-        gram_k = env2.k @ env2.k_adjoint
-        add(
-            "c2.dual-frame-operator",
-            spectral_norm(dual2.frame_operator - ratio * gram_k),
-            1e-12,
-            expected=ratio,
-            symbolic=f"S = {ratio_sym} K K*",
-        )
+        add("c2.canonical-dual-order",
+            _entrywise(dual2, [[rep, 0.0], [rep, 0.0], [single, 0.0]]), 1e-12)
+        multiset = np.array(sorted(np.real(dual2.vectors[:, 0]).tolist()))
+        add("c2.canonical-dual-multiset",
+            float(np.max(np.abs(multiset - np.array(sorted([rep, single, rep]))))), 1e-12)
+        ratio = GOLDEN_CONSTANTS["dual_tight_ratio"]  # S = 36/50 K K*
+        add("c2.dual-frame-operator",
+            spectral_norm(dual2.frame_operator - ratio * (env2.k @ env2.k_adjoint)), 1e-12)
 
         cert2 = verify_k_dual(f2, dual2, env2, identity_tol)
         add("c2.dual-certificate", cert2.identity.residual, cert2.identity.threshold)
         lb_dual, lb_proj = k_dual_lower_bounds(cert2, identity_tol)
-        add("c2.dual-lower-bound-g", abs(lb_dual - ratio), 1e-9, lb_dual, ratio, ratio_sym)
-        add("c2.dual-lower-bound-projected", abs(lb_proj - 1.5), 1e-9, lb_proj, 1.5, "3/2")
+        add("c2.dual-lower-bound-g", abs(lb_dual - ratio), 1e-9)
+        add("c2.dual-lower-bound-projected", abs(lb_proj - 1.5), 1e-9)
 
         witness = noncommutativity_witness(f2, env2, identity_tol)
-        wfirst, wfirst_sym = GOLDEN_CONSTANTS["witness_first_component"]
+        wfirst = GOLDEN_CONSTANTS["witness_first_component"]
         image3 = witness.images_of_frame[2]
-        add(
-            "c2.witness-value",
-            float(np.max(np.abs(image3 - np.array([wfirst, 0.0])))),
-            1e-12,
-            observed=float(np.real(image3[0])),
-            expected=wfirst,
-            symbolic=wfirst_sym,
-        )
+        add("c2.witness-value", float(np.max(np.abs(image3 - np.array([wfirst, 0.0])))), 1e-12)
         add("c2.witness-discrepancy", float(witness.frame_discrepancies[2]), 0.1,
             exceed=True)
 
-    @section("c2.perturbation")
-    def _():
+    def c2_perturbation():
         dual2 = canonical_k_dual(f2, env2, identity_tol)
-        tau, tau_sym = GOLDEN_CONSTANTS["perturbation_threshold"]
         ones3 = Symbol.ones(3)
         cond = perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0, identity_tol)
-        add("c2.perturbation-threshold", abs(cond.tau - tau), 1e-12, cond.tau, tau, tau_sym)
+        add("c2.perturbation-threshold",
+            abs(cond.tau - GOLDEN_CONSTANTS["perturbation_threshold"]), 1e-12)
 
         collapse = perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0), identity_tol)
-        collapse_dev = float(
-            np.max(np.abs(np.sort_complex(collapse.dual.vectors[:, 0])
-                          - np.sort_complex(dual2.vectors[:, 0])))
-        )
+        collapse_dev = float(np.max(np.abs(np.sort_complex(collapse.dual.vectors[:, 0])
+                                           - np.sort_complex(dual2.vectors[:, 0]))))
         add("c2.perturbation-collapse", max(collapse.identity.residual, collapse_dev), 1e-10)
 
-    @section("c2.coefficients")
-    def _():
+    def c2_coefficients():
         dual2 = canonical_k_dual(f2, env2, identity_tol)
         e1 = np.array([1.0, 0.0], dtype=complex)
         coeffs = canonical_coefficients(f2, env2, e1, identity_tol)
-        add(
-            "c2.canonical-coefficients",
-            float(np.max(np.abs(coeffs - np.array([rep, rep, single])))),
-            1e-10,
-            symbolic=f"({rep_sym}, {rep_sym}, {single_sym})",
-        )
-        d = dual2.analysis @ e1
-        offset = d + 0.7 * np.array([1.0, -1.0, 0.0])
+        add("c2.canonical-coefficients",
+            float(np.max(np.abs(coeffs - np.array([rep, rep, single])))), 1e-10)
+        offset = dual2.analysis @ e1 + 0.7 * np.array([1.0, -1.0, 0.0])
         report = minimal_norm_identity(f2, env2, e1, offset, identity_tol)
-        add("c2.minimal-norm-pythagoras",
-            max(abs(report.lhs - 1.7), report.relative_error, report.dual.residual),
-            1e-10, report.lhs, 1.7, "0.72 + 2 (0.7)^2")
+        add("c2.minimal-norm-pythagoras",  # ||c||^2 = 0.72 + 2 (0.7)^2
+            max(abs(report.lhs - 1.7), report.relative_error, report.dual.residual), 1e-10)
 
-    @section("c4.dual")
-    def _():
+    def c4_dual():
         dual4 = canonical_k_dual(f4, env4, identity_tol)
         add("c4.canonical-dual-entries",
-            _entrywise(dual4, [eye4[0], eye4[0], eye4[1]]), 1e-12, symbolic="{e1, e1, e2}")
+            _entrywise(dual4, [eye4[0], eye4[0], eye4[1]]), 1e-12)
         pairing = complex(np.vdot(dual4.vectors[1], f4.vectors[0]))
-        add("c4.non-biorthogonality", abs(pairing - 1.0), 1e-12,
-            float(np.real(pairing)), 1.0)
+        add("c4.non-biorthogonality", abs(pairing - 1.0), 1e-12)
         tight4 = tightness_check(dual4, env4.adjoint(), identity_tol)
         add("c4.dual-parseval-adjoint", tight4.identity.residual + (0.0 if tight4.passed else 1.0),
             tight4.identity.threshold)
 
-    @section("c4.bounds")
-    def _():
+    def c4_bounds():
         val4 = validate_bounds(f4, env4, *ex4.reference_bounds, identity_tol)
         add("c4.reference-bounds-valid",
             max(0.0, val4.lower.residual) + max(0.0, val4.upper.residual), val4.lower.threshold)
         bounds4 = k_frame_check(f4, env4, identity_tol)
-        add("c4.optimal-lower", abs(bounds4.lower - 0.5), 1e-9 * 0.5,
-            bounds4.lower, 0.5, "1/2")
-        add("c4.optimal-upper", abs(bounds4.upper - 1.0), 1e-9, bounds4.upper, 1.0, "1")
+        add("c4.optimal-lower", abs(bounds4.lower - 0.5), 1e-9 * 0.5)
+        add("c4.optimal-upper", abs(bounds4.upper - 1.0), 1e-9)
 
-    @section("c4.structure")
-    def _():
-        minimal_ok = minimality_check(f4)
-        bio = biorthogonal_sequence(f4)
-        add("c4.biorthogonal-self",
-            (0.0 if minimal_ok else 1.0) + _entrywise(bio, f4.vectors), 1e-12)
+    def c4_structure():
+        add("c4.biorthogonal-self", (0.0 if minimality_check(f4) else 1.0)
+            + _entrywise(biorthogonal_sequence(f4), f4.vectors), 1e-12)
 
+        # D = {(e1+e2)/2, (e1+e2)/2, e3}, H = {e1, e1, e2}
         recip = reciprocal_dual(f4, env4, identity_tol)
         half = (eye4[0] + eye4[1]) / 2.0
-        add(
-            "c4.reciprocal-dual",
-            max(
-                recip.identity.residual,
-                _entrywise(recip.frame, [half, half, eye4[2]]),
-                _entrywise(recip.dual, [eye4[0], eye4[0], eye4[1]]),
-            ),
-            1e-10,
-            symbolic="D = {(e1+e2)/2, (e1+e2)/2, e3}; H = {e1, e1, e2}",
-        )
+        add("c4.reciprocal-dual", max(recip.identity.residual,
+                                      _entrywise(recip.frame, [half, half, eye4[2]]),
+                                      _entrywise(recip.dual, [eye4[0], eye4[0], eye4[1]])), 1e-10)
 
-        env_b = bessel_as_k_frame(f4)
-        tight_b = tightness_check(f4, env_b, identity_tol)
+        tight_b = tightness_check(f4, bessel_as_k_frame(f4), identity_tol)
         add("c4.bessel-embedding-parseval", tight_b.identity.residual
             + (0.0 if tight_b.passed else 1.0), tight_b.identity.threshold)
 
-    @section("c2h.range-inclusion")
-    def _():
+    def c2h_range_inclusion():
         psi_h, phi_h, env_h = hand_inclusion_instance()
+        # M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K, with both factor frames {e1/2, e1/2}
         right_h = range_inclusion_right_inverse(psi_h, phi_h, env_h, identity_tol)
         half_e1 = [[0.5, 0.0], [0.5, 0.0]]
-        add(
-            "c2h.range-inclusion-right",
-            max(
-                right_h.identity.residual,
-                _entrywise(right_h.factors[1].phi, half_e1),
-                _entrywise(right_h.factors[1].psi, half_e1),
-            ),
-            1e-12,
-            symbolic="M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K",
-        )
+        add("c2h.range-inclusion-right", max(right_h.identity.residual,
+                                             _entrywise(right_h.factors[1].phi, half_e1),
+                                             _entrywise(right_h.factors[1].psi, half_e1)), 1e-12)
+        # M_{1,Phi~,Psi+} M_{1,Psi,Phi} K* = K K*
         left_h = range_inclusion_left_inverse(psi_h, phi_h, env_h, identity_tol)
-        add("c2h.range-inclusion-left", left_h.identity.residual, 1e-12,
-            symbolic="M_{1,Phi~,Psi+} M_{1,Psi,Phi} K* = K K*")
+        add("c2h.range-inclusion-left", left_h.identity.residual, 1e-12)
+
+    for section, replay in (
+        ("c2.bounds", c2_bounds),
+        ("c2.dual", c2_dual),
+        ("c2.perturbation", c2_perturbation),
+        ("c2.coefficients", c2_coefficients),
+        ("c4.dual", c4_dual),
+        ("c4.bounds", c4_bounds),
+        ("c4.structure", c4_structure),
+        ("c2h.range-inclusion", c2h_range_inclusion),
+    ):
+        try:
+            replay()
+        except KFrameError as exc:
+            add(f"{section} [{exc.code}]", float("inf"), 0.0)
 
     return GoldenRun(tuple(checks), GOLDEN_SEED)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import minimal_instance
 
-from kframekit import io
+from kframekit import io, worked
 from kframekit.cli import JobSpec, main, run_job
 from kframekit.duality import (
     BoundReport,
@@ -670,11 +670,88 @@ class TestGoldenSuite:
         run = reproduce_examples()
         assert run.passed and len(run.checks) >= 25
 
-    def test_strict_mode_on_corruption(self):
-        bad = {"c2_vectors": [[0.9, 0.1], [-0.7, 0.7], [0.7, 0.7]]}
-        run = reproduce_examples(fixtures=bad)
+    def test_strict_mode_on_corruption(self, monkeypatch):
+        ex2 = projection_example()
+        bad = Frame([[0.9, 0.1], [-0.7, 0.7], [0.7, 0.7]])
+        monkeypatch.setattr(worked, "projection_example",
+                            lambda: dataclasses.replace(ex2, frame=bad))
+        run = reproduce_examples()
         assert not run.passed
         assert any(c.name.startswith("c2.") and not c.check.ok for c in run.checks)
+
+    def test_report_is_pinned(self):
+        # (name, ok, threshold) in report order; None marks a threshold read off a
+        # library verdict, compared to the expected value at rel 1e-12
+        library = {"c2.reference-bounds-valid": 2e-10, "c2.dual-certificate": 1e-10,
+                   "c4.dual-parseval-adjoint": 2e-10, "c4.reference-bounds-valid": 1e-10,
+                   "c4.bessel-embedding-parseval": 1e-10}
+        default = [
+            ("c2.reference-bounds-valid", True, None),
+            ("c2.optimal-lower", True, 1e-9 * (4.0 / 3.0)),
+            ("c2.optimal-upper", True, 1e-9 * 2.0),
+            ("c2.majorization-lambda", True, 1e-12),
+            ("c2.quadratic-form", True, 1e-10),
+            ("c2.canonical-dual-order", True, 1e-12),
+            ("c2.canonical-dual-multiset", True, 1e-12),
+            ("c2.dual-frame-operator", True, 1e-12),
+            ("c2.dual-certificate", True, None),
+            ("c2.dual-lower-bound-g", True, 1e-9),
+            ("c2.dual-lower-bound-projected", True, 1e-9),
+            ("c2.witness-value", True, 1e-12),
+            ("c2.witness-discrepancy", True, 0.1),
+            ("c2.perturbation-threshold", True, 1e-12),
+            ("c2.perturbation-collapse", True, 1e-10),
+            ("c2.canonical-coefficients", True, 1e-10),
+            ("c2.minimal-norm-pythagoras", True, 1e-10),
+            ("c4.canonical-dual-entries", True, 1e-12),
+            ("c4.non-biorthogonality", True, 1e-12),
+            ("c4.dual-parseval-adjoint", True, None),
+            ("c4.reference-bounds-valid", True, None),
+            ("c4.optimal-lower", True, 1e-9 * 0.5),
+            ("c4.optimal-upper", True, 1e-9),
+            ("c4.biorthogonal-self", True, 1e-12),
+            ("c4.reciprocal-dual", True, 1e-10),
+            ("c4.bessel-embedding-parseval", True, None),
+            ("c2h.range-inclusion-right", True, 1e-12),
+            ("c2h.range-inclusion-left", True, 1e-12),
+        ]
+        run = reproduce_examples()
+        assert [c.name for c in run.checks] == [name for name, _, _ in default]
+        for c, (name, ok, threshold) in zip(run.checks, default):
+            assert c.check.ok is ok, name
+            if threshold is None:
+                assert c.check.threshold == pytest.approx(library[name], rel=1e-12), name
+            else:
+                assert c.check.threshold == threshold, name
+            if name == "c2.witness-discrepancy":
+                assert c.check.residual > c.check.threshold, name
+            else:
+                assert c.check.residual <= c.check.threshold, name
+
+        # at 1e-16 five sections raise and each reports one failed check, residual inf
+        tol = 1e-16
+        strict = [
+            ("c2.reference-bounds-valid", True, tol),
+            ("c2.bounds [internal-consistency]", False, 0.0),
+            ("c2.dual [internal-consistency]", False, 0.0),
+            ("c2.perturbation [internal-consistency]", False, 0.0),
+            ("c2.coefficients [internal-consistency]", False, 0.0),
+            ("c4.canonical-dual-entries", False, tol),
+            ("c4.non-biorthogonality", False, tol),
+            ("c4.dual-parseval-adjoint", False, tol),
+            ("c4.reference-bounds-valid", True, tol),
+            ("c4.optimal-lower", False, tol),
+            ("c4.optimal-upper", True, tol),
+            ("c4.biorthogonal-self", True, tol),
+            ("c4.reciprocal-dual", False, tol),
+            ("c4.bessel-embedding-parseval", True, tol),
+            ("c2h.range-inclusion [not-k-frame]", False, 0.0),
+        ]
+        run = reproduce_examples(tol)
+        assert [(c.name, c.check.ok, c.check.threshold) for c in run.checks] == strict
+        for c in run.checks:
+            assert (c.check.residual <= c.check.threshold) is c.check.ok, c.name
+            assert (c.check.residual == float("inf")) is ("[" in c.name), c.name
 
     def test_tightened_tolerance_fails_float_identities(self):
         run = reproduce_examples(tol=1e-30)

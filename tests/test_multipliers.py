@@ -558,6 +558,18 @@ class TestPerturbationConstructions:
             )
             assert fact.passed and fact.identity.residual <= 1e-9
 
+    def test_right_inverse_carries_the_condition(self, c2_example):
+        # rho <= tau is a certificate, the verdict perturbation_condition returns;
+        # diagnostics keep only the numbers no verdict holds
+        f, env, ones = c2_example.frame, c2_example.env, Symbol.ones(3)
+        cond = perturbation_condition(f, f, env, ones, 1.0, 2.0)
+        psi = perturbed_pair(np.random.default_rng(149), f, env, cond.tau, 0.5)
+        fact = perturbation_right_inverse(f, psi, env, ones, (1.0, 2.0), canonical_k_dual(f, env))
+        assert fact.certificates["condition"] == perturbation_condition(
+            f, psi, env, ones, 1.0, 2.0).condition
+        assert 0.0 < fact.certificates["condition"].residual < cond.tau
+        assert set(fact.diagnostics) == {"margin", "distance"}
+
     def test_right_inverse_trivial_instance(self):
         f = Frame.standard_basis(2)
         env = OperatorEnv.identity(2)
