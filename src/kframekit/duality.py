@@ -37,6 +37,7 @@ from .frames import (
     Frame,
     _factored,
     _factors,
+    _k_frame_hypothesis,
     k_frame_check,
     optimal_bessel_bound,
     validate_bounds,
@@ -81,7 +82,8 @@ class KDualCertificate:
     Its residual is the spectral norm of K - P_{R(K)} T_F T_G*; the pair passes iff
     ``identity`` does. ``lower_bound_report`` carries the
     optimal lower K*-frame bound of G and the optimal lower K-frame bound of
-    {P_{R(K)} f_i} (present only for passing certificates).
+    {P_{R(K)} f_i}, only from ``verify_k_dual`` on a passing pair; the constructions leave
+    it None, and ``k_dual_lower_bounds`` computes them for any passing certificate.
     """
 
     frame: Frame
@@ -128,10 +130,11 @@ def canonical_k_dual(
     Index order follows ``f`` (equal frame vectors yield equal duals). Built
     as (K* Q) B^+ Sigma V_r* = V_k (Sigma_k B^+ Sigma) V_r* with the k x r core as a
     frame, whose one SVD serves the dual's factors and its K*-frame check (on the core,
-    ``k_frame_check``). Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame.
+    ``k_frame_check``). Raises NotKFrame / ZeroOperator when ``f`` is not a K-frame
+    (``_k_frame_hypothesis``); no A is computed, so none raises on over- or underflow.
     Memoized on ``f`` per (env, tol).
     """
-    k_frame_check(f, env, tol)
+    _k_frame_hypothesis(f, env, tol)
     core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
     return _factored(env.adjoint().range_basis, Frame(core.T), _factors(f).right_vectors)
 
@@ -349,15 +352,17 @@ def reciprocal_dual(
 
     The certified identity is
     K f = sum_i <K f, P_{R(K)} f_i> P_{R(K)} (S_F|_{R(K)})^-1 P_{S_F(R(K))} f_i.
+    F is tested by its inclusion alone (no A, none raised on over- or underflow); the
+    pair's lower bounds come from ``k_dual_lower_bounds``.
     """
-    k_frame_check(f, env, tol)
+    _k_frame_hypothesis(f, env, tol)
     fac = _factors(f)
     coords = _restriction(f, env).coordinates()
     reduced = _factored(env.range_basis, Frame(coords.T), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
     companion = _factored(env.adjoint().range_basis, Frame(core.T), fac.right_vectors)
-    return verify_k_dual(reduced, companion, env, tol)
+    return verify_k_dual(reduced, companion, env, tol, with_lower_bounds=False)
 
 
 @dataclass(frozen=True)

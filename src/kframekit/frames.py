@@ -9,8 +9,8 @@ bound is equivalent to R(K) being contained in R(T_F), and the optimal
 constants are eigenvalue quantities: B = sigma_max(T_F)^2 and
 A = 1 / lambda^2 for the least lambda with K K* <= lambda^2 S_F.
 
-The functions here always compute optimal bounds; ``validate_bounds``
-confirms user-supplied (possibly non-optimal) pairs.
+``k_frame_check`` computes optimal bounds, ``_k_frame_hypothesis`` only the
+inclusion; ``validate_bounds`` confirms user-supplied (possibly non-optimal) pairs.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class Frame:
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
     built on it, the coordinates frame {U_k* f_i} and (per tolerance too) the
-    results of ``k_frame_check`` and ``canonical_k_dual``. Memoization never
-    changes a result, entries are only ever added (so concurrent use stays
-    safe), and no n x n matrix is kept.
+    results of ``k_frame_check``, ``_k_frame_hypothesis`` and ``canonical_k_dual``.
+    Memoization never changes a result, entries are only ever added (so concurrent
+    use stays safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
     vectors; frames built from known factors keep a small core C (``_factored``),
     which may be a frame whose SVD they lift.
@@ -182,26 +182,20 @@ def optimal_bessel_bound(f: Frame) -> float:
     return f.norm() ** 2
 
 
-@_memoized_per_operator
-def k_frame_check(
-    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
-) -> FrameBounds:
-    """Optimal K-frame bounds (A, B) of ``f`` against the operator of ``env``.
+def _core(f: Frame, env: OperatorEnv) -> Frame | None:
+    """The core C of T_F = U_k C W* (``_factored``, Q equal to U_k entry for entry), else None."""
+    q, inner, _ = f._form or (None, None, None)
+    return inner if q is not None and np.array_equal(q, env.range_basis) else None
 
-    Raises NotKFrame when R(K) is not contained in R(T_F) (exactly the
-    failure of the lower bound), ZeroOperator for K = 0 (the condition is
-    vacuous and every downstream formula divides by A). The frame's one SVD
-    (``_factors``) serves the inclusion test (decided by its rank alone, residual
-    0, when T_F spans C^n), B and the Douglas route A = (1/|pinv(T_F) K|)^2;
-    OverflowError when A is not a finite float, FloatingPointError when it is
-    below the least normal float. The one cross-check, ``linalg``'s
-    QR route, shares only U_r of that SVD; it must agree with the Douglas route in
-    lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f``
-    per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
-    so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
-    T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
-    as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
-    C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
+
+@_memoized_per_operator
+def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -> CheckResult:
+    """The passed test of R(K) in R(T_F): by Douglas' lemma, that ``f`` is a K-frame.
+
+    Computes no bound. Raises ZeroOperator for K = 0 (the condition is vacuous and every
+    downstream formula divides by A), NotKFrame when the inclusion fails and
+    InternalConsistencyError when ``_douglas``'s residual gate does. Memoized on ``f``
+    per (env, tol) as the verdict alone.
     """
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
@@ -209,13 +203,39 @@ def k_frame_check(
         )
     if env.rank == 0:
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
-    q, inner, _ = f._form or (None, None, None)
-    if q is not None and np.array_equal(q, env.range_basis):
-        return k_frame_check(inner, env.range_coordinates, tol)
+    core = _core(f, env)
+    if core is not None:
+        return _k_frame_hypothesis(core, env.range_coordinates, tol)
+    return _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(), tol,
+                    NotKFrame, "R(K) not contained in R(T_F)")[0]
+
+
+@_memoized_per_operator
+def k_frame_check(
+    f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
+) -> FrameBounds:
+    """Optimal K-frame bounds (A, B) of ``f`` against the operator of ``env``.
+
+    Raises as ``_k_frame_hypothesis``, whose memoized verdict it reuses; the constructions
+    that need only F to be a K-frame call that alone. The frame's one SVD (``_factors``)
+    serves the inclusion test (decided by its rank alone, residual 0, when T_F spans C^n),
+    B and the Douglas route A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite
+    float, FloatingPointError when it is below the least normal float. The one
+    cross-check, ``linalg``'s QR route, shares only U_r of that SVD; it must agree with
+    the Douglas route in lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on
+    ``f`` per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
+    so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
+    T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
+    as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
+    C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
+    """
+    inclusion = _k_frame_hypothesis(f, env, tol)
+    core = _core(f, env)
+    if core is not None:
+        return k_frame_check(core, env.range_coordinates, tol)
     factors = _factors(f)
-    inclusion, _, core = _douglas(env.range_factor, f.synthesis, factors, env.norm(), tol,
-                                  NotKFrame, "R(K) not contained in R(T_F)")
-    lam = _majorization(env.range_factor, f.synthesis, factors, core)
+    a = env.range_factor
+    lam = _majorization(a, f.synthesis, factors, factors.solve(a)[1])
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda
     except (OverflowError, ZeroDivisionError):

@@ -24,8 +24,8 @@ is safe.
 Each function factors its operand once: ``majorization_constant`` passes
 one ``SvdFactors`` through every step that needs it. Douglas' lemma is
 decided once, in the private ``_douglas`` step (inclusion test raising the
-caller's error, minimal solution, residual gate), which ``k_frame_check``
-and both multiplier inverses share. It applies the factors in order
+caller's error, minimal solution, residual gate), which the K-frame
+hypothesis and both multiplier inverses share. It applies the factors in order
 (``SvdFactors.solve``) and reads lambda off the r x m core Sigma_r^-1 U_r*
 l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
 which shares only the range basis U_r. Reported residuals are spectral

@@ -50,6 +50,7 @@ from .frames import (
     Frame,
     _factored,
     _factors,
+    _k_frame_hypothesis,
     biorthogonal_sequence,
     k_frame_check,
     optimal_bessel_bound,
@@ -444,9 +445,9 @@ def biorthogonal_right_inverse(
     M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K, and its adjoint
     M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
     """
-    k_frame_check(phi, env, tol)
+    _k_frame_hypothesis(phi, env, tol)
     bio = biorthogonal_sequence(psi)
-    k_frame_check(psi, env.adjoint(), tol)
+    _k_frame_hypothesis(psi, env.adjoint(), tol)
     ones = Symbol.ones(phi.size)
     phi_tilde = canonical_k_dual(phi, env, tol)
     projected = _projected(phi, env)
@@ -487,7 +488,7 @@ def perturbation_condition(
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
     if phi.size != psi.size or phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("Phi and Psi must share index count and ambient dimension")
-    k_frame_check(phi, env, tol)
+    _k_frame_hypothesis(phi, env, tol)
     validation = validate_bounds(phi, env, a_bound, b_bound, tol)
     if not validation.passed:
         raise InvalidBounds(
@@ -554,14 +555,15 @@ def perturbation_k_dual(
     M = M_{m,Phi,Psi} is inverted as a bijection R(K) -> M(R(K)); for
     Psi = Phi and m = 1 the construction collapses to the canonical K-dual.
     Returns the certificate of the constructed dual V_k C (k x N core C, as a frame,
-    which its K*-frame check reads) against Psi.
+    which its K*-frame check reads) against Psi. Phi is tested by its inclusion alone (no
+    A, none raised on over- or underflow); ``k_dual_lower_bounds`` gives the lower bounds.
     """
     minv = _perturbed_restriction(phi, psi, env, m, bounds, tol)[0]
     # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
     core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
     dual = _factored(env.adjoint().range_basis,
                      Frame((env.factors.singular_values[: env.rank, None] * core).T), None)
-    return verify_k_dual(psi, dual, env, tol)
+    return verify_k_dual(psi, dual, env, tol, with_lower_bounds=False)
 
 
 def perturbation_right_inverse(
@@ -610,8 +612,8 @@ def range_inclusion_right_inverse(
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
-    k_frame_check(psi, env, tol)
-    k_frame_check(phi, env.adjoint(), tol)
+    _k_frame_hypothesis(psi, env, tol)
+    _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
         psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint), psi.norm(), tol,
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
@@ -642,8 +644,8 @@ def range_inclusion_left_inverse(
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
-    k_frame_check(psi, env, tol)
-    k_frame_check(phi, env.adjoint(), tol)
+    _k_frame_hypothesis(psi, env, tol)
+    _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
         phi.analysis, svd_decompose(psi.analysis @ env.k), phi.norm(), tol,
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",

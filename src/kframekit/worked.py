@@ -81,7 +81,6 @@ GOLDEN_CONSTANTS = {
 
 @dataclass(frozen=True)
 class WorkedExample:
-    name: str
     frame: Frame
     env: OperatorEnv
     reference_bounds: tuple[float, float]  # hand-derived valid (not optimal) pair
@@ -92,7 +91,6 @@ def projection_example() -> WorkedExample:
     """Three vectors in C^2 against the projection onto span{e1}."""
     s = 1.0 / SQRT2
     return WorkedExample(
-        "c2-projection",
         Frame([[-s, s], [-s, s], [s, s]]),
         OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]]),
         (1.0, 2.0),
@@ -103,7 +101,6 @@ def projection_example() -> WorkedExample:
 def minimal_example() -> WorkedExample:
     """The minimal K-frame {e1, e2, e3} in C^4."""
     return WorkedExample(
-        "c4-minimal",
         Frame(np.eye(4)[:3]),
         OperatorEnv.from_matrix([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 0]]),
         (1.0 / 8.0, 1.0),
@@ -251,8 +248,10 @@ def reproduce_examples(tol: float | None = None) -> GoldenRun:
         add("c4.reference-bounds-valid",
             max(0.0, val4.lower.residual) + max(0.0, val4.upper.residual), val4.lower.threshold)
         bounds4 = k_frame_check(f4, env4, identity_tol)
-        add("c4.optimal-lower", abs(bounds4.lower - 0.5), 1e-9 * 0.5)
-        add("c4.optimal-upper", abs(bounds4.upper - 1.0), 1e-9)
+        add("c4.optimal-lower", abs(bounds4.lower - ex4.optimal_bounds[0]),
+            1e-9 * ex4.optimal_bounds[0])
+        add("c4.optimal-upper", abs(bounds4.upper - ex4.optimal_bounds[1]),
+            1e-9 * ex4.optimal_bounds[1])
 
     def c4_structure():
         add("c4.biorthogonal-self", (0.0 if minimality_check(f4) else 1.0)

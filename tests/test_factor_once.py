@@ -54,8 +54,8 @@ from kframekit import (
 )
 from kframekit.duality import _coordinates, _restriction
 from kframekit.errors import InternalConsistencyError, NotKFrame
-from kframekit.frames import _factors
-from kframekit.linalg import majorization_constant, spectral_norm
+from kframekit.frames import _factors, _k_frame_hypothesis
+from kframekit.linalg import CheckResult, majorization_constant, spectral_norm
 from kframekit.multipliers import _perturbed_restriction, _projected
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
@@ -67,9 +67,14 @@ PIPELINE_CEILING = 20
 # K-identity residuals; no multiplier and none of its frames is factored
 PERTURBED_RIGHT_INVERSE = 3
 # one op of the multipliers-n16 bench workload: the bench's factorizations_per_op
-# (57), plus the QR and the triangular solve of each of its 9 majorization
-# cross-checks, which the bench does not count
-MULTIPLIERS_OP = 75
+# (43), plus the QR and the triangular solve of each of its 3 majorization
+# cross-checks (the optimal bounds of frames_from_multiplier_identity's two sides and
+# k_right_inverse's lambda), which the bench does not count. The range-inclusion and
+# biorthogonal constructions test their four K-frame hypotheses by the inclusion alone
+# (each without lambda's norm, the cross-check's QR, solve and norm), and the
+# perturbation dual's certificate computes no lower bounds (the SVD, two norms, QR
+# and solve of each of its two k_frame_checks): 75 -> 49
+MULTIPLIERS_OP = 49
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -213,6 +218,38 @@ class TestCounts:
         assert operands(factorizations, "svd") == [(6, 4)] * 2
         assert operands(factorizations, "svd_norm") == [(6, 4)] * 2
 
+    def test_canonical_dual_on_a_fresh_pair_computes_no_bound(self, factorizations):
+        # the dual needs F to be a K-frame, which is R(K) in R(T_F): the SVD of T_F
+        # decides it by its rank (T_F spans C^8), so the only other factorization is
+        # the SVD of B; no lambda norm, and no QR or solve of the cross-check
+        vectors, k, _ = instance(10)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["names"].clear()
+        canonical_k_dual(f, env)
+        assert not {"qr", "solve", "svd_norm"} & set(factorizations["names"])
+        assert factorizations["names"] == ["svd", "svd"]
+
+    def test_k_frame_check_reuses_the_hypothesis(self, factorizations):
+        # the hypothesis, then the bounds on the same pair: exactly k_frame_check's own
+        # six factorizations (the SVD of T_F, the inclusion residual's norm, lambda's
+        # norm and the cross-check's QR, solve and norm; T_F is 8 x 6, so R(T_F) is not
+        # C^8), none on a repeated operand, and the bounds carry the memoized verdict
+        vectors, k, _ = instance(10, count=6)
+        counts = []
+        for hypothesis_first in (False, True):
+            f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+            factorizations["n"] = 0
+            factorizations["inputs"].clear()
+            if hypothesis_first:
+                inclusion = _k_frame_hypothesis(f, env)
+            bounds = k_frame_check(f, env)
+            counts.append(factorizations["n"])
+            inputs = factorizations["inputs"]
+            assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])
+        assert counts == [6, 6]
+        assert bounds.inclusion is inclusion
+        assert _k_frame_hypothesis(f, env) is inclusion
+
     def test_canonical_dual_factors_b_alone(self, factorizations):
         # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
         # never S_F Q (n x rank K): here rank T_F = N = 6 < n = 8
@@ -350,25 +387,30 @@ class TestCounts:
         assert operands(factorizations, "qr") == [(12, 4)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
-        # k_frame_check of Phi (6), one SVD of T_Psi for the minimality test, the
-        # biorthogonal sequence and k_frame_check of Psi (then 5), the restricted
-        # inverse of S_Phi and the residual. The SVDs of the P_K Phi core, of G, of
-        # the dual's core and of both multipliers went with the Bessel-bound check;
-        # the K*-identity is the adjoint of the K-identity and factors nothing
+        # the K-frame hypothesis of Phi (the SVD of T_Phi and the inclusion residual),
+        # one SVD of T_Psi for the minimality test, the biorthogonal sequence and the
+        # K*-frame hypothesis of Psi (then its inclusion residual), the restricted
+        # inverse of S_Phi and the residual. Each hypothesis is its inclusion alone:
+        # lambda's norm and the cross-check's QR, solve and norm went, 4 per frame.
+        # The SVDs of the P_K Phi core, of G, of the dual's core and of both
+        # multipliers went with the Bessel-bound check; the K*-identity is the adjoint
+        # of the K-identity and factors nothing
         phi, psi, env = minimal_instance(np.random.default_rng(12))
         factorizations["n"] = 0
         biorthogonal_right_inverse(phi, psi, env)
-        assert factorizations["n"] == 14
+        assert factorizations["n"] == 6
 
     def test_range_inclusion_left_inverse_on_a_fresh_instance(self, factorizations):
-        # k_frame_check of Psi and of Phi (6 each), the SVD of T_Psi* K and the
-        # inclusion residual, two restricted inverses and the residual, whose scale
-        # |K K*| is |K|^2, read off K's SVD. The SVDs of Psi-dag, of the dual's core
-        # and of both multipliers went with the Bessel-bound check
+        # the K-frame hypothesis of Psi and the K*-frame hypothesis of Phi (an SVD and
+        # an inclusion residual each), the SVD of T_Psi* K and the inclusion residual,
+        # two restricted inverses and the residual, whose scale |K K*| is |K|^2, read
+        # off K's SVD. Each hypothesis is its inclusion alone: lambda's norm and the
+        # cross-check's QR, solve and norm went, 4 per frame. The SVDs of Psi-dag, of
+        # the dual's core and of both multipliers went with the Bessel-bound check
         psi, phi, env = both_inclusion_instance(np.random.default_rng(21))
         factorizations["n"] = 0
         range_inclusion_left_inverse(psi, phi, env)
-        assert factorizations["n"] == 17
+        assert factorizations["n"] == 9
 
     def test_right_inverse_as_multiplier_is_the_left_side_on_the_adjoint(self, factorizations):
         rng = np.random.default_rng(14)
@@ -480,6 +522,7 @@ class TestCounts:
         dual = canonical_k_dual(f, env)
         factorizations["n"] = 0
         assert k_frame_check(f, env) is bounds
+        assert _k_frame_hypothesis(f, env) is bounds.inclusion
         assert canonical_k_dual(f, env) is dual
         assert _restriction(f, env) is _restriction(f, env)
         env.norm(), env.pinv_norm(), env.adjoint(), env.range_factor, env.range_coordinates
@@ -548,6 +591,27 @@ class TestNoCycles:
         finally:
             gc.enable()
 
+
+    def test_hypothesis_verdict_holds_no_frame(self):
+        # the K-frame hypothesis memoizes its verdict alone, on a factored dual and on
+        # the core its check reads: no frame, core or r x k array, so both die with it
+        vectors, k, _ = instance(8)
+        gc.collect()
+        gc.disable()
+        try:
+            env = OperatorEnv.from_matrix(k)
+            dual = canonical_k_dual(Frame(vectors), env)
+            adjoint = env.adjoint()
+            verdict = _k_frame_hypothesis(dual, adjoint)
+            core = dual._form[1]
+            keyed = ((dual, adjoint), (core, adjoint.range_coordinates))
+            entries = [v._memo[("_k_frame_hypothesis", e, IDENTITY_TOL)] for v, e in keyed]
+            assert all(e is verdict for e in entries) and type(verdict) is CheckResult
+            refs = [weakref.ref(v) for v in (dual, core)]
+            del dual, core, keyed, entries
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_env_adjoint_holds_no_reference_back(self):
         _, k, _ = instance(17)

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from conftest import crandn, projector_onto_range, random_k_frame
 
+from kframekit import (
+    biorthogonal_right_inverse,
+    canonical_k_dual,
+    range_inclusion_left_inverse,
+    range_inclusion_right_inverse,
+)
 from kframekit.errors import (
     IndexExceedsDimension,
     NotKFrame,
@@ -150,6 +156,41 @@ class TestKFrameCheck:
             eigs = np.linalg.eigvalsh(f.frame_operator)
             positive = eigs[eigs > 1e-8 * eigs[-1]]
             assert bounds.lower == pytest.approx(float(positive[0]), rel=1e-8)
+
+
+class TestKFrameHypothesis:
+    """The constructions that need F to be a K-frame test R(K) in R(T_F) alone
+    (``_k_frame_hypothesis``), and still raise the hypothesis' named errors."""
+
+    K = np.diag([1.0, 1.0, 0.0])
+    GOOD = [[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]]  # spans R(K)
+    BAD = [[1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]  # misses e2 in R(K)
+    CONSTRUCTIONS = {
+        "canonical_k_dual": lambda f, env: canonical_k_dual(f, env),
+        "biorthogonal_right_inverse":  # Phi's hypothesis comes first; Psi is minimal
+            lambda f, env: biorthogonal_right_inverse(f, Frame(np.eye(f.ambient_dim)), env),
+        "range_inclusion_right_inverse": lambda f, env: range_inclusion_right_inverse(f, f, env),
+        "range_inclusion_left_inverse": lambda f, env: range_inclusion_left_inverse(f, f, env),
+    }
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_not_k_frame(self, name):
+        with pytest.raises(NotKFrame, match=r"^R\(K\) not contained in R\(T_F\): residual "):
+            self.CONSTRUCTIONS[name](Frame(self.BAD), OperatorEnv.from_matrix(self.K))
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_zero_operator(self, name):
+        with pytest.raises(ZeroOperator):
+            self.CONSTRUCTIONS[name](Frame(self.GOOD), OperatorEnv.from_matrix(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_shape_mismatch(self, name):
+        with pytest.raises(ShapeMismatch, match=r"frame lives in C\^2, operator acts on C\^3"):
+            self.CONSTRUCTIONS[name](Frame(np.eye(2)), OperatorEnv.from_matrix(self.K))
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_a_k_frame_passes(self, name):
+        self.CONSTRUCTIONS[name](Frame(self.GOOD), OperatorEnv.from_matrix(self.K))
 
 
 def k_star_instance(rng, n: int, k: int):

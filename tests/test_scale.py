@@ -297,10 +297,11 @@ class TestDuality:
     def test_reciprocal_dual(self, scaling):
         def run(s):
             cert = reciprocal_dual(scaling.frame(s, VECTORS), scaling.env(s, K))
+            companion, reduced = k_dual_lower_bounds(cert)
             return cert.passed, {
                 "threshold": (cert.identity.threshold, OPERATOR),
-                "companion lower bound": (cert.lower_bound_report[0], (2, 0)),
-                "reduced lower bound": (cert.lower_bound_report[1], (-2, -2)),
+                "companion lower bound": (companion, (2, 0)),
+                "reduced lower bound": (reduced, (-2, -2)),
             }
         scaling.check(run)
 
@@ -433,12 +434,13 @@ class TestMultipliers:
             cert = perturbation_k_dual(phi, psi, env, M_SYM, bounds)
             fact = perturbation_right_inverse(phi, psi, env, M_SYM, bounds, dual_choice)
             diag = fact.diagnostics
+            dual_lower, projected_lower = k_dual_lower_bounds(cert)
             return (cond.condition.ok, cert.passed, fact.passed), {
                 "rho, tau": ([cond.rho, cond.tau], FRAME),
                 "dual": (cert.dual.vectors, DUAL),
                 "dual threshold": (cert.identity.threshold, OPERATOR),
-                "dual lower bound": (cert.lower_bound_report[0], (-2, 0)),
-                "projected lower bound": (cert.lower_bound_report[1], (2, -2)),
+                "dual lower bound": (dual_lower, (-2, 0)),
+                "projected lower bound": (projected_lower, (2, -2)),
                 "threshold": (fact.identity.threshold, OPERATOR),
                 "margin, distance": ([diag["margin"], diag["distance"]], (2, 0)),
             }
