@@ -99,7 +99,10 @@ class Frame:
         return self.size
 
     def norm(self) -> float:
-        """Spectral norm of T_F, from the memoized SVD."""
+        """Spectral norm of T_F, from the memoized SVD; for T_F = Q C V* (``_factored``),
+        that of the core C, whose singular values the lift copies, so nothing is lifted."""
+        if self._form is not None:
+            return self._form[1].norm()
         return float(_factors(self).singular_values[0])
 
     @property
@@ -188,15 +191,13 @@ def _core(f: Frame, env: OperatorEnv) -> Frame | None:
     return inner if q is not None and np.array_equal(q, env.range_basis) else None
 
 
-@_memoized_per_operator
-def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -> CheckResult:
-    """The passed test of R(K) in R(T_F): by Douglas' lemma, that ``f`` is a K-frame.
-
-    Computes no bound. Raises ZeroOperator for K = 0 (the condition is vacuous and every
-    downstream formula divides by A), NotKFrame when the inclusion fails and
-    InternalConsistencyError when ``_douglas``'s residual gate does. Memoized on ``f``
-    per (env, tol) as the verdict alone.
-    """
+def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, np.ndarray | None]:
+    """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k
+    when this call ran the Douglas pass on T_F (None on a memo hit, and for T = U_k C W*,
+    whose core C is tested). The memo keeps the verdict alone, never the core."""
+    key = ("_k_frame_hypothesis", env, tol)
+    if key in f._memo:
+        return f._memo[key], None
     if f.ambient_dim != env.dim:
         raise ShapeMismatch(
             f"frame lives in C^{f.ambient_dim}, operator acts on C^{env.dim}"
@@ -205,9 +206,22 @@ def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     core = _core(f, env)
     if core is not None:
-        return _k_frame_hypothesis(core, env.range_coordinates, tol)
-    return _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(), tol,
-                    NotKFrame, "R(K) not contained in R(T_F)")[0]
+        inclusion, lam_core = _k_frame_hypothesis(core, env.range_coordinates, tol), None
+    else:
+        inclusion, _, lam_core = _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(),
+                                          tol, NotKFrame, "R(K) not contained in R(T_F)")
+    return _memo(f, key, lambda: inclusion), lam_core
+
+
+def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -> CheckResult:
+    """The passed test of R(K) in R(T_F): by Douglas' lemma, that ``f`` is a K-frame.
+
+    Computes no bound. Raises ZeroOperator for K = 0 (the condition is vacuous and every
+    downstream formula divides by A), NotKFrame when the inclusion fails and
+    InternalConsistencyError when ``_douglas``'s residual gate does. Memoized on ``f``
+    per (env, tol) as the verdict alone.
+    """
+    return _hypothesis(f, env, tol)[0]
 
 
 @_memoized_per_operator
@@ -216,26 +230,29 @@ def k_frame_check(
 ) -> FrameBounds:
     """Optimal K-frame bounds (A, B) of ``f`` against the operator of ``env``.
 
-    Raises as ``_k_frame_hypothesis``, whose memoized verdict it reuses; the constructions
-    that need only F to be a K-frame call that alone. The frame's one SVD (``_factors``)
-    serves the inclusion test (decided by its rank alone, residual 0, when T_F spans C^n),
-    B and the Douglas route A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite
-    float, FloatingPointError when it is below the least normal float. The one
-    cross-check, ``linalg``'s QR route, shares only U_r of that SVD; it must agree with
-    the Douglas route in lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on
-    ``f`` per (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
+    Raises as ``_k_frame_hypothesis``, whose one Douglas pass also gives lambda's core on a
+    fresh pair (after a memoized verdict only the core is formed); the constructions that
+    need only F to be a K-frame call that alone. The frame's one SVD (``_factors``) serves
+    the inclusion test (decided by its rank alone, residual 0, when T_F spans C^n), B and
+    the Douglas route A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite float,
+    FloatingPointError when it is below the least normal float. The one cross-check,
+    ``linalg``'s QR route, shares only U_r of that SVD; it must agree with the Douglas
+    route in lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f`` per
+    (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
     T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
     as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
     C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
     """
-    inclusion = _k_frame_hypothesis(f, env, tol)
     core = _core(f, env)
     if core is not None:
         return k_frame_check(core, env.range_coordinates, tol)
+    inclusion, lam_core = _hypothesis(f, env, tol)
     factors = _factors(f)
     a = env.range_factor
-    lam = _majorization(a, f.synthesis, factors, factors.solve(a)[1])
+    if lam_core is None:  # the verdict was memoized
+        lam_core = factors.core(a)
+    lam = _majorization(a, f.synthesis, factors, lam_core)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda
     except (OverflowError, ZeroDivisionError):

@@ -175,14 +175,18 @@ class SvdFactors:
         v = self.right_vectors[:, :r] / self.singular_values[:r]
         return v @ self.left_vectors[:, :r].conj().T
 
+    def core(self, rhs: np.ndarray) -> np.ndarray:
+        """C = (Sigma_r^-1 U_r*) rhs, the r x m core of ``solve`` without X."""
+        r = self.rank
+        return (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
+
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, C) with C = (Sigma_r^-1 U_r*) rhs and X = V_r C = ``pinv() @ rhs``.
+        """(X, C) with C = ``core(rhs)`` and X = V_r C = ``pinv() @ rhs``.
 
         V_r mixes only after the division, so the residual stays at rounding level.
         """
-        r = self.rank
-        core = (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
-        return self.right_vectors[:, :r] @ core, core
+        core = self.core(rhs)
+        return self.right_vectors[:, : self.rank] @ core, core
 
 
 def svd_decompose(m) -> SvdFactors:

@@ -246,7 +246,8 @@ def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
 
 @dataclass(frozen=True)
 class RightInverse:
-    """Minimal K-right inverse with the majorization constant of K against M."""
+    """Minimal K-right inverse M^+ K with the majorization constant of K against M,
+    lambda = |M^+ K V_k|, read on K's range factor K V_k (``k_right_inverse``)."""
 
     matrix: np.ndarray
     majorization: float
@@ -258,15 +259,17 @@ def k_right_inverse(
 ) -> RightInverse:
     """R = pinv(M) K with M R = K; exists iff R(K) is contained in R(M).
 
-    R is the minimal Douglas solution, so its norm is the majorization
-    constant. Memoized on ``mult`` per (env, tol).
+    R is the minimal Douglas solution, so its norm is the majorization constant. As in
+    ``k_frame_check``, the Douglas pass (inclusion, residual gate, lambda's core) and the
+    QR cross-check take L1 = K V_k (``env.range_factor``, n x k), dropping only
+    K - K V_k V_k* (``OperatorEnv``). Memoized on ``mult`` per (env, tol).
     """
     factors = _multiplier_factors(mult, env)
-    norm_k = env.norm()
-    _, r, core = _douglas(
-        env.k, mult.matrix, factors, norm_k, tol, NoRightInverse, "R(K) not contained in R(M)"
-    )
-    return RightInverse(_read_only(r), _majorization(env.k, mult.matrix, factors, core))
+    a = env.range_factor
+    core = _douglas(a, mult.matrix, factors, env.norm(), tol,
+                    NoRightInverse, "R(K) not contained in R(M)")[2]
+    return RightInverse(_read_only(factors.solve(env.k)[0]),
+                        _majorization(a, mult.matrix, factors, core))
 
 
 @_memoized_per_operator
@@ -319,7 +322,11 @@ class LowerBoundReport:
 def frames_from_multiplier_identity(
     mult: Multiplier, env: OperatorEnv, tol: float = IDENTITY_TOL
 ) -> LowerBoundReport:
-    """Lower-bound certificates for Phi / Psi from M = K or from an inverse."""
+    """Lower-bound certificates for Phi / Psi from M = K or from an inverse.
+
+    |R| is ``k_right_inverse``'s lambda and |L| is read as |U_k* L| (k x n): L = K pinv(M)
+    maps into R(K) but for K - K V_k V_k*, of norm sigma_{k+1} (``OperatorEnv``).
+    """
     sup = mult.symbol.sup_modulus
 
     def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
@@ -336,9 +343,8 @@ def frames_from_multiplier_identity(
     except NoRightInverse:
         phi_side = None
     try:
-        psi_side = side(
-            mult.psi, env.adjoint(), mult.phi, spectral_norm(k_left_inverse(mult, env, tol))
-        )
+        left = env.range_basis.conj().T @ k_left_inverse(mult, env, tol)
+        psi_side = side(mult.psi, env.adjoint(), mult.phi, spectral_norm(left))
     except NoLeftInverse:
         psi_side = None
     if phi_side is None and psi_side is None:
@@ -609,13 +615,16 @@ def range_inclusion_right_inverse(
     Phi-dag = {(S_Phi|_{R(K*)})^-1 P_{S_Phi(R(K*))} phi_i} and Psi-tilde the
     canonical K-dual of Psi; the certified identity is
     M_{1,P_K Psi,Phi} M_{1,Phi-dag,Psi-tilde} = K.
+    R(T_Phi* K*) is read off the SVD of T_Phi* V_k Sigma_k (N x k, V_k Sigma_k = K* U_k),
+    which has the same range but for K - K V_k V_k* (``OperatorEnv``); its rank cutoff
+    max(N, k) 2^-40 is that of T_Phi* K*, max(N, n) 2^-40, whenever N >= n.
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        psi.analysis, svd_decompose(phi.analysis @ env.k_adjoint), psi.norm(), tol,
+        psi.analysis, svd_decompose(phi.analysis @ env.adjoint().range_factor), psi.norm(), tol,
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
@@ -641,13 +650,15 @@ def range_inclusion_left_inverse(
     Psi-dag = {((S_Psi|_{R(K)})^-1)* P_K psi_i} and Phi-tilde the canonical
     K*-dual of Phi; the certified identity is
     M_{1,Phi-tilde,Psi-dag} M_{1,Psi,Phi} K* = K K*.
+    R(T_Psi* K) is read off the SVD of T_Psi* U_k Sigma_k (N x k, U_k Sigma_k = K V_k),
+    with the same range and rank cutoff as in ``range_inclusion_right_inverse``.
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        phi.analysis, svd_decompose(psi.analysis @ env.k), phi.norm(), tol,
+        phi.analysis, svd_decompose(psi.analysis @ env.range_factor), phi.norm(), tol,
         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)

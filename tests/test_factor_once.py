@@ -23,6 +23,7 @@ from conftest import (
     crandn,
     minimal_instance,
     random_k_frame,
+    random_rank_matrix,
     range_projector,
     well_conditioned,
 )
@@ -39,6 +40,7 @@ from kframekit import (
     canonical_coefficients,
     canonical_k_dual,
     dual_family_generate,
+    frames_from_multiplier_identity,
     inverse_as_multiplier,
     k_dual_lower_bounds,
     k_frame_check,
@@ -47,15 +49,23 @@ from kframekit import (
     noncommutativity_witness,
     perturbation_condition,
     perturbation_k_dual,
+    optimal_bessel_bound,
     perturbation_right_inverse,
     range_inclusion_left_inverse,
+    range_inclusion_right_inverse,
     svd_decompose,
     verify_k_dual,
 )
 from kframekit.duality import _coordinates, _restriction
-from kframekit.errors import InternalConsistencyError, NotKFrame
+from kframekit.errors import InternalConsistencyError, NotKFrame, RangeNotIncluded
 from kframekit.frames import _factors, _k_frame_hypothesis
-from kframekit.linalg import CheckResult, majorization_constant, spectral_norm
+from kframekit.linalg import (
+    CheckResult,
+    SvdFactors,
+    _inclusion,
+    majorization_constant,
+    spectral_norm,
+)
 from kframekit.multipliers import _perturbed_restriction, _projected
 
 # k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
@@ -249,6 +259,32 @@ class TestCounts:
         assert counts == [6, 6]
         assert bounds.inclusion is inclusion
         assert _k_frame_hypothesis(f, env) is inclusion
+
+    def test_k_frame_check_applies_the_factors_once(self, monkeypatch):
+        # on a fresh pair lambda's core comes from the hypothesis's one Douglas pass (one
+        # solve); after a memoized verdict only the core is formed, never X = V_r core.
+        # The memo keeps the verdict and the bounds, no core, and lambda is the same float
+        calls = []
+        solve = SvdFactors.solve
+
+        def counted(self, rhs):
+            calls.append(rhs.shape)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(SvdFactors, "solve", counted)
+        vectors, k, _ = instance(10, count=6)
+        found = []
+        for hypothesis_first in (False, True):
+            f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+            if hypothesis_first:
+                _k_frame_hypothesis(f, env)
+            calls.clear()
+            found.append(k_frame_check(f, env))
+            assert calls == ([] if hypothesis_first else [(8, 4)])
+            assert set(f._memo) == {"svd", ("_k_frame_hypothesis", env, IDENTITY_TOL),
+                                    ("k_frame_check", env, IDENTITY_TOL)}
+            assert type(f._memo[("_k_frame_hypothesis", env, IDENTITY_TOL)]) is CheckResult
+        assert (found[0].lower, found[0].upper) == (found[1].lower, found[1].upper)
 
     def test_canonical_dual_factors_b_alone(self, factorizations):
         # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
@@ -527,6 +563,125 @@ class TestCounts:
         assert _restriction(f, env) is _restriction(f, env)
         env.norm(), env.pinv_norm(), env.adjoint(), env.range_factor, env.range_coordinates
         assert factorizations["n"] == 0
+
+
+def multiplier_instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
+    """(mult, env): M = T_Phi diag(m) T_Psi* of full rank n, K of rank ``rank``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        phi, psi = Frame(crandn(rng, count, n)), Frame(crandn(rng, count, n))
+        mult = assemble_multiplier(Symbol.semi_normalized(1.0 + rng.random(count)), phi, psi)
+        if well_conditioned(mult.matrix, n):
+            return mult, OperatorEnv.from_matrix(random_rank_matrix(rng, n, rank))
+
+
+def n_by_k_inclusion_instance(seed: int, n: int = 8, count: int = 5, rank: int = 3):
+    """(Psi, Phi, env) of ``both_inclusion_instance``'s form with N = count < n."""
+    rng = np.random.default_rng(seed)
+    while True:
+        env = OperatorEnv.from_matrix(random_rank_matrix(rng, n, rank))
+        phi_syn = range_projector(env.adjoint()) @ crandn(rng, n, count)
+        psi_syn = env.k @ phi_syn
+        if well_conditioned(phi_syn, rank) and well_conditioned(psi_syn, rank):
+            return Frame(psi_syn.T), Frame(phi_syn.T), env
+
+
+class TestRankKFactor:
+    """The multiplier questions see K through R(K) and norms |X K| alone, so they are
+    asked on K's n x k range factor K V_k = U_k Sigma_k (or on U_k* L), never on K."""
+
+    def test_k_right_inverse_lambda_norms_have_rank_k_columns(self, factorizations):
+        # lambda's core Sigma_r^-1 U_r* K V_k and the cross-check's R^-* U_r* K V_k are
+        # 8 x 4, not 8 x 8; M has full rank, so its rank decides the inclusion
+        mult, env = multiplier_instance(30)
+        mult.norm()
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        right = k_right_inverse(mult, env)
+        assert operands(factorizations, "svd_norm") == [(8, 4), (8, 4)]
+        # R itself is the minimal Douglas solution pinv(M) K, bit for bit
+        np.testing.assert_array_equal(right.matrix, mult._factors().solve(env.k)[0])
+
+    @pytest.mark.parametrize("seed", range(31, 39))
+    def test_k_right_inverse_lambda_matches_numpy(self, seed):
+        mult, env = multiplier_instance(seed, n=6 + seed % 3, count=10, rank=1 + seed % 4)
+        exact = np.linalg.norm(np.linalg.pinv(mult.matrix) @ env.k, 2)
+        assert k_right_inverse(mult, env).majorization == pytest.approx(exact, rel=1e-13)
+
+    def test_left_inverse_norm_is_read_on_k_by_n(self, factorizations):
+        # with the inverses, the bounds and the Bessel bounds memoized, |L| is the one
+        # norm left, on U_k* L (4 x 8), not on L (8 x 8); it equals |L| to rounding
+        mult, env = multiplier_instance(30)
+        left = k_left_inverse(mult, env)
+        k_right_inverse(mult, env)
+        for frame, side_env in ((mult.phi, env), (mult.psi, env.adjoint())):
+            k_frame_check(frame, side_env), optimal_bessel_bound(frame)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        report = frames_from_multiplier_identity(mult, env)
+        assert report.case == "inverse" and report.passed
+        assert operands(factorizations, "svd_norm") == [(4, 8)]
+        guaranteed = 1.0 / (mult.symbol.sup_modulus**2 * spectral_norm(left) ** 2
+                            * optimal_bessel_bound(mult.phi))
+        assert report.psi_side.guaranteed == pytest.approx(guaranteed, rel=1e-13)
+
+    @pytest.mark.parametrize("construction, operand", [
+        (range_inclusion_right_inverse,
+         lambda psi, phi, env: phi.analysis @ env.adjoint().range_factor),
+        (range_inclusion_left_inverse,
+         lambda psi, phi, env: psi.analysis @ env.range_factor),
+    ], ids=["right", "left"])
+    def test_range_inclusion_basis_is_n_by_k(self, factorizations, construction, operand):
+        # T_Phi* V_k Sigma_k (right) or T_Psi* U_k Sigma_k (left): N x k = 12 x 4, not
+        # T_Phi* K* or T_Psi* K, N x n = 12 x 8; every other SVD is of a frame's n x N
+        psi, phi, env = n_by_k_inclusion_instance(40, count=12, rank=4)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        construction(psi, phi, env)
+        shapes = operands(factorizations, "svd")
+        assert shapes.count((12, 4)) == 1 and (12, 8) not in shapes
+        basis = operand(psi, phi, env)
+        assert any(np.array_equal(a, basis) for a in factorizations["inputs"])
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_range_inclusion_verdicts_match_the_n_by_n_route_below_n(self, seed):
+        # N = 5 < n = 8: the N x k basis has cutoff max(N, k) 2^-40, below max(N, n) 2^-40,
+        # yet both routes give the same verdicts, holding and (with Psi moved off
+        # T_Phi* K* inside R(K)) failing
+        psi, phi, env = n_by_k_inclusion_instance(seed)
+        rng = np.random.default_rng(seed)
+        moved = Frame(psi.vectors + (env.range_basis @ crandn(rng, env.rank, psi.size)).T)
+        for psi_case, holds in ((psi, True), (moved, False)):
+            routes = (
+                (range_inclusion_right_inverse, psi_case.analysis,
+                 phi.analysis @ env.k_adjoint, psi_case.norm()),
+                (range_inclusion_left_inverse, phi.analysis,
+                 psi_case.analysis @ env.k, phi.norm()),
+            )
+            for construction, a, wide, norm_a in routes:
+                old = _inclusion(a, svd_decompose(wide), norm_a, IDENTITY_TOL)
+                assert old.ok is holds
+                if holds:
+                    out = construction(psi_case, phi, env)
+                    assert out.passed and out.certificates["inclusion"].ok
+                    assert out.certificates["inclusion"].residual == pytest.approx(
+                        old.residual, rel=1e-6, abs=1e-14 * norm_a)
+                else:
+                    with pytest.raises(RangeNotIncluded) as exc:
+                        construction(psi_case, phi, env)
+                    assert exc.value.residual == pytest.approx(old.residual, rel=1e-9)
+
+
+class TestFactoredNorm:
+    def test_bessel_bound_of_a_dual_lifts_nothing(self):
+        # the canonical dual V_k C V_r*: sigma_1 is read off the core C, whose singular
+        # values the lift copies, so the bound is the lifted one bit for bit
+        vectors, k, _ = instance(11)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        dual = canonical_k_dual(f, env)
+        bound = optimal_bessel_bound(dual)
+        assert "svd" not in dual._memo
+        assert bound == _factors(dual).singular_values[0] ** 2
 
 
 class TestMemoCorrectness:
