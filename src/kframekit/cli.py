@@ -3,8 +3,8 @@
 Usage: ``kframe <command> [--frame PATH]... [--operator PATH]
 [--symbol PATH] [--tol X] [--format text|json] [--seed N]``.
 
-Reports are deterministic for fixed inputs and options (no timestamps);
-every verdict carries its residual and the threshold it was tested against.
+Reports are deterministic for fixed inputs and options on one numpy/BLAS build and BLAS
+thread count (no timestamps); every verdict carries its residual and threshold.
 A verdict is the library's ``CheckResult`` as it is, or a gate of what the CLI computes
 itself (sampled inequalities, family round trip, inverse identities); JSON writes inf as null.
 Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error,

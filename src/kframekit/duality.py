@@ -249,8 +249,8 @@ def canonical_dual_bound_certificate(
     validation = validate_bounds(f, env, a, b, tol)
     if not validation.passed:
         raise InvalidBounds(
-            f"({a}, {b}) is not a valid K-frame bound pair: slacks "
-            f"({validation.lower_slack:.3e}, {validation.upper_slack:.3e})"
+            f"({a}, {b}) is not a valid K-frame bound pair: A - a = "
+            f"{validation.lower_slack:.3e}, b - B = {validation.upper_slack:.3e}"
         )
     dual = canonical_k_dual(f, env, tol)
     envelope = (1.0 / b, b * (env.norm() * env.pinv_norm() * env.pinv_norm() / a) ** 2)

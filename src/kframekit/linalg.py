@@ -65,7 +65,6 @@ __all__ = [
     "CheckResult",
     "as_matrix",
     "spectral_norm",
-    "min_eig",
     "svd_decompose",
     "majorization_constant",
 ]
@@ -138,11 +137,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
-
-
-def min_eig(h: np.ndarray) -> float:
-    """Least eigenvalue of the Hermitian part."""
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
 @dataclass(frozen=True, eq=False)

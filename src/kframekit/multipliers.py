@@ -487,8 +487,8 @@ def perturbation_condition(
     """Restricted perturbation norm rho of Psi against Phi on R(K), and tau.
 
     rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K); tau is
-    a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the validated
-    K-frame bounds (A, B) of Phi.
+    a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the K-frame bounds
+    (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal bounds.
     """
     if not m.is_semi_normalized:
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
@@ -498,7 +498,8 @@ def perturbation_condition(
     validation = validate_bounds(phi, env, a_bound, b_bound, tol)
     if not validation.passed:
         raise InvalidBounds(
-            f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi"
+            f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi: A - a = "
+            f"{validation.lower_slack:.3e}, b - B = {validation.upper_slack:.3e}"
         )
     diff = psi.analysis - phi.analysis
     rho = spectral_norm(diff @ env.range_basis)

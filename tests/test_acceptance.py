@@ -18,6 +18,7 @@ from tests_support_douglas import (
     douglas_predicates,
     douglas_solution,
     inclusion_instance,
+    min_eig,
     non_inclusion_instance,
 )
 
@@ -32,7 +33,7 @@ from kframekit.duality import (
 )
 from kframekit.errors import InadmissiblePerturbation
 from kframekit.frames import Frame, k_frame_check, optimal_bessel_bound, validate_bounds
-from kframekit.linalg import majorization_constant, min_eig, spectral_norm
+from kframekit.linalg import majorization_constant, spectral_norm
 from kframekit.multipliers import (
     Symbol,
     assemble_multiplier,

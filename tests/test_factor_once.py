@@ -56,6 +56,8 @@ from kframekit import (
     svd_decompose,
     verify_k_dual,
 )
+from kframekit import io
+from kframekit.cli import main
 from kframekit.duality import _coordinates, _restriction
 from kframekit.errors import InternalConsistencyError, NotKFrame, RangeNotIncluded
 from kframekit.frames import _factors, _k_frame_hypothesis
@@ -72,19 +74,25 @@ from kframekit.multipliers import _perturbed_restriction, _projected
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
 # dual-identity residual; the canonical coefficients factor nothing
 PIPELINE_CEILING = 20
+# one run of each CLI command that validates the optimal pair it has just computed: the
+# pair is read against k_frame_check's memoized bounds, not on an eigvalsh of
+# S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7)
+CLI_VALIDATING = {"dual": 18, "perturb-check": 7}
 # perturbation_right_inverse after perturbation_k_dual on the same arguments: the
 # residual of the dual choice's K-dual identity, then the multiplier form of R and the
 # K-identity residuals; no multiplier and none of its frames is factored
 PERTURBED_RIGHT_INVERSE = 3
 # one op of the multipliers-n16 bench workload: the bench's factorizations_per_op
-# (43), plus the QR and the triangular solve of each of its 3 majorization
+# (42), plus the QR and the triangular solve of each of its 3 majorization
 # cross-checks (the optimal bounds of frames_from_multiplier_identity's two sides and
 # k_right_inverse's lambda), which the bench does not count. The range-inclusion and
 # biorthogonal constructions test their four K-frame hypotheses by the inclusion alone
 # (each without lambda's norm, the cross-check's QR, solve and norm), and the
 # perturbation dual's certificate computes no lower bounds (the SVD, two norms, QR
-# and solve of each of its two k_frame_checks): 75 -> 49
-MULTIPLIERS_OP = 49
+# and solve of each of its two k_frame_checks): 75 -> 49. The perturbation condition
+# reads Phi's bound pair against the optimal bounds frames_from_multiplier_identity
+# memoized, not on an eigvalsh of S_Phi - a K K*: 49 -> 48
+MULTIPLIERS_OP = 48
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -563,6 +571,21 @@ class TestCounts:
         assert _restriction(f, env) is _restriction(f, env)
         env.norm(), env.pinv_norm(), env.adjoint(), env.range_factor, env.range_coordinates
         assert factorizations["n"] == 0
+
+
+class TestCliCounts:
+    @pytest.mark.parametrize("command", sorted(CLI_VALIDATING))
+    def test_bound_pair_is_decided_without_an_eigensolver(self, factorizations, tmp_path,
+                                                           command):
+        vectors, k, _ = instance(10)
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(vectors)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(k))
+        frames = ["--frame", str(tmp_path / "f.json")] * (2 if command == "perturb-check" else 1)
+        factorizations["n"] = 0
+        factorizations["names"].clear()
+        assert main([command, *frames, "--operator", str(tmp_path / "k.json")]) == 0
+        assert not {"eigh", "eigvalsh"} & set(factorizations["names"])
+        assert factorizations["n"] == CLI_VALIDATING[command]
 
 
 def multiplier_instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):

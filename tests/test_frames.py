@@ -5,13 +5,16 @@ import pytest
 from conftest import crandn, projector_onto_range, random_k_frame
 
 from kframekit import (
+    Symbol,
     biorthogonal_right_inverse,
     canonical_k_dual,
+    perturbation_condition,
     range_inclusion_left_inverse,
     range_inclusion_right_inverse,
 )
 from kframekit.errors import (
     IndexExceedsDimension,
+    InvalidBounds,
     NotKFrame,
     NotMinimal,
     ShapeMismatch,
@@ -156,6 +159,67 @@ class TestKFrameCheck:
             eigs = np.linalg.eigvalsh(f.frame_operator)
             positive = eigs[eigs > 1e-8 * eigs[-1]]
             assert bounds.lower == pytest.approx(float(positive[0]), rel=1e-8)
+
+
+def weak_direction_instance(c: float) -> tuple[Frame, OperatorEnv]:
+    """T_F = U diag(geomspace(1, c, 6)) V* (6 x 9) and K = u_6 u_6*, along T_F's least
+    singular direction: exactly A = c^2 and B = 1, and A |K|^2 is c^2 against B = 1."""
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(crandn(rng, 6, 6))[0]
+    v = np.linalg.qr(crandn(rng, 9, 6))[0]
+    syn = (u * np.geomspace(1.0, c, 6)) @ v.conj().T
+    return Frame(syn.T.copy()), OperatorEnv.from_matrix(np.outer(u[:, 5], u[:, 5].conj()))
+
+
+class TestValidateBounds:
+    @pytest.mark.parametrize("c", [1e-3, 1e-5, 1e-6])
+    def test_weak_direction_decides_a_against_the_optimal_bound(self, c):
+        # a K K* <= S_F exactly when a <= A = c^2; an eigenvalue of S_F - a K K* has
+        # error eps B, which hides every a with a |K|^2 below it
+        f, env = weak_direction_instance(c)
+        bounds = k_frame_check(f, env)
+        assert bounds.lower == pytest.approx(c * c, rel=1e-8)
+        for factor, valid in ((1.0, True), (0.5, True), (2.0, False), (100.0, False)):
+            v = validate_bounds(f, env, factor * bounds.lower, bounds.upper)
+            assert (v.lower.ok, v.passed) == (valid, valid), factor
+            assert v.lower_slack == pytest.approx((1.0 - factor) * bounds.lower, rel=1e-12)
+
+    def test_weak_direction_perturbation_refuses_a_bound_above_a(self):
+        # tau is linear in the lower bound used, so a = 100 A would certify a
+        # perturbation 100 times larger than the theorem allows
+        f, env = weak_direction_instance(1e-6)
+        bounds = k_frame_check(f, env)
+        ones = Symbol.ones(f.size)
+        assert perturbation_condition(f, f, env, ones, bounds.lower, bounds.upper).condition
+        with pytest.raises(InvalidBounds, match="A - a"):
+            perturbation_condition(f, f, env, ones, 100.0 * bounds.lower, bounds.upper)
+
+    def test_not_k_frame_fails_lower_without_raising(self):
+        # R(K) is not in R(T_F): no positive lower bound holds, A = 0
+        v = validate_bounds(Frame([[1.0, 0.0]]), OperatorEnv.identity(2), 1e-300, 1.0)
+        assert not v.lower.ok and v.upper.ok and not v.passed
+        assert v.lower_slack == -1e-300
+
+    def test_zero_operator_passes_lower_without_raising(self):
+        # a K K* = 0 <= S_F for every a
+        zero = OperatorEnv.from_matrix(np.zeros((2, 2)))
+        v = validate_bounds(Frame.standard_basis(2), zero, 1e300, 1.0)
+        assert v.lower.ok and v.passed
+        assert v.lower_slack == np.inf
+
+    def test_reads_the_memoized_bounds(self, monkeypatch, c2_example):
+        # after k_frame_check, the pair is two comparisons: nothing is factored
+        f, env = c2_example.frame, c2_example.env
+        k_frame_check(f, env)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("factored")
+
+        for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(np.linalg._linalg, "svd", refused)  # what norm(., 2) calls
+        v = validate_bounds(f, env, 4.0 / 3.0, 2.0)
+        assert v.passed and v.lower.threshold == pytest.approx(1e-10 * 4.0 / 3.0, rel=1e-12)
 
 
 class TestKFrameHypothesis:

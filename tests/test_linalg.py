@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from conftest import crandn, projector_onto_range, random_k_frame, range_projector
-from tests_support_douglas import douglas_solution, inclusion_check
+from tests_support_douglas import douglas_solution, inclusion_check, min_eig
 
 from kframekit.errors import (
     InternalConsistencyError,
@@ -17,7 +17,6 @@ from kframekit.linalg import (
     OperatorEnv,
     _within,
     majorization_constant,
-    min_eig,
     _restricted_inverse,
     spectral_norm,
     svd_decompose,

@@ -189,8 +189,8 @@ class TestRightInverse:
 class TestRightInverseEquivalence:
     @staticmethod
     def predicates(mult, env):
-        from kframekit.linalg import min_eig, svd_decompose
-        from tests_support_douglas import inclusion_check
+        from kframekit.linalg import svd_decompose
+        from tests_support_douglas import inclusion_check, min_eig
 
         included = bool(inclusion_check(env.k, mult.matrix))
         lam_hat = spectral_norm(svd_decompose(mult.matrix).pinv() @ env.k)

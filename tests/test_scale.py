@@ -189,8 +189,11 @@ class TestFrames:
             upper = b * BOUNDS.upper * scaling.factor(s, (2, 0))
             v = validate_bounds(scaling.frame(s, VECTORS), scaling.env(s, K), lower, upper)
             return (v.passed, v.lower.ok, v.upper.ok), {
-                "lower slack": (v.lower_slack, (2, 0)), "upper slack": (v.upper_slack, (2, 0)),
-                "threshold": (v.lower.threshold, (2, 0)),
+                # the lower verdict is a <= A, so its slack A - a and threshold tol A
+                # have A's degree
+                "lower slack": (v.lower_slack, (2, -2)), "upper slack": (v.upper_slack, (2, 0)),
+                "lower threshold": (v.lower.threshold, (2, -2)),
+                "upper threshold": (v.upper.threshold, (2, 0)),
             }
         scaling.check(run)
 

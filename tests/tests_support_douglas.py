@@ -11,10 +11,15 @@ from kframekit.linalg import (
     CheckResult,
     _douglas,
     _inclusion,
-    min_eig,
     spectral_norm,
     svd_decompose,
 )
+
+
+def min_eig(h) -> float:
+    """Least eigenvalue of the Hermitian part: the suites' independent oracle for an
+    operator inequality, which the library decides on factors instead."""
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
 def inclusion_check(l1, l2, tol: float = IDENTITY_TOL) -> CheckResult:
