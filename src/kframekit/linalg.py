@@ -337,12 +337,17 @@ class _Restriction:
 
 
 def _restricted_inverse(left: SvdFactors, operand: np.ndarray) -> _Restriction:
-    """``_Restriction`` on one SVD of ``operand`` = B; RankDeficientRestriction if A collapses V."""
+    """``_Restriction`` on one SVD of ``operand`` = B; RankDeficientRestriction if A collapses V,
+    FloatingPointError if B's least singular value, which ``coordinates`` divides by, is
+    subnormal."""
     b = svd_decompose(operand)
     if b.rank < operand.shape[1]:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
         )
+    least = float(b.singular_values[b.rank - 1])
+    if least < np.finfo(float).tiny:
+        raise FloatingPointError(f"the least singular value of B, {least:g}, is subnormal")
     return _Restriction(left, b)
 
 

@@ -114,6 +114,30 @@ def random_k_frame(
         return Frame(syn.T), OperatorEnv.from_matrix(k)
 
 
+def graded_instance(seed: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, X0, pinv(T) T X0) with T = U diag(geomspace(1, c, 20)) V* (20 x 30).
+
+    X0 has rank 10 and pinv(T) T X0 = V V* X0 exactly, so the oracle
+    involves no ill-conditioning; kappa(T) = 1/c.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(crandn(rng, 20, 20))[0]
+    v = np.linalg.qr(crandn(rng, 30, 20))[0]
+    syn = (u * np.geomspace(1.0, c, 20)) @ v.conj().T
+    x0 = crandn(rng, 30, 10) @ crandn(rng, 10, 20)
+    return syn, x0, v @ (v.conj().T @ x0)
+
+
+def weak_direction_instance(c: float) -> tuple[Frame, OperatorEnv]:
+    """T_F = U diag(geomspace(1, c, 6)) V* (6 x 9) and K = u_6 u_6*, along T_F's least
+    singular direction: exactly A = c^2 and B = 1, and A |K|^2 is c^2 against B = 1."""
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(crandn(rng, 6, 6))[0]
+    v = np.linalg.qr(crandn(rng, 9, 6))[0]
+    syn = (u * np.geomspace(1.0, c, 6)) @ v.conj().T
+    return Frame(syn.T.copy()), OperatorEnv.from_matrix(np.outer(u[:, 5], u[:, 5].conj()))
+
+
 def admissible_perturbation(
     rng: np.random.Generator, f: Frame, env: OperatorEnv, scale: float = 1.0
 ) -> DualPerturbation:

@@ -78,6 +78,10 @@ PIPELINE_CEILING = 20
 # pair is read against k_frame_check's memoized bounds, not on an eigvalsh of
 # S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7)
 CLI_VALIDATING = {"dual": 18, "perturb-check": 7}
+# one run of kframe analyze: the SVDs of K and T_F, lambda's norm and its cross-check's
+# QR, solve and norm, and tightness_check's residual norm. Both inequalities are plain
+# products at vectors T_F's memoized SVD holds, so they add none
+CLI_ANALYZE = 7
 # perturbation_right_inverse after perturbation_k_dual on the same arguments: the
 # residual of the dual choice's K-dual identity, then the multiplier form of R and the
 # K-identity residuals; no multiplier and none of its frames is factored
@@ -586,6 +590,15 @@ class TestCliCounts:
         assert main([command, *frames, "--operator", str(tmp_path / "k.json")]) == 0
         assert not {"eigh", "eigvalsh"} & set(factorizations["names"])
         assert factorizations["n"] == CLI_VALIDATING[command]
+
+    def test_analyze_inequalities_factor_nothing(self, factorizations, tmp_path):
+        vectors, k, _ = instance(10)
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(vectors)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(k))
+        factorizations["n"] = 0
+        assert main(["analyze", "--frame", str(tmp_path / "f.json"),
+                     "--operator", str(tmp_path / "k.json")]) == 0
+        assert factorizations["n"] == CLI_ANALYZE
 
 
 def multiplier_instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):

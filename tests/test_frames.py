@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import crandn, projector_onto_range, random_k_frame
+from conftest import crandn, projector_onto_range, random_k_frame, weak_direction_instance
 
 from kframekit import (
     Symbol,
@@ -159,16 +159,6 @@ class TestKFrameCheck:
             eigs = np.linalg.eigvalsh(f.frame_operator)
             positive = eigs[eigs > 1e-8 * eigs[-1]]
             assert bounds.lower == pytest.approx(float(positive[0]), rel=1e-8)
-
-
-def weak_direction_instance(c: float) -> tuple[Frame, OperatorEnv]:
-    """T_F = U diag(geomspace(1, c, 6)) V* (6 x 9) and K = u_6 u_6*, along T_F's least
-    singular direction: exactly A = c^2 and B = 1, and A |K|^2 is c^2 against B = 1."""
-    rng = np.random.default_rng(0)
-    u = np.linalg.qr(crandn(rng, 6, 6))[0]
-    v = np.linalg.qr(crandn(rng, 9, 6))[0]
-    syn = (u * np.geomspace(1.0, c, 6)) @ v.conj().T
-    return Frame(syn.T.copy()), OperatorEnv.from_matrix(np.outer(u[:, 5], u[:, 5].conj()))
 
 
 class TestValidateBounds:

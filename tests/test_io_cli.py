@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import minimal_instance
+from conftest import crandn, graded_instance, minimal_instance, weak_direction_instance
 
-from kframekit import io, worked
+from kframekit import frames, io, worked
 from kframekit.cli import JobSpec, main, run_job
 from kframekit.duality import (
     BoundReport,
@@ -275,6 +275,9 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert main(["analyze"]) == 2  # missing --operator
         assert main(["no-such-command"]) == 2
+        assert main(["examples", "--seed", "7"]) == 2  # nothing is sampled
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 7" in err and "Traceback" not in err
 
     def test_internal_error_is_three(self, fixture_files, monkeypatch, capsys):
         from kframekit import cli
@@ -413,8 +416,59 @@ class TestExitCodes:
         assert body["verdicts"]["norm-bound"]["threshold"] == 1e-10 * body["results"]["norm_bound"]
 
 
+class TestAnalyzeInequalities:
+    """``analyze`` decides A |K* f|^2 <= |T_F* f|^2 at w_j, the unit columns of
+    U_r Sigma_r^-1 C for lambda's core C (each a power step toward the minimizer), and
+    |T_F* f|^2 <= B |f|^2 at u_1, which attains B. Random vectors lie mostly outside the
+    weak part of R(K), so a sampled check passed 100 A on the weak-direction instance."""
+
+    @pytest.fixture()
+    def analyze(self, tmp_path, capsys, monkeypatch):
+        def run(f, env, factor=1.0, tol=None):
+            """(exit code, failed verdicts) of ``analyze`` with k_frame_check's A times factor."""
+            io.write_file(tmp_path / "f.json", io.frame_to_obj(f))
+            io.write_file(tmp_path / "k.json", io.matrix_to_obj(env.k))
+            check = frames.k_frame_check
+
+            def scaled(*args):
+                bounds = check(*args)
+                return dataclasses.replace(bounds, lower=factor * bounds.lower)
+
+            argv = ["analyze", "--frame", str(tmp_path / "f.json"), "--operator",
+                    str(tmp_path / "k.json"), "--format", "json"]
+            with monkeypatch.context() as patch:
+                patch.setattr(frames, "k_frame_check", scaled)
+                code = main(argv + (["--tol", tol] if tol else []))
+            out, err = capsys.readouterr()
+            assert err == ""
+            verdicts = json.loads(out)["verdicts"]
+            return code, sorted(name for name, v in verdicts.items() if not v["passed"])
+        return run
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6])
+    def test_weak_direction_refuses_a_lower_bound_above_a(self, analyze, c):
+        # K = u_6 u_6* has rank 1, so w_1 = u_6 is the exact minimizer
+        f, env = weak_direction_instance(c)
+        assert analyze(f, env) == (0, [])
+        for factor in (1.01, 2.0, 100.0):
+            assert analyze(f, env, factor) == (1, ["lower-inequality"]), factor
+
+    def test_graded_family_refuses_twice_a(self, analyze):
+        for c in (1e-2, 1e-4, 1e-6, 1e-8):
+            for seed in range(20):
+                syn, x0, _ = graded_instance(seed, c)
+                f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+                assert analyze(f, env) == (0, []), (c, seed)
+                assert analyze(f, env, 2.0) == (1, ["lower-inequality"]), (c, seed)
+
+    def test_parseval_frame_at_a_strict_tolerance(self, analyze):
+        # S_F = I = K K*: each excess is rounding of the size of its terms, which a
+        # threshold of tol B alone refused at 1e-15
+        q = np.linalg.qr(crandn(np.random.default_rng(5), 9, 6))[0]
+        assert analyze(Frame(q), OperatorEnv.identity(6), tol="1e-15") == (0, [])
+
+
 BAD_INPUTS = {
-    "negative seed": (["--seed", "-3"], None, "--seed"),
     "negative tol": (["--tol", "-1"], None, "--tol"),
     "zero tol": (["--tol", "0"], None, "--tol"),
     "nan tol": (["--tol", "nan"], None, "--tol"),
@@ -526,6 +580,7 @@ class TestJsonReports:
         out, err = capsys.readouterr()
         body = json.loads(out, parse_constant=refuse)
         assert code in ((0, 1) if case in READS else (1,)) and err == ""
+        assert "seed" not in body and "golden_seed" not in body["results"]
         nulls = sorted(name for name, v in body["verdicts"].items() if v["residual"] is None)
         assert len(nulls) == (5 if "--tol" in argv else 0)
         for name in nulls:  # a section that raised: name [code], threshold 0

@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import crandn, projector_onto_range, random_k_frame, range_projector
+from conftest import (
+    crandn,
+    graded_instance,
+    projector_onto_range,
+    random_k_frame,
+    range_projector,
+)
 from tests_support_douglas import douglas_solution, inclusion_check, min_eig
 
 from kframekit.errors import (
@@ -23,20 +29,6 @@ from kframekit.linalg import (
 )
 
 S2 = np.array([[1.5, -0.5], [-0.5, 1.5]])
-
-
-def graded_instance(seed: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, X0, pinv(T) T X0) with T = U diag(geomspace(1, c, 20)) V* (20 x 30).
-
-    X0 has rank 10 and pinv(T) T X0 = V V* X0 exactly, so the oracle
-    involves no ill-conditioning; kappa(T) = 1/c.
-    """
-    rng = np.random.default_rng(seed)
-    u = np.linalg.qr(crandn(rng, 20, 20))[0]
-    v = np.linalg.qr(crandn(rng, 30, 20))[0]
-    syn = (u * np.geomspace(1.0, c, 20)) @ v.conj().T
-    x0 = crandn(rng, 30, 10) @ crandn(rng, 10, 20)
-    return syn, x0, v @ (v.conj().T @ x0)
 
 
 def c4_operator():

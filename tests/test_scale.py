@@ -610,7 +610,11 @@ class TestCli:
             flags = {key: r[key] for key in ("tight", "parseval", "minimal", "operator_rank")}
             return (verdicts, flags), {
                 "inclusion threshold": (v["range-inclusion"]["threshold"], OPERATOR),
-                "sampled threshold": (v["sampled-inequalities"]["threshold"], (2, 0)),
+                # the lower excess at its test vector is a (2, 0) number; |T_F* u_1|^2 - B
+                # is rounding, so only its threshold has a degree
+                "lower excess": (v["lower-inequality"]["residual"], (2, 0)),
+                "lower threshold": (v["lower-inequality"]["threshold"], (2, 0)),
+                "upper threshold": (v["upper-attained"]["threshold"], (2, 0)),
                 "A": (r["optimal_lower"], (2, -2)),
                 "B": ([r["optimal_upper"], r["bessel_bound"]], (2, 0)),
             }
@@ -631,6 +635,20 @@ class TestCli:
             assert json.loads(out)["verdicts"]["range-inclusion"]["residual"] == 0.0
         else:
             assert err.startswith("internal consistency error: factorization residual")
+
+    def test_subnormal_restriction_is_named(self, tmp_path, capsys):
+        # at 1e-160 B = Sigma^2 U_r* U_k has singular values of order 1e-320, which the
+        # restriction's coordinates would divide by
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(1e-160 * VECTORS)))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(1e-160 * K))
+        assert main(["dual", "--frame", str(tmp_path / "f.json"),
+                     "--operator", str(tmp_path / "k.json")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("numerical failure in dual: the least singular value of B, ")
+        assert err.endswith(", is subnormal\n")
+        least = float(err.split("B, ")[1].split(",")[0])
+        assert 0.0 < least < np.finfo(float).tiny
 
     def test_dual(self, scaling, invoke):
         def run(s):
