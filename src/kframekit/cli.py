@@ -33,7 +33,7 @@ from .errors import (
 )
 from .frames import Frame
 from .linalg import _RANK_SCALE, _SLACK, IDENTITY_TOL, OperatorEnv
-from .linalg import _gate, spectral_norm
+from .linalg import _gate, _range_residual, spectral_norm
 from .multipliers import Symbol
 
 __all__ = ["JobSpec", "Report", "run_job", "main", "build_parser"]
@@ -200,7 +200,8 @@ def _cmd_right_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
     inverse = multipliers.k_right_inverse(mult, env, tol)
     report.results["majorization"] = inverse.majorization
-    residual = spectral_norm(mult.matrix @ inverse.matrix - env.k)
+    # |M (R V_k) - K V_k|: R = pinv(M) K puts K on the right
+    residual = spectral_norm(_range_residual(env, mult.matrix, inverse.matrix, right=True))
     report.results["inverse"] = io.matrix_to_obj(inverse.matrix)
     report.verdicts["right-inverse-identity"] = _gate(residual, env.norm(), tol)
 
@@ -209,7 +210,8 @@ def _cmd_left_inverse(job: JobSpec, tol: float, report: Report, phi: Frame, psi:
                       env: OperatorEnv, symbol: Symbol) -> None:
     mult = multipliers.assemble_multiplier(symbol, phi, psi)
     inverse = multipliers.k_left_inverse(mult, env, tol)
-    residual = spectral_norm(inverse @ mult.matrix - env.k)
+    # |U_k* L M - Sigma_k V_k*|: L = K pinv(M) puts K on the left
+    residual = spectral_norm(_range_residual(env, inverse, mult.matrix))
     report.results["inverse"] = io.matrix_to_obj(inverse)
     report.verdicts["left-inverse-identity"] = _gate(residual, env.norm(), tol)
 

@@ -51,6 +51,7 @@ from .linalg import (
     _memo,
     _memoized_per_operator,
     _Restriction,
+    _range_residual,
     _restricted_inverse,
     _within,
     spectral_norm,
@@ -150,14 +151,18 @@ def verify_k_dual(
 
     The residual is |Sigma_k V_k* - (U_k* T_F) T_G*|: the same up to K - K V_k V_k*.
     """
+    check = _gate(spectral_norm(_dual_residual(f, g, env)), env.norm(), tol)
+    bounds = _lower_bounds(f, g, env, tol) if check.ok and with_lower_bounds else None
+    return KDualCertificate(f, g, env, check, bounds)
+
+
+def _dual_residual(f: Frame, g: Frame, env: OperatorEnv) -> np.ndarray:
+    """(U_k* T_F) T_G* - Sigma_k V_k* (k x n, ``_range_residual``), once the sizes agree."""
     if f.size != g.size:
         raise ShapeMismatch(f"index counts differ: {f.size} vs {g.size}")
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
-    achieved = env.range_basis.conj().T @ f.synthesis @ g.analysis
-    check = _gate(spectral_norm(env.adjoint().range_factor.conj().T - achieved), env.norm(), tol)
-    bounds = _lower_bounds(f, g, env, tol) if check.ok and with_lower_bounds else None
-    return KDualCertificate(f, g, env, check, bounds)
+    return _range_residual(env, f.synthesis, g.analysis)
 
 
 def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[float, float]:
@@ -173,13 +178,10 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[flo
     return dual, k_frame_check(_coordinates(f, env), env.range_coordinates, tol).lower
 
 
-def _require_k_dual(
-    f: Frame, g: Frame, env: OperatorEnv, tol: float, what: str
-) -> None:
-    """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``."""
-    identity = verify_k_dual(f, g, env, tol, with_lower_bounds=False).identity
-    if not identity:
-        raise NotADual(f"{what} (residual {identity.residual:.3e})", identity.residual)
+def _require_k_dual(f: Frame, g: Frame, env: OperatorEnv, tol: float, what: str) -> None:
+    """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``: the gate
+    of ``verify_k_dual``'s residual, decided Frobenius-first (``_within``)."""
+    _within(_dual_residual(f, g, env), tol * env.norm(), NotADual, what + " (residual {:.3e})")
 
 
 def k_dual_lower_bounds(

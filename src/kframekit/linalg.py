@@ -29,8 +29,10 @@ hypothesis and both multiplier inverses share. It applies the factors in order
 (``SvdFactors.solve``) and reads lambda off the r x m core Sigma_r^-1 U_r*
 l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
 which shares only the range basis U_r. Reported residuals are spectral
-norms; a residual that only gates (``_within``) is decided on its Frobenius
-norm first. Every identity is homogeneous, so every verdict is one gate,
+norms, an identity's read on K's rank-k coordinates on the side where it puts
+P_K, K or K* (``_range_residual``, the same up to sigma_{k+1}); a residual that
+only gates (``_within``) is decided on its Frobenius norm first. Every identity
+is homogeneous, so every verdict is one gate,
 ``_gate``: residual <= tol * scale, for a plain float ``tol`` (the one
 user-set threshold, ``IDENTITY_TOL`` by default), the magnitude ``scale`` of
 the identity's terms and no absolute floor, so no verdict depends on the
@@ -128,11 +130,9 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.size == 0:
         raise ShapeMismatch(f"{name} must be a nonempty 2-d array, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+    return _read_only(a.copy())
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -158,6 +158,11 @@ class SvdFactors:
         """U Sigma V* on the stored vectors: factors cut to the rank drop Sigma's tail."""
         s = self.singular_values[: self.left_vectors.shape[1]]
         return (self.left_vectors * s) @ self.right_vectors.conj().T
+
+    def _range_factor(self) -> np.ndarray:
+        """U_r Sigma_r: the same range, and the same norms |X U_r Sigma_r| = |X A| but for
+        the tail the rank drops."""
+        return self.left_vectors[:, : self.rank] * self.singular_values[: self.rank]
 
     def adjoint(self) -> "SvdFactors":
         """Factors of the conjugate transpose: the same SVD read backwards."""
@@ -345,10 +350,16 @@ def _restricted_inverse(left: SvdFactors, operand: np.ndarray) -> _Restriction:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
         )
-    least = float(b.singular_values[b.rank - 1])
-    if least < np.finfo(float).tiny:
-        raise FloatingPointError(f"the least singular value of B, {least:g}, is subnormal")
-    return _Restriction(left, b)
+    return _Restriction(left, _divisible(b, "the least singular value of B"))
+
+
+def _divisible(factors: SvdFactors, least: str) -> SvdFactors:
+    """``factors``; FloatingPointError naming ``least`` when the least kept singular value,
+    which a solve divides by, is subnormal."""
+    value = factors.singular_values[factors.rank - 1] if factors.rank else np.inf
+    if value < np.finfo(float).tiny:
+        raise FloatingPointError(f"{least}, {value:g}, is subnormal")
+    return factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,9 +417,7 @@ class OperatorEnv:
     @property
     def range_factor(self) -> np.ndarray:
         """U_k Sigma_k = K V_k (n x k); the adjoint's is V_k Sigma_k = K* U_k."""
-        r, f = self.rank, self.factors
-        return _memo(self, "range_factor",
-                     lambda: _read_only(self.range_basis * f.singular_values[:r]))
+        return _memo(self, "range_factor", lambda: _read_only(self.factors._range_factor()))
 
     @property
     def range_coordinates(self) -> "OperatorEnv":
@@ -449,3 +458,15 @@ class OperatorEnv:
     @staticmethod
     def identity(n: int) -> "OperatorEnv":
         return OperatorEnv.from_matrix(np.eye(n, dtype=np.complex128))
+
+
+def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False) -> np.ndarray:
+    """U_k* F_1 ... F_j - Sigma_k V_k* (k x m), or with ``right`` F_1 ... F_j V_k - U_k Sigma_k
+    (m x k): the residual of F_1 ... F_j = K on the side where the identity puts P_K, K or K*,
+    read on K's rank-k coordinates. Its norm is the n x n residual's up to sigma_{k+1}
+    (``OperatorEnv``) and rounding."""
+    if right:
+        v = env.factors.right_vectors[:, : env.rank]
+        return functools.reduce(lambda x, f: f @ x, factors[::-1], v) - env.range_factor
+    u = env.range_basis.conj().T
+    return functools.reduce(np.matmul, factors, u) - env.adjoint().range_factor.conj().T

@@ -62,11 +62,13 @@ from .linalg import (
     CheckResult,
     OperatorEnv,
     SvdFactors,
+    _divisible,
     _douglas,
     _gate,
     _majorization,
     _memo,
     _memoized_per_operator,
+    _range_residual,
     _read_only,
     _require_inclusion,
     _restricted_inverse,
@@ -117,10 +119,9 @@ class Symbol:
         v = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if v.size == 0:
             raise ShapeMismatch("symbol must not be empty")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise NotSemiNormalized("symbol contains NaN or Inf")
-        v = v.copy()
-        v.setflags(write=False)
+        v = _read_only(v.copy())
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_memo", {})
         if (self.lower is None) != (self.upper is None):
@@ -238,10 +239,11 @@ def _projected(f: Frame, env: OperatorEnv) -> Frame:
 
 
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
-    """M's memoized SVD, once M and K are known to have equal sizes."""
+    """M's memoized SVD, once M and K are known to have equal sizes; FloatingPointError
+    if M's least kept singular value, which ``SvdFactors.core`` divides by, is subnormal."""
     if env.dim != mult.matrix.shape[0]:
         raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
-    return mult._factors()
+    return _divisible(mult._factors(), "the least kept singular value of M")
 
 
 @dataclass(frozen=True)
@@ -360,8 +362,9 @@ class MultiplierFactorization:
 
     ``achieved`` is the product of the factor matrices left to right
     (times K* first for the left-inverse identity on R(K*)); the verdict ``identity``
-    gates |achieved - target|. ``certificates`` holds the verdicts of the intermediate
-    claims by name, ``diagnostics`` plain numbers; ``passed`` when every verdict holds.
+    gates |achieved - target|, read on K's rank-k coordinates on the side where the identity
+    puts P_K, K or K* (``_range_residual``). ``certificates`` holds the verdicts of the
+    intermediate claims by name, ``diagnostics`` plain numbers; ``passed`` when all hold.
     """
 
     factors: tuple[Multiplier, ...]
@@ -448,8 +451,8 @@ def biorthogonal_right_inverse(
 
     Needs Phi a K-frame and Psi a minimal K*-frame. With G biorthogonal to
     Psi and Phi-tilde the canonical K-dual of Phi,
-    M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K, and its adjoint
-    M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*.
+    M_{1,P_K Phi,Psi} M_{1,G,Phi-tilde} = K, gated on U_k* (P_K Phi is on the left), and
+    its adjoint M_{1,Phi-tilde,G} M_{1,Psi,P_K Phi} = K*, whose verdict carries over.
     """
     _k_frame_hypothesis(phi, env, tol)
     bio = biorthogonal_sequence(psi)
@@ -461,8 +464,8 @@ def biorthogonal_right_inverse(
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
-    forward = MultiplierFactorization((analysis_side, synthesis_side), env.k, achieved,
-                                      _gate(spectral_norm(achieved - env.k), env.norm(), tol))
+    check = _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol)
+    forward = MultiplierFactorization((analysis_side, synthesis_side), env.k, achieved, check)
     return BiorthogonalFactorization(forward, forward.adjoint())
 
 
@@ -488,7 +491,8 @@ def perturbation_condition(
 
     rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K); tau is
     a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the K-frame bounds
-    (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal bounds.
+    (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal bounds;
+    FloatingPointError when tau is not finite and positive (B underflows at 1e-200).
     """
     if not m.is_semi_normalized:
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
@@ -503,7 +507,11 @@ def perturbation_condition(
         )
     diff = psi.analysis - phi.analysis
     rho = spectral_norm(diff @ env.range_basis)
-    tau = float((m.lower * a_bound) / (m.upper * np.sqrt(b_bound) * env.pinv_norm() ** 2))
+    kdag = env.pinv_norm()
+    with np.errstate(all="ignore"):  # in a uniform scale a / sqrt(b) has degree -1, 1/|Kdag| 1
+        tau = float(m.lower / m.upper * (a_bound / np.sqrt(b_bound)) / kdag / kdag)
+    if not 0.0 < tau < np.inf:
+        raise FloatingPointError(f"perturbation threshold tau = {tau!r} is not finite and positive")
     return ConditionReport(rho, tau, _gate(rho, tau, 1.0))
 
 
@@ -585,7 +593,7 @@ def perturbation_right_inverse(
     """K-right inverse R = (M^-1)* K of the reversed multiplier, as multipliers.
 
     R is realized as the multiplier M_{1, (M^-1)* P_K Phi, Phi-d} for any
-    K-dual Phi-d of Phi, and M_{mbar, P_K Psi, Phi} R = K is certified (the
+    K-dual Phi-d of Phi, and M_{mbar, P_K Psi, Phi} R = K is certified on U_k* (the
     reversed multiplier needs its output projected onto R(K); the projection
     is absorbed into the frame P_K Psi, keeping both factors multipliers).
     The multiplier form of R must match it to ``tol`` |(M^-1)* K|_F. ``certificates``
@@ -601,7 +609,7 @@ def perturbation_right_inverse(
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)), tol)
     reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
-    check = _gate(spectral_norm(achieved - env.k), env.norm(), tol)
+    check = _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol)
     return MultiplierFactorization(
         (reversed_mult, r_mult), env.k, achieved, check,
         {"condition": condition, "right_inverse_multiplier_form": form}, dict(diagnostics))
@@ -615,17 +623,19 @@ def range_inclusion_right_inverse(
     The inverse is the multiplier M_{1,Phi-dag,Psi-tilde} with
     Phi-dag = {(S_Phi|_{R(K*)})^-1 P_{S_Phi(R(K*))} phi_i} and Psi-tilde the
     canonical K-dual of Psi; the certified identity is
-    M_{1,P_K Psi,Phi} M_{1,Phi-dag,Psi-tilde} = K.
+    M_{1,P_K Psi,Phi} M_{1,Phi-dag,Psi-tilde} = K, gated on U_k* (P_K Psi is on the left).
     R(T_Phi* K*) is read off the SVD of T_Phi* V_k Sigma_k (N x k, V_k Sigma_k = K* U_k),
     which has the same range but for K - K V_k V_k* (``OperatorEnv``); its rank cutoff
-    max(N, k) 2^-40 is that of T_Phi* K*, max(N, n) 2^-40, whenever N >= n.
+    max(N, k) 2^-40 is that of T_Phi* K*, max(N, n) 2^-40, whenever N >= n. T_Psi* is
+    read as its rank factor V_r Sigma_r off T_Psi's memoized SVD.
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        psi.analysis, svd_decompose(phi.analysis @ env.adjoint().range_factor), psi.norm(), tol,
+        _factors(psi).adjoint()._range_factor(),
+        svd_decompose(phi.analysis @ env.adjoint().range_factor), psi.norm(), tol,
         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
     )
     ones = Symbol.ones(psi.size)
@@ -638,7 +648,8 @@ def range_inclusion_right_inverse(
     achieved = left_factor.matrix @ right_factor.matrix
     return MultiplierFactorization(
         (left_factor, right_factor), env.k, achieved,
-        _gate(spectral_norm(achieved - env.k), env.norm(), tol), {"inclusion": inclusion},
+        _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol),
+        {"inclusion": inclusion},
     )
 
 
@@ -650,17 +661,17 @@ def range_inclusion_left_inverse(
     The inverse is M_{1,Phi-tilde,Psi-dag} with
     Psi-dag = {((S_Psi|_{R(K)})^-1)* P_K psi_i} and Phi-tilde the canonical
     K*-dual of Phi; the certified identity is
-    M_{1,Phi-tilde,Psi-dag} M_{1,Psi,Phi} K* = K K*.
-    R(T_Psi* K) is read off the SVD of T_Psi* U_k Sigma_k (N x k, U_k Sigma_k = K V_k),
-    with the same range and rank cutoff as in ``range_inclusion_right_inverse``.
+    M_{1,Phi-tilde,Psi-dag} M_{1,Psi,Phi} K* = K K*, gated on U_k (K* is on the right).
+    R(T_Psi* K) is read off the SVD of T_Psi* U_k Sigma_k (N x k, U_k Sigma_k = K V_k)
+    and T_Phi* as its rank factor, as in ``range_inclusion_right_inverse``.
     """
     if psi.size != phi.size:
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, env.adjoint(), tol)
     inclusion = _require_inclusion(
-        phi.analysis, svd_decompose(psi.analysis @ env.range_factor), phi.norm(), tol,
-        RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
+        _factors(phi).adjoint()._range_factor(), svd_decompose(psi.analysis @ env.range_factor),
+        phi.norm(), tol, RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
     )
     ones = Symbol.ones(psi.size)
     # ((S_Psi|)^-1)* P_K T_Psi = U_r (B^+)* Q* T_Psi
@@ -670,10 +681,12 @@ def range_inclusion_left_inverse(
     left_factor = assemble_multiplier(ones, phi_tilde, psi_dag)
     right_factor = assemble_multiplier(ones, psi, phi)
     achieved = left_factor.matrix @ right_factor.matrix @ env.k_adjoint
-    target = env.k @ env.k_adjoint
+    # (achieved - K K*) U_k = (M_1 M_2 - K) V_k Sigma_k, since K* U_k = V_k Sigma_k
+    residual = _range_residual(env, left_factor.matrix, right_factor.matrix, right=True)
+    residual *= env.factors.singular_values[: env.rank]
     return MultiplierFactorization(
-        (left_factor, right_factor), target, achieved,
-        _gate(spectral_norm(achieved - target), env.norm() ** 2, tol), {"inclusion": inclusion},
+        (left_factor, right_factor), env.k @ env.k_adjoint, achieved,
+        _gate(spectral_norm(residual), env.norm() ** 2, tol), {"inclusion": inclusion},
     )
 
 

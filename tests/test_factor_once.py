@@ -21,6 +21,7 @@ from conftest import (
     admissible_perturbation,
     both_inclusion_instance,
     crandn,
+    graded_instance,
     minimal_instance,
     random_k_frame,
     random_rank_matrix,
@@ -56,10 +57,10 @@ from kframekit import (
     svd_decompose,
     verify_k_dual,
 )
-from kframekit import io
+from kframekit import cli, io
 from kframekit.cli import main
-from kframekit.duality import _coordinates, _restriction
-from kframekit.errors import InternalConsistencyError, NotKFrame, RangeNotIncluded
+from kframekit.duality import _coordinates, _require_k_dual, _restriction
+from kframekit.errors import InternalConsistencyError, NotADual, NotKFrame, RangeNotIncluded
 from kframekit.frames import _factors, _k_frame_hypothesis
 from kframekit.linalg import (
     CheckResult,
@@ -83,9 +84,10 @@ CLI_VALIDATING = {"dual": 18, "perturb-check": 7}
 # products at vectors T_F's memoized SVD holds, so they add none
 CLI_ANALYZE = 7
 # perturbation_right_inverse after perturbation_k_dual on the same arguments: the
-# residual of the dual choice's K-dual identity, then the multiplier form of R and the
-# K-identity residuals; no multiplier and none of its frames is factored
-PERTURBED_RIGHT_INVERSE = 3
+# multiplier form of R and the K-identity residuals; no multiplier and none of its
+# frames is factored, and the dual choice's K-dual identity only gates, so its
+# residual is decided on its Frobenius norm and takes no SVD when it passes (3 -> 2)
+PERTURBED_RIGHT_INVERSE = 2
 # one op of the multipliers-n16 bench workload: the bench's factorizations_per_op
 # (42), plus the QR and the triangular solve of each of its 3 majorization
 # cross-checks (the optimal bounds of frames_from_multiplier_identity's two sides and
@@ -95,8 +97,10 @@ PERTURBED_RIGHT_INVERSE = 3
 # perturbation dual's certificate computes no lower bounds (the SVD, two norms, QR
 # and solve of each of its two k_frame_checks): 75 -> 49. The perturbation condition
 # reads Phi's bound pair against the optimal bounds frames_from_multiplier_identity
-# memoized, not on an eigvalsh of S_Phi - a K K*: 49 -> 48
-MULTIPLIERS_OP = 48
+# memoized, not on an eigvalsh of S_Phi - a K K*: 49 -> 48. The two dual-choice gates
+# (perturbation_right_inverse's and inverse_as_multiplier's) pass on their Frobenius
+# norms, with no SVD: 48 -> 46
+MULTIPLIERS_OP = 46
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -169,6 +173,16 @@ def factorizations(monkeypatch):
     return counter
 
 
+def load_workloads(monkeypatch):
+    """bench/workloads.py as a module; its dataclasses look it up in ``sys.modules``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def operands(counter, name):
     """Shapes of the operands of the counted ``name`` calls, in call order."""
     return [a.shape for a, n in zip(counter["inputs"], counter["names"]) if n == name]
@@ -229,6 +243,24 @@ class TestCounts:
         assert factorizations["n"] == PERTURBED_RIGHT_INVERSE
         restriction = _perturbed_restriction(f, psi, env, m, bounds, IDENTITY_TOL)
         assert _perturbed_restriction(f, psi, env, m, list(bounds), IDENTITY_TOL) is restriction
+
+    def test_passing_dual_gate_takes_no_svd(self, factorizations):
+        # the K-dual gate of a dual choice only gates: a pass is decided on the Frobenius
+        # norm of the k x n residual; a failure raises NotADual with verify_k_dual's
+        # spectral residual, the one SVD taken
+        vectors, k, _ = instance(11)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        dual = canonical_k_dual(f, env)
+        stranger = Frame(dual.vectors + crandn(np.random.default_rng(11), *dual.vectors.shape))
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        _require_k_dual(f, dual, env, IDENTITY_TOL, "not a dual")
+        assert factorizations["names"] == []
+        with pytest.raises(NotADual) as exc:
+            _require_k_dual(f, stranger, env, IDENTITY_TOL, "not a dual")
+        assert operands(factorizations, "svd_norm") == [(4, 8)]
+        assert exc.value.residual == verify_k_dual(f, stranger, env).residual
+        assert str(exc.value) == f"not a dual (residual {exc.value.residual:.3e})"
 
     def test_perturbed_restriction_has_rank_t_phi_rows(self, factorizations):
         # rank T_Phi = N = 6 < n = 8: rho, the margin's B_ref, the distance and B are
@@ -457,8 +489,12 @@ class TestCounts:
         # the dual's core and of both multipliers went with the Bessel-bound check
         psi, phi, env = both_inclusion_instance(np.random.default_rng(21))
         factorizations["n"] = 0
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
         range_inclusion_left_inverse(psi, phi, env)
         assert factorizations["n"] == 9
+        # the identity's residual is (achieved - K K*) U_k, n x k, not n x n
+        assert operands(factorizations, "svd_norm")[-1] == (env.dim, env.rank)
 
     def test_right_inverse_as_multiplier_is_the_left_side_on_the_adjoint(self, factorizations):
         rng = np.random.default_rng(14)
@@ -478,10 +514,11 @@ class TestCounts:
             out = inverse_as_multiplier(fresh[0], fresh[1], env, inverse, side, fresh[2])
             assert out.passed
             counts.append(factorizations["n"])
-        # the inverse, dual-choice, transported-dual and output residuals on each side;
-        # the SVDs of four frames and of both multipliers went with the Bessel-bound
-        # check, and the output identity's scale is the Frobenius norm of L K
-        assert counts == [4, 4]
+        # the inverse, transported-dual and output residuals on each side; the SVDs of
+        # four frames and of both multipliers went with the Bessel-bound check, the output
+        # identity's scale is the Frobenius norm of L K, and the dual choice's gate passes
+        # on its Frobenius norm
+        assert counts == [3, 3]
 
     def test_assemble_multiplier_factors_nothing(self, factorizations):
         # the Bessel bound holds for every M; norm_bound_check tests it on request
@@ -496,12 +533,7 @@ class TestCounts:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_multipliers_workload_op(self, factorizations, monkeypatch, seed):
         # every instance of the bench's pool, each op checked against its references
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
-        workload = workloads.Multipliers(seed, None)
+        workload = load_workloads(monkeypatch).Multipliers(seed, None)
         counts = []
         for key in workload.keys:
             factorizations["n"] = 0
@@ -591,6 +623,25 @@ class TestCliCounts:
         assert not {"eigh", "eigvalsh"} & set(factorizations["names"])
         assert factorizations["n"] == CLI_VALIDATING[command]
 
+    @pytest.mark.parametrize("command, shape", [("right-inverse", (8, 4)),
+                                                ("left-inverse", (4, 8))])
+    def test_inverse_residuals_are_read_on_rank_k_coordinates(self, factorizations, tmp_path,
+                                                               command, shape):
+        # |M (R V_k) - K V_k| is 8 x 4 and |U_k* L M - Sigma_k V_k*| is 4 x 8: no norm
+        # operand of either command is n x n = 8 x 8
+        mult, env = multiplier_instance(30)
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("phi", "psi", "k", "m")}
+        io.write_file(paths["phi"], io.frame_to_obj(mult.phi))
+        io.write_file(paths["psi"], io.frame_to_obj(mult.psi))
+        io.write_file(paths["k"], io.matrix_to_obj(env.k))
+        io.write_file(paths["m"], io.symbol_to_obj(mult.symbol))
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        assert main([command, "--frame", paths["phi"], "--frame", paths["psi"],
+                     "--operator", paths["k"], "--symbol", paths["m"]]) == 0
+        norms = operands(factorizations, "svd_norm")
+        assert norms[-1] == shape and (8, 8) not in norms
+
     def test_analyze_inequalities_factor_nothing(self, factorizations, tmp_path):
         vectors, k, _ = instance(10)
         io.write_file(tmp_path / "f.json", io.frame_to_obj(Frame(vectors)))
@@ -620,6 +671,29 @@ def n_by_k_inclusion_instance(seed: int, n: int = 8, count: int = 5, rank: int =
         psi_syn = env.k @ phi_syn
         if well_conditioned(phi_syn, rank) and well_conditioned(psi_syn, rank):
             return Frame(psi_syn.T), Frame(phi_syn.T), env
+
+
+EPS = np.finfo(float).eps
+
+
+def tail(env: OperatorEnv) -> float:
+    """sigma_{k+1} of K, the part its rank-k coordinates drop (0 at full rank)."""
+    s = env.factors.singular_values
+    return float(s[env.rank]) if env.rank < s.size else 0.0
+
+
+def assert_matches_n_by_n(compressed, full, scale, dropped, tol=IDENTITY_TOL):
+    """``compressed`` within 100 eps ``scale`` + ``dropped`` of the n x n residual ``full``,
+    with the same verdict at ``tol`` ``scale``."""
+    assert abs(compressed - full) <= 100 * EPS * scale + dropped
+    assert (compressed <= tol * scale) == (full <= tol * scale)
+
+
+def cli_residual(command, mult, env, tol=IDENTITY_TOL):
+    """The residual ``kframe right-inverse`` or ``left-inverse`` reports for M and K."""
+    report = cli.Report(command, {}, {})
+    cli._HANDLERS[command][0](None, tol, report, mult.phi, mult.psi, env, mult.symbol)
+    return report.verdicts[f"{command}-identity"].residual
 
 
 class TestRankKFactor:
@@ -702,10 +776,85 @@ class TestRankKFactor:
                     assert out.passed and out.certificates["inclusion"].ok
                     assert out.certificates["inclusion"].residual == pytest.approx(
                         old.residual, rel=1e-6, abs=1e-14 * norm_a)
+                    # the identity, read on K's rank-k coordinates, against the n x n one
+                    degree = 2 if construction is range_inclusion_left_inverse else 1
+                    assert_matches_n_by_n(out.identity.residual,
+                                          spectral_norm(out.achieved - out.target),
+                                          env.norm() ** degree,
+                                          tail(env) * env.norm() ** (degree - 1))
                 else:
                     with pytest.raises(RangeNotIncluded) as exc:
                         construction(psi_case, phi, env)
                     assert exc.value.residual == pytest.approx(old.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_compressed_residuals_match_the_n_by_n_route_on_the_bench_pool(
+        self, monkeypatch, seed
+    ):
+        # every residual read on K's rank-k coordinates, against the n x n one: the three
+        # K-identities (U_k* on the left, as reported bit for bit), the K K*-identity (U_k
+        # on the right, degree 2), the CLI's inverse residuals, and both inclusion operands
+        # on their frame's rank factor V_r Sigma_r (dropping the frame's tail)
+        workload = load_workloads(monkeypatch).Multipliers(seed, None)
+        for key in workload.keys:
+            inst = workload.instances[key]
+            mult, _, _, _, _, pright, inclusion, bio, _ = workload.run(kframekit, key)
+            env, env3 = OperatorEnv.from_matrix(inst["k"]), OperatorEnv.from_matrix(inst["k3"])
+            for out, out_env in ((pright, env), (inclusion[0], env), (bio.forward, env3)):
+                rank_k = out_env.range_basis.conj().T @ out.achieved
+                assert out.identity.residual == spectral_norm(
+                    rank_k - out_env.adjoint().range_factor.conj().T)
+                assert_matches_n_by_n(out.identity.residual,
+                                      spectral_norm(out.achieved - out.target),
+                                      out_env.norm(), tail(out_env))
+            left = inclusion[1]
+            assert_matches_n_by_n(left.identity.residual,
+                                  spectral_norm(left.achieved - left.target),
+                                  env.norm() ** 2, tail(env) * env.norm())
+            for command, full in (
+                ("right-inverse", mult.matrix @ k_right_inverse(mult, env).matrix - env.k),
+                ("left-inverse", k_left_inverse(mult, env) @ mult.matrix - env.k),
+            ):
+                assert_matches_n_by_n(cli_residual(command, mult, env), spectral_norm(full),
+                                      env.norm(), tail(env))
+            psi2, phi2 = Frame(inst["psi2"]), Frame(inst["phi2"])
+            for out, a, wide in (
+                (inclusion[0], psi2, phi2.analysis @ env.k_adjoint),
+                (inclusion[1], phi2, psi2.analysis @ env.k),
+            ):
+                full = _inclusion(a.analysis, svd_decompose(wide), a.norm(), IDENTITY_TOL)
+                fac = _factors(a)
+                frame_tail = fac.singular_values[fac.rank:]
+                assert_matches_n_by_n(out.certificates["inclusion"].residual, full.residual,
+                                      a.norm(), frame_tail[0] if frame_tail.size else 0.0)
+
+    @pytest.mark.parametrize("c", [1e-1, 1e-2, 1e-3])
+    def test_inverse_residuals_match_the_n_by_n_route_on_graded_multipliers(
+        self, factorizations, c
+    ):
+        # M = T_Phi T_Psi* with T_Phi graded to kappa = 1/c, K = M X (right) or X M (left),
+        # X of rank 10: the CLI reads |M R - K| as |M (R V_k) - K V_k| (20 x 10) and
+        # |L M - K| as |U_k* L M - Sigma_k V_k*| (10 x 20); the CLI assembles its own M, so
+        # k_right_inverse's lambda norms (20 x 10) come first
+        for seed in range(5):
+            syn, _, _ = graded_instance(seed, c)
+            rng = np.random.default_rng(100 + seed)
+            x = crandn(rng, 20, 10) @ crandn(rng, 10, 20)
+            mult = assemble_multiplier(Symbol.ones(30), Frame(syn.T),
+                                       Frame(crandn(rng, 20, 30).T))
+            for command, shape, k in (("right-inverse", (20, 10), mult.matrix @ x),
+                                      ("left-inverse", (10, 20), x @ mult.matrix)):
+                env = OperatorEnv.from_matrix(k)
+                if command == "right-inverse":
+                    full = mult.matrix @ k_right_inverse(mult, env).matrix - k
+                else:
+                    full = k_left_inverse(mult, env) @ mult.matrix - k
+                factorizations["names"].clear()
+                factorizations["inputs"].clear()
+                residual = cli_residual(command, mult, env)
+                norms = operands(factorizations, "svd_norm")
+                assert norms[-1] == shape and (20, 20) not in norms
+                assert_matches_n_by_n(residual, spectral_norm(full), env.norm(), tail(env))
 
 
 class TestFactoredNorm:

@@ -19,6 +19,7 @@ whose norm bound is |T_Phi| |T_Psi| sup|m|, at 1e-150 to 1e-90 uniform.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -649,6 +650,57 @@ class TestCli:
         assert err.endswith(", is subnormal\n")
         least = float(err.split("B, ")[1].split(",")[0])
         assert 0.0 < least < np.finfo(float).tiny
+
+    @staticmethod
+    def _multiplier_command(tmp_path, capsys, command, s):
+        """(exit code, stdout, stderr, warnings) of ``command`` on the multiplier inputs
+        scaled by ``s``, uniformly."""
+        paths = [str(tmp_path / f"{name}.json") for name in ("phi", "psi", "k", "m")]
+        io.write_file(paths[0], io.frame_to_obj(Frame(s * M_PHI)))
+        io.write_file(paths[1], io.frame_to_obj(Frame(s * M_PSI)))
+        io.write_file(paths[2], io.matrix_to_obj(s * M_K))
+        io.write_file(paths[3], io.symbol_to_obj(M_SYM))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--frame", paths[0], "--frame", paths[1], "--operator",
+                         paths[2], "--symbol", paths[3], "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, out, err, caught
+
+    @pytest.mark.parametrize("command", ["right-inverse", "left-inverse"])
+    def test_subnormal_multiplier_is_named(self, tmp_path, capsys, command):
+        # at 1e-160 M = T_Phi diag(m) T_Psi* has singular values of order 1e-320, which
+        # the Douglas solution's core would divide by
+        code, out, err, caught = self._multiplier_command(tmp_path, capsys, command, 1e-160)
+        assert (code, out, caught) == (3, "", [])
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"numerical failure in {command}: "
+                              f"the least kept singular value of M, ")
+        assert err.endswith(", is subnormal\n")
+        least = float(err.split("M, ")[1].split(",")[0])
+        assert 0.0 < least < np.finfo(float).tiny
+
+    def test_perturbation_threshold_far_below_unit_scale(self, tmp_path, capsys):
+        # tau = (a / sqrt(b)) / |Kdag| / |Kdag| in that order: |Kdag|^2 alone would overflow
+        # at 1e-160, yet the verdict is the one at s = 1 and rho, tau scale by s
+        unit = json.loads(self._multiplier_command(tmp_path, capsys, "perturb-check", 1.0)[1])
+        code, out, err, caught = self._multiplier_command(tmp_path, capsys, "perturb-check",
+                                                          1e-160)
+        assert (code, err, caught) == (0, "", [])
+        body = json.loads(out)
+        assert body["verdicts"]["perturbation-condition"]["passed"] is True
+        assert unit["verdicts"]["perturbation-condition"]["passed"] is True
+        for key in ("rho", "tau"):
+            assert body["results"][key] == pytest.approx(1e-160 * unit["results"][key],
+                                                         rel=RTOL)
+
+    def test_unrepresentable_perturbation_threshold_is_named(self, tmp_path, capsys):
+        # at 1e-200 B (degree 2) underflows to 0.0, so tau = a / sqrt(B) ... is inf
+        code, out, err, caught = self._multiplier_command(tmp_path, capsys, "perturb-check",
+                                                          1e-200)
+        assert (code, out, caught) == (3, "", [])
+        assert err == ("numerical failure in perturb-check: perturbation threshold "
+                       "tau = inf is not finite and positive\n")
 
     def test_dual(self, scaling, invoke):
         def run(s):
