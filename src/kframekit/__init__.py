@@ -8,7 +8,6 @@ for the batch front door.
 
 from .duality import (
     BoundReport,
-    DualPerturbation,
     IdentityReport,
     KDualCertificate,
     WitnessReport,
@@ -67,7 +66,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BoundReport",
     "CheckResult",
-    "DualPerturbation",
     "Frame",
     "FrameBounds",
     "IDENTITY_TOL",

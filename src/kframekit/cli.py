@@ -170,11 +170,11 @@ def _cmd_dual(job: JobSpec, tol: float, report: Report, frame: Frame, env: Opera
 
 def _cmd_dual_family(job: JobSpec, tol: float, report: Report, frame: Frame,
                      candidate: Frame, env: OperatorEnv) -> None:
-    pert = duality.dual_family_recover_phi(frame, candidate, env, tol)
-    report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, pert, tol)
-    regenerated = duality.dual_family_generate(frame, env, pert, tol)
+    phi = duality.dual_family_recover_phi(frame, candidate, env, tol)
+    report.verdicts["phi-admissible"] = duality.admissibility_violation(frame, env, phi, tol)
+    regenerated = duality.dual_family_generate(frame, env, phi, tol)
     roundtrip = float(np.max(np.abs(regenerated.vectors - candidate.vectors)))
-    report.results["phi"] = io.matrix_to_obj(pert.phi)
+    report.results["phi"] = io.matrix_to_obj(phi)
     report.verdicts["family-round-trip"] = _gate(
         roundtrip, float(np.max(np.abs(candidate.vectors))), _SLACK
     )
@@ -229,10 +229,9 @@ def _cmd_perturb_check(job: JobSpec, tol: float, report: Report, phi: Frame, psi
 
 
 def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:
-    run = worked.reproduce_examples(tol=job.tol)
-    report.results["checks"] = len(run.checks)
-    for golden in run.checks:
-        report.verdicts[golden.name] = golden.check
+    checks = worked.reproduce_examples(tol=job.tol)
+    report.results["checks"] = len(checks)
+    report.verdicts.update(checks)
 
 
 # command -> (handler, --frame count, needs --operator, --symbol), in the usage's order;

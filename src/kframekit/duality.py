@@ -52,6 +52,7 @@ from .linalg import (
     _memoized_per_operator,
     _Restriction,
     _range_residual,
+    _read_only,
     _restricted_inverse,
     _within,
     spectral_norm,
@@ -59,7 +60,6 @@ from .linalg import (
 
 __all__ = [
     "KDualCertificate",
-    "DualPerturbation",
     "BoundReport",
     "WitnessReport",
     "IdentityReport",
@@ -262,73 +262,46 @@ def canonical_dual_bound_certificate(
                        _gate((observed[1] - envelope[1]) / envelope[1], 1.0, _SLACK))
 
 
-@dataclass(frozen=True, eq=False)
-class DualPerturbation:
-    """Coefficient-valued map phi (N x n) parameterizing the dual family.
-
-    Admissible iff P_{R(K)} T_F phi = 0; ``phi_adjoint`` has column i equal
-    to phi* delta_i, the vector added to the canonical dual's i-th element.
-    """
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.phi, dtype=np.complex128)
-        if p.ndim != 2:
-            raise ShapeMismatch(f"phi must be 2-d (N x n), got {p.shape}")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "phi", p)
-
-    @property
-    def phi_adjoint(self) -> np.ndarray:
-        return self.phi.conj().T
-
-    @staticmethod
-    def zero(size: int, ambient_dim: int) -> "DualPerturbation":
-        return DualPerturbation(np.zeros((size, ambient_dim), dtype=np.complex128))
-
-
 def _admissibility(
-    f: Frame, env: OperatorEnv, pert: DualPerturbation, tol: float
+    f: Frame, env: OperatorEnv, phi, tol: float
 ) -> tuple[np.ndarray, float]:
     """U_k* T_F phi (of P_{R(K)} T_F phi's norm) and its scale |T_F| (|phi|_F + |T_Ftilde|_F).
 
     The scale holds the terms that cancel: a phi recovered from g = Ftilde is noise.
     """
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.shape != (f.size, f.ambient_dim):
+        raise ShapeMismatch(f"phi must be {f.size} x {f.ambient_dim}, got {phi.shape}")
     dual = canonical_k_dual(f, env, tol)
-    scale = f.norm() * float(np.linalg.norm(pert.phi) + np.linalg.norm(dual.synthesis))
-    return (env.range_basis.conj().T @ f.synthesis) @ pert.phi, scale
+    scale = f.norm() * float(np.linalg.norm(phi) + np.linalg.norm(dual.synthesis))
+    return (env.range_basis.conj().T @ f.synthesis) @ phi, scale
 
 
 def admissibility_violation(
-    f: Frame, env: OperatorEnv, pert: DualPerturbation, tol: float = IDENTITY_TOL
+    f: Frame, env: OperatorEnv, phi, tol: float = IDENTITY_TOL
 ) -> CheckResult:
     """Spectral norm of P_{R(K)} T_F phi (zero for admissible phi) against its threshold."""
-    product, scale = _admissibility(f, env, pert, tol)
+    product, scale = _admissibility(f, env, phi, tol)
     return _gate(spectral_norm(product), scale, tol)
 
 
 def dual_family_generate(
     f: Frame,
     env: OperatorEnv,
-    pert: DualPerturbation,
+    phi,
     tol: float = IDENTITY_TOL,
 ) -> Frame:
-    """Member g_i = ftilde_i + phi* delta_i of the K-dual family of ``f``.
+    """Member g_i = ftilde_i + phi* delta_i of the K-dual family of ``f``, for an N x n phi.
 
     Admissibility is enforced, never silently projected: an inadmissible phi
     raises with the violation norm, past the threshold ``admissibility_violation`` reports.
     """
-    if pert.phi.shape != (f.size, f.ambient_dim):
-        raise ShapeMismatch(
-            f"phi must be {f.size} x {f.ambient_dim}, got {pert.phi.shape}"
-        )
-    product, scale = _admissibility(f, env, pert, tol)
+    phi = np.asarray(phi, dtype=np.complex128)
+    product, scale = _admissibility(f, env, phi, tol)
     _within(product, tol * scale, InadmissiblePerturbation,
             "P_R(K) T_F phi has norm {:.3e}")
     dual = canonical_k_dual(f, env, tol)
-    return Frame((dual.synthesis + pert.phi_adjoint).T)
+    return Frame((dual.synthesis + phi.conj().T).T)
 
 
 def dual_family_recover_phi(
@@ -336,15 +309,15 @@ def dual_family_recover_phi(
     g: Frame,
     env: OperatorEnv,
     tol: float = IDENTITY_TOL,
-) -> DualPerturbation:
-    """Recover the family parameter of a verified dual: phi = T_g* - T_Ftilde*.
+) -> np.ndarray:
+    """Recover the family parameter of a verified dual: phi = T_g* - T_Ftilde*, read-only N x n.
 
     The closed form T_g* - T_F* ((S_F|_{R(K)})^-1)* K; regenerating with the
     result reproduces ``g`` and the result is always admissible.
     """
     _require_k_dual(f, g, env, tol, "g is not a K-dual of f at tolerance")
     dual = canonical_k_dual(f, env, tol)
-    return DualPerturbation(g.analysis - dual.analysis)
+    return _read_only(g.analysis - dual.analysis)
 
 
 def reciprocal_dual(

@@ -94,9 +94,6 @@ class Frame:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def __len__(self) -> int:
-        return self.size
-
     def norm(self) -> float:
         """Spectral norm of T_F, from the memoized SVD; for T_F = Q C V* (``_factored``),
         that of the core C, whose singular values the lift copies, so nothing is lifted."""

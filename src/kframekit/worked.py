@@ -55,8 +55,6 @@ from .multipliers import (
 
 __all__ = [
     "WorkedExample",
-    "GoldenCheck",
-    "GoldenRun",
     "projection_example",
     "minimal_example",
     "hand_inclusion_instance",
@@ -114,29 +112,12 @@ def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
     return psi, psi, env
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
-    """One golden assertion: its name and its verdict."""
-
-    name: str
-    check: CheckResult
-
-
-@dataclass(frozen=True)
-class GoldenRun:
-    checks: tuple[GoldenCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.check for c in self.checks)
-
-
 def _entrywise(frame: Frame, expected_rows) -> float:
     return float(np.max(np.abs(frame.vectors - np.asarray(expected_rows, dtype=complex))))
 
 
-def reproduce_examples(tol: float | None = None) -> GoldenRun:
-    """Replay every golden identity of the built-in worked instances.
+def reproduce_examples(tol: float | None = None) -> dict[str, CheckResult]:
+    """Replay every golden identity of the built-in worked instances: name -> verdict, in order.
 
     ``tol`` can only tighten the pinned thresholds (None leaves them as
     pinned), and it is the tolerance of every check the library makes along
@@ -144,12 +125,12 @@ def reproduce_examples(tol: float | None = None) -> GoldenRun:
     with one failed check ``"{section} [{code}]"`` of residual inf.
     """
     identity_tol = IDENTITY_TOL if tol is None else tol
-    checks: list[GoldenCheck] = []
+    checks: dict[str, CheckResult] = {}
 
     def add(name, residual, pinned, exceed=False):
         threshold = pinned if tol is None else min(pinned, tol)
         ok = (residual > threshold) if exceed else (residual <= threshold)
-        checks.append(GoldenCheck(name, CheckResult(bool(ok), float(residual), float(threshold))))
+        checks[name] = CheckResult(bool(ok), float(residual), float(threshold))
 
     ex2, ex4 = projection_example(), minimal_example()
     f2, env2 = ex2.frame, ex2.env
@@ -283,4 +264,4 @@ def reproduce_examples(tol: float | None = None) -> GoldenRun:
         except KFrameError as exc:
             add(f"{section} [{exc.code}]", float("inf"), 0.0)
 
-    return GoldenRun(tuple(checks))
+    return checks

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from kframekit import Frame, OperatorEnv
-from kframekit.duality import DualPerturbation
 from kframekit.linalg import SvdFactors, svd_decompose
 from kframekit.multipliers import Multiplier
 from kframekit.worked import minimal_example, projection_example
@@ -140,17 +139,17 @@ def weak_direction_instance(c: float) -> tuple[Frame, OperatorEnv]:
 
 def admissible_perturbation(
     rng: np.random.Generator, f: Frame, env: OperatorEnv, scale: float = 1.0
-) -> DualPerturbation:
-    """Random phi with P_{R(K)} T_F phi = 0, built from the null space."""
+) -> np.ndarray:
+    """Random N x n phi with P_{R(K)} T_F phi = 0, built from the null space."""
     projected = range_projector(env) @ f.synthesis
     u, s, vh = np.linalg.svd(projected, full_matrices=True)
     cutoff = (s[0] if s.size else 0.0) * max(projected.shape) * 2.0 ** -40
     rank = int(np.sum(s > cutoff))
     null_basis = vh[rank:].conj().T
     if null_basis.shape[1] == 0:
-        return DualPerturbation.zero(f.size, f.ambient_dim)
+        return np.zeros((f.size, f.ambient_dim), dtype=np.complex128)
     coeffs = crandn(rng, null_basis.shape[1], f.ambient_dim)
-    return DualPerturbation(scale * (null_basis @ coeffs))
+    return scale * (null_basis @ coeffs)
 
 
 def both_inclusion_instance(

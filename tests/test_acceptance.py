@@ -179,8 +179,8 @@ def test_criterion_06_dual_family_round_trip():
     rng = np.random.default_rng(107)
     for i in range(200):
         frame, env = random_k_frame(rng)
-        pert = admissible_perturbation(rng, frame, env)
-        g = dual_family_generate(frame, env, pert)
+        phi = admissible_perturbation(rng, frame, env)
+        g = dual_family_generate(frame, env, phi)
         cert = verify_k_dual(frame, g, env, with_lower_bounds=False)
         if not cert.passed:
             failures.append(f"instance {i}: generated dual failed ({cert.residual:.3e})")
@@ -195,9 +195,7 @@ def test_criterion_06_dual_family_round_trip():
         violation = spectral_norm(range_projector(env) @ frame.synthesis @ bad)
         if violation > 1e-6:
             try:
-                from kframekit.duality import DualPerturbation
-
-                dual_family_generate(frame, env, DualPerturbation(bad))
+                dual_family_generate(frame, env, bad)
                 failures.append(f"instance {i}: inadmissible phi accepted")
                 break
             except InadmissiblePerturbation:

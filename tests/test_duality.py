@@ -1,11 +1,12 @@
 """Canonical duals, the dual family, and the associated identities."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import admissible_perturbation, crandn, random_k_frame
 
 from kframekit.duality import (
-    DualPerturbation,
     admissibility_violation,
     canonical_coefficients,
     canonical_dual_bound_certificate,
@@ -23,6 +24,7 @@ from kframekit.errors import (
     InvalidBounds,
     NotADual,
     NotARepresentation,
+    ShapeMismatch,
 )
 from kframekit.frames import Frame
 from kframekit.linalg import OperatorEnv, spectral_norm
@@ -176,7 +178,7 @@ class TestDualFamily:
     def test_zero_perturbation(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         generated = dual_family_generate(
-            c2_example.frame, c2_example.env, DualPerturbation.zero(3, 2)
+            c2_example.frame, c2_example.env, np.zeros((3, 2))
         )
         np.testing.assert_allclose(generated.vectors, dual.vectors, atol=1e-14)
 
@@ -184,14 +186,14 @@ class TestDualFamily:
         # phi = w v* with w in the kernel of the projected synthesis map
         w = np.array([1.0, -1.0, 0.0]) / SQRT2
         phi = np.outer(w, np.array([1.0, 0.0]))
-        g = dual_family_generate(c2_example.frame, c2_example.env, DualPerturbation(phi))
+        g = dual_family_generate(c2_example.frame, c2_example.env, phi)
         cert = verify_k_dual(c2_example.frame, g, c2_example.env)
         assert cert.passed
 
     def test_inadmissible_rejected(self, c2_example):
         phi = np.outer([1.0, 1.0, 1.0], [1.0, 0.0])
         with pytest.raises(InadmissiblePerturbation):
-            dual_family_generate(c2_example.frame, c2_example.env, DualPerturbation(phi))
+            dual_family_generate(c2_example.frame, c2_example.env, phi)
 
     @pytest.mark.parametrize("share, admitted", [(0.85, True), (1.05, False)])
     def test_gate_uses_the_spectral_norm_of_phi(self, c2_example, share, admitted):
@@ -204,36 +206,52 @@ class TestDualFamily:
         delta = np.outer([1.0, 1.0, 1.0], [1.0, 0.0])
         dual_norm = np.linalg.norm(canonical_k_dual(f, env).synthesis)
         target = share * 1e-10 * f.norm() * (s + dual_norm)
-        delta *= target / admissibility_violation(f, env, DualPerturbation(delta)).residual
-        pert = DualPerturbation(s * np.outer(w, [1.0, 0.0]) + delta)
-        check = admissibility_violation(f, env, pert)
+        delta *= target / admissibility_violation(f, env, delta).residual
+        phi = s * np.outer(w, [1.0, 0.0]) + delta
+        check = admissibility_violation(f, env, phi)
         assert check.residual / check.threshold == pytest.approx(share, rel=1e-6)
         assert check.ok == admitted
         if admitted:
-            dual_family_generate(f, env, pert)
+            dual_family_generate(f, env, phi)
             return
         with pytest.raises(InadmissiblePerturbation, match=f"has norm {check.residual:.3e}") as exc:
-            dual_family_generate(f, env, pert)
+            dual_family_generate(f, env, phi)
         assert exc.value.residual == check.residual
 
     def test_recover_canonical_gives_zero(self, c4_example):
         dual = canonical_k_dual(c4_example.frame, c4_example.env)
-        pert = dual_family_recover_phi(c4_example.frame, dual, c4_example.env)
-        assert spectral_norm(pert.phi) <= 1e-12
+        phi = dual_family_recover_phi(c4_example.frame, dual, c4_example.env)
+        assert spectral_norm(phi) <= 1e-12
 
     def test_round_trip(self):
         rng = np.random.default_rng(53)
         for _ in range(15):
             frame, env = random_k_frame(rng)
-            pert = admissible_perturbation(rng, frame, env)
-            g = dual_family_generate(frame, env, pert)
+            phi = admissible_perturbation(rng, frame, env)
+            g = dual_family_generate(frame, env, phi)
             assert verify_k_dual(frame, g, env, with_lower_bounds=False).passed
             recovered = dual_family_recover_phi(frame, g, env)
-            assert spectral_norm(recovered.phi - pert.phi) <= 1e-10 * max(
-                1.0, spectral_norm(pert.phi)
-            )
+            assert spectral_norm(recovered - phi) <= 1e-10 * max(1.0, spectral_norm(phi))
             again = dual_family_generate(frame, env, recovered)
             assert float(np.max(np.abs(again.vectors - g.vectors))) <= 1e-9
+
+    def test_recovered_phi_is_a_read_only_array_that_regenerates_g(self, c4_example):
+        # R(K) = span{e1 + e2, e3} and T_F phi has rows phi_1, phi_2, phi_3, 0, so phi is
+        # admissible iff phi_1 = -phi_2 and phi_3 = 0; the dual {e1, e1, e2} is exact
+        f, env = c4_example.frame, c4_example.env
+        phi = np.array([[0.5, 0, 0, 1j], [-0.5, 0, 0, -1j], [0, 0, 0, 0]])
+        g = dual_family_generate(f, env, phi)
+        recovered = dual_family_recover_phi(f, g, env)
+        assert recovered.dtype == np.complex128 and recovered.shape == (3, 4)
+        assert not recovered.flags.writeable
+        assert np.array_equal(recovered, phi)
+        assert np.array_equal(dual_family_generate(f, env, recovered).vectors, g.vectors)
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 2)], ids=["1-d", "N+1 rows"])
+    @pytest.mark.parametrize("call", [admissibility_violation, dual_family_generate])
+    def test_wrongly_shaped_phi_raises(self, c2_example, call, shape):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"phi must be 3 x 2, got {shape}")):
+            call(c2_example.frame, c2_example.env, np.zeros(shape))
 
     def test_non_dual_rejected(self, c2_example):
         with pytest.raises(NotADual):

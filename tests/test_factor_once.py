@@ -31,7 +31,6 @@ from conftest import (
 import kframekit
 from kframekit import (
     IDENTITY_TOL,
-    DualPerturbation,
     Frame,
     Multiplier,
     OperatorEnv,
@@ -378,10 +377,10 @@ class TestCounts:
         # the admissibility gate passes at the smallest threshold |phi| can give
         vectors, k, _ = instance(20)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
-        pert = admissible_perturbation(np.random.default_rng(20), f, env)
+        phi = admissible_perturbation(np.random.default_rng(20), f, env)
         factorizations["inputs"].clear()
-        dual_family_generate(f, env, pert)
-        assert not any(np.array_equal(a, pert.phi) for a in factorizations["inputs"])
+        dual_family_generate(f, env, phi)
+        assert not any(np.array_equal(a, phi) for a in factorizations["inputs"])
 
     def test_operator_env_factors_k_once(self, factorizations):
         # both self-check residuals pass on their Frobenius norms, and are read off
@@ -904,9 +903,8 @@ class TestMemoCorrectness:
         lambda: Frame(np.eye(3)),
         lambda: Symbol.ones(3),
         lambda: assemble_multiplier(Symbol.ones(3), Frame(np.eye(3)), Frame(np.eye(3))),
-        lambda: DualPerturbation.zero(3, 2),
         lambda: svd_decompose(np.eye(3)),
-    ], ids=["Frame", "Symbol", "Multiplier", "DualPerturbation", "SvdFactors"])
+    ], ids=["Frame", "Symbol", "Multiplier", "SvdFactors"])
     def test_values_compare_and_hash_by_identity(self, make):
         # values that hold arrays compare and hash by identity, like OperatorEnv
         x, copy_of_x = make(), make()

@@ -15,7 +15,6 @@ from kframekit import frames, io, worked
 from kframekit.cli import JobSpec, main, run_job
 from kframekit.duality import (
     BoundReport,
-    DualPerturbation,
     IdentityReport,
     KDualCertificate,
     WitnessReport,
@@ -57,8 +56,6 @@ from kframekit.multipliers import (
     range_inclusion_right_inverse,
 )
 from kframekit.worked import (
-    GoldenCheck,
-    GoldenRun,
     hand_inclusion_instance,
     minimal_example,
     projection_example,
@@ -722,17 +719,16 @@ class TestBulkConversion:
 
 class TestGoldenSuite:
     def test_all_pass_by_default(self):
-        run = reproduce_examples()
-        assert run.passed and len(run.checks) >= 25
+        checks = reproduce_examples()
+        assert all(checks.values()) and len(checks) >= 25
 
     def test_strict_mode_on_corruption(self, monkeypatch):
         ex2 = projection_example()
         bad = Frame([[0.9, 0.1], [-0.7, 0.7], [0.7, 0.7]])
         monkeypatch.setattr(worked, "projection_example",
                             lambda: dataclasses.replace(ex2, frame=bad))
-        run = reproduce_examples()
-        assert not run.passed
-        assert any(c.name.startswith("c2.") and not c.check.ok for c in run.checks)
+        checks = reproduce_examples()
+        assert any(name.startswith("c2.") and not check.ok for name, check in checks.items())
 
     def test_report_is_pinned(self):
         # (name, ok, threshold) in report order; None marks a threshold read off a
@@ -771,18 +767,20 @@ class TestGoldenSuite:
             ("c2h.range-inclusion-right", True, 1e-12),
             ("c2h.range-inclusion-left", True, 1e-12),
         ]
-        run = reproduce_examples()
-        assert [c.name for c in run.checks] == [name for name, _, _ in default]
-        for c, (name, ok, threshold) in zip(run.checks, default):
-            assert c.check.ok is ok, name
+        checks = reproduce_examples()  # name -> verdict, the dict the CLI reports
+        assert type(checks) is dict and len(checks) == 28
+        assert list(checks) == [name for name, _, _ in default]
+        for name, ok, threshold in default:
+            check = checks[name]
+            assert check.ok is ok, name
             if threshold is None:
-                assert c.check.threshold == pytest.approx(library[name], rel=1e-12), name
+                assert check.threshold == pytest.approx(library[name], rel=1e-12), name
             else:
-                assert c.check.threshold == threshold, name
+                assert check.threshold == threshold, name
             if name == "c2.witness-discrepancy":
-                assert c.check.residual > c.check.threshold, name
+                assert check.residual > check.threshold, name
             else:
-                assert c.check.residual <= c.check.threshold, name
+                assert check.residual <= check.threshold, name
 
         # at 1e-16 five sections raise and each reports one failed check, residual inf;
         # c2.bounds raises at its first check, whose validate_bounds runs k_frame_check
@@ -803,16 +801,14 @@ class TestGoldenSuite:
             ("c4.bessel-embedding-parseval", True, tol),
             ("c2h.range-inclusion [not-k-frame]", False, 0.0),
         ]
-        run = reproduce_examples(tol)
-        assert [(c.name, c.check.ok, c.check.threshold) for c in run.checks] == strict
-        for c in run.checks:
-            assert (c.check.residual <= c.check.threshold) is c.check.ok, c.name
-            assert (c.check.residual == float("inf")) is ("[" in c.name), c.name
+        checks = reproduce_examples(tol)
+        assert [(name, c.ok, c.threshold) for name, c in checks.items()] == strict
+        for name, c in checks.items():
+            assert (c.residual <= c.threshold) is c.ok, name
+            assert (c.residual == float("inf")) is ("[" in name), name
 
     def test_tightened_tolerance_fails_float_identities(self):
-        run = reproduce_examples(tol=1e-30)
-        assert not run.passed
-        assert any(not c.check.ok for c in run.checks)
+        assert not all(reproduce_examples(tol=1e-30).values())
 
 
 # the verdicts each result type holds, by the names it gives them
@@ -829,8 +825,7 @@ VERDICTS = {
     MultiplierFactorization: lambda r: [r.identity, *r.certificates.values()],
     BiorthogonalFactorization: lambda r: [r.forward.identity, r.mirrored.identity],
     ConditionReport: lambda r: [r.condition],
-    GoldenCheck: lambda r: [r.check],
-    GoldenRun: lambda r: [c.check for c in r.checks],
+    dict: lambda r: list(r.values()),  # reproduce_examples: name -> verdict
     CheckResult: lambda r: [r],
 }
 
@@ -852,7 +847,6 @@ class TestVerdicts:
         off = canonical_k_dual(phi_r, env_r).vectors + 5e-10 * np.outer([0, 1], [1, 0])
         inverse_case = frames_from_multiplier_identity(assemble_multiplier(ones3, f2, f2), env2)
         bio = biorthogonal_right_inverse(phi3, psi3, env3)
-        strict_run = reproduce_examples(tol=1e-16)
         return {
             "k_frame_check": k_frame_check(f2, env2),
             "validate_bounds": validate_bounds(f2, env2, 1.0, 2.0),
@@ -870,7 +864,7 @@ class TestVerdicts:
             "minimal_norm_identity": minimal_norm_identity(
                 f2, env2, e1, dual2.analysis @ e1 + 0.7 * np.array([1.0, -1.0, 0.0])),
             "admissibility_violation": admissibility_violation(
-                f2, env2, DualPerturbation.zero(3, 2)),
+                f2, env2, np.zeros((3, 2))),
             "norm_bound_check": assemble_multiplier(ones3, f2, f2).norm_bound_check(),
             "frames_from_multiplier_identity M = K": frames_from_multiplier_identity(
                 assemble_multiplier(Symbol.ones(2), basis, basis), OperatorEnv.identity(2)),
@@ -894,8 +888,7 @@ class TestVerdicts:
             "range_inclusion_right_inverse": range_inclusion_right_inverse(psi_h, phi_h, env_h),
             "range_inclusion_left_inverse": range_inclusion_left_inverse(psi_h, phi_h, env_h),
             "reproduce_examples": reproduce_examples(),
-            "reproduce_examples tol 1e-16": strict_run,
-            "reproduce_examples check": strict_run.checks[0],
+            "reproduce_examples tol 1e-16": reproduce_examples(tol=1e-16),
         }
 
     def test_every_verdict_is_one_check_result(self, results):
@@ -904,7 +897,7 @@ class TestVerdicts:
             assert verdicts and all(isinstance(v, CheckResult) for v in verdicts), label
             if hasattr(result, "passed"):
                 assert result.passed == all(verdicts), label
-            if isinstance(result, CheckResult):
+            if isinstance(result, (CheckResult, dict)):
                 continue
             for f in dataclasses.fields(result):  # nothing restates a verdict
                 assert f.name not in ("ok", "passed", "residual", "threshold"), (label, f.name)
@@ -937,5 +930,4 @@ class TestVerdicts:
         assert verdicts("perturb-check", ("f2.json", "f2.json"), "k2.json", "ones3.json") == {
             "perturbation-condition": condition.condition}
         for tol in (None, 1e-16):
-            assert verdicts("examples", (), tol=tol) == {
-                golden.name: golden.check for golden in reproduce_examples(tol).checks}
+            assert verdicts("examples", (), tol=tol) == reproduce_examples(tol)

@@ -603,8 +603,8 @@ class TestPerturbationConstructions:
         assert cert.passed
         from kframekit.duality import dual_family_generate, dual_family_recover_phi
 
-        pert = dual_family_recover_phi(psi, cert.dual, c2_example.env)
-        again = dual_family_generate(psi, c2_example.env, pert)
+        phi = dual_family_recover_phi(psi, cert.dual, c2_example.env)
+        again = dual_family_generate(psi, c2_example.env, phi)
         assert float(np.max(np.abs(again.vectors - cert.dual.vectors))) <= 1e-9
 
     def test_margin_never_trips_under_condition(self):

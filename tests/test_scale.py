@@ -35,7 +35,6 @@ from tests_support_douglas import douglas_solution
 from kframekit import duality, io, linalg, multipliers
 from kframekit.cli import main
 from kframekit.duality import (
-    DualPerturbation,
     admissibility_violation,
     canonical_coefficients,
     canonical_dual_bound_certificate,
@@ -145,9 +144,7 @@ def frame_instance(seed=2024, n=6, count=9, rank=3):
 VECTORS, K = frame_instance()
 BOUNDS = k_frame_check(Frame(VECTORS), OperatorEnv.from_matrix(K))
 CANONICAL = canonical_k_dual(Frame(VECTORS), OperatorEnv.from_matrix(K)).vectors
-PHI = admissible_perturbation(
-    np.random.default_rng(5), Frame(VECTORS), OperatorEnv.from_matrix(K)
-).phi
+PHI = admissible_perturbation(np.random.default_rng(5), Frame(VECTORS), OperatorEnv.from_matrix(K))
 MEMBER = CANONICAL + PHI.conj()  # g_i = ftilde_i + phi* delta_i
 STRANGER = crandn(np.random.default_rng(6), 9, 6)  # not a K-dual of F
 
@@ -273,15 +270,13 @@ class TestDuality:
 
         def run(s):
             f, env = scaling.frame(s, VECTORS), scaling.env(s, K)
-            phi = DualPerturbation(scaling.factor(s, DUAL) * PHI)
+            phi = scaling.factor(s, DUAL) * PHI
             member = dual_family_generate(f, env, phi)
             recovered = dual_family_recover_phi(f, member, env)
             check = admissibility_violation(f, env, phi)
-            refused = outcome(
-                dual_family_generate, f, env, DualPerturbation(scaling.factor(s, DUAL) * wrong)
-            )
+            refused = outcome(dual_family_generate, f, env, scaling.factor(s, DUAL) * wrong)
             return (check.ok, refused[0]), {
-                "member": (member.vectors, DUAL), "recovered phi": (recovered.phi, DUAL),
+                "member": (member.vectors, DUAL), "recovered phi": (recovered, DUAL),
                 "threshold": (check.threshold, OPERATOR),
                 "inadmissible residual": (refused[1], OPERATOR),
             }
@@ -381,7 +376,7 @@ def multiplier_instance(seed=11, n=6, count=9, rank=3):
     tau = perturbation_condition(phi, phi, env, sym, bounds.lower, bounds.upper).tau
     bump = crandn(rng, count, n)
     psi = syn.T + (0.5 * tau / np.linalg.norm(bump.conj() @ env.range_basis, 2)) * bump
-    dual_choice = (x + admissible_perturbation(rng, phi, env).phi).conj()  # T_G* = X + phi
+    dual_choice = (x + admissible_perturbation(rng, phi, env)).conj()  # T_G* = X + phi
     q = env.range_basis
     left = np.eye(n) + crandn(rng, n, n) @ (np.eye(n) - q @ q.conj().T)
     return syn.T, psi, k, sym, (bounds.lower, bounds.upper), dual_choice, x.conj(), left
