@@ -21,28 +21,29 @@ tested, always by ``_rank``; no caller sets a cutoff. Every object is an
 immutable value and every function is pure, so unrestricted concurrent use
 is safe.
 
-Each function factors its operand once: ``majorization_constant`` passes
-one ``SvdFactors`` through every step that needs it. Douglas' lemma is
-decided once, in the private ``_douglas`` step (inclusion test raising the
-caller's error, minimal solution, residual gate), which the K-frame
-hypothesis and both multiplier inverses share. It applies the factors in order
-(``SvdFactors.solve``) and reads lambda off the r x m core Sigma_r^-1 U_r*
-l1. Each optimal bound has one cross-check, ``_majorization``'s QR route,
-which shares only the range basis U_r. Reported residuals are spectral
-norms, an identity's read on K's rank-k coordinates on the side where it puts
-P_K, K or K* (``_range_residual``, the same up to sigma_{k+1}); a residual that
-only gates (``_within``) is decided on its Frobenius norm first. Every identity
-is homogeneous, so every verdict is one gate,
-``_gate``: residual <= tol * scale, for a plain float ``tol`` (the one
-user-set threshold, ``IDENTITY_TOL`` by default), the magnitude ``scale`` of
-the identity's terms and no absolute floor, so no verdict depends on the
-units of the input. An ``OperatorEnv`` stores K and its one ``SvdFactors`` and
-reads K*, its range basis U_k, its norms, its adjoint, its range factor
-K V_k (n x k) and the env of Sigma_k off them; it forms no n x n projector,
-and its self-check no n x n product. ``svd_decompose(m).pinv()`` is the
-pseudo-inverse of a matrix, ``env.factors.pinv()`` is K^dagger. A memoized
-value is the value a fresh computation returns, and memo entries are only
-ever added, every caller getting the stored entry, so concurrent use stays safe.
+Each function factors its operand once: ``majorization_constant`` passes one
+``SvdFactors`` through every step that needs it. Douglas' lemma is decided once,
+in the private ``_douglas`` step (inclusion test raising the caller's error,
+minimal solution, residual gate), which the K-frame hypothesis and both multiplier
+inverses share. It applies the factors in order (``SvdFactors.solve``) and reads
+lambda off the r x m core Sigma_r^-1 U_r* l1. Each optimal bound has one
+cross-check, ``_majorization``'s QR route, which shares only the range basis U_r;
+the routes' agreement is decided on their lambda-normalized Gram difference first
+(Weyl), and the QR route's norm is taken only when that cannot decide. Reported
+residuals are spectral norms, an identity's read on K's rank-k coordinates on the
+side where it puts P_K, K or K* (``_range_residual``, the same up to sigma_{k+1});
+a residual that only gates (``_within``) is decided on its Frobenius norm first.
+Every identity is homogeneous, so every verdict is one gate, ``_gate``:
+residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold,
+``IDENTITY_TOL`` by default), the magnitude ``scale`` of the identity's terms and
+no absolute floor, so no verdict depends on the units of the input. An
+``OperatorEnv`` stores K and its one ``SvdFactors`` and reads K*, its range basis
+U_k, its norms, its adjoint, its range factor K V_k (n x k) and the env of Sigma_k
+off them; it forms no n x n projector, and its self-check no n x n product.
+``svd_decompose(m).pinv()`` is the pseudo-inverse of a matrix,
+``env.factors.pinv()`` is K^dagger. A memoized value is the value a fresh
+computation returns, and memo entries are only ever added, every caller getting
+the stored entry, so concurrent use stays safe.
 """
 
 from __future__ import annotations
@@ -292,8 +293,8 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
     """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*.
 
     Computed as the spectral norm of the minimal Douglas solution and
-    cross-checked by the QR route of ``_majorization``; a relative
-    disagreement beyond 5e-9 raises InternalConsistencyError.
+    cross-checked by ``_majorization``'s QR route (on the Gram difference first);
+    a relative disagreement beyond 5e-9 raises InternalConsistencyError.
     """
     a = as_matrix(l1, "l1")
     b = as_matrix(l2, "l2")
@@ -307,13 +308,20 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
 def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray) -> float:
     """lambda = |core| of the minimal Douglas solution, cross-checked to 5e-9 relative.
 
-    The cross-check shares only U_r of ``f2``: Householder QR (U_r* b)* = Q R
-    gives lambda = |R^-* U_r* a|, without squaring the conditioning of b.
+    The cross-check shares only U_r of ``f2``: Householder QR (U_r* b)* = Q R gives
+    C' = R^-* U_r* a without squaring the conditioning of b. By Weyl |lambda - |C'|| <=
+    lambda |D|_F, D = (core* core - C'* C') / lambda^2 (k x k, rounded by ~2 (r + 2) k 2^-53),
+    so |D|_F <= 5e-9 passes; |C'|'s SVD decides otherwise or if lambda^2 is not normal.
     """
     lam = spectral_norm(core)
     basis = f2.left_vectors[:, : f2.rank]
     r = np.linalg.qr(b.conj().T @ basis, mode="r")
-    lam_cc = spectral_norm(np.linalg.solve(r.conj().T, basis.conj().T @ a))
+    route = np.linalg.solve(r.conj().T, basis.conj().T @ a)
+    with np.errstate(all="ignore"):  # an overflowed |D|_F decides nothing: |C'| does
+        gram = (core.conj().T @ core - route.conj().T @ route) / (lam * lam)
+        if np.finfo(float).tiny <= lam * lam < np.inf and np.linalg.norm(gram) <= _AGREEMENT:
+            return lam
+    lam_cc = spectral_norm(route)
     if not _gate(abs(lam - lam_cc), lam, _AGREEMENT):
         raise InternalConsistencyError(
             f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)

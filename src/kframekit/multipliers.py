@@ -239,11 +239,15 @@ def _projected(f: Frame, env: OperatorEnv) -> Frame:
 
 
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
-    """M's memoized SVD, once M and K are known to have equal sizes; FloatingPointError
-    if M's least kept singular value, which ``SvdFactors.core`` divides by, is subnormal."""
+    """M's memoized SVD, once M and K have equal sizes; FloatingPointError if M's least kept
+    singular value (``SvdFactors.core`` divides by it) is subnormal or M = 0 by underflow."""
     if env.dim != mult.matrix.shape[0]:
         raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
-    return _divisible(mult._factors(), "the least kept singular value of M")
+    factors = mult._factors()
+    top = [float(np.abs(a).max()) for a in (mult.phi.vectors, mult.symbol.values, mult.psi.vectors)]
+    if factors.rank == 0 and min(top) > 0.0 and top[0] * top[1] * top[2] < np.finfo(float).tiny:
+        raise FloatingPointError(f"M underflows to 0: its factors' largest entries are {top}")
+    return _divisible(factors, "the least kept singular value of M")
 
 
 @dataclass(frozen=True)

@@ -70,18 +70,21 @@ from kframekit.linalg import (
 )
 from kframekit.multipliers import _perturbed_restriction, _projected
 
-# k_frame_check makes 6 per (frame, operator) pair and the pipeline checks
+# k_frame_check makes at most 5 per (frame, operator) pair and the pipeline checks
 # three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
 # dual-identity residual; the canonical coefficients factor nothing
 PIPELINE_CEILING = 20
 # one run of each CLI command that validates the optimal pair it has just computed: the
 # pair is read against k_frame_check's memoized bounds, not on an eigvalsh of
-# S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7)
-CLI_VALIDATING = {"dual": 18, "perturb-check": 7}
+# S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7). Each majorization cross-check
+# passes on its Gram difference, without the QR route's norm (dual 18 -> 15: the frame's,
+# the dual's and the projected frame's lambda; perturb-check 7 -> 6)
+CLI_VALIDATING = {"dual": 15, "perturb-check": 6}
 # one run of kframe analyze: the SVDs of K and T_F, lambda's norm and its cross-check's
-# QR, solve and norm, and tightness_check's residual norm. Both inequalities are plain
-# products at vectors T_F's memoized SVD holds, so they add none
-CLI_ANALYZE = 7
+# QR and solve (its agreement decided on the Gram difference, 7 -> 6), and
+# tightness_check's residual norm. Both inequalities are plain products at vectors T_F's
+# memoized SVD holds, so they add none
+CLI_ANALYZE = 6
 # perturbation_right_inverse after perturbation_k_dual on the same arguments: the
 # multiplier form of R and the K-identity residuals; no multiplier and none of its
 # frames is factored, and the dual choice's K-dual identity only gates, so its
@@ -98,8 +101,9 @@ PERTURBED_RIGHT_INVERSE = 2
 # reads Phi's bound pair against the optimal bounds frames_from_multiplier_identity
 # memoized, not on an eigvalsh of S_Phi - a K K*: 49 -> 48. The two dual-choice gates
 # (perturbation_right_inverse's and inverse_as_multiplier's) pass on their Frobenius
-# norms, with no SVD: 48 -> 46
-MULTIPLIERS_OP = 46
+# norms, with no SVD: 48 -> 46. The 3 cross-checks pass on their Gram differences,
+# without the QR route's norm: 46 -> 43
+MULTIPLIERS_OP = 43
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -197,14 +201,14 @@ class TestCounts:
         assert factorizations["n"] <= PIPELINE_CEILING
 
     def test_k_frame_check_on_a_fresh_pair(self, factorizations):
-        # the SVD of T_F, two spectral norms (lambda and its cross-check) and the
-        # cross-check's QR and triangular solve; T_F spans C^8, so its rank decides
-        # the inclusion with no residual norm
+        # the SVD of T_F, lambda's spectral norm and the cross-check's QR and triangular
+        # solve, whose agreement the Gram difference decides without a norm; T_F spans
+        # C^8, so its rank decides the inclusion with no residual norm
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["n"] = 0
         k_frame_check(f, env)
-        assert factorizations["n"] == 5
+        assert factorizations["n"] == 4
 
     def test_rank_deficient_frame_keeps_the_inclusion_residual(self, factorizations):
         # T_F is 8 x 6, so R(T_F) is not C^8 and the inclusion is still decided on
@@ -284,8 +288,8 @@ class TestCounts:
 
     def test_k_frame_check_reuses_the_hypothesis(self, factorizations):
         # the hypothesis, then the bounds on the same pair: exactly k_frame_check's own
-        # six factorizations (the SVD of T_F, the inclusion residual's norm, lambda's
-        # norm and the cross-check's QR, solve and norm; T_F is 8 x 6, so R(T_F) is not
+        # five factorizations (the SVD of T_F, the inclusion residual's norm, lambda's
+        # norm and the cross-check's QR and solve; T_F is 8 x 6, so R(T_F) is not
         # C^8), none on a repeated operand, and the bounds carry the memoized verdict
         vectors, k, _ = instance(10, count=6)
         counts = []
@@ -299,7 +303,7 @@ class TestCounts:
             counts.append(factorizations["n"])
             inputs = factorizations["inputs"]
             assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])
-        assert counts == [6, 6]
+        assert counts == [5, 5]
         assert bounds.inclusion is inclusion
         assert _k_frame_hypothesis(f, env) is inclusion
 
@@ -359,8 +363,25 @@ class TestCounts:
         factorizations["names"].clear()
         k_frame_check(f, env)
         norms = operands(factorizations, "svd_norm")
-        assert len(norms) == 2
+        assert len(norms) == 1
         assert all(shape[1] <= 4 for shape in norms)
+
+    def test_cross_check_norms_the_qr_route_only_when_the_gram_difference_cannot_decide(
+            self, factorizations, monkeypatch):
+        # at kappa(T_F) = 1e10 the routes' Gram difference exceeds 5e-9, so both r x k
+        # routes (20 x 10) are normed; on a bench pool instance only lambda's core is
+        syn, x0, _ = graded_instance(0, 1e-10)
+        f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        k_frame_check(f, env)
+        assert operands(factorizations, "svd_norm") == [(20, 10), (20, 10)]
+        inst = load_workloads(monkeypatch).Multipliers(1, None).instances[0]
+        f, env = Frame(inst["phi"]), OperatorEnv.from_matrix(inst["k"])
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        k_frame_check(f, env)
+        assert operands(factorizations, "svd_norm") == [(16, 8)]
 
     def test_optimal_bounds_make_no_eigendecomposition(self, factorizations):
         vectors, k, _ = instance(19)
@@ -411,8 +432,8 @@ class TestCounts:
 
     def test_verify_k_dual_with_lower_bounds(self, factorizations):
         # the residual norm, then k_frame_check of the dual on its k x r core (its SVD,
-        # two norms, QR and solve; the rank decides the inclusion) and of the projected
-        # frame {U_k* f_i} (the same five and an SVD of its own). The dual was built on
+        # lambda's norm, QR and solve; the rank decides the inclusion) and of the projected
+        # frame {U_k* f_i} (the same four and an SVD of its own). The dual was built on
         # another env from the same K: an equal U_k, not the same array, selects the core
         vectors, k, _ = instance(11)
         dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
@@ -421,7 +442,7 @@ class TestCounts:
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         verify_k_dual(f, dual, env, with_lower_bounds=True)
-        assert factorizations["n"] == 11
+        assert factorizations["n"] == 9
         # T_G = V_k C V_r* through its k x rank(T_F) core C, and the projected frame in
         # R(K)'s coordinates: k x N, not n x N
         assert sorted(operands(factorizations, "svd")) == [(4, 8), (4, 12)]
@@ -447,7 +468,7 @@ class TestCounts:
         factorizations["names"].clear()
         bounds = k_frame_check(dual, env.adjoint())
         assert bounds.inclusion.residual == 0.0
-        assert operands(factorizations, "svd_norm") == [(4, 4), (4, 4)]
+        assert operands(factorizations, "svd_norm") == [(4, 4)]
         assert operands(factorizations, "qr") == [(8, 4)]
         assert operands(factorizations, "svd") == [(4, 8)]
         assert dual.norm() ** 2 == bounds.upper
@@ -701,13 +722,15 @@ class TestRankKFactor:
 
     def test_k_right_inverse_lambda_norms_have_rank_k_columns(self, factorizations):
         # lambda's core Sigma_r^-1 U_r* K V_k and the cross-check's R^-* U_r* K V_k are
-        # 8 x 4, not 8 x 8; M has full rank, so its rank decides the inclusion
+        # 8 x 4, not 8 x 8; M has full rank, so its rank decides the inclusion, and the
+        # routes' Gram difference their agreement, so only lambda's core is normed
         mult, env = multiplier_instance(30)
         mult.norm()
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         right = k_right_inverse(mult, env)
-        assert operands(factorizations, "svd_norm") == [(8, 4), (8, 4)]
+        assert operands(factorizations, "svd_norm") == [(8, 4)]
+        assert operands(factorizations, "solve") == [(8, 8)]
         # R itself is the minimal Douglas solution pinv(M) K, bit for bit
         np.testing.assert_array_equal(right.matrix, mult._factors().solve(env.k)[0])
 

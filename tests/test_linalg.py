@@ -191,9 +191,14 @@ class TestDouglas:
 class TestIllConditionedMajorization:
     """The cross-check keeps up with the Douglas route as kappa(T_F) grows.
 
-    A cross-check on the Gram matrices squares kappa and disagrees with the
-    Douglas route by more than its 1e-8 gate from c = 1e-5 on (2 of 20 seeds
-    there, all from 1e-6), and underflows at small input scales.
+    A cross-check on the Gram matrices of T_F (L2) squares kappa and disagrees
+    with the Douglas route by more than its 1e-8 gate from c = 1e-5 on (2 of 20
+    seeds there, all from 1e-6), and underflows at small input scales. The
+    routes' agreement is decided on the k x k difference of the r x k routes'
+    own Gram matrices, divided by lambda^2, which squares nothing of T_F; its
+    computed Frobenius norm is within about 2 (r + 2) u k of the exact one (u =
+    2^-53), below 1.2e-11 for r <= 384, k = 128, the benchmark's largest sizes,
+    about 400 times under the 5e-9 gate.
     """
 
     @pytest.mark.parametrize("c", [1e-4, 1e-5, 1e-6, 1e-8])
@@ -253,22 +258,24 @@ class TestIllConditionedMajorization:
             assert small == pytest.approx(lower, rel=1e-12)
 
 
+@pytest.fixture()
+def norm_svds(monkeypatch):
+    """The operands of the SVDs that np.linalg.norm(., 2) takes, in call order."""
+    calls = []
+    svd = np.linalg._linalg.svd  # the binding np.linalg.norm(., 2) calls
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+    return calls
+
+
 class TestResidualGate:
     """``_within`` decides |R|_2 <= threshold, on |R|_F where that settles it."""
 
     R = np.diag([3.0, 4.0])  # |R|_2 = 4, |R|_F = 5, |R|_F / sqrt(2) = 3.54
-
-    @pytest.fixture()
-    def norm_svds(self, monkeypatch):
-        calls = []
-        svd = np.linalg._linalg.svd  # the binding np.linalg.norm(., 2) calls
-
-        def counted(a, *args, **kwargs):
-            calls.append(a)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
-        return calls
 
     FAIL = (InternalConsistencyError, "residual {:.17e}")
 
@@ -355,6 +362,128 @@ class TestEigenvalueCrossCheck:
         rng = np.random.default_rng(47)
         with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
             majorization_constant(crandn(rng, 4, 3), crandn(rng, 4, 4))
+
+
+def two_norm_majorization(a, b, f2, core):
+    """The oracle: lambda = |core| and the QR route's norm |R^-* U_r* a|, both taken by
+    SVD and compared at the 5e-9 relative gate."""
+    lam = spectral_norm(core)
+    basis = f2.left_vectors[:, : f2.rank]
+    r = np.linalg.qr(b.conj().T @ basis, mode="r")
+    lam_cc = spectral_norm(np.linalg.solve(r.conj().T, basis.conj().T @ a))
+    if abs(lam - lam_cc) > 5e-9 * lam:
+        raise InternalConsistencyError(
+            f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
+        )
+    return lam
+
+
+def majorization_outcome(fn):
+    """``fn()`` as its float's hex, or the message of the InternalConsistencyError it raises."""
+    try:
+        return fn().hex()
+    except InternalConsistencyError as exc:
+        return f"raises: {exc}"
+
+
+class TestGramCrossCheck:
+    """``_majorization`` decides the routes' agreement on their Gram difference first.
+
+    The oracle is the two-norm route; the Frobenius pass may only skip its second SVD,
+    so every lambda, A and raise is the oracle's.
+    """
+
+    @pytest.fixture()
+    def oracle(self, monkeypatch):
+        from kframekit import frames, linalg, multipliers
+
+        def install():
+            for module in (linalg, frames, multipliers):
+                monkeypatch.setattr(module, "_majorization", two_norm_majorization)
+
+        return install
+
+    @staticmethod
+    def graded_outcomes(c):
+        from kframekit.frames import Frame, k_frame_check
+
+        outcomes = []
+        for seed in range(20):
+            syn, x0, _ = graded_instance(seed, c)
+            k = syn @ x0
+            outcomes.append((
+                majorization_outcome(
+                    lambda: k_frame_check(Frame(syn.T), OperatorEnv.from_matrix(k)).lower),
+                majorization_outcome(lambda: majorization_constant(k, syn)),
+            ))
+        return outcomes
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_graded_family_matches_the_two_norm_route(self, c, oracle):
+        got = self.graded_outcomes(c)
+        oracle()
+        assert got == self.graded_outcomes(c)
+
+    @staticmethod
+    def skew_qr(monkeypatch, skew):
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * skew)
+
+    @staticmethod
+    def cross_checked_calls():
+        """k_frame_check's A, k_right_inverse's lambda and majorization_constant, each on a
+        fresh instance."""
+        from kframekit.frames import Frame, k_frame_check
+        from kframekit.multipliers import Symbol, assemble_multiplier, k_right_inverse
+
+        def frame_check():
+            frame, env = random_k_frame(np.random.default_rng(41))
+            return k_frame_check(frame, env).lower
+
+        def right_inverse():
+            rng = np.random.default_rng(43)
+            phi = Frame(crandn(rng, 6, 4))
+            mult = assemble_multiplier(Symbol.ones(6), phi, phi)
+            return k_right_inverse(mult, OperatorEnv.from_matrix(crandn(rng, 4, 4))).majorization
+
+        def constant():
+            rng = np.random.default_rng(47)
+            return majorization_constant(crandn(rng, 4, 3), crandn(rng, 4, 4))
+
+        return [frame_check, right_inverse, constant]
+
+    def test_skew_below_the_gate_passes_with_the_same_lambda(self, monkeypatch):
+        # a QR route skewed by 1e-9 relative agrees to 5e-9; lambda is still |core|
+        plain = [call() for call in self.cross_checked_calls()]
+        self.skew_qr(monkeypatch, 1 + 1e-9)
+        assert [call() for call in self.cross_checked_calls()] == plain
+
+    @pytest.mark.parametrize("call", range(3), ids=["k_frame_check", "k_right_inverse",
+                                                    "majorization_constant"])
+    def test_skew_above_the_gate_raises(self, monkeypatch, call):
+        self.skew_qr(monkeypatch, 1 + 1e-8)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            self.cross_checked_calls()[call]()
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_lambda_squared_outside_the_normal_range_takes_both_norms(
+            self, scale, oracle, norm_svds):
+        # lambda^2 is subnormal at 1e-160 and inf at 1e160: the Gram difference cannot be
+        # normalized, so the QR route's norm decides, and lambda is the oracle's
+        rng = np.random.default_rng(47)
+        l1, l2 = scale * crandn(rng, 4, 3), crandn(rng, 4, 4)
+        lam = majorization_constant(l1, l2)
+        assert [a.shape for a in norm_svds] == [(4, 3)] * 3  # |l1|, then both routes
+        assert lam == pytest.approx(scale * majorization_constant(l1 / scale, l2), rel=1e-12)
+        oracle()
+        assert majorization_constant(l1, l2) == lam
+
+    def test_overflowed_lambda_squared_with_a_finite_gram_still_catches_a_skew(
+            self, skewed_qr):
+        # lambda = |5e153 * ones(4, 4)| = 2e154, so lambda^2 = inf while the Gram entries
+        # 4 * (5e153)^2 = 1e308 are finite: dividing by lambda^2 would read 0
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            majorization_constant(np.full((4, 4), 5e153), np.eye(4))
 
 
 class TestIllConditionedDual:

@@ -675,6 +675,34 @@ class TestCli:
         least = float(err.split("M, ")[1].split(",")[0])
         assert 0.0 < least < np.finfo(float).tiny
 
+    @pytest.mark.parametrize("command", ["right-inverse", "left-inverse"])
+    def test_multiplier_underflowing_to_zero_is_named(self, tmp_path, capsys, command):
+        # at 1e-200 every product in M = T_Phi diag(m) T_Psi* (degree 2) underflows, so M
+        # is 0.0 with rank 0: a numerical failure, not a missing inverse
+        code, out, err, caught = self._multiplier_command(tmp_path, capsys, command, 1e-200)
+        assert (code, out, caught) == (3, "", [])
+        prefix = (f"numerical failure in {command}: M underflows to 0: "
+                  f"its factors' largest entries are ")
+        assert err.startswith(prefix) and err.count("\n") == 1
+        phi, m, psi = json.loads(err[len(prefix):])
+        assert min(phi, m, psi) > 0.0 and phi * m * psi == 0.0
+
+    @pytest.mark.parametrize("command", ["right-inverse", "left-inverse"])
+    def test_exactly_zero_multiplier_has_no_inverse(self, tmp_path, capsys, command):
+        # phi_1 = phi_2 = e_1, psi_1 = e_1, psi_2 = -e_1 and m = 1 cancel to M = 0 at unit
+        # scale: R(K) is not in R(M) = {0}, a domain verdict
+        e1 = np.array([1.0, 0.0])
+        paths = [str(tmp_path / f"{name}.json") for name in ("phi", "psi", "k", "m")]
+        io.write_file(paths[0], io.frame_to_obj(Frame(np.array([e1, e1]))))
+        io.write_file(paths[1], io.frame_to_obj(Frame(np.array([e1, -e1]))))
+        io.write_file(paths[2], io.matrix_to_obj(np.diag([1.0, 0.0])))
+        io.write_file(paths[3], io.symbol_to_obj(Symbol.ones(2)))
+        code = main([command, "--frame", paths[0], "--frame", paths[1], "--operator",
+                     paths[2], "--symbol", paths[3], "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"]["code"] == f"no-{command}"
+
     def test_perturbation_threshold_far_below_unit_scale(self, tmp_path, capsys):
         # tau = (a / sqrt(b)) / |Kdag| / |Kdag| in that order: |Kdag|^2 alone would overflow
         # at 1e-160, yet the verdict is the one at s = 1 and rho, tau scale by s
