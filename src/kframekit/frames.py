@@ -187,10 +187,10 @@ def _core(f: Frame, env: OperatorEnv) -> Frame | None:
     return inner if q is not None and np.array_equal(q, env.range_basis) else None
 
 
-def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, np.ndarray | None]:
-    """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k
-    when this call ran the Douglas pass on T_F (None on a memo hit, and for T = U_k C W*,
-    whose core C is tested). The memo keeps the verdict alone, never the core."""
+def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, list | None]:
+    """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k and
+    its Douglas residual when this call ran the Douglas pass on T_F (else None). The memo
+    keeps the verdict alone."""
     key = ("_k_frame_hypothesis", env, tol)
     if key in f._memo:
         return f._memo[key], None
@@ -202,11 +202,11 @@ def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, np
         raise ZeroOperator("K = 0: every Bessel sequence qualifies vacuously; refusing")
     core = _core(f, env)
     if core is not None:
-        inclusion, lam_core = _k_frame_hypothesis(core, env.range_coordinates, tol), None
+        inclusion, douglas = _k_frame_hypothesis(core, env.range_coordinates, tol), None
     else:
-        inclusion, _, lam_core = _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(),
+        inclusion, _, *douglas = _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(),
                                           tol, NotKFrame, "R(K) not contained in R(T_F)")
-    return _memo(f, key, lambda: inclusion), lam_core
+    return _memo(f, key, lambda: inclusion), douglas
 
 
 def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -> CheckResult:
@@ -226,15 +226,14 @@ def k_frame_check(
 ) -> FrameBounds:
     """Optimal K-frame bounds (A, B) of ``f`` against the operator of ``env``.
 
-    Raises as ``_k_frame_hypothesis``, whose one Douglas pass also gives lambda's core on a
-    fresh pair (after a memoized verdict only the core is formed); the constructions that
-    need only F to be a K-frame call that alone. The frame's one SVD (``_factors``) serves
-    the inclusion test (decided by its rank alone, residual 0, when T_F spans C^n), B and
-    the Douglas route A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite float,
-    FloatingPointError when it is below the least normal float. The one cross-check,
-    ``linalg``'s QR route, shares only U_r of that SVD; it must agree with the Douglas
-    route in lambda to 5e-9 relative, which is 1e-8 relative in A. Memoized on ``f`` per
-    (env, tol). Both routes take L1 = K V_k (``env.range_factor``, n x k),
+    Raises as ``_k_frame_hypothesis``, whose one Douglas pass also gives lambda's core and
+    residual on a fresh pair (after a memoized verdict they are solved for again); the
+    constructions that need only F to be a K-frame call that alone. The frame's one SVD
+    (``_factors``) serves the inclusion test (decided by its rank alone, residual 0, when
+    T_F spans C^n), B and A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite
+    float, FloatingPointError when it is below the least normal float. lambda is certified
+    from both sides by plain products on T_F and L1 = K V_k (``linalg._majorization``).
+    Memoized on ``f`` per (env, tol). Every step takes L1 (``env.range_factor``, n x k),
     so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
     T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
     as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
@@ -243,12 +242,13 @@ def k_frame_check(
     core = _core(f, env)
     if core is not None:
         return k_frame_check(core, env.range_coordinates, tol)
-    inclusion, lam_core = _hypothesis(f, env, tol)
+    inclusion, douglas = _hypothesis(f, env, tol)
     factors = _factors(f)
     a = env.range_factor
-    if lam_core is None:  # the verdict was memoized
-        lam_core = factors.core(a)
-    lam = _majorization(a, f.synthesis, factors, lam_core)
+    if douglas is None:  # the verdict was memoized: solve again for the core and residual
+        x, lam_core = factors.solve(a)
+        douglas = [lam_core, f.synthesis @ x - a]
+    lam = _majorization(a, f.synthesis, factors, *douglas)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda
     except (OverflowError, ZeroDivisionError):

@@ -26,10 +26,9 @@ Each function factors its operand once: ``majorization_constant`` passes one
 in the private ``_douglas`` step (inclusion test raising the caller's error,
 minimal solution, residual gate), which the K-frame hypothesis and both multiplier
 inverses share. It applies the factors in order (``SvdFactors.solve``) and reads
-lambda off the r x m core Sigma_r^-1 U_r* l1. Each optimal bound has one
-cross-check, ``_majorization``'s QR route, which shares only the range basis U_r;
-the routes' agreement is decided on their lambda-normalized Gram difference first
-(Weyl), and the QR route's norm is taken only when that cannot decide. Reported
+lambda off the r x m core Sigma_r^-1 U_r* l1. ``_majorization`` certifies lambda
+from both sides by plain products on l1 and l2 (a witness vector from below, the
+Douglas residual from above), each to a fixed multiple of kappa eps lambda. Reported
 residuals are spectral norms, an identity's read on K's rank-k coordinates on the
 side where it puts P_K, K or K* (``_range_residual``, the same up to sigma_{k+1});
 a residual that only gates (``_within``) is decided on its Frobenius norm first.
@@ -78,8 +77,8 @@ IDENTITY_TOL = 1e-10
 
 # relative slack of a guarantee a theorem gives and of two routes to one value
 _SLACK = 1e-9
-# relative agreement of the two routes to lambda: 1e-8 relative on A = 1/lambda^2
-_AGREEMENT = 5e-9
+# lambda's certificates lie within _CERTIFICATE kappa eps lambda of it (``_majorization``)
+_CERTIFICATE = 256.0
 # numerical rank counts singular values above sigma_max * max(rows, cols) * _RANK_SCALE
 _RANK_SCALE = 2.0 ** -40
 
@@ -138,6 +137,12 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
+
+
+def _norm(m: np.ndarray) -> float:
+    """|m|_F, divided by m's largest modulus first, so it neither under- nor overflows."""
+    top = float(np.max(np.abs(m), initial=0.0))
+    return top * float(np.linalg.norm(m / top)) if top else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,18 +262,19 @@ def _require_inclusion(
 def _douglas(
     a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float,
     error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
-) -> tuple[CheckResult, np.ndarray, np.ndarray]:
+) -> tuple[CheckResult, np.ndarray, np.ndarray, np.ndarray]:
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
     Returns the passed inclusion test (failure raises ``error``, message
-    prefix ``ranges``), X = pinv(b) a and its core (``SvdFactors.solve``);
-    the residual |b X - a| is gated at the identity tolerance.
+    prefix ``ranges``), X = pinv(b) a, its core (``SvdFactors.solve``) and the
+    residual E = b X - a, whose norm is gated at the identity tolerance.
     """
     inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges)
     x, core = f2.solve(a)
-    _within(b @ x - a, tol * norm_a, InternalConsistencyError,
+    residual = b @ x - a
+    _within(residual, tol * norm_a, InternalConsistencyError,
             "factorization residual {:.3e} despite range inclusion")
-    return inclusion, x, core
+    return inclusion, x, core, residual
 
 
 def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> bool:
@@ -290,42 +296,41 @@ def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> b
 
 
 def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
-    """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*.
-
-    Computed as the spectral norm of the minimal Douglas solution and
-    cross-checked by ``_majorization``'s QR route (on the Gram difference first);
-    a relative disagreement beyond 5e-9 raises InternalConsistencyError.
-    """
+    """Least lambda >= 0 with l1 l1* <= lambda^2 l2 l2*: the spectral norm of the minimal
+    Douglas solution, certified from both sides by ``_majorization`` (else
+    InternalConsistencyError)."""
     a = as_matrix(l1, "l1")
     b = as_matrix(l2, "l2")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     f2 = svd_decompose(b)
-    core = _douglas(a, b, f2, spectral_norm(a), tol)[2]
-    return _majorization(a, b, f2, core)
+    _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol)
+    return _majorization(a, b, f2, core, residual)
 
 
-def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray) -> float:
-    """lambda = |core| of the minimal Douglas solution, cross-checked to 5e-9 relative.
+def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray,
+                  residual: np.ndarray) -> float:
+    """lambda = s_1 of the minimal Douglas solution's ``core``, certified by plain products.
 
-    The cross-check shares only U_r of ``f2``: Householder QR (U_r* b)* = Q R gives
-    C' = R^-* U_r* a without squaring the conditioning of b. By Weyl |lambda - |C'|| <=
-    lambda |D|_F, D = (core* core - C'* C') / lambda^2 (k x k, rounded by ~2 (r + 2) k 2^-53),
-    so |D|_F <= 5e-9 passes; |C'|'s SVD decides otherwise or if lambda^2 is not normal.
+    From below, lambda >= |a* w| / |b* w| for any w with b* w != 0, equal at the witness
+    w = U_r Sigma_r^-1 u_1 (u_1 the core's top left singular vector). From above, lambda <=
+    |V_r core| + |b^+ E| <= s_1 + |U_r* E|_F / sigma_r for the Douglas ``residual`` E (U_r* E
+    is E at full row rank). A certificate farther than 256 kappa eps lambda from lambda
+    (kappa = kappa(b); 3x the largest measured gap) raises InternalConsistencyError.
     """
-    lam = spectral_norm(core)
-    basis = f2.left_vectors[:, : f2.rank]
-    r = np.linalg.qr(b.conj().T @ basis, mode="r")
-    route = np.linalg.solve(r.conj().T, basis.conj().T @ a)
-    with np.errstate(all="ignore"):  # an overflowed |D|_F decides nothing: |C'| does
-        gram = (core.conj().T @ core - route.conj().T @ route) / (lam * lam)
-        if np.finfo(float).tiny <= lam * lam < np.inf and np.linalg.norm(gram) <= _AGREEMENT:
-            return lam
-    lam_cc = spectral_norm(route)
-    if not _gate(abs(lam - lam_cc), lam, _AGREEMENT):
-        raise InternalConsistencyError(
-            f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
-        )
+    r, s = f2.rank, f2.singular_values
+    if not r:  # the inclusion test admits only a = 0 into R(0)
+        return 0.0
+    vectors, values, _ = np.linalg.svd(core, full_matrices=False)
+    lam, basis = float(values[0]), f2.left_vectors[:, :r]
+    witness = basis @ (vectors[:, 0] * (s[r - 1] / s[:r]))  # sigma_r w: no entry above 1
+    below = _norm(a.conj().T @ witness) / _norm(b.conj().T @ witness)
+    in_range = residual if r == a.shape[0] else basis.conj().T @ residual
+    above = lam + _norm(in_range) / float(s[r - 1])
+    gap = max(abs(lam - below), above - lam)
+    if not gap <= lam * (_CERTIFICATE * np.finfo(float).eps * float(s[0] / s[r - 1])):
+        raise InternalConsistencyError(f"majorization routes disagree: lambda {lam!r}, "
+                                       f"witness {below!r}, upper bound {above!r}", gap)
     return lam
 
 

@@ -266,16 +266,16 @@ def k_right_inverse(
     """R = pinv(M) K with M R = K; exists iff R(K) is contained in R(M).
 
     R is the minimal Douglas solution, so its norm is the majorization constant. As in
-    ``k_frame_check``, the Douglas pass (inclusion, residual gate, lambda's core) and the
-    QR cross-check take L1 = K V_k (``env.range_factor``, n x k), dropping only
+    ``k_frame_check``, the Douglas pass (inclusion, residual gate, lambda's core) and
+    lambda's two certificates take L1 = K V_k (``env.range_factor``, n x k), dropping only
     K - K V_k V_k* (``OperatorEnv``). Memoized on ``mult`` per (env, tol).
     """
     factors = _multiplier_factors(mult, env)
     a = env.range_factor
-    core = _douglas(a, mult.matrix, factors, env.norm(), tol,
-                    NoRightInverse, "R(K) not contained in R(M)")[2]
+    douglas = _douglas(a, mult.matrix, factors, env.norm(), tol,
+                       NoRightInverse, "R(K) not contained in R(M)")[2:]
     return RightInverse(_read_only(factors.solve(env.k)[0]),
-                        _majorization(a, mult.matrix, factors, core))
+                        _majorization(a, mult.matrix, factors, *douglas))
 
 
 @_memoized_per_operator

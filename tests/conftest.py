@@ -8,6 +8,8 @@ largest), keeping the fixed tolerances honest rather than calibrated.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,15 +21,32 @@ from kframekit.worked import minimal_example, projection_example
 COND_FLOOR = 1e-3
 
 
-@pytest.fixture()
-def skewed_qr(monkeypatch):
-    """Scale every R of ``np.linalg.qr(a, mode="r")`` by 1 + 1e-7.
+def skew_lambda_core(monkeypatch, values: float = 1.0, turn: float = 0.0) -> None:
+    """Skew the SVD that ``linalg._majorization`` takes of lambda's core: scale its singular
+    values by ``values`` and turn its top left singular vector by the angle ``turn`` toward
+    the second. Every other SVD is left as it is."""
+    svd = np.linalg.svd
 
-    That skews the QR cross-check of each majorization constant by 1e-7
-    relative, twenty times its relative gate of 5e-9 at any lambda.
+    def skewed(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "_majorization":
+            return svd(a, *args, **kwargs)
+        u, s, vh = svd(a, *args, **kwargs)
+        if turn:
+            u = u.copy()
+            u[:, 0] = np.cos(turn) * u[:, 0] + np.sin(turn) * u[:, 1]
+        return u, s * values, vh
+
+    monkeypatch.setattr(np.linalg, "svd", skewed)
+
+
+@pytest.fixture()
+def skewed_core_svd(monkeypatch):
+    """Scale the singular values of every SVD of lambda's core by 1 + 1e-7.
+
+    lambda then exceeds its witness ratio, a lower bound, by 1e-7 relative, far above
+    the 256 kappa eps relative gate at the kappa <= 1e3 of the instances it is used on.
     """
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * (1 + 1e-7))
+    skew_lambda_core(monkeypatch, values=1 + 1e-7)
 
 
 @pytest.fixture()

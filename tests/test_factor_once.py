@@ -70,21 +70,22 @@ from kframekit.linalg import (
 )
 from kframekit.multipliers import _perturbed_restriction, _projected
 
-# k_frame_check makes at most 5 per (frame, operator) pair and the pipeline checks
-# three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical dual and the
-# dual-identity residual; the canonical coefficients factor nothing
-PIPELINE_CEILING = 20
+# k_frame_check makes at most 3 per (frame, operator) pair (the SVD of T_F, the inclusion
+# residual's norm and the SVD of lambda's core; 5 with the QR route's QR and solve) and
+# the pipeline checks three pairs; add the SVD of B = Sigma^2 U_r* Q for the canonical
+# dual and the dual-identity residual; the canonical coefficients factor nothing (20 -> 11)
+PIPELINE_CEILING = 11
 # one run of each CLI command that validates the optimal pair it has just computed: the
 # pair is read against k_frame_check's memoized bounds, not on an eigvalsh of
 # S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7). Each majorization cross-check
 # passes on its Gram difference, without the QR route's norm (dual 18 -> 15: the frame's,
-# the dual's and the projected frame's lambda; perturb-check 7 -> 6)
-CLI_VALIDATING = {"dual": 15, "perturb-check": 6}
-# one run of kframe analyze: the SVDs of K and T_F, lambda's norm and its cross-check's
-# QR and solve (its agreement decided on the Gram difference, 7 -> 6), and
-# tightness_check's residual norm. Both inequalities are plain products at vectors T_F's
-# memoized SVD holds, so they add none
-CLI_ANALYZE = 6
+# the dual's and the projected frame's lambda; perturb-check 7 -> 6). lambda is
+# certified by plain products, with no QR or solve (dual 15 -> 9, perturb-check 6 -> 4)
+CLI_VALIDATING = {"dual": 9, "perturb-check": 4}
+# one run of kframe analyze: the SVDs of K and T_F, the SVD of lambda's core and
+# tightness_check's residual norm; lambda's certificates (6 -> 4) and both inequalities
+# are plain products at vectors the SVDs hold, so they add none
+CLI_ANALYZE = 4
 # perturbation_right_inverse after perturbation_k_dual on the same arguments: the
 # multiplier form of R and the K-identity residuals; no multiplier and none of its
 # frames is factored, and the dual choice's K-dual identity only gates, so its
@@ -102,8 +103,9 @@ PERTURBED_RIGHT_INVERSE = 2
 # memoized, not on an eigvalsh of S_Phi - a K K*: 49 -> 48. The two dual-choice gates
 # (perturbation_right_inverse's and inverse_as_multiplier's) pass on their Frobenius
 # norms, with no SVD: 48 -> 46. The 3 cross-checks pass on their Gram differences,
-# without the QR route's norm: 46 -> 43
-MULTIPLIERS_OP = 43
+# without the QR route's norm: 46 -> 43. The 3 lambdas are certified by plain products,
+# with no QR or solve: 43 -> 37, the bench's own count
+MULTIPLIERS_OP = 37
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -201,14 +203,14 @@ class TestCounts:
         assert factorizations["n"] <= PIPELINE_CEILING
 
     def test_k_frame_check_on_a_fresh_pair(self, factorizations):
-        # the SVD of T_F, lambda's spectral norm and the cross-check's QR and triangular
-        # solve, whose agreement the Gram difference decides without a norm; T_F spans
-        # C^8, so its rank decides the inclusion with no residual norm
+        # the SVD of T_F and the SVD of lambda's core, whose certificates are plain
+        # products (no QR or solve, 4 -> 2); T_F spans C^8, so its rank decides the
+        # inclusion with no residual norm
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["n"] = 0
         k_frame_check(f, env)
-        assert factorizations["n"] == 4
+        assert factorizations["n"] == 2
 
     def test_rank_deficient_frame_keeps_the_inclusion_residual(self, factorizations):
         # T_F is 8 x 6, so R(T_F) is not C^8 and the inclusion is still decided on
@@ -288,9 +290,9 @@ class TestCounts:
 
     def test_k_frame_check_reuses_the_hypothesis(self, factorizations):
         # the hypothesis, then the bounds on the same pair: exactly k_frame_check's own
-        # five factorizations (the SVD of T_F, the inclusion residual's norm, lambda's
-        # norm and the cross-check's QR and solve; T_F is 8 x 6, so R(T_F) is not
-        # C^8), none on a repeated operand, and the bounds carry the memoized verdict
+        # three factorizations (the SVD of T_F, the inclusion residual's norm and the SVD
+        # of lambda's core; T_F is 8 x 6, so R(T_F) is not C^8), none on a repeated
+        # operand, and the bounds carry the memoized verdict
         vectors, k, _ = instance(10, count=6)
         counts = []
         for hypothesis_first in (False, True):
@@ -303,14 +305,15 @@ class TestCounts:
             counts.append(factorizations["n"])
             inputs = factorizations["inputs"]
             assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])
-        assert counts == [5, 5]
+        assert counts == [3, 3]
         assert bounds.inclusion is inclusion
         assert _k_frame_hypothesis(f, env) is inclusion
 
     def test_k_frame_check_applies_the_factors_once(self, monkeypatch):
-        # on a fresh pair lambda's core comes from the hypothesis's one Douglas pass (one
-        # solve); after a memoized verdict only the core is formed, never X = V_r core.
-        # The memo keeps the verdict and the bounds, no core, and lambda is the same float
+        # on a fresh pair lambda's core and Douglas residual come from the hypothesis's one
+        # Douglas pass (one solve); after a memoized verdict they are solved for once more,
+        # since the upper certificate reads the residual of X = V_r core. The memo keeps
+        # the verdict and the bounds, no core, and lambda is the same float
         calls = []
         solve = SvdFactors.solve
 
@@ -327,7 +330,7 @@ class TestCounts:
                 _k_frame_hypothesis(f, env)
             calls.clear()
             found.append(k_frame_check(f, env))
-            assert calls == ([] if hypothesis_first else [(8, 4)])
+            assert calls == [(8, 4)]
             assert set(f._memo) == {"svd", ("_k_frame_hypothesis", env, IDENTITY_TOL),
                                     ("k_frame_check", env, IDENTITY_TOL)}
             assert type(f._memo[("_k_frame_hypothesis", env, IDENTITY_TOL)]) is CheckResult
@@ -356,32 +359,35 @@ class TestCounts:
         assert factorizations["n"] == 0
 
     def test_k_frame_check_norms_have_rank_k_columns(self, factorizations):
-        # L1 is K's range factor U_k Sigma_k (8 x 4), not K (8 x 8)
+        # L1 is K's range factor U_k Sigma_k (8 x 4), not K (8 x 8): lambda's core is
+        # 8 x 4, and T_F spans C^8, so no norm is taken
         vectors, k, _ = instance(10)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         k_frame_check(f, env)
-        norms = operands(factorizations, "svd_norm")
-        assert len(norms) == 1
-        assert all(shape[1] <= 4 for shape in norms)
+        assert operands(factorizations, "svd_norm") == []
+        assert operands(factorizations, "svd") == [(8, 12), (8, 4)]
 
-    def test_cross_check_norms_the_qr_route_only_when_the_gram_difference_cannot_decide(
+    def test_lambda_takes_one_svd_of_its_core_and_no_qr_or_solve(
             self, factorizations, monkeypatch):
-        # at kappa(T_F) = 1e10 the routes' Gram difference exceeds 5e-9, so both r x k
-        # routes (20 x 10) are normed; on a bench pool instance only lambda's core is
+        # at kappa(T_F) = 1e10, where a fixed gate on a second route took both r x k
+        # routes' norms, lambda's certificates are plain products: the one factorization
+        # after T_F's SVD is that of lambda's 20 x 10 core; so on a bench pool instance
         syn, x0, _ = graded_instance(0, 1e-10)
         f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         k_frame_check(f, env)
-        assert operands(factorizations, "svd_norm") == [(20, 10), (20, 10)]
+        assert factorizations["names"] == ["svd", "svd"]
+        assert operands(factorizations, "svd") == [(20, 30), (20, 10)]
         inst = load_workloads(monkeypatch).Multipliers(1, None).instances[0]
         f, env = Frame(inst["phi"]), OperatorEnv.from_matrix(inst["k"])
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         k_frame_check(f, env)
-        assert operands(factorizations, "svd_norm") == [(16, 8)]
+        assert not {"qr", "solve", "svd_norm"} & set(factorizations["names"])
+        assert operands(factorizations, "svd")[-1] == (16, 8)
 
     def test_optimal_bounds_make_no_eigendecomposition(self, factorizations):
         vectors, k, _ = instance(19)
@@ -391,8 +397,7 @@ class TestCounts:
         k_frame_check(f, env)
         k_right_inverse(mult, env)
         majorization_constant(k, f.synthesis)
-        assert "qr" in factorizations["names"]
-        assert not {"eigh", "eigvalsh"} & set(factorizations["names"])
+        assert not {"eigh", "eigvalsh", "qr", "solve"} & set(factorizations["names"])
 
     def test_admissible_perturbation_is_not_factored(self, factorizations):
         # the admissibility gate passes at the smallest threshold |phi| can give
@@ -431,10 +436,11 @@ class TestCounts:
                                    atol=1e-13 * f.norm())
 
     def test_verify_k_dual_with_lower_bounds(self, factorizations):
-        # the residual norm, then k_frame_check of the dual on its k x r core (its SVD,
-        # lambda's norm, QR and solve; the rank decides the inclusion) and of the projected
-        # frame {U_k* f_i} (the same four and an SVD of its own). The dual was built on
-        # another env from the same K: an equal U_k, not the same array, selects the core
+        # the residual norm, then k_frame_check of the dual on its k x r core (its SVD and
+        # that of lambda's core; the rank decides the inclusion) and of the projected
+        # frame {U_k* f_i} (lambda's core and an SVD of its own): 9 -> 5 with no QR or
+        # solve. The dual was built on another env from the same K: an equal U_k, not the
+        # same array, selects the core
         vectors, k, _ = instance(11)
         dual = canonical_k_dual(Frame(vectors), OperatorEnv.from_matrix(k))
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
@@ -442,10 +448,10 @@ class TestCounts:
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         verify_k_dual(f, dual, env, with_lower_bounds=True)
-        assert factorizations["n"] == 9
+        assert factorizations["n"] == 5
         # T_G = V_k C V_r* through its k x rank(T_F) core C, and the projected frame in
-        # R(K)'s coordinates: k x N, not n x N
-        assert sorted(operands(factorizations, "svd")) == [(4, 8), (4, 12)]
+        # R(K)'s coordinates: k x N, not n x N; lambda's cores are 4 x 4
+        assert sorted(operands(factorizations, "svd")) == [(4, 4), (4, 4), (4, 8), (4, 12)]
 
     def test_witness_reads_the_duals_factors(self, factorizations):
         # the dual's K*-frame check factored its core, whose SVD T_Ftilde's factors lift
@@ -459,8 +465,8 @@ class TestCounts:
 
     def test_dual_is_checked_on_its_core(self, factorizations):
         # T_G = V_k C V_r*: the K*-frame check reads C (k x r = 4 x 8) against Sigma_k, so
-        # no norm operand has n = 8 rows and the QR operand is r x k, not N x k = 12 x 4;
-        # the SVD of C it makes is the one T_G's own factors lift
+        # no operand has n = 8 rows and lambda's core is 4 x 4; the SVD of C it makes is
+        # the one T_G's own factors lift
         vectors, k, _ = instance(11)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         dual = canonical_k_dual(f, env)
@@ -468,23 +474,22 @@ class TestCounts:
         factorizations["names"].clear()
         bounds = k_frame_check(dual, env.adjoint())
         assert bounds.inclusion.residual == 0.0
-        assert operands(factorizations, "svd_norm") == [(4, 4)]
-        assert operands(factorizations, "qr") == [(8, 4)]
-        assert operands(factorizations, "svd") == [(4, 8)]
+        assert operands(factorizations, "svd_norm") == []
+        assert operands(factorizations, "svd") == [(4, 8), (4, 4)]
         assert dual.norm() ** 2 == bounds.upper
-        assert operands(factorizations, "svd") == [(4, 8)]
+        assert operands(factorizations, "svd") == [(4, 8), (4, 4)]
 
     def test_dense_copy_of_the_dual_keeps_the_inclusion_norm(self, factorizations):
         # the same vectors read from an array have no factored form: the (n, k)
-        # inclusion residual and the N x k QR of the dense path
+        # inclusion residual of the dense path, and lambda's core rank(T_G) x k
         vectors, k, _ = instance(11)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         dense = Frame(canonical_k_dual(f, env).vectors)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         k_frame_check(dense, env.adjoint())
-        assert operands(factorizations, "svd_norm")[0] == (8, 4)
-        assert operands(factorizations, "qr") == [(12, 4)]
+        assert operands(factorizations, "svd_norm") == [(8, 4)]
+        assert operands(factorizations, "svd") == [(8, 12), (4, 4)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
         # the K-frame hypothesis of Phi (the SVD of T_Phi and the inclusion residual),
@@ -606,14 +611,15 @@ class TestCounts:
         assert operands(factorizations, "svd") == []
 
     def test_norm_and_k_frame_check_share_one_svd(self, factorizations):
-        # the norm, the bounds and the restriction read T_F's one memoized SVD
+        # the norm, the bounds and the restriction read T_F's one memoized SVD; the other
+        # is that of lambda's 8 x 4 core
         vectors, k, _ = instance(22)
         f, env = Frame(vectors), OperatorEnv.from_matrix(k)
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         f.norm()
         k_frame_check(f, env)
-        assert operands(factorizations, "svd") == [f.synthesis.shape]
+        assert operands(factorizations, "svd") == [f.synthesis.shape, (8, 4)]
 
     def test_repeated_calls_factor_nothing(self, factorizations):
         vectors, k, _ = instance(4)
@@ -721,16 +727,16 @@ class TestRankKFactor:
     asked on K's n x k range factor K V_k = U_k Sigma_k (or on U_k* L), never on K."""
 
     def test_k_right_inverse_lambda_norms_have_rank_k_columns(self, factorizations):
-        # lambda's core Sigma_r^-1 U_r* K V_k and the cross-check's R^-* U_r* K V_k are
-        # 8 x 4, not 8 x 8; M has full rank, so its rank decides the inclusion, and the
-        # routes' Gram difference their agreement, so only lambda's core is normed
+        # lambda's core Sigma_r^-1 U_r* K V_k is 8 x 4, not 8 x 8, and its one SVD is the
+        # only factorization; M has full rank, so its rank decides the inclusion, and
+        # lambda's certificates are plain products, with no QR or solve
         mult, env = multiplier_instance(30)
         mult.norm()
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         right = k_right_inverse(mult, env)
-        assert operands(factorizations, "svd_norm") == [(8, 4)]
-        assert operands(factorizations, "solve") == [(8, 8)]
+        assert factorizations["names"] == ["svd"]
+        assert operands(factorizations, "svd") == [(8, 4)]
         # R itself is the minimal Douglas solution pinv(M) K, bit for bit
         np.testing.assert_array_equal(right.matrix, mult._factors().solve(env.k)[0])
 

@@ -8,6 +8,8 @@ from conftest import (
     projector_onto_range,
     random_k_frame,
     range_projector,
+    skew_lambda_core,
+    weak_direction_instance,
 )
 from tests_support_douglas import douglas_solution, inclusion_check, min_eig
 
@@ -21,6 +23,7 @@ from kframekit.errors import (
 from kframekit.linalg import (
     IDENTITY_TOL,
     OperatorEnv,
+    SvdFactors,
     _within,
     majorization_constant,
     _restricted_inverse,
@@ -189,19 +192,17 @@ class TestDouglas:
 
 
 class TestIllConditionedMajorization:
-    """The cross-check keeps up with the Douglas route as kappa(T_F) grows.
+    """lambda's certificates keep up with the Douglas route as kappa(T_F) grows.
 
-    A cross-check on the Gram matrices of T_F (L2) squares kappa and disagrees
-    with the Douglas route by more than its 1e-8 gate from c = 1e-5 on (2 of 20
-    seeds there, all from 1e-6), and underflows at small input scales. The
-    routes' agreement is decided on the k x k difference of the r x k routes'
-    own Gram matrices, divided by lambda^2, which squares nothing of T_F; its
-    computed Frobenius norm is within about 2 (r + 2) u k of the exact one (u =
-    2^-53), below 1.2e-11 for r <= 384, k = 128, the benchmark's largest sizes,
-    about 400 times under the 5e-9 gate.
+    A cross-check on the Gram matrices of T_F (L2) squares kappa and disagrees with the
+    Douglas route by more than a fixed 1e-8 gate from c = 1e-5 on (2 of 20 seeds there,
+    all from 1e-6), and a second route gated at a fixed 5e-9 raised on 1 and 15 of 20
+    seeds at c = 1e-9 and 1e-10. The witness ratio and the Douglas residual square
+    nothing of T_F, and their gate, 256 kappa eps lambda, scales with kappa(T_F): no seed
+    raises down to c = 1e-10, near the rank cutoff of about 3e-11.
     """
 
-    @pytest.mark.parametrize("c", [1e-4, 1e-5, 1e-6, 1e-8])
+    @pytest.mark.parametrize("c", [1e-4, 1e-5, 1e-6, 1e-8, 1e-9, 1e-10])
     def test_bounds_match_the_oracle(self, c):
         from kframekit.frames import Frame, k_frame_check
 
@@ -212,6 +213,19 @@ class TestIllConditionedMajorization:
             lower = k_frame_check(Frame(syn.T), OperatorEnv.from_matrix(k)).lower
             assert abs(lower * lam**2 - 1.0) <= 10 * np.finfo(float).eps / c
             assert abs(majorization_constant(k, syn) / lam - 1.0) <= 10 * np.finfo(float).eps / c
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6])
+    def test_overstated_lambda_raises_on_the_weak_direction(self, c, monkeypatch):
+        # K = u_6 u_6* along T_F's least singular direction (kappa = 1/c): a lambda 1.01
+        # times its core's norm leaves the witness ratio 1 % below it
+        from kframekit.frames import k_frame_check
+
+        f, env = weak_direction_instance(c)
+        assert k_frame_check(f, env).lower == pytest.approx(c**2, rel=1e-6)
+        f, env = weak_direction_instance(c)
+        skew_lambda_core(monkeypatch, values=1.01)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            k_frame_check(f, env)
 
     @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8])
     def test_projected_bound_in_range_coordinates(self, c):
@@ -332,7 +346,7 @@ class TestMajorization:
 
 
 class TestEigenvalueCrossCheck:
-    """Each optimal bound has one cross-check, the QR route; skewing it must raise."""
+    """Each optimal bound is certified from both sides; a skewed lambda must raise."""
 
     @pytest.mark.parametrize(
         "scale, gate",
@@ -341,14 +355,14 @@ class TestEigenvalueCrossCheck:
             (1e3, "majorization routes disagree"),  # lambda << 1: the gate is relative
         ],
     )
-    def test_k_frame_check(self, scale, gate, skewed_qr):
+    def test_k_frame_check(self, scale, gate, skewed_core_svd):
         from kframekit.frames import k_frame_check
 
         frame, env = random_k_frame(np.random.default_rng(41))
         with pytest.raises(InternalConsistencyError, match=gate):
             k_frame_check(frame.scaled(scale), env)
 
-    def test_k_right_inverse(self, skewed_qr):
+    def test_k_right_inverse(self, skewed_core_svd):
         from kframekit.frames import Frame
         from kframekit.multipliers import Symbol, assemble_multiplier, k_right_inverse
 
@@ -358,39 +372,33 @@ class TestEigenvalueCrossCheck:
         with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
             k_right_inverse(mult, OperatorEnv.from_matrix(crandn(rng, 4, 4)))
 
-    def test_majorization_constant(self, skewed_qr):
+    def test_majorization_constant(self, skewed_core_svd):
         rng = np.random.default_rng(47)
         with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
             majorization_constant(crandn(rng, 4, 3), crandn(rng, 4, 4))
 
 
-def two_norm_majorization(a, b, f2, core):
-    """The oracle: lambda = |core| and the QR route's norm |R^-* U_r* a|, both taken by
-    SVD and compared at the 5e-9 relative gate."""
-    lam = spectral_norm(core)
-    basis = f2.left_vectors[:, : f2.rank]
-    r = np.linalg.qr(b.conj().T @ basis, mode="r")
-    lam_cc = spectral_norm(np.linalg.solve(r.conj().T, basis.conj().T @ a))
-    if abs(lam - lam_cc) > 5e-9 * lam:
-        raise InternalConsistencyError(
-            f"majorization routes disagree: {lam!r} vs {lam_cc!r}", abs(lam - lam_cc)
-        )
-    return lam
+def two_norm_majorization(a, b, f2, core, residual):
+    """The oracle: lambda = |core| by its values-only SVD, with no certificate."""
+    return spectral_norm(core)
 
 
 def majorization_outcome(fn):
-    """``fn()`` as its float's hex, or the message of the InternalConsistencyError it raises."""
+    """``fn()`` as a float, or the message of the InternalConsistencyError it raises."""
     try:
-        return fn().hex()
+        return fn()
     except InternalConsistencyError as exc:
         return f"raises: {exc}"
 
 
 class TestGramCrossCheck:
-    """``_majorization`` decides the routes' agreement on their Gram difference first.
+    """lambda's two certificates: the witness ratio from below, the Douglas residual from
+    above (the class keeps the name of the Gram pass the certificates replaced).
 
-    The oracle is the two-norm route; the Frobenius pass may only skip its second SVD,
-    so every lambda, A and raise is the oracle's.
+    The oracle is the two-norm route, lambda = |core| by a values-only SVD; lambda is the
+    top singular value of an SVD with vectors of the same core, so it agrees to rounding.
+    Faults are injected into lambda's core SVD (its singular values or its top singular
+    vector) and into T_F's range basis U_r.
     """
 
     @pytest.fixture()
@@ -420,14 +428,12 @@ class TestGramCrossCheck:
 
     @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
     def test_graded_family_matches_the_two_norm_route(self, c, oracle):
+        # no seed raises, and A and lambda are the oracle's to 64 eps relative
         got = self.graded_outcomes(c)
         oracle()
-        assert got == self.graded_outcomes(c)
-
-    @staticmethod
-    def skew_qr(monkeypatch, skew):
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr(a, mode=mode) * skew)
+        for (lower, lam), (lower_oracle, lam_oracle) in zip(got, self.graded_outcomes(c)):
+            assert lower == pytest.approx(lower_oracle, rel=64 * np.finfo(float).eps)
+            assert lam == pytest.approx(lam_oracle, rel=64 * np.finfo(float).eps)
 
     @staticmethod
     def cross_checked_calls():
@@ -453,35 +459,87 @@ class TestGramCrossCheck:
         return [frame_check, right_inverse, constant]
 
     def test_skew_below_the_gate_passes_with_the_same_lambda(self, monkeypatch):
-        # a QR route skewed by 1e-9 relative agrees to 5e-9; lambda is still |core|
+        # a top singular vector turned by 1e-7 lowers the witness ratio by about 1e-14
+        # relative, below the gate of 256 kappa eps; lambda is still the core's s_1
         plain = [call() for call in self.cross_checked_calls()]
-        self.skew_qr(monkeypatch, 1 + 1e-9)
+        skew_lambda_core(monkeypatch, turn=1e-7)
         assert [call() for call in self.cross_checked_calls()] == plain
 
     @pytest.mark.parametrize("call", range(3), ids=["k_frame_check", "k_right_inverse",
                                                     "majorization_constant"])
     def test_skew_above_the_gate_raises(self, monkeypatch, call):
-        self.skew_qr(monkeypatch, 1 + 1e-8)
+        # lambda 1e-8 relative above its witness ratio
+        skew_lambda_core(monkeypatch, values=1 + 1e-8)
         with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
             self.cross_checked_calls()[call]()
 
+    @pytest.mark.parametrize("call", range(3), ids=["k_frame_check", "k_right_inverse",
+                                                    "majorization_constant"])
+    def test_turned_singular_vector_raises(self, monkeypatch, call):
+        # a top singular vector turned by 1e-2 toward the second lowers the witness ratio
+        # by about 5e-5 (1 - s_2^2 / s_1^2) relative; lambda itself is untouched
+        skew_lambda_core(monkeypatch, turn=1e-2)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            self.cross_checked_calls()[call]()
+
+    def test_turned_range_basis_raises(self, monkeypatch):
+        # U_r of l2 (kappa ~ 10) turned by about 1e-12 within its span: the reconstruction
+        # and Douglas residual gates (1e-10 relative) pass, and the Douglas residual puts
+        # the upper certificate 6.5e-12 relative above lambda, eleven times the gate of
+        # 256 kappa eps; the witness moves by about the gate, so the upper side decides
+        from kframekit import linalg
+
+        decompose = linalg.svd_decompose
+
+        def turned(m):
+            f = decompose(m)
+            g = crandn(np.random.default_rng(0), f.rank, f.rank)
+            turn = np.eye(f.rank) + 1e-12 * (g - g.conj().T)
+            return SvdFactors(f.left_vectors[:, : f.rank] @ turn, f.singular_values,
+                              f.right_vectors, f.rank)
+
+        monkeypatch.setattr(linalg, "svd_decompose", turned)
+        rng = np.random.default_rng(47)
+        with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+            majorization_constant(crandn(rng, 4, 3), crandn(rng, 4, 4))
+
+    def test_residual_outside_the_range_leaves_the_upper_certificate(self):
+        # L2 of rank 3 < 6 rows and L1 1e-9 relative outside R(L2): the inclusion passes
+        # at tol = 1e-6, and E's part outside R(L2), which L2^+ annihilates, would put
+        # |E|_F / sigma_r 2e4 times over the gate; the upper certificate reads U_r* E, so
+        # lambda is that of L1's projection
+        rng = np.random.default_rng(5)
+        l2 = crandn(rng, 6, 3) @ crandn(rng, 3, 8)
+        l1 = l2 @ crandn(rng, 8, 4)
+        basis = svd_decompose(l2).left_vectors[:, :3]
+        noise = crandn(rng, 6, 4)
+        outside = noise - basis @ (basis.conj().T @ noise)
+        moved = l1 + 1e-9 * spectral_norm(l1) * outside / spectral_norm(outside)
+        lam = majorization_constant(moved, l2, tol=1e-6)
+        assert lam == pytest.approx(majorization_constant(l1, l2), rel=1e-12)
+
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_lambda_squared_outside_the_normal_range_takes_both_norms(
-            self, scale, oracle, norm_svds):
-        # lambda^2 is subnormal at 1e-160 and inf at 1e160: the Gram difference cannot be
-        # normalized, so the QR route's norm decides, and lambda is the oracle's
+            self, scale, oracle, norm_svds, monkeypatch):
+        # lambda^2 is subnormal at 1e-160 and inf at 1e160; both certificates' norms are
+        # taken after normalizing, so lambda is the oracle's, the only norm(., 2) is |l1|,
+        # and a skew still raises
         rng = np.random.default_rng(47)
         l1, l2 = scale * crandn(rng, 4, 3), crandn(rng, 4, 4)
         lam = majorization_constant(l1, l2)
-        assert [a.shape for a in norm_svds] == [(4, 3)] * 3  # |l1|, then both routes
+        assert [a.shape for a in norm_svds] == [(4, 3)]
         assert lam == pytest.approx(scale * majorization_constant(l1 / scale, l2), rel=1e-12)
+        with monkeypatch.context() as patched:
+            skew_lambda_core(patched, values=1 + 1e-8)
+            with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
+                majorization_constant(l1, l2)
         oracle()
-        assert majorization_constant(l1, l2) == lam
+        assert majorization_constant(l1, l2) == pytest.approx(lam, rel=64 * np.finfo(float).eps)
 
     def test_overflowed_lambda_squared_with_a_finite_gram_still_catches_a_skew(
-            self, skewed_qr):
+            self, skewed_core_svd):
         # lambda = |5e153 * ones(4, 4)| = 2e154, so lambda^2 = inf while the Gram entries
-        # 4 * (5e153)^2 = 1e308 are finite: dividing by lambda^2 would read 0
+        # 4 * (5e153)^2 = 1e308 are finite; the certificates form no square
         with pytest.raises(InternalConsistencyError, match="majorization routes disagree"):
             majorization_constant(np.full((4, 4), 5e153), np.eye(4))
 
@@ -492,13 +550,12 @@ class TestIllConditionedDual:
     Restrictions of S_F (or of a multiplier) to a range are applied in factored
     order on T_F's one SVD, so the dual's identity residual stays within
     1e3 eps |K| on the graded family; forming S_F = T_F T_F* squared kappa and
-    failed ``verify_k_dual`` from c = 1e-6 on. c = 1e-10 is
-    left out: on 15 of these 20 seeds ``k_frame_check`` itself raises there,
-    its two routes to lambda disagreeing past ``_majorization``'s fixed 5e-9
-    agreement gate, whichever way the dual is built.
+    failed ``verify_k_dual`` from c = 1e-6 on. c = 1e-10 joined once lambda's
+    gate scaled with kappa(T_F): under a fixed 5e-9 agreement gate ``k_frame_check``
+    raised there on 15 of these 20 seeds, whichever way the dual was built.
     """
 
-    @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("c", [1e-4, 1e-6, 1e-8, 1e-10])
     def test_graded_family(self, c, tmp_path, capsys):
         from kframekit import io
         from kframekit.cli import main
