@@ -33,6 +33,7 @@ from .linalg import (
     SvdFactors,
     _check_reconstruction,
     _douglas,
+    _douglas_solution,
     _gate,
     _majorization,
     _memo,
@@ -187,7 +188,7 @@ def _core(f: Frame, env: OperatorEnv) -> Frame | None:
     return inner if q is not None and np.array_equal(q, env.range_basis) else None
 
 
-def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, list | None]:
+def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tuple | None]:
     """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k and
     its Douglas residual when this call ran the Douglas pass on T_F (else None). The memo
     keeps the verdict alone."""
@@ -204,8 +205,10 @@ def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, li
     if core is not None:
         inclusion, douglas = _k_frame_hypothesis(core, env.range_coordinates, tol), None
     else:
-        inclusion, _, *douglas = _douglas(env.range_factor, f.synthesis, _factors(f), env.norm(),
-                                          tol, NotKFrame, "R(K) not contained in R(T_F)")
+        inclusion, _, lam_core, residual = _douglas(
+            env.range_factor, f.synthesis, _factors(f), env.norm(), tol,
+            NotKFrame, "R(K) not contained in R(T_F)")
+        douglas = lam_core, residual
     return _memo(f, key, lambda: inclusion), douglas
 
 
@@ -246,8 +249,7 @@ def k_frame_check(
     factors = _factors(f)
     a = env.range_factor
     if douglas is None:  # the verdict was memoized: solve again for the core and residual
-        x, lam_core = factors.solve(a)
-        douglas = [lam_core, f.synthesis @ x - a]
+        douglas = _douglas_solution(a, f.synthesis, factors, env.norm(), tol)[1:]
     lam = _majorization(a, f.synthesis, factors, *douglas)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda

@@ -28,9 +28,10 @@ minimal solution, residual gate), which the K-frame hypothesis and both multipli
 inverses share. It applies the factors in order (``SvdFactors.solve``) and reads
 lambda off the r x m core Sigma_r^-1 U_r* l1. ``_majorization`` certifies lambda
 from both sides by plain products on l1 and l2 (a witness vector from below, the
-Douglas residual from above), each to a fixed multiple of kappa eps lambda. Reported
-residuals are spectral norms, an identity's read on K's rank-k coordinates on the
-side where it puts P_K, K or K* (``_range_residual``, the same up to sigma_{k+1});
+Douglas residual from above), each to a fixed multiple of d kappa eps lambda, d the
+largest operand dimension. Reported residuals are spectral norms, an identity's read
+on K's rank-k coordinates on the side where it puts P_K, K or K* (``_range_residual``,
+the same up to sigma_{k+1});
 a residual that only gates (``_within``) is decided on its Frobenius norm first.
 Every identity is homogeneous, so every verdict is one gate, ``_gate``:
 residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold,
@@ -77,8 +78,9 @@ IDENTITY_TOL = 1e-10
 
 # relative slack of a guarantee a theorem gives and of two routes to one value
 _SLACK = 1e-9
-# lambda's certificates lie within _CERTIFICATE kappa eps lambda of it (``_majorization``)
-_CERTIFICATE = 256.0
+# lambda's certificates lie within _CERTIFICATE d kappa eps lambda of it, d the largest
+# operand dimension (``_majorization``)
+_CERTIFICATE = 40.0
 # numerical rank counts singular values above sigma_max * max(rows, cols) * _RANK_SCALE
 _RANK_SCALE = 2.0 ** -40
 
@@ -266,15 +268,22 @@ def _douglas(
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
     Returns the passed inclusion test (failure raises ``error``, message
-    prefix ``ranges``), X = pinv(b) a, its core (``SvdFactors.solve``) and the
-    residual E = b X - a, whose norm is gated at the identity tolerance.
+    prefix ``ranges``) and ``_douglas_solution``'s X, core and residual.
     """
     inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges)
+    return (inclusion, *_douglas_solution(a, b, f2, norm_a, tol))
+
+
+def _douglas_solution(
+    a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = pinv(b) a, its core (``SvdFactors.solve``) and the residual E = b X - a, whose
+    norm is gated at the identity tolerance, once R(a) is known to lie in R(b)."""
     x, core = f2.solve(a)
     residual = b @ x - a
     _within(residual, tol * norm_a, InternalConsistencyError,
             "factorization residual {:.3e} despite range inclusion")
-    return inclusion, x, core, residual
+    return x, core, residual
 
 
 def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> bool:
@@ -315,8 +324,9 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     From below, lambda >= |a* w| / |b* w| for any w with b* w != 0, equal at the witness
     w = U_r Sigma_r^-1 u_1 (u_1 the core's top left singular vector). From above, lambda <=
     |V_r core| + |b^+ E| <= s_1 + |U_r* E|_F / sigma_r for the Douglas ``residual`` E (U_r* E
-    is E at full row rank). A certificate farther than 256 kappa eps lambda from lambda
-    (kappa = kappa(b); 3x the largest measured gap) raises InternalConsistencyError.
+    is E at full row rank). A certificate farther than 40 d kappa eps lambda from lambda
+    (d the largest dimension of a and b, kappa = kappa(b); 3x the largest measured gap per
+    unit of d) raises InternalConsistencyError.
     """
     r, s = f2.rank, f2.singular_values
     if not r:  # the inclusion test admits only a = 0 into R(0)
@@ -328,7 +338,8 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     in_range = residual if r == a.shape[0] else basis.conj().T @ residual
     above = lam + _norm(in_range) / float(s[r - 1])
     gap = max(abs(lam - below), above - lam)
-    if not gap <= lam * (_CERTIFICATE * np.finfo(float).eps * float(s[0] / s[r - 1])):
+    unit = max(a.shape + b.shape) * np.finfo(float).eps * float(s[0] / s[r - 1])
+    if not gap <= lam * (_CERTIFICATE * unit):
         raise InternalConsistencyError(f"majorization routes disagree: lambda {lam!r}, "
                                        f"witness {below!r}, upper bound {above!r}", gap)
     return lam

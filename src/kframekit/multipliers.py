@@ -272,10 +272,10 @@ def k_right_inverse(
     """
     factors = _multiplier_factors(mult, env)
     a = env.range_factor
-    douglas = _douglas(a, mult.matrix, factors, env.norm(), tol,
-                       NoRightInverse, "R(K) not contained in R(M)")[2:]
+    _, _, core, residual = _douglas(a, mult.matrix, factors, env.norm(), tol,
+                                    NoRightInverse, "R(K) not contained in R(M)")
     return RightInverse(_read_only(factors.solve(env.k)[0]),
-                        _majorization(a, mult.matrix, factors, *douglas))
+                        _majorization(a, mult.matrix, factors, core, residual))
 
 
 @_memoized_per_operator

@@ -44,7 +44,8 @@ def skewed_core_svd(monkeypatch):
     """Scale the singular values of every SVD of lambda's core by 1 + 1e-7.
 
     lambda then exceeds its witness ratio, a lower bound, by 1e-7 relative, far above
-    the 256 kappa eps relative gate at the kappa <= 1e3 of the instances it is used on.
+    the 40 d kappa eps relative gate (d <= 12) at the kappa <= 1e3 of the instances it is
+    used on.
     """
     skew_lambda_core(monkeypatch, values=1 + 1e-7)
 

@@ -198,8 +198,9 @@ class TestIllConditionedMajorization:
     Douglas route by more than a fixed 1e-8 gate from c = 1e-5 on (2 of 20 seeds there,
     all from 1e-6), and a second route gated at a fixed 5e-9 raised on 1 and 15 of 20
     seeds at c = 1e-9 and 1e-10. The witness ratio and the Douglas residual square
-    nothing of T_F, and their gate, 256 kappa eps lambda, scales with kappa(T_F): no seed
-    raises down to c = 1e-10, near the rank cutoff of about 3e-11.
+    nothing of T_F, and their gate, 40 d kappa eps lambda (d the largest dimension),
+    scales with kappa(T_F): no seed raises down to c = 1e-10, near the rank cutoff of
+    about 3e-11.
     """
 
     @pytest.mark.parametrize("c", [1e-4, 1e-5, 1e-6, 1e-8, 1e-9, 1e-10])
@@ -460,7 +461,7 @@ class TestGramCrossCheck:
 
     def test_skew_below_the_gate_passes_with_the_same_lambda(self, monkeypatch):
         # a top singular vector turned by 1e-7 lowers the witness ratio by about 1e-14
-        # relative, below the gate of 256 kappa eps; lambda is still the core's s_1
+        # relative, below the gate of 40 d kappa eps; lambda is still the core's s_1
         plain = [call() for call in self.cross_checked_calls()]
         skew_lambda_core(monkeypatch, turn=1e-7)
         assert [call() for call in self.cross_checked_calls()] == plain
@@ -483,10 +484,11 @@ class TestGramCrossCheck:
             self.cross_checked_calls()[call]()
 
     def test_turned_range_basis_raises(self, monkeypatch):
-        # U_r of l2 (kappa ~ 10) turned by about 1e-12 within its span: the reconstruction
+        # U_r of l2 (kappa ~ 10) turned by about 3e-13 within its span: the reconstruction
         # and Douglas residual gates (1e-10 relative) pass, and the Douglas residual puts
-        # the upper certificate 6.5e-12 relative above lambda, eleven times the gate of
-        # 256 kappa eps; the witness moves by about the gate, so the upper side decides
+        # the upper certificate 1.9e-12 relative above lambda, five times the gate of
+        # 40 d kappa eps (d = 4); the witness moves by under half the gate, so the upper
+        # side alone decides
         from kframekit import linalg
 
         decompose = linalg.svd_decompose
@@ -494,7 +496,7 @@ class TestGramCrossCheck:
         def turned(m):
             f = decompose(m)
             g = crandn(np.random.default_rng(0), f.rank, f.rank)
-            turn = np.eye(f.rank) + 1e-12 * (g - g.conj().T)
+            turn = np.eye(f.rank) + 3e-13 * (g - g.conj().T)
             return SvdFactors(f.left_vectors[:, : f.rank] @ turn, f.singular_values,
                               f.right_vectors, f.rank)
 
@@ -517,6 +519,22 @@ class TestGramCrossCheck:
         moved = l1 + 1e-9 * spectral_norm(l1) * outside / spectral_norm(outside)
         lam = majorization_constant(moved, l2, tol=1e-6)
         assert lam == pytest.approx(majorization_constant(l1, l2), rel=1e-12)
+
+    def test_gate_keeps_its_margin_as_the_dimension_grows(self, monkeypatch):
+        # a K-frame of the benchmark's largest size (n = 256, N = 384, rank 128): the
+        # upper certificate's gap grows with the dimension (about 33 kappa eps lambda here,
+        # 178 at n = 2048), so a gate without d would be crossed at large n; here both
+        # certificates hold at an eighth of the gate of 40 d kappa eps lambda (d = 384)
+        from kframekit import linalg
+        from kframekit.frames import Frame, k_frame_check
+
+        rng = np.random.default_rng(1)
+        syn = crandn(rng, 256, 384)
+        x = crandn(rng, 384, 128) @ crandn(rng, 128, 256)
+        k = syn @ (x / spectral_norm(x))
+        monkeypatch.setattr(linalg, "_CERTIFICATE", linalg._CERTIFICATE / 8)
+        lower = k_frame_check(Frame(syn.T), OperatorEnv.from_matrix(k)).lower
+        assert majorization_constant(k, syn) == pytest.approx(lower**-0.5, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_lambda_squared_outside_the_normal_range_takes_both_norms(
