@@ -69,6 +69,7 @@ __all__ = [
     "canonical_dual_bound_certificate",
     "dual_family_generate",
     "dual_family_recover_phi",
+    "dual_family_member",
     "reciprocal_dual",
     "noncommutativity_witness",
     "minimal_norm_identity",
@@ -318,6 +319,18 @@ def dual_family_recover_phi(
     _require_k_dual(f, g, env, tol, "g is not a K-dual of f at tolerance")
     dual = canonical_k_dual(f, env, tol)
     return _read_only(g.analysis - dual.analysis)
+
+
+def dual_family_member(
+    f: Frame, g: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL
+) -> tuple[np.ndarray, CheckResult, CheckResult]:
+    """(phi, ``admissibility_violation`` on it, round trip) for ``dual_family_recover_phi``'s
+    phi: max |g'_ij - g_ij| against 1e-9 max |g_ij| for g' = ``dual_family_generate(phi)``."""
+    phi = dual_family_recover_phi(f, g, env, tol)
+    admissible = admissibility_violation(f, env, phi, tol)
+    regenerated = dual_family_generate(f, env, phi, tol)
+    round_trip = float(np.max(np.abs(regenerated.vectors - g.vectors)))
+    return phi, admissible, _gate(round_trip, float(np.max(np.abs(g.vectors))), _SLACK)
 
 
 def reciprocal_dual(

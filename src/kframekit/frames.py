@@ -27,6 +27,7 @@ from .errors import (
     NotKFrame,
 )
 from .linalg import (
+    _SLACK,
     IDENTITY_TOL,
     CheckResult,
     OperatorEnv,
@@ -119,21 +120,17 @@ class Frame:
         """Frame with vectors {A f_i} for a matrix A."""
         return Frame((as_matrix(operator, "operator") @ self.synthesis).T)
 
-    def scaled(self, c: complex) -> "Frame":
-        return Frame(c * self.vectors)
-
-    @staticmethod
-    def standard_basis(n: int) -> "Frame":
-        return Frame(np.eye(n, dtype=np.complex128))
-
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """The optimal bounds (A, B); ``inclusion`` is the R(K) in R(T_F) test behind A."""
+    """The optimal bounds (A, B); ``inclusion`` is the R(K) in R(T_F) test behind A, and
+    ``lower_attained`` and ``upper_attained`` the equalities that make them optimal."""
 
     lower: float
     upper: float
     inclusion: CheckResult
+    lower_attained: CheckResult
+    upper_attained: CheckResult
 
 
 def _factored(q: np.ndarray, core: Frame, v: np.ndarray | None) -> Frame:
@@ -235,9 +232,11 @@ def k_frame_check(
     (``_factors``) serves the inclusion test (decided by its rank alone, residual 0, when
     T_F spans C^n), B and A = (1/|pinv(T_F) K|)^2; OverflowError when A is not a finite
     float, FloatingPointError when it is below the least normal float. lambda is certified
-    from both sides by plain products on T_F and L1 = K V_k (``linalg._majorization``).
-    Memoized on ``f`` per (env, tol). Every step takes L1 (``env.range_factor``, n x k),
-    so no operand has n columns; it drops only K - K V_k V_k* (``OperatorEnv``).
+    from both sides by plain products on T_F and L1 = K V_k (``linalg._majorization``), and
+    A |K* w|^2 - |T_F* w|^2 at its unit witness w is gated at ``tol`` (|T_F| |T_F* w| +
+    A |K| |K* w|), |T_F* u_1|^2 - B at 1e-9 B. Memoized on ``f`` per (env, tol). Every step
+    takes L1 (``env.range_factor``, n x k): no operand has n columns, and only K - K V_k V_k*
+    is dropped (``OperatorEnv``).
     T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
     as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
     C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
@@ -250,7 +249,7 @@ def k_frame_check(
     a = env.range_factor
     if douglas is None:  # the verdict was memoized: solve again for the core and residual
         douglas = _douglas_solution(a, f.synthesis, factors, env.norm(), tol)[1:]
-    lam = _majorization(a, f.synthesis, factors, *douglas)
+    lam, (witness, k_w, t_w) = _majorization(a, f.synthesis, factors, *douglas)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda
     except (OverflowError, ZeroDivisionError):
@@ -260,7 +259,11 @@ def k_frame_check(
     if lower < np.finfo(float).tiny:  # 0 or subnormal: no bound to divide by
         raise FloatingPointError(f"optimal lower bound A = 1/lambda^2 underflows to {lower!r}")
     upper = float(factors.singular_values[0] ** 2)
-    return FrameBounds(lower, upper, inclusion)
+    k_w, t_w = k_w / witness, t_w / witness  # |K* w| (as |L1* w|) and |T_F* w| at unit w
+    scale = float(factors.singular_values[0]) * t_w + lower * env.norm() * k_w
+    attained = float(np.linalg.norm(f.analysis @ factors.left_vectors[:, 0]) ** 2)
+    return FrameBounds(lower, upper, inclusion, _gate(lower * k_w**2 - t_w**2, scale, tol),
+                       _gate(abs(attained - upper), upper, _SLACK))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from both sides by plain products on l1 and l2 (a witness vector from below, the
 Douglas residual from above), each to a fixed multiple of d kappa eps lambda, d the
 largest operand dimension. Reported residuals are spectral norms, an identity's read
 on K's rank-k coordinates on the side where it puts P_K, K or K* (``_range_residual``,
-the same up to sigma_{k+1});
+the same up to sigma_{k+1}; its verdict is ``range_identity_check``);
 a residual that only gates (``_within``) is decided on its Frobenius norm first.
 Every identity is homogeneous, so every verdict is one gate, ``_gate``:
 residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold,
@@ -63,6 +63,7 @@ from .errors import (
 
 __all__ = [
     "IDENTITY_TOL",
+    "RANK_SCALE",
     "SvdFactors",
     "OperatorEnv",
     "CheckResult",
@@ -70,6 +71,7 @@ __all__ = [
     "spectral_norm",
     "svd_decompose",
     "majorization_constant",
+    "range_identity_check",
 ]
 
 
@@ -81,14 +83,14 @@ _SLACK = 1e-9
 # lambda's certificates lie within _CERTIFICATE d kappa eps lambda of it, d the largest
 # operand dimension (``_majorization``)
 _CERTIFICATE = 40.0
-# numerical rank counts singular values above sigma_max * max(rows, cols) * _RANK_SCALE
-_RANK_SCALE = 2.0 ** -40
+# numerical rank counts singular values above sigma_max * max(rows, cols) * RANK_SCALE
+RANK_SCALE = 2.0 ** -40
 
 
 def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank of a matrix of ``shape`` with these (descending) singular values."""
     sigma_max = float(singular_values[0]) if singular_values.size else 0.0
-    return int(np.sum(singular_values > sigma_max * max(shape) * _RANK_SCALE))
+    return int(np.sum(singular_values > sigma_max * max(shape) * RANK_SCALE))
 
 
 def _memo(owner, key, compute):
@@ -182,18 +184,14 @@ class SvdFactors:
         v = self.right_vectors[:, :r] / self.singular_values[:r]
         return v @ self.left_vectors[:, :r].conj().T
 
-    def core(self, rhs: np.ndarray) -> np.ndarray:
-        """C = (Sigma_r^-1 U_r*) rhs, the r x m core of ``solve`` without X."""
-        r = self.rank
-        return (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
-
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, C) with C = ``core(rhs)`` and X = V_r C = ``pinv() @ rhs``.
+        """(X, C) with the r x m core C = (Sigma_r^-1 U_r*) rhs and X = V_r C = ``pinv() @ rhs``.
 
         V_r mixes only after the division, so the residual stays at rounding level.
         """
-        core = self.core(rhs)
-        return self.right_vectors[:, : self.rank] @ core, core
+        r = self.rank
+        core = (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
+        return self.right_vectors[:, :r] @ core, core
 
 
 def svd_decompose(m) -> SvdFactors:
@@ -314,12 +312,13 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
         raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     f2 = svd_decompose(b)
     _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol)
-    return _majorization(a, b, f2, core, residual)
+    return _majorization(a, b, f2, core, residual)[0]
 
 
 def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray,
-                  residual: np.ndarray) -> float:
-    """lambda = s_1 of the minimal Douglas solution's ``core``, certified by plain products.
+                  residual: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """lambda = s_1 of the minimal Douglas solution's ``core``, certified by plain products,
+    and the norms (|w|, |a* w|, |b* w|) at a multiple w of its witness (all 0 when b = 0).
 
     From below, lambda >= |a* w| / |b* w| for any w with b* w != 0, equal at the witness
     w = U_r Sigma_r^-1 u_1 (u_1 the core's top left singular vector). From above, lambda <=
@@ -330,11 +329,12 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     """
     r, s = f2.rank, f2.singular_values
     if not r:  # the inclusion test admits only a = 0 into R(0)
-        return 0.0
+        return 0.0, (0.0, 0.0, 0.0)
     vectors, values, _ = np.linalg.svd(core, full_matrices=False)
     lam, basis = float(values[0]), f2.left_vectors[:, :r]
     witness = basis @ (vectors[:, 0] * (s[r - 1] / s[:r]))  # sigma_r w: no entry above 1
-    below = _norm(a.conj().T @ witness) / _norm(b.conj().T @ witness)
+    norms = _norm(witness), _norm(a.conj().T @ witness), _norm(b.conj().T @ witness)
+    below = norms[1] / norms[2]
     in_range = residual if r == a.shape[0] else basis.conj().T @ residual
     above = lam + _norm(in_range) / float(s[r - 1])
     gap = max(abs(lam - below), above - lam)
@@ -342,7 +342,7 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     if not gap <= lam * (_CERTIFICATE * unit):
         raise InternalConsistencyError(f"majorization routes disagree: lambda {lam!r}, "
                                        f"witness {below!r}, upper bound {above!r}", gap)
-    return lam
+    return lam, norms
 
 
 @dataclass(frozen=True)
@@ -479,10 +479,6 @@ class OperatorEnv:
 
         return _memo(self, "adjoint", build)
 
-    @staticmethod
-    def identity(n: int) -> "OperatorEnv":
-        return OperatorEnv.from_matrix(np.eye(n, dtype=np.complex128))
-
 
 def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False) -> np.ndarray:
     """U_k* F_1 ... F_j - Sigma_k V_k* (k x m), or with ``right`` F_1 ... F_j V_k - U_k Sigma_k
@@ -494,3 +490,10 @@ def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False)
         return functools.reduce(lambda x, f: f @ x, factors[::-1], v) - env.range_factor
     u = env.range_basis.conj().T
     return functools.reduce(np.matmul, factors, u) - env.adjoint().range_factor.conj().T
+
+
+def range_identity_check(env: OperatorEnv, *factors: np.ndarray, tol: float = IDENTITY_TOL,
+                         right: bool = False) -> CheckResult:
+    """The verdict on F_1 ... F_j = K: the spectral norm of its residual on K's rank-k
+    coordinates (``_range_residual``, ``right`` as there) against ``tol`` |K|."""
+    return _gate(spectral_norm(_range_residual(env, *factors, right=right)), env.norm(), tol)

@@ -36,6 +36,7 @@ from .duality import (
 from .errors import (
     ConditionViolated,
     HypothesisNotMet,
+    InternalConsistencyError,
     InvalidBounds,
     NoLeftInverse,
     NoRightInverse,
@@ -73,6 +74,7 @@ from .linalg import (
     _require_inclusion,
     _restricted_inverse,
     _within,
+    range_identity_check,
     spectral_norm,
     svd_decompose,
 )
@@ -211,10 +213,16 @@ class Multiplier:
         """The excess of ``norm()`` over ``norm_bound()``, against ``tol`` times it.
 
         The bound holds for every M by submultiplicativity, so a failure means M's
-        SVD or a frame's disagrees with the matrices; it is checked only on request.
+        SVD or a frame's disagrees with the matrices (InternalConsistencyError); on request.
         """
         bound = self.norm_bound()
-        return _gate(max(0.0, self.norm() - bound), bound, tol)
+        check = _gate(max(0.0, self.norm() - bound), bound, tol)
+        if not check:
+            raise InternalConsistencyError(
+                f"multiplier norm {self.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
+                f"{bound!r} by more than {check.threshold!r}", check.residual
+            )
+        return check
 
 
 def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
@@ -275,7 +283,7 @@ def k_right_inverse(
     _, _, core, residual = _douglas(a, mult.matrix, factors, env.norm(), tol,
                                     NoRightInverse, "R(K) not contained in R(M)")
     return RightInverse(_read_only(factors.solve(env.k)[0]),
-                        _majorization(a, mult.matrix, factors, core, residual))
+                        _majorization(a, mult.matrix, factors, core, residual)[0])
 
 
 @_memoized_per_operator
@@ -468,7 +476,7 @@ def biorthogonal_right_inverse(
     analysis_side = assemble_multiplier(ones, projected, psi)
     synthesis_side = assemble_multiplier(ones, bio, phi_tilde)
     achieved = analysis_side.matrix @ synthesis_side.matrix
-    check = _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol)
+    check = range_identity_check(env, achieved, tol=tol)
     forward = MultiplierFactorization((analysis_side, synthesis_side), env.k, achieved, check)
     return BiorthogonalFactorization(forward, forward.adjoint())
 
@@ -613,7 +621,7 @@ def perturbation_right_inverse(
     form = _gate(spectral_norm(r_mult.matrix - right), float(np.linalg.norm(right)), tol)
     reversed_mult = assemble_multiplier(m.conjugated(), _projected(psi, env), phi)
     achieved = reversed_mult.matrix @ r_mult.matrix
-    check = _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol)
+    check = range_identity_check(env, achieved, tol=tol)
     return MultiplierFactorization(
         (reversed_mult, r_mult), env.k, achieved, check,
         {"condition": condition, "right_inverse_multiplier_form": form}, dict(diagnostics))
@@ -652,7 +660,7 @@ def range_inclusion_right_inverse(
     achieved = left_factor.matrix @ right_factor.matrix
     return MultiplierFactorization(
         (left_factor, right_factor), env.k, achieved,
-        _gate(spectral_norm(_range_residual(env, achieved)), env.norm(), tol),
+        range_identity_check(env, achieved, tol=tol),
         {"inclusion": inclusion},
     )
 

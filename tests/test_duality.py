@@ -34,8 +34,8 @@ SQRT2 = np.sqrt(2.0)
 
 class TestCanonicalDual:
     def test_identity_self_dual(self):
-        f = Frame.standard_basis(2)
-        dual = canonical_k_dual(f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        dual = canonical_k_dual(f, OperatorEnv.from_matrix(np.eye(2)))
         np.testing.assert_allclose(dual.vectors, f.vectors, atol=1e-14)
 
     def test_minimal_example(self, c4_example):
@@ -56,7 +56,7 @@ class TestCanonicalDual:
         for _ in range(10):
             n = int(rng.integers(2, 8))
             f = Frame(crandn(rng, int(rng.integers(n, 12)), n))
-            dual = canonical_k_dual(f, OperatorEnv.identity(n))
+            dual = canonical_k_dual(f, OperatorEnv.from_matrix(np.eye(n)))
             classical = np.linalg.inv(f.frame_operator) @ f.synthesis
             assert spectral_norm(dual.synthesis - classical) <= 1e-10 * max(
                 1.0, spectral_norm(classical)
@@ -65,8 +65,8 @@ class TestCanonicalDual:
 
 class TestVerify:
     def test_self_dual_passes(self):
-        f = Frame.standard_basis(2)
-        cert = verify_k_dual(f, f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        cert = verify_k_dual(f, f, OperatorEnv.from_matrix(np.eye(2)))
         assert cert.passed and cert.residual <= 1e-14
 
     def test_minimal_example_pair(self, c4_example):
@@ -80,7 +80,7 @@ class TestVerify:
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         knorm = c2_example.env.norm()
         for s in (2.0, 0.5, -1.0):
-            cert = verify_k_dual(c2_example.frame, dual.scaled(s), c2_example.env)
+            cert = verify_k_dual(c2_example.frame, Frame(s * dual.vectors), c2_example.env)
             assert not cert.passed
             assert cert.residual == pytest.approx(abs(s - 1.0) * knorm, abs=1e-10)
 
@@ -90,14 +90,14 @@ class TestVerify:
             frame, env = random_k_frame(rng)
             dual = canonical_k_dual(frame, env)
             s = float(rng.uniform(1.1, 3.0))
-            cert = verify_k_dual(frame, dual.scaled(s), env, with_lower_bounds=False)
+            cert = verify_k_dual(frame, Frame(s * dual.vectors), env, with_lower_bounds=False)
             assert cert.residual == pytest.approx((s - 1.0) * env.norm(), rel=1e-9)
 
 
 class TestLowerBounds:
     def test_identity_pair(self):
-        f = Frame.standard_basis(2)
-        cert = verify_k_dual(f, f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        cert = verify_k_dual(f, f, OperatorEnv.from_matrix(np.eye(2)))
         assert k_dual_lower_bounds(cert) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_projection_example(self, c2_example):
@@ -111,7 +111,7 @@ class TestLowerBounds:
 
     def test_failed_certificate_rejected(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        cert = verify_k_dual(c2_example.frame, dual.scaled(2.0), c2_example.env)
+        cert = verify_k_dual(c2_example.frame, Frame(2.0 * dual.vectors), c2_example.env)
         with pytest.raises(NotADual):
             k_dual_lower_bounds(cert)
 
@@ -129,8 +129,8 @@ class TestLowerBounds:
 
 class TestBoundCertificate:
     def test_identity_envelope(self):
-        f = Frame.standard_basis(2)
-        report = canonical_dual_bound_certificate(f, OperatorEnv.identity(2), 1.0, 1.0)
+        f = Frame(np.eye(2))
+        report = canonical_dual_bound_certificate(f, OperatorEnv.from_matrix(np.eye(2)), 1.0, 1.0)
         assert report.passed
         assert report.envelope == (pytest.approx(1.0), pytest.approx(1.0))
         assert report.observed == (pytest.approx(1.0), pytest.approx(1.0))
@@ -256,14 +256,14 @@ class TestDualFamily:
     def test_non_dual_rejected(self, c2_example):
         with pytest.raises(NotADual):
             dual_family_recover_phi(
-                c2_example.frame, c2_example.frame.scaled(3.0), c2_example.env
+                c2_example.frame, Frame(3.0 * c2_example.frame.vectors), c2_example.env
             )
 
 
 class TestReciprocalDual:
     def test_identity(self):
-        f = Frame.standard_basis(2)
-        cert = reciprocal_dual(f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        cert = reciprocal_dual(f, OperatorEnv.from_matrix(np.eye(2)))
         assert cert.passed
         np.testing.assert_allclose(cert.frame.vectors, f.vectors, atol=1e-13)
         np.testing.assert_allclose(cert.dual.vectors, f.vectors, atol=1e-13)
@@ -293,13 +293,13 @@ class TestWitness:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             f = Frame(crandn(rng, int(rng.integers(n, 11)), n))
-            report = noncommutativity_witness(f, OperatorEnv.identity(n))
+            report = noncommutativity_witness(f, OperatorEnv.from_matrix(np.eye(n)))
             assert report.recovery.ok
             assert float(np.max(report.recovery_discrepancies)) <= report.recovery.threshold
 
     def test_standard_basis_identity_images(self):
-        f = Frame.standard_basis(2)
-        report = noncommutativity_witness(f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        report = noncommutativity_witness(f, OperatorEnv.from_matrix(np.eye(2)))
         np.testing.assert_allclose(report.images_of_frame, f.vectors, atol=1e-13)
 
     def test_projection_example_values(self, c2_example):
@@ -393,8 +393,8 @@ class TestMinimalNorm:
 
 class TestCanonicalCoefficients:
     def test_identity(self):
-        f = Frame.standard_basis(2)
-        out = canonical_coefficients(f, OperatorEnv.identity(2), np.array([1.0, 0.0]))
+        f = Frame(np.eye(2))
+        out = canonical_coefficients(f, OperatorEnv.from_matrix(np.eye(2)), np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-13)
 
     def test_projection_example(self, c2_example):

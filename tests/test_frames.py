@@ -50,14 +50,14 @@ class TestFrameType:
             assert np.array_equal(f.synthesis[:, i], vectors[i])
 
     def test_immutable(self):
-        f = Frame.standard_basis(2)
+        f = Frame(np.eye(2))
         with pytest.raises(ValueError):
             f.vectors[0, 0] = 5.0
 
 
 class TestBuildFrameOps:
     def test_standard_basis(self):
-        f = Frame.standard_basis(2)
+        f = Frame(np.eye(2))
         np.testing.assert_allclose(f.synthesis, np.eye(2))
         np.testing.assert_allclose(f.frame_operator, np.eye(2))
 
@@ -79,7 +79,7 @@ class TestBuildFrameOps:
 
 class TestBesselBound:
     def test_standard_basis(self):
-        assert optimal_bessel_bound(Frame.standard_basis(3)) == pytest.approx(1.0)
+        assert optimal_bessel_bound(Frame(np.eye(3))) == pytest.approx(1.0)
 
     def test_projection_example(self, c2_example):
         assert optimal_bessel_bound(c2_example.frame) == pytest.approx(2.0)
@@ -99,7 +99,7 @@ class TestBesselBound:
 
 class TestKFrameCheck:
     def test_identity(self):
-        bounds = k_frame_check(Frame.standard_basis(2), OperatorEnv.identity(2))
+        bounds = k_frame_check(Frame(np.eye(2)), OperatorEnv.from_matrix(np.eye(2)))
         assert bounds.lower == pytest.approx(1.0)
         assert bounds.upper == pytest.approx(1.0)
 
@@ -117,19 +117,19 @@ class TestKFrameCheck:
 
     def test_zero_operator_refused(self):
         with pytest.raises(ZeroOperator):
-            k_frame_check(Frame.standard_basis(2), OperatorEnv.from_matrix(np.zeros((2, 2))))
+            k_frame_check(Frame(np.eye(2)), OperatorEnv.from_matrix(np.zeros((2, 2))))
 
     def test_not_k_frame(self):
         f = Frame([[1.0, 0.0]])
         with pytest.raises(NotKFrame):
-            k_frame_check(f, OperatorEnv.identity(2))
+            k_frame_check(f, OperatorEnv.from_matrix(np.eye(2)))
 
     def test_classical_bounds_match_eigenvalues(self):
         rng = np.random.default_rng(5)
         for _ in range(15):
             n = int(rng.integers(2, 8))
             f = Frame(crandn(rng, int(rng.integers(n, 12)), n))
-            bounds = k_frame_check(f, OperatorEnv.identity(n))
+            bounds = k_frame_check(f, OperatorEnv.from_matrix(np.eye(n)))
             eigs = np.linalg.eigvalsh(f.frame_operator)
             assert bounds.lower == pytest.approx(eigs[0], rel=1e-9)
             assert bounds.upper == pytest.approx(eigs[-1], rel=1e-9)
@@ -140,7 +140,7 @@ class TestKFrameCheck:
             frame, env = random_k_frame(rng)
             c = float(rng.uniform(0.5, 3.0))
             base = k_frame_check(frame, env)
-            scaled = k_frame_check(frame.scaled(c), env)
+            scaled = k_frame_check(Frame(c * frame.vectors), env)
             assert scaled.lower == pytest.approx(c**2 * base.lower, rel=1e-9)
             assert scaled.upper == pytest.approx(c**2 * base.upper, rel=1e-9)
 
@@ -186,14 +186,14 @@ class TestValidateBounds:
 
     def test_not_k_frame_fails_lower_without_raising(self):
         # R(K) is not in R(T_F): no positive lower bound holds, A = 0
-        v = validate_bounds(Frame([[1.0, 0.0]]), OperatorEnv.identity(2), 1e-300, 1.0)
+        v = validate_bounds(Frame([[1.0, 0.0]]), OperatorEnv.from_matrix(np.eye(2)), 1e-300, 1.0)
         assert not v.lower.ok and v.upper.ok and not v.passed
         assert v.lower_slack == -1e-300
 
     def test_zero_operator_passes_lower_without_raising(self):
         # a K K* = 0 <= S_F for every a
         zero = OperatorEnv.from_matrix(np.zeros((2, 2)))
-        v = validate_bounds(Frame.standard_basis(2), zero, 1e300, 1.0)
+        v = validate_bounds(Frame(np.eye(2)), zero, 1e300, 1.0)
         assert v.lower.ok and v.passed
         assert v.lower_slack == np.inf
 
@@ -323,7 +323,7 @@ class TestCoreCheck:
 
 class TestTightness:
     def test_parseval_basis(self):
-        report = tightness_check(Frame.standard_basis(2), OperatorEnv.identity(2))
+        report = tightness_check(Frame(np.eye(2)), OperatorEnv.from_matrix(np.eye(2)))
         assert report.identity.ok and report.passed
         assert report.constant == pytest.approx(1.0)
 
@@ -340,7 +340,7 @@ class TestTightness:
 
 class TestBesselEmbedding:
     def test_standard_basis(self):
-        env = bessel_as_k_frame(Frame.standard_basis(2))
+        env = bessel_as_k_frame(Frame(np.eye(2)))
         np.testing.assert_allclose(env.k, np.eye(2))
 
     def test_two_vectors(self):
@@ -384,7 +384,7 @@ class TestMinimality:
 
 class TestBiorthogonal:
     def test_standard_basis(self):
-        f = Frame.standard_basis(3)
+        f = Frame(np.eye(3))
         np.testing.assert_allclose(biorthogonal_sequence(f).vectors, f.vectors, atol=1e-14)
 
     def test_hand_pair(self):

@@ -21,6 +21,7 @@ from kframekit.duality import (
     admissibility_violation,
     canonical_dual_bound_certificate,
     canonical_k_dual,
+    dual_family_member,
     minimal_norm_identity,
     noncommutativity_witness,
     reciprocal_dual,
@@ -37,7 +38,7 @@ from kframekit.frames import (
     tightness_check,
     validate_bounds,
 )
-from kframekit.linalg import CheckResult, OperatorEnv
+from kframekit.linalg import CheckResult, OperatorEnv, range_identity_check
 from kframekit.multipliers import (
     BiorthogonalFactorization,
     ConditionReport,
@@ -49,6 +50,8 @@ from kframekit.multipliers import (
     biorthogonal_right_inverse,
     frames_from_multiplier_identity,
     inverse_as_multiplier,
+    k_left_inverse,
+    k_right_inverse,
     perturbation_condition,
     perturbation_k_dual,
     perturbation_right_inverse,
@@ -415,27 +418,30 @@ class TestExitCodes:
 
 
 class TestAnalyzeInequalities:
-    """``analyze`` decides A |K* f|^2 <= |T_F* f|^2 at w_j, the unit columns of
-    U_r Sigma_r^-1 C for lambda's core C (each a power step toward the minimizer), and
-    |T_F* f|^2 <= B |f|^2 at u_1, which attains B. Random vectors lie mostly outside the
-    weak part of R(K), so a sampled check passed 100 A on the weak-direction instance."""
+    """``analyze`` copies ``k_frame_check``'s verdicts on the bound inequalities where they
+    hold with equality: A |K* w|^2 = |T_F* w|^2 at lambda's unit witness w = U_r Sigma_r^-1 u_1
+    and |T_F* u_1|^2 = B at T_F's top left singular vector. An overstated A is injected
+    where ``frames`` computes it, by scaling the lambda it reads by 1/sqrt(factor), so the
+    witness sees |T_F* w|^2 (factor - 1) against rounding. A power step toward the minimizer
+    (the unit columns of U_r Sigma_r^-1 C, C lambda's core) passed 1.001 A on the graded
+    family; random vectors lie mostly outside the weak part of R(K) and passed 100 A."""
 
     @pytest.fixture()
     def analyze(self, tmp_path, capsys, monkeypatch):
         def run(f, env, factor=1.0, tol=None):
-            """(exit code, failed verdicts) of ``analyze`` with k_frame_check's A times factor."""
+            """(exit code, failed verdicts) of ``analyze`` with A times ``factor``."""
             io.write_file(tmp_path / "f.json", io.frame_to_obj(f))
             io.write_file(tmp_path / "k.json", io.matrix_to_obj(env.k))
-            check = frames.k_frame_check
+            majorization = frames._majorization
 
-            def scaled(*args):
-                bounds = check(*args)
-                return dataclasses.replace(bounds, lower=factor * bounds.lower)
+            def overstated(*args):
+                lam, norms = majorization(*args)
+                return lam / factor**0.5, norms
 
             argv = ["analyze", "--frame", str(tmp_path / "f.json"), "--operator",
                     str(tmp_path / "k.json"), "--format", "json"]
             with monkeypatch.context() as patch:
-                patch.setattr(frames, "k_frame_check", scaled)
+                patch.setattr(frames, "_majorization", overstated)
                 code = main(argv + (["--tol", tol] if tol else []))
             out, err = capsys.readouterr()
             assert err == ""
@@ -445,11 +451,11 @@ class TestAnalyzeInequalities:
 
     @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6])
     def test_weak_direction_refuses_a_lower_bound_above_a(self, analyze, c):
-        # K = u_6 u_6* has rank 1, so w_1 = u_6 is the exact minimizer
+        # K = u_6 u_6* has rank 1, so the witness is u_6, the exact minimizer
         f, env = weak_direction_instance(c)
         assert analyze(f, env) == (0, [])
         for factor in (1.01, 2.0, 100.0):
-            assert analyze(f, env, factor) == (1, ["lower-inequality"]), factor
+            assert analyze(f, env, factor) == (1, ["lower-attained"]), factor
 
     def test_graded_family_refuses_twice_a(self, analyze):
         for c in (1e-2, 1e-4, 1e-6, 1e-8):
@@ -457,13 +463,23 @@ class TestAnalyzeInequalities:
                 syn, x0, _ = graded_instance(seed, c)
                 f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
                 assert analyze(f, env) == (0, []), (c, seed)
-                assert analyze(f, env, 2.0) == (1, ["lower-inequality"]), (c, seed)
+                assert analyze(f, env, 2.0) == (1, ["lower-attained"]), (c, seed)
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-4])
+    def test_graded_family_refuses_a_thousandth_above_a(self, analyze, c):
+        # the power step's excess stayed negative up to 1.1 A to 2 A on these seeds; at the
+        # witness the excess is |T_F* w|^2 1e-3, far above tol |T_F| |T_F* w| for
+        # |T_F* w| >= c |T_F|
+        for seed in range(20):
+            syn, x0, _ = graded_instance(seed, c)
+            f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
+            assert analyze(f, env, 1 + 1e-3) == (1, ["lower-attained"]), seed
 
     def test_parseval_frame_at_a_strict_tolerance(self, analyze):
-        # S_F = I = K K*: each excess is rounding of the size of its terms, which a
+        # S_F = I = K K*: the excess is rounding of the size of its terms, which a
         # threshold of tol B alone refused at 1e-15
         q = np.linalg.qr(crandn(np.random.default_rng(5), 9, 6))[0]
-        assert analyze(Frame(q), OperatorEnv.identity(6), tol="1e-15") == (0, [])
+        assert analyze(Frame(q), OperatorEnv.from_matrix(np.eye(6)), tol="1e-15") == (0, [])
 
 
 BAD_INPUTS = {
@@ -814,7 +830,7 @@ class TestGoldenSuite:
 
 # the verdicts each result type holds, by the names it gives them
 VERDICTS = {
-    FrameBounds: lambda r: [r.inclusion],
+    FrameBounds: lambda r: [r.inclusion, r.lower_attained, r.upper_attained],
     BoundsValidation: lambda r: [r.lower, r.upper],
     TightnessReport: lambda r: [r.identity, r.parseval],
     KDualCertificate: lambda r: [r.identity],
@@ -836,7 +852,7 @@ class TestVerdicts:
     def results(self, c2_example, c4_example):
         f2, env2 = c2_example.frame, c2_example.env
         f4, env4 = c4_example.frame, c4_example.env
-        e, ones3, basis = np.eye(4), Symbol.ones(3), Frame.standard_basis(2)
+        e, ones3, basis = np.eye(4), Symbol.ones(3), Frame(np.eye(2))
         dual2 = canonical_k_dual(f2, env2)
         proj2 = np.diag([1.0, 0.0])  # P_R(K): a K-left inverse of M_{1,P_K F,Ftilde} = K
         e1 = np.array([1.0, 0.0])
@@ -861,14 +877,16 @@ class TestVerdicts:
                 f2, env2, 1.0, 2.0),
             "noncommutativity_witness": noncommutativity_witness(f2, env2),
             "noncommutativity_witness K = I": noncommutativity_witness(
-                f2, OperatorEnv.identity(2)),
+                f2, OperatorEnv.from_matrix(np.eye(2))),
             "minimal_norm_identity": minimal_norm_identity(
                 f2, env2, e1, dual2.analysis @ e1 + 0.7 * np.array([1.0, -1.0, 0.0])),
             "admissibility_violation": admissibility_violation(
                 f2, env2, np.zeros((3, 2))),
             "norm_bound_check": assemble_multiplier(ones3, f2, f2).norm_bound_check(),
+            "range_identity_check": range_identity_check(env2, env2.k),
             "frames_from_multiplier_identity M = K": frames_from_multiplier_identity(
-                assemble_multiplier(Symbol.ones(2), basis, basis), OperatorEnv.identity(2)),
+                assemble_multiplier(Symbol.ones(2), basis, basis),
+                OperatorEnv.from_matrix(np.eye(2))),
             "frames_from_multiplier_identity inverse": inverse_case,
             "frames_from_multiplier_identity side": inverse_case.phi_side,
             "inverse_as_multiplier left": inverse_as_multiplier(
@@ -879,7 +897,7 @@ class TestVerdicts:
             "biorthogonal_right_inverse forward": bio.forward,
             "perturbation_condition": perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0),
             "perturbation_condition violated": perturbation_condition(
-                f2, f2.scaled(3.0), env2, ones3, 1.0, 2.0),
+                f2, Frame(3.0 * f2.vectors), env2, ones3, 1.0, 2.0),
             "perturbation_k_dual": perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0)),
             "perturbation_right_inverse": perturbation_right_inverse(
                 f2, f2, env2, ones3, (1.0, 2.0), dual2),
@@ -910,6 +928,7 @@ class TestVerdicts:
         assert True in passed and False in passed
 
     def test_cli_copies_the_library_verdicts(self, fixture_files):
+        # every verdict of each of the nine commands is the one a public call returns
         def load(name):
             return io.parse_file(fixture_files[name])
 
@@ -921,12 +940,31 @@ class TestVerdicts:
         f2, f4, g4, bad4 = (load(name) for name in ("f2.json", "f4.json", "g4.json", "bad4.json"))
         env2, env4 = (OperatorEnv.from_matrix(load(name)) for name in ("k2.json", "k4.json"))
         ones3 = load("ones3.json")
+        bounds = k_frame_check(f2, env2)
+        assert verdicts("analyze", ("f2.json",), "k2.json") == {
+            "range-inclusion": bounds.inclusion, "lower-attained": bounds.lower_attained,
+            "upper-attained": bounds.upper_attained}
+        bounds4, dual4 = k_frame_check(f4, env4), canonical_k_dual(f4, env4)
+        envelope = canonical_dual_bound_certificate(f4, env4, bounds4.lower, bounds4.upper)
+        assert verdicts("dual", ("f4.json",), "k4.json") == {
+            "dual-identity": verify_k_dual(f4, dual4, env4).identity,
+            "dual-bounds-envelope": max(envelope.lower, envelope.upper,
+                                        key=lambda side: side.residual)}
+        _, admissible, round_trip = dual_family_member(f4, g4, env4)
+        assert verdicts("dual-family", ("f4.json", "g4.json"), "k4.json") == {
+            "phi-admissible": admissible, "family-round-trip": round_trip}
+        mult = assemble_multiplier(ones3, f2, f2)
+        right = k_right_inverse(mult, env2).matrix
+        assert verdicts("right-inverse", ("f2.json", "f2.json"), "k2.json", "ones3.json") == {
+            "right-inverse-identity": range_identity_check(env2, mult.matrix, right, right=True)}
+        left = k_left_inverse(mult, env2)
+        assert verdicts("left-inverse", ("f2.json", "f2.json"), "k2.json", "ones3.json") == {
+            "left-inverse-identity": range_identity_check(env2, left, mult.matrix)}
         for g in (g4, bad4):
             assert verdicts("verify", ("f4.json", "bad4.json" if g is bad4 else "g4.json"),
                             "k4.json") == {"dual-identity": verify_k_dual(f4, g, env4).identity}
         assert verdicts("multiplier", ("f2.json", "f2.json"), symbol="ones3.json") == {
             "norm-bound": assemble_multiplier(ones3, f2, f2).norm_bound_check()}
-        bounds = k_frame_check(f2, env2)
         condition = perturbation_condition(f2, f2, env2, ones3, bounds.lower, bounds.upper)
         assert verdicts("perturb-check", ("f2.json", "f2.json"), "k2.json", "ones3.json") == {
             "perturbation-condition": condition.condition}

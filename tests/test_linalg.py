@@ -238,7 +238,7 @@ class TestIllConditionedMajorization:
             syn, x0, _ = graded_instance(seed, c)
             f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
             projected = k_frame_check(f.map(range_projector(env)), env).lower
-            got = _lower_bounds(f, Frame.standard_basis(20), env, IDENTITY_TOL)[1]
+            got = _lower_bounds(f, Frame(np.eye(20)), env, IDENTITY_TOL)[1]
             assert got == pytest.approx(projected, rel=1e-12)
 
     def test_full_rank_operator(self):
@@ -357,11 +357,11 @@ class TestEigenvalueCrossCheck:
         ],
     )
     def test_k_frame_check(self, scale, gate, skewed_core_svd):
-        from kframekit.frames import k_frame_check
+        from kframekit.frames import Frame, k_frame_check
 
         frame, env = random_k_frame(np.random.default_rng(41))
         with pytest.raises(InternalConsistencyError, match=gate):
-            k_frame_check(frame.scaled(scale), env)
+            k_frame_check(Frame(scale * frame.vectors), env)
 
     def test_k_right_inverse(self, skewed_core_svd):
         from kframekit.frames import Frame
@@ -380,8 +380,9 @@ class TestEigenvalueCrossCheck:
 
 
 def two_norm_majorization(a, b, f2, core, residual):
-    """The oracle: lambda = |core| by its values-only SVD, with no certificate."""
-    return spectral_norm(core)
+    """The oracle: lambda = |core| by its values-only SVD, with no certificate and no witness
+    (unit norms in place of the witness's, which no comparison with the oracle reads)."""
+    return spectral_norm(core), (1.0, 1.0, 1.0)
 
 
 def majorization_outcome(fn):
@@ -657,7 +658,7 @@ class TestIllConditionedDual:
 
         vectors = np.zeros((count, 2))
         vectors[:2] = np.diag([1.0, tail])
-        f, env = Frame(vectors), OperatorEnv.identity(2)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(np.eye(2))
         lifted = _factors(_projected(f, env))
         assert lifted.rank == 1 and lifted.left_vectors.shape == (2, 1)
         np.testing.assert_array_equal(lifted.singular_values, _factors(f).singular_values)

@@ -16,6 +16,7 @@ from kframekit.duality import canonical_k_dual, dual_family_generate, verify_k_d
 from kframekit.errors import (
     ConditionViolated,
     HypothesisNotMet,
+    InternalConsistencyError,
     NoLeftInverse,
     NoRightInverse,
     NotADual,
@@ -79,7 +80,7 @@ class TestSymbol:
 
 class TestAssemble:
     def test_identity(self):
-        f = Frame.standard_basis(2)
+        f = Frame(np.eye(2))
         mult = assemble_multiplier(Symbol.ones(2), f, f)
         np.testing.assert_allclose(mult.matrix, np.eye(2), atol=1e-14)
 
@@ -96,7 +97,7 @@ class TestAssemble:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            assemble_multiplier(Symbol.ones(2), Frame.standard_basis(2), Frame.standard_basis(3))
+            assemble_multiplier(Symbol.ones(2), Frame(np.eye(2)), Frame(np.eye(3)))
 
     def test_norm_bound_random(self):
         rng = np.random.default_rng(101)
@@ -122,20 +123,22 @@ class TestAssemble:
 
 
     def test_skewed_svd_fails_the_norm_bound_check(self, skewed_multiplier_svd):
-        # assembling factors nothing, so the check on request is where a bad SVD shows
+        # assembling factors nothing, so the check on request is where a bad SVD shows;
+        # the bound holds for every M, so its failure is an internal inconsistency
         rng = np.random.default_rng(0)
         for scale in (1e-6, 1.0, 1e6):
             f = Frame(scale * crandn(rng, 12, 8))
             mult = assemble_multiplier(Symbol.ones(f.size), f, f)
-            check = mult.norm_bound_check()
-            assert not check
-            assert check.residual == pytest.approx(1e-7 * mult.norm_bound(), rel=1e-4)
+            message = r"^multiplier norm .* exceeds sqrt\(B_Phi B_Psi\) sup\|m\| = "
+            with pytest.raises(InternalConsistencyError, match=message) as caught:
+                mult.norm_bound_check()
+            assert caught.value.residual == pytest.approx(1e-7 * mult.norm_bound(), rel=1e-4)
 
 
 class TestRightInverse:
     def test_identity(self):
-        mult = assemble_multiplier(Symbol.ones(2), Frame.standard_basis(2), Frame.standard_basis(2))
-        out = k_right_inverse(mult, OperatorEnv.identity(2))
+        mult = assemble_multiplier(Symbol.ones(2), Frame(np.eye(2)), Frame(np.eye(2)))
+        out = k_right_inverse(mult, OperatorEnv.from_matrix(np.eye(2)))
         np.testing.assert_allclose(out.matrix, np.eye(2), atol=1e-14)
         assert out.majorization == pytest.approx(1.0)
 
@@ -180,10 +183,10 @@ class TestRightInverse:
                 assert np.linalg.norm(candidate) > np.linalg.norm(out.matrix)
 
     def test_degenerate_symbol(self):
-        phi = Frame.standard_basis(2)
+        phi = Frame(np.eye(2))
         mult = assemble_multiplier(Symbol(np.zeros(2)), phi, phi)
         with pytest.raises(NoRightInverse):
-            k_right_inverse(mult, OperatorEnv.identity(2))
+            k_right_inverse(mult, OperatorEnv.from_matrix(np.eye(2)))
 
 
 class TestRightInverseEquivalence:
@@ -230,9 +233,9 @@ class TestRightInverseEquivalence:
 
 class TestLeftInverse:
     def test_identity(self):
-        mult = assemble_multiplier(Symbol.ones(2), Frame.standard_basis(2), Frame.standard_basis(2))
+        mult = assemble_multiplier(Symbol.ones(2), Frame(np.eye(2)), Frame(np.eye(2)))
         np.testing.assert_allclose(
-            k_left_inverse(mult, OperatorEnv.identity(2)), np.eye(2), atol=1e-14
+            k_left_inverse(mult, OperatorEnv.from_matrix(np.eye(2))), np.eye(2), atol=1e-14
         )
 
     def test_projection_example(self, c2_example):
@@ -280,9 +283,9 @@ class TestLeftInverse:
 
 class TestFramesFromIdentity:
     def test_identity_case(self):
-        f = Frame.standard_basis(2)
+        f = Frame(np.eye(2))
         mult = assemble_multiplier(Symbol.ones(2), f, f)
-        report = frames_from_multiplier_identity(mult, OperatorEnv.identity(2))
+        report = frames_from_multiplier_identity(mult, OperatorEnv.from_matrix(np.eye(2)))
         assert report.case == "identity" and report.passed
         assert report.phi_side.guaranteed == pytest.approx(1.0)
         assert report.phi_side.optimal == pytest.approx(1.0)
@@ -307,16 +310,16 @@ class TestFramesFromIdentity:
         assert report.phi_side.optimal >= report.phi_side.guaranteed * (1 - 1e-9)
 
     def test_hypothesis_not_met(self):
-        f = Frame.standard_basis(2)
+        f = Frame(np.eye(2))
         mult = assemble_multiplier(Symbol(np.zeros(2)), f, f)
         with pytest.raises(HypothesisNotMet):
-            frames_from_multiplier_identity(mult, OperatorEnv.identity(2))
+            frames_from_multiplier_identity(mult, OperatorEnv.from_matrix(np.eye(2)))
 
 
 class TestInverseAsMultiplier:
     def test_trivial_left(self):
-        f = Frame.standard_basis(2)
-        env = OperatorEnv.identity(2)
+        f = Frame(np.eye(2))
+        env = OperatorEnv.from_matrix(np.eye(2))
         out = inverse_as_multiplier(f, f, env, np.eye(2), "left", f)
         assert out.passed
         np.testing.assert_allclose(out.achieved, np.eye(2), atol=1e-13)
@@ -336,7 +339,7 @@ class TestInverseAsMultiplier:
             frame, env = random_k_frame(rng)
             psi = dual_family_generate(frame, env, admissible_perturbation(rng, frame, env))
             scale = float(rng.uniform(0.5, 2.0))
-            psi = psi.scaled(scale)  # M_{1,P_K Phi,Psi} = scale * K
+            psi = Frame(scale * psi.vectors)  # M_{1,P_K Phi,Psi} = scale * K
             stray = crandn(rng, env.dim, env.dim)
             left = (np.eye(env.dim) + stray @ (np.eye(env.dim) - range_projector(env))) / scale
             dual_choice = dual_family_generate(
@@ -353,7 +356,7 @@ class TestInverseAsMultiplier:
             env = env_adj.adjoint()  # psi is a K*-frame for env
             phi = dual_family_generate(psi, env_adj, admissible_perturbation(rng, psi, env_adj))
             scale = float(rng.uniform(0.5, 2.0))
-            phi = phi.scaled(scale)  # M_{1,Phi,P_K* Psi} = scale * K
+            phi = Frame(scale * phi.vectors)  # M_{1,Phi,P_K* Psi} = scale * K
             stray = crandn(rng, env.dim, env.dim)
             right = (
                 np.eye(env.dim) + (np.eye(env.dim) - range_projector(env.adjoint())) @ stray
@@ -414,7 +417,7 @@ class TestInverseAsMultiplier:
         proj = range_projector(c2_example.env)
         with pytest.raises(NotADual):
             inverse_as_multiplier(
-                c2_example.frame, dual, c2_example.env, proj, "left", dual.scaled(2.0)
+                c2_example.frame, dual, c2_example.env, proj, "left", Frame(2.0 * dual.vectors)
             )
 
     # K is a self-adjoint projection here, so M_{1,Ftilde,P_K* F} = K* = K
@@ -434,7 +437,7 @@ class TestInverseAsMultiplier:
         assert out.passed
         with pytest.raises(NotADual):
             inverse_as_multiplier(
-                dual, c2_example.frame, c2_example.env, proj, "right", dual.scaled(2.0)
+                dual, c2_example.frame, c2_example.env, proj, "right", Frame(2.0 * dual.vectors)
             )
 
     def test_unknown_side(self, c2_example):
@@ -446,8 +449,8 @@ class TestInverseAsMultiplier:
 
 class TestBiorthogonalInverse:
     def test_trivial(self):
-        f = Frame.standard_basis(2)
-        out = biorthogonal_right_inverse(f, f, OperatorEnv.identity(2))
+        f = Frame(np.eye(2))
+        out = biorthogonal_right_inverse(f, f, OperatorEnv.from_matrix(np.eye(2)))
         assert out.passed
         np.testing.assert_allclose(out.forward.achieved, np.eye(2), atol=1e-13)
 
@@ -535,8 +538,9 @@ class TestPerturbationConstructions:
         np.testing.assert_allclose(cert.dual.vectors, dual.vectors, atol=1e-12)
 
     def test_trivial_instance(self):
-        f = Frame.standard_basis(2)
-        cert = perturbation_k_dual(f, f, OperatorEnv.identity(2), Symbol.ones(2), (1.0, 1.0))
+        f = Frame(np.eye(2))
+        env = OperatorEnv.from_matrix(np.eye(2))
+        cert = perturbation_k_dual(f, f, env, Symbol.ones(2), (1.0, 1.0))
         assert cert.passed
         np.testing.assert_allclose(cert.dual.vectors, f.vectors, atol=1e-13)
 
@@ -571,8 +575,8 @@ class TestPerturbationConstructions:
         assert set(fact.diagnostics) == {"margin", "distance"}
 
     def test_right_inverse_trivial_instance(self):
-        f = Frame.standard_basis(2)
-        env = OperatorEnv.identity(2)
+        f = Frame(np.eye(2))
+        env = OperatorEnv.from_matrix(np.eye(2))
         fact = perturbation_right_inverse(f, f, env, Symbol.ones(2), (1.0, 1.0), f)
         assert fact.passed
         # R = (M^-1)* K = I here, and its multiplier form matches
@@ -682,7 +686,7 @@ class TestRangeInclusionRecipes:
         assert left.passed and left.identity.residual <= 1e-12
 
     def test_mismatched_instance(self):
-        psi = Frame.standard_basis(2)
+        psi = Frame(np.eye(2))
         phi = Frame([[1.0, 0.0], [1.0, 0.0]])
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
         with pytest.raises(RangeNotIncluded):

@@ -174,7 +174,7 @@ class TestFrames:
     def test_underflowed_lower_bound_raises(self, s):
         # A = s^2 is the subnormal 1e-320 at 1e-160 and 0.0 at 1e-170: no lower bound
         with pytest.raises(FloatingPointError, match="optimal lower bound A"):
-            k_frame_check(Frame(s * np.eye(2)), OperatorEnv.identity(2))
+            k_frame_check(Frame(s * np.eye(2)), OperatorEnv.from_matrix(np.eye(2)))
 
     @pytest.mark.parametrize("a, b", [
         (0.5, 2.0),  # valid
@@ -205,7 +205,7 @@ class TestFrames:
             g = scaling.frame(s, few)
             k_env = bessel_as_k_frame(g)  # K K* = S_G: Parseval
             parseval = tightness_check(g, k_env)
-            doubled = tightness_check(g.scaled(np.sqrt(2.0)), k_env)  # S = 2 K K*
+            doubled = tightness_check(Frame(np.sqrt(2.0) * g.vectors), k_env)  # S = 2 K K*
             reports = (loose, vacuous, parseval, doubled)
             verdicts = [(r.identity.ok, r.passed) for r in reports]
             verdicts += [minimality_check(f), minimality_check(g), k_env.rank]
@@ -348,7 +348,7 @@ class TestDuality:
         duals = {id(f): canonical_k_dual(f, env) for f, env in envs}
         monkeypatch.setattr(
             duality, "canonical_k_dual",
-            lambda f, env, tol=None: duals[id(f)].scaled(1 + 1e-7),
+            lambda f, env, tol=None: Frame((1 + 1e-7) * duals[id(f)].vectors),
         )
         for f, env in envs:
             with pytest.raises(InternalConsistencyError, match="canonical coefficients miss"):
@@ -606,10 +606,9 @@ class TestCli:
             flags = {key: r[key] for key in ("tight", "parseval", "minimal", "operator_rank")}
             return (verdicts, flags), {
                 "inclusion threshold": (v["range-inclusion"]["threshold"], OPERATOR),
-                # the lower excess at its test vector is a (2, 0) number; |T_F* u_1|^2 - B
-                # is rounding, so only its threshold has a degree
-                "lower excess": (v["lower-inequality"]["residual"], (2, 0)),
-                "lower threshold": (v["lower-inequality"]["threshold"], (2, 0)),
+                # A |K* w|^2 - |T_F* w|^2 at lambda's witness and |T_F* u_1|^2 - B are
+                # rounding, so only their thresholds have a degree
+                "lower threshold": (v["lower-attained"]["threshold"], (2, 0)),
                 "upper threshold": (v["upper-attained"]["threshold"], (2, 0)),
                 "A": (r["optimal_lower"], (2, -2)),
                 "B": ([r["optimal_upper"], r["bessel_bound"]], (2, 0)),
