@@ -67,8 +67,8 @@ class Frame:
 
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
-    built on it, the coordinates frame {U_k* f_i} and (per tolerance too) the
-    results of ``k_frame_check``, ``_k_frame_hypothesis`` and ``canonical_k_dual``.
+    built on it, the coordinates frame {U_k* f_i}, the SVD of T_F* K V_k and (per tolerance
+    too) the results of ``k_frame_check``, ``_k_frame_hypothesis`` and ``canonical_k_dual``.
     Memoization never changes a result, entries are only ever added (so concurrent
     use stays safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
@@ -180,9 +180,12 @@ def optimal_bessel_bound(f: Frame) -> float:
 
 
 def _core(f: Frame, env: OperatorEnv) -> Frame | None:
-    """The core C of T_F = U_k C W* (``_factored``, Q equal to U_k entry for entry), else None."""
+    """The core C of T_F = Q C W* (``_factored``) for Q equal to U_k entry for entry, or to V_k
+    when K is Hermitian (K = V_k Sigma_k U_k* then too), else None."""
     q, inner, _ = f._form or (None, None, None)
-    return inner if q is not None and np.array_equal(q, env.range_basis) else None
+    if q is None or np.array_equal(q, env.range_basis):
+        return inner
+    return inner if env.adjoint() is env and np.array_equal(q, env._mirror().range_basis) else None
 
 
 def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tuple | None]:
@@ -237,7 +240,7 @@ def k_frame_check(
     A |K| |K* w|), |T_F* u_1|^2 - B at 1e-9 B. Memoized on ``f`` per (env, tol). Every step
     takes L1 (``env.range_factor``, n x k): no operand has n columns, and only K - K V_k V_k*
     is dropped (``OperatorEnv``).
-    T = U_k C W* (``_factored``, frame core C, Q equal to U_k entry for entry) is checked
+    T = Q C W* (``_factored``, frame core C, Q equal to U_k, or to V_k if K = K*) is checked
     as C against Sigma_k: lambda = |C^+ Sigma_k| and B = |C|^2 are T's, C's rank decides
     C^k in R(C), and C's cutoff max(k, r) 2^-40 is below T's, as for {U_k* f_i}.
     """

@@ -230,8 +230,8 @@ class CheckResult:
 
 
 def _gate(residual: float, scale: float, tol: float) -> CheckResult:
-    """residual <= tol * scale, for ``scale`` of the same degree in the input as ``residual``."""
-    return CheckResult(residual <= tol * scale, residual, tol * scale)
+    """residual <= tol * scale in Python types, ``scale`` of the same degree as ``residual``."""
+    return CheckResult(bool(residual <= tol * scale), float(residual), float(tol * scale))
 
 
 def _inclusion(
@@ -365,14 +365,14 @@ class _Restriction:
         return self.left.left_vectors[:, : self.left.rank] @ self.b.adjoint().solve(c)[0]
 
 
-def _restricted_inverse(left: SvdFactors, operand: np.ndarray) -> _Restriction:
-    """``_Restriction`` on one SVD of ``operand`` = B; RankDeficientRestriction if A collapses V,
-    FloatingPointError if B's least singular value, which ``coordinates`` divides by, is
-    subnormal."""
-    b = svd_decompose(operand)
-    if b.rank < operand.shape[1]:
+def _restricted_inverse(left: SvdFactors, operand: np.ndarray | SvdFactors) -> _Restriction:
+    """``_Restriction`` on one SVD of ``operand`` = B (or on B's ``SvdFactors``, if known);
+    RankDeficientRestriction if A collapses V, FloatingPointError if B's least singular value,
+    which ``coordinates`` divides by, is subnormal."""
+    b = operand if isinstance(operand, SvdFactors) else svd_decompose(operand)
+    if b.rank < b.right_vectors.shape[0]:
         raise RankDeficientRestriction(
-            f"operator collapses the subspace: rank {b.rank} < dim {operand.shape[1]}"
+            f"operator collapses the subspace: rank {b.rank} < dim {b.right_vectors.shape[0]}"
         )
     return _Restriction(left, _divisible(b, "the least singular value of B"))
 
@@ -393,12 +393,12 @@ class OperatorEnv:
     Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K (the self-check gates the
     same norms as |K V_k Sigma_k^-1 - U_k| and |U_k (U_k* K) - K|); ``adjoint()``
     swaps K and K*, which is how every K*-frame question is asked. K* and
-    ``adjoint()`` (the env of K* on the adjoint factors) are derived from
+    ``_mirror()`` (the env of K* on the adjoint factors) are derived from
     ``factors`` on first use and memoized on the value; ``range_basis`` (U_k, a
-    view of the factors, never copied) and the norms read the factors. An
-    env holds its adjoint, and the adjoint never refers back to it. An env
-    compares and hashes by identity, so it keys the memo entries of the values
-    that derive results for it.
+    view of the factors, never copied) and the norms read the factors. An env holds its
+    adjoint, and the adjoint never refers back to it; a Hermitian K is its own adjoint env,
+    so its K*-questions hit its K-side memo entries. An env compares and hashes by
+    identity, so it keys the memo entries of the values that derive results for it.
     K-frame questions are asked on ``range_factor`` or ``range_coordinates``; both
     drop only K - K V_k V_k*, of norm sigma_{k+1} <= n 2^-40 |K| (``_rank``), which
     the self-check caps: |P_{R(K)} K - K| <= sigma_{k+1} + tol |K|.
@@ -472,12 +472,20 @@ class OperatorEnv:
         return 1.0 / float(self.factors.singular_values[r - 1]) if r else 0.0
 
     def adjoint(self) -> "OperatorEnv":
+        """The env of K*: the env itself when K = K* entry for entry (a flag, not a self-reference
+        in the memo), else ``_mirror()``."""
+        hermitian = _memo(self, "hermitian", lambda: bool(np.array_equal(self.k, self.k_adjoint)))
+        return self if hermitian else self._mirror()
+
+    def _mirror(self) -> "OperatorEnv":
+        """The env of K* on the adjoint factors: its U_k and U_k Sigma_k are this env's V_k and
+        K* U_k, paired with U_k by K V_k = U_k Sigma_k even when K is Hermitian."""
         def build():
             adj = OperatorEnv(self.k_adjoint, self.factors.adjoint())
             adj._memo["range_coordinates"] = self.range_coordinates
             return adj
 
-        return _memo(self, "adjoint", build)
+        return _memo(self, "mirror", build)
 
 
 def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False) -> np.ndarray:
@@ -489,7 +497,7 @@ def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False)
         v = env.factors.right_vectors[:, : env.rank]
         return functools.reduce(lambda x, f: f @ x, factors[::-1], v) - env.range_factor
     u = env.range_basis.conj().T
-    return functools.reduce(np.matmul, factors, u) - env.adjoint().range_factor.conj().T
+    return functools.reduce(np.matmul, factors, u) - env._mirror().range_factor.conj().T
 
 
 def range_identity_check(env: OperatorEnv, *factors: np.ndarray, tol: float = IDENTITY_TOL,

@@ -8,6 +8,7 @@ die as soon as the caller drops them.
 """
 
 import gc
+import hashlib
 import importlib.util
 import sys
 import threading
@@ -69,6 +70,7 @@ from kframekit.linalg import (
     spectral_norm,
 )
 from kframekit.multipliers import _perturbed_restriction, _projected
+from kframekit.worked import projection_example, reproduce_examples
 
 # k_frame_check makes at most 3 per (frame, operator) pair (the SVD of T_F, the inclusion
 # residual's norm and the SVD of lambda's core; 5 with the QR route's QR and solve) and
@@ -106,6 +108,15 @@ PERTURBED_RIGHT_INVERSE = 2
 # without the QR route's norm: 46 -> 43. The 3 lambdas are certified by plain products,
 # with no QR or solve: 43 -> 37, the bench's own count
 MULTIPLIERS_OP = 37
+# one reproduce_examples(): one env per distinct K (the range-inclusion instance reads the
+# projection example's K), a Hermitian K's K*-questions read its K-side memo, and Psi = Phi
+# takes no norm of a zero perturbation and no second SVD of B_ref (41 -> 33)
+GOLDEN_SUITE = 33
+# frames_from_multiplier_identity(M_{1,Phi,Phi}, env) on an 8 x 8 rank-4 projection K: M's
+# SVD, lambda's core of the right inverse, T_Phi's SVD, lambda's core of Phi's bounds and
+# |U_k* L|; Psi's K*-frame bounds are Phi's K-frame bounds, memoized, when K = K*, and take
+# lambda's core anew against K nudged by one ulp
+MULTIPLIER_IDENTITY = {"hermitian": 5, "nudged": 6}
 
 
 def instance(seed: int, n: int = 8, count: int = 12, rank: int = 4):
@@ -191,6 +202,32 @@ def load_workloads(monkeypatch):
 def operands(counter, name):
     """Shapes of the operands of the counted ``name`` calls, in call order."""
     return [a.shape for a, n in zip(counter["inputs"], counter["names"]) if n == name]
+
+
+def repeats(counter):
+    """(entry point, operand) of each counted call whose operand is byte-equal to an earlier
+    one's, hashed as ``bench/probes.FactorCounter`` hashes them."""
+    seen, out = set(), []
+    for a, name in zip(counter["inputs"], counter["names"]):
+        key = (a.shape, a.dtype.str, hashlib.blake2b(np.ascontiguousarray(a).data).digest())
+        if key in seen:
+            out.append((name, a))
+        seen.add(key)
+    return out
+
+
+def hermitian_projection(seed: int, n: int = 8, rank: int = 4) -> np.ndarray:
+    """An n x n orthogonal projection of rank ``rank``, equal to its adjoint entry for entry."""
+    q = np.linalg.qr(crandn(np.random.default_rng(seed), n, rank))[0]
+    p = q @ q.conj().T
+    return (p + p.conj().T) / 2
+
+
+def nudged(k: np.ndarray) -> np.ndarray:
+    """``k`` with the real part of its (0, 1) entry moved up by one ulp: no longer Hermitian."""
+    out = k.copy()
+    out[0, 1] = np.nextafter(k[0, 1].real, np.inf) + 1j * k[0, 1].imag
+    return out
 
 
 class TestCounts:
@@ -635,6 +672,123 @@ class TestCounts:
         assert factorizations["n"] == 0
 
 
+class TestSymmetricOperands:
+    """A Hermitian K is its own adjoint env, and Psi = Phi (the same ``Frame``) skips its
+    zero perturbation, so the paper's symmetric instances factor each operand once."""
+
+    def test_hermitian_k_is_its_own_adjoint(self):
+        k = hermitian_projection(30)
+        env = OperatorEnv.from_matrix(k)
+        assert env.adjoint() is env
+        other = OperatorEnv.from_matrix(nudged(k))
+        assert other.adjoint() is not other
+        np.testing.assert_array_equal(other.adjoint().k, nudged(k).conj().T)
+        # Sigma_k is real diagonal, so its env is its own adjoint too
+        for e in (env, other):
+            assert e.range_coordinates.adjoint() is e.range_coordinates
+
+    def test_golden_suite_factors_each_operand_once(self, factorizations):
+        # 33 counted factorizations (41 -> 33), and the byte-equal repeats
+        # are the four deliberate ones: majorization_constant's T_F and |K| on raw matrices,
+        # the independently built perturbation dual's residual norm, and the left range-
+        # inclusion test, equal to the right one only because Psi is Phi and K = K*
+        checks = reproduce_examples()
+        assert all(checks.values())
+        assert factorizations["n"] == GOLDEN_SUITE
+        again = repeats(factorizations)
+        assert [(name, a.shape) for name, a in again] == [
+            ("svd", (2, 3)), ("svd_norm", (2, 2)), ("svd_norm", (1, 2)), ("svd_norm", (2, 1))]
+        example = projection_example()
+        np.testing.assert_array_equal(again[0][1], example.frame.synthesis)
+        np.testing.assert_array_equal(again[1][1], example.env.k)
+
+    def test_multiplier_identity_reads_psi_side_off_the_phi_side(self, factorizations):
+        k = hermitian_projection(40)
+        vectors = crandn(np.random.default_rng(40), 12, 8)
+        reports = {}
+        for case, matrix in (("hermitian", k), ("nudged", nudged(k))):
+            f, env = Frame(vectors), OperatorEnv.from_matrix(matrix)
+            mult = assemble_multiplier(Symbol.ones(f.size), f, f)
+            factorizations["n"] = 0
+            reports[case] = frames_from_multiplier_identity(mult, env)
+            assert factorizations["n"] == MULTIPLIER_IDENTITY[case], case
+            assert reports[case].passed
+        sides = [(r.phi_side.optimal, r.psi_side.optimal) for r in reports.values()]
+        np.testing.assert_allclose(sides[0], sides[1], rtol=1e-13)
+
+    def test_psi_is_phi_takes_no_norm_of_a_zero_perturbation(self, factorizations):
+        # after the memoized bounds, the condition factors nothing and rho is exactly 0;
+        # the perturbation dual then factors B_ref once (B is B_ref, the distance 0) and
+        # takes its certificate's residual norm
+        vectors, k, _ = instance(24)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        m = Symbol.semi_normalized(np.linspace(0.5, 2.0, f.size))
+        found = k_frame_check(f, env)
+        factorizations["n"] = 0
+        cond = perturbation_condition(f, f, env, m, found.lower, found.upper)
+        assert factorizations["n"] == 0
+        assert cond.rho == 0.0 and cond.condition.ok
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        cert = perturbation_k_dual(f, f, env, m, (found.lower, found.upper))
+        assert cert.passed
+        assert factorizations["names"] == ["svd", "svd_norm"]
+        assert operands(factorizations, "svd") == [(8, 4)]
+        restriction = _perturbed_restriction(f, f, env, m, (found.lower, found.upper),
+                                             IDENTITY_TOL)
+        assert restriction[2] == {"margin": restriction[0].b.singular_values[-1],
+                                  "distance": 0.0}
+        # one rho per question: the restriction read the condition a direct call returns
+        assert perturbation_condition(f, f, env, m, found.lower, found.upper) is cond
+
+    def test_dual_of_a_hermitian_k_is_checked_on_its_core(self, factorizations):
+        # the dual T_G = V_k C W* is read against K as C against Sigma_k when K = K* too,
+        # since K = V_k Sigma_k U_k* then: the lower bounds take the verify residual's norm
+        # and two SVDs per frame (as in test_verify_k_dual_with_lower_bounds), no n x k
+        # inclusion norm, as on K nudged by one ulp
+        k = hermitian_projection(32)
+        vectors = crandn(np.random.default_rng(32), 12, 8)
+        for matrix in (k, nudged(k)):
+            f, env = Frame(vectors), OperatorEnv.from_matrix(matrix)
+            dual = canonical_k_dual(f, env)
+            factorizations["inputs"].clear()
+            factorizations["names"].clear()
+            assert verify_k_dual(f, dual, env, with_lower_bounds=True).passed
+            assert operands(factorizations, "svd_norm") == [(4, 8)]
+            assert sorted(operands(factorizations, "svd")) == [(4, 4), (4, 4), (4, 8), (4, 12)]
+
+    @pytest.mark.parametrize("eigenvalues", [(3.0, -2.0, 1.5, -0.5), (3.0, 2.0, 1.5, 0.5)])
+    def test_hermitian_k_keeps_u_k_paired_with_v_k(self, eigenvalues):
+        # a K*-question on a Hermitian K reads the K-side memo, but K* U_k = V_k Sigma_k pairs
+        # U_k with V_k, which differ beyond rounding when K is indefinite: every construction
+        # matches the one on K nudged by one ulp, whose adjoint env is a separate value
+        rng = np.random.default_rng(50)
+        q = np.linalg.qr(crandn(rng, 8, 8))[0]
+        k = (q[:, :4] * np.array(eigenvalues)) @ q[:, :4].conj().T
+        k = (k + k.conj().T) / 2
+        vectors, target = crandn(rng, 12, 8), crandn(rng, 8)
+        basis = q[:, :4]
+        inside = (basis @ (basis.conj().T @ vectors.T)).T  # R(T_F*) = R(T_F* K): both inclusions
+        results = []
+        for matrix in (k, nudged(k)):
+            f, g, env = Frame(vectors), Frame(inside), OperatorEnv.from_matrix(matrix)
+            dual = canonical_k_dual(f, env)
+            bounds = k_frame_check(f, env)
+            m = Symbol.semi_normalized(np.linspace(0.5, 2.0, f.size))
+            perturbed = perturbation_k_dual(f, f, env, m, (bounds.lower, bounds.upper))
+            right = perturbation_right_inverse(f, f, env, m, (bounds.lower, bounds.upper), dual)
+            inclusion = [range_inclusion_right_inverse(g, g, env),
+                         range_inclusion_left_inverse(g, g, env)]
+            assert all(c.passed for c in (verify_k_dual(f, dual, env), perturbed, right,
+                                          *inclusion))
+            witness = noncommutativity_witness(f, env).images_of_frame
+            results.append([dual.vectors, canonical_k_dual(f, env.adjoint()).vectors,
+                            perturbed.dual.vectors, witness,
+                            canonical_coefficients(f, env, target)])
+        for herm, other in zip(*results):
+            np.testing.assert_allclose(herm, other, rtol=0, atol=1e-12 * np.abs(other).max())
+
+
 class TestCliCounts:
     @pytest.mark.parametrize("command", sorted(CLI_VALIDATING))
     def test_bound_pair_is_decided_without_an_eigensolver(self, factorizations, tmp_path,
@@ -995,6 +1149,22 @@ class TestNoCycles:
         finally:
             gc.enable()
 
+    def test_hermitian_env_holds_no_reference_to_itself(self):
+        # a Hermitian env is its own adjoint by a memoized flag, so the memo never holds
+        # the env and it dies with its last outside reference
+        gc.collect()
+        gc.disable()
+        try:
+            env = OperatorEnv.from_matrix(hermitian_projection(31))
+            ref = weakref.ref(env)
+            assert env.adjoint() is env
+            assert "adjoint" not in env._memo
+            assert all(value is not env for value in env._memo.values())
+            del env
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_env_and_adjoint_share_the_range_coordinates(self):
         # Sigma_k is its own adjoint, so the adjoint env keeps the env's one
         _, k, _ = instance(17)
@@ -1002,7 +1172,8 @@ class TestNoCycles:
         assert env.adjoint().range_coordinates is env.range_coordinates
 
     def test_perturbed_restriction_holds_no_reference_back(self):
-        # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env
+        # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env: the
+        # condition and the restriction that reads it
         vectors, k, _ = instance(23)
         gc.collect()
         gc.disable()
@@ -1012,7 +1183,7 @@ class TestNoCycles:
             found = k_frame_check(f, env)
             refs = [weakref.ref(v) for v in (f, env, m)]
             cert = perturbation_k_dual(f, f, env, m, (found.lower, found.upper))
-            assert cert.passed and len(m._memo) == 1
+            assert cert.passed and len(m._memo) == 2
             del f, env, m, found, cert
             assert [r() for r in refs] == [None, None, None]
         finally:

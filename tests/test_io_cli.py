@@ -475,6 +475,29 @@ class TestAnalyzeInequalities:
             f, env = Frame(syn.T), OperatorEnv.from_matrix(syn @ x0)
             assert analyze(f, env, 1 + 1e-3) == (1, ["lower-attained"]), seed
 
+    def test_numpy_scalar_lambda_writes_strict_json(self, tmp_path, capsys, monkeypatch):
+        # a numpy.float64 lambda turns the gates on A into numpy comparisons; their verdicts
+        # are Python bools, so the JSON report is written (it raised TypeError before)
+        f, env = weak_direction_instance(1e-2)
+        io.write_file(tmp_path / "f.json", io.frame_to_obj(f))
+        io.write_file(tmp_path / "k.json", io.matrix_to_obj(env.k))
+        majorization = frames._majorization
+
+        def numpy_lambda(*args):
+            lam, norms = majorization(*args)
+            return np.float64(lam), norms
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        monkeypatch.setattr(frames, "_majorization", numpy_lambda)
+        code = main(["analyze", "--frame", str(tmp_path / "f.json"), "--operator",
+                     str(tmp_path / "k.json"), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        verdicts = json.loads(out, parse_constant=refuse)["verdicts"]
+        assert all(v["passed"] is True for v in verdicts.values())
+
     def test_parseval_frame_at_a_strict_tolerance(self, analyze):
         # S_F = I = K K*: the excess is rounding of the size of its terms, which a
         # threshold of tol B alone refused at 1e-15

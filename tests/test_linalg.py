@@ -24,6 +24,7 @@ from kframekit.linalg import (
     IDENTITY_TOL,
     OperatorEnv,
     SvdFactors,
+    _gate,
     _within,
     majorization_constant,
     _restricted_inverse,
@@ -315,6 +316,15 @@ class TestResidualGate:
     def test_rejects_below_the_lower_bound_without_svd(self, norm_svds):
         assert not _within(self.R, 3.5)
         assert not norm_svds
+
+
+class TestGate:
+    def test_numpy_scalars_give_python_types(self):
+        # a numpy comparison is a numpy.bool_, which json cannot write
+        check = _gate(np.float64(1.0), np.float64(2.0), 1.0)
+        assert type(check.ok) is bool and check.ok
+        assert type(check.residual) is float and type(check.threshold) is float
+        assert _gate(np.float64(3.0), 2.0, np.float64(1.0)).ok is False
 
 
 class TestMajorization:
