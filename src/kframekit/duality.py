@@ -51,10 +51,12 @@ from .linalg import (
     _memo,
     _memoized_per_operator,
     _Restriction,
+    _range_residual,
     _read_only,
     _restricted_inverse,
     _within,
     spectral_norm,
+    svd_decompose,
 )
 
 __all__ = [
@@ -112,7 +114,8 @@ def _restriction(f: Frame, env: OperatorEnv) -> _Restriction:
     def build():
         factors = _factors(f)
         w = factors.left_vectors.conj().T @ env.range_basis
-        return _restricted_inverse(factors, factors.singular_values[:factors.rank, None] ** 2 * w)
+        b = svd_decompose(factors.singular_values[: factors.rank, None] ** 2 * w)
+        return _restricted_inverse(factors, b)
 
     return _memo(f, ("restriction", env), build)
 
@@ -137,7 +140,7 @@ def canonical_k_dual(
     """
     _k_frame_hypothesis(f, env, tol)
     core = env.factors.singular_values[: env.rank, None] * _restriction(f, env).coordinates()
-    return _factored(env._mirror().range_basis, Frame(core.T), _factors(f).right_vectors)
+    return _factored(env.corange_basis, Frame(core.T), _factors(f).right_vectors)
 
 
 def verify_k_dual(
@@ -157,14 +160,12 @@ def verify_k_dual(
 
 
 def _dual_residual(f: Frame, g: Frame, env: OperatorEnv) -> np.ndarray:
-    """(U_k* T_F) T_G* - Sigma_k V_k* (k x n) on the memoized U_k* T_F (``_coordinates``)."""
+    """(U_k* T_F) T_G* - Sigma_k V_k* (k x n, ``_range_residual``), once the sizes agree."""
     if f.size != g.size:
         raise ShapeMismatch(f"index counts differ: {f.size} vs {g.size}")
     if f.ambient_dim != g.ambient_dim or f.ambient_dim != env.dim:
         raise ShapeMismatch("ambient dimensions differ")
-    if not env.rank:  # K = 0: no rows, and no coordinates frame to read them off
-        return np.zeros((0, env.dim), dtype=np.complex128)
-    return _coordinates(f, env).synthesis @ g.analysis - env._mirror().range_factor.conj().T
+    return _range_residual(env, f.synthesis, g.analysis)
 
 
 def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[float, float]:
@@ -350,7 +351,7 @@ def reciprocal_dual(
     reduced = _factored(env.range_basis, Frame(coords.T), fac.right_vectors)
     # K* P_{R(K)} T_F = V_k (Sigma_k U_k* U_r Sigma) V_r*
     core = (env.range_factor.conj().T @ fac.left_vectors) * fac.singular_values[: fac.rank]
-    companion = _factored(env._mirror().range_basis, Frame(core.T), fac.right_vectors)
+    companion = _factored(env.corange_basis, Frame(core.T), fac.right_vectors)
     return verify_k_dual(reduced, companion, env, tol, with_lower_bounds=False)
 
 
@@ -381,7 +382,7 @@ def noncommutativity_witness(
     # Ftilde lies in R(K*) = span V_k: its memoized SVD T_Ftilde = U_g Sigma_g V_g* gives
     # G = V_k* T_Ftilde = (V_k* U_g) Sigma_g V_g* and, for Y = (V_k* U_g) Sigma_g^-1,
     # W = K V_k (G G*)^-1 V_k* = (U_k Sigma_k) Y Y* V_k*
-    basis = env._mirror().range_basis
+    basis = env.corange_basis
     g = _factors(dual)
     if g.rank < env.rank:
         raise RankDeficientRestriction(f"S_Ftilde collapses R(K*): rank {g.rank} < {env.rank}")
@@ -422,7 +423,7 @@ def _dual_identity(
     construction of d shares nothing with.
     """
     achieved = env.range_basis.conj().T @ (f.synthesis @ d)
-    residual = float(np.linalg.norm(env._mirror().range_factor.conj().T @ target - achieved))
+    residual = float(np.linalg.norm(env.corange_factor.conj().T @ target - achieved))
     scale = env.norm() * float(np.linalg.norm(target)) + f.norm() * float(np.linalg.norm(d))
     return _gate(residual, scale, tol)
 

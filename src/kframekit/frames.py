@@ -180,12 +180,11 @@ def optimal_bessel_bound(f: Frame) -> float:
 
 
 def _core(f: Frame, env: OperatorEnv) -> Frame | None:
-    """The core C of T_F = Q C W* (``_factored``) for Q equal to U_k entry for entry, or to V_k
-    when K is Hermitian (K = V_k Sigma_k U_k* then too), else None."""
+    """The core C of T_F = Q C W* (``_factored``), Q equal to U_k, or V_k if K = K*, else None."""
     q, inner, _ = f._form or (None, None, None)
     if q is None or np.array_equal(q, env.range_basis):
         return inner
-    return inner if env.adjoint() is env and np.array_equal(q, env._mirror().range_basis) else None
+    return inner if np.array_equal(q, env.corange_basis) and env.hermitian else None
 
 
 def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tuple | None]:

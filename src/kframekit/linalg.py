@@ -365,11 +365,10 @@ class _Restriction:
         return self.left.left_vectors[:, : self.left.rank] @ self.b.adjoint().solve(c)[0]
 
 
-def _restricted_inverse(left: SvdFactors, operand: np.ndarray | SvdFactors) -> _Restriction:
-    """``_Restriction`` on one SVD of ``operand`` = B (or on B's ``SvdFactors``, if known);
-    RankDeficientRestriction if A collapses V, FloatingPointError if B's least singular value,
-    which ``coordinates`` divides by, is subnormal."""
-    b = operand if isinstance(operand, SvdFactors) else svd_decompose(operand)
+def _restricted_inverse(left: SvdFactors, b: SvdFactors) -> _Restriction:
+    """``_Restriction`` on the one SVD ``b`` of B; RankDeficientRestriction if A collapses V,
+    FloatingPointError if B's least singular value, which ``coordinates`` divides by, is
+    subnormal."""
     if b.rank < b.right_vectors.shape[0]:
         raise RankDeficientRestriction(
             f"operator collapses the subspace: rank {b.rank} < dim {b.right_vectors.shape[0]}"
@@ -392,13 +391,14 @@ class OperatorEnv:
 
     Satisfies K K^dagger = P_{R(K)} and P_{R(K)} K = K (the self-check gates the
     same norms as |K V_k Sigma_k^-1 - U_k| and |U_k (U_k* K) - K|); ``adjoint()``
-    swaps K and K*, which is how every K*-frame question is asked. K* and
-    ``_mirror()`` (the env of K* on the adjoint factors) are derived from
-    ``factors`` on first use and memoized on the value; ``range_basis`` (U_k, a
-    view of the factors, never copied) and the norms read the factors. An env holds its
-    adjoint, and the adjoint never refers back to it; a Hermitian K is its own adjoint env,
-    so its K*-questions hit its K-side memo entries. An env compares and hashes by
-    identity, so it keys the memo entries of the values that derive results for it.
+    swaps K and K*, which is how every K*-frame question is asked; a Hermitian K is its own
+    adjoint env. K* and ``adjoint()`` are derived from ``factors`` on first use and memoized
+    on the value; ``range_basis`` (U_k, a view of the factors, never copied) and the norms
+    read the factors. An env holds its adjoint, and the adjoint never refers back to it. A
+    product that must equal K or K* reads V_k and K* U_k off ``corange_basis`` and
+    ``corange_factor``, paired with U_k, never off ``adjoint()`` (U_k again, off V_k by
+    signs, for an indefinite Hermitian K). An env compares and hashes by identity, so it
+    keys the memo entries of the values that derive results for it.
     K-frame questions are asked on ``range_factor`` or ``range_coordinates``; both
     drop only K - K V_k V_k*, of norm sigma_{k+1} <= n 2^-40 |K| (``_rank``), which
     the self-check caps: |P_{R(K)} K - K| <= sigma_{k+1} + tol |K|.
@@ -435,13 +435,23 @@ class OperatorEnv:
 
     @property
     def range_basis(self) -> np.ndarray:
-        """U_k (n x k), an orthonormal basis of R(K); the adjoint's is V_k."""
+        """U_k (n x k), an orthonormal basis of R(K)."""
         return self.factors.left_vectors[:, : self.rank]
 
     @property
+    def corange_basis(self) -> np.ndarray:
+        """V_k (n x k), an orthonormal basis of R(K*) paired with U_k by K V_k = U_k Sigma_k."""
+        return self.factors.right_vectors[:, : self.rank]
+
+    @property
     def range_factor(self) -> np.ndarray:
-        """U_k Sigma_k = K V_k (n x k); the adjoint's is V_k Sigma_k = K* U_k."""
+        """U_k Sigma_k = K V_k (n x k)."""
         return _memo(self, "range_factor", lambda: _read_only(self.factors._range_factor()))
+
+    @property
+    def corange_factor(self) -> np.ndarray:
+        """V_k Sigma_k = K* U_k (n x k), paired with U_k as ``corange_basis`` is."""
+        return self.factors.adjoint()._range_factor()
 
     @property
     def range_coordinates(self) -> "OperatorEnv":
@@ -472,20 +482,18 @@ class OperatorEnv:
         return 1.0 / float(self.factors.singular_values[r - 1]) if r else 0.0
 
     def adjoint(self) -> "OperatorEnv":
-        """The env of K*: the env itself when K = K* entry for entry (a flag, not a self-reference
-        in the memo), else ``_mirror()``."""
-        hermitian = _memo(self, "hermitian", lambda: bool(np.array_equal(self.k, self.k_adjoint)))
-        return self if hermitian else self._mirror()
-
-    def _mirror(self) -> "OperatorEnv":
-        """The env of K* on the adjoint factors: its U_k and U_k Sigma_k are this env's V_k and
-        K* U_k, paired with U_k by K V_k = U_k Sigma_k even when K is Hermitian."""
+        """The env of K*: this env itself if ``hermitian`` (never a memo entry), else a new one."""
         def build():
             adj = OperatorEnv(self.k_adjoint, self.factors.adjoint())
             adj._memo["range_coordinates"] = self.range_coordinates
             return adj
 
-        return _memo(self, "mirror", build)
+        return self if self.hermitian else _memo(self, "adjoint", build)
+
+    @property
+    def hermitian(self) -> bool:
+        """K = K* entry for entry, memoized; it builds neither K* nor the adjoint env."""
+        return _memo(self, "hermitian", lambda: bool(np.array_equal(self.k, self.k.conj().T)))
 
 
 def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False) -> np.ndarray:
@@ -494,10 +502,10 @@ def _range_residual(env: OperatorEnv, *factors: np.ndarray, right: bool = False)
     read on K's rank-k coordinates. Its norm is the n x n residual's up to sigma_{k+1}
     (``OperatorEnv``) and rounding."""
     if right:
-        v = env.factors.right_vectors[:, : env.rank]
+        v = env.corange_basis
         return functools.reduce(lambda x, f: f @ x, factors[::-1], v) - env.range_factor
     u = env.range_basis.conj().T
-    return functools.reduce(np.matmul, factors, u) - env._mirror().range_factor.conj().T
+    return functools.reduce(np.matmul, factors, u) - env.corange_factor.conj().T
 
 
 def range_identity_check(env: OperatorEnv, *factors: np.ndarray, tol: float = IDENTITY_TOL,

@@ -109,8 +109,8 @@ class Symbol:
 
     Declared bounds are validated against the recomputed moduli: a
     semi-normalized symbol needs 0 < lower <= |m_i| <= upper for every i.
-    A symbol memoizes the perturbation condition and the perturbed restriction built with
-    it; no frame or env refers to a symbol, so that memo holds no reference back.
+    A symbol memoizes the perturbed restriction built with it; no frame or env
+    refers to a symbol, so that memo holds no reference back.
     """
 
     values: np.ndarray
@@ -501,11 +501,10 @@ def perturbation_condition(
 ) -> ConditionReport:
     """Restricted perturbation norm rho of Psi against Phi on R(K), and tau.
 
-    rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K); tau is
-    a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the K-frame bounds
-    (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal bounds;
-    FloatingPointError when tau is not finite and positive (B underflows at 1e-200).
-    Memoized on ``m`` per (Phi, Psi, env, a, b, tol); rho is 0.0 when Psi is Phi.
+    rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K), 0.0 with no norm taken
+    when Psi is Phi; tau is a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the
+    K-frame bounds (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal
+    bounds; FloatingPointError when tau is not finite and positive (B underflows at 1e-200).
     """
     if not m.is_semi_normalized:
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
@@ -518,17 +517,13 @@ def perturbation_condition(
             f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi: A - a = "
             f"{validation.lower_slack:.3e}, b - B = {validation.upper_slack:.3e}"
         )
+    rho = 0.0 if psi is phi else spectral_norm((psi.analysis - phi.analysis) @ env.range_basis)
     kdag = env.pinv_norm()
     with np.errstate(all="ignore"):  # in a uniform scale a / sqrt(b) has degree -1, 1/|Kdag| 1
         tau = float(m.lower / m.upper * (a_bound / np.sqrt(b_bound)) / kdag / kdag)
     if not 0.0 < tau < np.inf:
         raise FloatingPointError(f"perturbation threshold tau = {tau!r} is not finite and positive")
-
-    def report():  # Psi is Phi: the same Frame, whose perturbation is 0 without a norm
-        rho = 0.0 if psi is phi else spectral_norm((psi.analysis - phi.analysis) @ env.range_basis)
-        return ConditionReport(rho, tau, _gate(rho, tau, 1.0))
-
-    return _memo(m, ("condition", phi, psi, env, a_bound, b_bound, tol), report)
+    return ConditionReport(rho, tau, _gate(rho, tau, 1.0))
 
 
 def _perturbed_restriction(
@@ -539,10 +534,10 @@ def _perturbed_restriction(
     (M|_{R(K)})^-1 P_{M(R(K))} is a ``_Restriction`` with L = T_Phi = U_r Sigma V_r*,
     R* = diag(m) T_Psi*. M Q = U_r B for B = Sigma V_r* diag(m) T_Psi* Q (r x k) and U_r
     is an isometry, so all is read off r x k operands: the margin is sigma_min of B_ref
-    (B at Psi = Phi), the distance |B_ref - B| is formed from T_Phi - T_Psi, and the
-    rank tests of B_ref and B decide invertibility (RestrictionSingular); if Psi is Phi, B is
-    B_ref and the distance 0.0. Memoized on ``m`` per (Phi, Psi, env, bounds, tol), beside
-    the condition: Psi may be Phi, and a frame's memo is keyed by env.
+    (B at Psi = Phi, and B itself, at distance 0.0, when Psi is Phi), the distance
+    |B_ref - B| is formed from T_Phi - T_Psi, and the rank tests of B_ref and B decide
+    invertibility (RestrictionSingular). Memoized on ``m`` per (Phi, Psi, env, bounds,
+    tol): Psi may be Phi, and a frame's memo is keyed by env.
     """
 
     def build():
@@ -564,8 +559,9 @@ def _perturbed_restriction(
                                       f"rank {reference.rank} < dim {env.rank}")
         margin = float(reference.singular_values[-1])
         distance = 0.0 if psi is phi else spectral_norm(core(phi.analysis - psi.analysis))
+        b = reference if psi is phi else svd_decompose(core(psi.analysis))
         try:
-            minv = _restricted_inverse(fac, reference if psi is phi else core(psi.analysis))
+            minv = _restricted_inverse(fac, b)
         except RankDeficientRestriction as exc:
             raise RestrictionSingular(f"M collapses R(K) at perturbation distance "
                                       f"{distance:.3e} vs margin {margin:.3e}: {exc}") from exc
@@ -593,7 +589,7 @@ def perturbation_k_dual(
     minv = _perturbed_restriction(phi, psi, env, m, bounds, tol)[0]
     # V_k (Sigma_k B^+ Sigma V_r* diag(m)): diag(m) leaves no orthonormal right factor
     core = minv.coordinates() @ _factors(phi).right_vectors.conj().T * m.values
-    dual = _factored(env._mirror().range_basis,
+    dual = _factored(env.corange_basis,
                      Frame((env.factors.singular_values[: env.rank, None] * core).T), None)
     return verify_k_dual(psi, dual, env, tol, with_lower_bounds=False)
 
@@ -619,7 +615,7 @@ def perturbation_right_inverse(
     minv, condition, diagnostics = _perturbed_restriction(phi, psi, env, m, bounds, tol)
     _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a K-dual of Phi")
     # (M^-1)* Q c = U_r (B^+)* c, for c = Q* K and c = Q* T_Phi
-    right = minv.apply_adjoint(env._mirror().range_factor.conj().T)
+    right = minv.apply_adjoint(env.corange_factor.conj().T)
     ones = Symbol.ones(phi.size)
     r_frame = Frame(minv.apply_adjoint(env.range_basis.conj().T @ phi.synthesis).T)
     r_mult = assemble_multiplier(ones, r_frame, dual_choice)

@@ -16,11 +16,10 @@ Two hand-checkable instances are embedded:
 verdict per identity; the CLI's ``examples`` command renders them. Each
 identity is compared with its closed form, none at sampled points, and all
 irrational constants are FLOAT64 evaluations of the closed forms above.
-One env per distinct K (the range-inclusion instance reads the projection example's), with
-K = K* and Psi = Phi read through the memo, factors each operand once but for four repeats:
-``c2.majorization-lambda`` factors T_F and takes |K| anew on raw matrices on purpose,
-``c2.perturbation-collapse`` verifies a dual built apart from the canonical one, and the
-left range-inclusion test repeats the right one only because Psi is Phi and K = K*.
+With one env per distinct K, and K = K* and Psi = Phi read through the memo, each operand
+is factored once but four: ``c2.majorization-lambda`` factors T_F and |K| anew on raw
+matrices on purpose, ``c2.perturbation-collapse`` checks a dual built apart from the
+canonical one, and the left range-inclusion test is the right one's as Psi = Phi, K = K*.
 """
 
 from __future__ import annotations
@@ -108,12 +107,13 @@ def minimal_example() -> WorkedExample:
     )
 
 
-def hand_inclusion_instance(env: OperatorEnv | None = None) -> tuple[Frame, Frame, OperatorEnv]:
+def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
     """C^2 instance (K = diag(1,0), Psi = Phi = {e1, e1}) for the
     range-inclusion inverse constructions; both compositions equal K / K K*
-    exactly. ``env`` passes in an env of this K already built (the projection example's)."""
+    exactly."""
     psi = Frame([[1.0, 0.0], [1.0, 0.0]])
-    return psi, psi, env or OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]])
+    env = OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]])
+    return psi, psi, env
 
 
 def _entrywise(frame: Frame, expected_rows) -> float:
@@ -242,15 +242,15 @@ def reproduce_examples(tol: float | None = None) -> dict[str, CheckResult]:
             + (0.0 if tight_b.passed else 1.0), tight_b.identity.threshold)
 
     def c2h_range_inclusion():
-        psi_h, phi_h, env_h = hand_inclusion_instance(env2)
+        psi_h = phi_h = Frame([[1.0, 0.0], [1.0, 0.0]])  # hand_inclusion_instance, on env2
         # M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K, with both factor frames {e1/2, e1/2}
-        right_h = range_inclusion_right_inverse(psi_h, phi_h, env_h, identity_tol)
+        right_h = range_inclusion_right_inverse(psi_h, phi_h, env2, identity_tol)
         half_e1 = [[0.5, 0.0], [0.5, 0.0]]
         add("c2h.range-inclusion-right", max(right_h.identity.residual,
                                              _entrywise(right_h.factors[1].phi, half_e1),
                                              _entrywise(right_h.factors[1].psi, half_e1)), 1e-12)
         # M_{1,Phi~,Psi+} M_{1,Psi,Phi} K* = K K*
-        left_h = range_inclusion_left_inverse(psi_h, phi_h, env_h, identity_tol)
+        left_h = range_inclusion_left_inverse(psi_h, phi_h, env2, identity_tol)
         add("c2h.range-inclusion-left", left_h.identity.residual, 1e-12)
 
     for section, replay in (

@@ -683,9 +683,23 @@ class TestSymmetricOperands:
         other = OperatorEnv.from_matrix(nudged(k))
         assert other.adjoint() is not other
         np.testing.assert_array_equal(other.adjoint().k, nudged(k).conj().T)
-        # Sigma_k is real diagonal, so its env is its own adjoint too
+        # Sigma_k is real diagonal, so its env is its own adjoint too; V_k and K* U_k stay
+        # paired with U_k on either env
         for e in (env, other):
             assert e.range_coordinates.adjoint() is e.range_coordinates
+            np.testing.assert_array_equal(e.corange_basis, e.factors.right_vectors[:, :4])
+            np.testing.assert_allclose(e.corange_factor, e.k_adjoint @ e.range_basis, atol=1e-14)
+
+    def test_hermitian_flag_builds_neither_k_star_nor_an_adjoint(self):
+        # the dual on V_k is checked against the adjoint env, whose flag is asked when a
+        # frame's basis is not its U_k: asking it keeps no K* and no adjoint of the adjoint
+        vectors, k, _ = instance(19)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        assert not env.hermitian and "k_adjoint" not in env._memo
+        cert = verify_k_dual(f, canonical_k_dual(f, env), env, with_lower_bounds=True)
+        assert cert.passed and k_dual_lower_bounds(cert)
+        assert env.adjoint() is not env
+        assert not {"k_adjoint", "adjoint"} & set(env.adjoint()._memo)
 
     def test_golden_suite_factors_each_operand_once(self, factorizations):
         # 33 counted factorizations (41 -> 33), and the byte-equal repeats
@@ -738,8 +752,6 @@ class TestSymmetricOperands:
                                              IDENTITY_TOL)
         assert restriction[2] == {"margin": restriction[0].b.singular_values[-1],
                                   "distance": 0.0}
-        # one rho per question: the restriction read the condition a direct call returns
-        assert perturbation_condition(f, f, env, m, found.lower, found.upper) is cond
 
     def test_dual_of_a_hermitian_k_is_checked_on_its_core(self, factorizations):
         # the dual T_G = V_k C W* is read against K as C against Sigma_k when K = K* too,
@@ -1172,8 +1184,7 @@ class TestNoCycles:
         assert env.adjoint().range_coordinates is env.range_coordinates
 
     def test_perturbed_restriction_holds_no_reference_back(self):
-        # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env: the
-        # condition and the restriction that reads it
+        # memoized on the symbol, keyed by Phi, Psi (here Phi itself) and the env
         vectors, k, _ = instance(23)
         gc.collect()
         gc.disable()
@@ -1183,7 +1194,7 @@ class TestNoCycles:
             found = k_frame_check(f, env)
             refs = [weakref.ref(v) for v in (f, env, m)]
             cert = perturbation_k_dual(f, f, env, m, (found.lower, found.upper))
-            assert cert.passed and len(m._memo) == 2
+            assert cert.passed and len(m._memo) == 1
             del f, env, m, found, cert
             assert [r() for r in refs] == [None, None, None]
         finally:

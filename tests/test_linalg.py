@@ -712,7 +712,7 @@ def restricted_inverse(s, basis: np.ndarray) -> np.ndarray:
     f = svd_decompose(s)
     r = f.rank
     operand = f.singular_values[:r, None] * (f.right_vectors[:, :r].conj().T @ basis)
-    return _restricted_inverse(f, operand).apply_adjoint(basis.conj().T).conj().T
+    return _restricted_inverse(f, svd_decompose(operand)).apply_adjoint(basis.conj().T).conj().T
 
 
 class TestRestrictedInverse:
