@@ -231,7 +231,8 @@ def _load(path: str, kind: str):
 
 
 def _inputs(job: JobSpec, n_frames: int, operator: bool, symbol: str | None) -> list:
-    """Check the arity of ``job``, then load its frames, K and symbol, in that order."""
+    """Check the arity of ``job``, then load its frames (a repeated path once, as one
+    ``Frame``), K and symbol, in that order."""
     if len(job.frames) != n_frames:
         raise ParseError(
             f"'{job.command}' needs exactly {n_frames} --frame input(s), got {len(job.frames)}"
@@ -240,7 +241,8 @@ def _inputs(job: JobSpec, n_frames: int, operator: bool, symbol: str | None) -> 
         raise ParseError(f"'{job.command}' needs --operator")
     if symbol == "required" and job.symbol is None:
         raise ParseError(f"'{job.command}' needs --symbol")
-    inputs = [_load(path, "frame") for path in job.frames]
+    loaded = {path: _load(path, "frame") for path in dict.fromkeys(job.frames)}
+    inputs = [loaded[path] for path in job.frames]
     if operator:
         inputs.append(_load(job.operator, "matrix"))
     if symbol == "required" or (symbol and job.symbol):

@@ -32,15 +32,13 @@ from .linalg import (
     CheckResult,
     OperatorEnv,
     SvdFactors,
-    _check_reconstruction,
+    _cut,
     _douglas,
     _douglas_solution,
     _gate,
     _majorization,
     _memo,
     _memoized_per_operator,
-    _rank,
-    _read_only,
     as_matrix,
     spectral_norm,
     svd_decompose,
@@ -150,26 +148,20 @@ def _factors(f: Frame) -> SvdFactors:
     """T_F = U_r Sigma V_r*, the one SVD of T_F, memoized on ``f``.
 
     It decomposes only the core of T_F = Q C V* (the core frame's SVD is its own
-    memoized one): C = U_C Sigma W_C* lifts to U = Q U_C, V = V W_C, which must
-    reconstruct the stored vectors as in ``svd_decompose``, and the rank is ``_rank``
-    for T_F's shape (the core keeps its own, for C's shape). Every singular value
-    is kept (a zero frame has norm 0); the singular vectors are cut to the rank and
-    copied, so the full arrays are freed.
+    memoized one): C = U_C Sigma W_C* lifts to U = Q U_C, V = V W_C, which
+    ``linalg._cut`` gates against the stored vectors as ``svd_decompose`` does and cuts
+    to the rank for T_F's shape (the core keeps its own, for C's shape). The factors are
+    returned as they come, cut to the rank, with every singular value (a zero frame has
+    norm 0).
     """
 
     def build():
-        if f._form is None:  # C = T_F, gated by svd_decompose
-            c = svd_decompose(f.synthesis)
-            u, w = c.left_vectors, c.right_vectors
-        else:
-            q, core, v = f._form
-            c = _factors(core)
-            u = q @ c.left_vectors
-            w = c.right_vectors if v is None else v @ c.right_vectors
-            _check_reconstruction(SvdFactors(u, c.singular_values, w, c.rank), f.synthesis)
-        s = c.singular_values
-        r = _rank(s, f.synthesis.shape)
-        return SvdFactors(_read_only(u[:, :r].copy()), s, _read_only(w[:, :r].copy()), r)
+        if f._form is None:  # C = T_F
+            return svd_decompose(f.synthesis)
+        q, core, v = f._form
+        c = _factors(core)
+        w = c.right_vectors if v is None else v @ c.right_vectors
+        return _cut(q @ c.left_vectors, c.singular_values, w, f.synthesis)
 
     return _memo(f, "svd", build)
 

@@ -3,7 +3,8 @@
 Matrices are two-dimensional ``numpy`` arrays of ``complex128``; the helpers
 here add the pieces the frame-theory layers need on top of LAPACK:
 rank-revealing SVD with one scale-invariant cutoff (``_rank``: singular
-values above sigma_max * max(rows, cols) * 2^-40), Moore-Penrose
+values above sigma_max * max(rows, cols) * 2^-40) whose ``SvdFactors`` hold the
+singular vectors of the kept values alone (U_r, V_r), Moore-Penrose
 pseudo-inverses, orthonormal range bases read off the SVD, range-inclusion
 tests (decided by the committed rank alone, residual 0, when the including
 range is all of C^m) with the associated factorization (given operators L1, L2 with
@@ -151,70 +152,69 @@ def _norm(m: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Thin SVD with a committed numerical rank.
+    """Thin SVD cut to its numerical rank r.
 
-    ``left_vectors`` and ``right_vectors`` have orthonormal columns;
-    ``singular_values`` is descending and ``rank`` is the numerical rank
-    ``_rank`` reads off them. Every method but ``reconstruct`` (which reads the
-    stored ones) reads only the first ``rank`` vectors, so they may be cut to the rank.
+    ``left_vectors`` U_r and ``right_vectors`` V_r hold the r orthonormal singular
+    vectors of the singular values ``_rank`` keeps, and ``rank`` is their column count;
+    ``singular_values`` holds every singular value, descending, so the tail past the
+    rank (sigma_{r+1}, or sigma_1 = 0 of a zero matrix) is still read.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        """U Sigma V* on the stored vectors: factors cut to the rank drop Sigma's tail."""
-        s = self.singular_values[: self.left_vectors.shape[1]]
-        return (self.left_vectors * s) @ self.right_vectors.conj().T
+    @property
+    def rank(self) -> int:
+        return self.left_vectors.shape[1]
 
     def _range_factor(self) -> np.ndarray:
         """U_r Sigma_r: the same range, and the same norms |X U_r Sigma_r| = |X A| but for
         the tail the rank drops."""
-        return self.left_vectors[:, : self.rank] * self.singular_values[: self.rank]
+        return self.left_vectors * self.singular_values[: self.rank]
 
     def adjoint(self) -> "SvdFactors":
         """Factors of the conjugate transpose: the same SVD read backwards."""
-        return SvdFactors(self.right_vectors, self.singular_values, self.left_vectors, self.rank)
+        return SvdFactors(self.right_vectors, self.singular_values, self.left_vectors)
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudo-inverse, truncated at the committed rank."""
-        r = self.rank
-        v = self.right_vectors[:, :r] / self.singular_values[:r]
-        return v @ self.left_vectors[:, :r].conj().T
+        return (self.right_vectors / self.singular_values[: self.rank]) @ self.left_vectors.conj().T
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X, C) with the r x m core C = (Sigma_r^-1 U_r*) rhs and X = V_r C = ``pinv() @ rhs``.
 
         V_r mixes only after the division, so the residual stays at rounding level.
         """
-        r = self.rank
-        core = (self.left_vectors[:, :r].conj().T / self.singular_values[:r, None]) @ rhs
-        return self.right_vectors[:, :r] @ core, core
+        core = (self.left_vectors.conj().T / self.singular_values[: self.rank, None]) @ rhs
+        return self.right_vectors @ core, core
 
 
 def svd_decompose(m) -> SvdFactors:
-    """Thin SVD of ``m`` with its numerical rank (``_rank``).
+    """Thin SVD of ``m`` cut to its numerical rank (``_rank``), gated on LAPACK's full
+    factors by ``_cut``.
 
     Deterministic for fixed input; raises NonFiniteInput on NaN/Inf.
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    factors = SvdFactors(_read_only(u), _read_only(s), _read_only(vh.conj().T), _rank(s, a.shape))
-    _check_reconstruction(factors, a)
-    return factors
+    return _cut(u, s, vh.conj().T, a)
 
 
-def _check_reconstruction(factors: SvdFactors, a: np.ndarray) -> None:
-    """InternalConsistencyError unless ``factors`` reconstruct ``a`` to ``IDENTITY_TOL`` |a|_F
-    beyond the singular values that cut vectors drop."""
-    dropped = float(np.linalg.norm(factors.singular_values[factors.left_vectors.shape[1]:]))
-    resid = float(np.linalg.norm(factors.reconstruct() - a))
+def _cut(u: np.ndarray, s: np.ndarray, w: np.ndarray, a: np.ndarray) -> SvdFactors:
+    """The ``SvdFactors`` of ``a`` = U diag(s) W*: InternalConsistencyError unless the stored
+    vectors reconstruct ``a`` to ``IDENTITY_TOL`` |a|_F beyond the singular values they lack,
+    then cut to the rank ``_rank`` reads for a's shape, copied only when columns are dropped."""
+    dropped = float(np.linalg.norm(s[u.shape[1]:]))
+    resid = float(np.linalg.norm((u * s[: u.shape[1]]) @ w.conj().T - a))
     if not _gate(resid - dropped, float(np.linalg.norm(a)), IDENTITY_TOL):
         raise InternalConsistencyError(
             f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
         )
+    r = _rank(s, a.shape)
+    if r < u.shape[1]:
+        u, w = u[:, :r].copy(), w[:, :r].copy()
+    return SvdFactors(_read_only(u), _read_only(s), _read_only(w))
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _inclusion(
     (I - P_{R(l2)}) a, 0 at full row rank."""
     if f2.rank == a.shape[0]:
         return _gate(0.0, norm_a, tol)
-    basis = f2.left_vectors[:, : f2.rank]
+    basis = f2.left_vectors
     return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
 
 
@@ -331,7 +331,7 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     if not r:  # the inclusion test admits only a = 0 into R(0)
         return 0.0, (0.0, 0.0, 0.0)
     vectors, values, _ = np.linalg.svd(core, full_matrices=False)
-    lam, basis = float(values[0]), f2.left_vectors[:, :r]
+    lam, basis = float(values[0]), f2.left_vectors
     witness = basis @ (vectors[:, 0] * (s[r - 1] / s[:r]))  # sigma_r w: no entry above 1
     norms = _norm(witness), _norm(a.conj().T @ witness), _norm(b.conj().T @ witness)
     below = norms[1] / norms[2]
@@ -362,7 +362,7 @@ class _Restriction:
 
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """U_r (B^+)* c: the adjoint restriction applied to Q c."""
-        return self.left.left_vectors[:, : self.left.rank] @ self.b.adjoint().solve(c)[0]
+        return self.left.left_vectors @ self.b.adjoint().solve(c)[0]
 
 
 def _restricted_inverse(left: SvdFactors, b: SvdFactors) -> _Restriction:
@@ -393,9 +393,9 @@ class OperatorEnv:
     same norms as |K V_k Sigma_k^-1 - U_k| and |U_k (U_k* K) - K|); ``adjoint()``
     swaps K and K*, which is how every K*-frame question is asked; a Hermitian K is its own
     adjoint env. K* and ``adjoint()`` are derived from ``factors`` on first use and memoized
-    on the value; ``range_basis`` (U_k, a view of the factors, never copied) and the norms
-    read the factors. An env holds its adjoint, and the adjoint never refers back to it. A
-    product that must equal K or K* reads V_k and K* U_k off ``corange_basis`` and
+    on the value; ``range_basis`` (U_k, the factors' own left vectors, never copied) and
+    the norms read the factors. An env holds its adjoint, and the adjoint never refers back
+    to it. A product that must equal K or K* reads V_k and K* U_k off ``corange_basis`` and
     ``corange_factor``, paired with U_k, never off ``adjoint()`` (U_k again, off V_k by
     signs, for an indefinite Hermitian K). An env compares and hashes by identity, so it
     keys the memo entries of the values that derive results for it.
@@ -422,7 +422,7 @@ class OperatorEnv:
     def _self_check(self) -> None:
         f, r = self.factors, self.rank
         u, tol = self.range_basis, IDENTITY_TOL * self.norm()
-        _within(self.k @ (f.right_vectors[:, :r] / f.singular_values[:r]) - u,
+        _within(self.k @ (f.right_vectors / f.singular_values[:r]) - u,
                 tol * self.pinv_norm(), InternalConsistencyError,
                 "K K^dagger differs from the range projector by {:.3e}")
         dropped = f.singular_values[r:]  # P_R(K) K - K has norm sigma_{k+1}
@@ -436,12 +436,12 @@ class OperatorEnv:
     @property
     def range_basis(self) -> np.ndarray:
         """U_k (n x k), an orthonormal basis of R(K)."""
-        return self.factors.left_vectors[:, : self.rank]
+        return self.factors.left_vectors
 
     @property
     def corange_basis(self) -> np.ndarray:
         """V_k (n x k), an orthonormal basis of R(K*) paired with U_k by K V_k = U_k Sigma_k."""
-        return self.factors.right_vectors[:, : self.rank]
+        return self.factors.right_vectors
 
     @property
     def range_factor(self) -> np.ndarray:
@@ -462,7 +462,7 @@ class OperatorEnv:
         def build():
             eye = _read_only(np.eye(s.size, dtype=np.complex128))
             return OperatorEnv(_read_only(np.diag(s.astype(np.complex128))),
-                               SvdFactors(eye, s, eye, s.size))
+                               SvdFactors(eye, s, eye))
 
         return _memo(self, "range_coordinates", build)
 

@@ -248,7 +248,7 @@ def _projected(f: Frame, env: OperatorEnv) -> Frame:
 
 def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
     """M's memoized SVD, once M and K have equal sizes; FloatingPointError if M's least kept
-    singular value (``SvdFactors.core`` divides by it) is subnormal or M = 0 by underflow."""
+    singular value (``SvdFactors.solve`` divides by it) is subnormal or M = 0 by underflow."""
     if env.dim != mult.matrix.shape[0]:
         raise ShapeMismatch(f"row counts differ: {env.dim} vs {mult.matrix.shape[0]}")
     factors = mult._factors()

@@ -61,7 +61,6 @@ __all__ = [
     "WorkedExample",
     "projection_example",
     "minimal_example",
-    "hand_inclusion_instance",
     "reproduce_examples",
 ]
 
@@ -105,15 +104,6 @@ def minimal_example() -> WorkedExample:
         (1.0 / 8.0, 1.0),
         (0.5, 1.0),
     )
-
-
-def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
-    """C^2 instance (K = diag(1,0), Psi = Phi = {e1, e1}) for the
-    range-inclusion inverse constructions; both compositions equal K / K K*
-    exactly."""
-    psi = Frame([[1.0, 0.0], [1.0, 0.0]])
-    env = OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]])
-    return psi, psi, env
 
 
 def _entrywise(frame: Frame, expected_rows) -> float:
@@ -242,7 +232,7 @@ def reproduce_examples(tol: float | None = None) -> dict[str, CheckResult]:
             + (0.0 if tight_b.passed else 1.0), tight_b.identity.threshold)
 
     def c2h_range_inclusion():
-        psi_h = phi_h = Frame([[1.0, 0.0], [1.0, 0.0]])  # hand_inclusion_instance, on env2
+        psi_h = phi_h = Frame([[1.0, 0.0], [1.0, 0.0]])  # {e1, e1} on env2
         # M_{1,P_K Psi,Phi} M_{1,Phi+,Psi~} = K, with both factor frames {e1/2, e1/2}
         right_h = range_inclusion_right_inverse(psi_h, phi_h, env2, identity_tol)
         half_e1 = [[0.5, 0.0], [0.5, 0.0]]

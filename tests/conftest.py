@@ -61,7 +61,7 @@ def skewed_multiplier_svd(monkeypatch):
 
     def skewed(self):
         f = factors(self)
-        return SvdFactors(f.left_vectors, f.singular_values * (1 + 1e-7), f.right_vectors, f.rank)
+        return SvdFactors(f.left_vectors, f.singular_values * (1 + 1e-7), f.right_vectors)
 
     monkeypatch.setattr(Multiplier, "_factors", skewed)
 
@@ -207,6 +207,15 @@ def minimal_instance(rng: np.random.Generator) -> tuple[Frame, Frame, OperatorEn
         psi = spread @ crandn(rng, count, count)
         if well_conditioned(syn) and well_conditioned(k, rank) and well_conditioned(psi, count):
             return Frame(syn.T), Frame(psi.T), OperatorEnv.from_matrix(k)
+
+
+def hand_inclusion_instance() -> tuple[Frame, Frame, OperatorEnv]:
+    """C^2 instance (K = diag(1,0), Psi = Phi = {e1, e1}) for the
+    range-inclusion inverse constructions; both compositions equal K / K K*
+    exactly."""
+    psi = Frame([[1.0, 0.0], [1.0, 0.0]])
+    env = OperatorEnv.from_matrix([[1.0, 0.0], [0.0, 0.0]])
+    return psi, psi, env
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from conftest import (
     admissible_perturbation,
     both_inclusion_instance,
     crandn,
+    hand_inclusion_instance,
     random_k_frame,
     range_projector,
 )
@@ -43,7 +44,7 @@ from kframekit.multipliers import (
     range_inclusion_left_inverse,
     range_inclusion_right_inverse,
 )
-from kframekit.worked import hand_inclusion_instance, minimal_example, projection_example
+from kframekit.worked import minimal_example, projection_example
 
 SQRT2 = np.sqrt(2.0)
 

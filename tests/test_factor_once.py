@@ -82,8 +82,10 @@ PIPELINE_CEILING = 11
 # S_F - A K K* (dual 19 -> 18, perturb-check 8 -> 7). Each majorization cross-check
 # passes on its Gram difference, without the QR route's norm (dual 18 -> 15: the frame's,
 # the dual's and the projected frame's lambda; perturb-check 7 -> 6). lambda is
-# certified by plain products, with no QR or solve (dual 15 -> 9, perturb-check 6 -> 4)
-CLI_VALIDATING = {"dual": 9, "perturb-check": 4}
+# certified by plain products, with no QR or solve (dual 15 -> 9, perturb-check 6 -> 4).
+# A frame path given twice is loaded once, so Psi is Phi and the zero perturbation
+# takes no norm (perturb-check 4 -> 3)
+CLI_VALIDATING = {"dual": 9, "perturb-check": 3}
 # one run of kframe analyze: the SVDs of K and T_F, the SVD of lambda's core and
 # tightness_check's residual norm; lambda's certificates (6 -> 4) and both inequalities
 # are plain products at vectors the SVDs hold, so they add none

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import crandn, graded_instance, minimal_instance, weak_direction_instance
+from conftest import (
+    crandn,
+    graded_instance,
+    hand_inclusion_instance,
+    minimal_instance,
+    weak_direction_instance,
+)
 
 from kframekit import frames, io, worked
 from kframekit.cli import JobSpec, main, run_job
@@ -59,7 +65,6 @@ from kframekit.multipliers import (
     range_inclusion_right_inverse,
 )
 from kframekit.worked import (
-    hand_inclusion_instance,
     minimal_example,
     projection_example,
     reproduce_examples,

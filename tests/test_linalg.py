@@ -7,6 +7,7 @@ from conftest import (
     graded_instance,
     projector_onto_range,
     random_k_frame,
+    random_rank_matrix,
     range_projector,
     skew_lambda_core,
     weak_direction_instance,
@@ -70,7 +71,29 @@ class TestSvd:
         for _ in range(20):
             m = crandn(rng, rng.integers(1, 9), rng.integers(1, 9))
             f = svd_decompose(m)
-            assert np.linalg.norm(f.reconstruct() - m) <= 1e-10 * max(1, np.linalg.norm(m))
+            rebuilt = (f.left_vectors * f.singular_values[: f.rank]) @ f.right_vectors.conj().T
+            assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(1, np.linalg.norm(m))
+
+    def test_factors_hold_only_the_rank_vectors(self):
+        # K of rank 32 in C^64, and a 32 x 48 core C with sigma_32 = 50 * 2^-40 |C|: above
+        # C's cutoff 48 * 2^-40 |C|, below that of the 64 x 48 frame U_k C, 64 * 2^-40 |C|
+        from kframekit.frames import Frame, _factored, _factors
+
+        rng = np.random.default_rng(11)
+        k = random_rank_matrix(rng, 64, 32)
+        env = OperatorEnv.from_matrix(k)
+        u = np.linalg.qr(crandn(rng, 32, 32))[0]
+        w = np.linalg.qr(crandn(rng, 48, 32))[0]
+        s = np.ones(32)
+        s[-1] = 50 * 2.0 ** -40
+        core = Frame(((u * s) @ w.conj().T).T)
+        lifted = _factors(_factored(env.range_basis, core, None))
+        assert _factors(core).rank == 32
+        for factors, rank in ((svd_decompose(k), 32), (env.factors, 32), (lifted, 31)):
+            assert factors.rank == rank and factors.left_vectors.shape == (64, rank)
+            for vectors in (factors.left_vectors, factors.right_vectors):
+                assert vectors.shape[1] == rank
+                assert vectors.base is None or vectors.base.size == vectors.size
 
 
 class TestPseudoInverse:
@@ -508,8 +531,7 @@ class TestGramCrossCheck:
             f = decompose(m)
             g = crandn(np.random.default_rng(0), f.rank, f.rank)
             turn = np.eye(f.rank) + 3e-13 * (g - g.conj().T)
-            return SvdFactors(f.left_vectors[:, : f.rank] @ turn, f.singular_values,
-                              f.right_vectors, f.rank)
+            return SvdFactors(f.left_vectors @ turn, f.singular_values, f.right_vectors)
 
         monkeypatch.setattr(linalg, "svd_decompose", turned)
         rng = np.random.default_rng(47)

@@ -6,6 +6,7 @@ from conftest import (
     admissible_perturbation,
     both_inclusion_instance,
     crandn,
+    hand_inclusion_instance,
     minimal_instance,
     projector_onto_range,
     random_k_frame,
@@ -671,8 +672,6 @@ class TestPerturbationConstructions:
 
 class TestRangeInclusionRecipes:
     def test_hand_instance(self):
-        from kframekit.worked import hand_inclusion_instance
-
         psi, phi, env = hand_inclusion_instance()
         right = range_inclusion_right_inverse(psi, phi, env)
         assert right.passed and right.identity.residual <= 1e-12

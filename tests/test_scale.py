@@ -538,9 +538,9 @@ class TestConsistencyGates:
     def test_operator_self_check(self, monkeypatch):
         # factors that drop nothing while K has a tail of 1e-6 |K|: P K - K is a real gap
         k = np.diag([1.0, 0.5, 1e-6])
-        eye = np.eye(3, dtype=complex)
+        eye = np.eye(3, 2, dtype=complex)
         for s in SCALES:
-            factors = SvdFactors(eye, s * np.array([1.0, 0.5, 0.0]), eye, 2)
+            factors = SvdFactors(eye, s * np.array([1.0, 0.5, 0.0]), eye)
             monkeypatch.setattr(linalg, "svd_decompose", lambda a, factors=factors: factors)
             with pytest.raises(InternalConsistencyError, match="P_R\\(K\\) K differs from K"):
                 OperatorEnv.from_matrix(s * k)
