@@ -7,9 +7,11 @@ Reports are deterministic for fixed inputs and options on one numpy/BLAS build a
 thread count (no timestamps); every verdict carries its residual and threshold.
 Every verdict is a ``CheckResult`` that a public library call returns, copied as it is;
 the CLI computes no number itself, nothing is sampled, and JSON writes inf as null.
-Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error,
-3 internal consistency error (two computation routes disagreed) or a
-numerical failure (LAPACK did not converge, or a float overflowed).
+Exit codes: 0 all verdicts pass, 1 any verdict failed, 2 input/usage error, 3 internal
+consistency error (two computation routes disagreed) or numerical failure: LinAlgError
+(LAPACK did not converge), OverflowError or numpy's overflow FloatingPointError, and the
+named FloatingPointErrors (A or |K|^2 underflows, B's or M's least kept singular value is
+subnormal, M underflows to 0, tau is not finite and positive).
 Each command is declared in ``_HANDLERS`` by the inputs it reads; ``run_job``
 checks their arity and loads frames, then K, then the symbol before it runs.
 """

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     InternalConsistencyError,
     InadmissiblePerturbation,
-    InvalidBounds,
     NotADual,
     NotARepresentation,
     RankDeficientRestriction,
@@ -38,9 +37,9 @@ from .frames import (
     _factored,
     _factors,
     _k_frame_hypothesis,
+    _require_bounds,
     k_frame_check,
     optimal_bessel_bound,
-    validate_bounds,
 )
 from .linalg import (
     _SLACK,
@@ -249,14 +248,10 @@ def canonical_dual_bound_certificate(
     T_Ftilde = K* S^-1 P_{S_F(R(K))} T_F, and since
     |P_{S_F(R(K))} T_F|^2 = |S_F|_{S_F(R(K))}| <= B, its Bessel bound is
     |T_Ftilde|^2 <= |K|^2 |S^-1|^2 B <= B (|K| |K^dagger| |K^dagger| / A)^2, of
-    the Bessel bound's degree and evaluated in that order, so at any scale.
+    the Bessel bound's degree and evaluated in that order, so at any scale. It holds for
+    K-frame bounds alone: ``frames._require_bounds`` refuses any other (a, b) first.
     """
-    validation = validate_bounds(f, env, a, b, tol)
-    if not validation.passed:
-        raise InvalidBounds(
-            f"({a}, {b}) is not a valid K-frame bound pair: A - a = "
-            f"{validation.lower_slack:.3e}, b - B = {validation.upper_slack:.3e}"
-        )
+    _require_bounds(f, env, a, b, tol)
     dual = canonical_k_dual(f, env, tol)
     envelope = (1.0 / b, b * (env.norm() * env.pinv_norm() * env.pinv_norm() / a) ** 2)
     observed = (k_frame_check(dual, env.adjoint(), tol).lower, optimal_bessel_bound(dual))

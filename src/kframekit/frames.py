@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     IndexExceedsDimension,
+    InvalidBounds,
     NotMinimal,
     ShapeMismatch,
     ZeroOperator,
@@ -293,6 +294,22 @@ def validate_bounds(
     upper = optimal_bessel_bound(f)
     return BoundsValidation(_gate(a - lower, lower, tol), _gate(upper - b, upper, tol),
                             lower - a, b - upper)
+
+
+def _require_bounds(f: Frame, env: OperatorEnv, a: float, b: float, tol: float,
+                    of: str = "") -> None:
+    """Raise InvalidBounds unless (a, b) are K-frame bounds of ``f``, which ``of`` names.
+
+    They are positive and finite, so a <= 0 (-0.0 too) and b = inf are refused by name (b = 0
+    is not: B underflows to 0.0 at scale 1e-200); then ``validate_bounds`` decides the pair."""
+    pair = f"({a}, {b}) is not a valid K-frame bound pair{of}"
+    if a <= 0.0 or b == np.inf:
+        side = "lower bound a is not positive" if a <= 0.0 else "upper bound b is not finite"
+        raise InvalidBounds(f"{pair}: the {side}")
+    validation = validate_bounds(f, env, a, b, tol)
+    if not validation.passed:
+        raise InvalidBounds(f"{pair}: A - a = {validation.lower_slack:.3e}, "
+                            f"b - B = {validation.upper_slack:.3e}")
 
 
 @dataclass(frozen=True)

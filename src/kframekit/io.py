@@ -6,15 +6,17 @@ Matrices: {"rows": r, "cols": c, "data": [[re,im], ...]} (row-major).
 Symbols: {"values": [[re,im], ...], "lower": a, "upper": b} (bounds optional).
 
 Parsing is strict and deterministic, and serialize-then-parse is the
-identity on the carried values. Each document's pairs are checked as a
-whole (every pair has two entries, every entry is a finite int or float,
-never a bool, string or null) and converted in one numpy pass; only when
-that check fails does the per-entry walk run, to name the first bad field.
-Files are read as UTF-8 (RFC 8259).
+identity on the carried values. Every document's pairs go through one
+converter, ``_complex_array``: each pair has two entries, each entry is a
+finite int or float, never a bool, string or null. The pairs are checked as a
+whole and converted in one numpy pass; only when that check fails are they
+walked, to name the first bad field in document order. Files are read as
+UTF-8 (RFC 8259).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -55,23 +57,20 @@ def _complex_from(pair, where: str) -> complex:
     return complex(_number(pair[0], where), _number(pair[1], where))
 
 
-def _bulk_complex(pairs: list) -> np.ndarray | None:
-    """``pairs`` as a 1-d complex128 array in one numpy pass, or None.
+def _complex_array(pairs: list, where) -> np.ndarray:
+    """``pairs`` as a 1-d complex128 array; ``where(i)`` names pair i in an error.
 
-    None unless every pair is a two-entry list of finite Python ints or
-    floats; the caller then walks the pairs to name the first bad one. The
-    float64 pairs are viewed as complex128, so the values are bit-exact.
-    """
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    leaves = [x for pair in pairs for x in pair]
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
-    try:
-        flat = np.array(leaves, dtype=np.float64)
-    except OverflowError:  # an integer past the float range
-        return None
-    return flat.view(np.complex128) if np.isfinite(flat).all() else None
+    Two-entry lists of finite Python ints and floats convert in one numpy pass (float64
+    viewed as complex128, so bit-exact); any other list is walked pair by pair, to the
+    same values or to a ParseError naming the first bad pair."""
+    if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+        leaves = [x for pair in pairs for x in pair]
+        if set(map(type, leaves)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an integer past the float range
+                flat = np.array(leaves, dtype=np.float64)
+                if np.isfinite(flat).all():
+                    return flat.view(np.complex128)
+    return np.array([_complex_from(pair, where(i)) for i, pair in enumerate(pairs)], complex)
 
 
 def _parse_frame(obj: dict, source: str) -> Frame:
@@ -81,21 +80,17 @@ def _parse_frame(obj: dict, source: str) -> Frame:
         raise ParseError(f"{source}: 'dim' must be a positive integer, got {dim!r}")
     if not isinstance(vectors, list) or not vectors:
         raise ParseError(f"{source}: 'vectors' must be a nonempty list")
-    if all(isinstance(vec, list) and len(vec) == dim for vec in vectors):
-        flat = _bulk_complex([entry for vec in vectors for entry in vec])
-        if flat is not None:
-            return Frame(flat.reshape(len(vectors), dim))
-    rows = []
-    for i, vec in enumerate(vectors):
-        if not isinstance(vec, list):
-            raise ParseError(f"{source}: vectors[{i}] is not a list")
-        if len(vec) != dim:
-            raise DimensionMismatch(
-                f"{source}: vectors[{i}] has length {len(vec)}, expected dim {dim}"
-            )
-        rows.append([_complex_from(entry, f"{source}: vectors[{i}][{j}]")
-                     for j, entry in enumerate(vec)])
-    return Frame(rows)
+    if not all(isinstance(vec, list) and len(vec) == dim for vec in vectors):
+        for i, vec in enumerate(vectors):  # the first bad row or entry, in document order
+            if not isinstance(vec, list):
+                raise ParseError(f"{source}: vectors[{i}] is not a list")
+            if len(vec) != dim:
+                raise DimensionMismatch(f"{source}: vectors[{i}] has length {len(vec)}, "
+                                        f"expected dim {dim}")
+            _complex_array(vec, lambda j: f"{source}: vectors[{i}][{j}]")
+    flat = _complex_array([entry for vec in vectors for entry in vec],
+                          lambda k: f"{source}: vectors[{k // dim}][{k % dim}]")
+    return Frame(flat.reshape(len(vectors), dim))
 
 
 def _is_count(x) -> bool:
@@ -112,10 +107,7 @@ def _parse_matrix(obj: dict, source: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{source}: 'data' has {len(data)} entries, expected rows*cols = {rows * cols}"
         )
-    flat = _bulk_complex(data)
-    if flat is None:
-        flat = np.array([_complex_from(entry, f"{source}: data[{i}]")
-                         for i, entry in enumerate(data)], dtype=complex)
+    flat = _complex_array(data, lambda i: f"{source}: data[{i}]")
     return as_matrix(flat.reshape(rows, cols), source)
 
 
@@ -123,12 +115,8 @@ def _parse_symbol(obj: dict, source: str) -> Symbol:
     values = obj.get("values")
     if not isinstance(values, list) or not values:
         raise ParseError(f"{source}: 'values' must be a nonempty list")
-    seq = _bulk_complex(values)
-    if seq is None:
-        seq = np.array([_complex_from(entry, f"{source}: values[{i}]")
-                        for i, entry in enumerate(values)], dtype=complex)
     lower, upper = obj.get("lower"), obj.get("upper")
-    return Symbol(seq,
+    return Symbol(_complex_array(values, lambda i: f"{source}: values[{i}]"),
                   None if lower is None else _number(lower, f"{source}: 'lower'"),
                   None if upper is None else _number(upper, f"{source}: 'upper'"))
 

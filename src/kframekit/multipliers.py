@@ -37,7 +37,6 @@ from .errors import (
     ConditionViolated,
     HypothesisNotMet,
     InternalConsistencyError,
-    InvalidBounds,
     NoLeftInverse,
     NoRightInverse,
     NotAnInverse,
@@ -52,10 +51,10 @@ from .frames import (
     _factored,
     _factors,
     _k_frame_hypothesis,
+    _require_bounds,
     biorthogonal_sequence,
     k_frame_check,
     optimal_bessel_bound,
-    validate_bounds,
 )
 from .linalg import (
     _SLACK,
@@ -503,20 +502,16 @@ def perturbation_condition(
 
     rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K), 0.0 with no norm taken
     when Psi is Phi; tau is a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the
-    K-frame bounds (A, B) of Phi given, which ``validate_bounds`` decides on Phi's optimal
-    bounds; FloatingPointError when tau is not finite and positive (B underflows at 1e-200).
+    K-frame bounds (A, B) of Phi given, which ``_require_bounds`` decides on the optimal
+    bounds that ``k_frame_check`` memoizes in its one Douglas pass on Phi's hypothesis;
+    FloatingPointError when tau is not finite and positive (B underflows at 1e-200).
     """
     if not m.is_semi_normalized:
         raise NotSemiNormalized("the perturbation theorem needs a semi-normalized symbol")
     if phi.size != psi.size or phi.ambient_dim != psi.ambient_dim:
         raise ShapeMismatch("Phi and Psi must share index count and ambient dimension")
-    _k_frame_hypothesis(phi, env, tol)
-    validation = validate_bounds(phi, env, a_bound, b_bound, tol)
-    if not validation.passed:
-        raise InvalidBounds(
-            f"({a_bound}, {b_bound}) is not a valid K-frame bound pair for Phi: A - a = "
-            f"{validation.lower_slack:.3e}, b - B = {validation.upper_slack:.3e}"
-        )
+    k_frame_check(phi, env, tol)
+    _require_bounds(phi, env, a_bound, b_bound, tol, " for Phi")
     rho = 0.0 if psi is phi else spectral_norm((psi.analysis - phi.analysis) @ env.range_basis)
     kdag = env.pinv_norm()
     with np.errstate(all="ignore"):  # in a uniform scale a / sqrt(b) has degree -1, 1/|Kdag| 1

@@ -375,6 +375,29 @@ class TestCounts:
             assert type(f._memo[("_k_frame_hypothesis", env, IDENTITY_TOL)]) is CheckResult
         assert (found[0].lower, found[0].upper) == (found[1].lower, found[1].upper)
 
+    def test_perturbation_condition_takes_one_douglas_pass(self, factorizations, monkeypatch):
+        # Phi's hypothesis is tested by k_frame_check, whose one Douglas pass also gives the
+        # optimal bounds the pair is decided on (2 -> 1 solve); the bounds are read off a
+        # separate Frame of the same vectors, so f stays fresh. The SVDs of T_F and of
+        # lambda's core are all it factors, and Psi = Phi takes no norm
+        calls = []
+        solve = SvdFactors.solve
+
+        def counted(self, rhs):
+            calls.append(rhs.shape)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(SvdFactors, "solve", counted)
+        vectors, k, _ = instance(10)
+        env = OperatorEnv.from_matrix(k)
+        bounds = k_frame_check(Frame(vectors), env)
+        f = Frame(vectors)
+        calls.clear()
+        factorizations["n"] = 0
+        perturbation_condition(f, f, env, Symbol.ones(f.size), bounds.lower, bounds.upper)
+        assert calls == [(8, 4)]
+        assert factorizations["n"] == 2
+
     def test_canonical_dual_factors_b_alone(self, factorizations):
         # after k_frame_check, the dual factors only B = Sigma^2 U_r* Q (rank T_F x rank K),
         # never S_F Q (n x rank K): here rank T_F = N = 6 < n = 8

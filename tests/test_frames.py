@@ -7,6 +7,7 @@ from conftest import crandn, projector_onto_range, random_k_frame, weak_directio
 from kframekit import (
     Symbol,
     biorthogonal_right_inverse,
+    canonical_dual_bound_certificate,
     canonical_k_dual,
     perturbation_condition,
     range_inclusion_left_inverse,
@@ -183,6 +184,25 @@ class TestValidateBounds:
         assert perturbation_condition(f, f, env, ones, bounds.lower, bounds.upper).condition
         with pytest.raises(InvalidBounds, match="A - a"):
             perturbation_condition(f, f, env, ones, 100.0 * bounds.lower, bounds.upper)
+
+    @pytest.mark.parametrize("call, a, b, wrong", [
+        (canonical_dual_bound_certificate, 0.0, 2.0, "lower"),
+        (canonical_dual_bound_certificate, -0.0, 2.0, "lower"),
+        (canonical_dual_bound_certificate, 4.0 / 3.0, np.inf, "upper"),
+        (canonical_dual_bound_certificate, -1.0, 2.0, "lower"),
+        (perturbation_condition, 0.0, 2.0, "lower"),
+        (perturbation_condition, -1.0, 2.0, "lower"),
+        (perturbation_condition, 4.0 / 3.0, np.inf, "upper"),
+    ])
+    def test_theorems_refuse_a_bound_pair_that_is_not_positive_and_finite(
+            self, c2_example, call, a, b, wrong):
+        # K-frame bounds are positive and finite: a <= 0 made the envelope divide by
+        # zero or read |a|, and made tau 0 or negative, as b = inf made it 0 (A = 4/3, B = 2)
+        f, env = c2_example.frame, c2_example.env
+        args = (f, env, a, b) if call is canonical_dual_bound_certificate else (
+            f, f, env, Symbol.ones(f.size), a, b)
+        with pytest.raises(InvalidBounds, match=f"the {wrong} bound"):
+            call(*args)
 
     def test_not_k_frame_fails_lower_without_raising(self):
         # R(K) is not in R(T_F): no positive lower bound holds, A = 0

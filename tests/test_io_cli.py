@@ -550,6 +550,29 @@ BAD_INPUTS = {
                       "data[0]: expected a number, got [1, 0]"),
     "ragged row": ([], ("frame", '{"dim": 1, "vectors": [[[1, 0]], [[1, 0], [0, 0]]]}'),
                    "vectors[1] has length 2, expected dim 1"),
+    # the first bad field is named past the first pair, and in document order
+    "bad entry deep in a frame": (
+        [], ("frame", '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], [0, 0]], '
+                      '[[0, 1], [1, null]]]}'),
+        "vectors[2][1]: expected a number, got None",
+    ),
+    "bad entry deep in a matrix": (
+        [], ("operator", '{"rows": 2, "cols": 3, "data": [[1, 0], [0, 0], [0, 0], [0, 0], '
+                         '[1, 0], [0, NaN]]}'),
+        "data[5]: non-finite",
+    ),
+    "bad entry deep in a symbol": (
+        [], ("symbol", '{"values": [[1, 0], [1, 0], [1, 0], [false, 0]]}'),
+        "values[3]: expected a number, got False",
+    ),
+    "overflowing integer in a symbol": (
+        [], ("symbol", '{"values": [[1, 0], [0, -1' + "0" * 400 + ']]}'),
+        "values[1]: non-finite",
+    ),
+    "bad entry before a short row": (
+        [], ("frame", '{"dim": 2, "vectors": [[[1, 0], [Infinity, 0]], [[1, 0]]]}'),
+        "vectors[0][1]: non-finite",
+    ),
 }
 
 
