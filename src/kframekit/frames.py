@@ -37,6 +37,7 @@ from .linalg import (
     _douglas,
     _douglas_solution,
     _gate,
+    _inclusion,
     _majorization,
     _memo,
     _memoized_per_operator,
@@ -67,9 +68,10 @@ class Frame:
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
     built on it, the coordinates frame {U_k* f_i}, the SVD of T_F* K V_k and (per tolerance
-    too) the results of ``k_frame_check``, ``_k_frame_hypothesis`` and ``canonical_k_dual``.
-    Memoization never changes a result, entries are only ever added (so concurrent
-    use stays safe), and no n x n matrix is kept.
+    too) the results of ``k_frame_check``, ``_k_frame_hypothesis`` (a passed verdict, spectral
+    when ``k_frame_check`` ran first, else of residual nan where ``linalg._within`` decided it
+    on |.|_F) and ``canonical_k_dual``. Memoization never changes a result, entries are only
+    ever added (so concurrent use stays safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
     vectors; frames built from known factors keep a small core C (``_factored``),
     which may be a frame whose SVD they lift.
@@ -180,10 +182,11 @@ def _core(f: Frame, env: OperatorEnv) -> Frame | None:
     return inner if np.array_equal(q, env.corange_basis) and env.hermitian else None
 
 
-def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tuple | None]:
+def _hypothesis(f: Frame, env: OperatorEnv, tol: float,
+                report: bool = False) -> tuple[CheckResult, tuple | None]:
     """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k and
     its Douglas residual when this call ran the Douglas pass on T_F (else None). The memo
-    keeps the verdict alone."""
+    keeps the verdict alone, spectral if ``report``, else ``_within``'s (``_inclusion``)."""
     key = ("_k_frame_hypothesis", env, tol)
     if key in f._memo:
         return f._memo[key], None
@@ -199,7 +202,7 @@ def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tu
     else:
         inclusion, _, lam_core, residual = _douglas(
             env.range_factor, f.synthesis, _factors(f), env.norm(), tol,
-            NotKFrame, "R(K) not contained in R(T_F)")
+            NotKFrame, "R(K) not contained in R(T_F)", report)
         douglas = lam_core, residual
     return _memo(f, key, lambda: inclusion), douglas
 
@@ -209,8 +212,8 @@ def _k_frame_hypothesis(f: Frame, env: OperatorEnv, tol: float = IDENTITY_TOL) -
 
     Computes no bound. Raises ZeroOperator for K = 0 (the condition is vacuous and every
     downstream formula divides by A), NotKFrame when the inclusion fails and
-    InternalConsistencyError when ``_douglas``'s residual gate does. Memoized on ``f``
-    per (env, tol) as the verdict alone.
+    InternalConsistencyError when ``_douglas``'s residual gate does. The inclusion is not
+    reported, so ``linalg._within`` decides it. Memoized on ``f`` per (env, tol).
     """
     return _hypothesis(f, env, tol)[0]
 
@@ -239,11 +242,13 @@ def k_frame_check(
     core = _core(f, env)
     if core is not None:
         return k_frame_check(core, env.range_coordinates, tol)
-    inclusion, douglas = _hypothesis(f, env, tol)
+    inclusion, douglas = _hypothesis(f, env, tol, report=True)
     factors = _factors(f)
     a = env.range_factor
     if douglas is None:  # the verdict was memoized: solve again for the core and residual
         douglas = _douglas_solution(a, f.synthesis, factors, env.norm(), tol)[1:]
+        if np.isnan(inclusion.residual):  # a verdict alone: measure the residual it reports
+            inclusion = _inclusion(a, factors, env.norm(), tol)
     lam, (witness, k_w, t_w) = _majorization(a, f.synthesis, factors, *douglas)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda

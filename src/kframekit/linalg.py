@@ -32,8 +32,9 @@ from both sides by plain products on l1 and l2 (a witness vector from below, the
 Douglas residual from above), each to a fixed multiple of d kappa eps lambda, d the
 largest operand dimension. Reported residuals are spectral norms, an identity's read
 on K's rank-k coordinates on the side where it puts P_K, K or K* (``_range_residual``,
-the same up to sigma_{k+1}; its verdict is ``range_identity_check``);
-a residual that only gates (``_within``) is decided on its Frobenius norm first.
+the same up to sigma_{k+1}; its verdict is ``range_identity_check``); one that only gates
+(``_within``: the K-frame hypothesis's inclusion, and the Douglas inclusions discarded by
+``majorization_constant`` and both K-inverses) is decided on its Frobenius norm first.
 Every identity is homogeneous, so every verdict is one gate, ``_gate``:
 residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold,
 ``IDENTITY_TOL`` by default), the magnitude ``scale`` of the identity's terms and
@@ -235,22 +236,26 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
 
 
 def _inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, report: bool = True
 ) -> CheckResult:
     """R(a) inside R(l2) from the factors ``f2`` of l2, given norm(a): the residual of
-    (I - P_{R(l2)}) a, 0 at full row rank."""
+    (I - P_{R(l2)}) a, 0 at full row rank; its spectral norm when ``report``, else
+    ``_within``'s verdict (residual nan unless the spectral norm was taken)."""
     if f2.rank == a.shape[0]:
         return _gate(0.0, norm_a, tol)
     basis = f2.left_vectors
-    return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
+    outside = a - basis @ (basis.conj().T @ a)
+    return _gate(spectral_norm(outside), norm_a, tol) if report else _within(outside, tol * norm_a)
 
 
 def _require_inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str, report=True
 ) -> CheckResult:
-    """The passed test of R(a) in the factored range; raises ``error`` on failure."""
-    inclusion = _inclusion(a, f2, norm_a, tol)
+    """The passed ``_inclusion`` test; raises ``error`` on failure, with the spectral residual."""
+    inclusion = _inclusion(a, f2, norm_a, tol, report)
     if not inclusion:
+        if np.isnan(inclusion.residual):  # decided on |.|_F alone: measure it to raise
+            inclusion = _inclusion(a, f2, norm_a, tol)
         raise error(
             f"{ranges}: residual {inclusion.residual:.3e} "
             f"> threshold {inclusion.threshold:.3e}",
@@ -261,14 +266,14 @@ def _require_inclusion(
 
 def _douglas(
     a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float,
-    error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
+    error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)", report: bool = True,
 ) -> tuple[CheckResult, np.ndarray, np.ndarray, np.ndarray]:
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
-    Returns the passed inclusion test (failure raises ``error``, message
-    prefix ``ranges``) and ``_douglas_solution``'s X, core and residual.
+    Returns the passed inclusion test (failure raises ``error``, message prefix ``ranges``;
+    ``_within`` decides it unless ``report``) and ``_douglas_solution``'s X, core and residual.
     """
-    inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges)
+    inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges, report)
     return (inclusion, *_douglas_solution(a, b, f2, norm_a, tol))
 
 
@@ -284,22 +289,21 @@ def _douglas_solution(
     return x, core, residual
 
 
-def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> bool:
-    """Whether |r|_2 <= ``threshold``, for a residual that is never reported.
+def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> CheckResult:
+    """The verdict |r|_2 <= ``threshold`` on a residual that is never reported.
 
     |r|_F / sqrt(min(m, n)) <= |r|_2 <= |r|_F, so |r|_2 (an SVD) is computed
     only when ``threshold`` lies between those bounds, or to raise
-    ``error(message.format(|r|_2), |r|_2)`` when ``error`` is given.
+    ``error(message.format(|r|_2), |r|_2)`` when ``error`` is given. The verdict's
+    residual is |r|_2 where it was computed, else nan: it was never measured.
     """
     fro = float(np.linalg.norm(r))
-    if fro <= threshold:
-        return True
-    if error is None and fro > threshold * np.sqrt(min(r.shape)):
-        return False
+    if fro <= threshold or (error is None and fro > threshold * np.sqrt(min(r.shape))):
+        return CheckResult(bool(fro <= threshold), np.nan, float(threshold))
     resid = spectral_norm(r)
     if error is not None and resid > threshold:
         raise error(message.format(resid), resid)
-    return resid <= threshold
+    return CheckResult(bool(resid <= threshold), resid, float(threshold))
 
 
 def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
@@ -311,7 +315,7 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     f2 = svd_decompose(b)
-    _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol)
+    _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol, report=False)
     return _majorization(a, b, f2, core, residual)[0]
 
 

@@ -108,12 +108,16 @@ PERTURBED_RIGHT_INVERSE = 2
 # (perturbation_right_inverse's and inverse_as_multiplier's) pass on their Frobenius
 # norms, with no SVD: 48 -> 46. The 3 cross-checks pass on their Gram differences,
 # without the QR route's norm: 46 -> 43. The 3 lambdas are certified by plain products,
-# with no QR or solve: 43 -> 37, the bench's own count
-MULTIPLIERS_OP = 37
+# with no QR or solve: 43 -> 37. The four hypotheses of the range-inclusion and
+# biorthogonal constructions, whose verdicts are never reported, pass on the Frobenius
+# norms of their inclusion residuals, with no SVD: 37 -> 33, the bench's own count
+MULTIPLIERS_OP = 33
 # one reproduce_examples(): one env per distinct K (the range-inclusion instance reads the
 # projection example's K), a Hermitian K's K*-questions read its K-side memo, and Psi = Phi
-# takes no norm of a zero perturbation and no second SVD of B_ref (41 -> 33)
-GOLDEN_SUITE = 33
+# takes no norm of a zero perturbation and no second SVD of B_ref (41 -> 33). The
+# range-inclusion constructions' K-frame hypothesis of Psi passes on the Frobenius norm of
+# its inclusion residual (33 -> 32)
+GOLDEN_SUITE = 32
 # frames_from_multiplier_identity(M_{1,Phi,Phi}, env) on an 8 x 8 rank-4 projection K: M's
 # SVD, lambda's core of the right inverse, T_Phi's SVD, lambda's core of Phi's bounds and
 # |U_k* L|; Psi's K*-frame bounds are Phi's K-frame bounds, memoized, when K = K*, and take
@@ -331,7 +335,9 @@ class TestCounts:
         # the hypothesis, then the bounds on the same pair: exactly k_frame_check's own
         # three factorizations (the SVD of T_F, the inclusion residual's norm and the SVD
         # of lambda's core; T_F is 8 x 6, so R(T_F) is not C^8), none on a repeated
-        # operand, and the bounds carry the memoized verdict
+        # operand. The hypothesis alone decides its residual on the Frobenius norm, so
+        # k_frame_check measures the norm it reports, and reports what it does on a
+        # fresh pair; the memo keeps the first verdict
         vectors, k, _ = instance(10, count=6)
         counts = []
         for hypothesis_first in (False, True):
@@ -345,8 +351,57 @@ class TestCounts:
             inputs = factorizations["inputs"]
             assert not any(np.array_equal(a, b) for i, a in enumerate(inputs) for b in inputs[:i])
         assert counts == [3, 3]
-        assert bounds.inclusion is inclusion
+        fresh = k_frame_check(Frame(vectors), OperatorEnv.from_matrix(k))
+        assert bounds.inclusion == fresh.inclusion
         assert _k_frame_hypothesis(f, env) is inclusion
+
+    def test_hypothesis_alone_takes_no_residual_norm(self, factorizations):
+        # T_F is 8 x 6, so R(T_F) is not C^8 and the inclusion has a residual; the
+        # hypothesis reports nothing, and its Frobenius norm decides it
+        vectors, k, _ = instance(10, count=6)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(k)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        verdict = _k_frame_hypothesis(f, env)
+        assert factorizations["names"] == ["svd"]
+        assert operands(factorizations, "svd") == [f.synthesis.shape]
+        assert verdict.ok and np.isnan(verdict.residual)
+
+    def test_hypothesis_takes_the_residual_norm_between_its_bounds(self, factorizations):
+        # at a tol whose threshold lies between |R|_2 and |R|_F the Frobenius norm decides
+        # nothing: the hypothesis takes |R|_2 and passes, and the bounds then reuse it
+        vectors, k, _ = instance(10, count=6)
+        env = OperatorEnv.from_matrix(k)
+        a, basis = env.range_factor, _factors(Frame(vectors)).left_vectors
+        outside = a - basis @ (basis.conj().T @ a)
+        spectral, frobenius = spectral_norm(outside), float(np.linalg.norm(outside))
+        assert spectral < frobenius
+        tol = np.sqrt(spectral * frobenius) / env.norm()
+        f = Frame(vectors)
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        verdict = _k_frame_hypothesis(f, env, tol)
+        assert operands(factorizations, "svd") == [f.synthesis.shape]
+        assert operands(factorizations, "svd_norm") == [(8, 4)]
+        assert verdict.ok and verdict.residual == spectral
+        bounds = k_frame_check(f, env, tol)
+        assert operands(factorizations, "svd_norm") == [(8, 4)]
+        assert bounds.inclusion == verdict
+        assert bounds == k_frame_check(Frame(vectors), OperatorEnv.from_matrix(k), tol)
+
+    def test_not_k_frame_carries_the_spectral_residual(self, factorizations):
+        # against K = I the residual (I - P_{R(T_F)}) V_k has |.|_2 = 1 and |.|_F = sqrt 2:
+        # the error reports the spectral norm, measured once
+        vectors, _, _ = instance(10, count=6)
+        f, env = Frame(vectors), OperatorEnv.from_matrix(np.eye(8))
+        factorizations["inputs"].clear()
+        factorizations["names"].clear()
+        with pytest.raises(NotKFrame) as info:
+            _k_frame_hypothesis(f, env)
+        assert operands(factorizations, "svd_norm") == [(8, 8)]
+        assert info.value.residual == pytest.approx(1.0, rel=1e-12)
+        assert str(info.value) == (
+            "R(K) not contained in R(T_F): residual 1.000e+00 > threshold 1.000e-10")
 
     def test_k_frame_check_applies_the_factors_once(self, monkeypatch):
         # on a fresh pair lambda's core and Douglas residual come from the hypothesis's one
@@ -554,32 +609,33 @@ class TestCounts:
         assert operands(factorizations, "svd") == [(8, 12), (4, 4)]
 
     def test_biorthogonal_right_inverse_on_a_fresh_instance(self, factorizations):
-        # the K-frame hypothesis of Phi (the SVD of T_Phi and the inclusion residual),
-        # one SVD of T_Psi for the minimality test, the biorthogonal sequence and the
-        # K*-frame hypothesis of Psi (then its inclusion residual), the restricted
-        # inverse of S_Phi and the residual. Each hypothesis is its inclusion alone:
-        # lambda's norm and the cross-check's QR, solve and norm went, 4 per frame.
+        # the K-frame hypothesis of Phi (the SVD of T_Phi), one SVD of T_Psi for the
+        # minimality test, the biorthogonal sequence and the K*-frame hypothesis of Psi,
+        # the restricted inverse of S_Phi and the residual. Each hypothesis is its
+        # inclusion alone, decided on the Frobenius norm of its residual: lambda's norm,
+        # the cross-check's QR, solve and norm and the residual's SVD went, 5 per frame.
         # The SVDs of the P_K Phi core, of G, of the dual's core and of both
         # multipliers went with the Bessel-bound check; the K*-identity is the adjoint
         # of the K-identity and factors nothing
         phi, psi, env = minimal_instance(np.random.default_rng(12))
         factorizations["n"] = 0
         biorthogonal_right_inverse(phi, psi, env)
-        assert factorizations["n"] == 6
+        assert factorizations["n"] == 4
 
     def test_range_inclusion_left_inverse_on_a_fresh_instance(self, factorizations):
-        # the K-frame hypothesis of Psi and the K*-frame hypothesis of Phi (an SVD and
-        # an inclusion residual each), the SVD of T_Psi* K and the inclusion residual,
-        # two restricted inverses and the residual, whose scale |K K*| is |K|^2, read
-        # off K's SVD. Each hypothesis is its inclusion alone: lambda's norm and the
-        # cross-check's QR, solve and norm went, 4 per frame. The SVDs of Psi-dag, of
+        # the K-frame hypothesis of Psi and the K*-frame hypothesis of Phi (an SVD
+        # each), the SVD of T_Psi* K and the reported inclusion residual, two restricted
+        # inverses and the residual, whose scale |K K*| is |K|^2, read off K's SVD. Each
+        # hypothesis is its inclusion alone, decided on the Frobenius norm of its
+        # residual: lambda's norm, the cross-check's QR, solve and norm and the
+        # residual's SVD went, 5 per frame. The SVDs of Psi-dag, of
         # the dual's core and of both multipliers went with the Bessel-bound check
         psi, phi, env = both_inclusion_instance(np.random.default_rng(21))
         factorizations["n"] = 0
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         range_inclusion_left_inverse(psi, phi, env)
-        assert factorizations["n"] == 9
+        assert factorizations["n"] == 7
         # the identity's residual is (achieved - K K*) U_k, n x k, not n x n
         assert operands(factorizations, "svd_norm")[-1] == (env.dim, env.rank)
 
@@ -727,7 +783,7 @@ class TestSymmetricOperands:
         assert not {"k_adjoint", "adjoint"} & set(env.adjoint()._memo)
 
     def test_golden_suite_factors_each_operand_once(self, factorizations):
-        # 33 counted factorizations (41 -> 33), and the byte-equal repeats
+        # 32 counted factorizations (41 -> 32), and the byte-equal repeats
         # are the four deliberate ones: majorization_constant's T_F and |K| on raw matrices,
         # the independently built perturbation dual's residual norm, and the left range-
         # inclusion test, equal to the right one only because Psi is Phi and K = K*
@@ -1164,7 +1220,8 @@ class TestNoCycles:
             core = dual._form[1]
             keyed = ((dual, adjoint), (core, adjoint.range_coordinates))
             entries = [v._memo[("_k_frame_hypothesis", e, IDENTITY_TOL)] for v, e in keyed]
-            assert all(e is verdict for e in entries) and type(verdict) is CheckResult
+            assert all(e is verdict for e in entries) and verdict.ok
+            assert [type(v) for v in vars(verdict).values()] == [bool, float, float]
             refs = [weakref.ref(v) for v in (dual, core)]
             del dual, core, keyed, entries
             assert [r() for r in refs] == [None, None]

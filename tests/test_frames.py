@@ -352,6 +352,13 @@ class TestTightness:
         report = tightness_check(dual, c4_example.env.adjoint())
         assert report.identity.ok and report.passed
 
+    def test_tight_frame_with_constant_two_is_not_parseval(self):
+        # S_F = 2 I = 2 K K*: tight, A = 2, so the Parseval verdict fails by |2 - 1|
+        report = tightness_check(Frame(np.sqrt(2.0) * np.eye(2)), OperatorEnv.from_matrix(np.eye(2)))
+        assert report.identity.ok and report.constant == pytest.approx(2.0)
+        assert not report.parseval.ok and not report.passed
+        assert report.parseval.residual == pytest.approx(1.0)
+
     def test_projection_example_not_tight(self, c2_example):
         report = tightness_check(c2_example.frame, c2_example.env)
         assert not report.identity.ok and report.constant is None

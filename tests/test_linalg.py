@@ -29,6 +29,7 @@ from kframekit.linalg import (
     _within,
     majorization_constant,
     _restricted_inverse,
+    range_identity_check,
     spectral_norm,
     svd_decompose,
 )
@@ -339,6 +340,14 @@ class TestResidualGate:
     def test_rejects_below_the_lower_bound_without_svd(self, norm_svds):
         assert not _within(self.R, 3.5)
         assert not norm_svds
+
+    @pytest.mark.parametrize("threshold, ok, residual", [(5.0, True, None), (4.5, True, 4.0),
+                                                         (3.8, False, 4.0), (3.5, False, None)])
+    def test_verdict_holds_the_spectral_residual_only_where_measured(self, threshold, ok,
+                                                                     residual):
+        verdict = _within(self.R, threshold)
+        assert (verdict.ok, verdict.threshold) == (ok, threshold)
+        assert np.isnan(verdict.residual) if residual is None else verdict.residual == residual
 
 
 class TestGate:
@@ -863,6 +872,22 @@ class TestOperatorEnv:
         for arr in (env.k, env.range_basis, env.adjoint().range_basis):
             with pytest.raises(ValueError):
                 arr[0, 0] = 9.0
+
+
+class TestRangeIdentity:
+    """``range_identity_check`` passes a K-right or K-left inverse and fails a non-inverse."""
+
+    @pytest.mark.parametrize("right", [False, True])
+    def test_fails_a_matrix_that_is_not_an_inverse(self, right):
+        rng = np.random.default_rng(41)
+        m, k = crandn(rng, 6, 6), crandn(rng, 6, 3) @ crandn(rng, 3, 6)
+        env = OperatorEnv.from_matrix(k)
+        inverse = k @ np.linalg.inv(m) if right else np.linalg.inv(m) @ k  # L M = K, M R = K
+        wrong = inverse + 1e-6 * crandn(rng, 6, 6)
+        factors = (lambda x: (x, m)) if right else (lambda x: (m, x))
+        assert range_identity_check(env, *factors(inverse), right=right)
+        check = range_identity_check(env, *factors(wrong), right=right)
+        assert not check.ok and check.residual > 1e3 * check.threshold
 
 
 def test_douglas_equivalence_classes():
