@@ -68,10 +68,10 @@ class Frame:
     A frame memoizes one SVD of its synthesis operator (``_factors``), from
     which every frame quantity is read, and per operator env the restriction
     built on it, the coordinates frame {U_k* f_i}, the SVD of T_F* K V_k and (per tolerance
-    too) the results of ``k_frame_check``, ``_k_frame_hypothesis`` (a passed verdict, spectral
-    when ``k_frame_check`` ran first, else of residual nan where ``linalg._within`` decided it
-    on |.|_F) and ``canonical_k_dual``. Memoization never changes a result, entries are only
-    ever added (so concurrent use stays safe), and no n x n matrix is kept.
+    too) the results of ``k_frame_check``, ``_k_frame_hypothesis`` (``linalg._douglas``'s
+    passed verdict, of residual nan where |.|_F decided it) and ``canonical_k_dual``.
+    Memoization never changes a result, entries are only ever added (so concurrent
+    use stays safe), and no n x n matrix is kept.
     Its private form T_F = Q C V* (``_form``) is C = T_F alone when read from
     vectors; frames built from known factors keep a small core C (``_factored``),
     which may be a frame whose SVD they lift.
@@ -182,11 +182,10 @@ def _core(f: Frame, env: OperatorEnv) -> Frame | None:
     return inner if np.array_equal(q, env.corange_basis) and env.hermitian else None
 
 
-def _hypothesis(f: Frame, env: OperatorEnv, tol: float,
-                report: bool = False) -> tuple[CheckResult, tuple | None]:
+def _hypothesis(f: Frame, env: OperatorEnv, tol: float) -> tuple[CheckResult, tuple | None]:
     """``_k_frame_hypothesis``'s verdict, with lambda's r x k core Sigma_r^-1 U_r* K V_k and
     its Douglas residual when this call ran the Douglas pass on T_F (else None). The memo
-    keeps the verdict alone, spectral if ``report``, else ``_within``'s (``_inclusion``)."""
+    keeps the verdict alone."""
     key = ("_k_frame_hypothesis", env, tol)
     if key in f._memo:
         return f._memo[key], None
@@ -202,7 +201,7 @@ def _hypothesis(f: Frame, env: OperatorEnv, tol: float,
     else:
         inclusion, _, lam_core, residual = _douglas(
             env.range_factor, f.synthesis, _factors(f), env.norm(), tol,
-            NotKFrame, "R(K) not contained in R(T_F)", report)
+            NotKFrame, "R(K) not contained in R(T_F)")
         douglas = lam_core, residual
     return _memo(f, key, lambda: inclusion), douglas
 
@@ -242,13 +241,13 @@ def k_frame_check(
     core = _core(f, env)
     if core is not None:
         return k_frame_check(core, env.range_coordinates, tol)
-    inclusion, douglas = _hypothesis(f, env, tol, report=True)
+    inclusion, douglas = _hypothesis(f, env, tol)
     factors = _factors(f)
     a = env.range_factor
     if douglas is None:  # the verdict was memoized: solve again for the core and residual
         douglas = _douglas_solution(a, f.synthesis, factors, env.norm(), tol)[1:]
-        if np.isnan(inclusion.residual):  # a verdict alone: measure the residual it reports
-            inclusion = _inclusion(a, factors, env.norm(), tol)
+    if np.isnan(inclusion.residual):  # decided on |.|_F alone: measure the residual reported
+        inclusion = _inclusion(a, factors, env.norm(), tol)
     lam, (witness, k_w, t_w) = _majorization(a, f.synthesis, factors, *douglas)
     try:
         lower = (1.0 / lam) ** 2  # 1/lambda is inf, not an error, for a subnormal lambda

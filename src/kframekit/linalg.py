@@ -236,26 +236,22 @@ def _gate(residual: float, scale: float, tol: float) -> CheckResult:
 
 
 def _inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, report: bool = True
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float
 ) -> CheckResult:
     """R(a) inside R(l2) from the factors ``f2`` of l2, given norm(a): the residual of
-    (I - P_{R(l2)}) a, 0 at full row rank; its spectral norm when ``report``, else
-    ``_within``'s verdict (residual nan unless the spectral norm was taken)."""
+    (I - P_{R(l2)}) a, 0 at full row rank."""
     if f2.rank == a.shape[0]:
         return _gate(0.0, norm_a, tol)
     basis = f2.left_vectors
-    outside = a - basis @ (basis.conj().T @ a)
-    return _gate(spectral_norm(outside), norm_a, tol) if report else _within(outside, tol * norm_a)
+    return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
 
 
 def _require_inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str, report=True
+    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str
 ) -> CheckResult:
-    """The passed ``_inclusion`` test; raises ``error`` on failure, with the spectral residual."""
-    inclusion = _inclusion(a, f2, norm_a, tol, report)
+    """The passed test of R(a) in the factored range; raises ``error`` on failure."""
+    inclusion = _inclusion(a, f2, norm_a, tol)
     if not inclusion:
-        if np.isnan(inclusion.residual):  # decided on |.|_F alone: measure it to raise
-            inclusion = _inclusion(a, f2, norm_a, tol)
         raise error(
             f"{ranges}: residual {inclusion.residual:.3e} "
             f"> threshold {inclusion.threshold:.3e}",
@@ -266,14 +262,19 @@ def _require_inclusion(
 
 def _douglas(
     a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float,
-    error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)", report: bool = True,
+    error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
 ) -> tuple[CheckResult, np.ndarray, np.ndarray, np.ndarray]:
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
-    Returns the passed inclusion test (failure raises ``error``, message prefix ``ranges``;
-    ``_within`` decides it unless ``report``) and ``_douglas_solution``'s X, core and residual.
+    Returns the passed inclusion verdict, which no caller reports, so ``_within`` decides
+    it (failure raises ``error`` with ``_inclusion``'s message, prefix ``ranges``), and
+    ``_douglas_solution``'s X, core and residual.
     """
-    inclusion = _require_inclusion(a, f2, norm_a, tol, error, ranges, report)
+    inclusion = _gate(0.0, norm_a, tol)
+    if f2.rank < a.shape[0]:
+        basis = f2.left_vectors
+        inclusion = _within(a - basis @ (basis.conj().T @ a), tol * norm_a, error,
+                            f"{ranges}: residual {{:.3e}} > threshold {tol * norm_a:.3e}")
     return (inclusion, *_douglas_solution(a, b, f2, norm_a, tol))
 
 
@@ -292,12 +293,13 @@ def _douglas_solution(
 def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> CheckResult:
     """The verdict |r|_2 <= ``threshold`` on a residual that is never reported.
 
-    |r|_F / sqrt(min(m, n)) <= |r|_2 <= |r|_F, so |r|_2 (an SVD) is computed
+    |r|_F / sqrt(min(m, n)) <= |r|_2 <= |r|_F (``_norm``, which neither under- nor
+    overflows), so |r|_2 (an SVD) is computed
     only when ``threshold`` lies between those bounds, or to raise
     ``error(message.format(|r|_2), |r|_2)`` when ``error`` is given. The verdict's
     residual is |r|_2 where it was computed, else nan: it was never measured.
     """
-    fro = float(np.linalg.norm(r))
+    fro = _norm(r)
     if fro <= threshold or (error is None and fro > threshold * np.sqrt(min(r.shape))):
         return CheckResult(bool(fro <= threshold), np.nan, float(threshold))
     resid = spectral_norm(r)
@@ -315,7 +317,7 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     f2 = svd_decompose(b)
-    _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol, report=False)
+    _, _, core, residual = _douglas(a, b, f2, spectral_norm(a), tol)
     return _majorization(a, b, f2, core, residual)[0]
 
 

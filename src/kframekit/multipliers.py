@@ -280,7 +280,7 @@ def k_right_inverse(
     factors = _multiplier_factors(mult, env)
     a = env.range_factor
     _, _, core, residual = _douglas(a, mult.matrix, factors, env.norm(), tol,
-                                    NoRightInverse, "R(K) not contained in R(M)", False)
+                                    NoRightInverse, "R(K) not contained in R(M)")
     return RightInverse(_read_only(factors.solve(env.k)[0]),
                         _majorization(a, mult.matrix, factors, core, residual)[0])
 
@@ -298,7 +298,7 @@ def k_left_inverse(
     factors = _multiplier_factors(mult, env).adjoint()
     left_adjoint = _douglas(
         env.k_adjoint, mult.matrix.conj().T, factors, env.norm(), tol,
-        NoLeftInverse, "R(K*) not contained in R(M*)", False,
+        NoLeftInverse, "R(K*) not contained in R(M*)",
     )[1]
     return _read_only(left_adjoint.conj().T)
 

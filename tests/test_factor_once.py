@@ -335,9 +335,9 @@ class TestCounts:
         # the hypothesis, then the bounds on the same pair: exactly k_frame_check's own
         # three factorizations (the SVD of T_F, the inclusion residual's norm and the SVD
         # of lambda's core; T_F is 8 x 6, so R(T_F) is not C^8), none on a repeated
-        # operand. The hypothesis alone decides its residual on the Frobenius norm, so
-        # k_frame_check measures the norm it reports, and reports what it does on a
-        # fresh pair; the memo keeps the first verdict
+        # operand. The hypothesis decides its residual on the Frobenius norm, so
+        # k_frame_check measures the norm it reports in either order, and reports the
+        # same; the memo keeps the hypothesis's own verdict
         vectors, k, _ = instance(10, count=6)
         counts = []
         for hypothesis_first in (False, True):
@@ -402,6 +402,16 @@ class TestCounts:
         assert info.value.residual == pytest.approx(1.0, rel=1e-12)
         assert str(info.value) == (
             "R(K) not contained in R(T_F): residual 1.000e+00 > threshold 1.000e-10")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e150])
+    def test_not_k_frame_at_any_scale(self, scale):
+        # the Frobenius norm that may decide the inclusion is taken without squaring
+        # the entries, so a tiny or huge residual is neither 0 nor inf
+        vectors, _, _ = instance(10, count=6)
+        f, env = Frame(scale * vectors), OperatorEnv.from_matrix(scale * np.eye(8))
+        with pytest.raises(NotKFrame) as info:
+            _k_frame_hypothesis(f, env)
+        assert info.value.residual == pytest.approx(scale, rel=1e-12)
 
     def test_k_frame_check_applies_the_factors_once(self, monkeypatch):
         # on a fresh pair lambda's core and Douglas residual come from the hypothesis's one

@@ -349,6 +349,11 @@ class TestResidualGate:
         assert (verdict.ok, verdict.threshold) == (ok, threshold)
         assert np.isnan(verdict.residual) if residual is None else verdict.residual == residual
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])  # squared entries under- or overflow
+    def test_frobenius_norm_is_scaled(self, scale, norm_svds):
+        assert not _within(scale * self.R, scale * 3.5) and _within(scale * self.R, scale * 5.0)
+        assert not norm_svds
+
 
 class TestGate:
     def test_numpy_scalars_give_python_types(self):
