@@ -118,7 +118,6 @@ def _cmd_analyze(job: JobSpec, tol: float, report: Report, frame: Frame, env: Op
     bounds = frames.k_frame_check(frame, env, tol)
     report.results["optimal_lower"] = bounds.lower
     report.results["optimal_upper"] = bounds.upper
-    report.results["bessel_bound"] = bounds.upper
     report.results["minimal"] = frames.minimality_check(frame)
     report.results["operator_rank"] = env.rank
     tight = frames.tightness_check(frame, env, tol)

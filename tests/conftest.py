@@ -39,6 +39,18 @@ def skew_lambda_core(monkeypatch, values: float = 1.0, turn: float = 0.0) -> Non
     monkeypatch.setattr(np.linalg, "svd", skewed)
 
 
+def skew_call(monkeypatch, module, name: str, caller: str, skew) -> None:
+    """Pass what ``module.name`` returns to the function ``caller`` through ``skew``. Every
+    other call of it is left as it is."""
+    call = getattr(module, name)
+
+    def skewed(*args, **kwargs):
+        out = call(*args, **kwargs)
+        return skew(out) if sys._getframe(1).f_code.co_name == caller else out
+
+    monkeypatch.setattr(module, name, skewed)
+
+
 @pytest.fixture()
 def skewed_core_svd(monkeypatch):
     """Scale the singular values of every SVD of lambda's core by 1 + 1e-7.

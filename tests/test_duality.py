@@ -1,17 +1,20 @@
 """Canonical duals, the dual family, and the associated identities."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
-from conftest import admissible_perturbation, crandn, random_k_frame
+from conftest import admissible_perturbation, crandn, random_k_frame, skew_call
 
+from kframekit import duality
 from kframekit.duality import (
     admissibility_violation,
     canonical_coefficients,
     canonical_dual_bound_certificate,
     canonical_k_dual,
     dual_family_generate,
+    dual_family_member,
     dual_family_recover_phi,
     k_dual_lower_bounds,
     minimal_norm_identity,
@@ -156,6 +159,15 @@ class TestBoundCertificate:
         with pytest.raises(InvalidBounds):
             canonical_dual_bound_certificate(c2_example.frame, c2_example.env, 3.0, 2.0)
 
+    def test_lower_side_fails_on_a_skewed_dual_bound(self, c4_example, monkeypatch):
+        # the dual's lower bound is at least 1/B = 1 by the theorem, so only a fault can
+        # fail the lower side: halve the bound the certificate reads
+        skew_call(monkeypatch, duality, "k_frame_check", "canonical_dual_bound_certificate",
+                  lambda bounds: dataclasses.replace(bounds, lower=bounds.lower / 2))
+        report = canonical_dual_bound_certificate(c4_example.frame, c4_example.env, 0.125, 1.0)
+        assert not report.lower.ok and report.upper.ok and not report.passed
+        assert report.lower.residual == pytest.approx(0.5, rel=1e-12)
+
     def test_envelope_on_random_instances(self):
         from kframekit.frames import k_frame_check
 
@@ -246,6 +258,18 @@ class TestDualFamily:
         assert not recovered.flags.writeable
         assert np.array_equal(recovered, phi)
         assert np.array_equal(dual_family_generate(f, env, recovered).vectors, g.vectors)
+
+    def test_round_trip_fails_on_a_skewed_regeneration(self, c4_example, monkeypatch):
+        # a recovered phi regenerates g by construction, so only a fault can fail the round
+        # trip: shift every entry of the regenerated dual by 1e-6
+        f, env = c4_example.frame, c4_example.env
+        g = dual_family_generate(f, env, np.array([[0.5, 0, 0, 1j], [-0.5, 0, 0, -1j],
+                                                   [0, 0, 0, 0]]))
+        skew_call(monkeypatch, duality, "dual_family_generate", "dual_family_member",
+                  lambda dual: Frame(dual.vectors + 1e-6))
+        _, admissible, round_trip = dual_family_member(f, g, env)
+        assert admissible.ok and not round_trip.ok
+        assert round_trip.residual == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("shape", [(2,), (4, 2)], ids=["1-d", "N+1 rows"])
     @pytest.mark.parametrize("call", [admissibility_violation, dual_family_generate])

@@ -269,6 +269,17 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_domain_error_in_text_is_one(self, fixture_files, tmp_path, capsys):
+        zero = tmp_path / "zero.json"
+        io.write_file(zero, io.matrix_to_obj(np.zeros((2, 2))))
+        code = main(["verify", "--frame", fixture_files["f2.json"], "--frame",
+                     fixture_files["f2.json"], "--operator", str(zero), "--format", "text"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in out if line.startswith("ERROR")] == [
+            "ERROR [zero-operator]: K = 0: every Bessel sequence qualifies vacuously; refusing"]
+        assert out[-1] == "overall: FAIL"
+
     def test_input_error_is_two(self, fixture_files, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{")

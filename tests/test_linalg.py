@@ -371,6 +371,10 @@ class TestMajorization:
     def test_scaling(self):
         assert majorization_constant(2 * np.eye(3), np.eye(3)) == pytest.approx(2.0)
 
+    def test_zero_into_zero(self):
+        # R(0) is included in R(0): the least lambda is 0, with no core to factor
+        assert majorization_constant(np.zeros((3, 2)), np.zeros((3, 4))) == 0.0
+
     def test_projection_example_lambda(self):
         s = 1.0 / np.sqrt(2.0)
         syn = np.array([[-s, -s, s], [s, s, s]])

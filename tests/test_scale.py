@@ -611,7 +611,7 @@ class TestCli:
                 "lower threshold": (v["lower-attained"]["threshold"], (2, 0)),
                 "upper threshold": (v["upper-attained"]["threshold"], (2, 0)),
                 "A": (r["optimal_lower"], (2, -2)),
-                "B": ([r["optimal_upper"], r["bessel_bound"]], (2, 0)),
+                "B": (r["optimal_upper"], (2, 0)),
             }
         scaling.check(run)
 
