@@ -195,10 +195,10 @@ def _cmd_perturb_check(job: JobSpec, tol: float, report: Report, phi: Frame, psi
     cond = multipliers.perturbation_condition(
         phi, psi, env, symbol, bounds.lower, bounds.upper, tol
     )
-    report.results["rho"] = cond.rho
-    report.results["tau"] = cond.tau
+    report.results["rho"] = cond.residual
+    report.results["tau"] = cond.threshold
     report.results["bounds_used"] = [bounds.lower, bounds.upper]
-    report.verdicts["perturbation-condition"] = cond.condition
+    report.verdicts["perturbation-condition"] = cond
 
 
 def _cmd_examples(job: JobSpec, tol: float, report: Report) -> None:

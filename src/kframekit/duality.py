@@ -392,15 +392,14 @@ def noncommutativity_witness(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2, the verdict ``pythagoras``.
+    """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2: the verdict ``pythagoras``
+    gates the two sides' difference against 1e-9 ``lhs`` = |c|^2.
 
     ``canonical`` holds d, the canonical coefficients <f, ftilde_i>; the verdict ``dual``
     gates the dual identity applied to the target, |P_{R(K)} T_F d - K target|.
     """
 
     lhs: float
-    rhs: float
-    relative_error: float
     pythagoras: CheckResult
     dual: CheckResult
     canonical: np.ndarray
@@ -449,9 +448,7 @@ def minimal_norm_identity(
     lhs = float(np.sum(np.abs(coeffs) ** 2))
     rhs = float(np.sum(np.abs(d) ** 2) + np.sum(np.abs(coeffs - d) ** 2))
     identity = _gate(abs(lhs - rhs), lhs, _SLACK)
-    # for c = 0 the split holds only with d = 0; rel is then the absolute residual
-    rel = identity.residual / lhs if lhs else identity.residual
-    return IdentityReport(lhs, rhs, rel, identity, _dual_identity(f, env, target, d, tol), d)
+    return IdentityReport(lhs, identity, _dual_identity(f, env, target, d, tol), d)
 
 
 def canonical_coefficients(

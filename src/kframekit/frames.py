@@ -267,13 +267,11 @@ def k_frame_check(
 
 @dataclass(frozen=True)
 class BoundsValidation:
-    """Verdicts ``lower`` (a <= A: a K K* <= S_F) and ``upper`` (b >= B: S_F <= b I) on a
-    user-supplied pair, each residual the negated slack; ``passed`` when both hold."""
+    """Verdicts ``lower`` (a <= A: a K K* <= S_F, residual a - A) and ``upper`` (b >= B:
+    S_F <= b I, residual B - b) on a user-supplied pair; ``passed`` when both hold."""
 
     lower: CheckResult
     upper: CheckResult
-    lower_slack: float  # A - a, of A's degree (>= -tol A when valid)
-    upper_slack: float  # b - B
 
     @property
     def passed(self) -> bool:
@@ -296,8 +294,7 @@ def validate_bounds(
     except ZeroOperator:
         lower = np.inf
     upper = optimal_bessel_bound(f)
-    return BoundsValidation(_gate(a - lower, lower, tol), _gate(upper - b, upper, tol),
-                            lower - a, b - upper)
+    return BoundsValidation(_gate(a - lower, lower, tol), _gate(upper - b, upper, tol))
 
 
 def _require_bounds(f: Frame, env: OperatorEnv, a: float, b: float, tol: float,
@@ -312,8 +309,9 @@ def _require_bounds(f: Frame, env: OperatorEnv, a: float, b: float, tol: float,
         raise InvalidBounds(f"{pair}: the {side}")
     validation = validate_bounds(f, env, a, b, tol)
     if not validation.passed:
-        raise InvalidBounds(f"{pair}: A - a = {validation.lower_slack:.3e}, "
-                            f"b - B = {validation.upper_slack:.3e}")
+        # 0.0 - residual, not -residual: a = A prints 0.000e+00, not -0.000e+00
+        raise InvalidBounds(f"{pair}: A - a = {0.0 - validation.lower.residual:.3e}, "
+                            f"b - B = {0.0 - validation.upper.residual:.3e}")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,6 @@ __all__ = [
     "LowerBoundReport",
     "MultiplierFactorization",
     "BiorthogonalFactorization",
-    "ConditionReport",
     "assemble_multiplier",
     "k_right_inverse",
     "k_left_inverse",
@@ -480,15 +479,6 @@ def biorthogonal_right_inverse(
     return BiorthogonalFactorization(forward, forward.adjoint())
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """The verdict ``condition``: perturbation rho <= tau = a A / (b sqrt(B) |Kdag|^2)."""
-
-    rho: float
-    tau: float
-    condition: CheckResult
-
-
 def perturbation_condition(
     phi: Frame,
     psi: Frame,
@@ -497,8 +487,8 @@ def perturbation_condition(
     a_bound: float,
     b_bound: float,
     tol: float = IDENTITY_TOL,
-) -> ConditionReport:
-    """Restricted perturbation norm rho of Psi against Phi on R(K), and tau.
+) -> CheckResult:
+    """The perturbation theorem's verdict rho <= tau: rho its residual, tau its threshold.
 
     rho is the operator norm of f -> {<f, psi_i - phi_i>} on R(K), 0.0 with no norm taken
     when Psi is Phi; tau is a A / (b sqrt(B) |Kdag|^2) for the symbol bounds (a, b) and the
@@ -518,7 +508,7 @@ def perturbation_condition(
         tau = float(m.lower / m.upper * (a_bound / np.sqrt(b_bound)) / kdag / kdag)
     if not 0.0 < tau < np.inf:
         raise FloatingPointError(f"perturbation threshold tau = {tau!r} is not finite and positive")
-    return ConditionReport(rho, tau, _gate(rho, tau, 1.0))
+    return _gate(rho, tau, 1.0)
 
 
 def _perturbed_restriction(
@@ -537,10 +527,10 @@ def _perturbed_restriction(
 
     def build():
         cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
-        if not cond.condition:
+        if not cond:
             raise ConditionViolated(
-                f"perturbation norm {cond.rho:.6g} exceeds threshold {cond.tau:.6g}",
-                cond.rho - cond.tau,
+                f"perturbation norm {cond.residual:.6g} exceeds threshold {cond.threshold:.6g}",
+                cond.residual - cond.threshold,
             )
         fac = _factors(phi)
 
@@ -560,7 +550,7 @@ def _perturbed_restriction(
         except RankDeficientRestriction as exc:
             raise RestrictionSingular(f"M collapses R(K) at perturbation distance "
                                       f"{distance:.3e} vs margin {margin:.3e}: {exc}") from exc
-        return minv, cond.condition, {"margin": margin, "distance": distance}
+        return minv, cond, {"margin": margin, "distance": distance}
 
     return _memo(m, ("perturbed", phi, psi, env, tuple(bounds), tol), build)
 

@@ -178,7 +178,7 @@ def reproduce_examples(tol: float | None = None) -> dict[str, CheckResult]:
         ones3 = Symbol.ones(3)
         cond = perturbation_condition(f2, f2, env2, ones3, 1.0, 2.0, identity_tol)
         add("c2.perturbation-threshold",
-            abs(cond.tau - GOLDEN_CONSTANTS["perturbation_threshold"]), 1e-12)
+            abs(cond.threshold - GOLDEN_CONSTANTS["perturbation_threshold"]), 1e-12)
 
         collapse = perturbation_k_dual(f2, f2, env2, ones3, (1.0, 2.0), identity_tol)
         collapse_dev = float(np.max(np.abs(np.sort_complex(collapse.dual.vectors[:, 0])
@@ -194,7 +194,8 @@ def reproduce_examples(tol: float | None = None) -> dict[str, CheckResult]:
         offset = dual2.analysis @ e1 + 0.7 * np.array([1.0, -1.0, 0.0])
         report = minimal_norm_identity(f2, env2, e1, offset, identity_tol)
         add("c2.minimal-norm-pythagoras",  # ||c||^2 = 0.72 + 2 (0.7)^2
-            max(abs(report.lhs - 1.7), report.relative_error, report.dual.residual), 1e-10)
+            max(abs(report.lhs - 1.7), report.pythagoras.residual / report.lhs,
+                report.dual.residual), 1e-10)
 
     def c4_dual():
         dual4 = canonical_k_dual(f4, env4, identity_tol)

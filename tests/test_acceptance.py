@@ -221,8 +221,9 @@ def test_criterion_07_minimal_norm_identity():
         null = vh[rank:].conj().T
         offset = null @ crandn(rng, null.shape[1]) if null.shape[1] else np.zeros(frame.size)
         report = minimal_norm_identity(frame, env, target, d + offset)
-        if report.relative_error > 1e-9:
-            failures.append(f"instance {i}: identity off by {report.relative_error:.3e}")
+        off = report.pythagoras.residual / report.lhs
+        if off > 1e-9:
+            failures.append(f"instance {i}: identity off by {off:.3e}")
             break
         coeffs = canonical_coefficients(frame, env, target)
         dev = float(np.max(np.abs(coeffs - d)))
@@ -261,8 +262,8 @@ def test_criterion_09_perturbation_theorem():
     ex = projection_example()
     ones = Symbol.ones(3)
     cond = perturbation_condition(ex.frame, ex.frame, ex.env, ones, 1.0, 2.0)
-    if abs(cond.tau - 1.0 / SQRT2) > 1e-12:
-        failures.append(f"threshold {cond.tau!r} != 1/sqrt2")
+    if abs(cond.threshold - 1.0 / SQRT2) > 1e-12:
+        failures.append(f"threshold {cond.threshold!r} != 1/sqrt2")
 
     dual = canonical_k_dual(ex.frame, ex.env)
     collapse = perturbation_k_dual(ex.frame, ex.frame, ex.env, ones, (1.0, 2.0))
@@ -282,7 +283,7 @@ def test_criterion_09_perturbation_theorem():
             )
             if base > 1e-8:
                 break
-        scale = float(rng.uniform(0.05, 0.5)) * cond.tau / base
+        scale = float(rng.uniform(0.05, 0.5)) * cond.threshold / base
         psi = Frame(ex.frame.vectors + scale * bump)
         cert = perturbation_k_dual(ex.frame, psi, ex.env, ones, (1.0, 2.0))
         if not cert.passed or cert.residual > 1e-9:

@@ -168,6 +168,15 @@ class TestBoundCertificate:
         assert not report.lower.ok and report.upper.ok and not report.passed
         assert report.lower.residual == pytest.approx(0.5, rel=1e-12)
 
+    def test_upper_side_fails_on_a_skewed_dual_bessel_bound(self, c4_example, monkeypatch):
+        # the dual's Bessel bound is at most the envelope's 128 by the theorem, so only a
+        # fault can fail the upper side: read the dual's B = 2 as 200
+        skew_call(monkeypatch, duality, "optimal_bessel_bound",
+                  "canonical_dual_bound_certificate", lambda bound: 100 * bound)
+        report = canonical_dual_bound_certificate(c4_example.frame, c4_example.env, 0.125, 1.0)
+        assert report.lower.ok and not report.upper.ok and not report.passed
+        assert report.upper.residual == pytest.approx(72.0 / 128.0, rel=1e-12)
+
     def test_envelope_on_random_instances(self):
         from kframekit.frames import k_frame_check
 
@@ -363,7 +372,7 @@ class TestMinimalNorm:
         d = dual.analysis @ target
         report = minimal_norm_identity(c2_example.frame, c2_example.env, target, d)
         assert report.passed
-        assert report.rhs == pytest.approx(report.lhs, rel=1e-12)
+        assert report.pythagoras.residual <= 1e-12 * max(report.lhs, 1.0)  # |rhs - lhs|
 
     def test_projection_example_offset(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
@@ -374,6 +383,18 @@ class TestMinimalNorm:
         )
         assert report.passed
         assert report.lhs == pytest.approx(0.72 + 2 * 0.7**2, rel=1e-12)
+
+    def test_pythagoras_fails_on_a_skewed_dual(self, c2_example, monkeypatch):
+        # d is the least-norm representation by the theorem, so only a fault can fail the
+        # split: a dual whose coefficients gain 0.1 (1, -1, 0), in ker T_F, still represents
+        # c = d and still meets the dual identity, but |d'|^2 + |c - d'|^2 = |c|^2 + 0.04
+        f, env, e1 = c2_example.frame, c2_example.env, np.array([1.0, 0.0])
+        d = canonical_k_dual(f, env).analysis @ e1
+        skew_call(monkeypatch, duality, "canonical_k_dual", "minimal_norm_identity",
+                  lambda dual: Frame(dual.vectors + 0.1 * np.outer([1.0, -1.0, 0.0], e1)))
+        report = minimal_norm_identity(f, env, e1, d)
+        assert not report.pythagoras.ok and report.dual.ok and not report.passed
+        assert report.pythagoras.residual == pytest.approx(0.04, rel=1e-9)
 
     def test_strict_optimality(self, c2_example):
         # any nonzero kernel offset strictly increases the coefficient norm
@@ -411,7 +432,7 @@ class TestMinimalNorm:
             null = vh[rank:].conj().T
             offset = null @ crandn(rng, null.shape[1]) if null.shape[1] else 0.0
             report = minimal_norm_identity(frame, env, target, d + offset)
-            assert report.relative_error <= 1e-9
+            assert report.pythagoras.residual / report.lhs <= 1e-9
             assert report.dual.ok
 
 

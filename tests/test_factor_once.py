@@ -143,7 +143,7 @@ def perturbation_instance(seed: int, count: int = 12):
     found = k_frame_check(f, env)
     bounds = (found.lower, found.upper)
     m = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=f.size))
-    tau = perturbation_condition(f, f, env, m, *bounds).tau
+    tau = perturbation_condition(f, f, env, m, *bounds).threshold
     bump = crandn(rng, *vectors.shape)
     psi = Frame(vectors + (0.5 * tau / spectral_norm(bump.conj() @ env.range_basis)) * bump)
     return f, psi, env, m, bounds
@@ -832,7 +832,7 @@ class TestSymmetricOperands:
         factorizations["n"] = 0
         cond = perturbation_condition(f, f, env, m, found.lower, found.upper)
         assert factorizations["n"] == 0
-        assert cond.rho == 0.0 and cond.condition.ok
+        assert cond.residual == 0.0 and cond.ok
         factorizations["inputs"].clear()
         factorizations["names"].clear()
         cert = perturbation_k_dual(f, f, env, m, (found.lower, found.upper))

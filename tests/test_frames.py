@@ -1,14 +1,24 @@
 """Frames, optimal bounds relative to K, tightness, minimality."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
-from conftest import crandn, projector_onto_range, random_k_frame, weak_direction_instance
+from conftest import (
+    crandn,
+    projector_onto_range,
+    random_k_frame,
+    skew_call,
+    weak_direction_instance,
+)
 
 from kframekit import (
     Symbol,
     biorthogonal_right_inverse,
     canonical_dual_bound_certificate,
     canonical_k_dual,
+    frames,
     perturbation_condition,
     range_inclusion_left_inverse,
     range_inclusion_right_inverse,
@@ -116,6 +126,21 @@ class TestKFrameCheck:
         assert bounds.upper == pytest.approx(1.0, rel=1e-12)
         assert validate_bounds(c4_example.frame, c4_example.env, 0.125, 1.0).passed
 
+    def test_upper_attained_fails_on_a_skewed_top_singular_value(self, monkeypatch):
+        # |T_F* u_1|^2 = sigma_1^2 = B by the SVD, so only a fault can fail upper-attained:
+        # read sigma_1 1e-6 high. T_F = diag(2, 1) and K = diag(0, 1) keep lambda's witness
+        # on u_2, so lambda and the lower verdict do not see sigma_1
+        skew = np.array([1.0 + 1e-6, 1.0])
+        skew_call(monkeypatch, frames, "_factors", "k_frame_check", lambda factors:
+                  dataclasses.replace(factors, singular_values=skew * factors.singular_values))
+        bounds = k_frame_check(Frame(np.diag([2.0, 1.0])),
+                               OperatorEnv.from_matrix(np.diag([0.0, 1.0])))
+        assert bounds.lower == pytest.approx(1.0, rel=1e-12)
+        assert bounds.inclusion.ok and bounds.lower_attained.ok
+        assert not bounds.upper_attained.ok
+        assert bounds.upper_attained.residual == pytest.approx(4.0 * (skew[0] ** 2 - 1.0),
+                                                               rel=1e-6)
+
     def test_zero_operator_refused(self):
         with pytest.raises(ZeroOperator):
             k_frame_check(Frame(np.eye(2)), OperatorEnv.from_matrix(np.zeros((2, 2))))
@@ -173,7 +198,7 @@ class TestValidateBounds:
         for factor, valid in ((1.0, True), (0.5, True), (2.0, False), (100.0, False)):
             v = validate_bounds(f, env, factor * bounds.lower, bounds.upper)
             assert (v.lower.ok, v.passed) == (valid, valid), factor
-            assert v.lower_slack == pytest.approx((1.0 - factor) * bounds.lower, rel=1e-12)
+            assert -v.lower.residual == pytest.approx((1.0 - factor) * bounds.lower, rel=1e-12)
 
     def test_weak_direction_perturbation_refuses_a_bound_above_a(self):
         # tau is linear in the lower bound used, so a = 100 A would certify a
@@ -181,7 +206,7 @@ class TestValidateBounds:
         f, env = weak_direction_instance(1e-6)
         bounds = k_frame_check(f, env)
         ones = Symbol.ones(f.size)
-        assert perturbation_condition(f, f, env, ones, bounds.lower, bounds.upper).condition
+        assert perturbation_condition(f, f, env, ones, bounds.lower, bounds.upper)
         with pytest.raises(InvalidBounds, match="A - a"):
             perturbation_condition(f, f, env, ones, 100.0 * bounds.lower, bounds.upper)
 
@@ -204,18 +229,29 @@ class TestValidateBounds:
         with pytest.raises(InvalidBounds, match=f"the {wrong} bound"):
             call(*args)
 
+    def test_b_below_the_optimal_b_fails_upper(self, c2_example):
+        # S_F <= b I fails for every b < B = 2; at a = A exactly the refusal of the
+        # theorems prints A - a as 0.000e+00, not -0.000e+00
+        f, env = c2_example.frame, c2_example.env
+        lower = k_frame_check(f, env).lower
+        v = validate_bounds(f, env, lower, 1.5)
+        assert v.lower.ok and not v.upper.ok and not v.passed
+        assert v.upper.residual == pytest.approx(0.5, rel=1e-12)
+        with pytest.raises(InvalidBounds, match=re.escape("A - a = 0.000e+00, b - B = -5.000e-01")):
+            canonical_dual_bound_certificate(f, env, lower, 1.5)
+
     def test_not_k_frame_fails_lower_without_raising(self):
         # R(K) is not in R(T_F): no positive lower bound holds, A = 0
         v = validate_bounds(Frame([[1.0, 0.0]]), OperatorEnv.from_matrix(np.eye(2)), 1e-300, 1.0)
         assert not v.lower.ok and v.upper.ok and not v.passed
-        assert v.lower_slack == -1e-300
+        assert -v.lower.residual == -1e-300
 
     def test_zero_operator_passes_lower_without_raising(self):
         # a K K* = 0 <= S_F for every a
         zero = OperatorEnv.from_matrix(np.zeros((2, 2)))
         v = validate_bounds(Frame(np.eye(2)), zero, 1e300, 1.0)
         assert v.lower.ok and v.passed
-        assert v.lower_slack == np.inf
+        assert -v.lower.residual == np.inf
 
     def test_reads_the_memoized_bounds(self, monkeypatch, c2_example):
         # after k_frame_check, the pair is two comparisons: nothing is factored

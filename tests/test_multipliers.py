@@ -11,8 +11,10 @@ from conftest import (
     projector_onto_range,
     random_k_frame,
     range_projector,
+    skew_call,
 )
 
+from kframekit import multipliers
 from kframekit.duality import canonical_k_dual, dual_family_generate, verify_k_dual
 from kframekit.errors import (
     ConditionViolated,
@@ -334,6 +336,20 @@ class TestInverseAsMultiplier:
         assert out.passed
         np.testing.assert_allclose(out.target, c2_example.env.k, atol=1e-13)
 
+    def test_identity_fails_on_a_skewed_factor(self, c2_example, monkeypatch):
+        # M_{1, L P_K Phi, Phi-dag} = L K for every K-dual Phi-dag by the theorem, so only a
+        # fault can fail the identity: the factor on dual_choice (a copy of Ftilde, so that
+        # it is not Psi) is assembled 1e-6 high; the inverse and the transported dual hold
+        dual = canonical_k_dual(c2_example.frame, c2_example.env)
+        choice = Frame(dual.vectors)
+        skew_call(monkeypatch, multipliers, "assemble_multiplier", "inverse_as_multiplier",
+                  lambda m: multipliers.Multiplier(m.symbol, m.phi, m.psi, (1 + 1e-6) * m.matrix)
+                  if m.psi is choice else m)
+        out = inverse_as_multiplier(c2_example.frame, dual, c2_example.env,
+                                    range_projector(c2_example.env), "left", choice)
+        assert all(out.certificates.values()) and not out.identity.ok and not out.passed
+        assert out.identity.residual == pytest.approx(1e-6, rel=1e-6)  # |L K| = 1
+
     def test_random_left_instances(self):
         rng = np.random.default_rng(109)
         for _ in range(10):
@@ -492,13 +508,13 @@ class TestPerturbationCondition:
         cond = perturbation_condition(
             c2_example.frame, c2_example.frame, c2_example.env, Symbol.ones(3), 1.0, 2.0
         )
-        assert cond.rho == 0.0 and cond.condition.ok
+        assert cond.residual == 0.0 and cond.ok
 
     def test_threshold_value(self, c2_example):
         cond = perturbation_condition(
             c2_example.frame, c2_example.frame, c2_example.env, Symbol.ones(3), 1.0, 2.0
         )
-        assert cond.tau == pytest.approx(1.0 / SQRT2, abs=1e-12)
+        assert cond.threshold == pytest.approx(1.0 / SQRT2, abs=1e-12)
 
     def test_large_perturbation(self, c2_example):
         vectors = c2_example.frame.vectors.copy()
@@ -507,8 +523,8 @@ class TestPerturbationCondition:
         cond = perturbation_condition(
             c2_example.frame, psi, c2_example.env, Symbol.ones(3), 1.0, 2.0
         )
-        assert cond.rho == pytest.approx(1.0, rel=1e-12)
-        assert not cond.condition.ok
+        assert cond.residual == pytest.approx(1.0, rel=1e-12)
+        assert not cond.ok
 
     def test_requires_semi_normalized(self, c2_example):
         with pytest.raises(NotSemiNormalized):
@@ -553,7 +569,7 @@ class TestPerturbationConstructions:
         )
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         for _ in range(10):
-            psi = perturbed_pair(rng, c2_example.frame, c2_example.env, cond.tau, 0.5)
+            psi = perturbed_pair(rng, c2_example.frame, c2_example.env, cond.threshold, 0.5)
             cert = perturbation_k_dual(
                 c2_example.frame, psi, c2_example.env, ones, (1.0, 2.0)
             )
@@ -568,11 +584,11 @@ class TestPerturbationConstructions:
         # diagnostics keep only the numbers no verdict holds
         f, env, ones = c2_example.frame, c2_example.env, Symbol.ones(3)
         cond = perturbation_condition(f, f, env, ones, 1.0, 2.0)
-        psi = perturbed_pair(np.random.default_rng(149), f, env, cond.tau, 0.5)
+        psi = perturbed_pair(np.random.default_rng(149), f, env, cond.threshold, 0.5)
         fact = perturbation_right_inverse(f, psi, env, ones, (1.0, 2.0), canonical_k_dual(f, env))
         assert fact.certificates["condition"] == perturbation_condition(
-            f, psi, env, ones, 1.0, 2.0).condition
-        assert 0.0 < fact.certificates["condition"].residual < cond.tau
+            f, psi, env, ones, 1.0, 2.0)
+        assert 0.0 < fact.certificates["condition"].residual < cond.threshold
         assert set(fact.diagnostics) == {"margin", "distance"}
 
     def test_right_inverse_trivial_instance(self):
@@ -601,7 +617,7 @@ class TestPerturbationConstructions:
         cond = perturbation_condition(
             c2_example.frame, c2_example.frame, c2_example.env, ones, 1.0, 2.0
         )
-        psi = perturbed_pair(rng, c2_example.frame, c2_example.env, cond.tau, 0.4)
+        psi = perturbed_pair(rng, c2_example.frame, c2_example.env, cond.threshold, 0.4)
         cert = perturbation_k_dual(
             c2_example.frame, psi, c2_example.env, ones, (1.0, 2.0)
         )
@@ -626,7 +642,7 @@ class TestPerturbationConstructions:
             cond = perturbation_condition(
                 frame, frame, env, m, bounds.lower, bounds.upper
             )
-            psi = perturbed_pair(rng, frame, env, cond.tau, float(rng.uniform(0.1, 0.9)))
+            psi = perturbed_pair(rng, frame, env, cond.threshold, float(rng.uniform(0.1, 0.9)))
             dual = canonical_k_dual(frame, env)
             fact = perturbation_right_inverse(
                 frame, psi, env, m, (bounds.lower, bounds.upper), dual
@@ -643,7 +659,8 @@ class TestPerturbationConstructions:
             frame, env = random_k_frame(rng)
             bounds = k_frame_check(frame, env)
             m = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=frame.size))
-            tau = perturbation_condition(frame, frame, env, m, bounds.lower, bounds.upper).tau
+            tau = perturbation_condition(
+                frame, frame, env, m, bounds.lower, bounds.upper).threshold
             psi = perturbed_pair(rng, frame, env, tau, float(rng.uniform(0.1, 0.9)))
             fact = perturbation_right_inverse(frame, psi, env, m, (bounds.lower, bounds.upper),
                                               canonical_k_dual(frame, env))
@@ -683,6 +700,16 @@ class TestRangeInclusionRecipes:
         )
         left = range_inclusion_left_inverse(psi, phi, env)
         assert left.passed and left.identity.residual <= 1e-12
+
+    def test_left_identity_fails_on_a_skewed_dual(self, monkeypatch):
+        # the recipe composes to K K* on R(K*) by the theorem, so only a fault can fail its
+        # identity: Phi's canonical K*-dual is read 1e-6 high, and so is the composition
+        psi, phi, env = hand_inclusion_instance()
+        skew_call(monkeypatch, multipliers, "canonical_k_dual", "range_inclusion_left_inverse",
+                  lambda dual: Frame((1 + 1e-6) * dual.vectors))
+        left = range_inclusion_left_inverse(psi, phi, env)
+        assert left.certificates["inclusion"].ok and not left.identity.ok and not left.passed
+        assert left.identity.residual == pytest.approx(1e-6, rel=1e-6)  # |K|^2 = 1
 
     def test_mismatched_instance(self):
         psi = Frame(np.eye(2))

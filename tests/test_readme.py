@@ -1,4 +1,5 @@
-"""README.md states the contract: its Verdicts and CLI tables must agree with the code."""
+"""README.md states the contract: its Verdicts and CLI tables and the list of functions that
+return one CheckResult must agree with the code."""
 
 import dataclasses
 import inspect
@@ -12,7 +13,7 @@ import pytest
 from conftest import hand_inclusion_instance, minimal_instance
 
 import kframekit
-from kframekit import cli, duality, frames, io, multipliers
+from kframekit import cli, duality, frames, io, linalg, multipliers
 from kframekit.linalg import CheckResult
 from kframekit.worked import minimal_example, projection_example, reproduce_examples
 
@@ -59,6 +60,22 @@ def verdict_fields(cls, prefix: str = "") -> list[str]:
                 found.append(prefix + f.name)
             elif dataclasses.is_dataclass(kind):
                 found += verdict_fields(kind, f"{prefix}{f.name}.")
+    return found
+
+
+def check_result_callables() -> set[str]:
+    """The public functions and methods (``Class.method``) of the library layers annotated
+    ``-> CheckResult``."""
+    found = set()
+    for module in (frames, duality, multipliers, linalg):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
+            for member, function in members:
+                if (inspect.isfunction(function) and not (member or "").startswith("_")
+                        and inspect.signature(function).return_annotation == "CheckResult"):
+                    found.add(f"{name}.{member}" if member else name)
     return found
 
 
@@ -113,8 +130,6 @@ def calls():
             psi_h, phi_h, env_h),
         "biorthogonal_right_inverse": lambda: multipliers.biorthogonal_right_inverse(
             phi3, psi3, env3),
-        "perturbation_condition": lambda: multipliers.perturbation_condition(
-            f2, f2, env2, ones3, 1.0, 2.0),
     }
 
 
@@ -144,6 +159,15 @@ def test_verdicts_table_matches_the_result_types(calls):
                 expected |= set(getattr(item, "certificates", {}))
         listed = [n for n in names(row["verdicts"]) if n != "certificates"]
         assert sorted(listed) == sorted(expected), name
+
+
+def test_one_check_result_sentence_names_every_such_function():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"\n\n((?:(?!\n\n).)*?) each return one `CheckResult`", text, re.S)
+    layers = {"frames", "duality", "multipliers", "linalg"}
+    stated = {name.split(".", 1)[1] if name.split(".")[0] in layers else name
+              for name in names(sentence.group(1))}
+    assert stated == check_result_callables()
 
 
 def test_cli_table_matches_the_handlers(tmp_path):

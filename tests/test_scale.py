@@ -189,7 +189,8 @@ class TestFrames:
             return (v.passed, v.lower.ok, v.upper.ok), {
                 # the lower verdict is a <= A, so its slack A - a and threshold tol A
                 # have A's degree
-                "lower slack": (v.lower_slack, (2, -2)), "upper slack": (v.upper_slack, (2, 0)),
+                "lower slack": (-v.lower.residual, (2, -2)),
+                "upper slack": (-v.upper.residual, (2, 0)),
                 "lower threshold": (v.lower.threshold, (2, -2)),
                 "upper threshold": (v.upper.threshold, (2, 0)),
             }
@@ -324,17 +325,23 @@ class TestDuality:
         stray = crandn(rng, 9)
         loose = 1e-6
 
+        def parts(report, c):  # |d|^2 + |c - d|^2, summed as minimal_norm_identity sums it
+            e = report.canonical
+            return float(np.sum(np.abs(e) ** 2) + np.sum(np.abs(c - e) ** 2))
+
         def run(s):
             f, env = scaling.frame(s, VECTORS), scaling.env(s, K)
             c = scaling.factor(s, DUAL)
-            report = minimal_norm_identity(f, env, target, c * (d + offset))
+            exact, near = c * (d + offset), c * (1 + 1e-8) * d
+            report = minimal_norm_identity(f, env, target, exact)
             refused = outcome(minimal_norm_identity, f, env, target, c * (d + stray))
             # off the split by 2e-8 relative, a representation at tolerance 1e-6
-            split = minimal_norm_identity(f, env, target, c * (1 + 1e-8) * d, loose)
+            split = minimal_norm_identity(f, env, target, near, loose)
             coeffs = canonical_coefficients(f, env, target)
             verdicts = (report.pythagoras.ok, report.dual.ok, report.passed, refused[0])
+            sides = [report.lhs, parts(report, exact), split.lhs, parts(split, near)]
             return (verdicts, split.pythagoras.ok), {
-                "lhs, rhs": ([report.lhs, report.rhs, split.lhs, split.rhs], (-2, 2)),
+                "lhs, rhs": (sides, (-2, 2)),
                 "dual-identity threshold": (report.dual.threshold, OPERATOR),
                 "d": (report.canonical, DUAL), "coefficients": (coeffs, DUAL),
                 "non-representation residual": (refused[1], OPERATOR),
@@ -373,7 +380,7 @@ def multiplier_instance(seed=11, n=6, count=9, rank=3):
     phi, env = Frame(syn.T), OperatorEnv.from_matrix(k)
     bounds = k_frame_check(phi, env)
     sym = Symbol.semi_normalized(rng.uniform(0.5, 2.0, size=count))
-    tau = perturbation_condition(phi, phi, env, sym, bounds.lower, bounds.upper).tau
+    tau = perturbation_condition(phi, phi, env, sym, bounds.lower, bounds.upper).threshold
     bump = crandn(rng, count, n)
     psi = syn.T + (0.5 * tau / np.linalg.norm(bump.conj() @ env.range_basis, 2)) * bump
     dual_choice = (x + admissible_perturbation(rng, phi, env)).conj()  # T_G* = X + phi
@@ -434,8 +441,8 @@ class TestMultipliers:
             fact = perturbation_right_inverse(phi, psi, env, M_SYM, bounds, dual_choice)
             diag = fact.diagnostics
             dual_lower, projected_lower = k_dual_lower_bounds(cert)
-            return (cond.condition.ok, cert.passed, fact.passed), {
-                "rho, tau": ([cond.rho, cond.tau], FRAME),
+            return (cond.ok, cert.passed, fact.passed), {
+                "rho, tau": ([cond.residual, cond.threshold], FRAME),
                 "dual": (cert.dual.vectors, DUAL),
                 "dual threshold": (cert.identity.threshold, OPERATOR),
                 "dual lower bound": (dual_lower, (-2, 0)),
