@@ -52,7 +52,9 @@ from .linalg import (
     _Restriction,
     _range_residual,
     _read_only,
+    _require,
     _restricted_inverse,
+    _Verdicts,
     _within,
     spectral_norm,
     svd_decompose,
@@ -78,11 +80,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KDualCertificate:
+class KDualCertificate(_Verdicts):
     """Verified (or failed) dual pair: the verdict ``identity`` on K = P_{R(K)} T_F T_G*.
 
-    Its residual is the spectral norm of K - P_{R(K)} T_F T_G*; the pair passes iff
-    ``identity`` does. ``lower_bound_report`` carries the
+    Its residual is the spectral norm of K - P_{R(K)} T_F T_G*; ``_Verdicts.passed`` iff
+    ``identity`` holds. ``lower_bound_report`` carries the
     optimal lower K*-frame bound of G and the optimal lower K-frame bound of
     {P_{R(K)} f_i}, only from ``verify_k_dual`` on a passing pair; the constructions leave
     it None, and ``k_dual_lower_bounds`` computes them for any passing certificate.
@@ -93,10 +95,6 @@ class KDualCertificate:
     env: OperatorEnv
     identity: CheckResult
     lower_bound_report: tuple[float, float] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.identity.ok
 
     @property
     def residual(self) -> float:
@@ -215,22 +213,19 @@ def k_dual_lower_bounds(
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Verdicts):
     """Canonical-dual bounds against the guaranteed envelope.
 
     For a K-frame with valid bounds (A, B) the canonical K-dual has lower
     K*-frame bound at least 1/B and Bessel bound at most B |K|^2 |Kdag|^4 / A^2.
-    ``lower`` and ``upper`` carry each relative violation (negative: a margin).
+    ``lower`` and ``upper`` carry each relative violation (negative: a margin);
+    ``_Verdicts.passed`` when both hold.
     """
 
     envelope: tuple[float, float]
     observed: tuple[float, float]
     lower: CheckResult
     upper: CheckResult
-
-    @property
-    def passed(self) -> bool:
-        return self.lower.ok and self.upper.ok
 
 
 def canonical_dual_bound_certificate(
@@ -391,22 +386,19 @@ def noncommutativity_witness(
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Verdicts):
     """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2: the verdict ``pythagoras``
     gates the two sides' difference against 1e-9 ``lhs`` = |c|^2.
 
     ``canonical`` holds d, the canonical coefficients <f, ftilde_i>; the verdict ``dual``
     gates the dual identity applied to the target, |P_{R(K)} T_F d - K target|.
+    ``_Verdicts.passed`` when both hold.
     """
 
     lhs: float
     pythagoras: CheckResult
     dual: CheckResult
     canonical: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.pythagoras.ok and self.dual.ok
 
 
 def _dual_identity(
@@ -441,10 +433,9 @@ def minimal_norm_identity(
         raise ShapeMismatch("target/coefficient sizes do not match the frame")
     dual = canonical_k_dual(f, env, tol)
     d = dual.analysis @ target
-    rep = _gate(float(np.linalg.norm(f.synthesis @ (coeffs - d))),
-                f.norm() * float(np.linalg.norm(coeffs) + np.linalg.norm(d)), tol)
-    if not rep:
-        raise NotARepresentation(f"T_F c differs from T_F d by {rep.residual:.3e}", rep.residual)
+    _require(_gate(float(np.linalg.norm(f.synthesis @ (coeffs - d))),
+                   f.norm() * float(np.linalg.norm(coeffs) + np.linalg.norm(d)), tol),
+             NotARepresentation, "T_F c differs from T_F d by {:.3e}")
     lhs = float(np.sum(np.abs(coeffs) ** 2))
     rhs = float(np.sum(np.abs(d) ** 2) + np.sum(np.abs(coeffs - d) ** 2))
     identity = _gate(abs(lhs - rhs), lhs, _SLACK)
@@ -465,10 +456,6 @@ def canonical_coefficients(
     if target.size != f.ambient_dim:
         raise ShapeMismatch("target size does not match the frame's ambient dimension")
     d = canonical_k_dual(f, env, tol).analysis @ target
-    check = _dual_identity(f, env, target, d, _SLACK)
-    if not check:
-        raise InternalConsistencyError(
-            f"canonical coefficients miss P_R(K) T_F d = K x by {check.residual:.3e}",
-            check.residual,
-        )
+    _require(_dual_identity(f, env, target, d, _SLACK), InternalConsistencyError,
+             "canonical coefficients miss P_R(K) T_F d = K x by {:.3e}")
     return d

@@ -41,6 +41,7 @@ from .linalg import (
     _majorization,
     _memo,
     _memoized_per_operator,
+    _Verdicts,
     as_matrix,
     spectral_norm,
     svd_decompose,
@@ -266,16 +267,12 @@ def k_frame_check(
 
 
 @dataclass(frozen=True)
-class BoundsValidation:
+class BoundsValidation(_Verdicts):
     """Verdicts ``lower`` (a <= A: a K K* <= S_F, residual a - A) and ``upper`` (b >= B:
-    S_F <= b I, residual B - b) on a user-supplied pair; ``passed`` when both hold."""
+    S_F <= b I, residual B - b) on a user-supplied pair; ``_Verdicts.passed`` when both hold."""
 
     lower: CheckResult
     upper: CheckResult
-
-    @property
-    def passed(self) -> bool:
-        return self.lower.ok and self.upper.ok
 
 
 def validate_bounds(
@@ -315,17 +312,13 @@ def _require_bounds(f: Frame, env: OperatorEnv, a: float, b: float, tol: float,
 
 
 @dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(_Verdicts):
     """Verdicts ``identity`` (S_F = A K K* for the fitted A: tight, ``constant`` A, else None)
-    and ``parseval`` (A = 1); ``passed`` when both hold, a Parseval K-frame."""
+    and ``parseval`` (A = 1); ``_Verdicts.passed`` when both hold, a Parseval K-frame."""
 
     identity: CheckResult
     parseval: CheckResult
     constant: float | None
-
-    @property
-    def passed(self) -> bool:
-        return self.identity.ok and self.parseval.ok
 
 
 def tightness_check(

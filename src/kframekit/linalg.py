@@ -36,9 +36,10 @@ the same up to sigma_{k+1}; its verdict is ``range_identity_check``); one that o
 (``_within``: the K-frame hypothesis's inclusion, and the Douglas inclusions discarded by
 ``majorization_constant`` and both K-inverses) is decided on its Frobenius norm first.
 Every identity is homogeneous, so every verdict is one gate, ``_gate``:
-residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold,
-``IDENTITY_TOL`` by default), the magnitude ``scale`` of the identity's terms and
-no absolute floor, so no verdict depends on the units of the input. An
+residual <= tol * scale, for a plain float ``tol`` (the one user-set threshold, ``IDENTITY_TOL``
+by default), the magnitude ``scale`` of the identity's terms and no absolute floor, so no
+verdict depends on the units of the input. A gate that raises its residual raises through
+``_require``; a result type's ``passed`` is the conjunction of its verdicts (``_Verdicts``). An
 ``OperatorEnv`` stores K and its one ``SvdFactors`` and reads K*, its range basis
 U_k, its norms, its adjoint, its range factor K V_k (n x k) and the env of Sigma_k
 off them; it forms no n x n projector, and its self-check no n x n product.
@@ -230,6 +231,33 @@ class CheckResult:
         return self.ok
 
 
+class _Verdicts:
+    """Base of the result types: ``passed`` is the conjunction of every verdict held, the
+    ``CheckResult`` fields, the values of a dict field and the ``passed`` of nested results.
+    A None field and a field that holds no verdict do not count."""
+
+    @property
+    def passed(self) -> bool:
+        return all(map(_holds, vars(self).values()))
+
+
+def _holds(value) -> bool:
+    """False only for a failed verdict, a failed result or a dict holding one."""
+    if isinstance(value, dict):
+        return all(map(_holds, value.values()))
+    if isinstance(value, _Verdicts):
+        return value.passed
+    return value.ok if isinstance(value, CheckResult) else True
+
+
+def _require(check: CheckResult, error, message: str) -> CheckResult:
+    """``check`` if it passed, else raise ``error(message.format(r, t), r)`` for its residual r
+    and threshold t."""
+    if not check:
+        raise error(message.format(check.residual, check.threshold), check.residual)
+    return check
+
+
 def _gate(residual: float, scale: float, tol: float) -> CheckResult:
     """residual <= tol * scale in Python types, ``scale`` of the same degree as ``residual``."""
     return CheckResult(bool(residual <= tol * scale), float(residual), float(tol * scale))
@@ -246,20 +274,6 @@ def _inclusion(
     return _gate(spectral_norm(a - basis @ (basis.conj().T @ a)), norm_a, tol)
 
 
-def _require_inclusion(
-    a: np.ndarray, f2: SvdFactors, norm_a: float, tol: float, error, ranges: str
-) -> CheckResult:
-    """The passed test of R(a) in the factored range; raises ``error`` on failure."""
-    inclusion = _inclusion(a, f2, norm_a, tol)
-    if not inclusion:
-        raise error(
-            f"{ranges}: residual {inclusion.residual:.3e} "
-            f"> threshold {inclusion.threshold:.3e}",
-            inclusion.residual,
-        )
-    return inclusion
-
-
 def _douglas(
     a: np.ndarray, b: np.ndarray, f2: SvdFactors, norm_a: float, tol: float,
     error=RangeNotIncluded, ranges: str = "R(l1) not contained in R(l2)",
@@ -267,14 +281,14 @@ def _douglas(
     """Douglas' lemma for ``b X = a`` from the factors ``f2`` of ``b``.
 
     Returns the passed inclusion verdict, which no caller reports, so ``_within`` decides
-    it (failure raises ``error`` with ``_inclusion``'s message, prefix ``ranges``), and
+    it (failure raises ``error``, message "``ranges``: residual ... > threshold ..."), and
     ``_douglas_solution``'s X, core and residual.
     """
     inclusion = _gate(0.0, norm_a, tol)
     if f2.rank < a.shape[0]:
         basis = f2.left_vectors
         inclusion = _within(a - basis @ (basis.conj().T @ a), tol * norm_a, error,
-                            f"{ranges}: residual {{:.3e}} > threshold {tol * norm_a:.3e}")
+                            ranges + ": residual {:.3e} > threshold {:.3e}")
     return (inclusion, *_douglas_solution(a, b, f2, norm_a, tol))
 
 
@@ -295,17 +309,16 @@ def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> C
 
     |r|_F / sqrt(min(m, n)) <= |r|_2 <= |r|_F (``_norm``, which neither under- nor
     overflows), so |r|_2 (an SVD) is computed
-    only when ``threshold`` lies between those bounds, or to raise
-    ``error(message.format(|r|_2), |r|_2)`` when ``error`` is given. The verdict's
+    only when ``threshold`` lies between those bounds, or to decide the verdict through
+    ``_require(verdict, error, message)`` when ``error`` is given. The verdict's
     residual is |r|_2 where it was computed, else nan: it was never measured.
     """
     fro = _norm(r)
     if fro <= threshold or (error is None and fro > threshold * np.sqrt(min(r.shape))):
         return CheckResult(bool(fro <= threshold), np.nan, float(threshold))
     resid = spectral_norm(r)
-    if error is not None and resid > threshold:
-        raise error(message.format(resid), resid)
-    return CheckResult(bool(resid <= threshold), resid, float(threshold))
+    check = CheckResult(bool(resid <= threshold), resid, float(threshold))
+    return check if error is None else _require(check, error, message)
 
 
 def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:

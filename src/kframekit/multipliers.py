@@ -65,13 +65,15 @@ from .linalg import (
     _divisible,
     _douglas,
     _gate,
+    _inclusion,
     _majorization,
     _memo,
     _memoized_per_operator,
     _range_residual,
     _read_only,
-    _require_inclusion,
+    _require,
     _restricted_inverse,
+    _Verdicts,
     _within,
     range_identity_check,
     spectral_norm,
@@ -106,7 +108,7 @@ class Symbol:
     """Finite scalar symbol, optionally with declared semi-normalization bounds.
 
     Declared bounds are validated against the recomputed moduli: a
-    semi-normalized symbol needs 0 < lower <= |m_i| <= upper for every i.
+    semi-normalized symbol needs 0 < lower <= |m_i| <= upper < inf for every i.
     A symbol memoizes the perturbed restriction built with it; no frame or env
     refers to a symbol, so that memo holds no reference back.
     """
@@ -128,7 +130,7 @@ class Symbol:
             raise NotSemiNormalized("declare both semi-normalization bounds or neither")
         if self.lower is not None:
             mods = np.abs(v)
-            if not (0.0 < self.lower <= float(mods.min())) or float(mods.max()) > self.upper:
+            if not (0.0 < self.lower <= float(mods.min()) and mods.max() <= self.upper < np.inf):
                 raise NotSemiNormalized(
                     f"declared bounds ({self.lower}, {self.upper}) do not bracket "
                     f"the moduli [{mods.min():.6g}, {mods.max():.6g}]"
@@ -214,13 +216,9 @@ class Multiplier:
         SVD or a frame's disagrees with the matrices (InternalConsistencyError); on request.
         """
         bound = self.norm_bound()
-        check = _gate(max(0.0, self.norm() - bound), bound, tol)
-        if not check:
-            raise InternalConsistencyError(
-                f"multiplier norm {self.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
-                f"{bound!r} by more than {check.threshold!r}", check.residual
-            )
-        return check
+        return _require(_gate(max(0.0, self.norm() - bound), bound, tol), InternalConsistencyError,
+                        f"multiplier norm {self.norm()!r} exceeds sqrt(B_Phi B_Psi) sup|m| = "
+                        f"{bound!r} by more than {{1!r}}")
 
 
 def assemble_multiplier(m: Symbol, phi: Frame, psi: Frame) -> Multiplier:
@@ -303,8 +301,9 @@ def k_left_inverse(
 
 
 @dataclass(frozen=True)
-class SideBound:
-    """The verdict ``bound``: the ``optimal`` lower bound is at least the ``guaranteed`` one."""
+class SideBound(_Verdicts):
+    """The verdict ``bound`` (``_Verdicts.passed``): the ``optimal`` lower bound is at least
+    the ``guaranteed`` one."""
 
     guaranteed: float
     optimal: float
@@ -312,23 +311,19 @@ class SideBound:
 
 
 @dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(_Verdicts):
     """Certified lower frame bounds extracted from a multiplier identity.
 
     Case "identity" (M = K): Phi is a K-frame with lower bound at least
     1/(sup|m|^2 B_Psi) and Psi a K*-frame with at least 1/(sup|m|^2 B_Phi).
     Case "inverse": with a K-right inverse R (resp. K-left inverse L) the
     guarantees carry |R|^2 (resp. |L|^2) in the denominator. Each guarantee
-    is checked against the optimal bound; ``passed`` when every present side's holds.
+    is checked against the optimal bound; ``_Verdicts.passed`` when every present side's holds.
     """
 
     case: str
     phi_side: SideBound | None
     psi_side: SideBound | None
-
-    @property
-    def passed(self) -> bool:
-        return all(s.bound.ok for s in (self.phi_side, self.psi_side) if s is not None)
 
 
 def frames_from_multiplier_identity(
@@ -367,14 +362,15 @@ def frames_from_multiplier_identity(
 
 
 @dataclass(frozen=True)
-class MultiplierFactorization:
+class MultiplierFactorization(_Verdicts):
     """Multiplier factors whose ordered product realizes ``target``.
 
     ``achieved`` is the product of the factor matrices left to right
     (times K* first for the left-inverse identity on R(K*)); the verdict ``identity``
     gates |achieved - target|, read on K's rank-k coordinates on the side where the identity
     puts P_K, K or K* (``_range_residual``). ``certificates`` holds the verdicts of the
-    intermediate claims by name, ``diagnostics`` plain numbers; ``passed`` when all hold.
+    intermediate claims by name, ``diagnostics`` plain numbers; ``_Verdicts.passed`` when
+    all hold.
     """
 
     factors: tuple[Multiplier, ...]
@@ -383,10 +379,6 @@ class MultiplierFactorization:
     identity: CheckResult
     certificates: dict[str, CheckResult] = field(default_factory=dict)
     diagnostics: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.identity.ok and all(self.certificates.values())
 
     def adjoint(self) -> "MultiplierFactorization":
         """The adjoint identity: adjoint factors reversed; norms and verdicts carry over."""
@@ -426,10 +418,8 @@ def inverse_as_multiplier(
     inverse = np.asarray(inverse, dtype=np.complex128)
     ones = Symbol.ones(phi.size)
     base = assemble_multiplier(ones, _projected(phi, env), psi)
-    check = _gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), tol)
-    if not check:
-        raise NotAnInverse(f"inverse misses the projected multiplier identity by "
-                           f"{check.residual:.3e}", check.residual)
+    check = _require(_gate(spectral_norm(inverse @ base.matrix - env.k), env.norm(), tol),
+                     NotAnInverse, "inverse misses the projected multiplier identity by {:.3e}")
     _require_k_dual(phi, dual_choice, env, tol, "dual_choice is not a dual of its frame")
     transported = base.phi.map(inverse)
     factor = assemble_multiplier(ones, transported, dual_choice)
@@ -443,15 +433,12 @@ def inverse_as_multiplier(
 
 
 @dataclass(frozen=True)
-class BiorthogonalFactorization:
-    """Multiplier pairs composing to K and to K*; ``mirrored`` is the adjoint of ``forward``."""
+class BiorthogonalFactorization(_Verdicts):
+    """Multiplier pairs composing to K and to K*; ``mirrored`` is the adjoint of ``forward``.
+    ``_Verdicts.passed`` when both pass."""
 
     forward: MultiplierFactorization
     mirrored: MultiplierFactorization
-
-    @property
-    def passed(self) -> bool:
-        return self.forward.passed and self.mirrored.passed
 
 
 def biorthogonal_right_inverse(
@@ -637,10 +624,10 @@ def range_inclusion_right_inverse(
     adjoint = env.adjoint()
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, adjoint, tol)
-    inclusion = _require_inclusion(
-        _factors(psi).adjoint()._range_factor(), _analysis_range(phi, adjoint), psi.norm(),
-        tol, RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*)",
-    )
+    inclusion = _require(_inclusion(_factors(psi).adjoint()._range_factor(),
+                                    _analysis_range(phi, adjoint), psi.norm(), tol),
+                         RangeNotIncluded, "R(T_Psi*) not contained in R(T_Phi* K*): "
+                         "residual {:.3e} > threshold {:.3e}")
     ones = Symbol.ones(psi.size)
     phi_dag = _factored(adjoint.range_basis, Frame(_restriction(phi, adjoint).coordinates().T),
                         _factors(phi).right_vectors)
@@ -671,10 +658,10 @@ def range_inclusion_left_inverse(
         raise ShapeMismatch("Psi and Phi must share a coefficient space")
     _k_frame_hypothesis(psi, env, tol)
     _k_frame_hypothesis(phi, env.adjoint(), tol)
-    inclusion = _require_inclusion(
-        _factors(phi).adjoint()._range_factor(), _analysis_range(psi, env),
-        phi.norm(), tol, RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K)",
-    )
+    inclusion = _require(_inclusion(_factors(phi).adjoint()._range_factor(),
+                                    _analysis_range(psi, env), phi.norm(), tol),
+                         RangeNotIncluded, "R(T_Phi*) not contained in R(T_Psi* K): "
+                         "residual {:.3e} > threshold {:.3e}")
     ones = Symbol.ones(psi.size)
     # ((S_Psi|)^-1)* P_K T_Psi = U_r (B^+)* Q* T_Psi
     restriction = _restriction(psi, env)

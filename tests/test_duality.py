@@ -414,11 +414,14 @@ class TestMinimalNorm:
     def test_not_a_representation(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         d = dual.analysis @ np.array([1.0, 0.0])
-        with pytest.raises(NotARepresentation):
+        # T_F (1, 1, 0) = f_1 + f_2 = sqrt(2) (-1, 1), of norm 2
+        with pytest.raises(NotARepresentation,
+                           match=r"^T_F c differs from T_F d by 2\.000e\+00$") as caught:
             minimal_norm_identity(
                 c2_example.frame, c2_example.env, np.array([1.0, 0.0]),
                 d + np.array([1.0, 1.0, 0.0]),
             )
+        assert caught.value.residual == pytest.approx(2.0, rel=1e-12)
 
     def test_random_kernel_offsets(self):
         rng = np.random.default_rng(71)

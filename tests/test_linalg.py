@@ -1,10 +1,14 @@
 """Kernel: SVD, pseudo-inverse, projectors, factorization, restricted inverses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
     crandn,
     graded_instance,
+    hand_inclusion_instance,
+    minimal_instance,
     projector_onto_range,
     random_k_frame,
     random_rank_matrix,
@@ -14,6 +18,7 @@ from conftest import (
 )
 from tests_support_douglas import douglas_solution, inclusion_check, min_eig
 
+from kframekit import Frame, duality, frames, multipliers
 from kframekit.errors import (
     InternalConsistencyError,
     NonFiniteInput,
@@ -23,9 +28,12 @@ from kframekit.errors import (
 )
 from kframekit.linalg import (
     IDENTITY_TOL,
+    CheckResult,
     OperatorEnv,
     SvdFactors,
     _gate,
+    _require,
+    _Verdicts,
     _within,
     majorization_constant,
     _restricted_inverse,
@@ -33,6 +41,7 @@ from kframekit.linalg import (
     spectral_norm,
     svd_decompose,
 )
+from kframekit.worked import projection_example
 
 S2 = np.array([[1.5, -0.5], [-0.5, 1.5]])
 
@@ -362,6 +371,97 @@ class TestGate:
         assert type(check.ok) is bool and check.ok
         assert type(check.residual) is float and type(check.threshold) is float
         assert _gate(np.float64(3.0), 2.0, np.float64(1.0)).ok is False
+
+    def test_require_returns_a_passed_check_and_raises_a_failed_one(self):
+        passed = _gate(1.0, 2.0, 1.0)
+        assert _require(passed, InternalConsistencyError, "never {:.3e}") is passed
+        with pytest.raises(InternalConsistencyError) as info:
+            _require(_gate(3.0, 2.0, 1.0), InternalConsistencyError, "{:.1f} above {!r}")
+        assert str(info.value) == "3.0 above 2.0" and info.value.residual == 3.0
+
+
+FAILED = CheckResult(False, 1.0, 0.0)
+
+
+def one_failed(result, prefix=""):
+    """(name, copy of ``result`` with exactly that one verdict failed), for each
+    ``CheckResult`` field, each ``certificates`` entry and each verdict of a present
+    nested result."""
+    for field in dataclasses.fields(result):
+        value, name = getattr(result, field.name), prefix + field.name
+        if isinstance(value, CheckResult):
+            yield name, dataclasses.replace(result, **{field.name: FAILED})
+        elif field.name == "certificates":
+            for key in value:
+                yield f"{name}[{key}]", dataclasses.replace(
+                    result, certificates={**value, key: FAILED})
+        elif isinstance(value, _Verdicts):
+            for inner, failed in one_failed(value, name + "."):
+                yield inner, dataclasses.replace(result, **{field.name: failed})
+
+
+class TestVerdictsBase:
+    """A result type's ``passed`` is the conjunction of every verdict it holds."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        """One passing result of every type that inherits the base, with the verdicts
+        whose failure must fail it."""
+        c2 = projection_example()
+        f, env, ones = c2.frame, c2.env, multipliers.Symbol.ones(3)
+        dual = duality.canonical_k_dual(f, env)
+        e1 = np.array([1.0, 0.0])
+        eye = OperatorEnv.from_matrix(np.eye(2))
+        sides = multipliers.frames_from_multiplier_identity(
+            multipliers.assemble_multiplier(ones, f, f), env)
+        psi_h, phi_h, env_h = hand_inclusion_instance()
+        right, left = multipliers.range_inclusion_inverses(psi_h, phi_h, env_h)
+        return [
+            (frames.validate_bounds(f, env, 1.0, 2.0), {"lower", "upper"}),
+            (frames.tightness_check(Frame(np.eye(2)), eye), {"identity", "parseval"}),
+            (duality.verify_k_dual(f, dual, env), {"identity"}),
+            (duality.canonical_dual_bound_certificate(f, env, 1.0, 2.0), {"lower", "upper"}),
+            (duality.minimal_norm_identity(f, env, e1, dual.analysis @ e1),
+             {"pythagoras", "dual"}),
+            (sides.phi_side, {"bound"}),
+            (sides, {"phi_side.bound", "psi_side.bound"}),
+            (multipliers.inverse_as_multiplier(f, dual, env, np.diag([1.0, 0.0]), "left", dual),
+             {"identity", "certificates[inverse]", "certificates[dual_of_transported]"}),
+            (multipliers.perturbation_right_inverse(f, f, env, ones, (1.0, 2.0), dual),
+             {"identity", "certificates[condition]",
+              "certificates[right_inverse_multiplier_form]"}),
+            (right, {"identity", "certificates[inclusion]"}),
+            (left, {"identity", "certificates[inclusion]"}),
+            (multipliers.biorthogonal_right_inverse(
+                *minimal_instance(np.random.default_rng(17))),
+             {"forward.identity", "mirrored.identity"}),
+        ]
+
+    def test_every_result_type_is_covered(self, results):
+        assert {type(result) for result, _ in results} == set(_Verdicts.__subclasses__())
+        assert not hasattr(frames.FrameBounds, "passed")
+        assert not hasattr(duality.WitnessReport, "passed")
+
+    def test_one_failed_verdict_fails_the_result(self, results):
+        for result, verdicts in results:
+            assert result.passed is True, type(result).__name__
+            failed = dict(one_failed(result))
+            assert set(failed) == verdicts, type(result).__name__
+            for name, copy in failed.items():
+                assert copy.passed is False, (type(result).__name__, name)
+
+    def test_none_sides_and_plain_numbers_do_not_count(self, results):
+        sides = next(result for result, _ in results
+                     if isinstance(result, multipliers.LowerBoundReport))
+        assert dataclasses.replace(sides, psi_side=None).passed
+        assert dataclasses.replace(sides, phi_side=None, psi_side=None).passed
+        failed_phi = dataclasses.replace(sides.phi_side, bound=FAILED)
+        assert not dataclasses.replace(sides, phi_side=failed_phi, psi_side=None).passed
+        perturbed = next(result for result, verdicts in results
+                         if "certificates[condition]" in verdicts)
+        assert perturbed.diagnostics["distance"] == 0.0  # Psi is Phi
+        assert dataclasses.replace(perturbed, diagnostics={"margin": 0.0,
+                                                           "distance": -1.0}).passed
 
 
 class TestMajorization:

@@ -1,5 +1,7 @@
 """Multipliers, K-left/right inverses, perturbation and inclusion recipes."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -69,6 +71,11 @@ class TestSymbol:
             Symbol(np.array([0.0, 1.0]), 0.5, 1.0)
         with pytest.raises(NotSemiNormalized):
             Symbol(np.array([1.0]), -1.0, 1.0)
+        # a declared bound must be finite: nan and inf bracket no moduli
+        with pytest.raises(NotSemiNormalized, match=re.escape("(1.0, nan) do not bracket")):
+            Symbol(np.ones(3), 1.0, float("nan"))
+        with pytest.raises(NotSemiNormalized, match=re.escape("(1.0, inf) do not bracket")):
+            Symbol(np.ones(3), 1.0, float("inf"))
 
     def test_zero_allowed_without_bounds(self):
         s = Symbol(np.zeros(3))
@@ -423,29 +430,35 @@ class TestInverseAsMultiplier:
             assert out.passed
 
     def test_not_an_inverse(self, c2_example):
+        # the base multiplier P_K T_F T_Ftilde* is K, so the residual is |3.7 K - K| = 2.7
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        with pytest.raises(NotAnInverse):
+        message = r"^inverse misses the projected multiplier identity by 2\.700e\+00$"
+        with pytest.raises(NotAnInverse, match=message) as caught:
             inverse_as_multiplier(
                 c2_example.frame, dual, c2_example.env, 3.7 * np.eye(2), "left", dual
             )
+        assert caught.value.residual == pytest.approx(2.7, rel=1e-12)
 
     def test_not_a_dual(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         proj = range_projector(c2_example.env)
-        with pytest.raises(NotADual):
+        message = r"^dual_choice is not a dual of its frame \(residual 1\.000e\+00\)$"
+        with pytest.raises(NotADual, match=message) as caught:
             inverse_as_multiplier(
                 c2_example.frame, dual, c2_example.env, proj, "left", Frame(2.0 * dual.vectors)
             )
+        assert caught.value.residual == pytest.approx(1.0, rel=1e-12)  # |2K - K|
 
     # K is a self-adjoint projection here, so M_{1,Ftilde,P_K* F} = K* = K
     # and the right side mirrors the left cases with the frames swapped
 
     def test_not_an_inverse_right(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
-        with pytest.raises(NotAnInverse):
+        with pytest.raises(NotAnInverse, match=r"identity by 2\.700e\+00$") as caught:
             inverse_as_multiplier(
                 dual, c2_example.frame, c2_example.env, 3.7 * np.eye(2), "right", dual
             )
+        assert caught.value.residual == pytest.approx(2.7, rel=1e-12)
 
     def test_not_a_dual_right(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
@@ -591,6 +604,14 @@ class TestPerturbationConstructions:
         assert 0.0 < fact.certificates["condition"].residual < cond.threshold
         assert set(fact.diagnostics) == {"margin", "distance"}
 
+    def test_right_inverse_refuses_a_dual_choice_that_is_not_a_k_dual(self, c2_example):
+        f, env = c2_example.frame, c2_example.env
+        twice = Frame(2.0 * canonical_k_dual(f, env).vectors)  # |2K - K| = 1
+        message = r"^dual_choice is not a K-dual of Phi \(residual 1\.000e\+00\)$"
+        with pytest.raises(NotADual, match=message) as caught:
+            perturbation_right_inverse(f, f, env, Symbol.ones(3), (1.0, 2.0), twice)
+        assert caught.value.residual == pytest.approx(1.0, rel=1e-12)
+
     def test_right_inverse_trivial_instance(self):
         f = Frame(np.eye(2))
         env = OperatorEnv.from_matrix(np.eye(2))
@@ -715,10 +736,18 @@ class TestRangeInclusionRecipes:
         psi = Frame(np.eye(2))
         phi = Frame([[1.0, 0.0], [1.0, 0.0]])
         env = OperatorEnv.from_matrix(np.diag([1.0, 0.0]))
-        with pytest.raises(RangeNotIncluded):
+        # e2 is in R(T_Psi*) = C^2, not in R(T_Phi* K*) = span (1, 1); likewise on the left,
+        # where the threshold is tol |T_Phi| = sqrt(2) 1e-10
+        right = re.escape("R(T_Psi*) not contained in R(T_Phi* K*): residual 1.000e+00 > "
+                          "threshold 1.000e-10")
+        with pytest.raises(RangeNotIncluded, match=f"^{right}$") as caught:
             range_inclusion_right_inverse(psi, phi, env)
-        with pytest.raises(RangeNotIncluded):
+        assert caught.value.residual == pytest.approx(1.0, rel=1e-12)
+        left = re.escape("R(T_Phi*) not contained in R(T_Psi* K): residual 1.000e+00 > "
+                         "threshold 1.414e-10")
+        with pytest.raises(RangeNotIncluded, match=f"^{left}$") as caught:
             range_inclusion_left_inverse(psi, phi, env)
+        assert caught.value.residual == pytest.approx(1.0, rel=1e-12)
 
     def test_random_instances(self):
         rng = np.random.default_rng(137)
