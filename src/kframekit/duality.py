@@ -194,22 +194,14 @@ def k_dual_lower_bounds(
     the optimal Bessel bounds. Violation of either guarantee is an internal
     inconsistency.
     """
-    if not cert.passed:
-        raise NotADual(
-            f"certificate failed (residual {cert.residual:.3e}); lower bounds undefined",
-            cert.residual,
-        )
-    lb_dual, lb_projected = (cert.lower_bound_report
-                             or _lower_bounds(cert.frame, cert.dual, cert.env, tol))
-    guarantee_dual = 1.0 / optimal_bessel_bound(cert.frame)
-    guarantee_projected = 1.0 / optimal_bessel_bound(cert.dual)
-    if not (_gate(guarantee_dual - lb_dual, guarantee_dual, _SLACK)
-            and _gate(guarantee_projected - lb_projected, guarantee_projected, _SLACK)):
-        raise InternalConsistencyError(
-            "dual lower bounds fall below the 1/B guarantees: "
-            f"({lb_dual!r}, {lb_projected!r}) vs ({guarantee_dual!r}, {guarantee_projected!r})"
-        )
-    return (lb_dual, lb_projected)
+    _require(cert.identity, NotADual,
+             "certificate failed (residual {:.3e}); lower bounds undefined")
+    bounds = cert.lower_bound_report or _lower_bounds(cert.frame, cert.dual, cert.env, tol)
+    guarantees = 1.0 / optimal_bessel_bound(cert.frame), 1.0 / optimal_bessel_bound(cert.dual)
+    message = f"dual lower bounds fall below the 1/B guarantees: {bounds!r} vs {guarantees!r}"
+    for guarantee, bound in zip(guarantees, bounds):
+        _require(_gate(guarantee - bound, guarantee, _SLACK), InternalConsistencyError, message)
+    return bounds
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-Every error that carries a measured violation exposes it as ``residual`` so
-callers can re-threshold without re-running the computation.
+Every error that carries a measured violation exposes it as ``residual`` so callers can
+re-threshold without re-running: a failed gate's error carries that gate's residual.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from .linalg import (
     _majorization,
     _memo,
     _memoized_per_operator,
+    _require,
     _Verdicts,
     as_matrix,
     spectral_norm,
@@ -299,16 +300,17 @@ def _require_bounds(f: Frame, env: OperatorEnv, a: float, b: float, tol: float,
     """Raise InvalidBounds unless (a, b) are K-frame bounds of ``f``, which ``of`` names.
 
     They are positive and finite, so a <= 0 (-0.0 too) and b = inf are refused by name (b = 0
-    is not: B underflows to 0.0 at scale 1e-200); then ``validate_bounds`` decides the pair."""
+    is not: B underflows to 0.0 at scale 1e-200); then ``validate_bounds`` decides the pair,
+    and its first failed side raises with that side's residual, a - A or B - b."""
     pair = f"({a}, {b}) is not a valid K-frame bound pair{of}"
     if a <= 0.0 or b == np.inf:
         side = "lower bound a is not positive" if a <= 0.0 else "upper bound b is not finite"
         raise InvalidBounds(f"{pair}: the {side}")
-    validation = validate_bounds(f, env, a, b, tol)
-    if not validation.passed:
-        # 0.0 - residual, not -residual: a = A prints 0.000e+00, not -0.000e+00
-        raise InvalidBounds(f"{pair}: A - a = {0.0 - validation.lower.residual:.3e}, "
-                            f"b - B = {0.0 - validation.upper.residual:.3e}")
+    v = validate_bounds(f, env, a, b, tol)
+    # 0.0 - residual, not -residual: a = A prints 0.000e+00, not -0.000e+00
+    message = f"{pair}: A - a = {0.0 - v.lower.residual:.3e}, b - B = {0.0 - v.upper.residual:.3e}"
+    for side in (v.lower, v.upper):
+        _require(side, InvalidBounds, message)
 
 
 @dataclass(frozen=True)

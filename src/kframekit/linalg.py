@@ -209,10 +209,8 @@ def _cut(u: np.ndarray, s: np.ndarray, w: np.ndarray, a: np.ndarray) -> SvdFacto
     then cut to the rank ``_rank`` reads for a's shape, copied only when columns are dropped."""
     dropped = float(np.linalg.norm(s[u.shape[1]:]))
     resid = float(np.linalg.norm((u * s[: u.shape[1]]) @ w.conj().T - a))
-    if not _gate(resid - dropped, float(np.linalg.norm(a)), IDENTITY_TOL):
-        raise InternalConsistencyError(
-            f"SVD reconstruction residual {resid:.3e} exceeds tolerance", resid
-        )
+    _require(_gate(resid - dropped, float(np.linalg.norm(a)), IDENTITY_TOL),
+             InternalConsistencyError, f"SVD reconstruction residual {resid:.3e} exceeds tolerance")
     r = _rank(s, a.shape)
     if r < u.shape[1]:
         u, w = u[:, :r].copy(), w[:, :r].copy()
@@ -252,7 +250,7 @@ def _holds(value) -> bool:
 
 def _require(check: CheckResult, error, message: str) -> CheckResult:
     """``check`` if it passed, else raise ``error(message.format(r, t), r)`` for its residual r
-    and threshold t."""
+    and threshold t: the one site where a failed gate raises."""
     if not check:
         raise error(message.format(check.residual, check.threshold), check.residual)
     return check
@@ -260,7 +258,15 @@ def _require(check: CheckResult, error, message: str) -> CheckResult:
 
 def _gate(residual: float, scale: float, tol: float) -> CheckResult:
     """residual <= tol * scale in Python types, ``scale`` of the same degree as ``residual``."""
-    return CheckResult(bool(residual <= tol * scale), float(residual), float(tol * scale))
+    threshold = _nonnegative(tol) * scale
+    return CheckResult(bool(residual <= threshold), float(residual), float(threshold))
+
+
+def _nonnegative(threshold: float) -> float:
+    """``threshold``; ValueError if NaN or negative (0 is an exact test, inf a vacuous one)."""
+    if not threshold >= 0.0:
+        raise ValueError(f"a tolerance must be a non-negative number, got {threshold!r}")
+    return threshold
 
 
 def _inclusion(
@@ -313,7 +319,7 @@ def _within(r: np.ndarray, threshold: float, error=None, message: str = "") -> C
     ``_require(verdict, error, message)`` when ``error`` is given. The verdict's
     residual is |r|_2 where it was computed, else nan: it was never measured.
     """
-    fro = _norm(r)
+    fro, threshold = _norm(r), _nonnegative(threshold)
     if fro <= threshold or (error is None and fro > threshold * np.sqrt(min(r.shape))):
         return CheckResult(bool(fro <= threshold), np.nan, float(threshold))
     resid = spectral_norm(r)
@@ -358,9 +364,8 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     above = lam + _norm(in_range) / float(s[r - 1])
     gap = max(abs(lam - below), above - lam)
     unit = max(a.shape + b.shape) * np.finfo(float).eps * float(s[0] / s[r - 1])
-    if not gap <= lam * (_CERTIFICATE * unit):
-        raise InternalConsistencyError(f"majorization routes disagree: lambda {lam!r}, "
-                                       f"witness {below!r}, upper bound {above!r}", gap)
+    _require(_gate(gap, lam, _CERTIFICATE * unit), InternalConsistencyError, "majorization routes "
+             f"disagree: lambda {lam!r}, witness {below!r}, upper bound {above!r}")
     return lam, norms
 
 

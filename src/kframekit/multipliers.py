@@ -513,12 +513,8 @@ def _perturbed_restriction(
     """
 
     def build():
-        cond = perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol)
-        if not cond:
-            raise ConditionViolated(
-                f"perturbation norm {cond.residual:.6g} exceeds threshold {cond.threshold:.6g}",
-                cond.residual - cond.threshold,
-            )
+        cond = _require(perturbation_condition(phi, psi, env, m, bounds[0], bounds[1], tol),
+                        ConditionViolated, "perturbation norm {:.6g} exceeds threshold {:.6g}")
         fac = _factors(phi)
 
         def core(analysis):  # Sigma V_r* diag(m) T* Q for T* = ``analysis``

@@ -24,12 +24,13 @@ from kframekit.duality import (
 )
 from kframekit.errors import (
     InadmissiblePerturbation,
+    InternalConsistencyError,
     InvalidBounds,
     NotADual,
     NotARepresentation,
     ShapeMismatch,
 )
-from kframekit.frames import Frame
+from kframekit.frames import Frame, optimal_bessel_bound
 from kframekit.linalg import OperatorEnv, spectral_norm
 
 SQRT2 = np.sqrt(2.0)
@@ -115,12 +116,28 @@ class TestLowerBounds:
     def test_failed_certificate_rejected(self, c2_example):
         dual = canonical_k_dual(c2_example.frame, c2_example.env)
         cert = verify_k_dual(c2_example.frame, Frame(2.0 * dual.vectors), c2_example.env)
-        with pytest.raises(NotADual):
+        with pytest.raises(NotADual, match=re.escape(
+                "certificate failed (residual 1.000e+00); lower bounds undefined")) as info:
             k_dual_lower_bounds(cert)
+        assert info.value.residual == cert.residual == pytest.approx(1.0, rel=1e-12)
+
+    def test_guarantee_fails_on_a_skewed_lower_bound(self, c2_example, monkeypatch):
+        # G's lower bound 0.72 is at least 1/B_F = 1/2 by the theorem, so only a fault can
+        # fail the guarantee: halve the bound it reads, to 0.36
+        f, env = c2_example.frame, c2_example.env
+        cert = verify_k_dual(f, canonical_k_dual(f, env), env, with_lower_bounds=False)
+        bounds = k_dual_lower_bounds(cert)
+        skew_call(monkeypatch, duality, "_lower_bounds", "k_dual_lower_bounds",
+                  lambda lower: (lower[0] / 2, lower[1]))
+        with pytest.raises(InternalConsistencyError) as info:
+            k_dual_lower_bounds(cert)
+        guarantees = 1.0 / optimal_bessel_bound(f), 1.0 / optimal_bessel_bound(cert.dual)
+        assert str(info.value) == (
+            "dual lower bounds fall below the 1/B guarantees: "
+            f"({bounds[0] / 2!r}, {bounds[1]!r}) vs ({guarantees[0]!r}, {guarantees[1]!r})")
+        assert info.value.residual == pytest.approx(0.5 - 0.36, rel=1e-12)
 
     def test_domination_on_random_instances(self):
-        from kframekit.frames import optimal_bessel_bound
-
         rng = np.random.default_rng(47)
         for _ in range(10):
             frame, env = random_k_frame(rng)
@@ -423,6 +440,12 @@ class TestMinimalNorm:
             )
         assert caught.value.residual == pytest.approx(2.0, rel=1e-12)
 
+    def test_sizes_must_match_the_frame(self, c2_example):
+        with pytest.raises(ShapeMismatch,
+                           match="^target/coefficient sizes do not match the frame$"):
+            minimal_norm_identity(c2_example.frame, c2_example.env, np.array([1.0, 0.0]),
+                                  np.ones(2))
+
     def test_random_kernel_offsets(self):
         rng = np.random.default_rng(71)
         for _ in range(15):
@@ -440,6 +463,11 @@ class TestMinimalNorm:
 
 
 class TestCanonicalCoefficients:
+    def test_target_size_must_match_the_frame(self, c2_example):
+        with pytest.raises(ShapeMismatch, match="^target size does not match the frame's "
+                           "ambient dimension$"):
+            canonical_coefficients(c2_example.frame, c2_example.env, np.ones(3))
+
     def test_identity(self):
         f = Frame(np.eye(2))
         out = canonical_coefficients(f, OperatorEnv.from_matrix(np.eye(2)), np.array([1.0, 0.0]))

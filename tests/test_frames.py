@@ -240,6 +240,28 @@ class TestValidateBounds:
         with pytest.raises(InvalidBounds, match=re.escape("A - a = 0.000e+00, b - B = -5.000e-01")):
             canonical_dual_bound_certificate(f, env, lower, 1.5)
 
+    @pytest.mark.parametrize("call, a, b, lower, b_minus_b, residual", [
+        (canonical_dual_bound_certificate, 2.0, 2.0, "-6.667e-01", 0.0, 2.0 / 3.0),
+        (canonical_dual_bound_certificate, 1.0, 1.5, "3.333e-01", -0.5, 0.5),
+        # both sides fail: the lower side's residual
+        (canonical_dual_bound_certificate, 2.0, 1.5, "-6.667e-01", -0.5, 2.0 / 3.0),
+        (perturbation_condition, 5.0, 2.0, "-3.667e+00", 0.0, 11.0 / 3.0),
+    ])
+    def test_refused_pair_carries_the_failed_sides_residual(
+            self, c2_example, call, a, b, lower, b_minus_b, residual):
+        # A = 4/3 and B = 2 on C^2: the residual is a - A, or B - b where only b fails; at
+        # b = B the message prints B's rounding
+        f, env = c2_example.frame, c2_example.env
+        of, args = ("", (f, env, a, b)) if call is canonical_dual_bound_certificate else (
+            " for Phi", (f, f, env, Symbol.ones(f.size), a, b))
+        with pytest.raises(InvalidBounds) as info:
+            call(*args)
+        head = f"({a}, {b}) is not a valid K-frame bound pair{of}: A - a = {lower}, b - B = "
+        message = str(info.value)
+        assert message.startswith(head)
+        assert float(message[len(head):]) == pytest.approx(b_minus_b, abs=1e-12)
+        assert info.value.residual == pytest.approx(residual, rel=1e-12)
+
     def test_not_k_frame_fails_lower_without_raising(self):
         # R(K) is not in R(T_F): no positive lower bound holds, A = 0
         v = validate_bounds(Frame([[1.0, 0.0]]), OperatorEnv.from_matrix(np.eye(2)), 1e-300, 1.0)
@@ -394,6 +416,10 @@ class TestTightness:
         assert report.identity.ok and report.constant == pytest.approx(2.0)
         assert not report.parseval.ok and not report.passed
         assert report.parseval.residual == pytest.approx(1.0)
+
+    def test_shape_mismatch(self, c2_example):
+        with pytest.raises(ShapeMismatch, match="^frame/operator dimension mismatch$"):
+            tightness_check(Frame(np.eye(3)), c2_example.env)
 
     def test_projection_example_not_tight(self, c2_example):
         report = tightness_check(c2_example.frame, c2_example.env)

@@ -583,6 +583,19 @@ BAD_INPUTS = {
         [], ("frame", '{"dim": 2, "vectors": [[[1, 0], [Infinity, 0]], [[1, 0]]]}'),
         "vectors[0][1]: non-finite",
     ),
+    # each document shape that parses as JSON but is no frame, matrix or symbol
+    "top level not an object": ([], ("frame", "[]"), "frame.json: top level must be a JSON object"),
+    "dim 0": ([], ("frame", '{"dim": 0, "vectors": [[[1, 0]]]}'),
+              "'dim' must be a positive integer, got 0"),
+    "empty vectors": ([], ("frame", '{"dim": 1, "vectors": []}'),
+                      "'vectors' must be a nonempty list"),
+    "row not a list": ([], ("frame", '{"dim": 1, "vectors": [[[1, 0]], 1]}'),
+                       "vectors[1] is not a list"),
+    "rows 0": ([], ("operator", '{"rows": 0, "cols": 1, "data": []}'),
+               "'rows'/'cols' must be positive integers"),
+    "data not a list": ([], ("operator", '{"rows": 1, "cols": 1, "data": 1}'),
+                        "'data' must be a list of [re, im] pairs"),
+    "empty values": ([], ("symbol", '{"values": []}'), "'values' must be a nonempty list"),
 }
 
 
@@ -611,6 +624,40 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
         assert "Traceback" not in captured.err
+
+
+# frames and operators whose sizes disagree: ShapeMismatch is an input error, exit 2
+SHAPE_MISMATCHES = {
+    "verify, 3 and 2 vectors": (["verify", "--frame", "f2.json", "--frame", "two2.json",
+                                 "--operator", "k2.json"], "index counts differ: 3 vs 2"),
+    "verify, C^2 against C^3": (["verify", "--frame", "f2.json", "--frame", "three3.json",
+                                 "--operator", "k2.json"], "ambient dimensions differ"),
+    "multiplier, C^2 and C^3": (["multiplier", "--frame", "f2.json", "--frame", "three3.json",
+                                 "--symbol", "ones3.json"],
+                                "frames live in different ambient dimensions"),
+    "right-inverse, 3 x 3 K": (["right-inverse", "--frame", "f2.json", "--frame", "f2.json",
+                                "--operator", "k3.json"], "row counts differ: 3 vs 2"),
+    "perturb-check, 3 and 2 vectors": (
+        ["perturb-check", "--frame", "f2.json", "--frame", "two2.json", "--operator", "k2.json"],
+        "Phi and Psi must share index count and ambient dimension"),
+    "2 x 3 operator": (["analyze", "--frame", "f2.json", "--operator", "k23.json"],
+                       "operator must be square, got (2, 3)"),
+}
+
+
+class TestShapeMismatches:
+    @pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+    def test_exits_two_with_one_line(self, case, fixture_files, capsys):
+        argv, message = SHAPE_MISMATCHES[case]
+        extra = {"two2.json": io.frame_to_obj(Frame(np.eye(2))),
+                 "three3.json": io.frame_to_obj(Frame(np.eye(3))),
+                 "k3.json": io.matrix_to_obj(np.eye(3)),
+                 "k23.json": io.matrix_to_obj(np.eye(2, 3))}
+        for name, obj in extra.items():
+            fixture_files[name] = f"{fixture_files['dir']}/{name}"
+            io.write_file(fixture_files[name], obj)
+        code = main([fixture_files.get(arg, arg) for arg in argv])
+        assert (code, capsys.readouterr()) == (2, ("", f"input error: {message}\n"))
 
 
 # what each command reads: its --frame count, whether it needs --operator, and

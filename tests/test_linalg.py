@@ -31,6 +31,7 @@ from kframekit.linalg import (
     CheckResult,
     OperatorEnv,
     SvdFactors,
+    _cut,
     _gate,
     _require,
     _Verdicts,
@@ -83,6 +84,24 @@ class TestSvd:
             f = svd_decompose(m)
             rebuilt = (f.left_vectors * f.singular_values[: f.rank]) @ f.right_vectors.conj().T
             assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(1, np.linalg.norm(m))
+
+    def test_skewed_singular_values_fail_the_reconstruction_gate(self, monkeypatch):
+        # an SVD whose singular values are read 1.5 times too large: |0.5 a|_F = 1.125 for
+        # a = diag(2, 1, 1/4); cut to two vectors, the gate subtracts the dropped 1.5 / 4
+        # from the residual |diag(1, 1/2, -1/4)|_F = sqrt(1.3125) that the message names
+        a, eye, s = np.diag([2.0, 1.0, 0.25]), np.eye(3), np.array([2.0, 1.0, 0.25])
+        with pytest.raises(InternalConsistencyError) as info:
+            _cut(eye[:, :2], 1.5 * s, eye[:, :2], a)
+        assert str(info.value) == "SVD reconstruction residual 1.146e+00 exceeds tolerance"
+        assert info.value.residual == pytest.approx(np.sqrt(1.3125) - 0.375, rel=1e-12)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kwargs: (
+            lambda u, values, vh: (u, 1.5 * values, vh))(*svd(m, *args, **kwargs)))
+        with pytest.raises(InternalConsistencyError,
+                           match="^SVD reconstruction residual 1.125e[+]00 exceeds tolerance$"
+                           ) as info:
+            svd_decompose(a)
+        assert info.value.residual == pytest.approx(1.125, rel=1e-12)
 
     def test_factors_hold_only_the_rank_vectors(self):
         # K of rank 32 in C^64, and a 32 x 48 core C with sigma_32 = 50 * 2^-40 |C|: above
@@ -378,6 +397,28 @@ class TestGate:
         with pytest.raises(InternalConsistencyError) as info:
             _require(_gate(3.0, 2.0, 1.0), InternalConsistencyError, "{:.1f} above {!r}")
         assert str(info.value) == "3.0 above 2.0" and info.value.residual == 3.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+    def test_a_nan_or_negative_tolerance_is_refused(self, tol):
+        # NaN failed every gate and a negative tol inverted them, so a bad tolerance read as
+        # a rounding residual (InternalConsistencyError), NotKFrame or a failed certificate
+        c2 = projection_example()
+        f, env = c2.frame, c2.env
+        dual = duality.canonical_k_dual(f, env)
+        narrow = Frame(crandn(np.random.default_rng(8), 6, 8))  # R(T_F) is 6 of C^8
+        for call in (lambda: _gate(0.0, 1.0, tol), lambda: _within(np.eye(2), tol),
+                     lambda: frames.k_frame_check(f, env, tol),
+                     lambda: duality.canonical_k_dual(narrow, OperatorEnv.from_matrix(np.eye(8)),
+                                                      tol),
+                     lambda: duality.verify_k_dual(f, dual, env, tol)):
+            with pytest.raises(ValueError, match="^a tolerance must be a non-negative number"):
+                call()
+
+    def test_zero_and_infinite_tolerances_keep_their_meaning(self):
+        # tol = 0 is an exact test, tol = inf a vacuous one
+        assert _gate(0.0, 1.0, 0.0).ok and not _gate(1e-300, 1.0, 0.0).ok
+        assert _gate(1e300, 1.0, np.inf).ok and _within(np.eye(2), np.inf)
+        assert _within(np.zeros((2, 2)), 0.0) and not _within(np.eye(2), 0.0)
 
 
 FAILED = CheckResult(False, 1.0, 0.0)

@@ -77,6 +77,18 @@ class TestSymbol:
         with pytest.raises(NotSemiNormalized, match=re.escape("(1.0, inf) do not bracket")):
             Symbol(np.ones(3), 1.0, float("inf"))
 
+    def test_refusals(self):
+        with pytest.raises(ShapeMismatch, match="^symbol must not be empty$"):
+            Symbol(np.array([]))
+        with pytest.raises(NotSemiNormalized, match="^symbol contains NaN or Inf$"):
+            Symbol(np.array([1.0, np.nan]))
+        with pytest.raises(NotSemiNormalized,
+                           match="^declare both semi-normalization bounds or neither$"):
+            Symbol(np.ones(2), 1.0)
+        with pytest.raises(NotSemiNormalized,
+                           match="^a semi-normalized symbol needs strictly positive moduli$"):
+            Symbol.semi_normalized([1.0, 0.0])
+
     def test_zero_allowed_without_bounds(self):
         s = Symbol(np.zeros(3))
         assert not s.is_semi_normalized
@@ -707,8 +719,25 @@ class TestPerturbationConstructions:
                 c2_example.frame, Frame(vectors), c2_example.env, Symbol.ones(3), (1.0, 2.0)
             )
 
+    def test_condition_violated_carries_rho(self, c2_example):
+        # Psi = Phi + 0.9 entrywise: rho = 0.9 sqrt(3) on R(K) = span e1, against
+        # tau = 1 / sqrt(2) for (A, B) = (1, 2) and |Kdag| = 1
+        f = c2_example.frame
+        with pytest.raises(ConditionViolated, match="^perturbation norm 1.55885 exceeds "
+                           "threshold 0.707107$") as info:
+            perturbation_k_dual(f, Frame(f.vectors + 0.9), c2_example.env, Symbol.ones(3),
+                                (1.0, 2.0))
+        assert info.value.residual == pytest.approx(0.9 * np.sqrt(3.0), rel=1e-12)
+
 
 class TestRangeInclusionRecipes:
+    @pytest.mark.parametrize("recipe", [range_inclusion_right_inverse,
+                                        range_inclusion_left_inverse])
+    def test_index_counts_differ(self, recipe):
+        _, phi, env = hand_inclusion_instance()
+        with pytest.raises(ShapeMismatch, match="^Psi and Phi must share a coefficient space$"):
+            recipe(Frame([[1.0, 0.0]]), phi, env)  # one vector against two
+
     def test_hand_instance(self):
         psi, phi, env = hand_inclusion_instance()
         right = range_inclusion_right_inverse(psi, phi, env)
