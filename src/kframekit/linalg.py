@@ -133,8 +133,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a read-only 2-d complex128 array, rejecting NaN/Inf."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2 or a.size == 0:
         raise ShapeMismatch(f"{name} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -343,7 +341,8 @@ def majorization_constant(l1, l2, tol: float = IDENTITY_TOL) -> float:
 def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray,
                   residual: np.ndarray) -> tuple[float, tuple[float, float, float]]:
     """lambda = s_1 of the minimal Douglas solution's ``core``, certified by plain products,
-    and the norms (|w|, |a* w|, |b* w|) at a multiple w of its witness (all 0 when b = 0).
+    and the norms (|w|, |a* w|, |b* w|) at a multiple w of its witness (all 0 when b = 0 or a
+    has no columns).
 
     From below, lambda >= |a* w| / |b* w| for any w with b* w != 0, equal at the witness
     w = U_r Sigma_r^-1 u_1 (u_1 the core's top left singular vector). From above, lambda <=
@@ -353,7 +352,7 @@ def _majorization(a: np.ndarray, b: np.ndarray, f2: SvdFactors, core: np.ndarray
     unit of d) raises InternalConsistencyError.
     """
     r, s = f2.rank, f2.singular_values
-    if not r:  # the inclusion test admits only a = 0 into R(0)
+    if not r or not a.shape[1]:  # the inclusion test admits only a = 0 into R(0)
         return 0.0, (0.0, 0.0, 0.0)
     vectors, values, _ = np.linalg.svd(core, full_matrices=False)
     lam, basis = float(values[0]), f2.left_vectors

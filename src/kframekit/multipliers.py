@@ -337,8 +337,8 @@ def frames_from_multiplier_identity(
     sup = mult.symbol.sup_modulus
 
     def side(frame: Frame, side_env: OperatorEnv, other: Frame, inverse_norm: float) -> SideBound:
-        guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
         optimal = k_frame_check(frame, side_env, tol).lower
+        guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
         return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK))
 
     if _within(mult.matrix - env.k, tol * env.norm()):

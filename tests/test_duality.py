@@ -28,6 +28,7 @@ from kframekit.errors import (
     InvalidBounds,
     NotADual,
     NotARepresentation,
+    RankDeficientRestriction,
     ShapeMismatch,
 )
 from kframekit.frames import Frame, optimal_bessel_bound
@@ -363,6 +364,16 @@ class TestWitness:
         report = noncommutativity_witness(c4_example.frame, c4_example.env)
         assert not report.recovery.ok
         assert float(np.max(report.recovery_discrepancies)) > 0.1
+
+    def test_collapsed_dual_is_rank_deficient(self, c4_example, monkeypatch):
+        # the canonical dual spans R(K*), so only a fault can collapse S_Ftilde there: read
+        # the dual's factors with one singular vector fewer
+        skew_call(monkeypatch, duality, "_factors", "noncommutativity_witness",
+                  lambda g: dataclasses.replace(g, left_vectors=g.left_vectors[:, :-1],
+                                                right_vectors=g.right_vectors[:, :-1]))
+        with pytest.raises(RankDeficientRestriction,
+                           match=r"^S_Ftilde collapses R\(K\*\): rank 1 < 2$"):
+            noncommutativity_witness(c4_example.frame, c4_example.env)
 
     def test_dual_factors_match_an_svd_of_g(self):
         # the witness reads the dual's memoized factors; W = K V_k (G G*)^-1 V_k* from

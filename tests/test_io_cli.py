@@ -227,14 +227,26 @@ class TestRunJob:
         report = run_job(JobSpec("examples", tol=1e-30))
         assert not report.all_passed
 
-    @pytest.mark.parametrize("command", ["analyze", "dual", "verify"])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "dual-family", "perturb-check",
+                                         "verify"])
     def test_domain_error_becomes_failed_verdict(self, fixture_files, tmp_path, command):
         zero = tmp_path / "zero.json"
         io.write_file(zero, io.matrix_to_obj(np.zeros((2, 2))))
-        frames = (fixture_files["f2.json"],) * (2 if command == "verify" else 1)
+        frames = (fixture_files["f2.json"],) * (1 if command in ("analyze", "dual") else 2)
         report = run_job(JobSpec(command, frames, str(zero)))
         assert not report.all_passed
         assert report.error["code"] == "zero-operator"
+
+    @pytest.mark.parametrize("command", ["right-inverse", "left-inverse"])
+    def test_zero_operator_has_the_zero_inverse(self, fixture_files, tmp_path, command):
+        # M R = 0 and L M = 0 hold for R = L = 0, the minimal solutions, with lambda = 0
+        zero = tmp_path / "zero.json"
+        io.write_file(zero, io.matrix_to_obj(np.zeros((2, 2))))
+        report = run_job(JobSpec(command, (fixture_files["f2.json"],) * 2, str(zero)))
+        assert report.all_passed
+        assert not np.any(report.results["inverse"]["data"])
+        if command == "right-inverse":
+            assert report.results["majorization"] == 0.0
 
     def test_missing_file_is_parse_error(self):
         with pytest.raises(ParseError):

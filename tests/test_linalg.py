@@ -77,6 +77,17 @@ class TestSvd:
         with pytest.raises(NonFiniteInput):
             svd_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("call, name", [
+        (svd_decompose, "matrix"),
+        (lambda v: majorization_constant(v, np.eye(3)), "l1"),
+        (OperatorEnv.from_matrix, "k"),
+    ])
+    def test_rejects_a_vector(self, call, name):
+        # a 1-d array is not read as a column
+        with pytest.raises(ShapeMismatch, match=fr"^{name} must be a nonempty 2-d array, "
+                           r"got shape \(3,\)$"):
+            call(np.ones(3))
+
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -1,5 +1,6 @@
 """Multipliers, K-left/right inverses, perturbation and inclusion recipes."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -31,6 +32,7 @@ from kframekit.errors import (
     RangeNotIncluded,
     RestrictionSingular,
     ShapeMismatch,
+    ZeroOperator,
 )
 from kframekit.frames import Frame, k_frame_check, optimal_bessel_bound
 from kframekit.linalg import OperatorEnv, spectral_norm
@@ -336,6 +338,17 @@ class TestFramesFromIdentity:
         mult = assemble_multiplier(Symbol(np.zeros(2)), f, f)
         with pytest.raises(HypothesisNotMet):
             frames_from_multiplier_identity(mult, OperatorEnv.from_matrix(np.eye(2)))
+
+    def test_zero_operator(self):
+        # R = pinv(M) 0 = 0 is the minimal K-right inverse, with lambda = 0; the optimal
+        # bound each side is compared with is refused at K = 0, as k_frame_check refuses it
+        f = Frame(np.eye(2))
+        mult = assemble_multiplier(Symbol.ones(2), f, f)
+        env = OperatorEnv.from_matrix(np.zeros((2, 2)))
+        inverse = k_right_inverse(mult, env)
+        assert not np.any(inverse.matrix) and inverse.majorization == 0.0
+        with pytest.raises(ZeroOperator):
+            frames_from_multiplier_identity(mult, env)
 
 
 class TestInverseAsMultiplier:
@@ -710,6 +723,29 @@ class TestPerturbationConstructions:
         m = Symbol.semi_normalized([1.0, -1.0])
         with pytest.raises(RestrictionSingular, match="reference operator already collapses"):
             perturbation_k_dual(phi, phi, env, m, (2.0, 2.0))
+
+    def test_collapsed_perturbation_is_singular(self, c2_example, monkeypatch):
+        # under the condition B is invertible on R(K), so only a fault can collapse it: drop
+        # a singular vector of B, the second SVD the restriction takes, after B_ref's
+        f, env = c2_example.frame, c2_example.env
+        cond = perturbation_condition(f, f, env, Symbol.ones(3), 1.0, 2.0)
+        psi = perturbed_pair(np.random.default_rng(151), f, env, cond.threshold, 0.5)
+        found = perturbation_right_inverse(f, psi, env, Symbol.ones(3), (1.0, 2.0),
+                                           canonical_k_dual(f, env)).diagnostics
+        taken = []
+
+        def drop_on_b(factors):
+            taken.append(factors)
+            return factors if len(taken) == 1 else dataclasses.replace(
+                factors, left_vectors=factors.left_vectors[:, :-1],
+                right_vectors=factors.right_vectors[:, :-1])
+
+        skew_call(monkeypatch, multipliers, "svd_decompose", "build", drop_on_b)
+        with pytest.raises(RestrictionSingular) as info:
+            perturbation_k_dual(f, psi, env, Symbol.ones(3), (1.0, 2.0))
+        assert str(info.value) == (
+            f"M collapses R(K) at perturbation distance {found['distance']:.3e} vs margin "
+            f"{found['margin']:.3e}: operator collapses the subspace: rank 0 < dim 1")
 
     def test_condition_violated(self, c2_example):
         vectors = c2_example.frame.vectors.copy()
