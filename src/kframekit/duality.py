@@ -54,6 +54,7 @@ from .linalg import (
     _read_only,
     _require,
     _restricted_inverse,
+    _threshold,
     _Verdicts,
     _within,
     spectral_norm,
@@ -69,6 +70,7 @@ __all__ = [
     "verify_k_dual",
     "k_dual_lower_bounds",
     "canonical_dual_bound_certificate",
+    "admissibility_violation",
     "dual_family_generate",
     "dual_family_recover_phi",
     "dual_family_member",
@@ -181,7 +183,8 @@ def _lower_bounds(f: Frame, g: Frame, env: OperatorEnv, tol: float) -> tuple[flo
 def _require_k_dual(f: Frame, g: Frame, env: OperatorEnv, tol: float, what: str) -> None:
     """Raise NotADual, message prefix ``what``, unless ``g`` is a K-dual of ``f``: the gate
     of ``verify_k_dual``'s residual, decided Frobenius-first (``_within``)."""
-    _within(_dual_residual(f, g, env), tol * env.norm(), NotADual, what + " (residual {:.3e})")
+    _within(_dual_residual(f, g, env), _threshold(tol, env.norm()), NotADual,
+            what + " (residual {:.3e})")
 
 
 def k_dual_lower_bounds(
@@ -283,7 +286,7 @@ def dual_family_generate(
     """
     phi = np.asarray(phi, dtype=np.complex128)
     product, scale = _admissibility(f, env, phi, tol)
-    _within(product, tol * scale, InadmissiblePerturbation,
+    _within(product, _threshold(tol, scale), InadmissiblePerturbation,
             "P_R(K) T_F phi has norm {:.3e}")
     dual = canonical_k_dual(f, env, tol)
     return Frame((dual.synthesis + phi.conj().T).T)
@@ -337,7 +340,7 @@ def reciprocal_dual(
     return verify_k_dual(reduced, companion, env, tol, with_lower_bounds=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
     """Result of the K/K*-exchanged canonical construction applied to Ftilde.
 
@@ -377,7 +380,7 @@ def noncommutativity_witness(
                          _gate(float(np.max(recovery_disc)), f.norm(), tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityReport(_Verdicts):
     """Minimal-norm coefficient identity |c|^2 = |d|^2 + |c - d|^2: the verdict ``pythagoras``
     gates the two sides' difference against 1e-9 ``lhs`` = |c|^2.

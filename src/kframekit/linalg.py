@@ -256,8 +256,15 @@ def _require(check: CheckResult, error, message: str) -> CheckResult:
 
 def _gate(residual: float, scale: float, tol: float) -> CheckResult:
     """residual <= tol * scale in Python types, ``scale`` of the same degree as ``residual``."""
-    threshold = _nonnegative(tol) * scale
+    threshold = _threshold(tol, scale)
     return CheckResult(bool(residual <= threshold), float(residual), float(threshold))
+
+
+def _threshold(tol: float, scale: float) -> float:
+    """tol * scale, the threshold of every gate; 0.0 at a zero scale, where an infinite
+    ``tol`` would give inf * 0 = nan. ``tol`` is checked first (``_nonnegative``)."""
+    tol = _nonnegative(tol)
+    return tol * scale if scale else 0.0
 
 
 def _nonnegative(threshold: float) -> float:
@@ -291,7 +298,7 @@ def _douglas(
     inclusion = _gate(0.0, norm_a, tol)
     if f2.rank < a.shape[0]:
         basis = f2.left_vectors
-        inclusion = _within(a - basis @ (basis.conj().T @ a), tol * norm_a, error,
+        inclusion = _within(a - basis @ (basis.conj().T @ a), _threshold(tol, norm_a), error,
                             ranges + ": residual {:.3e} > threshold {:.3e}")
     return (inclusion, *_douglas_solution(a, b, f2, norm_a, tol))
 
@@ -303,7 +310,7 @@ def _douglas_solution(
     norm is gated at the identity tolerance, once R(a) is known to lie in R(b)."""
     x, core = f2.solve(a)
     residual = b @ x - a
-    _within(residual, tol * norm_a, InternalConsistencyError,
+    _within(residual, _threshold(tol, norm_a), InternalConsistencyError,
             "factorization residual {:.3e} despite range inclusion")
     return x, core, residual
 
@@ -380,8 +387,11 @@ class _Restriction:
     b: SvdFactors
 
     def coordinates(self) -> np.ndarray:
-        """B^+ Sigma (k x r): the restriction applied to L is Q (B^+ Sigma) V_r*."""
-        return self.b.solve(np.diag(self.left.singular_values[: self.left.rank]))[0]
+        """B^+ Sigma = V_B (Sigma_B^-1 U_B* Sigma) (k x r): the restriction applied to L is
+        Q (B^+ Sigma) V_r*."""
+        b = self.b
+        core = b.left_vectors.conj().T / b.singular_values[: b.rank, None]
+        return b.right_vectors @ (core * self.left.singular_values[: self.left.rank])
 
     def apply_adjoint(self, c: np.ndarray) -> np.ndarray:
         """U_r (B^+)* c: the adjoint restriction applied to Q c."""
@@ -446,7 +456,7 @@ class OperatorEnv:
         f, r = self.factors, self.rank
         u, tol = self.range_basis, IDENTITY_TOL * self.norm()
         _within(self.k @ (f.right_vectors / f.singular_values[:r]) - u,
-                tol * self.pinv_norm(), InternalConsistencyError,
+                _threshold(tol, self.pinv_norm()), InternalConsistencyError,
                 "K K^dagger differs from the range projector by {:.3e}")
         dropped = f.singular_values[r:]  # P_R(K) K - K has norm sigma_{k+1}
         _within(u @ (u.conj().T @ self.k) - self.k, (dropped[0] if dropped.size else 0.0) + tol,

@@ -73,6 +73,7 @@ from .linalg import (
     _read_only,
     _require,
     _restricted_inverse,
+    _threshold,
     _Verdicts,
     _within,
     range_identity_check,
@@ -254,7 +255,7 @@ def _multiplier_factors(mult: Multiplier, env: OperatorEnv) -> SvdFactors:
     return _divisible(factors, "the least kept singular value of M")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RightInverse:
     """Minimal K-right inverse M^+ K with the majorization constant of K against M,
     lambda = |M^+ K V_k|, read on K's range factor K V_k (``k_right_inverse``)."""
@@ -341,7 +342,7 @@ def frames_from_multiplier_identity(
         guaranteed = 1.0 / (sup**2 * inverse_norm**2 * optimal_bessel_bound(other))
         return SideBound(guaranteed, optimal, _gate(guaranteed - optimal, guaranteed, _SLACK))
 
-    if _within(mult.matrix - env.k, tol * env.norm()):
+    if _within(mult.matrix - env.k, _threshold(tol, env.norm())):
         return LowerBoundReport("identity", side(mult.phi, env, mult.psi, 1.0),
                                 side(mult.psi, env.adjoint(), mult.phi, 1.0))
 
@@ -361,7 +362,7 @@ def frames_from_multiplier_identity(
     return LowerBoundReport("inverse", phi_side, psi_side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierFactorization(_Verdicts):
     """Multiplier factors whose ordered product realizes ``target``.
 
@@ -432,7 +433,7 @@ def inverse_as_multiplier(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiorthogonalFactorization(_Verdicts):
     """Multiplier pairs composing to K and to K*; ``mirrored`` is the adjoint of ``forward``.
     ``_Verdicts.passed`` when both pass."""

@@ -4,6 +4,9 @@ import ast
 import re
 from pathlib import Path
 
+import kframekit
+from kframekit import duality, frames, linalg, multipliers, worked
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "kframekit"
 TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 GATE_ERRORS = {"ConditionViolated", "InadmissiblePerturbation", "InternalConsistencyError",
@@ -137,3 +140,24 @@ def test_no_deleted_route_returns():
                 for path in sorted(SRC.glob(files))
                 for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                 if re.search(pattern, line)]
+
+
+def test_every_public_definition_is_in_its_modules_all():
+    # a module's __all__ is the one statement of what it makes public
+    found = []
+    for module, tree in TREES.items():
+        listed = {c.value for n in tree.body if isinstance(n, ast.Assign)
+                  and [ast.unparse(t) for t in n.targets] == ["__all__"]
+                  for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
+        found += [f"{module}.{n.name}" for n in tree.body if listed
+                  and isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and not n.name.startswith("_") and n.name not in listed]
+    assert not found
+
+
+def test_the_package_exports_its_modules_all():
+    modules = (linalg, frames, duality, multipliers, worked)
+    stated = ["KFrameError", *(name for module in modules for name in module.__all__)]
+    assert sorted(kframekit.__all__) == sorted(stated) and len(set(stated)) == len(stated)
+    assert not [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+                if getattr(kframekit, name, None) is not getattr(module, name)]

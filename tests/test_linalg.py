@@ -425,6 +425,13 @@ class TestGate:
             with pytest.raises(ValueError, match="^a tolerance must be a non-negative number"):
                 call()
 
+    def test_infinite_tolerance_at_a_zero_scale(self):
+        # inf * 0 was a nan threshold: a failed gate, and a ValueError naming a nan never passed
+        assert _gate(0.0, 0.0, np.inf) == CheckResult(True, 0.0, 0.0)
+        assert majorization_constant(np.zeros((2, 2)), np.eye(2), np.inf) == 0.0
+        with pytest.raises(ValueError, match="got nan$"):
+            _gate(0.0, 0.0, np.nan)
+
     def test_zero_and_infinite_tolerances_keep_their_meaning(self):
         # tol = 0 is an exact test, tol = inf a vacuous one
         assert _gate(0.0, 1.0, 0.0).ok and not _gate(1e-300, 1.0, 0.0).ok
@@ -514,6 +521,29 @@ class TestVerdictsBase:
         assert perturbed.diagnostics["distance"] == 0.0  # Psi is Phi
         assert dataclasses.replace(perturbed, diagnostics={"margin": 0.0,
                                                            "distance": -1.0}).passed
+
+
+def test_result_types_that_hold_arrays_compare_by_identity():
+    # field by field, == of two equal results read an array's truth value (ValueError) and
+    # hash() hashed an array (TypeError)
+    c2 = projection_example()
+    f, env = c2.frame, c2.env
+    dual = duality.canonical_k_dual(f, env)
+    e1 = np.array([1.0, 0.0])
+    results = [
+        multipliers.k_right_inverse(
+            multipliers.assemble_multiplier(multipliers.Symbol.ones(3), f, f), env),
+        duality.noncommutativity_witness(f, env),
+        duality.minimal_norm_identity(f, env, e1, dual.analysis @ e1),
+        multipliers.inverse_as_multiplier(f, dual, env, np.diag([1.0, 0.0]), "left", dual),
+        multipliers.biorthogonal_right_inverse(*minimal_instance(np.random.default_rng(17))),
+    ]
+    for result in results:
+        copy = dataclasses.replace(result, **{
+            field.name: value.copy() for field in dataclasses.fields(result)
+            if isinstance(value := getattr(result, field.name), np.ndarray)})
+        assert result == result and result != copy, type(result).__name__
+        assert len({result, copy}) == 2, type(result).__name__
 
 
 class TestMajorization:
